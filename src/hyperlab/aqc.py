@@ -65,26 +65,37 @@ class DiophantinePolynomial:
         return total
 
 
+def _integer(value, what: str) -> int:
+    """An exact JSON integer; floats, strings and booleans are not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def parse_polynomial(doc: dict) -> DiophantinePolynomial:
     """Validate a polynomial document {"vars": k, "terms": [[c, [e1..ek]], ...]}.
 
     Exponent vectors must be distinct (duplicates are an error, not merged);
-    zero-coefficient terms are dropped as canonicalisation.
+    zero-coefficient terms are dropped as canonicalisation. Every malformed
+    document raises :class:`ValidationError`.
     """
     try:
-        num_vars = int(doc["vars"])
+        num_vars = _integer(doc["vars"], "vars")
         raw_terms = doc["terms"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed polynomial document: {exc}") from None
     if num_vars < 1:
         raise ValidationError("polynomial needs at least one variable")
+    if not isinstance(raw_terms, (list, tuple)):
+        raise ValidationError(f"terms must be a list, got {raw_terms!r}")
     seen: set[tuple[int, ...]] = set()
     terms: list[tuple[int, tuple[int, ...]]] = []
     for entry in raw_terms:
-        if len(entry) != 2:
+        if (not isinstance(entry, (list, tuple)) or len(entry) != 2
+                or not isinstance(entry[1], (list, tuple))):
             raise ValidationError(f"term must be [coefficient, exponents], got {entry!r}")
-        coeff = int(entry[0])
-        exps = tuple(int(e) for e in entry[1])
+        coeff = _integer(entry[0], "coefficient")
+        exps = tuple(_integer(e, "exponent") for e in entry[1])
         if len(exps) != num_vars:
             raise ValidationError(
                 f"exponent vector {exps!r} does not match {num_vars} variables")
@@ -142,43 +153,101 @@ class TruncatedFockSpace:
 
 
 # -- Hamiltonians ----------------------------------------------------------------
+#
+# An operator is one of three things: a 2-D array (a dense matrix), a 1-D
+# array (a real diagonal, held as its entries), or a ProjectorComplement
+# (I - |u><u| with u uniform, held through its dimension). The builders below
+# return the last two, so the default pipeline never forms a d x d array;
+# dense matrices stay accepted for custom operators and as the reference.
+
+
+@dataclass(frozen=True)
+class ProjectorComplement:
+    """I - |u><u| for the uniform ket u on `dimension` basis states.
+
+    Applied to v it gives v - (sum(v) / d) * 1 in O(d). Its spectrum is 0 on u
+    and 1 on the rest, so its norm is 1, or 0 when d = 1 (then I = |u><u|).
+    """
+
+    dimension: int
+
+    def __post_init__(self):
+        if self.dimension < 1:
+            raise DomainError("a projector complement needs at least one basis state")
+
+    def ket(self) -> np.ndarray:
+        """The uniform ground ket u as a column vector."""
+        return np.full((self.dimension, 1), 1.0 / math.sqrt(self.dimension),
+                       dtype=np.complex128)
+
+
+def dense_operator(op) -> np.ndarray:
+    """The d x d complex matrix of any operator form."""
+    if isinstance(op, ProjectorComplement):
+        u = op.ket()
+        return linalg.identity(op.dimension) - u @ u.conj().T
+    if op.ndim == 1:
+        return np.diag(op).astype(np.complex128)
+    return op
+
+
+def operator_norm(op) -> float:
+    """Spectral norm: closed form for the structured forms, an SVD for dense."""
+    if isinstance(op, ProjectorComplement):
+        return 1.0 if op.dimension > 1 else 0.0
+    if op.ndim == 1:
+        return float(np.max(np.abs(op)))
+    return float(np.linalg.norm(op, 2))
+
+
+def _operator_dimension(op) -> Optional[int]:
+    if isinstance(op, ProjectorComplement):
+        return op.dimension
+    if op.ndim == 1 or (op.ndim == 2 and op.shape[0] == op.shape[1]):
+        return op.shape[0]
+    return None
 
 
 def build_problem_hamiltonian(
     poly: DiophantinePolynomial, space: TruncatedFockSpace
 ) -> np.ndarray:
-    """Diagonal operator with entry D(n1..nk)**2 at each occupation tuple."""
+    """Diagonal operator with entry D(n1..nk)**2 at each occupation tuple.
+
+    Returned as its real diagonal (a length-d array); ``np.diag`` of it is
+    the matrix.
+    """
     if poly.num_vars != space.num_modes:
         raise ShapeError(
             f"polynomial has {poly.num_vars} variables but the space has "
             f"{space.num_modes} modes")
-    diag = np.fromiter(
+    return np.fromiter(
         (float(poly.evaluate(n) ** 2) for n in space.basis()),
         dtype=np.float64,
         count=space.dimension,
     )
-    return np.diag(diag).astype(np.complex128)
 
 
-def build_initial_hamiltonian(space: TruncatedFockSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Projector complement I - |u><u| with u uniform; returns (matrix, ground ket).
+def build_initial_hamiltonian(
+    space: TruncatedFockSpace,
+) -> tuple[ProjectorComplement, np.ndarray]:
+    """Projector complement I - |u><u| with u uniform; returns (operator, ground ket).
 
     The uniform superposition is its unique zero-energy ground state and the
     rest of the spectrum sits at exactly 1, so the starting gap is 1. Any
     other start operator with a unique, preparable ground state works too:
     pass it (and its ground ket) to :class:`AdiabaticProblem` directly.
     """
-    d = space.dimension
-    u = np.full((d, 1), 1.0 / math.sqrt(d), dtype=np.complex128)
-    h = linalg.identity(d) - u @ u.conj().T
-    return h, u
+    h = ProjectorComplement(space.dimension)
+    return h, h.ket()
 
 
 @dataclass(frozen=True)
 class AdiabaticProblem:
+    """H(s) = (1 - s) * h_initial + s * h_problem, each in any operator form."""
+
     space: TruncatedFockSpace
-    h_problem: np.ndarray
-    h_initial: np.ndarray
+    h_problem: np.ndarray | ProjectorComplement
+    h_initial: np.ndarray | ProjectorComplement
     total_time: float
     dt: float
 
@@ -188,23 +257,22 @@ class AdiabaticProblem:
         if self.dt <= 0:
             raise DomainError("integrator step must be positive")
         d = self.space.dimension
-        if self.h_problem.shape != (d, d) or self.h_initial.shape != (d, d):
+        if (_operator_dimension(self.h_problem) != d
+                or _operator_dimension(self.h_initial) != d):
             raise ShapeError("Hamiltonians must match the space dimension")
 
 
 def interpolate_hamiltonian(problem: AdiabaticProblem, s: float) -> np.ndarray:
-    """(1 - s) * H_initial + s * H_problem; Hermitian for any s in [0, 1]."""
+    """(1 - s) * H_initial + s * H_problem as a dense matrix; Hermitian for s in [0, 1]."""
     if not 0.0 <= s <= 1.0:
         raise DomainError("interpolation parameter must lie in [0, 1]")
-    return (1.0 - s) * problem.h_initial + s * problem.h_problem
+    return ((1.0 - s) * dense_operator(problem.h_initial)
+            + s * dense_operator(problem.h_problem))
 
 
 def spectral_norm_bound(problem: AdiabaticProblem) -> float:
     """Upper bound on ||H(s)|| over the whole schedule (convexity)."""
-    return max(
-        float(np.linalg.norm(problem.h_initial, 2)),
-        float(np.linalg.norm(problem.h_problem, 2)),
-    )
+    return max(operator_norm(problem.h_initial), operator_norm(problem.h_problem))
 
 
 @dataclass(frozen=True)
@@ -212,6 +280,29 @@ class EvolveResult:
     state: np.ndarray
     norm_drift: float
     steps: int
+
+
+def _schrodinger_rhs(problem: AdiabaticProblem):
+    """v -> -i H(s) v, in O(d) for the structured pair and by matvecs otherwise."""
+    h_i, h_p = problem.h_initial, problem.h_problem
+    if (isinstance(h_i, ProjectorComplement)
+            and isinstance(h_p, np.ndarray) and h_p.ndim == 1):
+        # -i H(s) v = -i ((1 - s) + s p) v + i ((1 - s) / d) sum(v)
+        slope = -1j * (h_p.reshape(-1, 1) - 1.0)
+        d = h_i.dimension
+
+        def rhs(s: float, v: np.ndarray) -> np.ndarray:
+            return (s * slope - 1j) * v + (1j * (1.0 - s) / d) * v.sum()
+
+        return rhs
+
+    hi = dense_operator(h_i)
+    diff = dense_operator(h_p) - hi
+
+    def rhs(s: float, v: np.ndarray) -> np.ndarray:
+        return -1j * (hi @ v + s * (diff @ v))
+
+    return rhs
 
 
 def evolve(problem: AdiabaticProblem, psi0: np.ndarray) -> EvolveResult:
@@ -223,6 +314,8 @@ def evolve(problem: AdiabaticProblem, psi0: np.ndarray) -> EvolveResult:
     how much unitarity the integrator lost.
     """
     psi = linalg.ket(psi0).astype(np.complex128)
+    if psi.shape[0] != problem.space.dimension:
+        raise ShapeError("initial state dimension does not match the space")
     nrm = linalg.norm(psi)
     if abs(nrm - 1.0) > 1e-9:
         raise DomainError(f"initial state must be normalised, got norm {nrm}")
@@ -238,11 +331,7 @@ def evolve(problem: AdiabaticProblem, psi0: np.ndarray) -> EvolveResult:
 
     steps = max(1, math.ceil(t_total / problem.dt))
     dt = t_total / steps
-    hi = problem.h_initial
-    diff = problem.h_problem - problem.h_initial
-
-    def rhs(s: float, v: np.ndarray) -> np.ndarray:
-        return -1j * (hi @ v + s * (diff @ v))
+    rhs = _schrodinger_rhs(problem)
 
     for k in range(steps):
         t = k * dt
@@ -287,6 +376,13 @@ def measure_sample(
 # -- exact oracle and the decision procedure ------------------------------------------
 
 
+def _check_lattice_budget(space: TruncatedFockSpace) -> None:
+    if space.dimension > LATTICE_BUDGET:
+        raise ResourceError(
+            f"lattice of {space.dimension} points exceeds the budget "
+            f"{LATTICE_BUDGET}")
+
+
 def exact_ground_oracle(
     poly: DiophantinePolynomial, cutoff: int
 ) -> tuple[int, list[tuple[int, ...]]]:
@@ -296,10 +392,7 @@ def exact_ground_oracle(
     plain Python integers, so no value is ever rounded.
     """
     space = TruncatedFockSpace(poly.num_vars, cutoff)
-    if space.dimension > LATTICE_BUDGET:
-        raise ResourceError(
-            f"lattice of {space.dimension} points exceeds the scan budget "
-            f"{LATTICE_BUDGET}")
+    _check_lattice_budget(space)
     best: Optional[int] = None
     winners: list[tuple[int, ...]] = []
     for n in space.basis():
@@ -372,6 +465,7 @@ def decide(
     if cutoff < 0 or total_time <= 0 or dt <= 0 or shots < 1:
         raise DomainError("cutoff, time, dt and shots must be positive")
     space = TruncatedFockSpace(poly.num_vars, cutoff)
+    _check_lattice_budget(space)
     h_p = build_problem_hamiltonian(poly, space)
     h_i, ground = build_initial_hamiltonian(space)
     problem = AdiabaticProblem(

@@ -3,11 +3,13 @@
 Reports must be byte-reproducible: fields keep their insertion order, floats
 are printed with 17 significant digits, and no locale or hash randomisation
 can leak in. The JSON writer below is deliberately tiny rather than clever;
-CSV flattens nested keys with dots, one record per row.
+CSV flattens nested keys with dots, one record per row. Exact integers and
+fractions are printed in full however many digits they have.
 """
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 from fractions import Fraction
@@ -22,6 +24,22 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def format_int(n: int) -> str:
+    """Every digit of n, also past the interpreter's int-to-str digit limit.
+
+    Decimal's conversion is exempt from that limit, so the limit stays as it
+    is for everyone else in the process.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        return format(decimal.Decimal(n), "f")
+
+
+def format_fraction(q: Fraction) -> str:
+    return f"{format_int(q.numerator)}/{format_int(q.denominator)}"
+
+
 def _scalar(value: Any) -> str:
     if value is None:
         return "null"
@@ -30,11 +48,11 @@ def _scalar(value: Any) -> str:
     if value is False:
         return "false"
     if isinstance(value, int):
-        return str(value)
+        return format_int(value)
     if isinstance(value, float):
         return format_float(value)
     if isinstance(value, Fraction):
-        return json.dumps(f"{value.numerator}/{value.denominator}")
+        return json.dumps(format_fraction(value))
     if isinstance(value, str):
         return json.dumps(value)
     raise DomainError(f"cannot serialise {type(value).__name__} into a report")
@@ -66,9 +84,11 @@ def _csv_cell(value: Any) -> str:
     if isinstance(value, float):
         return format_float(value)
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return format_fraction(value)
     if value is None:
         return ""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return format_int(value)
     return str(value)
 
 

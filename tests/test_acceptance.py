@@ -46,7 +46,7 @@ def _evolve_x_minus_2(total_time: float, dt: float = 0.01):
         space=space, h_problem=h_p, h_initial=h_i, total_time=total_time, dt=dt)
     result = aqc.evolve(problem, u)
     _DRIFTS.append(result.norm_drift)
-    ground = linalg.hermitian_eigensystem(h_p).ground_vector
+    ground = linalg.hermitian_eigensystem(np.diag(h_p)).ground_vector
     overlap = abs(linalg.inner_product(ground, result.state)) ** 2
     return result, overlap
 
@@ -141,7 +141,7 @@ def test_criterion_06_norm_conservation_and_phases():
         psi0 = linalg.ket(np.full(5, 1 / np.sqrt(5)))
         result = aqc.evolve(problem, psi0)
         _DRIFTS.append(result.norm_drift)
-        expected = psi0.reshape(-1) * np.exp(-1j * np.diag(h_p).real * 1.0)
+        expected = psi0.reshape(-1) * np.exp(-1j * h_p * 1.0)
         assert np.max(np.abs(result.state.reshape(-1) - expected)) < 1e-7
 
         _evolve_x_minus_2(25.0)

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hyperlab import aqc, linalg
 from hyperlab.aqc import TruncatedFockSpace, Verdict
@@ -77,18 +80,19 @@ class TestFockSpace:
 class TestProblemHamiltonian:
     def test_x_minus_2_diagonal(self):
         poly = aqc.parse_polynomial(X_MINUS_2)
-        h = aqc.build_problem_hamiltonian(poly, TruncatedFockSpace(1, 4))
+        levels = aqc.build_problem_hamiltonian(poly, TruncatedFockSpace(1, 4))
+        h = np.diag(levels)
         assert np.array_equal(np.diag(h).real, [4, 1, 0, 1, 4])
         assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
 
     def test_two_x_minus_1_has_positive_floor(self):
         poly = aqc.parse_polynomial(TWO_X_MINUS_1)
-        h = aqc.build_problem_hamiltonian(poly, TruncatedFockSpace(1, 8))
+        h = np.diag(aqc.build_problem_hamiltonian(poly, TruncatedFockSpace(1, 8)))
         assert np.min(np.diag(h).real) == 1.0
 
     def test_identity_polynomial_grounds_at_origin(self):
         poly = aqc.parse_polynomial({"vars": 1, "terms": [[1, [1]]]})
-        h = aqc.build_problem_hamiltonian(poly, TruncatedFockSpace(1, 6))
+        h = np.diag(aqc.build_problem_hamiltonian(poly, TruncatedFockSpace(1, 6)))
         assert np.diag(h).real[0] == 0.0
 
     def test_arity_mismatch(self):
@@ -99,7 +103,7 @@ class TestProblemHamiltonian:
     def test_ground_entry_matches_exact_oracle(self):
         poly = aqc.parse_polynomial(CUBES_PLUS_XYZ)
         space = TruncatedFockSpace(3, 3)
-        h = aqc.build_problem_hamiltonian(poly, space)
+        h = np.diag(aqc.build_problem_hamiltonian(poly, space))
         energy, winners = aqc.exact_ground_oracle(poly, 3)
         assert np.min(np.diag(h).real) == energy
         idx = space.index_of(winners[0])
@@ -107,7 +111,7 @@ class TestProblemHamiltonian:
 
     def test_spectrum_agrees_with_eigensolver(self):
         poly = aqc.parse_polynomial(X_MINUS_2)
-        h = aqc.build_problem_hamiltonian(poly, TruncatedFockSpace(1, 4))
+        h = np.diag(aqc.build_problem_hamiltonian(poly, TruncatedFockSpace(1, 4)))
         es = linalg.hermitian_eigensystem(h)
         energy, _ = aqc.exact_ground_oracle(poly, 4)
         assert abs(es.ground_value - energy) < 1e-9
@@ -116,16 +120,16 @@ class TestProblemHamiltonian:
 class TestInitialHamiltonian:
     def test_dimension_two_matrix(self):
         h, u = aqc.build_initial_hamiltonian(TruncatedFockSpace(1, 1))
-        assert np.allclose(h, [[0.5, -0.5], [-0.5, 0.5]])
+        assert np.allclose(aqc.dense_operator(h), [[0.5, -0.5], [-0.5, 0.5]])
 
     def test_uniform_state_is_ground(self):
         h, u = aqc.build_initial_hamiltonian(TruncatedFockSpace(1, 5))
-        assert np.max(np.abs(h @ u)) < 1e-14
+        assert np.max(np.abs(aqc.dense_operator(h) @ u)) < 1e-14
         assert abs(linalg.norm(u) - 1) < 1e-12
 
     def test_spectrum_is_zero_then_ones(self):
         h, _ = aqc.build_initial_hamiltonian(TruncatedFockSpace(1, 3))
-        es = linalg.hermitian_eigensystem(h)
+        es = linalg.hermitian_eigensystem(aqc.dense_operator(h))
         assert np.allclose(es.values, [0, 1, 1, 1])
 
 
@@ -141,13 +145,14 @@ class TestInterpolation:
 
     def test_endpoints(self, problem):
         assert np.array_equal(aqc.interpolate_hamiltonian(problem, 0.0),
-                              problem.h_initial)
+                              aqc.dense_operator(problem.h_initial))
         assert np.array_equal(aqc.interpolate_hamiltonian(problem, 1.0),
-                              problem.h_problem)
+                              aqc.dense_operator(problem.h_problem))
 
     def test_midpoint_is_mean_and_hermitian(self, problem):
         mid = aqc.interpolate_hamiltonian(problem, 0.5)
-        assert np.allclose(mid, (problem.h_initial + problem.h_problem) / 2)
+        assert np.allclose(mid, (aqc.dense_operator(problem.h_initial)
+                                 + aqc.dense_operator(problem.h_problem)) / 2)
         assert np.max(np.abs(mid - mid.conj().T)) < 1e-14
 
     def test_out_of_range_rejected(self, problem):
@@ -181,13 +186,13 @@ class TestEvolve:
             total_time=1.0, dt=0.002)
         psi0 = linalg.ket(np.full(5, 1 / np.sqrt(5)))
         result = aqc.evolve(problem, psi0)
-        expected = psi0.reshape(-1) * np.exp(-1j * np.diag(h_p).real * 1.0)
+        expected = psi0.reshape(-1) * np.exp(-1j * h_p * 1.0)
         assert np.max(np.abs(result.state.reshape(-1) - expected)) < 1e-7
 
     def test_adiabatic_transfer_to_problem_ground(self):
         problem, u = self._problem(50.0, 0.01)
         result = aqc.evolve(problem, u)
-        ground = linalg.hermitian_eigensystem(problem.h_problem).ground_vector
+        ground = linalg.hermitian_eigensystem(np.diag(problem.h_problem)).ground_vector
         overlap = abs(linalg.inner_product(ground, result.state)) ** 2
         assert overlap >= 0.9
 
@@ -295,3 +300,145 @@ class TestDecide:
         poly = aqc.parse_polynomial(X_MINUS_2)
         with pytest.raises(DomainError):
             aqc.decide(poly, cutoff=4, total_time=0.0, dt=0.01, shots=10, seed=0)
+
+    def test_lattice_budget_checked_before_building(self):
+        poly = aqc.parse_polynomial(CUBES_PLUS_XYZ)
+        with pytest.raises(ResourceError):
+            aqc.decide(poly, cutoff=500, total_time=1.0, dt=0.01, shots=10, seed=0)
+
+
+# d <= 125 for every arity: 21, 121 and 125 points at the largest cutoffs
+MAX_CUTOFF = {1: 20, 2: 10, 3: 4}
+
+
+@st.composite
+def lattice_problems(draw):
+    k = draw(st.integers(1, 3))
+    cutoff = draw(st.integers(0, MAX_CUTOFF[k]))
+    exponents = draw(st.lists(st.tuples(*[st.integers(0, 2)] * k),
+                              min_size=1, max_size=4, unique=True))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(exponents),
+                           max_size=len(exponents)))
+    poly = aqc.parse_polynomial(
+        {"vars": k, "terms": [[c, list(e)] for c, e in zip(coeffs, exponents)]})
+    return poly, cutoff
+
+
+def _poly(k, terms):
+    return aqc.parse_polynomial({"vars": k, "terms": terms})
+
+
+def _sampler_tie(state) -> bool:
+    """True when numpy's multinomial meets an exact tie for this state.
+
+    It draws category j from Binomial(remaining shots, p_j / remaining mass)
+    and maps the draw differently above a ratio of 1/2. Symmetric lattice
+    points make that ratio exactly 1/2 in exact arithmetic, and two states
+    equal to rounding then fall on either side of it.
+    """
+    probs = np.abs(state.reshape(-1)) ** 2
+    probs = probs / probs.sum()
+    remaining = 1.0 - np.concatenate(([0.0], np.cumsum(probs)[:-1]))
+    return bool(np.any(np.abs(probs[:-1] / remaining[:-1] - 0.5) < 1e-9))
+
+
+class TestStructuredOperators:
+    """The O(d) operator forms against the dense matrices they stand for."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=lattice_problems(), steps=st.integers(1, 80),
+           guard_share=st.floats(0.05, 0.99), seed=st.integers(0, 2**32 - 1))
+    # d = 1; a two-point ground level (x**2 - 3x + 2); every point a minimiser
+    @example(problem=(_poly(2, [[1, [1, 1]], [-2, [0, 0]]]), 0),
+             steps=40, guard_share=0.99, seed=3)
+    @example(problem=(_poly(1, [[1, [2]], [-3, [1]], [2, [0]]]), 4),
+             steps=80, guard_share=0.9, seed=5)
+    @example(problem=(_poly(3, [[0, [1, 0, 0]]]), 4),
+             steps=20, guard_share=0.5, seed=7)
+    def test_evolution_matches_the_dense_path(self, problem, steps, guard_share, seed):
+        poly, cutoff = problem
+        space = TruncatedFockSpace(poly.num_vars, cutoff)
+        levels = aqc.build_problem_hamiltonian(poly, space)
+        h_i, u = aqc.build_initial_hamiltonian(space)
+        dense_p, dense_i = np.diag(levels).astype(np.complex128), aqc.dense_operator(h_i)
+
+        for op, dense in ((levels, dense_p), (h_i, dense_i)):
+            exact = float(np.linalg.norm(dense, 2))
+            assert abs(aqc.operator_norm(op) - exact) <= 1e-14 * exact
+
+        # the dense SVD can put ||I - |u><u||| an ulp above 1, so stay under the guard
+        dt = guard_share * aqc.STABILITY_LIMIT / max(aqc.operator_norm(levels), 1.0)
+        structured = aqc.AdiabaticProblem(space=space, h_problem=levels, h_initial=h_i,
+                                          total_time=steps * dt, dt=dt)
+        dense = aqc.AdiabaticProblem(space=space, h_problem=dense_p, h_initial=dense_i,
+                                     total_time=steps * dt, dt=dt)
+        a, b = aqc.evolve(structured, u), aqc.evolve(dense, u)
+        assert a.steps == b.steps
+        assert np.max(np.abs(a.state - b.state)) <= 1e-12
+        if not _sampler_tie(a.state):
+            assert (aqc.measure_sample(a.state, space, 1000, seed)
+                    == aqc.measure_sample(b.state, space, 1000, seed))
+
+    def test_symmetric_points_keep_bitwise_equal_amplitudes(self):
+        # 2x in two variables: (1, 0) and (1, 1) are images under y <-> 1 - y,
+        # which is also the sampler tie that the comparison above steps round
+        poly = _poly(2, [[2, [1, 0]]])
+        space = TruncatedFockSpace(2, 1)
+        levels = aqc.build_problem_hamiltonian(poly, space)
+        h_i, u = aqc.build_initial_hamiltonian(space)
+        problem = aqc.AdiabaticProblem(space=space, h_problem=levels, h_initial=h_i,
+                                       total_time=0.75, dt=0.125)
+        state = aqc.evolve(problem, u).state.reshape(-1)
+        assert state[2] == state[3] and state[0] == state[1]
+        assert _sampler_tie(state)
+
+    def test_projector_complement_norm_is_zero_at_dimension_one(self):
+        h_i, _ = aqc.build_initial_hamiltonian(TruncatedFockSpace(1, 0))
+        assert aqc.operator_norm(h_i) == 0.0
+        assert np.array_equal(aqc.dense_operator(h_i), [[0]])
+
+    def test_closed_form_bound_drives_the_stability_guard(self):
+        poly = aqc.parse_polynomial(X_MINUS_2)
+        space = TruncatedFockSpace(1, 4)
+        h_i, u = aqc.build_initial_hamiltonian(space)
+        problem = aqc.AdiabaticProblem(
+            space=space, h_problem=aqc.build_problem_hamiltonian(poly, space),
+            h_initial=h_i, total_time=1.0, dt=0.126)  # dt * 4 = 0.504
+        assert aqc.spectral_norm_bound(problem) == 4.0
+        with pytest.raises(StabilityError):
+            aqc.evolve(problem, u)
+
+    def test_state_of_the_wrong_dimension_rejected(self):
+        space = TruncatedFockSpace(1, 4)
+        h_i, _ = aqc.build_initial_hamiltonian(space)
+        problem = aqc.AdiabaticProblem(
+            space=space, h_problem=np.zeros(5), h_initial=h_i, total_time=1.0, dt=0.01)
+        with pytest.raises(ShapeError):
+            aqc.evolve(problem, linalg.ket([1.0]))
+
+    def test_operator_of_the_wrong_dimension_rejected(self):
+        space = TruncatedFockSpace(1, 4)
+        with pytest.raises(ShapeError):
+            aqc.AdiabaticProblem(space=space, h_problem=np.zeros(4),
+                                 h_initial=aqc.ProjectorComplement(5),
+                                 total_time=1.0, dt=0.01)
+        with pytest.raises(ShapeError):
+            aqc.AdiabaticProblem(space=space, h_problem=np.zeros(5),
+                                 h_initial=aqc.ProjectorComplement(4),
+                                 total_time=1.0, dt=0.01)
+
+    def test_decide_allocates_no_dense_matrix(self):
+        # x + y + z - 3 at cutoff 9: d = 1000, where one dense complex matrix
+        # is 16 MB; the largest D**2 on the lattice is 24**2
+        poly = aqc.parse_polynomial({"vars": 3, "terms": [
+            [1, [1, 0, 0]], [1, [0, 1, 0]], [1, [0, 0, 1]], [-3, [0, 0, 0]]]})
+        dt = aqc.STABILITY_LIMIT / 24**2
+        tracemalloc.start()
+        try:
+            report = aqc.decide(poly, cutoff=9, total_time=20 * dt, dt=dt,
+                                shots=100, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.ground_energy == 0
+        assert peak < 2 * 2**20

@@ -1,5 +1,8 @@
+import csv
 import io
 import json
+import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -104,6 +107,23 @@ class TestDispatch:
         assert report["verdict"] == "solvable-with-witness"
         assert report["witness"] == [2]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_zeno_time_beyond_the_int_digit_limit(self, fmt):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = f"{2**15001 - 1}/{2**15000}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        status, out, err = run_cli(["--format", fmt, "zeno", "time", "--n", "15000"])
+        assert status == 0 and err == ""
+        if fmt == "json":
+            report = json.loads(out)
+        else:
+            [report] = csv.DictReader(io.StringIO(out))
+        assert report["seconds_exact"] == expected
+        assert sys.get_int_max_str_digits() == limit
+
     def test_aqc_oracle_only(self, write_json):
         path = write_json("poly.json", X_MINUS_2)
         status, out, _ = run_cli(["aqc", "solve", path, "--cutoff", "4", "--oracle-only"])
@@ -134,6 +154,33 @@ class TestErrors:
         status, _, err = run_cli(["tm", "run", path])
         assert status == 1
         assert json.loads(err)["error"] == "validation-error"
+
+    @pytest.mark.parametrize("doc", [
+        {"vars": 1, "terms": 5},
+        {"vars": 1, "terms": [[1, 5]]},
+        {"vars": "x", "terms": []},
+        {"vars": 1, "terms": [5]},
+        {"vars": 1, "terms": [[1.5, [1]]]},
+        {"vars": 1, "terms": [[1, ["a"]]]},
+        {"vars": None, "terms": []},
+        [1, 2],
+    ], ids=repr)
+    def test_malformed_polynomial_document(self, write_json, doc):
+        path = write_json("poly.json", doc)
+        status, out, err = run_cli(["aqc", "solve", path, "--cutoff", "2"])
+        assert status == 1 and out == ""
+        assert json.loads(err)["error"] == "validation-error"
+
+    def test_oversized_lattice_is_refused_before_any_work(self, write_json):
+        # 8 variables at cutoff 9 is a lattice of 10**8 points
+        doc = {"vars": 8, "terms": [[1, [1] * 8], [-1, [0] * 8]]}
+        path = write_json("poly.json", doc)
+        start = time.monotonic()
+        status, out, err = run_cli(["aqc", "solve", path, "--cutoff", "9",
+                                    "--time", "1", "--dt", "0.01"])
+        assert time.monotonic() - start < 2.0
+        assert status == 1 and out == ""
+        assert json.loads(err)["error"] == "resource-error"
 
     def test_bad_thread_env(self, monkeypatch):
         monkeypatch.setenv("HYPERLAB_THREADS", "zero")

@@ -24,6 +24,12 @@ class TestJson:
     def test_fractions_become_exact_strings(self):
         assert reporting.to_json(Fraction(15, 8)) == '"15/8"'
 
+    def test_integers_past_the_digit_limit_print_in_full(self):
+        big = 10**5000 + 7
+        text = reporting.to_json({"n": big, "q": Fraction(1, big)})
+        assert text == '{"n":1' + "0" * 4999 + '7,"q":"1/1' + "0" * 4999 + '7"}'
+        assert reporting.to_csv([{"n": -big}]).splitlines()[1] == "-1" + "0" * 4999 + "7"
+
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             reporting.format_float(float("inf"))

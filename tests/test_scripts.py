@@ -22,6 +22,22 @@ def test_overlap_sweep_runs_and_trends_upward():
     assert overlaps[1] > overlaps[0]
 
 
+def test_overlap_sweep_sums_a_degenerate_ground_level(tmp_path):
+    # x**2 - 3x + 2 = (x - 1)(x - 2) vanishes at both 1 and 2
+    doc = tmp_path / "two_roots.json"
+    doc.write_text(json.dumps(
+        {"vars": 1, "terms": [[1, [2]], [-3, [1]], [2, [0]]]}))
+    proc = run_script("overlap_sweep.py", str(doc),
+                      "--cutoff", "4", "--times", "1", "25", "--dt", "0.01")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["exact_ground_energy"] == 0
+    assert report["exact_minimizers"] == [[1], [2]]
+    overlaps = [row["ground_overlap"] for row in report["sweep"]]
+    assert overlaps[1] > overlaps[0]
+    assert overlaps[1] >= 0.9
+
+
 def test_wheel_strategies_emits_rows():
     proc = run_script("wheel_strategies.py", "--wheels", "2", "4",
                       "--trials", "2000", "--seed", "1")
