@@ -220,11 +220,16 @@ def build_problem_hamiltonian(
         raise ShapeError(
             f"polynomial has {poly.num_vars} variables but the space has "
             f"{space.num_modes} modes")
-    return np.fromiter(
-        (float(poly.evaluate(n) ** 2) for n in space.basis()),
-        dtype=np.float64,
-        count=space.dimension,
-    )
+    try:
+        return np.fromiter(
+            (float(poly.evaluate(n) ** 2) for n in space.basis()),
+            dtype=np.float64,
+            count=space.dimension,
+        )
+    except OverflowError:
+        raise DomainError(
+            "some D(n)**2 on the lattice is too large for a float; lower the "
+            "cutoff, or use --oracle-only for the exact scan") from None
 
 
 def build_initial_hamiltonian(

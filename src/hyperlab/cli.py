@@ -5,6 +5,9 @@ deterministic report (JSON by default, CSV on request) to stdout or to
 --output; errors are structured JSON on stderr with exit status 1, usage
 problems exit with status 2. Identical invocations with identical seeds
 produce byte-identical reports.
+
+numpy is imported only by the commands that use it (tae ashby --simulate,
+tae bogosort and aqc solve), so the exact commands start without it.
 """
 
 from __future__ import annotations
@@ -13,11 +16,10 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from fractions import Fraction
 
-import numpy as np
-
-from . import aqc, limits, pairing, tae, turing, zeno
+from . import limits, pairing, tae, turing, zeno
 from .errors import HyperlabError
 from .reporting import emit_report
 from .zeno import UNBOUNDED
@@ -183,6 +185,8 @@ def _cmd_ashby(args, seed: int) -> dict:
 
 
 def _cmd_bogosort(args, seed: int) -> dict:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     sequence = [int(x) for x in rng.permutation(args.length)]
     result = tae.bogosort(sequence, memoized=args.memo, seed=seed,
@@ -306,6 +310,8 @@ def _cmd_enum_list(args) -> list:
 
 
 def _cmd_aqc_solve(args, seed: int) -> dict:
+    from . import aqc
+
     poly = aqc.parse_polynomial(_load_json(args.polynomial))
     if args.oracle_only:
         energy, winners = aqc.exact_ground_oracle(poly, args.cutoff)
@@ -370,22 +376,40 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         result = dispatch(args)
+        if args.output == "-":
+            emit_report(result, args.format, sys.stdout)
+        else:
+            _emit_to_file(result, args.format, args.output)
     except HyperlabError as exc:
         print(json.dumps({"error": exc.kind, "message": str(exc)}), file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(json.dumps({"error": "io-error", "message": str(exc)}), file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(json.dumps({"error": "parse-error", "message": str(exc)}), file=sys.stderr)
         return 1
-
-    if args.output == "-":
-        emit_report(result, args.format, sys.stdout)
-    else:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            emit_report(result, args.format, fh)
+    except OSError as exc:
+        print(json.dumps({"error": "io-error", "message": str(exc)}), file=sys.stderr)
+        return 1
     return 0
+
+
+def _emit_to_file(result, fmt: str, path: str) -> None:
+    """Write the report to a temporary file beside path, then rename it onto
+    path, so a failed emission leaves no file and never a partial one."""
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".hyperlab-", suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") would give
+            emit_report(result, fmt, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 if __name__ == "__main__":

@@ -115,18 +115,24 @@ def enumerate_reals(n: int) -> list[dict]:
     Non-canonical pairs repeat values that an earlier canonical pair already
     produced (for example index of (10, 1) equals that of (1, 0)); they are
     reported rather than skipped so the enumeration stays aligned with the
-    index sequence.
+    index sequence. The walk goes along the diagonals, where index
+    diag_start(w) + y holds the pair (w - y, y), exactly as pair_decode says.
     """
     _require_natural(n, "n")
     out = []
-    for idx in range(n):
-        a, b = pair_decode(idx)
-        r = FinitePrecisionReal(a, b)
-        out.append({
-            "index": idx,
-            "a": a,
-            "b": b,
-            "value": r.value,
-            "canonical": is_canonical_pair(a, b),
-        })
+    tens = [1]  # tens[y] == 10**y
+    w = 0
+    while len(out) < n:
+        start = len(out)
+        for y in range(min(w + 1, n - start)):
+            a = w - y
+            out.append({
+                "index": start + y,
+                "a": a,
+                "b": y,
+                "value": Fraction(a, tens[y]),
+                "canonical": is_canonical_pair(a, y),
+            })
+        w += 1
+        tens.append(tens[-1] * 10)
     return out

@@ -2,9 +2,10 @@
 
 Reports must be byte-reproducible: fields keep their insertion order, floats
 are printed with 17 significant digits, and no locale or hash randomisation
-can leak in. The JSON writer below is deliberately tiny rather than clever;
-CSV flattens nested keys with dots, one record per row. Exact integers and
-fractions are printed in full however many digits they have.
+can leak in. Both writers pick a formatter by a value's exact type from a
+table; subclasses and unknown types take the isinstance rules. CSV flattens
+nested keys with dots, one record per row. Exact integers and fractions are
+printed in full however many digits they have.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import decimal
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import IO, Any
 
 from .errors import DomainError
@@ -37,7 +39,10 @@ def format_int(n: int) -> str:
 
 
 def format_fraction(q: Fraction) -> str:
-    return f"{format_int(q.numerator)}/{format_int(q.denominator)}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        return f"{format_int(q.numerator)}/{format_int(q.denominator)}"
 
 
 def _scalar(value: Any) -> str:
@@ -58,29 +63,64 @@ def _scalar(value: Any) -> str:
     raise DomainError(f"cannot serialise {type(value).__name__} into a report")
 
 
-def to_json(value: Any) -> str:
+class _KeyCache(dict):
+    """Encoded ``"key":`` prefixes, a pure function of the key.
+
+    Only str keys are kept, since 1, 1.0 and True are one dict key but
+    encode apart, and only the first few thousand, since data-made keys such
+    as aqc sample labels have no fixed bound.
+    """
+
+    def __missing__(self, key: Any) -> str:
+        encoded = json.dumps(str(key)) + ":"
+        if type(key) is str and len(self) < 4096:
+            self[key] = encoded
+        return encoded
+
+
+_JSON_KEYS = _KeyCache()
+
+
+def _json_dict(value: dict) -> str:
+    keys, writers = _JSON_KEYS, _JSON_WRITERS
+    return "{" + ",".join([keys[k] + writers.get(type(v), _json_fallback)(v)
+                           for k, v in value.items()]) + "}"
+
+
+def _json_list(value: list | tuple) -> str:
+    writers = _JSON_WRITERS
+    return "[" + ",".join([writers.get(type(v), _json_fallback)(v) for v in value]) + "]"
+
+
+def _json_fallback(value: Any) -> str:
+    """Subclasses and unknown types: containers by isinstance, else _scalar."""
     if isinstance(value, dict):
-        parts = (f"{json.dumps(str(k))}:{to_json(v)}" for k, v in value.items())
-        return "{" + ",".join(parts) + "}"
+        return _json_dict(value)
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(to_json(v) for v in value) + "]"
+        return _json_list(value)
     return _scalar(value)
 
 
-def _flatten(record: dict, prefix: str = "") -> dict[str, Any]:
-    flat: dict[str, Any] = {}
-    for key, value in record.items():
-        name = f"{prefix}{key}"
-        if isinstance(value, dict):
-            flat.update(_flatten(value, prefix=f"{name}."))
-        elif isinstance(value, (list, tuple)):
-            flat[name] = ";".join(_csv_cell(v) for v in value)
-        else:
-            flat[name] = value
-    return flat
+# writers by exact type; bool, IntEnum and numpy scalars are not int or float
+# here, so they keep _scalar's rules
+_JSON_WRITERS = {
+    dict: _json_dict,
+    list: _json_list,
+    tuple: _json_list,
+    str: encode_basestring_ascii,
+    int: format_int,
+    float: format_float,
+    Fraction: lambda q: '"' + format_fraction(q) + '"',
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
 
 
-def _csv_cell(value: Any) -> str:
+def to_json(value: Any) -> str:
+    return _JSON_WRITERS.get(type(value), _json_fallback)(value)
+
+
+def _csv_fallback(value: Any) -> str:
     if isinstance(value, float):
         return format_float(value)
     if isinstance(value, Fraction):
@@ -92,25 +132,65 @@ def _csv_cell(value: Any) -> str:
     return str(value)
 
 
-def to_csv(records: list[dict]) -> str:
-    if not records:
-        return "\n"
-    flats = [_flatten(r) for r in records]
-    header: list[str] = []
-    for flat in flats:
-        for key in flat:
-            if key not in header:
-                header.append(key)
-    lines = [",".join(header)]
-    for flat in flats:
-        lines.append(",".join(_quote(_csv_cell(flat.get(key))) for key in header))
-    return "\n".join(lines) + "\n"
+_CSV_WRITERS = {
+    str: str,
+    int: format_int,
+    float: format_float,
+    Fraction: format_fraction,
+    bool: str,
+    type(None): lambda _: "",
+}
+
+
+def _csv_cell(value: Any) -> str:
+    return _CSV_WRITERS.get(type(value), _csv_fallback)(value)
 
 
 def _quote(cell: str) -> str:
-    if any(ch in cell for ch in ',"\n'):
+    if "," in cell or '"' in cell or "\n" in cell:
         return '"' + cell.replace('"', '""') + '"'
     return cell
+
+
+def _flatten(record: dict, prefix: str = "") -> dict[str, str]:
+    """Quoted cell text by dotted column name; lists join with semicolons."""
+    flat: dict[str, str] = {}
+    writers = _CSV_WRITERS
+    for key, value in record.items():
+        name = f"{prefix}{key}"
+        write = writers.get(type(value))
+        if write is not None:
+            flat[name] = _quote(write(value))
+        elif isinstance(value, dict):
+            flat.update(_flatten(value, prefix=f"{name}."))
+        elif isinstance(value, (list, tuple)):
+            flat[name] = _quote(";".join([_csv_cell(v) for v in value]))
+        else:
+            flat[name] = _quote(_csv_fallback(value))
+    return flat
+
+
+def _columns(record: dict, prefix: str = ""):
+    """The column names _flatten gives record, in the same order."""
+    for key, value in record.items():
+        name = f"{prefix}{key}"
+        if isinstance(value, dict):
+            yield from _columns(value, prefix=f"{name}.")
+        else:
+            yield name
+
+
+def to_csv(records: list[dict]) -> str:
+    """Header first, then one row per record; a row's cells live only while
+    its line is made, so the text is the only copy of the report."""
+    if not records:
+        return "\n"
+    header = list(dict.fromkeys(key for record in records for key in _columns(record)))
+    lines = [",".join(header)]
+    for record in records:
+        flat = _flatten(record)
+        lines.append(",".join([flat.get(key, "") for key in header]))
+    return "\n".join(lines) + "\n"
 
 
 def emit_report(result: dict | list, fmt: str, dest: IO[str]) -> int:
@@ -123,4 +203,4 @@ def emit_report(result: dict | list, fmt: str, dest: IO[str]) -> int:
     else:
         raise DomainError(f"unknown report format {fmt!r}")
     dest.write(text)
-    return len(text.encode("utf-8"))
+    return len(text) if text.isascii() else len(text.encode("utf-8"))

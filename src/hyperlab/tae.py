@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import DomainError, ResourceError
 from .turing import OutcomeKind, TuringMachine, run
 
@@ -217,6 +215,8 @@ def bogosort(
             "is past desk scale")
     if max_tries < 1:
         raise DomainError("max_tries must be positive")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     target = sorted(items)
 
@@ -276,6 +276,10 @@ class WheelExperiment:
 
 TAIL_RELATIVE_TOL = 1e-9
 
+# a simulated trial may expect at most 2**57 spins, 64 times below 2**63,
+# where numpy saturates a geometric draw and an int64 sum wraps around
+SIMULATION_LOG2_SPINS = 57
+
 
 def ashby_expected(exp: WheelExperiment) -> float:
     """Expected seconds to grand success, at one spin round per second.
@@ -329,8 +333,21 @@ def ashby_simulate(exp: WheelExperiment, trials: int) -> tuple[float, float]:
     """
     if trials < 1:
         raise DomainError("need at least one trial")
-    rng = np.random.default_rng(exp.seed)
     n, p = exp.n_wheels, exp.p
+    if exp.strategy is WheelStrategy.ALL_OR_NOTHING:
+        log2_spins = -n * math.log2(p)
+    elif exp.strategy is WheelStrategy.ONE_AT_A_TIME:
+        log2_spins = math.log2(n) - math.log2(p)
+    else:
+        log2_spins = -math.log2(p)
+    if log2_spins > SIMULATION_LOG2_SPINS:
+        raise DomainError(
+            f"a simulated trial expects 2**{log2_spins:.1f} spins, past the "
+            f"2**{SIMULATION_LOG2_SPINS} that 64-bit draws count exactly; "
+            "use the analytic expectation")
+    import numpy as np
+
+    rng = np.random.default_rng(exp.seed)
     if exp.strategy is WheelStrategy.ALL_OR_NOTHING:
         times = rng.geometric(p**n, size=trials).astype(np.float64)
     elif exp.strategy is WheelStrategy.ONE_AT_A_TIME:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import repeat
 from typing import Callable, Optional
 
 from .errors import ConfigurationError, DomainError, ValidationError
@@ -74,11 +75,12 @@ class TapeConfiguration:
 
     def tape_text(self, machine: TuringMachine, tape: int = 0) -> str:
         """Non-blank content of one tape, from leftmost to rightmost written cell."""
-        cells = {p: s for p, s in self.tapes[tape].items() if s != machine.blank}
-        if not cells:
+        blank = machine.blank
+        cells = self.tapes[tape]
+        written = [p for p, s in cells.items() if s != blank]
+        if not written:
             return ""
-        lo, hi = min(cells), max(cells)
-        return "".join(cells.get(p, machine.blank) for p in range(lo, hi + 1))
+        return "".join(map(cells.get, range(min(written), max(written) + 1), repeat(blank)))
 
     def clone(self) -> "TapeConfiguration":
         return TapeConfiguration(
@@ -87,6 +89,73 @@ class TapeConfiguration:
             state=self.state,
             steps=self.steps,
         )
+
+
+@dataclass(frozen=True)
+class TraceSnapshot:
+    """One traced configuration: state, heads, steps and the text of each tape."""
+
+    state: str
+    heads: tuple[int, ...]
+    steps: int
+    texts: tuple[str, ...]
+
+    def tape_text(self, machine: TuringMachine, tape: int = 0) -> str:
+        return self.texts[tape]
+
+
+class _TapeMirror:
+    """List-backed copy of one sparse tape, kept only while a run is traced.
+
+    Cell p sits at ``cells[p - origin]`` and blank cells hold the blank
+    symbol; ``lo..hi`` bounds the non-blank cells (empty when lo > hi). A
+    snapshot's text is then one join over that slice, not a walk of the tape.
+    """
+
+    def __init__(self, tape: dict[int, str], blank: str):
+        self.blank = blank
+        self.lo, self.hi = (min(tape), max(tape)) if tape else (0, -1)
+        self.origin = self.lo
+        self.cells = [tape.get(p, blank) for p in range(self.lo, self.hi + 1)]
+
+    def write(self, pos: int, symbol: str) -> None:
+        blank, cells = self.blank, self.cells
+        if symbol == blank:
+            if not self.lo <= pos <= self.hi:
+                return
+            cells[pos - self.origin] = blank
+            if pos == self.lo:
+                while self.lo <= self.hi and cells[self.lo - self.origin] == blank:
+                    self.lo += 1
+            elif pos == self.hi:
+                while cells[self.hi - self.origin] == blank:
+                    self.hi -= 1
+            return
+        index = pos - self.origin
+        if index < 0:
+            grow = max(-index, len(cells))
+            cells[:0] = [blank] * grow
+            self.origin -= grow
+            index += grow
+        elif index >= len(cells):
+            cells.extend([blank] * max(index + 1 - len(cells), len(cells)))
+        cells[index] = symbol
+        if self.lo > self.hi:
+            self.lo = self.hi = pos
+        elif pos < self.lo:
+            self.lo = pos
+        elif pos > self.hi:
+            self.hi = pos
+
+    def text(self) -> str:
+        if self.lo > self.hi:
+            return ""
+        return "".join(self.cells[self.lo - self.origin:self.hi - self.origin + 1])
+
+
+def _snapshot(config: TapeConfiguration, mirrors: list[_TapeMirror]) -> TraceSnapshot:
+    return TraceSnapshot(config.state, config.heads, config.steps,
+                         tuple(m.text() for m in mirrors))
 
 
 class OutcomeKind(Enum):
@@ -100,7 +169,7 @@ class RunOutcome:
     kind: OutcomeKind
     config: TapeConfiguration
     oracle_consultations: int = 0
-    trace: Optional[list[TapeConfiguration]] = None
+    trace: Optional[list[TraceSnapshot]] = None
 
 
 class AlreadyHaltedError(DomainError):
@@ -119,9 +188,27 @@ class TransitionMissing(Exception):
 # -- loading -------------------------------------------------------------------
 
 
+def _required(doc, key: str, where: str):
+    """doc[key] of a JSON object, or ValidationError saying what is missing."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {doc!r}")
+    try:
+        return doc[key]
+    except KeyError:
+        raise ValidationError(f"{where} lacks required key {key!r}") from None
+
+
+def _names(value, what: str) -> frozenset[str]:
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{what} must be a list, got {value!r}")
+    return frozenset(str(s) for s in value)
+
+
 def _as_symbol_tuple(value, num_tapes: int, what: str) -> tuple[str, ...]:
     if isinstance(value, str):
         value = [value]
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{what} must be a symbol or a list of symbols, got {value!r}")
     if len(value) != num_tapes:
         raise ValidationError(f"{what} must list {num_tapes} symbols, got {value!r}")
     return tuple(str(s) for s in value)
@@ -133,17 +220,19 @@ def load_machine(doc: dict) -> TuringMachine:
     Rejects duplicate ``(state, read)`` keys (nondeterminism), references to
     undeclared states or symbols, and malformed oracle or input declarations.
     """
-    try:
-        blank = str(doc["blank"])
-        alphabet = frozenset(str(s) for s in doc["alphabet"])
-        states = frozenset(str(s) for s in doc["states"])
-        initial = str(doc["initial"])
-        finals = frozenset(str(s) for s in doc["finals"])
-        raw_transitions = doc["transitions"]
-    except KeyError as missing:
-        raise ValidationError(f"machine document lacks required key {missing}") from None
+    where = "machine document"
+    blank = str(_required(doc, "blank", where))
+    alphabet = _names(_required(doc, "alphabet", where), "alphabet")
+    states = _names(_required(doc, "states", where), "states")
+    initial = str(_required(doc, "initial", where))
+    finals = _names(_required(doc, "finals", where), "finals")
+    raw_transitions = _required(doc, "transitions", where)
+    if not isinstance(raw_transitions, list):
+        raise ValidationError(f"transitions must be a list, got {raw_transitions!r}")
 
-    num_tapes = int(doc.get("tapes", 1))
+    num_tapes = doc.get("tapes", 1)
+    if not isinstance(num_tapes, int) or isinstance(num_tapes, bool):
+        raise ValidationError(f"tapes must be an integer, got {num_tapes!r}")
     if num_tapes < 1:
         raise ValidationError("a machine needs at least one tape")
     if blank not in alphabet:
@@ -154,12 +243,13 @@ def load_machine(doc: dict) -> TuringMachine:
         raise ValidationError(f"final states {sorted(finals - states)} are not declared")
 
     transitions: dict[tuple[str, tuple[str, ...]], tuple[str, tuple[str, ...], str]] = {}
-    for rule in raw_transitions:
-        src = str(rule["from"])
-        dst = str(rule["to"])
-        read = _as_symbol_tuple(rule["read"], num_tapes, "read")
-        write = _as_symbol_tuple(rule["write"], num_tapes, "write")
-        move = str(rule["move"])
+    for number, rule in enumerate(raw_transitions):
+        where = f"transition {number}"
+        src = str(_required(rule, "from", where))
+        dst = str(_required(rule, "to", where))
+        read = _as_symbol_tuple(_required(rule, "read", where), num_tapes, "read")
+        write = _as_symbol_tuple(_required(rule, "write", where), num_tapes, "write")
+        move = str(_required(rule, "move", where))
         if src not in states or dst not in states:
             raise ValidationError(f"transition {src!r}->{dst!r} references an undeclared state")
         for sym in read + write:
@@ -177,7 +267,8 @@ def load_machine(doc: dict) -> TuringMachine:
     oracle_states = None
     if "oracle_states" in doc:
         osd = doc["oracle_states"]
-        oracle_states = OracleStates(str(osd["ask"]), str(osd["yes"]), str(osd["no"]))
+        oracle_states = OracleStates(
+            *(str(_required(osd, key, "oracle_states")) for key in ("ask", "yes", "no")))
         for s in (oracle_states.ask, oracle_states.yes, oracle_states.no):
             if s not in states:
                 raise ValidationError(f"oracle state {s!r} is not declared")
@@ -187,7 +278,8 @@ def load_machine(doc: dict) -> TuringMachine:
     input_states = None
     if "input_states" in doc:
         isd = doc["input_states"]
-        input_states = InputStates(str(isd["request"]), str(isd["resume"]))
+        input_states = InputStates(
+            *(str(_required(isd, key, "input_states")) for key in ("request", "resume")))
         for s in (input_states.request, input_states.resume):
             if s not in states:
                 raise ValidationError(f"input state {s!r} is not declared")
@@ -276,12 +368,18 @@ def run(
     """Run until a final state, a missing transition, or fuel exhaustion.
 
     Oracle consultations resolve the ask-state without consuming fuel. The
-    optional trace holds at most ``trace_cap`` configuration snapshots.
+    optional trace holds at most ``trace_cap`` snapshots; each keeps the
+    text of every tape rather than a copy of it, and the tapes are mirrored
+    only until the trace is full.
     """
     if fuel < 1:
         raise DomainError("fuel must be a positive integer")
     config = initial_configuration(machine, input_symbols)
-    snapshots: Optional[list[TapeConfiguration]] = [config.clone()] if trace else None
+    snapshots: Optional[list[TraceSnapshot]] = None
+    mirrors: Optional[list[_TapeMirror]] = None
+    if trace:
+        mirrors = [_TapeMirror(t, machine.blank) for t in config.tapes]
+        snapshots = [_snapshot(config, mirrors)]
     consultations = 0
 
     while True:
@@ -294,12 +392,18 @@ def run(
             return RunOutcome(OutcomeKind.HALTED, config, consultations, snapshots)
         if config.steps >= fuel:
             return RunOutcome(OutcomeKind.OUT_OF_FUEL, config, consultations, snapshots)
+        heads = config.heads
         try:
             _apply_transition(machine, config)
         except TransitionMissing:
             return RunOutcome(OutcomeKind.STUCK, config, consultations, snapshots)
-        if snapshots is not None and len(snapshots) < trace_cap:
-            snapshots.append(config.clone())
+        if mirrors is not None:
+            if len(snapshots) < trace_cap:
+                for mirror, tape, head in zip(mirrors, config.tapes, heads):
+                    mirror.write(head, tape.get(head, machine.blank))
+                snapshots.append(_snapshot(config, mirrors))
+            else:
+                mirrors = None
 
 
 # -- coupled input sessions ------------------------------------------------------

@@ -85,6 +85,11 @@ class TestProblemHamiltonian:
         assert np.array_equal(np.diag(h).real, [4, 1, 0, 1, 4])
         assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
 
+    def test_entries_beyond_float_range_are_refused(self):
+        poly = aqc.parse_polynomial({"vars": 1, "terms": [[1, [400]]]})
+        with pytest.raises(DomainError, match="too large for a float"):
+            aqc.build_problem_hamiltonian(poly, TruncatedFockSpace(1, 9))
+
     def test_two_x_minus_1_has_positive_floor(self):
         poly = aqc.parse_polynomial(TWO_X_MINUS_1)
         h = np.diag(aqc.build_problem_hamiltonian(poly, TruncatedFockSpace(1, 8)))

@@ -1,9 +1,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -182,6 +186,107 @@ class TestErrors:
         assert status == 1 and out == ""
         assert json.loads(err)["error"] == "resource-error"
 
+    @pytest.mark.parametrize("key", ["from", "to", "read", "write", "move"])
+    def test_transition_missing_a_key(self, write_json, key):
+        doc = successor_doc()
+        del doc["transitions"][1][key]
+        path = write_json("machine.json", doc)
+        status, out, err = run_cli(["tm", "run", path, "--input", "1"])
+        assert status == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "validation-error"
+        assert repr(key) in payload["message"]
+
+    @pytest.mark.parametrize("rule", [["scan", "1"], "scan", 7,
+                                      {"from": "scan", "read": 1, "to": "done",
+                                       "write": "1", "move": "n"}], ids=repr)
+    def test_malformed_transition(self, write_json, rule):
+        doc = successor_doc()
+        doc["transitions"].append(rule)
+        path = write_json("machine.json", doc)
+        status, out, err = run_cli(["tm", "run", path])
+        assert status == 1 and out == ""
+        assert json.loads(err)["error"] == "validation-error"
+
+    @pytest.mark.parametrize("change", [
+        {"oracle_states": {"ask": "scan", "no": "done"}},
+        {"input_states": {"request": "scan"}},
+        {"oracle_states": ["scan"]},
+        {"transitions": 5},
+        {"alphabet": "_1"},
+        {"tapes": "two"},
+    ], ids=repr)
+    def test_malformed_machine_document(self, write_json, change):
+        path = write_json("machine.json", successor_doc() | change)
+        status, out, err = run_cli(["tm", "run", path])
+        assert status == 1 and out == ""
+        assert json.loads(err)["error"] == "validation-error"
+
+    def test_machine_document_that_is_not_an_object(self, write_json):
+        path = write_json("machine.json", [successor_doc()])
+        status, _, err = run_cli(["zeno", "halting", path])
+        assert status == 1
+        assert json.loads(err)["error"] == "validation-error"
+
+    def test_document_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "machine.json"
+        path.write_bytes(b"\xff\xfe{}")
+        status, _, err = run_cli(["tm", "run", str(path)])
+        assert status == 1
+        assert json.loads(err)["error"] == "parse-error"
+
+    def test_emission_error_leaves_no_output_file(self, tmp_path):
+        # one trial has an infinite standard error, which no report may hold
+        target = tmp_path / "report.json"
+        status, out, err = run_cli(["--output", str(target), "tae", "ashby", "--wheels", "2",
+                                    "--p", "0.5", "--strategy", "1", "--simulate",
+                                    "--trials", "1"])
+        assert status == 1 and out == ""
+        assert json.loads(err)["error"] == "domain-error"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_emission_keeps_the_previous_file(self, tmp_path):
+        target = tmp_path / "report.json"
+        target.write_text("previous")
+        status, _, _ = run_cli(["--output", str(target), "tae", "ashby", "--wheels", "2",
+                                "--p", "0.5", "--strategy", "1", "--simulate", "--trials", "1"])
+        assert status == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+        assert target.read_text() == "previous"
+
+    def test_output_into_a_missing_directory(self, tmp_path):
+        target = tmp_path / "absent" / "report.json"
+        status, out, err = run_cli(["--output", str(target), "zeno", "time", "--n", "3"])
+        assert status == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "io-error" and str(target) in payload["message"]
+
+    def test_output_file_gets_the_usual_mode(self, tmp_path):
+        target = tmp_path / "report.json"
+        status, _, _ = run_cli(["--output", str(target), "zeno", "time", "--n", "3"])
+        assert status == 0
+        umask = os.umask(0)
+        os.umask(umask)
+        assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_problem_operator_beyond_float_range(self, write_json):
+        path = write_json("poly.json", {"vars": 1, "terms": [[1, [400]]]})
+        status, out, err = run_cli(["aqc", "solve", path, "--cutoff", "9",
+                                    "--time", "1", "--dt", "0.01"])
+        assert status == 1 and out == ""
+        assert json.loads(err)["error"] == "domain-error"
+        status, out, _ = run_cli(["aqc", "solve", path, "--cutoff", "9", "--oracle-only"])
+        assert status == 0
+        assert json.loads(out)["minimizers"] == [[0]]
+
+    def test_all_or_nothing_simulation_past_64_bit_counts(self):
+        start = time.monotonic()
+        status, out, err = run_cli(["tae", "ashby", "--wheels", "2000", "--p", "0.5",
+                                    "--strategy", "1", "--simulate"])
+        assert time.monotonic() - start < 2.0
+        assert status == 1 and out == ""
+        assert json.loads(err)["error"] == "domain-error"
+
     def test_bad_thread_env(self, monkeypatch):
         monkeypatch.setenv("HYPERLAB_THREADS", "zero")
         status, _, err = run_cli(["zeno", "time", "--n", "1"])
@@ -225,3 +330,43 @@ class TestDeterminism:
         a = run_cli(["--seed", "9", "tae", "bogosort", "--len", "5"])
         b = run_cli(["tae", "bogosort", "--len", "5", "--seed", "9"])
         assert json.loads(a[1]) == json.loads(b[1])
+
+
+class TestCosts:
+    def test_exact_commands_never_import_numpy(self, tmp_path):
+        machine = tmp_path / "machine.json"
+        machine.write_text(json.dumps(successor_doc()))
+        script = (
+            "import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from hyperlab import cli\n"
+            "for argv in sys.argv[1:]:\n"
+            "    with redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv.split()) == 0, argv\n"
+            "print('numpy' in sys.modules)\n")
+        commands = [f"tm run {machine} --input 11 --trace", "zeno time --n 50",
+                    "enum list --count 30", "limits --symbols 8 --power 1 --dt 0.5",
+                    "tae goldbach --horizon 100"]
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", script, *commands], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
+    def test_traced_run_memory_is_linear_in_the_report(self, write_json, tmp_path):
+        # 2001 snapshots of a 2000-symbol tape: about 8 MB of report text,
+        # where a tape copy per snapshot held 2000 dicts of 2000 cells
+        path = write_json("machine.json", successor_doc())
+        target = tmp_path / "trace.json"
+        tracemalloc.start()
+        try:
+            status, _, _ = run_cli(["--output", str(target), "tm", "run", path,
+                                    "--input", "1" * 2000, "--trace"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+        assert len(json.loads(target.read_text())["trace"]) == 2002
+        assert peak < 40 * 2**20

@@ -1,0 +1,104 @@
+"""Golden report corpus: the exact bytes every listed invocation prints.
+
+The files under ``tests/golden/`` were written by the CLI and are compared
+byte for byte, so a refactor that changes any report byte fails here. To
+change report bytes on purpose, regenerate the corpus from the repository
+root and record the change in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import os
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from hyperlab import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+
+ASHBY = ["tae", "ashby", "--wheels", "10", "--p", "0.5", "--strategy", "3",
+         "--simulate", "--trials", "100000", "--seed", "7"]
+
+# name -> argv, paths relative to the repository root. The first group is the
+# README's command list; the rest pin down traces, CSV and long outputs.
+CASES = {
+    "tm-run": ["tm", "run", "fixtures/successor.json", "--input", "111", "--fuel", "100"],
+    "tm-run-trace": ["tm", "run", "fixtures/successor.json", "--input", "111", "--fuel", "100",
+                     "--trace"],
+    "tae-goldbach": ["tae", "goldbach", "--horizon", "10000"],
+    "tae-ashby": ASHBY,
+    "tae-bogosort": ["tae", "bogosort", "--len", "5", "--memo", "--seed", "7"],
+    "zeno-time": ["zeno", "time", "--n", "3"],
+    "zeno-budget": ["zeno", "budget", "--seconds", "64"],
+    "zeno-lamp": ["zeno", "lamp", "--t", "1.9999"],
+    "zeno-halting": ["zeno", "halting", "fixtures/successor.json", "--input", "11",
+                     "--fuel", "1000"],
+    "limits": ["limits", "--symbols", "8", "--power", "1", "--dt", "0.5"],
+    "enum-decode": ["enum", "decode", "--index", "4"],
+    "enum-encode": ["enum", "encode", "--a", "1", "--b", "1"],
+    "enum-list": ["enum", "list", "--count", "20"],
+    "aqc-solve": ["aqc", "solve", "fixtures/x_minus_2.json", "--cutoff", "4", "--time", "50",
+                  "--dt", "0.01", "--shots", "1000", "--seed", "7"],
+    "aqc-oracle": ["aqc", "solve", "fixtures/cubes_sum.json", "--cutoff", "10",
+                   "--oracle-only"],
+    # multi-character symbols and blank, erasures at both ends and inside,
+    # writes left of cell 0
+    "tm-trace-multichar": ["tm", "run", "tests/golden/multichar.json", "--input", "abba",
+                           "--trace"],
+    "tm-trace-multichar-csv": ["--format", "csv", "tm", "run", "tests/golden/multichar.json",
+                               "--input", "abba", "--trace"],
+    "tm-trace-two-tape": ["tm", "run", "tests/golden/two_tape.json", "--input", "111",
+                          "--trace"],
+    "tae-ashby-csv": ["--format", "csv"] + ASHBY,
+    "enum-list-2000": ["enum", "list", "--count", "2000"],
+    "enum-list-2000-csv": ["--format", "csv", "enum", "list", "--count", "2000"],
+    "zeno-time-long": ["zeno", "time", "--n", "15000"],
+    "error-enum-decode": ["enum", "decode", "--index", "-1"],
+}
+
+
+def run_case(argv: list[str]) -> tuple[int, bytes, bytes]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = cli.main(argv)
+    return status, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
+
+
+def _expected(name: str, suffix: str) -> bytes:
+    path = GOLDEN / f"{name}.{suffix}"
+    return path.read_bytes() if path.exists() else b""
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_bytes_match_the_corpus(name, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    status, out, err = run_case(CASES[name])
+    assert status == (1 if name.startswith("error-") else 0)
+    assert out == _expected(name, "out")
+    assert err == _expected(name, "err")
+
+
+def test_every_corpus_file_has_a_case():
+    names = {p.stem for p in GOLDEN.iterdir() if p.suffix in (".out", ".err")}
+    assert names == set(CASES)
+
+
+def regenerate() -> None:
+    """Rewrite the corpus from the current code, one .out (and .err) per case."""
+    for path in GOLDEN.iterdir():
+        if path.suffix in (".out", ".err"):
+            path.unlink()
+    for name, argv in CASES.items():
+        _, out, err = run_case(argv)
+        for suffix, data in (("out", out), ("err", err)):
+            if data:
+                (GOLDEN / f"{name}.{suffix}").write_bytes(data)
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    regenerate()

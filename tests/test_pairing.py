@@ -128,6 +128,23 @@ class TestEnumerate:
         assert got == expected
         assert len(got) == count  # each exactly once
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 6, 7, 55, 56, 57, 1000])
+    def test_matches_the_decode_of_every_index(self, n):
+        # the diagonal walk against the closed-form decode, entry by entry,
+        # with diagonals cut short at every position
+        expected = []
+        for idx in range(n):
+            a, b = pairing.pair_decode(idx)
+            expected.append({"index": idx, "a": a, "b": b,
+                             "value": pairing.real_value(a, b),
+                             "canonical": pairing.is_canonical_pair(a, b)})
+        assert pairing.enumerate_reals(n) == expected
+
+    @pytest.mark.parametrize("n", [-1, True, 2.0])
+    def test_count_must_be_natural(self, n):
+        with pytest.raises(DomainError):
+            pairing.enumerate_reals(n)
+
     def test_duplicates_are_flagged_not_skipped(self):
         entries = pairing.enumerate_reals(pairing.diag_start(21))
         non_canonical = [e for e in entries if not e["canonical"]]

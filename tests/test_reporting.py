@@ -1,7 +1,10 @@
 import io
 import json
+from collections import OrderedDict
+from enum import IntEnum
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hyperlab import reporting
@@ -41,6 +44,55 @@ class TestJson:
         nb = reporting.emit_report(record, "json", b)
         assert a.getvalue() == b.getvalue()
         assert na == nb == len(a.getvalue().encode())
+
+
+class _Level(IntEnum):
+    LOW = 1
+
+
+class _Text(str):
+    pass
+
+
+class TestTypeTable:
+    """Exact types take the table; subclasses and unknown types keep the
+    isinstance rules, so each line below prints as it always did."""
+
+    @pytest.mark.parametrize("value, text", [
+        (True, "true"), (False, "false"), (None, "null"), (3, "3"), (-0.0, "-0"),
+        (_Level.LOW, reporting.format_int(_Level.LOW)),
+        (np.float64(0.1), "0.10000000000000001"),
+        (_Text('say "hi"'), '"say \\"hi\\""'),
+        ("é", '"\\u00e9"'),
+        (OrderedDict([("b", 1), ("a", [2])]), '{"b":1,"a":[2]}'),
+        ((1, (2,)), "[1,[2]]"),
+    ], ids=repr)
+    def test_json(self, value, text):
+        assert reporting.to_json(value) == text
+
+    @pytest.mark.parametrize("value", [np.int64(3), {1, 2}, b"x", complex(1, 1)], ids=repr)
+    def test_json_rejects_what_it_always_rejected(self, value):
+        with pytest.raises(DomainError, match="cannot serialise"):
+            reporting.to_json({"x": value})
+
+    @pytest.mark.parametrize("value, cell", [
+        (True, "True"), (None, ""), (_Level.LOW, str(_Level.LOW)),
+        (np.float64(0.5), "0.5"), (np.int64(3), "3"), (Fraction(-3, 4), "-3/4"),
+        ({"a": 1}, "{'a': 1}"),
+    ], ids=repr)
+    def test_csv_cells(self, value, cell):
+        assert reporting._csv_cell(value) == cell
+
+    def test_keys_equal_across_types_are_encoded_apart(self):
+        assert reporting.to_json({1: "a"}) == '{"1":"a"}'
+        assert reporting.to_json({True: "b"}) == '{"True":"b"}'
+        assert reporting.to_json({1.0: "c"}) == '{"1.0":"c"}'
+
+    def test_byte_count_of_non_ascii_text(self):
+        out = io.StringIO()
+        written = reporting.emit_report({"s": "é,ü"}, "csv", out)
+        assert out.getvalue() == 's\n"é,ü"\n'
+        assert written == len(out.getvalue().encode("utf-8")) == len(out.getvalue()) + 2
 
 
 class TestCsv:

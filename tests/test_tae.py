@@ -222,6 +222,21 @@ class TestAshbySimulation:
         mean, stderr = tae.ashby_simulate(exp, 10**5)
         assert abs(mean - tae.ashby_expected(exp)) <= 3 * stderr
 
+    @pytest.mark.parametrize("n, p, strategy", [
+        (2000, 0.5, WheelStrategy.ALL_OR_NOTHING),  # p**N underflows to 0.0
+        (58, 0.5, WheelStrategy.ALL_OR_NOTHING),
+        (2, 2.0**-57, WheelStrategy.ONE_AT_A_TIME),
+        (1, 2.0**-58, WheelStrategy.FREEZE_SUCCESSES),
+    ])
+    def test_refuses_counts_past_64_bits_before_drawing(self, n, p, strategy):
+        with pytest.raises(DomainError, match="64-bit"):
+            tae.ashby_simulate(WheelExperiment(n, p, strategy), 10)
+
+    def test_largest_all_or_nothing_run_still_draws(self):
+        exp = WheelExperiment(57, 0.5, WheelStrategy.ALL_OR_NOTHING, seed=3)
+        mean, _ = tae.ashby_simulate(exp, 1000)
+        assert 2.0**56 < mean < 2.0**58
+
     def test_rejects_zero_trials(self):
         with pytest.raises(DomainError):
             tae.ashby_simulate(WheelExperiment(2, 0.5, WheelStrategy.ONE_AT_A_TIME), 0)

@@ -211,6 +211,84 @@ def test_tape_sparsity_grows_at_most_one_cell_per_step(marks, fuel):
     assert written <= marks + outcome.config.steps
 
 
+# symbols of several characters, including the blank, so a snapshot's text
+# cannot be recovered by stripping characters
+_WIDE_SYMBOLS = ["..", "a", "bb", "c.", ".d"]
+
+
+@st.composite
+def _wide_machines(draw):
+    """Random 1- or 2-tape machines over _WIDE_SYMBOLS that erase and move freely."""
+    tapes = draw(st.integers(1, 2))
+    states = ["s0", "s1", "s2", "halt"]
+    reads = [(a,) if tapes == 1 else (a, b)
+             for a in _WIDE_SYMBOLS for b in _WIDE_SYMBOLS[:2 if tapes == 2 else 1]]
+    transitions = []
+    for state in states[:-1]:
+        for read in reads:
+            if draw(st.booleans()) or read[0] == "..":
+                write = [draw(st.sampled_from(_WIDE_SYMBOLS)) for _ in range(tapes)]
+                transitions.append({
+                    "from": state, "read": list(read),
+                    "to": draw(st.sampled_from(states)), "write": write,
+                    "move": draw(st.sampled_from("lnr")),
+                })
+    doc = {"blank": "..", "alphabet": _WIDE_SYMBOLS, "states": states, "tapes": tapes,
+           "initial": "s0", "finals": ["halt"], "transitions": transitions}
+    text = draw(st.text(alphabet="a", max_size=6))
+    return turing.load_machine(doc), text
+
+
+class TestTrace:
+    @settings(max_examples=150, deadline=None)
+    @given(_wide_machines(), st.integers(1, 80), st.integers(1, 40))
+    def test_snapshots_match_stepped_configurations(self, case, fuel, cap):
+        machine, text = case
+        outcome = turing.run(machine, text, fuel=fuel, trace=True, trace_cap=cap)
+        cfg = turing.initial_configuration(machine, text)
+        expected = [cfg]
+        while (len(expected) < cap and cfg.state not in machine.finals
+               and cfg.steps < fuel):
+            try:
+                cfg = turing.step(machine, cfg)
+            except turing.TransitionMissing:
+                break
+            expected.append(cfg)
+        assert len(outcome.trace) == len(expected)
+        for snap, ref in zip(outcome.trace, expected):
+            assert (snap.state, snap.heads, snap.steps) == (ref.state, ref.heads, ref.steps)
+            for tape in range(machine.num_tapes):
+                assert snap.tape_text(machine, tape) == ref.tape_text(machine, tape)
+
+    def test_interior_blanks_print_as_the_blank_symbol(self):
+        doc = {"blank": "__", "alphabet": ["__", "a", "XY"], "states": ["go", "done"],
+               "initial": "go", "finals": ["done"],
+               "transitions": [
+                   {"from": "go", "read": "a", "to": "go", "write": "__", "move": "r"},
+                   {"from": "go", "read": "__", "to": "done", "write": "XY", "move": "n"}]}
+        machine = turing.load_machine(doc)
+        outcome = turing.run(machine, "aaa", trace=True)
+        assert [s.tape_text(machine) for s in outcome.trace] == [
+            "aaa", "aa", "a", "", "XY"]
+        # erasing an edge cell next to erased cells skips all of them
+        doc["states"] = ["go", "gap", "back", "erase", "done"]
+        doc["transitions"] = [
+            {"from": "go", "read": "a", "to": "gap", "write": "a", "move": "r"},
+            {"from": "gap", "read": "__", "to": "go", "write": "__", "move": "r"},
+            {"from": "go", "read": "__", "to": "back", "write": "XY", "move": "l"},
+            {"from": "back", "read": "__", "to": "back", "write": "__", "move": "l"},
+            {"from": "back", "read": "a", "to": "erase", "write": "__", "move": "r"},
+            {"from": "erase", "read": "__", "to": "done", "write": "__", "move": "n"}]
+        machine = turing.load_machine(doc)
+        outcome = turing.run(machine, "a", trace=True)
+        assert [s.tape_text(machine) for s in outcome.trace] == [
+            "a", "a", "a", "a__XY", "a__XY", "XY", "XY"]
+        # a blank left in the sparse tape reads as an erased cell
+        cfg = turing.TapeConfiguration(tapes=({-2: "a", 0: "__", 1: "XY", 3: "__"},),
+                                       heads=(0,), state="go")
+        assert cfg.tape_text(machine) == "a____XY"
+
+
 class TestOracle:
     def _parity_doc(self) -> dict:
         # walk right past the marks, then ask about the count left of the head
