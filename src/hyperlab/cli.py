@@ -16,12 +16,11 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from fractions import Fraction
 
 from . import limits, pairing, tae, turing, zeno
 from .errors import HyperlabError
-from .reporting import emit_report
+from .reporting import emit_report, render_report
 from .zeno import UNBOUNDED
 
 
@@ -379,7 +378,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.output == "-":
             emit_report(result, args.format, sys.stdout)
         else:
-            _emit_to_file(result, args.format, args.output)
+            text = render_report(result, args.format)  # fails before the file is opened
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
     except HyperlabError as exc:
         print(json.dumps({"error": exc.kind, "message": str(exc)}), file=sys.stderr)
         return 1
@@ -390,26 +391,6 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": "io-error", "message": str(exc)}), file=sys.stderr)
         return 1
     return 0
-
-
-def _emit_to_file(result, fmt: str, path: str) -> None:
-    """Write the report to a temporary file beside path, then rename it onto
-    path, so a failed emission leaves no file and never a partial one."""
-    try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   prefix=".hyperlab-", suffix=".tmp")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") would give
-            emit_report(result, fmt, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 if __name__ == "__main__":

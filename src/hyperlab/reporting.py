@@ -63,27 +63,10 @@ def _scalar(value: Any) -> str:
     raise DomainError(f"cannot serialise {type(value).__name__} into a report")
 
 
-class _KeyCache(dict):
-    """Encoded ``"key":`` prefixes, a pure function of the key.
-
-    Only str keys are kept, since 1, 1.0 and True are one dict key but
-    encode apart, and only the first few thousand, since data-made keys such
-    as aqc sample labels have no fixed bound.
-    """
-
-    def __missing__(self, key: Any) -> str:
-        encoded = json.dumps(str(key)) + ":"
-        if type(key) is str and len(self) < 4096:
-            self[key] = encoded
-        return encoded
-
-
-_JSON_KEYS = _KeyCache()
-
-
 def _json_dict(value: dict) -> str:
-    keys, writers = _JSON_KEYS, _JSON_WRITERS
-    return "{" + ",".join([keys[k] + writers.get(type(v), _json_fallback)(v)
+    writers = _JSON_WRITERS
+    return "{" + ",".join([encode_basestring_ascii(str(k)) + ":"
+                           + writers.get(type(v), _json_fallback)(v)
                            for k, v in value.items()]) + "}"
 
 
@@ -193,14 +176,17 @@ def to_csv(records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(result: dict | list, fmt: str, dest: IO[str]) -> int:
-    """Serialise one record (or a list of records) and return bytes written."""
+def render_report(result: dict | list, fmt: str) -> str:
+    """The report text of one record (or a list of records)."""
     if fmt == "json":
-        text = to_json(result) + "\n"
-    elif fmt == "csv":
-        records = result if isinstance(result, list) else [result]
-        text = to_csv(records)
-    else:
-        raise DomainError(f"unknown report format {fmt!r}")
+        return to_json(result) + "\n"
+    if fmt == "csv":
+        return to_csv(result if isinstance(result, list) else [result])
+    raise DomainError(f"unknown report format {fmt!r}")
+
+
+def emit_report(result: dict | list, fmt: str, dest: IO[str]) -> int:
+    """Write the report to dest once its text is whole; return bytes written."""
+    text = render_report(result, fmt)
     dest.write(text)
     return len(text) if text.isascii() else len(text.encode("utf-8"))

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -268,6 +269,21 @@ class TestErrors:
         umask = os.umask(0)
         os.umask(umask)
         assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_output_to_the_null_device(self):
+        status, out, err = run_cli(["--output", os.devnull, "zeno", "time", "--n", "3"])
+        assert status == 0 and out == "" and err == ""
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_output_writes_through_a_symlink(self, tmp_path):
+        real = tmp_path / "real.json"
+        real.write_text("previous")
+        link = tmp_path / "report.json"
+        link.symlink_to(real)
+        status, _, _ = run_cli(["--output", str(link), "zeno", "time", "--n", "3"])
+        assert status == 0
+        assert link.is_symlink()
+        assert json.loads(real.read_text())["seconds_exact"] == "15/8"
 
     def test_problem_operator_beyond_float_range(self, write_json):
         path = write_json("poly.json", {"vars": 1, "terms": [[1, [400]]]})
