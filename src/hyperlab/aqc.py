@@ -483,23 +483,15 @@ def decide(
     e_ground, _winners = exact_ground_oracle(poly, cutoff)
 
     if poly.evaluate(candidate) == 0:
-        return DecisionReport(
-            verdict=Verdict.SOLVABLE_WITH_WITNESS,
-            witness=candidate,
-            ground_energy=e_ground,
-            success_probability_estimate=frequency,
-            samples=samples,
-            cutoff=cutoff,
-            total_time=total_time,
-            dt=dt,
-            shots=shots,
-            seed=seed,
-            norm_drift=evolved.norm_drift,
-            note="witness verified by exact substitution",
-        )
+        verdict, witness = Verdict.SOLVABLE_WITH_WITNESS, candidate
+        note = "witness verified by exact substitution"
+    else:
+        verdict, witness = Verdict.NO_SOLUTION_UP_TO_CUTOFF, None
+        note = (f"negative verdict is bounded by the cutoff {cutoff}: it rules out "
+                "zeros with every coordinate <= cutoff, nothing beyond")
     return DecisionReport(
-        verdict=Verdict.NO_SOLUTION_UP_TO_CUTOFF,
-        witness=None,
+        verdict=verdict,
+        witness=witness,
         ground_energy=e_ground,
         success_probability_estimate=frequency,
         samples=samples,
@@ -509,7 +501,5 @@ def decide(
         shots=shots,
         seed=seed,
         norm_drift=evolved.norm_drift,
-        note=(
-            f"negative verdict is bounded by the cutoff {cutoff}: it rules out "
-            "zeros with every coordinate <= cutoff, nothing beyond"),
+        note=note,
     )

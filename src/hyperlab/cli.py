@@ -48,11 +48,13 @@ def build_parser() -> argparse.ArgumentParser:
     tm_run.add_argument("--input", default="", help="initial tape content")
     tm_run.add_argument("--fuel", type=int, default=turing.DEFAULT_FUEL)
     tm_run.add_argument("--trace", action="store_true", help="include a bounded trace")
+    tm_run.set_defaults(handler=_cmd_tm_run)
 
     tae_g = groups.add_parser("tae", help="trial-and-error procedures").add_subparsers(
         dest="command", required=True)
     gold = tae_g.add_parser("goldbach", help="prime-pair answer stream over even numbers")
     gold.add_argument("--horizon", type=int, required=True)
+    gold.set_defaults(handler=_cmd_goldbach)
     ashby = tae_g.add_parser("ashby", help="wheel-compounding strategies")
     ashby.add_argument("--wheels", type=int, required=True)
     ashby.add_argument("--p", type=float, required=True)
@@ -60,39 +62,49 @@ def build_parser() -> argparse.ArgumentParser:
     ashby.add_argument("--simulate", action="store_true")
     ashby.add_argument("--trials", type=int, default=10**5)
     ashby.add_argument("--seed", type=int, default=None, dest="seed_local")
+    ashby.set_defaults(handler=_cmd_ashby)
     bogo = tae_g.add_parser("bogosort", help="shuffle a random sequence until sorted")
     bogo.add_argument("--len", type=int, required=True, dest="length")
     bogo.add_argument("--memo", action="store_true")
     bogo.add_argument("--max-tries", type=int, default=10**6)
     bogo.add_argument("--seed", type=int, default=None, dest="seed_local")
+    bogo.set_defaults(handler=_cmd_bogosort)
 
     zeno_g = groups.add_parser("zeno", help="accelerated-machine time accounting").add_subparsers(
         dest="command", required=True)
     ztime = zeno_g.add_parser("time", help="elapsed time through step index n")
     ztime.add_argument("--n", type=int, required=True)
+    ztime.set_defaults(handler=_cmd_zeno_time)
     zbudget = zeno_g.add_parser("budget", help="steps that fit a time budget")
     zbudget.add_argument("--seconds", type=_fraction_arg, required=True)
+    zbudget.set_defaults(handler=_cmd_zeno_budget)
     zlamp = zeno_g.add_parser("lamp", help="toggling-lamp state at a time")
     zlamp.add_argument("--t", type=_fraction_arg, required=True)
+    zlamp.set_defaults(handler=_cmd_zeno_lamp)
     zhalt = zeno_g.add_parser("halting", help="halting flag of a fuel-bounded run")
     zhalt.add_argument("machine", help="machine document (JSON)")
     zhalt.add_argument("--input", default="")
     zhalt.add_argument("--fuel", type=int, default=10**6)
+    zhalt.set_defaults(handler=_cmd_zeno_halting)
 
     lim = groups.add_parser("limits", help="physical bounds on mechanical computation")
     lim.add_argument("--symbols", type=int, required=True)
     lim.add_argument("--power", type=float, default=None)
     lim.add_argument("--dt", type=float, default=None)
+    lim.set_defaults(handler=_cmd_limits)
 
     enum_g = groups.add_parser("enum", help="finite-precision real enumeration").add_subparsers(
         dest="command", required=True)
     edec = enum_g.add_parser("decode", help="pair at a diagonal index")
     edec.add_argument("--index", type=int, required=True)
+    edec.set_defaults(handler=_cmd_enum_decode)
     eenc = enum_g.add_parser("encode", help="diagonal index of a pair")
     eenc.add_argument("--a", type=int, required=True)
     eenc.add_argument("--b", type=int, required=True)
+    eenc.set_defaults(handler=_cmd_enum_encode)
     elist = enum_g.add_parser("list", help="first n enumerated values")
     elist.add_argument("--count", type=int, required=True)
+    elist.set_defaults(handler=_cmd_enum_list)
 
     aqc_g = groups.add_parser("aqc", help="adiabatic ground-state decision").add_subparsers(
         dest="command", required=True)
@@ -105,6 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int, default=None, dest="seed_local")
     solve.add_argument("--oracle-only", action="store_true",
                        help="skip the evolution; report the exact scan only")
+    solve.set_defaults(handler=_cmd_aqc_solve)
 
     return parser
 
@@ -150,9 +163,9 @@ def _cmd_goldbach(args) -> dict:
     }
 
 
-def _cmd_ashby(args, seed: int) -> dict:
+def _cmd_ashby(args) -> dict:
     strategy = tae.WheelStrategy(args.strategy)
-    exp = tae.WheelExperiment(args.wheels, args.p, strategy, seed=seed)
+    exp = tae.WheelExperiment(args.wheels, args.p, strategy, seed=args.seed)
     log2_expected = tae.ashby_expected_log2(exp)
     expected = tae.ashby_expected(exp) if log2_expected < 1020 else None
     report = {
@@ -179,22 +192,22 @@ def _cmd_ashby(args, seed: int) -> dict:
         report["simulated_mean_seconds"] = mean
         report["simulated_standard_error"] = stderr
         report["trials"] = args.trials
-        report["seed"] = seed
+        report["seed"] = args.seed
     return report
 
 
-def _cmd_bogosort(args, seed: int) -> dict:
+def _cmd_bogosort(args) -> dict:
     import numpy as np
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     sequence = [int(x) for x in rng.permutation(args.length)]
-    result = tae.bogosort(sequence, memoized=args.memo, seed=seed,
+    result = tae.bogosort(sequence, memoized=args.memo, seed=args.seed,
                           max_tries=args.max_tries)
     return {
         "command": "tae bogosort",
         "length": args.length,
         "memoized": args.memo,
-        "seed": seed,
+        "seed": args.seed,
         "input": sequence,
         "sorted": list(result.sequence),
         "tries": result.tries,
@@ -308,7 +321,7 @@ def _cmd_enum_list(args) -> list:
     return [_enum_entry(e) for e in pairing.enumerate_reals(args.count)]
 
 
-def _cmd_aqc_solve(args, seed: int) -> dict:
+def _cmd_aqc_solve(args) -> dict:
     from . import aqc
 
     poly = aqc.parse_polynomial(_load_json(args.polynomial))
@@ -321,7 +334,7 @@ def _cmd_aqc_solve(args, seed: int) -> dict:
             "minimizers": [list(w) for w in winners],
             "solvable_up_to_cutoff": energy == 0,
         }
-    report = aqc.decide(poly, args.cutoff, args.time, args.dt, args.shots, seed)
+    report = aqc.decide(poly, args.cutoff, args.time, args.dt, args.shots, args.seed)
     return {"command": "aqc solve"} | report.to_json_dict()
 
 
@@ -329,34 +342,13 @@ def _cmd_aqc_solve(args, seed: int) -> dict:
 
 
 def dispatch(args: argparse.Namespace):
-    seed = getattr(args, "seed_local", None)
-    if seed is None:
-        seed = args.seed
-    group, command = args.group, getattr(args, "command", None)
-    if group == "tm":
-        return _cmd_tm_run(args)
-    if group == "tae":
-        if command == "goldbach":
-            return _cmd_goldbach(args)
-        if command == "ashby":
-            return _cmd_ashby(args, seed)
-        return _cmd_bogosort(args, seed)
-    if group == "zeno":
-        return {
-            "time": _cmd_zeno_time,
-            "budget": _cmd_zeno_budget,
-            "lamp": _cmd_zeno_lamp,
-            "halting": _cmd_zeno_halting,
-        }[command](args)
-    if group == "limits":
-        return _cmd_limits(args)
-    if group == "enum":
-        return {
-            "decode": _cmd_enum_decode,
-            "encode": _cmd_enum_encode,
-            "list": _cmd_enum_list,
-        }[command](args)
-    return _cmd_aqc_solve(args, seed)
+    """Run the handler the parser bound to the subcommand.
+
+    A subcommand's own ``--seed`` takes the place of the global one.
+    """
+    if getattr(args, "seed_local", None) is not None:
+        args.seed = args.seed_local
+    return args.handler(args)
 
 
 def main(argv: list[str] | None = None) -> int:

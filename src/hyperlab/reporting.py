@@ -3,15 +3,15 @@
 Reports must be byte-reproducible: fields keep their insertion order, floats
 are printed with 17 significant digits, and no locale or hash randomisation
 can leak in. Both writers pick a formatter by a value's exact type from a
-table; subclasses and unknown types take the isinstance rules. CSV flattens
-nested keys with dots, one record per row. Exact integers and fractions are
-printed in full however many digits they have.
+table, else by its nearest base class in the same table; JSON refuses any
+other type and CSV prints it through ``str``. CSV flattens nested keys with
+dots, one record per row. Exact integers and fractions are printed in full
+however many digits they have.
 """
 
 from __future__ import annotations
 
 import decimal
-import json
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -45,47 +45,34 @@ def format_fraction(q: Fraction) -> str:
         return f"{format_int(q.numerator)}/{format_int(q.denominator)}"
 
 
-def _scalar(value: Any) -> str:
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return format_int(value)
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, Fraction):
-        return json.dumps(format_fraction(value))
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise DomainError(f"cannot serialise {type(value).__name__} into a report")
+def _writer(writers: dict, value: Any):
+    """The writer of value's type or of its nearest base class, or None."""
+    for cls in type(value).__mro__:
+        write = writers.get(cls)
+        if write is not None:
+            return write
+    return None
 
 
 def _json_dict(value: dict) -> str:
     writers = _JSON_WRITERS
     return "{" + ",".join([encode_basestring_ascii(str(k)) + ":"
-                           + writers.get(type(v), _json_fallback)(v)
+                           + writers.get(type(v), _json_other)(v)
                            for k, v in value.items()]) + "}"
 
 
 def _json_list(value: list | tuple) -> str:
     writers = _JSON_WRITERS
-    return "[" + ",".join([writers.get(type(v), _json_fallback)(v) for v in value]) + "]"
+    return "[" + ",".join([writers.get(type(v), _json_other)(v) for v in value]) + "]"
 
 
-def _json_fallback(value: Any) -> str:
-    """Subclasses and unknown types: containers by isinstance, else _scalar."""
-    if isinstance(value, dict):
-        return _json_dict(value)
-    if isinstance(value, (list, tuple)):
-        return _json_list(value)
-    return _scalar(value)
+def _json_other(value: Any) -> str:
+    write = _writer(_JSON_WRITERS, value)
+    if write is None:
+        raise DomainError(f"cannot serialise {type(value).__name__} into a report")
+    return write(value)
 
 
-# writers by exact type; bool, IntEnum and numpy scalars are not int or float
-# here, so they keep _scalar's rules
 _JSON_WRITERS = {
     dict: _json_dict,
     list: _json_list,
@@ -100,19 +87,7 @@ _JSON_WRITERS = {
 
 
 def to_json(value: Any) -> str:
-    return _JSON_WRITERS.get(type(value), _json_fallback)(value)
-
-
-def _csv_fallback(value: Any) -> str:
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, Fraction):
-        return format_fraction(value)
-    if value is None:
-        return ""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return format_int(value)
-    return str(value)
+    return _JSON_WRITERS.get(type(value), _json_other)(value)
 
 
 _CSV_WRITERS = {
@@ -126,7 +101,7 @@ _CSV_WRITERS = {
 
 
 def _csv_cell(value: Any) -> str:
-    return _CSV_WRITERS.get(type(value), _csv_fallback)(value)
+    return (_writer(_CSV_WRITERS, value) or str)(value)
 
 
 def _quote(cell: str) -> str:
@@ -149,7 +124,7 @@ def _flatten(record: dict, prefix: str = "") -> dict[str, str]:
         elif isinstance(value, (list, tuple)):
             flat[name] = _quote(";".join([_csv_cell(v) for v in value]))
         else:
-            flat[name] = _quote(_csv_fallback(value))
+            flat[name] = _quote(_csv_cell(value))
     return flat
 
 

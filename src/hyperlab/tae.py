@@ -53,7 +53,7 @@ def tm_kernel(machine: TuringMachine, fuel: int) -> Callable[..., int]:
             raise KernelDivergenceError(
                 f"kernel machine exceeded {fuel} steps on arguments {args!r}")
         head = outcome.config.heads[0]
-        return 1 if outcome.config.tapes[0].get(head, machine.blank) != machine.blank else 0
+        return 1 if outcome.config.tapes[0].read(head) != machine.blank else 0
 
     return kernel
 
@@ -280,6 +280,10 @@ TAIL_RELATIVE_TOL = 1e-9
 # where numpy saturates a geometric draw and an int64 sum wraps around
 SIMULATION_LOG2_SPINS = 57
 
+# strategies 2 and 3 draw at most this many int64 cells (8 MiB) at a time,
+# so a simulation's memory does not grow with the number of wheels
+DRAW_BLOCK_CELLS = 2**20
+
 
 def ashby_expected(exp: WheelExperiment) -> float:
     """Expected seconds to grand success, at one spin round per second.
@@ -350,10 +354,15 @@ def ashby_simulate(exp: WheelExperiment, trials: int) -> tuple[float, float]:
     rng = np.random.default_rng(exp.seed)
     if exp.strategy is WheelStrategy.ALL_OR_NOTHING:
         times = rng.geometric(p**n, size=trials).astype(np.float64)
-    elif exp.strategy is WheelStrategy.ONE_AT_A_TIME:
-        times = rng.geometric(p, size=(trials, n)).sum(axis=1).astype(np.float64)
     else:
-        times = rng.geometric(p, size=(trials, n)).max(axis=1).astype(np.float64)
+        # trials x wheels draws, a block of whole rows at a time: the blocks
+        # continue one geometric stream, so the draws are those of one array
+        reduce = np.sum if exp.strategy is WheelStrategy.ONE_AT_A_TIME else np.max
+        rows = max(1, DRAW_BLOCK_CELLS // n)
+        times = np.empty(trials, dtype=np.float64)
+        for start in range(0, trials, rows):
+            block = rng.geometric(p, size=(min(rows, trials - start), n))
+            times[start:start + len(block)] = reduce(block, axis=1)
     mean = float(times.mean())
     stderr = float(times.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
     return mean, stderr

@@ -1,9 +1,10 @@
 """Deterministic Turing-machine engine.
 
 Machines are quintuple programs ``(state, read) -> (state, write, move)``
-loaded from JSON documents. Tapes are unbounded in both directions and stored
-sparsely; a machine may have several tapes, in which case one transition reads
-and writes all heads and moves them in one shared direction.
+loaded from JSON documents. Tapes are unbounded in both directions and held
+in a list-backed :class:`Tape`; a machine may have several tapes, in which
+case one transition reads and writes all heads and moves them in one shared
+direction.
 
 Two execution hooks extend the base engine:
 
@@ -20,8 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import repeat
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import ConfigurationError, DomainError, ValidationError
 
@@ -61,30 +61,108 @@ class TuringMachine:
     oracle: Optional[Callable[[int], bool]] = None
 
 
+class Tape:
+    """One tape, unbounded in both directions, backed by a list.
+
+    Cell p sits at ``cells[p - origin]`` and unwritten cells hold the blank
+    symbol; ``lo..hi`` bounds the non-blank cells (empty when lo > hi). The
+    list grows by doubling at whichever end a write falls beyond, so the
+    tape's text is one join over a slice, not a walk of its cells.
+    """
+
+    __slots__ = ("blank", "cells", "origin", "lo", "hi")
+
+    def __init__(self, blank: str, symbols: Iterable[str] = ()):
+        """A tape holding ``symbols`` from cell 0 on, blank everywhere else."""
+        self.blank = blank
+        self.cells = list(symbols)
+        self.origin = 0
+        written = [i for i, s in enumerate(self.cells) if s != blank]
+        self.lo, self.hi = (written[0], written[-1]) if written else (0, -1)
+
+    def read(self, pos: int) -> str:
+        index = pos - self.origin
+        return self.cells[index] if 0 <= index < len(self.cells) else self.blank
+
+    def write(self, pos: int, symbol: str) -> None:
+        blank, cells = self.blank, self.cells
+        if self.lo <= pos <= self.hi:
+            cells[pos - self.origin] = symbol
+            if symbol == blank:
+                if pos == self.lo:
+                    while self.lo <= self.hi and cells[self.lo - self.origin] == blank:
+                        self.lo += 1
+                elif pos == self.hi:
+                    while cells[self.hi - self.origin] == blank:
+                        self.hi -= 1
+            return
+        if symbol == blank:
+            return
+        index = pos - self.origin
+        if index < 0:
+            grow = max(-index, len(cells))
+            cells[:0] = [blank] * grow
+            self.origin -= grow
+            index += grow
+        elif index >= len(cells):
+            cells.extend([blank] * max(index + 1 - len(cells), len(cells)))
+        cells[index] = symbol
+        if self.lo > self.hi:
+            self.lo = self.hi = pos
+        elif pos < self.lo:
+            self.lo = pos
+        else:
+            self.hi = pos
+
+    def text(self) -> str:
+        """Non-blank content, from leftmost to rightmost written cell."""
+        return "".join(self._written())
+
+    def marks_left_of(self, pos: int) -> int:
+        """Number of non-blank cells strictly left of ``pos``."""
+        if pos <= self.lo:
+            return 0
+        window = self.cells[self.lo - self.origin:min(pos, self.hi + 1) - self.origin]
+        return len(window) - window.count(self.blank)
+
+    def copy(self) -> "Tape":
+        twin = Tape(self.blank)
+        twin.cells, twin.origin, twin.lo, twin.hi = self.cells[:], self.origin, self.lo, self.hi
+        return twin
+
+    def _written(self) -> list[str]:
+        return self.cells[self.lo - self.origin:self.hi - self.origin + 1]
+
+    def __eq__(self, other) -> bool:
+        """Same blank and the same symbol in every cell, however the list is laid out."""
+        if not isinstance(other, Tape):
+            return NotImplemented
+        return (self.blank == other.blank and self._written() == other._written()
+                and (self.lo == other.lo or self.lo > self.hi))
+
+    def __repr__(self) -> str:
+        return f"Tape(blank={self.blank!r}, lo={self.lo}, text={self.text()!r})"
+
+
 @dataclass
 class TapeConfiguration:
-    """Snapshot of a running machine: sparse tapes, head positions, state."""
+    """Snapshot of a running machine: tapes, head positions, state."""
 
-    tapes: tuple[dict[int, str], ...]
+    tapes: tuple[Tape, ...]
     heads: tuple[int, ...]
     state: str
     steps: int = 0
 
     def read(self, machine: TuringMachine) -> tuple[str, ...]:
-        return tuple(t.get(h, machine.blank) for t, h in zip(self.tapes, self.heads))
+        return tuple([t.read(h) for t, h in zip(self.tapes, self.heads)])
 
     def tape_text(self, machine: TuringMachine, tape: int = 0) -> str:
         """Non-blank content of one tape, from leftmost to rightmost written cell."""
-        blank = machine.blank
-        cells = self.tapes[tape]
-        written = [p for p, s in cells.items() if s != blank]
-        if not written:
-            return ""
-        return "".join(map(cells.get, range(min(written), max(written) + 1), repeat(blank)))
+        return self.tapes[tape].text()
 
     def clone(self) -> "TapeConfiguration":
         return TapeConfiguration(
-            tapes=tuple(dict(t) for t in self.tapes),
+            tapes=tuple(t.copy() for t in self.tapes),
             heads=self.heads,
             state=self.state,
             steps=self.steps,
@@ -104,58 +182,9 @@ class TraceSnapshot:
         return self.texts[tape]
 
 
-class _TapeMirror:
-    """List-backed copy of one sparse tape, kept only while a run is traced.
-
-    Cell p sits at ``cells[p - origin]`` and blank cells hold the blank
-    symbol; ``lo..hi`` bounds the non-blank cells (empty when lo > hi). A
-    snapshot's text is then one join over that slice, not a walk of the tape.
-    """
-
-    def __init__(self, tape: dict[int, str], blank: str):
-        self.blank = blank
-        self.lo, self.hi = (min(tape), max(tape)) if tape else (0, -1)
-        self.origin = self.lo
-        self.cells = [tape.get(p, blank) for p in range(self.lo, self.hi + 1)]
-
-    def write(self, pos: int, symbol: str) -> None:
-        blank, cells = self.blank, self.cells
-        if symbol == blank:
-            if not self.lo <= pos <= self.hi:
-                return
-            cells[pos - self.origin] = blank
-            if pos == self.lo:
-                while self.lo <= self.hi and cells[self.lo - self.origin] == blank:
-                    self.lo += 1
-            elif pos == self.hi:
-                while cells[self.hi - self.origin] == blank:
-                    self.hi -= 1
-            return
-        index = pos - self.origin
-        if index < 0:
-            grow = max(-index, len(cells))
-            cells[:0] = [blank] * grow
-            self.origin -= grow
-            index += grow
-        elif index >= len(cells):
-            cells.extend([blank] * max(index + 1 - len(cells), len(cells)))
-        cells[index] = symbol
-        if self.lo > self.hi:
-            self.lo = self.hi = pos
-        elif pos < self.lo:
-            self.lo = pos
-        elif pos > self.hi:
-            self.hi = pos
-
-    def text(self) -> str:
-        if self.lo > self.hi:
-            return ""
-        return "".join(self.cells[self.lo - self.origin:self.hi - self.origin + 1])
-
-
-def _snapshot(config: TapeConfiguration, mirrors: list[_TapeMirror]) -> TraceSnapshot:
+def _snapshot(config: TapeConfiguration) -> TraceSnapshot:
     return TraceSnapshot(config.state, config.heads, config.steps,
-                         tuple(m.text() for m in mirrors))
+                         tuple(t.text() for t in config.tapes))
 
 
 class OutcomeKind(Enum):
@@ -303,8 +332,8 @@ def initial_configuration(machine: TuringMachine, input_symbols: str = "") -> Ta
     for sym in input_symbols:
         if sym not in machine.alphabet:
             raise ValidationError(f"input symbol {sym!r} is outside the alphabet")
-    tape0 = {i: s for i, s in enumerate(input_symbols) if s != machine.blank}
-    tapes = (tape0,) + tuple({} for _ in range(machine.num_tapes - 1))
+    tapes = (Tape(machine.blank, input_symbols),) + tuple(
+        Tape(machine.blank) for _ in range(machine.num_tapes - 1))
     return TapeConfiguration(tapes=tapes, heads=(0,) * machine.num_tapes, state=machine.initial)
 
 
@@ -322,11 +351,8 @@ def _apply_transition(machine: TuringMachine, config: TapeConfiguration) -> None
     dst, write, move = rule
     delta = MOVES[move]
     new_heads = []
-    for i, (tape, head) in enumerate(zip(config.tapes, config.heads)):
-        if write[i] == machine.blank:
-            tape.pop(head, None)
-        else:
-            tape[head] = write[i]
+    for tape, head, symbol in zip(config.tapes, config.heads, write):
+        tape.write(head, symbol)
         new_head = head + delta
         if machine.one_sided and new_head < 0:
             raise DomainError("head moved past the left edge of a one-sided tape")
@@ -338,9 +364,7 @@ def _apply_transition(machine: TuringMachine, config: TapeConfiguration) -> None
 
 def _consult_oracle(machine: TuringMachine, config: TapeConfiguration) -> bool:
     """Answer the pending query: unary count of non-blank cells left of head 0."""
-    n = sum(1 for pos, sym in config.tapes[0].items()
-            if pos < config.heads[0] and sym != machine.blank)
-    return bool(machine.oracle(n))
+    return bool(machine.oracle(config.tapes[0].marks_left_of(config.heads[0])))
 
 
 def step(machine: TuringMachine, config: TapeConfiguration) -> TapeConfiguration:
@@ -369,17 +393,12 @@ def run(
 
     Oracle consultations resolve the ask-state without consuming fuel. The
     optional trace holds at most ``trace_cap`` snapshots; each keeps the
-    text of every tape rather than a copy of it, and the tapes are mirrored
-    only until the trace is full.
+    text of every tape rather than a copy of it.
     """
     if fuel < 1:
         raise DomainError("fuel must be a positive integer")
     config = initial_configuration(machine, input_symbols)
-    snapshots: Optional[list[TraceSnapshot]] = None
-    mirrors: Optional[list[_TapeMirror]] = None
-    if trace:
-        mirrors = [_TapeMirror(t, machine.blank) for t in config.tapes]
-        snapshots = [_snapshot(config, mirrors)]
+    snapshots = [_snapshot(config)] if trace else None
     consultations = 0
 
     while True:
@@ -392,18 +411,12 @@ def run(
             return RunOutcome(OutcomeKind.HALTED, config, consultations, snapshots)
         if config.steps >= fuel:
             return RunOutcome(OutcomeKind.OUT_OF_FUEL, config, consultations, snapshots)
-        heads = config.heads
         try:
             _apply_transition(machine, config)
         except TransitionMissing:
             return RunOutcome(OutcomeKind.STUCK, config, consultations, snapshots)
-        if mirrors is not None:
-            if len(snapshots) < trace_cap:
-                for mirror, tape, head in zip(mirrors, config.tapes, heads):
-                    mirror.write(head, tape.get(head, machine.blank))
-                snapshots.append(_snapshot(config, mirrors))
-            else:
-                mirrors = None
+        if snapshots is not None and len(snapshots) < trace_cap:
+            snapshots.append(_snapshot(config))
 
 
 # -- coupled input sessions ------------------------------------------------------
@@ -464,12 +477,7 @@ class CoupledSession:
                 if not self.queue:
                     self.status = SessionStatus.WAITING
                     return self.status
-                symbol = self.queue.popleft()
-                head = self.config.heads[0]
-                if symbol == self.machine.blank:
-                    self.config.tapes[0].pop(head, None)
-                else:
-                    self.config.tapes[0][head] = symbol
+                self.config.tapes[0].write(self.config.heads[0], self.queue.popleft())
                 self.config.state = self.machine.input_states.resume
             if self.config.state in self.machine.finals:
                 self.status = SessionStatus.HALTED

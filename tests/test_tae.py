@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,3 +241,29 @@ class TestAshbySimulation:
     def test_rejects_zero_trials(self):
         with pytest.raises(DomainError):
             tae.ashby_simulate(WheelExperiment(2, 0.5, WheelStrategy.ONE_AT_A_TIME), 0)
+
+    @pytest.mark.parametrize("strategy", [WheelStrategy.ONE_AT_A_TIME,
+                                          WheelStrategy.FREEZE_SUCCESSES])
+    @pytest.mark.parametrize("n, p, trials, seed", [
+        (1, 0.5, 300, 1), (3, 0.2, 301, 2), (10, 0.9, 97, 3), (37, 0.01, 250, 4)])
+    def test_blocked_draws_equal_one_draw(self, monkeypatch, strategy, n, p, trials, seed):
+        # blocks of 64 cells put many block boundaries inside these small runs
+        monkeypatch.setattr(tae, "DRAW_BLOCK_CELLS", 64)
+        draws = np.random.default_rng(seed).geometric(p, size=(trials, n))
+        reduced = draws.sum(axis=1) if strategy is WheelStrategy.ONE_AT_A_TIME \
+            else draws.max(axis=1)
+        times = reduced.astype(np.float64)
+        expected = (float(times.mean()), float(times.std(ddof=1) / math.sqrt(trials)))
+        assert tae.ashby_simulate(WheelExperiment(n, p, strategy, seed=seed),
+                                  trials) == expected
+
+    @pytest.mark.parametrize("strategy", [WheelStrategy.ONE_AT_A_TIME,
+                                          WheelStrategy.FREEZE_SUCCESSES])
+    def test_memory_does_not_grow_with_wheels(self, strategy):
+        tracemalloc.start()
+        try:
+            tae.ashby_simulate(WheelExperiment(200, 0.5, strategy, seed=5), 10**5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperlab import turing
@@ -207,7 +207,7 @@ def test_tape_sparsity_grows_at_most_one_cell_per_step(marks, fuel):
     machine = turing.load_machine(successor_doc())
     text = "1" * marks
     outcome = turing.run(machine, text, fuel=fuel)
-    written = sum(len(t) for t in outcome.config.tapes)
+    written = sum(t.hi - t.lo + 1 for t in outcome.config.tapes)
     assert written <= marks + outcome.config.steps
 
 
@@ -283,10 +283,56 @@ class TestTrace:
         outcome = turing.run(machine, "a", trace=True)
         assert [s.tape_text(machine) for s in outcome.trace] == [
             "a", "a", "a", "a__XY", "a__XY", "XY", "XY"]
-        # a blank left in the sparse tape reads as an erased cell
-        cfg = turing.TapeConfiguration(tapes=({-2: "a", 0: "__", 1: "XY", 3: "__"},),
-                                       heads=(0,), state="go")
+        # a blank written inside the extent reads as an erased cell
+        tape = turing.Tape("__")
+        for pos, symbol in {-2: "a", 0: "__", 1: "XY", 3: "__"}.items():
+            tape.write(pos, symbol)
+        cfg = turing.TapeConfiguration(tapes=(tape,), heads=(0,), state="go")
         assert cfg.tape_text(machine) == "a____XY"
+
+
+_BLANK = _WIDE_SYMBOLS[0]
+
+
+class TestTape:
+    """Tape against a plain dict of the non-blank cells, written alike."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(_WIDE_SYMBOLS), max_size=6),
+           st.lists(st.tuples(st.integers(-12, 12), st.sampled_from(_WIDE_SYMBOLS)),
+                    max_size=40))
+    # erase both edges of the input, then write far left of the emptied tape
+    @example(["a", _BLANK, "bb"], [(0, _BLANK), (2, _BLANK), (-5, "c.")])
+    def test_agrees_with_a_dict_model(self, initial, writes):
+        tape = turing.Tape(_BLANK, initial)
+        model = {p: s for p, s in enumerate(initial) if s != _BLANK}
+        touched = set(range(len(initial)))
+        for pos, symbol in writes:
+            tape.write(pos, symbol)
+            if symbol == _BLANK:
+                model.pop(pos, None)
+            else:
+                model[pos] = symbol
+            touched.add(pos)
+            span = range(min(model), max(model) + 1) if model else range(0)
+            assert tape.text() == "".join(model.get(p, _BLANK) for p in span)
+        for pos in {p + d for p in touched for d in range(-2, 3)}:
+            assert tape.read(pos) == model.get(pos, _BLANK)
+            assert tape.marks_left_of(pos) == sum(1 for p in model if p < pos)
+        rebuilt, shifted = turing.Tape(_BLANK), turing.Tape(_BLANK)
+        for pos in sorted(model, reverse=True):
+            rebuilt.write(pos, model[pos])
+            shifted.write(pos + 1, model[pos])
+        assert rebuilt == tape == tape.copy()
+        assert (shifted == tape) is (not model)
+
+    def test_copy_is_independent(self):
+        tape = turing.Tape(_BLANK, ["a"])
+        twin = tape.copy()
+        twin.write(0, "bb")
+        assert tape.text() == "a"
+        twin.write(-3, "c.")
+        assert tape.text() == "a" and twin.text() == "c." + _BLANK * 2 + "bb"
 
 
 class TestOracle:
