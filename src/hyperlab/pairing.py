@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
+
+ENUMERATION_BUDGET = 2 * 10**5  # entries one enumeration may list
 
 
 def _require_natural(value: int, name: str) -> int:
@@ -119,6 +121,8 @@ def enumerate_reals(n: int) -> list[dict]:
     diag_start(w) + y holds the pair (w - y, y), exactly as pair_decode says.
     """
     _require_natural(n, "n")
+    if n > ENUMERATION_BUDGET:
+        raise ResourceError(f"{n} entries is past the budget of {ENUMERATION_BUDGET}")
     out = []
     tens = [1]  # tens[y] == 10**y
     w = 0

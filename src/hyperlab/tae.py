@@ -47,7 +47,7 @@ def tm_kernel(machine: TuringMachine, fuel: int) -> Callable[..., int]:
     """
 
     def kernel(*args: int) -> int:
-        text = "_".join("1" * a for a in args)
+        text = machine.blank.join("1" * a for a in args)
         outcome = run(machine, text, fuel=fuel)
         if outcome.kind is OutcomeKind.OUT_OF_FUEL:
             raise KernelDivergenceError(
@@ -151,6 +151,9 @@ def has_prime_pair(even: int) -> bool:
     return False
 
 
+GOLDBACH_HORIZON_BUDGET = 10**6  # about 20 s of trial division
+
+
 def goldbach_stream(horizon_even: int) -> AnswerStream:
     """Examine even numbers 4, 6, ... up to the horizon, one answer each.
 
@@ -161,6 +164,9 @@ def goldbach_stream(horizon_even: int) -> AnswerStream:
     """
     if horizon_even < 4 or horizon_even % 2 != 0:
         raise DomainError("horizon must be an even number >= 4")
+    if horizon_even > GOLDBACH_HORIZON_BUDGET:
+        raise ResourceError(
+            f"horizon {horizon_even} is past the budget of {GOLDBACH_HORIZON_BUDGET}")
     stream = AnswerStream(horizon=horizon_even)
     stream.emit(4, True)
     for even in range(6, horizon_even + 1, 2):
@@ -276,6 +282,9 @@ class WheelExperiment:
 
 TAIL_RELATIVE_TOL = 1e-9
 
+# the freeze-successes series may sum at most this many terms, a few seconds
+SERIES_TERM_BUDGET = 3 * 10**7
+
 # a simulated trial may expect at most 2**57 spins, 64 times below 2**63,
 # where numpy saturates a geometric draw and an int64 sum wraps around
 SIMULATION_LOG2_SPINS = 57
@@ -299,6 +308,13 @@ def ashby_expected(exp: WheelExperiment) -> float:
         return p**-n
     if exp.strategy is WheelStrategy.ONE_AT_A_TIME:
         return n / p
+    # term t is at most N*q**t and the total at least 1, so the tail test
+    # holds by the first t with N*q**t <= tol: at most this many terms
+    terms = math.log(n / TAIL_RELATIVE_TOL) / -math.log1p(-p) + 2
+    if terms > SERIES_TERM_BUDGET:
+        raise ResourceError(
+            f"the freeze-successes series needs up to {terms:.3g} terms, past the "
+            f"budget of {SERIES_TERM_BUDGET}")
     q = 1.0 - p
     total = 0.0
     qt = 1.0  # q**t

@@ -6,7 +6,7 @@ in a list-backed :class:`Tape`; a machine may have several tapes, in which
 case one transition reads and writes all heads and moves them in one shared
 direction.
 
-Two execution hooks extend the base engine:
+Two hooks extend the one stepping loop that runs and sessions share:
 
 * an oracle: entering the declared ask-state consults an opaque total
   predicate on the unary number written left of the head and resumes in the
@@ -19,16 +19,17 @@ Two execution hooks extend the base engine:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from enum import Enum
 from typing import Callable, Iterable, Optional
 
-from .errors import ConfigurationError, DomainError, ValidationError
+from .errors import ConfigurationError, DomainError, ResourceError, ValidationError
 
 MOVES = {"l": -1, "n": 0, "r": 1}
 
 DEFAULT_FUEL = 10**6
 DEFAULT_TRACE_CAP = 10**4
+FUEL_BUDGET = 10**7  # steps one drive may take; refused up front beyond this
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ class TapeConfiguration:
     state: str
     steps: int = 0
 
-    def read(self, machine: TuringMachine) -> tuple[str, ...]:
+    def read(self) -> tuple[str, ...]:
         return tuple([t.read(h) for t, h in zip(self.tapes, self.heads)])
 
     def tape_text(self, machine: TuringMachine, tape: int = 0) -> str:
@@ -161,12 +162,7 @@ class TapeConfiguration:
         return self.tapes[tape].text()
 
     def clone(self) -> "TapeConfiguration":
-        return TapeConfiguration(
-            tapes=tuple(t.copy() for t in self.tapes),
-            heads=self.heads,
-            state=self.state,
-            steps=self.steps,
-        )
+        return replace(self, tapes=tuple(t.copy() for t in self.tapes))
 
 
 @dataclass(frozen=True)
@@ -206,7 +202,7 @@ class AlreadyHaltedError(DomainError):
 
 
 class TransitionMissing(Exception):
-    """Internal stuck signal; run() turns it into a Stuck outcome."""
+    """step() was asked to advance a configuration that no rule applies to."""
 
     def __init__(self, state: str, symbols: tuple[str, ...]):
         super().__init__(f"no transition for state {state!r} reading {symbols!r}")
@@ -340,37 +336,32 @@ def initial_configuration(machine: TuringMachine, input_symbols: str = "") -> Ta
 # -- stepping ------------------------------------------------------------------
 
 
-def _apply_transition(machine: TuringMachine, config: TapeConfiguration) -> None:
-    """Advance ``config`` in place by one transition. Raises on stuck/halted."""
-    if config.state in machine.finals:
-        raise AlreadyHaltedError(f"state {config.state!r} is final")
-    symbols = config.read(machine)
-    rule = machine.transitions.get((config.state, symbols))
+def _apply_transition(machine: TuringMachine, config: TapeConfiguration) -> bool:
+    """Advance ``config`` in place by one transition; False when no rule applies."""
+    rule = machine.transitions.get((config.state, config.read()))
     if rule is None:
-        raise TransitionMissing(config.state, symbols)
+        return False
     dst, write, move = rule
     delta = MOVES[move]
-    new_heads = []
+    if machine.one_sided and min(config.heads) + delta < 0:
+        raise DomainError("head moved past the left edge of a one-sided tape")
+    heads = []
     for tape, head, symbol in zip(config.tapes, config.heads, write):
         tape.write(head, symbol)
-        new_head = head + delta
-        if machine.one_sided and new_head < 0:
-            raise DomainError("head moved past the left edge of a one-sided tape")
-        new_heads.append(new_head)
-    config.heads = tuple(new_heads)
+        heads.append(head + delta)
+    config.heads = tuple(heads)
     config.state = dst
     config.steps += 1
-
-
-def _consult_oracle(machine: TuringMachine, config: TapeConfiguration) -> bool:
-    """Answer the pending query: unary count of non-blank cells left of head 0."""
-    return bool(machine.oracle(config.tapes[0].marks_left_of(config.heads[0])))
+    return True
 
 
 def step(machine: TuringMachine, config: TapeConfiguration) -> TapeConfiguration:
     """Pure single step: returns the successor configuration, inputs untouched."""
+    if config.state in machine.finals:
+        raise AlreadyHaltedError(f"state {config.state!r} is final")
     nxt = config.clone()
-    _apply_transition(machine, nxt)
+    if not _apply_transition(machine, nxt):
+        raise TransitionMissing(config.state, config.read())
     return nxt
 
 
@@ -380,6 +371,46 @@ def attach_oracle(machine: TuringMachine, oracle: Callable[[int], bool]) -> Turi
         raise ConfigurationError(
             "machine declares no oracle states (ask/yes/no); cannot attach an oracle")
     return replace(machine, oracle=oracle)
+
+
+def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
+           queue: Optional[deque[str]] = None, snapshots: Optional[list[TraceSnapshot]] = None,
+           trace_cap: int = DEFAULT_TRACE_CAP) -> tuple[Optional[OutcomeKind], int]:
+    """Step ``config`` in place until it halts, sticks, reaches ``fuel`` steps or waits.
+
+    Before each step the hooks resolve at no fuel cost: an attached oracle
+    answers the ask-state, then, only when a queue is given, the request-state
+    takes the oldest queued symbol or the drive returns ``None`` (waiting on
+    input). Returns the outcome kind and the number of oracle consultations.
+    """
+    if fuel - config.steps > FUEL_BUDGET:
+        raise ResourceError(
+            f"fuel of {fuel - config.steps} steps is past the budget of {FUEL_BUDGET}")
+    finals = machine.finals
+    ask = yes = no = request = resume = None
+    if machine.oracle is not None and machine.oracle_states is not None:
+        ask, yes, no = astuple(machine.oracle_states)
+    if queue is not None:
+        request, resume = astuple(machine.input_states)
+    consultations = 0
+    while True:
+        if config.state == ask:
+            answer = machine.oracle(config.tapes[0].marks_left_of(config.heads[0]))
+            config.state = yes if answer else no
+            consultations += 1
+        if config.state == request:
+            if not queue:
+                return None, consultations
+            config.tapes[0].write(config.heads[0], queue.popleft())
+            config.state = resume
+        if config.state in finals:
+            return OutcomeKind.HALTED, consultations
+        if config.steps >= fuel:
+            return OutcomeKind.OUT_OF_FUEL, consultations
+        if not _apply_transition(machine, config):
+            return OutcomeKind.STUCK, consultations
+        if snapshots is not None and len(snapshots) < trace_cap:
+            snapshots.append(_snapshot(config))
 
 
 def run(
@@ -399,24 +430,8 @@ def run(
         raise DomainError("fuel must be a positive integer")
     config = initial_configuration(machine, input_symbols)
     snapshots = [_snapshot(config)] if trace else None
-    consultations = 0
-
-    while True:
-        if machine.oracle is not None and machine.oracle_states is not None \
-                and config.state == machine.oracle_states.ask:
-            answer = _consult_oracle(machine, config)
-            config.state = machine.oracle_states.yes if answer else machine.oracle_states.no
-            consultations += 1
-        if config.state in machine.finals:
-            return RunOutcome(OutcomeKind.HALTED, config, consultations, snapshots)
-        if config.steps >= fuel:
-            return RunOutcome(OutcomeKind.OUT_OF_FUEL, config, consultations, snapshots)
-        try:
-            _apply_transition(machine, config)
-        except TransitionMissing:
-            return RunOutcome(OutcomeKind.STUCK, config, consultations, snapshots)
-        if snapshots is not None and len(snapshots) < trace_cap:
-            snapshots.append(_snapshot(config))
+    kind, consultations = _drive(machine, config, fuel, snapshots=snapshots, trace_cap=trace_cap)
+    return RunOutcome(kind, config, consultations, snapshots)
 
 
 # -- coupled input sessions ------------------------------------------------------
@@ -433,6 +448,11 @@ class SessionStatus(Enum):
     STUCK = "stuck"
 
 
+_SESSION_STATUS = {  # a drive's outcome as a session status; None is waiting on input
+    None: SessionStatus.WAITING, OutcomeKind.OUT_OF_FUEL: SessionStatus.RUNNING,
+    OutcomeKind.HALTED: SessionStatus.HALTED, OutcomeKind.STUCK: SessionStatus.STUCK}
+
+
 @dataclass
 class CoupledSession:
     """A running machine that accepts symbols after the computation started.
@@ -441,7 +461,7 @@ class CoupledSession:
     sits in the declared request-state, :meth:`advance` pops the oldest queued
     symbol onto the tape at the head and resumes in the declared resume-state
     at no fuel cost; with an empty queue the session reports ``WAITING``
-    without stepping.
+    without stepping. An attached oracle answers the ask-state as in :func:`run`.
     """
 
     machine: TuringMachine
@@ -471,24 +491,8 @@ class CoupledSession:
         """Step until waiting on input, halting, sticking, or exhausting max_steps."""
         if self.status in (SessionStatus.HALTED, SessionStatus.STUCK):
             return self.status
-        budget = max_steps
-        while budget > 0:
-            if self.config.state == self.machine.input_states.request:
-                if not self.queue:
-                    self.status = SessionStatus.WAITING
-                    return self.status
-                self.config.tapes[0].write(self.config.heads[0], self.queue.popleft())
-                self.config.state = self.machine.input_states.resume
-            if self.config.state in self.machine.finals:
-                self.status = SessionStatus.HALTED
-                return self.status
-            try:
-                _apply_transition(self.machine, self.config)
-            except TransitionMissing:
-                self.status = SessionStatus.STUCK
-                return self.status
-            budget -= 1
-        self.status = SessionStatus.RUNNING
+        kind, _ = _drive(self.machine, self.config, self.config.steps + max_steps, self.queue)
+        self.status = _SESSION_STATUS[kind]
         return self.status
 
 

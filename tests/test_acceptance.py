@@ -46,8 +46,10 @@ def _evolve_x_minus_2(total_time: float, dt: float = 0.01):
         space=space, h_problem=h_p, h_initial=h_i, total_time=total_time, dt=dt)
     result = aqc.evolve(problem, u)
     _DRIFTS.append(result.norm_drift)
-    ground = linalg.hermitian_eigensystem(np.diag(h_p)).ground_vector
-    overlap = abs(linalg.inner_product(ground, result.state)) ** 2
+    # summed population of every minimiser, as scripts/overlap_sweep.py reports
+    _, winners = aqc.exact_ground_oracle(poly, space.cutoff)
+    ground = [space.index_of(w) for w in winners]
+    overlap = float(np.sum(np.abs(result.state[ground]) ** 2))
     return result, overlap
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from hyperlab import cli
 
-from conftest import successor_doc
+from conftest import self_loop_doc, successor_doc
 
 X_MINUS_2 = {"vars": 1, "terms": [[1, [1]], [-2, [0]]]}
 
@@ -186,6 +186,24 @@ class TestErrors:
         assert time.monotonic() - start < 2.0
         assert status == 1 and out == ""
         assert json.loads(err)["error"] == "resource-error"
+
+    @pytest.mark.parametrize("argv", [
+        ["tm", "run", "{loop}", "--fuel", "1000000000"],
+        ["tm", "run", "{loop}", "--fuel", "10000001", "--trace"],
+        ["zeno", "halting", "{loop}", "--fuel", "1000000000"],
+        ["tae", "goldbach", "--horizon", "1000002"],
+        ["enum", "list", "--count", "200001"],
+        ["tae", "ashby", "--wheels", "10", "--p", "1e-7", "--strategy", "3"],
+    ], ids=" ".join)
+    def test_budgets_are_refused_before_any_work(self, write_json, argv):
+        loop = write_json("loop.json", self_loop_doc())
+        start = time.monotonic()
+        status, out, err = run_cli([arg.format(loop=loop) for arg in argv])
+        assert time.monotonic() - start < 1.0
+        assert status == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "resource-error"
+        assert "budget" in payload["message"]
 
     @pytest.mark.parametrize("key", ["from", "to", "read", "write", "move"])
     def test_transition_missing_a_key(self, write_json, key):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperlab import pairing
-from hyperlab.errors import DomainError
+from hyperlab.errors import DomainError, ResourceError
 
 naturals = st.integers(min_value=0, max_value=10**9)
 
@@ -144,6 +144,10 @@ class TestEnumerate:
     def test_count_must_be_natural(self, n):
         with pytest.raises(DomainError):
             pairing.enumerate_reals(n)
+
+    def test_count_past_the_budget_is_refused(self):
+        with pytest.raises(ResourceError, match="budget"):
+            pairing.enumerate_reals(pairing.ENUMERATION_BUDGET + 1)
 
     def test_duplicates_are_flagged_not_skipped(self):
         entries = pairing.enumerate_reals(pairing.diag_start(21))

@@ -64,6 +64,26 @@ class TestLimitPredicates:
         with pytest.raises(KernelDivergenceError):
             tae.evaluate_limit_predicate(pred, (2,), horizon=3)
 
+    def test_tm_kernel_separates_arguments_with_the_machine_blank(self):
+        # skip the first argument and its separator, then answer whether the
+        # second argument has a mark: k(x, y) = 1 iff y > 0
+        machine = turing.load_machine({
+            "blank": "#", "alphabet": ["#", "1"],
+            "states": ["first", "second"], "initial": "first", "finals": ["second"],
+            "transitions": [
+                {"from": "first", "read": "1", "to": "first", "write": "1", "move": "r"},
+                {"from": "first", "read": "#", "to": "second", "write": "#", "move": "r"}],
+        })
+        kernel = tae.tm_kernel(machine, fuel=100)
+        assert [kernel(1, 2), kernel(2, 0), kernel(0, 3), kernel(0, 0)] == [1, 0, 1, 0]
+        result = tae.evaluate_limit_predicate(LimitPredicate(kernel, arity=1), (2,), horizon=4)
+        assert (result.verdict, result.mind_changes, result.stable_since) == (True, 1, 1)
+
+    def test_tm_kernel_fuel_past_the_budget_is_refused(self):
+        kernel = tae.tm_kernel(turing.load_machine(self_loop_doc()), fuel=turing.FUEL_BUDGET + 1)
+        with pytest.raises(ResourceError):
+            kernel(1)
+
     @settings(max_examples=50)
     @given(st.integers(0, 12), st.integers(1, 30))
     def test_verdict_matches_true_limit_once_reached(self, threshold, extra):
@@ -105,6 +125,14 @@ class TestGoldbachStream:
     def test_rejects_odd_horizon(self):
         with pytest.raises(DomainError):
             tae.goldbach_stream(7)
+
+    def test_horizon_past_the_budget_is_refused(self, monkeypatch):
+        examined = []
+        monkeypatch.setattr(tae, "has_prime_pair", lambda even: examined.append(even) or True)
+        with pytest.raises(ResourceError):
+            tae.goldbach_stream(tae.GOLDBACH_HORIZON_BUDGET + 2)
+        assert examined == []
+        assert tae.goldbach_stream(tae.GOLDBACH_HORIZON_BUDGET).final_verdict is True
 
     def test_primality_by_trial_division(self):
         flags = sieve(2000)
@@ -159,6 +187,29 @@ class TestAshbyAnalytic:
         for strategy in WheelStrategy:
             exp = WheelExperiment(1, 0.5, strategy)
             assert abs(tae.ashby_expected(exp) - 2.0) < 1e-8
+
+    # at p = 1e-17, 1 - p rounds to 1 and the sum would never end
+    @pytest.mark.parametrize("p", [1e-7, 1e-17])
+    def test_series_past_the_term_budget_is_refused(self, p):
+        exp = WheelExperiment(10, p, WheelStrategy.FREEZE_SUCCESSES)
+        with pytest.raises(ResourceError, match="budget"):
+            tae.ashby_expected(exp)
+        with pytest.raises(ResourceError):
+            tae.ashby_expected_log2(exp)
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 10**4), st.floats(1e-3, 0.99))
+    def test_term_bound_covers_the_terms_summed(self, n, p):
+        # the series' own loop, counting its terms
+        q, total, qt, terms = 1.0 - p, 0.0, 1.0, 0
+        while True:
+            term = 1.0 - (1.0 - qt) ** n
+            total, qt, terms = total + term, qt * q, terms + 1
+            if term <= total * tae.TAIL_RELATIVE_TOL:
+                break
+        bound = math.log(n / tae.TAIL_RELATIVE_TOL) / -math.log1p(-p) + 2
+        assert terms <= bound
+        assert tae.ashby_expected(WheelExperiment(n, p, WheelStrategy.FREEZE_SUCCESSES)) == total
 
     def test_thousand_wheels_all_or_nothing_log2(self):
         exp = WheelExperiment(1000, 0.5, WheelStrategy.ALL_OR_NOTHING)

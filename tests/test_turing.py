@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperlab import turing
-from hyperlab.errors import ConfigurationError, DomainError, ValidationError
+from hyperlab.errors import ConfigurationError, DomainError, ResourceError, ValidationError
 from hyperlab.turing import OutcomeKind, SessionStatus
 
 from conftest import self_loop_doc, successor_doc
@@ -449,3 +451,106 @@ class TestCoupledSession:
         session.feed("b")
         session.advance()
         assert session.config.tape_text(session.machine) == "b"
+
+    def _oracle_session_doc(self) -> dict:
+        # take one symbol, step right past it, then ask about the marks left of the head
+        return {
+            "blank": "_", "alphabet": ["_", "1"],
+            "states": ["req", "put", "ask", "yes", "no"],
+            "initial": "req", "finals": ["yes", "no"],
+            "input_states": {"request": "req", "resume": "put"},
+            "oracle_states": {"ask": "ask", "yes": "yes", "no": "no"},
+            "transitions": [
+                {"from": "put", "read": "1", "to": "ask", "write": "1", "move": "r"}],
+        }
+
+    @pytest.mark.parametrize("answer, final", [(True, "yes"), (False, "no")])
+    def test_attached_oracle_is_consulted_inside_a_session(self, answer, final):
+        asked = []
+        machine = turing.attach_oracle(
+            turing.load_machine(self._oracle_session_doc()),
+            lambda n: asked.append(n) or answer)
+        session = turing.open_session(machine)
+        session.feed("1")
+        assert session.advance() is SessionStatus.HALTED
+        assert session.config.state == final
+        assert session.config.steps == 1  # the query costs no fuel
+        assert asked == [1]
+
+    def test_no_rule_for_the_state_is_stuck(self):
+        doc = self._echo_doc()
+        doc["transitions"] = [
+            {"from": "put", "read": "a", "to": "req", "write": "a", "move": "r"}]
+        session = turing.open_session(turing.load_machine(doc))
+        session.feed("a")
+        session.feed("b")
+        assert session.advance() is SessionStatus.STUCK
+        assert (session.config.state, session.config.steps) == ("put", 1)
+        assert session.config.tape_text(session.machine) == "ab"
+        assert session.advance() is SessionStatus.STUCK
+        with pytest.raises(turing.SessionClosedError):
+            session.feed("a")
+
+    def test_exhausted_max_steps_is_running_and_the_next_advance_resumes(self):
+        # writes marks rightwards forever; the request state is never entered
+        machine = turing.load_machine({
+            "blank": "_", "alphabet": ["_", "1"],
+            "states": ["mark", "req", "res"], "initial": "mark", "finals": [],
+            "input_states": {"request": "req", "resume": "res"},
+            "transitions": [
+                {"from": "mark", "read": "_", "to": "mark", "write": "1", "move": "r"}],
+        })
+        session = turing.open_session(machine)
+        assert session.advance(max_steps=5) is SessionStatus.RUNNING
+        assert session.config.steps == 5
+        assert session.advance(max_steps=7) is SessionStatus.RUNNING
+        assert session.config.steps == 12
+        reference = turing.run(machine, fuel=12).config
+        assert session.config.tapes == reference.tapes
+        assert session.config.heads == reference.heads == (12,)
+
+    def test_a_budget_that_ends_on_a_final_state_reports_halted(self):
+        doc = self._echo_doc()
+        doc["states"].append("stop")
+        doc["finals"] = ["stop"]
+        doc["transitions"] = [
+            {"from": "put", "read": "a", "to": "stop", "write": "a", "move": "n"}]
+        session = turing.open_session(turing.load_machine(doc))
+        session.feed("a")
+        assert session.advance(max_steps=1) is SessionStatus.HALTED
+        assert session.config.steps == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(_wide_machines(), st.lists(st.integers(1, 25), min_size=1, max_size=5))
+    def test_a_session_that_never_requests_input_reaches_what_run_reaches(self, case, chunks):
+        machine, _ = case
+        machine = replace(machine, states=machine.states | {"req", "res"},
+                          input_states=turing.InputStates("req", "res"))
+        session = turing.open_session(machine)
+        for max_steps in chunks:
+            if session.advance(max_steps) is not SessionStatus.RUNNING:
+                break
+        outcome = turing.run(machine, fuel=sum(chunks))
+        expected = {OutcomeKind.HALTED: SessionStatus.HALTED, OutcomeKind.STUCK:
+                    SessionStatus.STUCK, OutcomeKind.OUT_OF_FUEL: SessionStatus.RUNNING}
+        assert session.status is expected[outcome.kind]
+        got, ref = session.config, outcome.config
+        assert (got.state, got.steps, got.heads) == (ref.state, ref.steps, ref.heads)
+        assert got.tapes == ref.tapes
+
+    def test_max_steps_past_the_fuel_budget_is_refused_before_stepping(self):
+        session = turing.open_session(turing.load_machine(self._echo_doc()))
+        session.feed("a")
+        with pytest.raises(ResourceError):
+            session.advance(max_steps=turing.FUEL_BUDGET + 1)
+        assert session.config.steps == 0 and list(session.queue) == ["a"]
+
+
+class TestFuelBudget:
+    def test_run_past_the_budget_is_refused_before_stepping(self, self_loop):
+        with pytest.raises(ResourceError, match="budget"):
+            turing.run(self_loop, fuel=turing.FUEL_BUDGET + 1)
+
+    def test_run_at_the_budget_is_accepted(self, successor):
+        outcome = turing.run(successor, "11", fuel=turing.FUEL_BUDGET)
+        assert outcome.kind is OutcomeKind.HALTED
