@@ -20,6 +20,7 @@ oracle for every quantum-path result.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -154,19 +155,21 @@ class TruncatedFockSpace:
 
 # -- Hamiltonians ----------------------------------------------------------------
 #
-# An operator is one of three things: a 2-D array (a dense matrix), a 1-D
-# array (a real diagonal, held as its entries), or a ProjectorComplement
+# An operator is one of three things: a 2-D array (a dense Hermitian matrix), a
+# 1-D array (a real diagonal, held as its entries), or a ProjectorComplement
 # (I - |u><u| with u uniform, held through its dimension). The builders below
-# return the last two, so the default pipeline never forms a d x d array;
-# dense matrices stay accepted for custom operators and as the reference.
+# return the last two, so the default pipeline never forms a d x d array. Each
+# form has its own exponential (see _exponential): closed forms in O(d) for the
+# structured two, one Jacobi eigensystem for a dense custom operator.
 
 
 @dataclass(frozen=True)
 class ProjectorComplement:
     """I - |u><u| for the uniform ket u on `dimension` basis states.
 
-    Applied to v it gives v - (sum(v) / d) * 1 in O(d). Its spectrum is 0 on u
-    and 1 on the rest, so its norm is 1, or 0 when d = 1 (then I = |u><u|).
+    Its spectrum is 0 on u and 1 on the rest, so its norm is 1, or 0 when d = 1
+    (then I = |u><u|), and exp(-i theta (I - |u><u|)) v = e^{-i theta} (v - m) + m
+    with m = sum(v) / d, in O(d).
     """
 
     dimension: int
@@ -179,16 +182,6 @@ class ProjectorComplement:
         """The uniform ground ket u as a column vector."""
         return np.full((self.dimension, 1), 1.0 / math.sqrt(self.dimension),
                        dtype=np.complex128)
-
-
-def dense_operator(op) -> np.ndarray:
-    """The d x d complex matrix of any operator form."""
-    if isinstance(op, ProjectorComplement):
-        u = op.ket()
-        return linalg.identity(op.dimension) - u @ u.conj().T
-    if op.ndim == 1:
-        return np.diag(op).astype(np.complex128)
-    return op
 
 
 def operator_norm(op) -> float:
@@ -248,7 +241,10 @@ def build_initial_hamiltonian(
 
 @dataclass(frozen=True)
 class AdiabaticProblem:
-    """H(s) = (1 - s) * h_initial + s * h_problem, each in any operator form."""
+    """H(s) = (1 - s) * h_initial + s * h_problem, each in any operator form.
+
+    A dense operator must be Hermitian; :func:`evolve` refuses one that is not.
+    """
 
     space: TruncatedFockSpace
     h_problem: np.ndarray | ProjectorComplement
@@ -267,14 +263,6 @@ class AdiabaticProblem:
             raise ShapeError("Hamiltonians must match the space dimension")
 
 
-def interpolate_hamiltonian(problem: AdiabaticProblem, s: float) -> np.ndarray:
-    """(1 - s) * H_initial + s * H_problem as a dense matrix; Hermitian for s in [0, 1]."""
-    if not 0.0 <= s <= 1.0:
-        raise DomainError("interpolation parameter must lie in [0, 1]")
-    return ((1.0 - s) * dense_operator(problem.h_initial)
-            + s * dense_operator(problem.h_problem))
-
-
 def spectral_norm_bound(problem: AdiabaticProblem) -> float:
     """Upper bound on ||H(s)|| over the whole schedule (convexity)."""
     return max(operator_norm(problem.h_initial), operator_norm(problem.h_problem))
@@ -287,36 +275,47 @@ class EvolveResult:
     steps: int
 
 
-def _schrodinger_rhs(problem: AdiabaticProblem):
-    """v -> -i H(s) v, in O(d) for the structured pair and by matvecs otherwise."""
-    h_i, h_p = problem.h_initial, problem.h_problem
-    if (isinstance(h_i, ProjectorComplement)
-            and isinstance(h_p, np.ndarray) and h_p.ndim == 1):
-        # -i H(s) v = -i ((1 - s) + s p) v + i ((1 - s) / d) sum(v)
-        slope = -1j * (h_p.reshape(-1, 1) - 1.0)
-        d = h_i.dimension
+def _exponential(op):
+    """(theta, v) -> exp(-i theta op) v on a 1-D state, for any operator form.
 
-        def rhs(s: float, v: np.ndarray) -> np.ndarray:
-            return (s * slope - 1j) * v + (1j * (1.0 - s) / d) * v.sum()
+    A dense matrix is diagonalised once by the Jacobi solver, which refuses
+    one that is not Hermitian with :class:`DomainError`.
+    """
+    if isinstance(op, ProjectorComplement):
+        d = op.dimension
 
-        return rhs
+        def apply(theta: float, v: np.ndarray) -> np.ndarray:
+            phase = cmath.exp(-1j * theta)
+            return phase * v + (1.0 - phase) * (v.sum() / d)
 
-    hi = dense_operator(h_i)
-    diff = dense_operator(h_p) - hi
+        return apply
+    if op.ndim == 1:
+        rate = -1j * op
 
-    def rhs(s: float, v: np.ndarray) -> np.ndarray:
-        return -1j * (hi @ v + s * (diff @ v))
+        def apply(theta: float, v: np.ndarray) -> np.ndarray:
+            return np.exp(theta * rate) * v
 
-    return rhs
+        return apply
+    es = linalg.hermitian_eigensystem(op)
+    vectors, adjoint, rate = es.vectors, es.vectors.conj().T, -1j * es.values
+
+    def apply(theta: float, v: np.ndarray) -> np.ndarray:
+        return vectors @ (np.exp(theta * rate) * (adjoint @ v))
+
+    return apply
 
 
 def evolve(problem: AdiabaticProblem, psi0: np.ndarray) -> EvolveResult:
-    """Integrate i dpsi/dt = H(t/T) psi from 0 to T with fixed-step RK4.
+    """Integrate i dpsi/dt = H(t/T) psi from 0 to T by Strang splitting.
 
-    The Hamiltonian is evaluated at the stage times (midpoint rule inside each
-    step). Norm drift is measured against 1 and the returned state is
-    renormalised; the drift itself is part of the result so the caller can see
-    how much unitarity the integrator lost.
+    Step k freezes H at its midpoint s_k and applies half an H_I exponential
+    (angle (1 - s_k) dt / 2), a full H_P exponential (angle s_k dt), then
+    another H_I half; the halves that meet between steps commute and run as
+    one exponential. Each factor is exactly unitary and the scheme is second
+    order in dt. The guard dt * max||H|| <= STABILITY_LIMIT bounds the
+    splitting error, not stability. Norm drift is measured against 1 and the
+    returned state is renormalised; the drift itself is part of the result,
+    so the caller sees how far rounding moved the norm.
     """
     psi = linalg.ket(psi0).astype(np.complex128)
     if psi.shape[0] != problem.space.dimension:
@@ -336,22 +335,20 @@ def evolve(problem: AdiabaticProblem, psi0: np.ndarray) -> EvolveResult:
 
     steps = max(1, math.ceil(t_total / problem.dt))
     dt = t_total / steps
-    rhs = _schrodinger_rhs(problem)
-
+    exp_i = _exponential(problem.h_initial)
+    exp_p = _exponential(problem.h_problem)
+    v = psi.reshape(-1)
+    owed = 0.0  # the previous step's closing H_I half, merged into this step's opening one
     for k in range(steps):
-        t = k * dt
-        s0 = t / t_total
-        s_half = (t + 0.5 * dt) / t_total
-        s1 = (t + dt) / t_total
-        k1 = rhs(s0, psi)
-        k2 = rhs(s_half, psi + 0.5 * dt * k1)
-        k3 = rhs(s_half, psi + 0.5 * dt * k2)
-        k4 = rhs(s1, psi + dt * k3)
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        s = (k + 0.5) / steps
+        half = 0.5 * dt * (1.0 - s)
+        v = exp_p(dt * s, exp_i(owed + half, v))
+        owed = half
+    v = exp_i(owed, v)
 
-    final_norm = linalg.norm(psi)
+    final_norm = linalg.norm(v)
     drift = abs(final_norm - 1.0)
-    return EvolveResult(state=psi / final_norm, norm_drift=drift, steps=steps)
+    return EvolveResult(state=(v / final_norm).reshape(-1, 1), norm_drift=drift, steps=steps)
 
 
 # -- measurement --------------------------------------------------------------------

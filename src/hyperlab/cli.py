@@ -138,14 +138,14 @@ def _cmd_tm_run(args) -> dict:
         "outcome": outcome.kind.value,
         "steps": outcome.config.steps,
         "final_state": outcome.config.state,
-        "tape": outcome.config.tape_text(machine),
+        "tape": outcome.config.tape_text(),
         "head": outcome.config.heads[0],
         "oracle_consultations": outcome.oracle_consultations,
     }
     if outcome.trace is not None:
         report["trace"] = [
             {"state": c.state, "head": c.heads[0], "steps": c.steps,
-             "tape": c.tape_text(machine)}
+             "tape": c.tape_text()}
             for c in outcome.trace
         ]
     return report

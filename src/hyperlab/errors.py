@@ -52,6 +52,6 @@ class ConfigurationError(HyperlabError):
 
 
 class StabilityError(HyperlabError):
-    """Integrator step size violates the stability bound."""
+    """Integrator step exceeds the dt * max||H|| accuracy bound."""
 
     kind = "stability-error"

@@ -157,7 +157,7 @@ class TapeConfiguration:
     def read(self) -> tuple[str, ...]:
         return tuple([t.read(h) for t, h in zip(self.tapes, self.heads)])
 
-    def tape_text(self, machine: TuringMachine, tape: int = 0) -> str:
+    def tape_text(self, tape: int = 0) -> str:
         """Non-blank content of one tape, from leftmost to rightmost written cell."""
         return self.tapes[tape].text()
 
@@ -174,7 +174,7 @@ class TraceSnapshot:
     steps: int
     texts: tuple[str, ...]
 
-    def tape_text(self, machine: TuringMachine, tape: int = 0) -> str:
+    def tape_text(self, tape: int = 0) -> str:
         return self.texts[tape]
 
 

@@ -207,7 +207,7 @@ def test_criterion_10_tm_engine():
         successor = turing.load_machine(successor_doc())
         outcome = turing.run(successor, "111", fuel=100)
         assert outcome.kind is OutcomeKind.HALTED
-        assert outcome.config.tape_text(successor) == "1111"
+        assert outcome.config.tape_text() == "1111"
 
         rng = np.random.default_rng(1010)
         corpus = []

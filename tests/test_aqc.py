@@ -26,6 +26,24 @@ CUBES_PLUS_XYZ = {"vars": 3, "terms": [
 ]}
 
 
+def dense_operator(op) -> np.ndarray:
+    """The d x d complex matrix of any operator form, the reference for the structured ones."""
+    if isinstance(op, aqc.ProjectorComplement):
+        u = op.ket()
+        return linalg.identity(op.dimension) - u @ u.conj().T
+    if op.ndim == 1:
+        return np.diag(op).astype(np.complex128)
+    return op
+
+
+def interpolate_hamiltonian(problem: aqc.AdiabaticProblem, s: float) -> np.ndarray:
+    """(1 - s) * H_initial + s * H_problem as a dense matrix; Hermitian for s in [0, 1]."""
+    if not 0.0 <= s <= 1.0:
+        raise DomainError("interpolation parameter must lie in [0, 1]")
+    return ((1.0 - s) * dense_operator(problem.h_initial)
+            + s * dense_operator(problem.h_problem))
+
+
 class TestParsing:
     def test_linear_polynomial(self):
         poly = aqc.parse_polynomial(X_MINUS_2)
@@ -125,16 +143,16 @@ class TestProblemHamiltonian:
 class TestInitialHamiltonian:
     def test_dimension_two_matrix(self):
         h, u = aqc.build_initial_hamiltonian(TruncatedFockSpace(1, 1))
-        assert np.allclose(aqc.dense_operator(h), [[0.5, -0.5], [-0.5, 0.5]])
+        assert np.allclose(dense_operator(h), [[0.5, -0.5], [-0.5, 0.5]])
 
     def test_uniform_state_is_ground(self):
         h, u = aqc.build_initial_hamiltonian(TruncatedFockSpace(1, 5))
-        assert np.max(np.abs(aqc.dense_operator(h) @ u)) < 1e-14
+        assert np.max(np.abs(dense_operator(h) @ u)) < 1e-14
         assert abs(linalg.norm(u) - 1) < 1e-12
 
     def test_spectrum_is_zero_then_ones(self):
         h, _ = aqc.build_initial_hamiltonian(TruncatedFockSpace(1, 3))
-        es = linalg.hermitian_eigensystem(aqc.dense_operator(h))
+        es = linalg.hermitian_eigensystem(dense_operator(h))
         assert np.allclose(es.values, [0, 1, 1, 1])
 
 
@@ -149,20 +167,20 @@ class TestInterpolation:
             space=space, h_problem=h_p, h_initial=h_i, total_time=10.0, dt=0.01)
 
     def test_endpoints(self, problem):
-        assert np.array_equal(aqc.interpolate_hamiltonian(problem, 0.0),
-                              aqc.dense_operator(problem.h_initial))
-        assert np.array_equal(aqc.interpolate_hamiltonian(problem, 1.0),
-                              aqc.dense_operator(problem.h_problem))
+        assert np.array_equal(interpolate_hamiltonian(problem, 0.0),
+                              dense_operator(problem.h_initial))
+        assert np.array_equal(interpolate_hamiltonian(problem, 1.0),
+                              dense_operator(problem.h_problem))
 
     def test_midpoint_is_mean_and_hermitian(self, problem):
-        mid = aqc.interpolate_hamiltonian(problem, 0.5)
-        assert np.allclose(mid, (aqc.dense_operator(problem.h_initial)
-                                 + aqc.dense_operator(problem.h_problem)) / 2)
+        mid = interpolate_hamiltonian(problem, 0.5)
+        assert np.allclose(mid, (dense_operator(problem.h_initial)
+                                 + dense_operator(problem.h_problem)) / 2)
         assert np.max(np.abs(mid - mid.conj().T)) < 1e-14
 
     def test_out_of_range_rejected(self, problem):
         with pytest.raises(DomainError):
-            aqc.interpolate_hamiltonian(problem, 1.5)
+            interpolate_hamiltonian(problem, 1.5)
 
 
 class TestEvolve:
@@ -213,6 +231,46 @@ class TestEvolve:
     def test_stability_guard(self):
         problem, u = self._problem(1.0, 0.2)  # dt * ||H|| = 0.8
         with pytest.raises(StabilityError, match="smaller step"):
+            aqc.evolve(problem, u)
+
+    def _largest_dt(self, total_time, cutoff):
+        """x - 2 at the largest step the guard lets through: dt * max p = 0.5."""
+        problem, _ = self._problem(total_time, 1.0, cutoff)
+        return aqc.STABILITY_LIMIT / aqc.spectral_norm_bound(problem)
+
+    def test_largest_guarded_step_is_accurate(self):
+        # cutoff 20, T = 50: 32,400 steps; the converged ground population is 0.390088
+        dt = self._largest_dt(50.0, 20)
+        populations = []
+        for step in (dt, dt / 8):
+            problem, u = self._problem(50.0, step, cutoff=20)
+            populations.append(abs(aqc.evolve(problem, u).state[2, 0]) ** 2)
+        assert abs(populations[0] - 0.390088) < 1e-5
+        assert abs(populations[0] - populations[1]) < 1e-4
+
+    def test_splitting_is_second_order(self):
+        dt = self._largest_dt(5.0, 20)
+        states = []
+        for step in (dt, dt / 2, dt / 16):
+            problem, u = self._problem(5.0, step, cutoff=20)
+            states.append(aqc.evolve(problem, u).state)
+        coarse, fine, reference = states
+        ratio = np.linalg.norm(coarse - reference) / np.linalg.norm(fine - reference)
+        assert 3.0 <= ratio <= 5.0
+
+    def test_structured_pair_keeps_the_norm(self):
+        dt = self._largest_dt(50.0, 20)
+        problem, u = self._problem(50.0, dt, cutoff=20)
+        assert aqc.evolve(problem, u).norm_drift <= 1e-12
+
+    def test_non_hermitian_dense_operator_refused(self):
+        space = TruncatedFockSpace(1, 2)
+        h_i, u = aqc.build_initial_hamiltonian(space)
+        skewed = np.diag([0.0, 1.0, 4.0]).astype(np.complex128)
+        skewed[0, 2] = 0.5
+        problem = aqc.AdiabaticProblem(space=space, h_problem=skewed, h_initial=h_i,
+                                       total_time=1.0, dt=0.01)
+        with pytest.raises(DomainError, match="Hermitian"):
             aqc.evolve(problem, u)
 
 
@@ -365,7 +423,7 @@ class TestStructuredOperators:
         space = TruncatedFockSpace(poly.num_vars, cutoff)
         levels = aqc.build_problem_hamiltonian(poly, space)
         h_i, u = aqc.build_initial_hamiltonian(space)
-        dense_p, dense_i = np.diag(levels).astype(np.complex128), aqc.dense_operator(h_i)
+        dense_p, dense_i = np.diag(levels).astype(np.complex128), dense_operator(h_i)
 
         for op, dense in ((levels, dense_p), (h_i, dense_i)):
             exact = float(np.linalg.norm(dense, 2))
@@ -400,7 +458,7 @@ class TestStructuredOperators:
     def test_projector_complement_norm_is_zero_at_dimension_one(self):
         h_i, _ = aqc.build_initial_hamiltonian(TruncatedFockSpace(1, 0))
         assert aqc.operator_norm(h_i) == 0.0
-        assert np.array_equal(aqc.dense_operator(h_i), [[0]])
+        assert np.array_equal(dense_operator(h_i), [[0]])
 
     def test_closed_form_bound_drives_the_stability_guard(self):
         poly = aqc.parse_polynomial(X_MINUS_2)

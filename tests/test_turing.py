@@ -17,7 +17,7 @@ class TestLoading:
         assert len(successor.states) == 2
         outcome = turing.run(successor, "111", fuel=100)
         assert outcome.kind is OutcomeKind.HALTED
-        assert outcome.config.tape_text(successor) == "1111"
+        assert outcome.config.tape_text() == "1111"
 
     def test_duplicate_rule_is_nondeterminism(self):
         doc = successor_doc()
@@ -54,7 +54,7 @@ class TestStep:
         cfg = turing.initial_configuration(successor, "1")
         nxt = turing.step(successor, cfg)
         assert nxt.heads == (1,)
-        assert nxt.tape_text(successor) == "1"
+        assert nxt.tape_text() == "1"
         assert nxt.steps == 1
         # the original configuration is untouched
         assert cfg.heads == (0,) and cfg.steps == 0
@@ -94,8 +94,8 @@ class TestStep:
         machine = turing.load_machine(doc)
         outcome = turing.run(machine, "aaa", fuel=50)
         assert outcome.kind is OutcomeKind.HALTED
-        assert outcome.config.tape_text(machine, tape=0) == "aaa"
-        assert outcome.config.tape_text(machine, tape=1) == "aaa"
+        assert outcome.config.tape_text(tape=0) == "aaa"
+        assert outcome.config.tape_text(tape=1) == "aaa"
         # one shared move per transition: heads stay aligned
         assert outcome.config.heads == (3, 3)
 
@@ -104,7 +104,7 @@ class TestRun:
     def test_successor_on_three_marks(self, successor):
         outcome = turing.run(successor, "111", fuel=100)
         assert outcome.kind is OutcomeKind.HALTED
-        assert outcome.config.tape_text(successor) == "1111"
+        assert outcome.config.tape_text() == "1111"
         assert outcome.config.steps == 4
 
     def test_self_loop_runs_out_of_fuel(self, self_loop):
@@ -260,7 +260,7 @@ class TestTrace:
         for snap, ref in zip(outcome.trace, expected):
             assert (snap.state, snap.heads, snap.steps) == (ref.state, ref.heads, ref.steps)
             for tape in range(machine.num_tapes):
-                assert snap.tape_text(machine, tape) == ref.tape_text(machine, tape)
+                assert snap.tape_text(tape) == ref.tape_text(tape)
 
     def test_interior_blanks_print_as_the_blank_symbol(self):
         doc = {"blank": "__", "alphabet": ["__", "a", "XY"], "states": ["go", "done"],
@@ -270,7 +270,7 @@ class TestTrace:
                    {"from": "go", "read": "__", "to": "done", "write": "XY", "move": "n"}]}
         machine = turing.load_machine(doc)
         outcome = turing.run(machine, "aaa", trace=True)
-        assert [s.tape_text(machine) for s in outcome.trace] == [
+        assert [s.tape_text() for s in outcome.trace] == [
             "aaa", "aa", "a", "", "XY"]
         # erasing an edge cell next to erased cells skips all of them
         doc["states"] = ["go", "gap", "back", "erase", "done"]
@@ -283,14 +283,14 @@ class TestTrace:
             {"from": "erase", "read": "__", "to": "done", "write": "__", "move": "n"}]
         machine = turing.load_machine(doc)
         outcome = turing.run(machine, "a", trace=True)
-        assert [s.tape_text(machine) for s in outcome.trace] == [
+        assert [s.tape_text() for s in outcome.trace] == [
             "a", "a", "a", "a__XY", "a__XY", "XY", "XY"]
         # a blank written inside the extent reads as an erased cell
         tape = turing.Tape("__")
         for pos, symbol in {-2: "a", 0: "__", 1: "XY", 3: "__"}.items():
             tape.write(pos, symbol)
         cfg = turing.TapeConfiguration(tapes=(tape,), heads=(0,), state="go")
-        assert cfg.tape_text(machine) == "a____XY"
+        assert cfg.tape_text() == "a____XY"
 
 
 _BLANK = _WIDE_SYMBOLS[0]
@@ -416,7 +416,7 @@ class TestCoupledSession:
             session.feed(sym)
         status = session.advance()
         assert status is SessionStatus.WAITING
-        assert session.config.tape_text(session.machine) == "abc"
+        assert session.config.tape_text() == "abc"
 
     def test_empty_queue_reports_waiting_without_stepping(self):
         session = turing.open_session(turing.load_machine(self._echo_doc()))
@@ -450,7 +450,7 @@ class TestCoupledSession:
         session.advance()
         session.feed("b")
         session.advance()
-        assert session.config.tape_text(session.machine) == "b"
+        assert session.config.tape_text() == "b"
 
     def _oracle_session_doc(self) -> dict:
         # take one symbol, step right past it, then ask about the marks left of the head
@@ -486,7 +486,7 @@ class TestCoupledSession:
         session.feed("b")
         assert session.advance() is SessionStatus.STUCK
         assert (session.config.state, session.config.steps) == ("put", 1)
-        assert session.config.tape_text(session.machine) == "ab"
+        assert session.config.tape_text() == "ab"
         assert session.advance() is SessionStatus.STUCK
         with pytest.raises(turing.SessionClosedError):
             session.feed("a")
