@@ -184,6 +184,9 @@ class TestInterpolation:
 
 
 class TestEvolve:
+    # the largest step the guard lets through for x - 2 at cutoff 20, where max p = 18**2
+    LARGEST_DT = aqc.STABILITY_LIMIT / 18**2
+
     def _problem(self, total_time, dt, cutoff=4):
         poly = aqc.parse_polynomial(X_MINUS_2)
         space = TruncatedFockSpace(1, cutoff)
@@ -233,14 +236,9 @@ class TestEvolve:
         with pytest.raises(StabilityError, match="smaller step"):
             aqc.evolve(problem, u)
 
-    def _largest_dt(self, total_time, cutoff):
-        """x - 2 at the largest step the guard lets through: dt * max p = 0.5."""
-        problem, _ = self._problem(total_time, 1.0, cutoff)
-        return aqc.STABILITY_LIMIT / aqc.spectral_norm_bound(problem)
-
     def test_largest_guarded_step_is_accurate(self):
         # cutoff 20, T = 50: 32,400 steps; the converged ground population is 0.390088
-        dt = self._largest_dt(50.0, 20)
+        dt = self.LARGEST_DT
         populations = []
         for step in (dt, dt / 8):
             problem, u = self._problem(50.0, step, cutoff=20)
@@ -249,7 +247,7 @@ class TestEvolve:
         assert abs(populations[0] - populations[1]) < 1e-4
 
     def test_splitting_is_second_order(self):
-        dt = self._largest_dt(5.0, 20)
+        dt = self.LARGEST_DT
         states = []
         for step in (dt, dt / 2, dt / 16):
             problem, u = self._problem(5.0, step, cutoff=20)
@@ -259,8 +257,7 @@ class TestEvolve:
         assert 3.0 <= ratio <= 5.0
 
     def test_structured_pair_keeps_the_norm(self):
-        dt = self._largest_dt(50.0, 20)
-        problem, u = self._problem(50.0, dt, cutoff=20)
+        problem, u = self._problem(50.0, self.LARGEST_DT, cutoff=20)
         assert aqc.evolve(problem, u).norm_drift <= 1e-12
 
     def test_non_hermitian_dense_operator_refused(self):
