@@ -155,12 +155,11 @@ class TruncatedFockSpace:
 
 # -- Hamiltonians ----------------------------------------------------------------
 #
-# An operator is one of three things: a 2-D array (a dense Hermitian matrix), a
-# 1-D array (a real diagonal, held as its entries), or a ProjectorComplement
-# (I - |u><u| with u uniform, held through its dimension). The builders below
-# return the last two, so the default pipeline never forms a d x d array. Each
-# form has its own exponential (see _exponential): closed forms in O(d) for the
-# structured two, one Jacobi eigensystem for a dense custom operator.
+# An operator is one of two things: a 1-D real array (a diagonal, held as its
+# entries) or a ProjectorComplement (I - |u><u| with u uniform, held through
+# its dimension). The builders below return one of each, so no d x d array is
+# ever formed, and each form has a closed-form exponential in O(d) (see
+# _exponential).
 
 
 @dataclass(frozen=True)
@@ -185,20 +184,16 @@ class ProjectorComplement:
 
 
 def operator_norm(op) -> float:
-    """Spectral norm: closed form for the structured forms, an SVD for dense."""
+    """Spectral norm, in closed form for either operator form."""
     if isinstance(op, ProjectorComplement):
         return 1.0 if op.dimension > 1 else 0.0
-    if op.ndim == 1:
-        return float(np.max(np.abs(op)))
-    return float(np.linalg.norm(op, 2))
+    return float(np.max(np.abs(op)))
 
 
 def _operator_dimension(op) -> Optional[int]:
     if isinstance(op, ProjectorComplement):
         return op.dimension
-    if op.ndim == 1 or (op.ndim == 2 and op.shape[0] == op.shape[1]):
-        return op.shape[0]
-    return None
+    return op.shape[0] if op.ndim == 1 else None
 
 
 def build_problem_hamiltonian(
@@ -231,9 +226,7 @@ def build_initial_hamiltonian(
     """Projector complement I - |u><u| with u uniform; returns (operator, ground ket).
 
     The uniform superposition is its unique zero-energy ground state and the
-    rest of the spectrum sits at exactly 1, so the starting gap is 1. Any
-    other start operator with a unique, preparable ground state works too:
-    pass it (and its ground ket) to :class:`AdiabaticProblem` directly.
+    rest of the spectrum sits at exactly 1, so the starting gap is 1.
     """
     h = ProjectorComplement(space.dimension)
     return h, h.ket()
@@ -241,9 +234,11 @@ def build_initial_hamiltonian(
 
 @dataclass(frozen=True)
 class AdiabaticProblem:
-    """H(s) = (1 - s) * h_initial + s * h_problem, each in any operator form.
+    """H(s) = (1 - s) * h_initial + s * h_problem.
 
-    A dense operator must be Hermitian; :func:`evolve` refuses one that is not.
+    Each operator is a ProjectorComplement or a real 1-D diagonal of the
+    space's dimension; any other shape is a :class:`ShapeError` and a complex
+    diagonal, which is not Hermitian, a :class:`DomainError`.
     """
 
     space: TruncatedFockSpace
@@ -261,6 +256,9 @@ class AdiabaticProblem:
         if (_operator_dimension(self.h_problem) != d
                 or _operator_dimension(self.h_initial) != d):
             raise ShapeError("Hamiltonians must match the space dimension")
+        if not all(isinstance(op, ProjectorComplement) or np.isrealobj(op)
+                   for op in (self.h_problem, self.h_initial)):
+            raise DomainError("a diagonal Hamiltonian must be real to be Hermitian")
 
 
 def spectral_norm_bound(problem: AdiabaticProblem) -> float:
@@ -276,11 +274,7 @@ class EvolveResult:
 
 
 def _exponential(op):
-    """(theta, v) -> exp(-i theta op) v on a 1-D state, for any operator form.
-
-    A dense matrix is diagonalised once by the Jacobi solver, which refuses
-    one that is not Hermitian with :class:`DomainError`.
-    """
+    """(theta, v) -> exp(-i theta op) v on a 1-D state, in O(d) for either form."""
     if isinstance(op, ProjectorComplement):
         d = op.dimension
 
@@ -289,18 +283,10 @@ def _exponential(op):
             return phase * v + (1.0 - phase) * (v.sum() / d)
 
         return apply
-    if op.ndim == 1:
-        rate = -1j * op
-
-        def apply(theta: float, v: np.ndarray) -> np.ndarray:
-            return np.exp(theta * rate) * v
-
-        return apply
-    es = linalg.hermitian_eigensystem(op)
-    vectors, adjoint, rate = es.vectors, es.vectors.conj().T, -1j * es.values
+    rate = -1j * op
 
     def apply(theta: float, v: np.ndarray) -> np.ndarray:
-        return vectors @ (np.exp(theta * rate) * (adjoint @ v))
+        return np.exp(theta * rate) * v
 
     return apply
 

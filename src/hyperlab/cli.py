@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import limits, pairing, tae, turing, zeno
-from .errors import HyperlabError
+from .errors import HyperlabError, ResourceError
 from .reporting import emit_report, render_report
 from .zeno import UNBOUNDED
 
@@ -216,6 +216,9 @@ def _cmd_bogosort(args) -> dict:
 
 
 def _cmd_zeno_time(args) -> dict:
+    if args.n > zeno.STEP_INDEX_BUDGET:
+        raise ResourceError(
+            f"step index {args.n} is past the budget of {zeno.STEP_INDEX_BUDGET}")
     seconds = zeno.zeno_time(args.n)
     limit = zeno.DEFAULT_SCHEDULE.total_time
     return {
@@ -230,18 +233,12 @@ def _cmd_zeno_time(args) -> dict:
 
 def _cmd_zeno_budget(args) -> dict:
     got = zeno.steps_within_budget(args.seconds)
-    if got is UNBOUNDED:
-        steps = "unbounded"
-    elif got is None:
-        steps = None
-    else:
-        steps = got
     decelerated = (zeno.decelerated_steps_within_budget(args.seconds)
                    if args.seconds >= 1 else None)
     return {
         "command": "zeno budget",
         "budget_seconds": float(args.seconds),
-        "largest_step_index": steps,
+        "largest_step_index": "unbounded" if got is UNBOUNDED else got,
         "decelerated_step_index": decelerated,
         "note": (
             "decelerated_step_index counts the mirrored cascade whose step n "

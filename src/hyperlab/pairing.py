@@ -44,9 +44,7 @@ class FinitePrecisionReal:
     @property
     def canonical(self) -> bool:
         """True when the digit payload carries no redundant trailing zero."""
-        if self.a == 0:
-            return self.b == 0
-        return self.a % 10 != 0
+        return is_canonical_pair(self.a, self.b)
 
 
 def real_value(a: int, b: int) -> Fraction:

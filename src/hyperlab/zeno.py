@@ -24,10 +24,14 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Optional, Union
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .turing import OutcomeKind, RunOutcome, TuringMachine, run
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
+
+# largest step index a report may carry the exact elapsed time of: that time is
+# a fraction over 2**(n + 1), and printing it takes about 3.7 s at n = 10**6
+STEP_INDEX_BUDGET = 10**6
 
 # step index commonly quoted for the head outrunning light at 1 m/s per step 1;
 # the derived value under the convention below is 30 (see first_superluminal_step)
@@ -234,8 +238,12 @@ def atm_halting_flag(
 
     Elapsed time is zeno_time(steps): the prefix sum through slot ``steps``,
     i.e. the simulated steps plus the one slot spent writing the flag square.
-    For any finite run this stays below the schedule's limit.
+    For any finite run this stays below the schedule's limit. Fuel past
+    STEP_INDEX_BUDGET is refused with :class:`ResourceError` before the run.
     """
+    if fuel > STEP_INDEX_BUDGET:
+        raise ResourceError(
+            f"fuel of {fuel} steps is past the budget of {STEP_INDEX_BUDGET}")
     outcome = run(machine, input_symbols, fuel=fuel)
     halted = outcome.kind is OutcomeKind.HALTED
     return HaltingFlagReport(

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -27,13 +28,11 @@ CUBES_PLUS_XYZ = {"vars": 3, "terms": [
 
 
 def dense_operator(op) -> np.ndarray:
-    """The d x d complex matrix of any operator form, the reference for the structured ones."""
+    """The d x d complex matrix of either operator form, the reference for both."""
     if isinstance(op, aqc.ProjectorComplement):
         u = op.ket()
         return linalg.identity(op.dimension) - u @ u.conj().T
-    if op.ndim == 1:
-        return np.diag(op).astype(np.complex128)
-    return op
+    return np.diag(op).astype(np.complex128)
 
 
 def interpolate_hamiltonian(problem: aqc.AdiabaticProblem, s: float) -> np.ndarray:
@@ -260,16 +259,6 @@ class TestEvolve:
         problem, u = self._problem(50.0, self.LARGEST_DT, cutoff=20)
         assert aqc.evolve(problem, u).norm_drift <= 1e-12
 
-    def test_non_hermitian_dense_operator_refused(self):
-        space = TruncatedFockSpace(1, 2)
-        h_i, u = aqc.build_initial_hamiltonian(space)
-        skewed = np.diag([0.0, 1.0, 4.0]).astype(np.complex128)
-        skewed[0, 2] = 0.5
-        problem = aqc.AdiabaticProblem(space=space, h_problem=skewed, h_initial=h_i,
-                                       total_time=1.0, dt=0.01)
-        with pytest.raises(DomainError, match="Hermitian"):
-            aqc.evolve(problem, u)
-
 
 class TestMeasurement:
     def test_basis_state_is_certain(self):
@@ -388,6 +377,31 @@ def _poly(k, terms):
     return aqc.parse_polynomial({"vars": k, "terms": terms})
 
 
+def strang_reference(problem: aqc.AdiabaticProblem, psi0: np.ndarray):
+    """(steps, normalised final state) of the unmerged Strang product on dense matrices.
+
+    Every step applies exp(-i a H_I) exp(-i b H_P) exp(-i a H_I) with
+    a = (1 - s) dt / 2 and b = s dt at the midpoint s, each exponential taken
+    through the Jacobi eigensystem of the dense operator, so no closed form
+    and no merging of the halves between steps is shared with evolve.
+    """
+    steps = max(1, math.ceil(problem.total_time / problem.dt))
+    dt = problem.total_time / steps
+
+    def exponential(op):
+        es = linalg.hermitian_eigensystem(dense_operator(op))
+        return lambda theta, v: es.vectors @ (
+            np.exp(-1j * theta * es.values) * (es.vectors.conj().T @ v))
+
+    exp_i, exp_p = exponential(problem.h_initial), exponential(problem.h_problem)
+    v = linalg.ket(psi0).reshape(-1)
+    for k in range(steps):
+        s = (k + 0.5) / steps
+        half = 0.5 * dt * (1.0 - s)
+        v = exp_i(half, exp_p(dt * s, exp_i(half, v)))
+    return steps, (v / linalg.norm(v)).reshape(-1, 1)
+
+
 def _sampler_tie(state) -> bool:
     """True when numpy's multinomial meets an exact tie for this state.
 
@@ -420,24 +434,22 @@ class TestStructuredOperators:
         space = TruncatedFockSpace(poly.num_vars, cutoff)
         levels = aqc.build_problem_hamiltonian(poly, space)
         h_i, u = aqc.build_initial_hamiltonian(space)
-        dense_p, dense_i = np.diag(levels).astype(np.complex128), dense_operator(h_i)
 
-        for op, dense in ((levels, dense_p), (h_i, dense_i)):
-            exact = float(np.linalg.norm(dense, 2))
+        for op in (levels, h_i):
+            exact = float(np.linalg.norm(dense_operator(op), 2))
             assert abs(aqc.operator_norm(op) - exact) <= 1e-14 * exact
 
-        # the dense SVD can put ||I - |u><u||| an ulp above 1, so stay under the guard
+        # spectral_norm_bound is max(max p, 1), or max p at d = 1: this dt passes the guard
         dt = guard_share * aqc.STABILITY_LIMIT / max(aqc.operator_norm(levels), 1.0)
-        structured = aqc.AdiabaticProblem(space=space, h_problem=levels, h_initial=h_i,
-                                          total_time=steps * dt, dt=dt)
-        dense = aqc.AdiabaticProblem(space=space, h_problem=dense_p, h_initial=dense_i,
-                                     total_time=steps * dt, dt=dt)
-        a, b = aqc.evolve(structured, u), aqc.evolve(dense, u)
-        assert a.steps == b.steps
-        assert np.max(np.abs(a.state - b.state)) <= 1e-12
+        problem = aqc.AdiabaticProblem(space=space, h_problem=levels, h_initial=h_i,
+                                       total_time=steps * dt, dt=dt)
+        a = aqc.evolve(problem, u)
+        reference_steps, reference = strang_reference(problem, u)
+        assert a.steps == reference_steps
+        assert np.max(np.abs(a.state - reference)) <= 1e-12
         if not _sampler_tie(a.state):
             assert (aqc.measure_sample(a.state, space, 1000, seed)
-                    == aqc.measure_sample(b.state, space, 1000, seed))
+                    == aqc.measure_sample(reference, space, 1000, seed))
 
     def test_symmetric_points_keep_bitwise_equal_amplitudes(self):
         # 2x in two variables: (1, 0) and (1, 1) are images under y <-> 1 - y,
@@ -486,6 +498,16 @@ class TestStructuredOperators:
             aqc.AdiabaticProblem(space=space, h_problem=np.zeros(5),
                                  h_initial=aqc.ProjectorComplement(4),
                                  total_time=1.0, dt=0.01)
+
+    def test_operators_outside_the_two_forms_refused_at_construction(self):
+        space = TruncatedFockSpace(1, 2)
+        h_i, _ = aqc.build_initial_hamiltonian(space)
+        with pytest.raises(ShapeError):
+            aqc.AdiabaticProblem(space=space, h_problem=np.diag([0.0, 1.0, 4.0]),
+                                 h_initial=h_i, total_time=1.0, dt=0.01)
+        with pytest.raises(DomainError, match="Hermitian"):
+            aqc.AdiabaticProblem(space=space, h_problem=np.array([0.0, 1.0, 4.0 + 0.5j]),
+                                 h_initial=h_i, total_time=1.0, dt=0.01)
 
     def test_decide_allocates_no_dense_matrix(self):
         # x + y + z - 3 at cutoff 9: d = 1000, where one dense complex matrix

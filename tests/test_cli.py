@@ -191,6 +191,8 @@ class TestErrors:
         ["tm", "run", "{loop}", "--fuel", "1000000000"],
         ["tm", "run", "{loop}", "--fuel", "10000001", "--trace"],
         ["zeno", "halting", "{loop}", "--fuel", "1000000000"],
+        ["zeno", "halting", "{loop}", "--fuel", "1000001"],
+        ["zeno", "time", "--n", "1000001"],
         ["tae", "goldbach", "--horizon", "1000002"],
         ["enum", "list", "--count", "200001"],
         ["tae", "ashby", "--wheels", "10", "--p", "1e-7", "--strategy", "3"],

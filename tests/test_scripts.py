@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +8,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True, text=True, cwd=ROOT, timeout=300)
+        capture_output=True, text=True, cwd=ROOT, env=env, timeout=300)
 
 
 def test_overlap_sweep_runs_and_trends_upward():

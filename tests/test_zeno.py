@@ -143,6 +143,11 @@ class TestHaltingFlag:
             report = zeno.atm_halting_flag(machine, text, fuel=500)
             assert (report.flag == 1) == (outcome.kind is OutcomeKind.HALTED)
 
+    def test_fuel_at_the_budget_is_accepted(self, successor):
+        report = zeno.atm_halting_flag(successor, "111", fuel=10**6)
+        assert report.flag == 1
+        assert report.elapsed == zeno.zeno_time(report.steps)
+
 
 class TestSuperluminal:
     def test_default_threshold(self):
