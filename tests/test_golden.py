@@ -57,6 +57,9 @@ CASES = {
     "enum-list-2000": ["enum", "list", "--count", "2000"],
     "enum-list-2000-csv": ["--format", "csv", "enum", "list", "--count", "2000"],
     "zeno-time-long": ["zeno", "time", "--n", "15000"],
+    # two modes, d = 49, dt just under the guard's 0.5 / 30**2
+    "aqc-solve-two-mode": ["aqc", "solve", "tests/golden/xy_minus_6.json", "--cutoff", "6",
+                           "--time", "10", "--dt", "0.00055", "--shots", "1000", "--seed", "3"],
     "error-enum-decode": ["enum", "decode", "--index", "-1"],
 }
 
