@@ -33,15 +33,14 @@ def main() -> int:
         poly = aqc.parse_polynomial(json.load(fh))
     space = aqc.TruncatedFockSpace(poly.num_vars, args.cutoff)
     h_p = aqc.build_problem_hamiltonian(poly, space)
-    h_i, start = aqc.build_initial_hamiltonian(space)
+    start = aqc.uniform_ket(space)
     energy, winners = aqc.exact_ground_oracle(poly, args.cutoff)
     ground = [space.index_of(w) for w in winners]
 
     rows = []
     for total_time in args.times:
         problem = aqc.AdiabaticProblem(
-            space=space, h_problem=h_p, h_initial=h_i,
-            total_time=total_time, dt=args.dt)
+            space=space, h_problem=h_p, total_time=total_time, dt=args.dt)
         result = aqc.evolve(problem, start)
         overlap = float(np.sum(np.abs(result.state[ground]) ** 2))
         rows.append({

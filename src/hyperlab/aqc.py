@@ -39,7 +39,9 @@ from .errors import (
 from . import linalg
 
 LATTICE_BUDGET = 10**7
+STEP_BUDGET = 10**7
 STABILITY_LIMIT = 0.5
+MAX_SHOTS = 2**63 - 1  # numpy's multinomial counts in int64
 
 
 # -- polynomials -----------------------------------------------------------------
@@ -155,45 +157,15 @@ class TruncatedFockSpace:
 
 # -- Hamiltonians ----------------------------------------------------------------
 #
-# An operator is one of two things: a 1-D real array (a diagonal, held as its
-# entries) or a ProjectorComplement (I - |u><u| with u uniform, held through
-# its dimension). The builders below return one of each, so no d x d array is
-# ever formed, and each form has a closed-form exponential in O(d) (see
-# _exponential).
+# One Hamiltonian path, H(s) = (1 - s)(I - |u><u|) + s * diag(p), with u the
+# space's uniform ket and p = D(n)**2; neither operator is ever a d x d array.
 
 
-@dataclass(frozen=True)
-class ProjectorComplement:
-    """I - |u><u| for the uniform ket u on `dimension` basis states.
-
-    Its spectrum is 0 on u and 1 on the rest, so its norm is 1, or 0 when d = 1
-    (then I = |u><u|), and exp(-i theta (I - |u><u|)) v = e^{-i theta} (v - m) + m
-    with m = sum(v) / d, in O(d).
-    """
-
-    dimension: int
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise DomainError("a projector complement needs at least one basis state")
-
-    def ket(self) -> np.ndarray:
-        """The uniform ground ket u as a column vector."""
-        return np.full((self.dimension, 1), 1.0 / math.sqrt(self.dimension),
-                       dtype=np.complex128)
-
-
-def operator_norm(op) -> float:
-    """Spectral norm, in closed form for either operator form."""
-    if isinstance(op, ProjectorComplement):
-        return 1.0 if op.dimension > 1 else 0.0
-    return float(np.max(np.abs(op)))
-
-
-def _operator_dimension(op) -> Optional[int]:
-    if isinstance(op, ProjectorComplement):
-        return op.dimension
-    return op.shape[0] if op.ndim == 1 else None
+def uniform_ket(space: TruncatedFockSpace) -> np.ndarray:
+    """The uniform superposition u as a column vector: the unique ground state
+    of the start operator I - |u><u| (energy 0; every other eigenvalue is 1)."""
+    return np.full((space.dimension, 1), 1.0 / math.sqrt(space.dimension),
+                   dtype=np.complex128)
 
 
 def build_problem_hamiltonian(
@@ -220,50 +192,44 @@ def build_problem_hamiltonian(
             "cutoff, or use --oracle-only for the exact scan") from None
 
 
-def build_initial_hamiltonian(
-    space: TruncatedFockSpace,
-) -> tuple[ProjectorComplement, np.ndarray]:
-    """Projector complement I - |u><u| with u uniform; returns (operator, ground ket).
-
-    The uniform superposition is its unique zero-energy ground state and the
-    rest of the spectrum sits at exactly 1, so the starting gap is 1.
-    """
-    h = ProjectorComplement(space.dimension)
-    return h, h.ket()
+def _check_schedule(total_time: float, dt: float) -> None:
+    """Refuse a schedule that is not finite, or whose step count is past the budget."""
+    if not (0 <= total_time < math.inf and 0 < dt < math.inf):
+        raise DomainError("total time must be finite and non-negative, dt finite and positive")
+    if total_time / dt > STEP_BUDGET:
+        raise ResourceError(
+            f"{total_time / dt:.3g} integrator steps are past the budget of {STEP_BUDGET}")
 
 
 @dataclass(frozen=True)
 class AdiabaticProblem:
-    """H(s) = (1 - s) * h_initial + s * h_problem.
+    """H(s) = (1 - s)(I - |u><u|) + s * diag(h_problem), u the space's uniform ket.
 
-    Each operator is a ProjectorComplement or a real 1-D diagonal of the
-    space's dimension; any other shape is a :class:`ShapeError` and a complex
-    diagonal, which is not Hermitian, a :class:`DomainError`.
+    h_problem is a real 1-D diagonal of the space's dimension; any other shape
+    is a :class:`ShapeError` and a complex diagonal, which is not Hermitian, a
+    :class:`DomainError`, as is a time or step that is not finite; a schedule
+    of more than STEP_BUDGET steps is a :class:`ResourceError`.
     """
 
     space: TruncatedFockSpace
-    h_problem: np.ndarray | ProjectorComplement
-    h_initial: np.ndarray | ProjectorComplement
+    h_problem: np.ndarray
     total_time: float
     dt: float
 
     def __post_init__(self):
-        if self.total_time < 0:
-            raise DomainError("total time must be non-negative")
-        if self.dt <= 0:
-            raise DomainError("integrator step must be positive")
-        d = self.space.dimension
-        if (_operator_dimension(self.h_problem) != d
-                or _operator_dimension(self.h_initial) != d):
-            raise ShapeError("Hamiltonians must match the space dimension")
-        if not all(isinstance(op, ProjectorComplement) or np.isrealobj(op)
-                   for op in (self.h_problem, self.h_initial)):
+        _check_schedule(self.total_time, self.dt)
+        if self.h_problem.shape != (self.space.dimension,):
+            raise ShapeError("the problem diagonal must match the space dimension")
+        if not np.isrealobj(self.h_problem):
             raise DomainError("a diagonal Hamiltonian must be real to be Hermitian")
 
 
 def spectral_norm_bound(problem: AdiabaticProblem) -> float:
-    """Upper bound on ||H(s)|| over the whole schedule (convexity)."""
-    return max(operator_norm(problem.h_initial), operator_norm(problem.h_problem))
+    """Upper bound on ||H(s)|| over the whole schedule (convexity).
+
+    The larger of max|p| and ||I - |u><u|||, which is 1, or 0 when d = 1.
+    """
+    return max(float(problem.space.dimension > 1), float(np.max(np.abs(problem.h_problem))))
 
 
 @dataclass(frozen=True)
@@ -273,38 +239,21 @@ class EvolveResult:
     steps: int
 
 
-def _exponential(op):
-    """(theta, v) -> exp(-i theta op) v on a 1-D state, in O(d) for either form."""
-    if isinstance(op, ProjectorComplement):
-        d = op.dimension
-
-        def apply(theta: float, v: np.ndarray) -> np.ndarray:
-            phase = cmath.exp(-1j * theta)
-            return phase * v + (1.0 - phase) * (v.sum() / d)
-
-        return apply
-    rate = -1j * op
-
-    def apply(theta: float, v: np.ndarray) -> np.ndarray:
-        return np.exp(theta * rate) * v
-
-    return apply
-
-
 def evolve(problem: AdiabaticProblem, psi0: np.ndarray) -> EvolveResult:
     """Integrate i dpsi/dt = H(t/T) psi from 0 to T by Strang splitting.
 
-    Step k freezes H at its midpoint s_k and applies half an H_I exponential
-    (angle (1 - s_k) dt / 2), a full H_P exponential (angle s_k dt), then
-    another H_I half; the halves that meet between steps commute and run as
-    one exponential. Each factor is exactly unitary and the scheme is second
-    order in dt. The guard dt * max||H|| <= STABILITY_LIMIT bounds the
-    splitting error, not stability. Norm drift is measured against 1 and the
-    returned state is renormalised; the drift itself is part of the result,
-    so the caller sees how far rounding moved the norm.
+    Step k freezes H at its midpoint s_k and applies exp(-i a (I - |u><u|)),
+    exp(-i b p), exp(-i a (I - |u><u|)) with a = (1 - s_k) dt / 2 and
+    b = s_k dt; the halves that meet between steps run as one. Both are closed
+    forms in O(d): the diagonal multiplies entrywise, and the start operator
+    gives e^{-ia} (v - m) + m with m = sum(v) / d. Each factor is exactly
+    unitary and the scheme is second order in dt, so the guard
+    dt * max||H|| <= STABILITY_LIMIT bounds the splitting error. The drift of
+    the final norm from 1 is returned with the renormalised state.
     """
+    d = problem.space.dimension
     psi = linalg.ket(psi0).astype(np.complex128)
-    if psi.shape[0] != problem.space.dimension:
+    if psi.shape[0] != d:
         raise ShapeError("initial state dimension does not match the space")
     nrm = linalg.norm(psi)
     if abs(nrm - 1.0) > 1e-9:
@@ -321,16 +270,20 @@ def evolve(problem: AdiabaticProblem, psi0: np.ndarray) -> EvolveResult:
 
     steps = max(1, math.ceil(t_total / problem.dt))
     dt = t_total / steps
-    exp_i = _exponential(problem.h_initial)
-    exp_p = _exponential(problem.h_problem)
+    rate = -1j * problem.h_problem
+
+    def start_factor(theta: float, v: np.ndarray) -> np.ndarray:
+        phase = cmath.exp(-1j * theta)
+        return phase * v + (1.0 - phase) * (v.sum() / d)
+
     v = psi.reshape(-1)
-    owed = 0.0  # the previous step's closing H_I half, merged into this step's opening one
+    owed = 0.0  # the previous step's closing start half, merged into this step's opening one
     for k in range(steps):
         s = (k + 0.5) / steps
         half = 0.5 * dt * (1.0 - s)
-        v = exp_p(dt * s, exp_i(owed + half, v))
+        v = np.exp(dt * s * rate) * start_factor(owed + half, v)
         owed = half
-    v = exp_i(owed, v)
+    v = start_factor(owed, v)
 
     final_norm = linalg.norm(v)
     drift = abs(final_norm - 1.0)
@@ -344,8 +297,8 @@ def measure_sample(
     psi: np.ndarray, space: TruncatedFockSpace, shots: int, seed: int
 ) -> dict[tuple[int, ...], int]:
     """Sample occupation tuples from |amplitude|**2, deterministically per seed."""
-    if shots < 1:
-        raise DomainError("shots must be positive")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise DomainError(f"shots must lie in 1..{MAX_SHOTS}")
     state = linalg.ket(psi)
     if state.shape[0] != space.dimension:
         raise ShapeError("state dimension does not match the space")
@@ -450,15 +403,15 @@ def decide(
     attached. The success-probability estimate is the candidate's empirical
     frequency; there is deliberately no automatic rule for growing T or shots.
     """
-    if cutoff < 0 or total_time <= 0 or dt <= 0 or shots < 1:
-        raise DomainError("cutoff, time, dt and shots must be positive")
+    _check_schedule(total_time, dt)
+    if cutoff < 0 or total_time == 0 or not 1 <= shots <= MAX_SHOTS:
+        raise DomainError(
+            f"cutoff must be a natural number, time positive and shots in 1..{MAX_SHOTS}")
     space = TruncatedFockSpace(poly.num_vars, cutoff)
     _check_lattice_budget(space)
-    h_p = build_problem_hamiltonian(poly, space)
-    h_i, ground = build_initial_hamiltonian(space)
-    problem = AdiabaticProblem(
-        space=space, h_problem=h_p, h_initial=h_i, total_time=total_time, dt=dt)
-    evolved = evolve(problem, ground)
+    problem = AdiabaticProblem(space=space, h_problem=build_problem_hamiltonian(poly, space),
+                               total_time=total_time, dt=dt)
+    evolved = evolve(problem, uniform_ket(space))
     samples = measure_sample(evolved.state, space, shots, seed)
 
     candidate = max(samples.items(), key=lambda kv: (kv[1], tuple(-x for x in kv[0])))[0]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -22,6 +21,16 @@ from . import limits, pairing, tae, turing, zeno
 from .errors import HyperlabError, ResourceError
 from .reporting import emit_report, render_report
 from .zeno import UNBOUNDED
+
+
+def _natural_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a natural number, got {value}")
+    return value
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -36,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hyperlab",
         description="Desk-scale workbench for classical and hypercomputational machine models.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="global RNG seed (default 0)")
+    parser.add_argument("--seed", type=_natural_arg, default=0,
+                        help="global RNG seed (default 0)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--output", default="-", help="report destination file, - for stdout")
     groups = parser.add_subparsers(dest="group", required=True)
@@ -61,13 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
     ashby.add_argument("--strategy", type=int, choices=(1, 2, 3), required=True)
     ashby.add_argument("--simulate", action="store_true")
     ashby.add_argument("--trials", type=int, default=10**5)
-    ashby.add_argument("--seed", type=int, default=None, dest="seed_local")
+    ashby.add_argument("--seed", type=_natural_arg, default=None, dest="seed_local")
     ashby.set_defaults(handler=_cmd_ashby)
     bogo = tae_g.add_parser("bogosort", help="shuffle a random sequence until sorted")
-    bogo.add_argument("--len", type=int, required=True, dest="length")
+    bogo.add_argument("--len", type=_natural_arg, required=True, dest="length")
     bogo.add_argument("--memo", action="store_true")
     bogo.add_argument("--max-tries", type=int, default=10**6)
-    bogo.add_argument("--seed", type=int, default=None, dest="seed_local")
+    bogo.add_argument("--seed", type=_natural_arg, default=None, dest="seed_local")
     bogo.set_defaults(handler=_cmd_bogosort)
 
     zeno_g = groups.add_parser("zeno", help="accelerated-machine time accounting").add_subparsers(
@@ -114,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--time", type=float, default=50.0)
     solve.add_argument("--dt", type=float, default=0.01)
     solve.add_argument("--shots", type=int, default=1000)
-    solve.add_argument("--seed", type=int, default=None, dest="seed_local")
+    solve.add_argument("--seed", type=_natural_arg, default=None, dest="seed_local")
     solve.add_argument("--oracle-only", action="store_true",
                        help="skip the evolution; report the exact scan only")
     solve.set_defaults(handler=_cmd_aqc_solve)
@@ -349,17 +359,6 @@ def dispatch(args: argparse.Namespace):
 
 
 def main(argv: list[str] | None = None) -> int:
-    workers = os.environ.get("HYPERLAB_THREADS")
-    if workers is not None:
-        try:
-            if int(workers) < 1:
-                raise ValueError
-        except ValueError:
-            print(json.dumps({"error": "configuration-error",
-                              "message": "HYPERLAB_THREADS must be a positive integer"}),
-                  file=sys.stderr)
-            return 1
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -41,10 +41,9 @@ def _evolve_x_minus_2(total_time: float, dt: float = 0.01):
     poly = aqc.parse_polynomial({"vars": 1, "terms": [[1, [1]], [-2, [0]]]})
     space = TruncatedFockSpace(1, 4)
     h_p = aqc.build_problem_hamiltonian(poly, space)
-    h_i, u = aqc.build_initial_hamiltonian(space)
     problem = aqc.AdiabaticProblem(
-        space=space, h_problem=h_p, h_initial=h_i, total_time=total_time, dt=dt)
-    result = aqc.evolve(problem, u)
+        space=space, h_problem=h_p, total_time=total_time, dt=dt)
+    result = aqc.evolve(problem, aqc.uniform_ket(space))
     _DRIFTS.append(result.norm_drift)
     # summed population of every minimiser, as scripts/overlap_sweep.py reports
     _, winners = aqc.exact_ground_oracle(poly, space.cutoff)
@@ -134,17 +133,19 @@ def test_criterion_05_aqc_end_to_end():
 
 def test_criterion_06_norm_conservation_and_phases():
     with criterion(6, "unitarity of the integrator"):
-        poly = aqc.parse_polynomial({"vars": 1, "terms": [[1, [1]], [-2, [0]]]})
-        space = TruncatedFockSpace(1, 4)
-        h_p = aqc.build_problem_hamiltonian(poly, space)
-        problem = aqc.AdiabaticProblem(
-            space=space, h_problem=h_p, h_initial=h_p.copy(),
-            total_time=1.0, dt=0.002)
-        psi0 = linalg.ket(np.full(5, 1 / np.sqrt(5)))
-        result = aqc.evolve(problem, psi0)
+        # every level equal to c: all H(s) commute, so psi evolves exactly to
+        # e^{-icT/2} (e^{-iT/2} (psi - m) + m), m the mean amplitude of psi
+        c, total_time = 3.0, 1.0
+        problem = aqc.AdiabaticProblem(space=TruncatedFockSpace(1, 4), h_problem=np.full(5, c),
+                                       total_time=total_time, dt=0.002)
+        psi = np.array([0.1, 0.7, -0.2j, 0.3 + 0.1j, 0.5])
+        psi = psi / np.linalg.norm(psi)
+        result = aqc.evolve(problem, linalg.ket(psi))
         _DRIFTS.append(result.norm_drift)
-        expected = psi0.reshape(-1) * np.exp(-1j * h_p * 1.0)
-        assert np.max(np.abs(result.state.reshape(-1) - expected)) < 1e-7
+        m = psi.mean()
+        expected = np.exp(-0.5j * c * total_time) * (
+            np.exp(-0.5j * total_time) * (psi - m) + m)
+        assert np.max(np.abs(result.state.reshape(-1) - expected)) < 1e-12
 
         _evolve_x_minus_2(25.0)
         assert _DRIFTS, "no evolution ran"

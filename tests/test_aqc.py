@@ -27,20 +27,18 @@ CUBES_PLUS_XYZ = {"vars": 3, "terms": [
 ]}
 
 
-def dense_operator(op) -> np.ndarray:
-    """The d x d complex matrix of either operator form, the reference for both."""
-    if isinstance(op, aqc.ProjectorComplement):
-        u = op.ket()
-        return linalg.identity(op.dimension) - u @ u.conj().T
-    return np.diag(op).astype(np.complex128)
+def start_operator(space: TruncatedFockSpace) -> np.ndarray:
+    """I - |u><u| as a dense d x d matrix, u the space's uniform ket."""
+    u = aqc.uniform_ket(space)
+    return linalg.identity(space.dimension) - u @ u.conj().T
 
 
 def interpolate_hamiltonian(problem: aqc.AdiabaticProblem, s: float) -> np.ndarray:
-    """(1 - s) * H_initial + s * H_problem as a dense matrix; Hermitian for s in [0, 1]."""
+    """H(s) = (1 - s)(I - |u><u|) + s * diag(p) as a dense matrix; Hermitian for s in [0, 1]."""
     if not 0.0 <= s <= 1.0:
         raise DomainError("interpolation parameter must lie in [0, 1]")
-    return ((1.0 - s) * dense_operator(problem.h_initial)
-            + s * dense_operator(problem.h_problem))
+    return ((1.0 - s) * start_operator(problem.space)
+            + s * np.diag(problem.h_problem).astype(np.complex128))
 
 
 class TestParsing:
@@ -141,17 +139,16 @@ class TestProblemHamiltonian:
 
 class TestInitialHamiltonian:
     def test_dimension_two_matrix(self):
-        h, u = aqc.build_initial_hamiltonian(TruncatedFockSpace(1, 1))
-        assert np.allclose(dense_operator(h), [[0.5, -0.5], [-0.5, 0.5]])
+        assert np.allclose(start_operator(TruncatedFockSpace(1, 1)), [[0.5, -0.5], [-0.5, 0.5]])
 
     def test_uniform_state_is_ground(self):
-        h, u = aqc.build_initial_hamiltonian(TruncatedFockSpace(1, 5))
-        assert np.max(np.abs(dense_operator(h) @ u)) < 1e-14
+        space = TruncatedFockSpace(1, 5)
+        u = aqc.uniform_ket(space)
+        assert np.max(np.abs(start_operator(space) @ u)) < 1e-14
         assert abs(linalg.norm(u) - 1) < 1e-12
 
     def test_spectrum_is_zero_then_ones(self):
-        h, _ = aqc.build_initial_hamiltonian(TruncatedFockSpace(1, 3))
-        es = linalg.hermitian_eigensystem(dense_operator(h))
+        es = linalg.hermitian_eigensystem(start_operator(TruncatedFockSpace(1, 3)))
         assert np.allclose(es.values, [0, 1, 1, 1])
 
 
@@ -161,20 +158,18 @@ class TestInterpolation:
         poly = aqc.parse_polynomial(X_MINUS_2)
         space = TruncatedFockSpace(1, 4)
         h_p = aqc.build_problem_hamiltonian(poly, space)
-        h_i, _ = aqc.build_initial_hamiltonian(space)
-        return aqc.AdiabaticProblem(
-            space=space, h_problem=h_p, h_initial=h_i, total_time=10.0, dt=0.01)
+        return aqc.AdiabaticProblem(space=space, h_problem=h_p, total_time=10.0, dt=0.01)
 
     def test_endpoints(self, problem):
         assert np.array_equal(interpolate_hamiltonian(problem, 0.0),
-                              dense_operator(problem.h_initial))
+                              start_operator(problem.space))
         assert np.array_equal(interpolate_hamiltonian(problem, 1.0),
-                              dense_operator(problem.h_problem))
+                              np.diag(problem.h_problem))
 
     def test_midpoint_is_mean_and_hermitian(self, problem):
         mid = interpolate_hamiltonian(problem, 0.5)
-        assert np.allclose(mid, (dense_operator(problem.h_initial)
-                                 + dense_operator(problem.h_problem)) / 2)
+        assert np.allclose(mid, (start_operator(problem.space)
+                                 + np.diag(problem.h_problem)) / 2)
         assert np.max(np.abs(mid - mid.conj().T)) < 1e-14
 
     def test_out_of_range_rejected(self, problem):
@@ -190,11 +185,9 @@ class TestEvolve:
         poly = aqc.parse_polynomial(X_MINUS_2)
         space = TruncatedFockSpace(1, cutoff)
         h_p = aqc.build_problem_hamiltonian(poly, space)
-        h_i, u = aqc.build_initial_hamiltonian(space)
         problem = aqc.AdiabaticProblem(
-            space=space, h_problem=h_p, h_initial=h_i,
-            total_time=total_time, dt=dt)
-        return problem, u
+            space=space, h_problem=h_p, total_time=total_time, dt=dt)
+        return problem, aqc.uniform_ket(space)
 
     def test_zero_time_returns_initial_state(self):
         problem, u = self._problem(0.0, 0.01)
@@ -203,16 +196,20 @@ class TestEvolve:
         assert result.norm_drift == 0.0
 
     def test_constant_diagonal_matches_analytic_phases(self):
-        poly = aqc.parse_polynomial(X_MINUS_2)
-        space = TruncatedFockSpace(1, 4)
-        h_p = aqc.build_problem_hamiltonian(poly, space)
-        problem = aqc.AdiabaticProblem(
-            space=space, h_problem=h_p, h_initial=h_p.copy(),
-            total_time=1.0, dt=0.002)
-        psi0 = linalg.ket(np.full(5, 1 / np.sqrt(5)))
-        result = aqc.evolve(problem, psi0)
-        expected = psi0.reshape(-1) * np.exp(-1j * h_p * 1.0)
-        assert np.max(np.abs(result.state.reshape(-1) - expected)) < 1e-7
+        # every level equal to c: all H(s) commute, so psi evolves exactly to
+        # e^{-icT/2} (e^{-iT/2} (psi - m) + m), m the mean amplitude of psi
+        space = TruncatedFockSpace(2, 2)
+        c, total_time = 7.0, 1.0
+        problem = aqc.AdiabaticProblem(space=space, h_problem=np.full(9, c),
+                                       total_time=total_time, dt=0.002)
+        rng = np.random.default_rng(4)
+        psi = rng.normal(size=9) + 1j * rng.normal(size=9)
+        psi = psi / np.linalg.norm(psi)
+        result = aqc.evolve(problem, linalg.ket(psi))
+        m = psi.mean()
+        expected = np.exp(-0.5j * c * total_time) * (
+            np.exp(-0.5j * total_time) * (psi - m) + m)
+        assert np.max(np.abs(result.state.reshape(-1) - expected)) < 1e-12
 
     def test_adiabatic_transfer_to_problem_ground(self):
         problem, u = self._problem(50.0, 0.01)
@@ -355,6 +352,40 @@ class TestDecide:
         with pytest.raises(ResourceError):
             aqc.decide(poly, cutoff=500, total_time=1.0, dt=0.01, shots=10, seed=0)
 
+    @pytest.mark.parametrize("total_time, dt", [
+        (math.nan, 0.01), (1.0, math.nan), (math.inf, 0.01), (1.0, math.inf), (1.0, 0.0)])
+    def test_schedule_that_is_not_finite_and_positive_is_refused(self, total_time, dt):
+        poly = aqc.parse_polynomial(X_MINUS_2)
+        with pytest.raises(DomainError):
+            aqc.decide(poly, cutoff=4, total_time=total_time, dt=dt, shots=10, seed=0)
+        with pytest.raises(DomainError):
+            aqc.AdiabaticProblem(space=TruncatedFockSpace(1, 4), h_problem=np.zeros(5),
+                                 total_time=total_time, dt=dt)
+
+    def test_step_budget_is_inclusive_and_checked_before_building(self):
+        space = TruncatedFockSpace(1, 4)
+        at_budget = aqc.AdiabaticProblem(space=space, h_problem=np.zeros(5),
+                                         total_time=aqc.STEP_BUDGET * 0.5, dt=0.5)
+        assert at_budget.total_time / at_budget.dt == aqc.STEP_BUDGET
+        with pytest.raises(ResourceError, match="budget"):
+            aqc.AdiabaticProblem(space=space, h_problem=np.zeros(5),
+                                 total_time=(aqc.STEP_BUDGET + 1) * 0.5, dt=0.5)
+        # the lattice is past its own budget too: the schedule is refused first
+        poly = aqc.parse_polynomial(CUBES_PLUS_XYZ)
+        with pytest.raises(ResourceError, match="integrator steps"):
+            aqc.decide(poly, cutoff=500, total_time=1e300, dt=1e-300, shots=10, seed=0)
+
+    def test_shots_past_the_sampler_range_are_refused(self):
+        poly = aqc.parse_polynomial(X_MINUS_2)
+        with pytest.raises(DomainError, match="shots"):
+            aqc.decide(poly, cutoff=4, total_time=1.0, dt=0.01, shots=aqc.MAX_SHOTS + 1,
+                       seed=0)
+        psi = linalg.ket([1, 0])
+        with pytest.raises(DomainError, match="shots"):
+            aqc.measure_sample(psi, TruncatedFockSpace(1, 1), shots=10**23, seed=0)
+        assert aqc.measure_sample(psi, TruncatedFockSpace(1, 1), shots=aqc.MAX_SHOTS,
+                                  seed=0) == {(0,): aqc.MAX_SHOTS}
+
 
 # d <= 125 for every arity: 21, 121 and 125 points at the largest cutoffs
 MAX_CUTOFF = {1: 20, 2: 10, 3: 4}
@@ -389,11 +420,12 @@ def strang_reference(problem: aqc.AdiabaticProblem, psi0: np.ndarray):
     dt = problem.total_time / steps
 
     def exponential(op):
-        es = linalg.hermitian_eigensystem(dense_operator(op))
+        es = linalg.hermitian_eigensystem(op)
         return lambda theta, v: es.vectors @ (
             np.exp(-1j * theta * es.values) * (es.vectors.conj().T @ v))
 
-    exp_i, exp_p = exponential(problem.h_initial), exponential(problem.h_problem)
+    exp_i = exponential(start_operator(problem.space))
+    exp_p = exponential(np.diag(problem.h_problem).astype(np.complex128))
     v = linalg.ket(psi0).reshape(-1)
     for k in range(steps):
         s = (k + 0.5) / steps
@@ -417,7 +449,7 @@ def _sampler_tie(state) -> bool:
 
 
 class TestStructuredOperators:
-    """The O(d) operator forms against the dense matrices they stand for."""
+    """The O(d) closed forms of H(s) against the dense matrices they stand for."""
 
     @settings(max_examples=60, deadline=None)
     @given(problem=lattice_problems(), steps=st.integers(1, 80),
@@ -433,16 +465,15 @@ class TestStructuredOperators:
         poly, cutoff = problem
         space = TruncatedFockSpace(poly.num_vars, cutoff)
         levels = aqc.build_problem_hamiltonian(poly, space)
-        h_i, u = aqc.build_initial_hamiltonian(space)
-
-        for op in (levels, h_i):
-            exact = float(np.linalg.norm(dense_operator(op), 2))
-            assert abs(aqc.operator_norm(op) - exact) <= 1e-14 * exact
+        u = aqc.uniform_ket(space)
 
         # spectral_norm_bound is max(max p, 1), or max p at d = 1: this dt passes the guard
-        dt = guard_share * aqc.STABILITY_LIMIT / max(aqc.operator_norm(levels), 1.0)
-        problem = aqc.AdiabaticProblem(space=space, h_problem=levels, h_initial=h_i,
+        dt = guard_share * aqc.STABILITY_LIMIT / max(float(np.max(levels)), 1.0)
+        problem = aqc.AdiabaticProblem(space=space, h_problem=levels,
                                        total_time=steps * dt, dt=dt)
+        exact = max(float(np.linalg.norm(start_operator(space), 2)),
+                    float(np.linalg.norm(np.diag(levels), 2)))
+        assert abs(aqc.spectral_norm_bound(problem) - exact) <= 1e-14 * exact
         a = aqc.evolve(problem, u)
         reference_steps, reference = strang_reference(problem, u)
         assert a.steps == reference_steps
@@ -457,57 +488,50 @@ class TestStructuredOperators:
         poly = _poly(2, [[2, [1, 0]]])
         space = TruncatedFockSpace(2, 1)
         levels = aqc.build_problem_hamiltonian(poly, space)
-        h_i, u = aqc.build_initial_hamiltonian(space)
-        problem = aqc.AdiabaticProblem(space=space, h_problem=levels, h_initial=h_i,
+        problem = aqc.AdiabaticProblem(space=space, h_problem=levels,
                                        total_time=0.75, dt=0.125)
-        state = aqc.evolve(problem, u).state.reshape(-1)
+        state = aqc.evolve(problem, aqc.uniform_ket(space)).state.reshape(-1)
         assert state[2] == state[3] and state[0] == state[1]
         assert _sampler_tie(state)
 
     def test_projector_complement_norm_is_zero_at_dimension_one(self):
-        h_i, _ = aqc.build_initial_hamiltonian(TruncatedFockSpace(1, 0))
-        assert aqc.operator_norm(h_i) == 0.0
-        assert np.array_equal(dense_operator(h_i), [[0]])
+        space = TruncatedFockSpace(1, 0)
+        problem = aqc.AdiabaticProblem(space=space, h_problem=np.zeros(1),
+                                       total_time=1.0, dt=0.01)
+        assert aqc.spectral_norm_bound(problem) == 0.0
+        assert np.array_equal(start_operator(space), [[0]])
 
     def test_closed_form_bound_drives_the_stability_guard(self):
         poly = aqc.parse_polynomial(X_MINUS_2)
         space = TruncatedFockSpace(1, 4)
-        h_i, u = aqc.build_initial_hamiltonian(space)
         problem = aqc.AdiabaticProblem(
             space=space, h_problem=aqc.build_problem_hamiltonian(poly, space),
-            h_initial=h_i, total_time=1.0, dt=0.126)  # dt * 4 = 0.504
+            total_time=1.0, dt=0.126)  # dt * 4 = 0.504
         assert aqc.spectral_norm_bound(problem) == 4.0
         with pytest.raises(StabilityError):
-            aqc.evolve(problem, u)
+            aqc.evolve(problem, aqc.uniform_ket(space))
 
     def test_state_of_the_wrong_dimension_rejected(self):
-        space = TruncatedFockSpace(1, 4)
-        h_i, _ = aqc.build_initial_hamiltonian(space)
         problem = aqc.AdiabaticProblem(
-            space=space, h_problem=np.zeros(5), h_initial=h_i, total_time=1.0, dt=0.01)
+            space=TruncatedFockSpace(1, 4), h_problem=np.zeros(5), total_time=1.0, dt=0.01)
         with pytest.raises(ShapeError):
             aqc.evolve(problem, linalg.ket([1.0]))
 
     def test_operator_of_the_wrong_dimension_rejected(self):
         space = TruncatedFockSpace(1, 4)
-        with pytest.raises(ShapeError):
-            aqc.AdiabaticProblem(space=space, h_problem=np.zeros(4),
-                                 h_initial=aqc.ProjectorComplement(5),
-                                 total_time=1.0, dt=0.01)
-        with pytest.raises(ShapeError):
-            aqc.AdiabaticProblem(space=space, h_problem=np.zeros(5),
-                                 h_initial=aqc.ProjectorComplement(4),
-                                 total_time=1.0, dt=0.01)
+        for length in (4, 6):
+            with pytest.raises(ShapeError):
+                aqc.AdiabaticProblem(space=space, h_problem=np.zeros(length),
+                                     total_time=1.0, dt=0.01)
 
-    def test_operators_outside_the_two_forms_refused_at_construction(self):
+    def test_problem_operator_that_is_not_a_real_diagonal_refused_at_construction(self):
         space = TruncatedFockSpace(1, 2)
-        h_i, _ = aqc.build_initial_hamiltonian(space)
         with pytest.raises(ShapeError):
             aqc.AdiabaticProblem(space=space, h_problem=np.diag([0.0, 1.0, 4.0]),
-                                 h_initial=h_i, total_time=1.0, dt=0.01)
+                                 total_time=1.0, dt=0.01)
         with pytest.raises(DomainError, match="Hermitian"):
             aqc.AdiabaticProblem(space=space, h_problem=np.array([0.0, 1.0, 4.0 + 0.5j]),
-                                 h_initial=h_i, total_time=1.0, dt=0.01)
+                                 total_time=1.0, dt=0.01)
 
     def test_decide_allocates_no_dense_matrix(self):
         # x + y + z - 3 at cutoff 9: d = 1000, where one dense complex matrix

@@ -196,11 +196,14 @@ class TestErrors:
         ["tae", "goldbach", "--horizon", "1000002"],
         ["enum", "list", "--count", "200001"],
         ["tae", "ashby", "--wheels", "10", "--p", "1e-7", "--strategy", "3"],
+        ["aqc", "solve", "{poly}", "--cutoff", "4", "--time", "1e12"],
+        ["aqc", "solve", "{poly}", "--cutoff", "4", "--time", "1e300", "--dt", "1e-300"],
     ], ids=" ".join)
     def test_budgets_are_refused_before_any_work(self, write_json, argv):
         loop = write_json("loop.json", self_loop_doc())
+        poly = write_json("poly.json", X_MINUS_2)
         start = time.monotonic()
-        status, out, err = run_cli([arg.format(loop=loop) for arg in argv])
+        status, out, err = run_cli([arg.format(loop=loop, poly=poly) for arg in argv])
         assert time.monotonic() - start < 1.0
         assert status == 1 and out == ""
         payload = json.loads(err)
@@ -323,11 +326,30 @@ class TestErrors:
         assert status == 1 and out == ""
         assert json.loads(err)["error"] == "domain-error"
 
-    def test_bad_thread_env(self, monkeypatch):
-        monkeypatch.setenv("HYPERLAB_THREADS", "zero")
-        status, _, err = run_cli(["zeno", "time", "--n", "1"])
-        assert status == 1
-        assert json.loads(err)["error"] == "configuration-error"
+    @pytest.mark.parametrize("flags", [
+        ["--time", "nan"], ["--dt", "nan"], ["--time", "inf"], ["--shots", str(10**23)],
+    ], ids=" ".join)
+    def test_aqc_schedule_or_shots_out_of_range(self, write_json, flags):
+        path = write_json("poly.json", X_MINUS_2)
+        start = time.monotonic()
+        status, out, err = run_cli(["aqc", "solve", path, "--cutoff", "4", *flags])
+        assert time.monotonic() - start < 1.0
+        assert status == 1 and out == ""
+        assert json.loads(err)["error"] == "domain-error"
+
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "-1", "tae", "bogosort", "--len", "3"],
+        ["tae", "bogosort", "--len", "3", "--seed", "-1"],
+        ["tae", "bogosort", "--len", "-1"],
+        ["tae", "ashby", "--wheels", "2", "--p", "0.5", "--strategy", "1", "--simulate",
+         "--seed", "-1"],
+        ["aqc", "solve", "{poly}", "--cutoff", "2", "--seed", "-1"],
+    ], ids=" ".join)
+    def test_negative_seed_or_length_is_a_usage_error(self, write_json, argv):
+        poly = write_json("poly.json", X_MINUS_2)
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli([arg.format(poly=poly) for arg in argv])
+        assert exit_info.value.code == 2
 
 
 class TestDeterminism:
