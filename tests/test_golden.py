@@ -57,6 +57,10 @@ CASES = {
     "enum-list-2000": ["enum", "list", "--count", "2000"],
     "enum-list-2000-csv": ["--format", "csv", "enum", "list", "--count", "2000"],
     "zeno-time-long": ["zeno", "time", "--n", "15000"],
+    # the finite inversion of the step-time sum, and budgets below step 0
+    "zeno-budget-near-limit": ["zeno", "budget", "--seconds", "1.9999"],
+    "zeno-budget-below-step-0": ["zeno", "budget", "--seconds", "0.75"],
+    "zeno-lamp-first-step": ["zeno", "lamp", "--t", "0.5"],
     # two modes, d = 49, dt just under the guard's 0.5 / 30**2
     "aqc-solve-two-mode": ["aqc", "solve", "tests/golden/xy_minus_6.json", "--cutoff", "6",
                            "--time", "10", "--dt", "0.00055", "--shots", "1000", "--seed", "3"],
