@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import limits, pairing, tae, turing, zeno
-from .errors import HyperlabError, ResourceError
+from .errors import HyperlabError
 from .reporting import emit_report, render_report
 from .zeno import UNBOUNDED
 
@@ -226,17 +226,13 @@ def _cmd_bogosort(args) -> dict:
 
 
 def _cmd_zeno_time(args) -> dict:
-    if args.n > zeno.STEP_INDEX_BUDGET:
-        raise ResourceError(
-            f"step index {args.n} is past the budget of {zeno.STEP_INDEX_BUDGET}")
     seconds = zeno.zeno_time(args.n)
-    limit = zeno.DEFAULT_SCHEDULE.total_time
     return {
         "command": "zeno time",
         "n": args.n,
         "seconds": float(seconds),
         "seconds_exact": seconds,
-        "limit_seconds": float(limit),
+        "limit_seconds": float(zeno.LIMIT),
         "formula": "sum_{i=0..n} base * ratio**i",
     }
 

@@ -10,6 +10,7 @@ frequency as the alphabet grows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -29,53 +30,54 @@ CONSTANTS = PhysicalConstants()
 QUOTED_RATE_CONSTANT = 5.655e18
 
 
-def max_frequency_from_power(watts: float, constants: PhysicalConstants = CONSTANTS) -> float:
+def max_frequency_from_power(watts: float) -> float:
     """Frequency cap from power draw: f <= sqrt(2*pi*W/h) steps per second."""
     if watts <= 0:
         raise DomainError("power must be positive")
-    return math.sqrt(2.0 * math.pi * watts / constants.h)
+    return math.sqrt(2.0 * math.pi * watts / CONSTANTS.h)
 
 
-def min_step_energy(dt: float, constants: PhysicalConstants = CONSTANTS) -> float:
+def min_step_energy(dt: float) -> float:
     """Uncertainty floor on the energy of a step lasting dt: E >= h/(2*pi*dt)."""
     if dt <= 0:
         raise DomainError("step duration must be positive")
-    return constants.h / (2.0 * math.pi * dt)
+    return CONSTANTS.h / (2.0 * math.pi * dt)
 
 
-def min_symbol_volume(z: int, constants: PhysicalConstants = CONSTANTS) -> float:
+def _require_symbols(z: int) -> None:
+    # the bounds below take z as a float
+    if not 1 <= z <= sys.float_info.max:
+        raise DomainError(f"symbol count must lie in 1..{sys.float_info.max:.4g}")
+
+
+def min_symbol_volume(z: int) -> float:
     """Minimum volume holding z symbols, one atomic sphere each: (4/3)*pi*a^3*z."""
-    if z < 1:
-        raise DomainError("symbol count must be at least 1")
-    return (4.0 / 3.0) * math.pi * constants.a**3 * z
+    _require_symbols(z)
+    return (4.0 / 3.0) * math.pi * CONSTANTS.a**3 * z
 
 
-def min_symbol_distance(z: int, constants: PhysicalConstants = CONSTANTS) -> float:
+def min_symbol_distance(z: int) -> float:
     """Minimum distance between two of z packed symbols: d = 2*a*z**(1/3)."""
-    if z < 1:
-        raise DomainError("symbol count must be at least 1")
-    return 2.0 * constants.a * z ** (1.0 / 3.0)
+    _require_symbols(z)
+    return 2.0 * CONSTANTS.a * z ** (1.0 / 3.0)
 
 
-def max_frequency_from_alphabet(z: int, constants: PhysicalConstants = CONSTANTS) -> float:
+def max_frequency_from_alphabet(z: int) -> float:
     """Signal-propagation cap: f <= c / (2*a*z**(1/3)) steps per second."""
-    return constants.c / min_symbol_distance(z, constants)
+    return CONSTANTS.c / min_symbol_distance(z)
 
 
-def bound_product_holds(
-    f: float, z: int, rel_tol: float = 1e-12, constants: PhysicalConstants = CONSTANTS
-) -> bool:
-    """Check f * z**(1/3) <= (1/2) * (c/a), with slack for roundoff."""
-    if z < 1:
-        raise DomainError("symbol count must be at least 1")
+def bound_product_holds(f: float, z: int) -> bool:
+    """Check f * z**(1/3) <= (1/2) * (c/a), with a relative slack of 1e-12 for roundoff."""
+    _require_symbols(z)
     lhs = f * z ** (1.0 / 3.0)
-    rhs = 0.5 * constants.c / constants.a
-    return lhs <= rhs * (1.0 + rel_tol)
+    rhs = 0.5 * CONSTANTS.c / CONSTANTS.a
+    return lhs <= rhs * (1.0 + 1e-12)
 
 
-def rate_constant_consistency(constants: PhysicalConstants = CONSTANTS) -> dict:
+def rate_constant_consistency() -> dict:
     """Computed (1/2)*(c/a) against the quoted rounding; gap stays under 0.5%."""
-    computed = 0.5 * constants.c / constants.a
+    computed = 0.5 * CONSTANTS.c / CONSTANTS.a
     quoted = 0.5 * QUOTED_RATE_CONSTANT
     return {
         "computed_half_c_over_a": computed,

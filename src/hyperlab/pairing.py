@@ -19,6 +19,10 @@ from .errors import DomainError, ResourceError
 
 ENUMERATION_BUDGET = 2 * 10**5  # entries one enumeration may list
 
+# largest decimal shift b a value a / 10**b may carry: its report prints about
+# b digits, which takes about 2 s at b = 3 * 10**5
+DECIMAL_SHIFT_BUDGET = 3 * 10**5
+
 
 def _require_natural(value: int, name: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
@@ -48,9 +52,11 @@ class FinitePrecisionReal:
 
 
 def real_value(a: int, b: int) -> Fraction:
-    """Exact rational a / 10**b."""
+    """Exact rational a / 10**b; b past DECIMAL_SHIFT_BUDGET is a ResourceError."""
     _require_natural(a, "a")
     _require_natural(b, "b")
+    if b > DECIMAL_SHIFT_BUDGET:
+        raise ResourceError(f"decimal shift is past the budget of {DECIMAL_SHIFT_BUDGET}")
     return Fraction(a, 10**b)
 
 

@@ -293,6 +293,9 @@ SIMULATION_LOG2_SPINS = 57
 # so a simulation's memory does not grow with the number of wheels
 DRAW_BLOCK_CELLS = 2**20
 
+# trials one simulation may run: it keeps one float64 per trial, 80 MB at the budget
+TRIAL_BUDGET = 10**7
+
 
 def ashby_expected(exp: WheelExperiment) -> float:
     """Expected seconds to grand success, at one spin round per second.
@@ -353,6 +356,8 @@ def ashby_simulate(exp: WheelExperiment, trials: int) -> tuple[float, float]:
     """
     if trials < 1:
         raise DomainError("need at least one trial")
+    if trials > TRIAL_BUDGET:
+        raise ResourceError(f"{trials} trials is past the budget of {TRIAL_BUDGET}")
     n, p = exp.n_wheels, exp.p
     if exp.strategy is WheelStrategy.ALL_OR_NOTHING:
         log2_spins = -n * math.log2(p)

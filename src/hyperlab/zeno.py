@@ -1,11 +1,11 @@
 """Accelerated-machine time accounting.
 
-A geometric schedule assigns step ``i`` (counted from 0) the duration
-``base * ratio**i``. With the default ratio 1/2 the whole infinite cascade
-fits in ``base / (1 - ratio)`` seconds, which is what lets such a machine
-finish unboundedly many steps in finite time. All sums are kept as exact
-rationals; floats only appear at the reporting boundary (binary floats are
-dyadic rationals, so accepting them loses nothing).
+Step ``i`` (counted from 0) lasts ``2**-i`` seconds, so the elapsed time
+through step ``n`` is ``2 - 2**-n`` and the whole infinite cascade fits in
+``LIMIT`` = 2 seconds, which is what lets such a machine finish unboundedly
+many steps in finite time. All times are kept as exact rationals; floats only
+appear at the reporting boundary (binary floats are dyadic rationals, so
+accepting them loses nothing).
 
 Two caveats frame everything here. Acceleration buys nothing on bounded
 storage: a machine confined to a finite tape revisits a configuration and
@@ -22,15 +22,17 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from numbers import Rational
-from typing import Optional, Union
+from typing import Union
 
 from .errors import DomainError, ResourceError
 from .turing import OutcomeKind, RunOutcome, TuringMachine, run
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
+LIMIT = Fraction(2)  # seconds the whole cascade takes
+
 # largest step index a report may carry the exact elapsed time of: that time is
-# a fraction over 2**(n + 1), and printing it takes about 3.7 s at n = 10**6
+# a fraction over 2**n, and printing it takes about 3.7 s at n = 10**6
 STEP_INDEX_BUDGET = 10**6
 
 # step index commonly quoted for the head outrunning light at 1 m/s per step 1;
@@ -50,48 +52,25 @@ def _exact(t: TimeLike, what: str = "time") -> Fraction:
     raise DomainError(f"{what} must be a real number, got {type(t).__name__}")
 
 
-@dataclass(frozen=True)
-class ZenoSchedule:
-    """Geometric step-time schedule; ratio below 1 converges, above 1 diverges."""
-
-    base_step_time: Fraction = Fraction(1)
-    ratio: Fraction = Fraction(1, 2)
-
-    def __post_init__(self):
-        object.__setattr__(self, "base_step_time", _exact(self.base_step_time, "base_step_time"))
-        object.__setattr__(self, "ratio", _exact(self.ratio, "ratio"))
-        if self.base_step_time <= 0:
-            raise DomainError("base_step_time must be positive")
-        if self.ratio <= 0:
-            raise DomainError("ratio must be positive")
-
-    @property
-    def converges(self) -> bool:
-        return self.ratio < 1
-
-    @property
-    def total_time(self) -> Optional[Fraction]:
-        """Closed-form limit of the full cascade; None for diverging schedules."""
-        if not self.converges:
-            return None
-        return self.base_step_time / (1 - self.ratio)
+def _floor_log2(q: Fraction) -> int:
+    """floor(log2(q)) for exact rational q >= 1: floor(q) has the same one."""
+    return (q.numerator // q.denominator).bit_length() - 1
 
 
-DEFAULT_SCHEDULE = ZenoSchedule()
+def zeno_time(n: int) -> Fraction:
+    """Exact elapsed time through step index n: the sum of 2**-i, i = 0..n.
 
-
-def zeno_time(n: int, schedule: ZenoSchedule = DEFAULT_SCHEDULE) -> Fraction:
-    """Exact elapsed time through step index n: sum of base * ratio**i, i = 0..n."""
+    An index past STEP_INDEX_BUDGET is refused with :class:`ResourceError`.
+    """
     if n < 0:
         raise DomainError("step index must be a natural number")
-    r = schedule.ratio
-    if r == 1:
-        return schedule.base_step_time * (n + 1)
-    return schedule.base_step_time * (1 - r ** (n + 1)) / (1 - r)
+    if n > STEP_INDEX_BUDGET:
+        raise ResourceError(f"step index {n} is past the budget of {STEP_INDEX_BUDGET}")
+    return LIMIT - Fraction(1, 2**n)
 
 
 class Unbounded(Enum):
-    """Marker: the budget covers the schedule's entire infinite cascade."""
+    """Marker: the budget covers the entire infinite cascade."""
 
     UNBOUNDED = "unbounded"
 
@@ -102,39 +81,26 @@ class Unbounded(Enum):
 UNBOUNDED = Unbounded.UNBOUNDED
 
 
-def steps_within_budget(
-    t: TimeLike, schedule: ZenoSchedule = DEFAULT_SCHEDULE
-) -> Union[int, Unbounded, None]:
+def steps_within_budget(t: TimeLike) -> Union[int, Unbounded, None]:
     """Largest step index n with zeno_time(n) <= t, exactly.
 
-    Returns UNBOUNDED when the budget reaches the convergent schedule's total
-    time, and None when even step 0 does not fit.
+    Returns UNBOUNDED when the budget reaches LIMIT, and None when even
+    step 0 does not fit. Otherwise 2 - 2**-n <= t reads 2**n <= 1 / (2 - t).
     """
     budget = _exact(t, "budget")
     if budget <= 0:
         raise DomainError("budget must be positive")
-    total = schedule.total_time
-    if total is not None and budget >= total:
+    if budget >= LIMIT:
         return UNBOUNDED
-    if zeno_time(0, schedule) > budget:
+    if budget < 1:
         return None
-    hi = 1
-    while zeno_time(hi, schedule) <= budget:
-        hi *= 2
-    lo = hi // 2  # zeno_time(lo) <= budget < zeno_time(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if zeno_time(mid, schedule) <= budget:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _floor_log2(1 / (LIMIT - budget))
 
 
 def decelerated_steps_within_budget(t: TimeLike, base: TimeLike = 1) -> int:
     """Largest step index n of the mirrored (decelerating) cascade within budget t.
 
-    Mirroring the accelerating schedule turns the time left to its limit after
+    Mirroring the accelerating cascade turns the time left to its limit after
     step n (base * 2**-n) into elapsed time base * 2**n: each further step
     waits twice as long as the one before. A budget therefore buys only
     log2(budget / base) step indices, which is why stretching the deadline
@@ -148,13 +114,7 @@ def decelerated_steps_within_budget(t: TimeLike, base: TimeLike = 1) -> int:
     q = budget / base
     if q < 1:
         raise DomainError("budget does not cover the first step")
-    # floor(log2(q)) for exact rational q >= 1
-    n = (q.numerator // q.denominator).bit_length() - 1
-    while 2 ** (n + 1) <= q:
-        n += 1
-    while 2**n > q:
-        n -= 1
-    return n
+    return _floor_log2(q)
 
 
 def budget_step_gain(t_small: TimeLike, t_large: TimeLike, base: TimeLike = 1) -> int:
@@ -173,22 +133,18 @@ class LampState(Enum):
     UNDEFINED = "undefined"
 
 
-def lamp_toggle_count(t: TimeLike, schedule: ZenoSchedule = DEFAULT_SCHEDULE) -> int:
+def lamp_toggle_count(t: TimeLike) -> int:
     """Number of toggle instants zeno_time(n) <= t, computed exactly."""
     budget = _exact(t, "t")
     if budget < 0:
         raise DomainError("time must be non-negative")
-    got = steps_within_budget(budget, schedule) if budget > 0 else None
+    got = steps_within_budget(budget) if budget > 0 else None
     if got is UNBOUNDED:
         raise DomainError("toggle count is infinite at or beyond the supertask limit")
     return 0 if got is None else got + 1
 
 
-def thomson_lamp(
-    t: TimeLike,
-    schedule: ZenoSchedule = DEFAULT_SCHEDULE,
-    start_on: bool = True,
-) -> LampState:
+def thomson_lamp(t: TimeLike, start_on: bool = True) -> LampState:
     """Lamp state at time t under the documented phase convention.
 
     The lamp switches on at t = 0 (configurable via ``start_on``) and toggles
@@ -199,10 +155,9 @@ def thomson_lamp(
     instant = _exact(t, "t")
     if instant < 0:
         raise DomainError("time must be non-negative")
-    total = schedule.total_time
-    if total is not None and instant >= total:
+    if instant >= LIMIT:
         return LampState.UNDEFINED
-    toggles = lamp_toggle_count(instant, schedule)
+    toggles = lamp_toggle_count(instant)
     lit = bool(start_on) ^ (toggles % 2 == 1)
     return LampState.ON if lit else LampState.OFF
 
@@ -232,13 +187,12 @@ def atm_halting_flag(
     machine: TuringMachine,
     input_symbols: str = "",
     fuel: int = 10**6,
-    schedule: ZenoSchedule = DEFAULT_SCHEDULE,
 ) -> HaltingFlagReport:
     """Run at most ``fuel`` steps; flag 1 iff the machine halted in that budget.
 
     Elapsed time is zeno_time(steps): the prefix sum through slot ``steps``,
     i.e. the simulated steps plus the one slot spent writing the flag square.
-    For any finite run this stays below the schedule's limit. Fuel past
+    For any finite run this stays below LIMIT. Fuel past
     STEP_INDEX_BUDGET is refused with :class:`ResourceError` before the run.
     """
     if fuel > STEP_INDEX_BUDGET:
@@ -249,7 +203,7 @@ def atm_halting_flag(
     return HaltingFlagReport(
         flag=1 if halted else 0,
         steps=outcome.config.steps,
-        elapsed=zeno_time(outcome.config.steps, schedule),
+        elapsed=zeno_time(outcome.config.steps),
         outcome=outcome,
     )
 

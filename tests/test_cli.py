@@ -195,7 +195,10 @@ class TestErrors:
         ["zeno", "time", "--n", "1000001"],
         ["tae", "goldbach", "--horizon", "1000002"],
         ["enum", "list", "--count", "200001"],
+        ["enum", "decode", "--index", str(10**400)],
         ["tae", "ashby", "--wheels", "10", "--p", "1e-7", "--strategy", "3"],
+        ["tae", "ashby", "--wheels", "2", "--p", "0.5", "--strategy", "2", "--simulate",
+         "--trials", str(10**12)],
         ["aqc", "solve", "{poly}", "--cutoff", "4", "--time", "1e12"],
         ["aqc", "solve", "{poly}", "--cutoff", "4", "--time", "1e300", "--dt", "1e-300"],
     ], ids=" ".join)
@@ -333,6 +336,13 @@ class TestErrors:
         path = write_json("poly.json", X_MINUS_2)
         start = time.monotonic()
         status, out, err = run_cli(["aqc", "solve", path, "--cutoff", "4", *flags])
+        assert time.monotonic() - start < 1.0
+        assert status == 1 and out == ""
+        assert json.loads(err)["error"] == "domain-error"
+
+    def test_symbol_count_past_the_float_range(self):
+        start = time.monotonic()
+        status, out, err = run_cli(["limits", "--symbols", str(10**400)])
         assert time.monotonic() - start < 1.0
         assert status == 1 and out == ""
         assert json.loads(err)["error"] == "domain-error"

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -64,6 +65,14 @@ class TestGeometryBounds:
             limits.min_symbol_volume(0)
         with pytest.raises(DomainError):
             limits.min_symbol_distance(0)
+
+    def test_symbol_counts_past_the_float_range(self):
+        largest = int(sys.float_info.max)
+        assert math.isfinite(limits.limits_report(largest)["min_symbol_volume_m3"])
+        for fn in (limits.min_symbol_volume, limits.min_symbol_distance,
+                   lambda z: limits.bound_product_holds(1.0, z)):
+            with pytest.raises(DomainError):
+                fn(largest + 2**971)
 
 
 class TestFrequencyAlphabetBound:

@@ -25,6 +25,12 @@ class TestRealValue:
         with pytest.raises(DomainError):
             pairing.real_value(-1, 0)
 
+    def test_decimal_shift_budget(self):
+        budget = pairing.DECIMAL_SHIFT_BUDGET
+        assert pairing.real_value(3, budget) == Fraction(3, 10**budget)
+        with pytest.raises(ResourceError, match="budget"):
+            pairing.real_value(3, budget + 1)
+
     def test_canonical_flag(self):
         assert pairing.FinitePrecisionReal(15, 1).canonical
         assert not pairing.FinitePrecisionReal(150, 2).canonical

@@ -293,6 +293,11 @@ class TestAshbySimulation:
         with pytest.raises(DomainError):
             tae.ashby_simulate(WheelExperiment(2, 0.5, WheelStrategy.ONE_AT_A_TIME), 0)
 
+    def test_trials_past_the_budget_refused(self):
+        with pytest.raises(ResourceError, match="budget"):
+            tae.ashby_simulate(WheelExperiment(2, 0.5, WheelStrategy.ONE_AT_A_TIME),
+                               tae.TRIAL_BUDGET + 1)
+
     @pytest.mark.parametrize("strategy", [WheelStrategy.ONE_AT_A_TIME,
                                           WheelStrategy.FREEZE_SUCCESSES])
     @pytest.mark.parametrize("n, p, trials, seed", [
