@@ -4,7 +4,9 @@
 For a slow enough schedule the final state should concentrate on the problem
 operator's ground level; this script makes that trend visible for any small
 polynomial document. The overlap is the summed population of every lattice
-point where D**2 is minimal, so a degenerate ground level counts whole.
+point where D**2 is minimal, so a degenerate ground level counts whole. A
+failure, such as a lattice past the budget, exits 1 with the CLI's JSON error
+on stderr.
 
     python3 scripts/overlap_sweep.py fixtures/x_minus_2.json --cutoff 4 \
         --times 1 5 25 125 --dt 0.01
@@ -17,6 +19,7 @@ import sys
 import numpy as np
 
 from hyperlab import aqc
+from hyperlab.cli import report_errors
 from hyperlab.reporting import emit_report
 
 
@@ -28,7 +31,10 @@ def main() -> int:
                         default=[1.0, 5.0, 25.0, 125.0])
     parser.add_argument("--dt", type=float, default=0.01)
     args = parser.parse_args()
+    return report_errors(lambda: sweep(args))
 
+
+def sweep(args) -> None:
     with open(args.polynomial, encoding="utf-8") as fh:
         poly = aqc.parse_polynomial(json.load(fh))
     space = aqc.TruncatedFockSpace(poly.num_vars, args.cutoff)
@@ -57,7 +63,6 @@ def main() -> int:
         "exact_minimizers": [list(w) for w in winners],
         "sweep": rows,
     }, "json", sys.stdout)
-    return 0
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@
 At one spin round per second: respinning everything until a perfect round
 costs p**-N seconds on average, finishing wheels one at a time costs N/p, and
 freezing successes costs the mean of the slowest wheel. The gap between the
-first and the last is the whole case for selective retrying.
+first and the last is the whole case for selective retrying. A failure, such
+as a run past a budget, exits 1 with the CLI's JSON error on stderr.
 
     python3 scripts/wheel_strategies.py --p 0.5 --wheels 2 4 8 12 --trials 100000
 """
@@ -13,6 +14,7 @@ import argparse
 import sys
 
 from hyperlab import tae
+from hyperlab.cli import report_errors
 from hyperlab.reporting import emit_report
 
 
@@ -23,7 +25,10 @@ def main() -> int:
     parser.add_argument("--trials", type=int, default=10**5)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    return report_errors(lambda: tabulate(args))
 
+
+def tabulate(args) -> None:
     rows = []
     for n in args.wheels:
         row = {"wheels": n, "p": args.p}
@@ -37,7 +42,6 @@ def main() -> int:
         rows.append(row)
 
     emit_report(rows, "csv" if len(rows) > 1 else "json", sys.stdout)
-    return 0
 
 
 if __name__ == "__main__":

@@ -168,18 +168,26 @@ def uniform_ket(space: TruncatedFockSpace) -> np.ndarray:
                    dtype=np.complex128)
 
 
+def _check_lattice_budget(space: TruncatedFockSpace) -> None:
+    if space.dimension > LATTICE_BUDGET:
+        raise ResourceError(
+            f"lattice of {space.dimension} points exceeds the budget "
+            f"{LATTICE_BUDGET}")
+
+
 def build_problem_hamiltonian(
     poly: DiophantinePolynomial, space: TruncatedFockSpace
 ) -> np.ndarray:
     """Diagonal operator with entry D(n1..nk)**2 at each occupation tuple.
 
     Returned as its real diagonal (a length-d array); ``np.diag`` of it is
-    the matrix.
+    the matrix. A lattice past LATTICE_BUDGET is refused before the scan.
     """
     if poly.num_vars != space.num_modes:
         raise ShapeError(
             f"polynomial has {poly.num_vars} variables but the space has "
             f"{space.num_modes} modes")
+    _check_lattice_budget(space)
     try:
         return np.fromiter(
             (float(poly.evaluate(n) ** 2) for n in space.basis()),
@@ -317,13 +325,6 @@ def measure_sample(
 # -- exact oracle and the decision procedure ------------------------------------------
 
 
-def _check_lattice_budget(space: TruncatedFockSpace) -> None:
-    if space.dimension > LATTICE_BUDGET:
-        raise ResourceError(
-            f"lattice of {space.dimension} points exceeds the budget "
-            f"{LATTICE_BUDGET}")
-
-
 def exact_ground_oracle(
     poly: DiophantinePolynomial, cutoff: int
 ) -> tuple[int, list[tuple[int, ...]]]:
@@ -408,7 +409,6 @@ def decide(
         raise DomainError(
             f"cutoff must be a natural number, time positive and shots in 1..{MAX_SHOTS}")
     space = TruncatedFockSpace(poly.num_vars, cutoff)
-    _check_lattice_budget(space)
     problem = AdiabaticProblem(space=space, h_problem=build_problem_hamiltonian(poly, space),
                                total_time=total_time, dt=dt)
     evolved = evolve(problem, uniform_ket(space))

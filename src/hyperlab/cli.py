@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from . import limits, pairing, tae, turing, zeno
-from .errors import HyperlabError
+from .errors import DomainError, HyperlabError
 from .reporting import emit_report, render_report
 from .zeno import UNBOUNDED
 
@@ -165,19 +167,24 @@ def _cmd_goldbach(args) -> dict:
     stream = tae.goldbach_stream(args.horizon)
     return {
         "command": "tae goldbach",
-        "horizon": args.horizon,
+        "horizon": stream.horizon,
         "final_verdict": stream.final_verdict,
         "mind_changes": stream.mind_changes,
-        "answers": len(stream.answers),
-        "last_examined": stream.answers[-1][0],
+        "answers": len(stream),
+        "last_examined": stream.last_examined,
     }
 
 
 def _cmd_ashby(args) -> dict:
     strategy = tae.WheelStrategy(args.strategy)
     exp = tae.WheelExperiment(args.wheels, args.p, strategy, seed=args.seed)
-    log2_expected = tae.ashby_expected_log2(exp)
-    expected = tae.ashby_expected(exp) if log2_expected < 1020 else None
+    if strategy is tae.WheelStrategy.ALL_OR_NOTHING:  # p**-N overflows before its log2
+        log2_expected = tae.ashby_expected_log2(exp)
+        expected = tae.ashby_expected(exp) if log2_expected < 1020 else None
+    else:  # one sum of the series gives both
+        expected = tae.ashby_expected(exp)
+        log2_expected = math.log2(expected)
+        expected = expected if log2_expected < 1020 else None
     report = {
         "command": "tae ashby",
         "wheels": args.wheels,
@@ -209,9 +216,10 @@ def _cmd_ashby(args) -> dict:
 def _cmd_bogosort(args) -> dict:
     import numpy as np
 
-    rng = np.random.default_rng(args.seed)
-    sequence = [int(x) for x in rng.permutation(args.length)]
-    result = tae.bogosort(sequence, memoized=args.memo, seed=args.seed,
+    # independent children of the seed, so the shuffles never replay the input's draw
+    input_seed, shuffle_seed = np.random.SeedSequence(args.seed).spawn(2)
+    sequence = [int(x) for x in np.random.default_rng(input_seed).permutation(args.length)]
+    result = tae.bogosort(sequence, memoized=args.memo, seed=shuffle_seed,
                           max_tries=args.max_tries)
     return {
         "command": "tae bogosort",
@@ -233,17 +241,34 @@ def _cmd_zeno_time(args) -> dict:
         "seconds": float(seconds),
         "seconds_exact": seconds,
         "limit_seconds": float(zeno.LIMIT),
-        "formula": "sum_{i=0..n} base * ratio**i",
+        "formula": "sum_{i=0..n} 2**-i",
     }
 
 
+def _float_view(value: Fraction, what: str) -> float:
+    """The float a report prints beside an exact value, refused past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{what} is past the float range") from None
+
+
+def _time_view(value: Fraction, what: str) -> float:
+    """A zeno time's float view, refused also when a nonzero time rounds to 0."""
+    view = _float_view(value, what)
+    if view == 0 and value != 0:
+        raise DomainError(f"{what} is nonzero but rounds to 0 as a float")
+    return view
+
+
 def _cmd_zeno_budget(args) -> dict:
+    seconds = _time_view(args.seconds, "--seconds")
     got = zeno.steps_within_budget(args.seconds)
     decelerated = (zeno.decelerated_steps_within_budget(args.seconds)
                    if args.seconds >= 1 else None)
     return {
         "command": "zeno budget",
-        "budget_seconds": float(args.seconds),
+        "budget_seconds": seconds,
         "largest_step_index": "unbounded" if got is UNBOUNDED else got,
         "decelerated_step_index": decelerated,
         "note": (
@@ -253,10 +278,11 @@ def _cmd_zeno_budget(args) -> dict:
 
 
 def _cmd_zeno_lamp(args) -> dict:
+    t = _time_view(args.t, "--t")
     state = zeno.thomson_lamp(args.t)
     report = {
         "command": "zeno lamp",
-        "t": float(args.t),
+        "t": t,
         "state": state.value,
     }
     if state is not zeno.LampState.UNDEFINED:
@@ -296,7 +322,7 @@ def _enum_entry(entry: dict) -> dict:
         "index": entry["index"],
         "a": entry["a"],
         "b": entry["b"],
-        "value": float(entry["value"]),
+        "value": _float_view(entry["value"], "the value a * 10**-b"),
         "value_exact": entry["value"],
         "canonical": entry["canonical"],
     }
@@ -354,10 +380,24 @@ def dispatch(args: argparse.Namespace):
     return args.handler(args)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def report_errors(work: Callable[[], object]) -> int:
+    """Run ``work`` and return its exit status: 0, or 1 after writing the
+    failure to stderr as JSON ``{"error", "message"}``. The commands and the
+    experiment scripts report their failures through it alike."""
     try:
+        work()
+    except (HyperlabError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+        kind = (exc.kind if isinstance(exc, HyperlabError)
+                else "parse-error" if isinstance(exc, ValueError) else "io-error")
+        print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
+        return 1
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+
+    def work() -> None:
         result = dispatch(args)
         if args.output == "-":
             emit_report(result, args.format, sys.stdout)
@@ -365,16 +405,8 @@ def main(argv: list[str] | None = None) -> int:
             text = render_report(result, args.format)  # fails before the file is opened
             with open(args.output, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-    except HyperlabError as exc:
-        print(json.dumps({"error": exc.kind, "message": str(exc)}), file=sys.stderr)
-        return 1
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(json.dumps({"error": "parse-error", "message": str(exc)}), file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(json.dumps({"error": "io-error", "message": str(exc)}), file=sys.stderr)
-        return 1
-    return 0
+
+    return report_errors(work)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ one grand success.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Sequence
 
@@ -69,30 +69,28 @@ class LimitEvaluation:
 def evaluate_limit_predicate(
     pred: LimitPredicate, args: Sequence[int], horizon: int
 ) -> LimitEvaluation:
-    """Tabulate the kernel at y = 0..horizon and read off the limit candidate.
+    """Run the kernel at y = 0..horizon and read off the limit candidate.
 
     The verdict is the kernel's value at the horizon; ``stable_since`` is the
-    least y from which the kernel stayed constant. When that point *is* the
-    horizon the answer never had a chance to settle and ``unsettled`` is
-    raised. Even a settled answer is only "correct unless the kernel changes
-    its mind later" -- that uncertainty is inherent, not a bug.
+    step of its last change, 0 if none. When that *is* the horizon the answer
+    never had a chance to settle and ``unsettled`` is raised. Even a settled
+    answer is only "correct unless the kernel changes its mind later" -- that
+    uncertainty is inherent, not a bug.
     """
     if horizon < 1:
         raise DomainError("horizon must be at least 1")
     if len(args) != pred.arity:
         raise DomainError(f"predicate expects {pred.arity} arguments, got {len(args)}")
-    values = []
+    mind_changes = stable_since = 0
     for y in range(horizon + 1):
         v = pred.kernel(*args, y)
         if v not in (0, 1):
             raise DomainError(f"kernel must answer 0 or 1, got {v!r} at y={y}")
-        values.append(v)
-    mind_changes = sum(1 for a, b in zip(values, values[1:]) if a != b)
-    stable_since = horizon
-    while stable_since > 0 and values[stable_since - 1] == values[horizon]:
-        stable_since -= 1
+        if y and v != verdict:
+            mind_changes, stable_since = mind_changes + 1, y
+        verdict = v
     return LimitEvaluation(
-        verdict=bool(values[horizon]),
+        verdict=bool(verdict),
         mind_changes=mind_changes,
         stable_since=stable_since,
         unsettled=stable_since == horizon,
@@ -102,27 +100,28 @@ def evaluate_limit_predicate(
 # -- answer streams and the even/prime-pair procedure ----------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnswerStream:
-    """Timestamped yes/no sequence whose *last* answer is the working verdict."""
+    """Prime-pair answers: yes at 4, 6, ... before ``last_examined``, then
+    ``final_verdict`` there, the working verdict. Only that last answer can
+    be no, so the stream changes its mind at most once."""
 
-    answers: list[tuple[int, bool]] = field(default_factory=list)
-    horizon: int = 0
-
-    def emit(self, step: int, verdict: bool) -> None:
-        if self.answers and step <= self.answers[-1][0]:
-            raise DomainError("step indices must be strictly increasing")
-        self.answers.append((step, verdict))
-
-    @property
-    def final_verdict(self) -> bool:
-        if not self.answers:
-            raise DomainError("empty answer stream has no verdict")
-        return self.answers[-1][1]
+    horizon: int
+    last_examined: int
+    final_verdict: bool
 
     @property
     def mind_changes(self) -> int:
-        return sum(1 for (_, a), (_, b) in zip(self.answers, self.answers[1:]) if a != b)
+        return int(not self.final_verdict)
+
+    def __len__(self) -> int:
+        return self.last_examined // 2 - 1
+
+    @property
+    def answers(self) -> list[tuple[int, bool]]:
+        """Every (even, verdict) answer in order, rebuilt on request."""
+        return [(even, True) for even in range(4, self.last_examined, 2)] + [
+            (self.last_examined, self.final_verdict)]
 
 
 def is_prime(n: int) -> bool:
@@ -167,15 +166,10 @@ def goldbach_stream(horizon_even: int) -> AnswerStream:
     if horizon_even > GOLDBACH_HORIZON_BUDGET:
         raise ResourceError(
             f"horizon {horizon_even} is past the budget of {GOLDBACH_HORIZON_BUDGET}")
-    stream = AnswerStream(horizon=horizon_even)
-    stream.emit(4, True)
     for even in range(6, horizon_even + 1, 2):
-        if has_prime_pair(even):
-            stream.emit(even, True)
-        else:
-            stream.emit(even, False)
-            break
-    return stream
+        if not has_prime_pair(even):
+            return AnswerStream(horizon_even, even, False)
+    return AnswerStream(horizon_even, horizon_even, True)
 
 
 # -- bogosort ---------------------------------------------------------------------
@@ -204,7 +198,7 @@ def _permutation_by_rank(items: Sequence[int], rank: int) -> list[int]:
 def bogosort(
     seq: Sequence[int],
     memoized: bool = False,
-    seed: int = 0,
+    seed: "int | numpy.random.SeedSequence" = 0,
     max_tries: int = 10**6,
 ) -> BogosortResult:
     """Shuffle until sorted; checking an arrangement costs one try.
@@ -212,7 +206,9 @@ def bogosort(
     The plain variant may redraw arrangements it has already rejected and is
     capped by ``max_tries`` (a gave-up result carries the count). The memoized
     variant never revisits an arrangement -- ranks are drawn without
-    replacement -- so it needs at most len! tries.
+    replacement -- so it needs at most len! tries. The shuffles draw from
+    ``numpy.random.default_rng(seed)``; a caller that drew ``seq`` from the
+    same seed passes an independent child of it instead.
     """
     items = list(seq)
     if len(items) > MAX_BOGOSORT_LEN:
@@ -290,8 +286,12 @@ SERIES_TERM_BUDGET = 3 * 10**7
 SIMULATION_LOG2_SPINS = 57
 
 # strategies 2 and 3 draw at most this many int64 cells (8 MiB) at a time,
-# so a simulation's memory does not grow with the number of wheels
+# so a simulation's memory does not grow with the number of wheels; a block
+# holds at least one whole trial, so this is also their budget of wheels
 DRAW_BLOCK_CELLS = 2**20
+
+# draws (wheels x trials) one simulation of strategy 2 or 3 may make
+DRAW_BUDGET = 10**8
 
 # trials one simulation may run: it keeps one float64 per trial, 80 MB at the budget
 TRIAL_BUDGET = 10**7
@@ -359,6 +359,11 @@ def ashby_simulate(exp: WheelExperiment, trials: int) -> tuple[float, float]:
     if trials > TRIAL_BUDGET:
         raise ResourceError(f"{trials} trials is past the budget of {TRIAL_BUDGET}")
     n, p = exp.n_wheels, exp.p
+    if exp.strategy is not WheelStrategy.ALL_OR_NOTHING and (
+            n > DRAW_BLOCK_CELLS or n * trials > DRAW_BUDGET):
+        raise ResourceError(
+            f"{n} wheels x {trials} trials is past the budget of {DRAW_BLOCK_CELLS} "
+            f"wheels and {DRAW_BUDGET} draws")
     if exp.strategy is WheelStrategy.ALL_OR_NOTHING:
         log2_spins = -n * math.log2(p)
     elif exp.strategy is WheelStrategy.ONE_AT_A_TIME:

@@ -120,6 +120,14 @@ class TestProblemHamiltonian:
         with pytest.raises(ShapeError):
             aqc.build_problem_hamiltonian(poly, TruncatedFockSpace(2, 4))
 
+    def test_lattice_past_the_budget_is_refused_before_the_scan(self, monkeypatch):
+        poly = aqc.parse_polynomial(CUBES_PLUS_XYZ)
+        scanned = []
+        monkeypatch.setattr(TruncatedFockSpace, "basis", lambda space: scanned.append(1))
+        with pytest.raises(ResourceError, match="budget"):
+            aqc.build_problem_hamiltonian(poly, TruncatedFockSpace(3, 500))
+        assert scanned == []
+
     def test_ground_entry_matches_exact_oracle(self):
         poly = aqc.parse_polynomial(CUBES_PLUS_XYZ)
         space = TruncatedFockSpace(3, 3)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperlab import cli
+from hyperlab import cli, pairing, tae
 
 from conftest import self_loop_doc, successor_doc
 
@@ -88,6 +88,26 @@ class TestDispatch:
         report = json.loads(out)
         assert sorted(report["input"]) == report["sorted"]
         assert report["tries"] >= 1
+
+    def test_bogosort_shuffles_independently_of_its_input(self):
+        # an unsorted pair is sorted by the first shuffle half of the time;
+        # shuffles that replayed the input's own draw sorted it every time
+        unsorted = second_try = 0
+        for seed in range(200):
+            _, out, _ = run_cli(["tae", "bogosort", "--len", "2", "--seed", str(seed)])
+            report = json.loads(out)
+            if report["input"] != [0, 1]:
+                unsorted += 1
+                second_try += report["tries"] == 2
+        assert unsorted > 50
+        assert 0.3 <= second_try / unsorted <= 0.7
+
+    def test_enum_value_that_underflows_prints_as_zero_beside_its_exact_value(self):
+        index = pairing.pair_index(1, 400)
+        status, out, _ = run_cli(["enum", "decode", "--index", str(index)])
+        report = json.loads(out)
+        assert status == 0 and (report["a"], report["b"]) == (1, 400)
+        assert report["value"] == 0 and report["value_exact"] == "1/1" + "0" * 400
 
     def test_limits_report(self):
         status, out, _ = run_cli(["limits", "--symbols", "8", "--power", "1"])
@@ -199,6 +219,10 @@ class TestErrors:
         ["tae", "ashby", "--wheels", "10", "--p", "1e-7", "--strategy", "3"],
         ["tae", "ashby", "--wheels", "2", "--p", "0.5", "--strategy", "2", "--simulate",
          "--trials", str(10**12)],
+        ["tae", "ashby", "--wheels", "100000", "--p", "0.5", "--strategy", "3", "--simulate",
+         "--trials", str(10**7)],
+        ["tae", "ashby", "--wheels", str(2 * 10**7), "--p", "0.5", "--strategy", "2",
+         "--simulate", "--trials", "1"],
         ["aqc", "solve", "{poly}", "--cutoff", "4", "--time", "1e12"],
         ["aqc", "solve", "{poly}", "--cutoff", "4", "--time", "1e300", "--dt", "1e-300"],
     ], ids=" ".join)
@@ -340,6 +364,22 @@ class TestErrors:
         assert status == 1 and out == ""
         assert json.loads(err)["error"] == "domain-error"
 
+    @pytest.mark.parametrize("argv", [
+        ["zeno", "budget", "--seconds", "1e99999"],
+        ["zeno", "budget", "--seconds=-1e99999"],
+        ["zeno", "budget", "--seconds", "1e-99999"],
+        ["zeno", "lamp", "--t", "1e99999"],
+        ["zeno", "lamp", "--t", "1e-99999"],
+        # index w(w + 1)/2 opens diagonal w = 10**350: the pair is (10**350, 0)
+        ["enum", "decode", "--index", str(10**350 * (10**350 + 1) // 2)],
+    ], ids=lambda argv: " ".join(argv)[:40])
+    def test_float_view_out_of_range(self, argv):
+        start = time.monotonic()
+        status, out, err = run_cli(argv)
+        assert time.monotonic() - start < 1.0
+        assert status == 1 and out == ""
+        assert json.loads(err)["error"] == "domain-error"
+
     def test_symbol_count_past_the_float_range(self):
         start = time.monotonic()
         status, out, err = run_cli(["limits", "--symbols", str(10**400)])
@@ -401,6 +441,15 @@ class TestDeterminism:
 
 
 class TestCosts:
+    @pytest.mark.parametrize("strategy", ["1", "2", "3"])
+    def test_ashby_sums_its_expectation_once(self, monkeypatch, strategy):
+        calls = []
+        expected = tae.ashby_expected
+        monkeypatch.setattr(tae, "ashby_expected", lambda exp: calls.append(exp) or expected(exp))
+        status, _, _ = run_cli(["tae", "ashby", "--wheels", "10", "--p", "0.5",
+                                "--strategy", strategy])
+        assert status == 0 and len(calls) == 1
+
     def test_exact_commands_never_import_numpy(self, tmp_path):
         machine = tmp_path / "machine.json"
         machine.write_text(json.dumps(successor_doc()))

@@ -2,7 +2,10 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -48,3 +51,23 @@ def test_wheel_strategies_emits_rows():
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("wheels,p,case1_analytic")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("name, args, kind", [
+    ("wheel_strategies.py", ["--wheels", "2", "--trials", "20000000"], "resource-error"),
+    # 8 variables at cutoff 9: 10**8 lattice points, refused before the scan
+    ("overlap_sweep.py", ["{big}", "--cutoff", "9"], "resource-error"),
+    ("overlap_sweep.py", ["{missing}"], "io-error"),
+], ids=["trials-past-budget", "lattice-past-budget", "missing-document"])
+def test_failures_are_structured_json(tmp_path, name, args, kind):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"vars": 8, "terms": [[1, [1] * 8], [-1, [0] * 8]]}))
+    missing = tmp_path / "missing.json"
+    start = time.monotonic()
+    proc = run_script(name, *[a.format(big=big, missing=missing) for a in args])
+    assert time.monotonic() - start < 10.0
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stderr)
+    assert set(payload) == {"error", "message"}
+    assert payload["error"] == kind
