@@ -14,8 +14,14 @@ Every negative answer is cutoff-bounded by construction. Variables range over
 the naturals; searches over negative integers need an explicit substitution
 such as x -> x' - m before encoding.
 
-An exhaustive integer scan of the truncated lattice serves as the exact
-oracle for every quantum-path result.
+An exact integer scan of the truncated lattice serves as the oracle for
+every quantum-path result. `decide` scans once and groups the points by the
+distinct values of D**2 (the levels): from the uniform start the state stays
+constant on each level, so it propagates one amplitude per level and samples
+levels, then points within them, all in the standard library. The
+numpy-facing functions (`uniform_ket`, `build_problem_hamiltonian`,
+`AdiabaticProblem`, `evolve`, `measure_sample`) import numpy when called and
+run on the same scan, propagator and sampler.
 """
 
 from __future__ import annotations
@@ -23,11 +29,13 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
+import random
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .errors import (
     DomainError,
@@ -36,12 +44,15 @@ from .errors import (
     StabilityError,
     ValidationError,
 )
-from . import linalg
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LATTICE_BUDGET = 10**7
+VALUE_BITS_BUDGET = 4096
 STEP_BUDGET = 10**7
 STABILITY_LIMIT = 0.5
-MAX_SHOTS = 2**63 - 1  # numpy's multinomial counts in int64
+MAX_SHOTS = 2**63 - 1  # a count any signed 64-bit reader of the report can hold
 
 
 # -- polynomials -----------------------------------------------------------------
@@ -155,17 +166,7 @@ class TruncatedFockSpace:
         return tuple(reversed(digits))
 
 
-# -- Hamiltonians ----------------------------------------------------------------
-#
-# One Hamiltonian path, H(s) = (1 - s)(I - |u><u|) + s * diag(p), with u the
-# space's uniform ket and p = D(n)**2; neither operator is ever a d x d array.
-
-
-def uniform_ket(space: TruncatedFockSpace) -> np.ndarray:
-    """The uniform superposition u as a column vector: the unique ground state
-    of the start operator I - |u><u| (energy 0; every other eigenvalue is 1)."""
-    return np.full((space.dimension, 1), 1.0 / math.sqrt(space.dimension),
-                   dtype=np.complex128)
+# -- the exact scan -------------------------------------------------------------------
 
 
 def _check_lattice_budget(space: TruncatedFockSpace) -> None:
@@ -175,29 +176,153 @@ def _check_lattice_budget(space: TruncatedFockSpace) -> None:
             f"{LATTICE_BUDGET}")
 
 
-def build_problem_hamiltonian(
-    poly: DiophantinePolynomial, space: TruncatedFockSpace
-) -> np.ndarray:
-    """Diagonal operator with entry D(n1..nk)**2 at each occupation tuple.
+def _value_bits_bound(poly: DiophantinePolynomial, cutoff: int) -> int:
+    """An upper bound on the bit length of D over the lattice 0..cutoff per variable.
 
-    Returned as its real diagonal (a length-d array); ``np.diag`` of it is
-    the matrix. A lattice past LATTICE_BUDGET is refused before the scan.
+    A term c * x1**e1 * ... has at most bits(|c|) + sum(ei) * bits(cutoff)
+    bits there, and a sum of t terms at most bits(t) more than its longest.
+    """
+    longest = max((abs(coeff).bit_length() + sum(exps) * cutoff.bit_length()
+                   for coeff, exps in poly.terms), default=0)
+    return longest + len(poly.terms).bit_length()
+
+
+def _lattice_values(poly: DiophantinePolynomial, space: TruncatedFockSpace) -> Iterator[int]:
+    """D at every lattice point, in basis order and exact integers.
+
+    With the other coordinates fixed, D is a polynomial in the last one, so
+    its coefficients are summed once per run of the last coordinate and each
+    point costs one product per exponent of the last variable. A lattice past
+    LATTICE_BUDGET points, or a polynomial whose values there may be longer
+    than VALUE_BITS_BUDGET bits, is a :class:`ResourceError` before the first
+    point.
     """
     if poly.num_vars != space.num_modes:
         raise ShapeError(
             f"polynomial has {poly.num_vars} variables but the space has "
             f"{space.num_modes} modes")
     _check_lattice_budget(space)
+    bits = _value_bits_bound(poly, space.cutoff)
+    if bits > VALUE_BITS_BUDGET:
+        raise ResourceError(
+            f"values of up to {bits} bits on the lattice are past the budget of "
+            f"{VALUE_BITS_BUDGET} bits")
+    by_last: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for coeff, exps in poly.terms:
+        by_last.setdefault(exps[-1], []).append((coeff, exps[:-1]))
+    last = list(by_last)
+    prefix, coeffs = None, []
+    for n in space.basis():
+        if n[:-1] != prefix:
+            prefix = n[:-1]
+            coeffs = [sum(c * math.prod(map(pow, prefix, rest)) for c, rest in group)
+                      for group in by_last.values()]
+        yield sum(map(operator.mul, coeffs, map(pow, itertools.repeat(n[-1]), last)))
+
+
+def exact_ground_oracle(
+    poly: DiophantinePolynomial, cutoff: int
+) -> tuple[int, list[tuple[int, ...]]]:
+    """The exact minimum of D**2 over the truncated lattice and every tuple attaining it.
+
+    Arithmetic is plain Python integers, so no value is ever rounded, and
+    memory does not grow with the lattice beyond the minimisers.
+    """
+    space = TruncatedFockSpace(poly.num_vars, cutoff)
+    best: Optional[int] = None
+    winners: list[int] = []
+    for i, value in enumerate(_lattice_values(poly, space)):
+        value *= value
+        if best is None or value < best:
+            best, winners = value, [i]
+        elif value == best:
+            winners.append(i)
+    assert best is not None
+    return best, [space.occupation_of(i) for i in winners]
+
+
+@dataclass(frozen=True)
+class LevelScan:
+    """The lattice grouped by the exact value p = D(n)**2.
+
+    ``levels`` are the distinct values in increasing order, level j is taken
+    at ``multiplicities[j]`` points, and the point at basis index i is at
+    level ``level_of[i]``.
+    """
+
+    space: TruncatedFockSpace
+    levels: tuple[int, ...]
+    multiplicities: tuple[int, ...]
+    level_of: array
+
+    def members(self, wanted) -> dict[int, list[int]]:
+        """The basis indices at each wanted level, in basis order, from one pass."""
+        found: dict[int, list[int]] = {j: [] for j in wanted}
+        for i, j in enumerate(self.level_of):
+            if j in found:
+                found[j].append(i)
+        return found
+
+
+def scan_levels(poly: DiophantinePolynomial, space: TruncatedFockSpace) -> LevelScan:
+    """Evaluate D**2 once at every lattice point and group the points by value.
+
+    Memory is one 4-byte index per point and one dictionary entry per
+    distinct level; the budgets are checked before the first evaluation.
+    """
+    first_seen: dict[int, int] = {}
+    seen = array("I")  # the first-seen rank of each point's value
+    for value in _lattice_values(poly, space):
+        seen.append(first_seen.setdefault(value * value, len(first_seen)))
+    levels = sorted(first_seen)
+    level = [0] * len(levels)
+    for j, value in enumerate(levels):
+        level[first_seen[value]] = j
+    counts = Counter(seen)
+    return LevelScan(
+        space=space,
+        levels=tuple(levels),
+        multiplicities=tuple(counts[first_seen[value]] for value in levels),
+        level_of=array("I", map(level.__getitem__, seen)),
+    )
+
+
+def _float_levels(levels: Sequence[int]) -> list[float]:
     try:
-        return np.fromiter(
-            (float(poly.evaluate(n) ** 2) for n in space.basis()),
-            dtype=np.float64,
-            count=space.dimension,
-        )
+        return [float(p) for p in levels]
     except OverflowError:
         raise DomainError(
             "some D(n)**2 on the lattice is too large for a float; lower the "
             "cutoff, or use --oracle-only for the exact scan") from None
+
+
+# -- Hamiltonians ----------------------------------------------------------------
+#
+# One Hamiltonian path, H(s) = (1 - s)(I - |u><u|) + s * diag(p), with u the
+# space's uniform ket and p = D(n)**2; neither operator is ever a d x d array.
+
+
+def uniform_ket(space: TruncatedFockSpace) -> np.ndarray:
+    """The uniform superposition u as a column vector: the unique ground state
+    of the start operator I - |u><u| (energy 0; every other eigenvalue is 1)."""
+    import numpy as np
+
+    return np.full((space.dimension, 1), 1.0 / math.sqrt(space.dimension),
+                   dtype=np.complex128)
+
+
+def build_problem_hamiltonian(
+    poly: DiophantinePolynomial, space: TruncatedFockSpace
+) -> np.ndarray:
+    """Diagonal operator with entry D(n1..nk)**2 at each occupation tuple.
+
+    Returned as its real diagonal (a length-d array); ``np.diag`` of it is
+    the matrix. The lattice and value budgets are checked before the scan.
+    """
+    import numpy as np
+
+    scan = scan_levels(poly, space)
+    return np.array(_float_levels(scan.levels))[np.asarray(scan.level_of)]
 
 
 def _check_schedule(total_time: float, dt: float) -> None:
@@ -225,6 +350,8 @@ class AdiabaticProblem:
     dt: float
 
     def __post_init__(self):
+        import numpy as np
+
         _check_schedule(self.total_time, self.dt)
         if self.h_problem.shape != (self.space.dimension,):
             raise ShapeError("the problem diagonal must match the space dimension")
@@ -232,12 +359,85 @@ class AdiabaticProblem:
             raise DomainError("a diagonal Hamiltonian must be real to be Hermitian")
 
 
-def spectral_norm_bound(problem: AdiabaticProblem) -> float:
-    """Upper bound on ||H(s)|| over the whole schedule (convexity).
+def _norm_bound(levels: Sequence[float], dimension: int) -> float:
+    """max||H(s)|| over the schedule (convexity): the larger of max|p| and
+    ||I - |u><u|||, which is 1, or 0 when d = 1."""
+    return max(float(dimension > 1), max(map(abs, levels)))
 
-    The larger of max|p| and ||I - |u><u|||, which is 1, or 0 when d = 1.
+
+def spectral_norm_bound(problem: AdiabaticProblem) -> float:
+    """Upper bound on ||H(s)|| over the whole schedule, as the guard of evolve uses it."""
+    return _norm_bound(problem.h_problem.tolist(), problem.space.dimension)
+
+
+# -- propagation --------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LevelEvolution:
+    """The final level coefficients, unnormalised, the drift of their norm and the step count."""
+
+    amplitudes: list[complex]
+    norm_drift: float
+    steps: int
+
+
+def evolve_levels(
+    levels: Sequence[float],
+    multiplicities: Sequence[int],
+    amplitudes: Sequence[complex],
+    total_time: float,
+    dt: float,
+) -> LevelEvolution:
+    """Integrate i dpsi/dt = H(t/T) psi from 0 to T on the span of the level blocks.
+
+    Level j holds multiplicities[j] points where p = levels[j]; e_j is the
+    normalised indicator of those points and amplitudes[j] the coefficient of
+    e_j. H(s) maps that span to itself: u = sum_j w_j e_j with
+    w_j = sqrt(m_j / d), so exp(-i a (I - |u><u|)) takes c to
+    e^{-ia} c + (1 - e^{-ia}) w (w . c), and exp(-i b p) multiplies c_j by
+    e^{-i b p_j}; each costs O(k) for k levels.
+
+    Step k freezes H at its midpoint s_k and applies the start factor with
+    a = (1 - s_k) dt / 2, the problem factor with b = s_k dt, then the start
+    factor again; the halves that meet between steps run as one. Each factor
+    is exactly unitary and the scheme is second order in dt, so the guard
+    dt * max||H|| <= STABILITY_LIMIT, with the norm of the whole d-point
+    operator, bounds the splitting error. Returns the final coefficients,
+    unnormalised, with the drift of their norm.
     """
-    return max(float(problem.space.dimension > 1), float(np.max(np.abs(problem.h_problem))))
+    d = sum(multiplicities)
+    c = list(amplitudes)
+    if total_time == 0.0:
+        return LevelEvolution(amplitudes=c, norm_drift=0.0, steps=0)
+    bound = _norm_bound(levels, d)
+    if dt * bound > STABILITY_LIMIT:
+        raise StabilityError(
+            f"dt * max||H|| = {dt * bound:.3g} exceeds {STABILITY_LIMIT}; "
+            "use a smaller step")
+
+    steps = max(1, math.ceil(total_time / dt))
+    dt = total_time / steps
+    w = [math.sqrt(m / d) for m in multiplicities]
+    rates = [-1j * dt * p for p in levels]
+    start_norm = math.sqrt(sum(abs(x) ** 2 for x in c))
+
+    def mix(theta: float, c: list[complex]) -> tuple[complex, complex]:
+        """The start factor's e^{-i theta} and its rank-one weight (1 - e^{-i theta}) w . c."""
+        phase = cmath.exp(-1j * theta)
+        return phase, (1.0 - phase) * sum(map(operator.mul, w, c))
+
+    owed = 0.0  # the previous step's closing start half, merged into this step's opening one
+    for k in range(steps):
+        s = (k + 0.5) / steps
+        half = 0.5 * dt * (1.0 - s)
+        phase, weight = mix(owed + half, c)
+        c = [cmath.exp(s * r) * (phase * x + weight * wj) for r, x, wj in zip(rates, c, w)]
+        owed = half
+    phase, weight = mix(owed, c)
+    c = [phase * x + weight * wj for x, wj in zip(c, w)]
+    final_norm = math.sqrt(sum(abs(x) ** 2 for x in c))
+    return LevelEvolution(amplitudes=c, norm_drift=abs(final_norm - start_norm), steps=steps)
 
 
 @dataclass(frozen=True)
@@ -250,102 +450,177 @@ class EvolveResult:
 def evolve(problem: AdiabaticProblem, psi0: np.ndarray) -> EvolveResult:
     """Integrate i dpsi/dt = H(t/T) psi from 0 to T by Strang splitting.
 
-    Step k freezes H at its midpoint s_k and applies exp(-i a (I - |u><u|)),
-    exp(-i b p), exp(-i a (I - |u><u|)) with a = (1 - s_k) dt / 2 and
-    b = s_k dt; the halves that meet between steps run as one. Both are closed
-    forms in O(d): the diagonal multiplies entrywise, and the start operator
-    gives e^{-ia} (v - m) + m with m = sum(v) / d. Each factor is exactly
-    unitary and the scheme is second order in dt, so the guard
-    dt * max||H|| <= STABILITY_LIMIT bounds the splitting error. The drift of
-    the final norm from 1 is returned with the renormalised state.
+    The points are grouped by their value of h_problem. The part of psi0 that
+    is constant on every group evolves by :func:`evolve_levels`; the rest has
+    zero sum on every group, so the start factor is e^{-ia} on it and the
+    problem factor a phase per group, and over the whole schedule it gains
+    exactly exp(-i T/2 (1 + p_j)) on group j. The drift of the final norm
+    from 1 is returned with the renormalised state.
     """
-    d = problem.space.dimension
+    import numpy as np
+
+    from . import linalg
+
     psi = linalg.ket(psi0).astype(np.complex128)
-    if psi.shape[0] != d:
+    if psi.shape[0] != problem.space.dimension:
         raise ShapeError("initial state dimension does not match the space")
     nrm = linalg.norm(psi)
     if abs(nrm - 1.0) > 1e-9:
         raise DomainError(f"initial state must be normalised, got norm {nrm}")
-    t_total = problem.total_time
-    if t_total == 0.0:
+    if problem.total_time == 0.0:
         return EvolveResult(state=psi.copy(), norm_drift=0.0, steps=0)
 
-    bound = spectral_norm_bound(problem)
-    if problem.dt * bound > STABILITY_LIMIT:
-        raise StabilityError(
-            f"dt * max||H|| = {problem.dt * bound:.3g} exceeds {STABILITY_LIMIT}; "
-            "use a smaller step")
-
-    steps = max(1, math.ceil(t_total / problem.dt))
-    dt = t_total / steps
-    rate = -1j * problem.h_problem
-
-    def start_factor(theta: float, v: np.ndarray) -> np.ndarray:
-        phase = cmath.exp(-1j * theta)
-        return phase * v + (1.0 - phase) * (v.sum() / d)
-
     v = psi.reshape(-1)
-    owed = 0.0  # the previous step's closing start half, merged into this step's opening one
-    for k in range(steps):
-        s = (k + 0.5) / steps
-        half = 0.5 * dt * (1.0 - s)
-        v = np.exp(dt * s * rate) * start_factor(owed + half, v)
-        owed = half
-    v = start_factor(owed, v)
+    values, group, sizes = np.unique(problem.h_problem, return_inverse=True,
+                                     return_counts=True)
+    sums = np.bincount(group, v.real) + 1j * np.bincount(group, v.imag)
+    remainder = v - (sums / sizes)[group]
+    reduced = evolve_levels(values.tolist(), sizes.tolist(), (sums / np.sqrt(sizes)).tolist(),
+                            problem.total_time, problem.dt)
+    phases = np.exp(-0.5j * problem.total_time * (1.0 + values))
+    v = (np.array(reduced.amplitudes) / np.sqrt(sizes))[group] + phases[group] * remainder
 
     final_norm = linalg.norm(v)
     drift = abs(final_norm - 1.0)
-    return EvolveResult(state=(v / final_norm).reshape(-1, 1), norm_drift=drift, steps=steps)
+    return EvolveResult(state=(v / final_norm).reshape(-1, 1), norm_drift=drift,
+                        steps=reduced.steps)
 
 
 # -- measurement --------------------------------------------------------------------
+
+
+def _stirling_tail(x: int) -> float:
+    """log(x!) less its Stirling form (x + 1/2) log(x + 1) - (x + 1) + log(2 pi) / 2."""
+    if x < 10:
+        return (math.lgamma(x + 1) - (x + 0.5) * math.log(x + 1) + x + 1
+                - 0.5 * math.log(2 * math.pi))
+    r = 1.0 / (x + 1)
+    return r * (1 / 12 - r * r * (1 / 360 - r * r / 1260))
+
+
+def _binomial(rng: random.Random, n: int, p: float) -> int:
+    """One Binomial(n, p) draw, with the right distribution for every n up to MAX_SHOTS.
+
+    The algorithm of CPython 3.12's random.binomialvariate: Devroye's
+    geometric method, O(np), when n p < 10, else Hoermann's BTRS (1993),
+    O(1). It differs where CPython's loses accuracy: log1p(-p) in place of
+    log(1 - p), which is 0 below p = 1.1e-16; the centre n p and the mode as
+    exact integers; and the acceptance test's log f(k)/f(m) in Hoermann's
+    Stirling form with log1p, where lgamma(n) cancels (at n = 2**62 that
+    cancellation made the variance twelve times too large). Uniforms that
+    meet a log or a division never come out 0.
+    """
+    if n == 0 or p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return n
+    if p > 0.5:
+        return n - _binomial(rng, n, 1.0 - p)
+    if n * p < 10.0:
+        x = y = 0
+        c = math.log1p(-p)
+        while True:
+            y += math.floor(math.log(1.0 - rng.random()) / c) + 1
+            if y > n:
+                return x
+            x += 1
+    q = 1.0 - p
+    spq = math.sqrt(n * p * q)
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    vr = 0.92 - 4.2 / b
+    alpha = (2.83 + 5.1 / b) * spq
+    num, den = p.as_integer_ratio()
+    centre, rest = divmod(n * num, den)
+    c = rest / den + 0.5
+    m = (n + 1) * num // den
+    while True:
+        u = rng.random() - 0.5
+        us = 0.5 - abs(u)
+        if us == 0.0:
+            continue
+        k = centre + math.floor((2.0 * a / us + b) * u + c)
+        if not 0 <= k <= n:
+            continue
+        v = 1.0 - rng.random()
+        if us >= 0.07 and v <= vr:
+            return k
+        v *= alpha / (a / (us * us) + b)
+        dk = k - m
+        log_ratio = ((n - m + 0.5) * math.log1p(dk / (n - k + 1))
+                     - (m + 0.5) * math.log1p(dk / (m + 1))
+                     + dk * math.log((n - k + 1) * p / ((k + 1) * q))
+                     + _stirling_tail(m) + _stirling_tail(n - m)
+                     - _stirling_tail(k) - _stirling_tail(n - k))
+        if math.log(v) <= log_ratio:
+            return k
+
+
+def _multinomial(rng: random.Random, n: int, weights: Sequence[float]) -> dict[int, int]:
+    """Counts of n draws over categories with the given weights, zeros left out.
+
+    Binomial splitting: category i takes Binomial(draws left, w_i / W_i),
+    W_i = w_i + ... + w_last, and the rest go on. W_i is summed from the last
+    category back, so no mass is a difference, and equal weights give ratios
+    of exact point counts. The loop stops once every draw is placed, and each
+    binomial draw costs O(1) on average, so the cost does not grow with n.
+    """
+    tails = list(itertools.accumulate(reversed(weights)))[::-1]
+    counts: dict[int, int] = {}
+    for i, (weight, tail) in enumerate(zip(weights, tails)):
+        if n == 0:
+            break
+        drawn = _binomial(rng, n, weight / tail)
+        if drawn:
+            counts[i] = drawn
+            n -= drawn
+    return counts
+
+
+def _check_shots(shots: int) -> None:
+    if not 1 <= shots <= MAX_SHOTS:
+        raise DomainError(f"shots must lie in 1..{MAX_SHOTS}")
 
 
 def measure_sample(
     psi: np.ndarray, space: TruncatedFockSpace, shots: int, seed: int
 ) -> dict[tuple[int, ...], int]:
     """Sample occupation tuples from |amplitude|**2, deterministically per seed."""
-    if not 1 <= shots <= MAX_SHOTS:
-        raise DomainError(f"shots must lie in 1..{MAX_SHOTS}")
+    _check_shots(shots)
+    from . import linalg
+
     state = linalg.ket(psi)
     if state.shape[0] != space.dimension:
         raise ShapeError("state dimension does not match the space")
     nrm = linalg.norm(state)
-    if abs(nrm - 1.0) > 1e-6:
+    if not abs(nrm - 1.0) <= 1e-6:
         raise DomainError(f"state must be normalised, got norm {nrm}")
-    probs = np.abs(state.reshape(-1)) ** 2
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
-    return {
-        space.occupation_of(i): int(c) for i, c in enumerate(counts) if c > 0
-    }
+    weights = (abs(state.reshape(-1)) ** 2).tolist()
+    counts = _multinomial(random.Random(seed), shots, weights)
+    return {space.occupation_of(i): c for i, c in counts.items()}
 
 
-# -- exact oracle and the decision procedure ------------------------------------------
+def sample_levels(
+    scan: LevelScan, populations: Sequence[float], shots: int, seed: int
+) -> dict[tuple[int, ...], int]:
+    """Sample occupation tuples from a state constant on each level.
 
-
-def exact_ground_oracle(
-    poly: DiophantinePolynomial, cutoff: int
-) -> tuple[int, list[tuple[int, ...]]]:
-    """Exhaustive integer scan of D**2 over the truncated lattice.
-
-    Returns the exact minimum and every tuple attaining it. Arithmetic is
-    plain Python integers, so no value is ever rounded.
+    The shots split over the levels by their populations, then each level's
+    share splits evenly over its points; both splits draw from
+    random.Random(seed), in that order.
     """
-    space = TruncatedFockSpace(poly.num_vars, cutoff)
-    _check_lattice_budget(space)
-    best: Optional[int] = None
-    winners: list[tuple[int, ...]] = []
-    for n in space.basis():
-        value = poly.evaluate(n) ** 2
-        if best is None or value < best:
-            best = value
-            winners = [n]
-        elif value == best:
-            winners.append(n)
-    assert best is not None
-    return best, winners
+    _check_shots(shots)
+    rng = random.Random(seed)
+    per_level = _multinomial(rng, shots, populations)
+    per_point = {j: _multinomial(rng, count, [1] * scan.multiplicities[j])
+                 for j, count in per_level.items()}
+    members = scan.members(per_point)
+    space = scan.space
+    return {space.occupation_of(members[j][rank]): count
+            for j, draws in per_point.items() for rank, count in draws.items()}
+
+
+# -- the decision procedure ------------------------------------------------------------
 
 
 class Verdict(Enum):
@@ -396,10 +671,12 @@ def decide(
     shots: int,
     seed: int,
 ) -> DecisionReport:
-    """Build, evolve, measure, and adjudicate by exact substitution.
+    """Scan, evolve, measure, and adjudicate by exact substitution.
 
-    The most frequent measured tuple is the candidate; only D(candidate) = 0,
-    an exact integer identity, produces a positive verdict. Anything else is a
+    The evolution starts from the uniform superposition, whose coefficient
+    on level j is sqrt(m_j / d), and stays in the span of the levels. The
+    most frequent measured tuple is the candidate; only D(candidate) = 0, an
+    exact integer identity, produces a positive verdict. Anything else is a
     negative verdict scoped to the cutoff, with the exact scan's minimum
     attached. The success-probability estimate is the candidate's empirical
     frequency; there is deliberately no automatic rule for growing T or shots.
@@ -409,14 +686,14 @@ def decide(
         raise DomainError(
             f"cutoff must be a natural number, time positive and shots in 1..{MAX_SHOTS}")
     space = TruncatedFockSpace(poly.num_vars, cutoff)
-    problem = AdiabaticProblem(space=space, h_problem=build_problem_hamiltonian(poly, space),
-                               total_time=total_time, dt=dt)
-    evolved = evolve(problem, uniform_ket(space))
-    samples = measure_sample(evolved.state, space, shots, seed)
+    scan = scan_levels(poly, space)
+    d = space.dimension
+    evolved = evolve_levels(_float_levels(scan.levels), scan.multiplicities,
+                            [math.sqrt(m / d) for m in scan.multiplicities], total_time, dt)
+    samples = sample_levels(scan, [abs(x) ** 2 for x in evolved.amplitudes], shots, seed)
 
     candidate = max(samples.items(), key=lambda kv: (kv[1], tuple(-x for x in kv[0])))[0]
     frequency = samples[candidate] / shots
-    e_ground, _winners = exact_ground_oracle(poly, cutoff)
 
     if poly.evaluate(candidate) == 0:
         verdict, witness = Verdict.SOLVABLE_WITH_WITNESS, candidate
@@ -428,7 +705,7 @@ def decide(
     return DecisionReport(
         verdict=verdict,
         witness=witness,
-        ground_energy=e_ground,
+        ground_energy=scan.levels[0],
         success_probability_estimate=frequency,
         samples=samples,
         cutoff=cutoff,

@@ -6,8 +6,8 @@ deterministic report (JSON by default, CSV on request) to stdout or to
 problems exit with status 2. Identical invocations with identical seeds
 produce byte-identical reports.
 
-numpy is imported only by the commands that use it (tae ashby --simulate,
-tae bogosort and aqc solve), so the exact commands start without it.
+numpy is imported only by the commands that use it (tae ashby --simulate and
+tae bogosort); every other command, aqc solve included, starts without it.
 """
 
 from __future__ import annotations

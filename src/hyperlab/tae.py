@@ -15,6 +15,7 @@ one grand success.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Sequence
@@ -272,6 +273,8 @@ class WheelExperiment:
     def __post_init__(self):
         if self.n_wheels < 1:
             raise DomainError("need at least one wheel")
+        if self.n_wheels > sys.float_info.max:  # every strategy computes with N as a float
+            raise DomainError(f"at most {sys.float_info.max:.6g} wheels, the float range")
         if not 0.0 < self.p < 1.0:
             raise DomainError("success probability must lie strictly between 0 and 1")
 

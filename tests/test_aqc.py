@@ -1,5 +1,7 @@
 import math
+import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -314,6 +316,26 @@ class TestExactOracle:
         with pytest.raises(ResourceError):
             aqc.exact_ground_oracle(poly, 500)
 
+    def test_values_past_the_bit_budget_are_refused_before_the_scan(self, monkeypatch):
+        # x**(10**7) - 2 at cutoff 6: a short document whose values have 3 * 10**7 bits
+        poly = aqc.parse_polynomial({"vars": 1, "terms": [[1, [10**7]], [-2, [0]]]})
+        space = TruncatedFockSpace(1, 6)
+        monkeypatch.setattr(TruncatedFockSpace, "basis", lambda space: pytest.fail("scanned"))
+        for work in (lambda: aqc.exact_ground_oracle(poly, 6),
+                     lambda: aqc.build_problem_hamiltonian(poly, space),
+                     lambda: aqc.decide(poly, 6, 1.0, 0.01, shots=10, seed=0)):
+            with pytest.raises(ResourceError, match="bits"):
+                work()
+
+    def test_bit_budget_is_inclusive(self):
+        # at cutoff 1, x**e - 1 has bits(1) + e * bits(1) + bits(2 terms) = e + 3
+        at_budget = aqc.VALUE_BITS_BUDGET - 3
+        poly = aqc.parse_polynomial({"vars": 1, "terms": [[1, [at_budget]], [-1, [0]]]})
+        assert aqc.exact_ground_oracle(poly, 1) == (0, [(1,)])
+        poly = aqc.parse_polynomial({"vars": 1, "terms": [[1, [at_budget + 1]], [-1, [0]]]})
+        with pytest.raises(ResourceError, match="budget"):
+            aqc.exact_ground_oracle(poly, 1)
+
 
 class TestDecide:
     def test_solvable_with_witness(self):
@@ -395,6 +417,64 @@ class TestDecide:
                                   seed=0) == {(0,): aqc.MAX_SHOTS}
 
 
+def _chi_square(draws, n, p):
+    """Pearson's statistic of draws against the exact Binomial(n, p) pmf, with its
+    degrees of freedom; neighbouring outcomes pool until each bin expects 5."""
+    observed = Counter(draws)
+    bins, expected, seen = [], 0.0, 0
+    for k in range(n + 1):
+        expected += len(draws) * math.comb(n, k) * p**k * (1 - p) ** (n - k)
+        seen += observed[k]
+        if expected >= 5:
+            bins.append((seen, expected))
+            expected, seen = 0.0, 0
+    last_seen, last_expected = bins.pop()
+    bins.append((last_seen + seen, last_expected + expected))
+    return sum((o - e) ** 2 / e for o, e in bins), len(bins) - 1
+
+
+def _chi_square_upper(df, z=3.09):
+    """The upper 0.1 % point of chi-square with df degrees of freedom (Wilson-Hilferty)."""
+    return df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+
+
+class TestBinomial:
+    """The sampler's binomial draw against the exact pmf, in both of its methods."""
+
+    @pytest.mark.parametrize("n, p", [
+        (50, 0.1), (25, 0.35),  # n p < 10: geometric method
+        (200, 0.3), (1000, 0.5),  # BTRS
+        (30, 0.9), (200, 0.7),  # p > 1/2: drawn as n minus the lighter side
+    ])
+    def test_draws_follow_the_exact_pmf(self, n, p):
+        rng = random.Random(n)
+        draws = [aqc._binomial(rng, n, p) for _ in range(20000)]
+        statistic, df = _chi_square(draws, n, p)
+        assert statistic < _chi_square_upper(df)
+
+    @pytest.mark.parametrize("p", [0.3, 0.75, 1e-18])
+    def test_moments_at_two_to_the_62(self, p):
+        # 1e-18: n p = 4.6, the geometric method with log(1 - p) below the float spacing of 1
+        n, draws = 2**62, 20000
+        rng = random.Random(62)
+        values = [aqc._binomial(rng, n, p) for _ in range(draws)]
+        assert all(0 <= v <= n for v in values)
+        variance = n * p * (1 - p)
+        deviations = [v - n * p for v in values]
+        mean = sum(deviations) / draws
+        assert abs(mean) < 4 * math.sqrt(variance / draws)
+        assert abs(sum((x - mean) ** 2 for x in deviations) / draws / variance - 1) < 0.05
+
+    def test_edge_cases(self):
+        rng = random.Random(0)
+        assert aqc._binomial(rng, 0, 0.3) == 0
+        assert aqc._binomial(rng, 10**6, 0.0) == 0
+        assert aqc._binomial(rng, aqc.MAX_SHOTS, 1.0) == aqc.MAX_SHOTS
+        for n, p in [(40, 0.6), (10**6, 0.999)]:
+            assert (aqc._binomial(random.Random(5), n, p)
+                    == n - aqc._binomial(random.Random(5), n, 1 - p))
+
+
 # d <= 125 for every arity: 21, 121 and 125 points at the largest cutoffs
 MAX_CUTOFF = {1: 20, 2: 10, 3: 4}
 
@@ -442,18 +522,21 @@ def strang_reference(problem: aqc.AdiabaticProblem, psi0: np.ndarray):
     return steps, (v / linalg.norm(v)).reshape(-1, 1)
 
 
-def _sampler_tie(state) -> bool:
-    """True when numpy's multinomial meets an exact tie for this state.
+def _sampler_tie(state, shots=1000) -> bool:
+    """True when the sampler's binomial splitting meets an exact tie for this state.
 
-    It draws category j from Binomial(remaining shots, p_j / remaining mass)
-    and maps the draw differently above a ratio of 1/2. Symmetric lattice
-    points make that ratio exactly 1/2 in exact arithmetic, and two states
-    equal to rounding then fall on either side of it.
+    It draws point j from Binomial(shots left, p_j / mass of points j..d-1).
+    Each draw maps to the lighter side above a ratio of 1/2 and changes
+    method where n * min(ratio, 1 - ratio) reaches 10. Symmetric lattice
+    points make the ratio exactly 1/2, or 10/n for some n <= shots, in exact
+    arithmetic, and two states equal to rounding then fall on either side of it.
     """
     probs = np.abs(state.reshape(-1)) ** 2
-    probs = probs / probs.sum()
-    remaining = 1.0 - np.concatenate(([0.0], np.cumsum(probs)[:-1]))
-    return bool(np.any(np.abs(probs[:-1] / remaining[:-1] - 0.5) < 1e-9))
+    tails = np.cumsum(probs[::-1])[::-1]
+    for p in np.minimum(probs / tails, 1 - probs / tails)[:-1]:
+        if abs(p - 0.5) < 1e-9 or (p and 10 / p <= shots and abs(10 / p - round(10 / p)) < 1e-6):
+            return True
+    return False
 
 
 class TestStructuredOperators:
@@ -489,6 +572,39 @@ class TestStructuredOperators:
         if not _sampler_tie(a.state):
             assert (aqc.measure_sample(a.state, space, 1000, seed)
                     == aqc.measure_sample(reference, space, 1000, seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=lattice_problems(), steps=st.integers(1, 80),
+           guard_share=st.floats(0.05, 0.99))
+    def test_decide_samples_the_level_populations_of_the_full_evolution(
+            self, problem, steps, guard_share):
+        poly, cutoff = problem
+        space = TruncatedFockSpace(poly.num_vars, cutoff)
+        scan = aqc.scan_levels(poly, space)
+        dt = guard_share * aqc.STABILITY_LIMIT / max(float(scan.levels[-1]), 1.0)
+        sampled = []
+        sample_levels = aqc.sample_levels
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(aqc, "sample_levels", lambda scan, populations, shots, seed: (
+                sampled.append(populations) or sample_levels(scan, populations, shots, seed)))
+            aqc.decide(poly, cutoff, steps * dt, dt, shots=10, seed=0)
+        problem = aqc.AdiabaticProblem(space=space, h_problem=aqc.build_problem_hamiltonian(
+            poly, space), total_time=steps * dt, dt=dt)
+        state = aqc.evolve(problem, aqc.uniform_ket(space)).state.reshape(-1)
+        full = np.bincount(np.asarray(scan.level_of), weights=np.abs(state) ** 2,
+                           minlength=len(scan.levels))
+        assert np.max(np.abs(np.array(sampled[0]) - full)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=lattice_problems())
+    def test_scan_levels_every_point_exactly(self, problem):
+        poly, cutoff = problem
+        space = TruncatedFockSpace(poly.num_vars, cutoff)
+        scan = aqc.scan_levels(poly, space)
+        values = [poly.evaluate(n) ** 2 for n in space.basis()]
+        assert list(scan.levels) == sorted(set(values))
+        assert list(scan.multiplicities) == [values.count(p) for p in scan.levels]
+        assert [scan.levels[j] for j in scan.level_of] == values
 
     def test_symmetric_points_keep_bitwise_equal_amplitudes(self):
         # 2x in two variables: (1, 0) and (1, 1) are images under y <-> 1 - y,

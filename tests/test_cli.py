@@ -225,12 +225,17 @@ class TestErrors:
          "--simulate", "--trials", "1"],
         ["aqc", "solve", "{poly}", "--cutoff", "4", "--time", "1e12"],
         ["aqc", "solve", "{poly}", "--cutoff", "4", "--time", "1e300", "--dt", "1e-300"],
+        ["aqc", "solve", "{long}", "--cutoff", "6", "--oracle-only"],
+        ["aqc", "solve", "{long}", "--cutoff", "6"],
     ], ids=" ".join)
     def test_budgets_are_refused_before_any_work(self, write_json, argv):
         loop = write_json("loop.json", self_loop_doc())
         poly = write_json("poly.json", X_MINUS_2)
+        # x**(10**7) - 2: values of 3 * 10**7 bits at cutoff 6
+        long = write_json("long.json", {"vars": 1, "terms": [[1, [10**7]], [-2, [0]]]})
         start = time.monotonic()
-        status, out, err = run_cli([arg.format(loop=loop, poly=poly) for arg in argv])
+        status, out, err = run_cli([arg.format(loop=loop, poly=poly, long=long)
+                                    for arg in argv])
         assert time.monotonic() - start < 1.0
         assert status == 1 and out == ""
         payload = json.loads(err)
@@ -353,6 +358,15 @@ class TestErrors:
         assert status == 1 and out == ""
         assert json.loads(err)["error"] == "domain-error"
 
+    @pytest.mark.parametrize("strategy", ["1", "2", "3"])
+    def test_wheel_count_past_the_float_range(self, strategy):
+        start = time.monotonic()
+        status, out, err = run_cli(["tae", "ashby", "--wheels", str(10**400), "--p", "0.5",
+                                    "--strategy", strategy])
+        assert time.monotonic() - start < 1.0
+        assert status == 1 and out == ""
+        assert json.loads(err)["error"] == "domain-error"
+
     @pytest.mark.parametrize("flags", [
         ["--time", "nan"], ["--dt", "nan"], ["--time", "inf"], ["--shots", str(10**23)],
     ], ids=" ".join)
@@ -461,9 +475,13 @@ class TestCosts:
             "    with redirect_stdout(io.StringIO()):\n"
             "        assert cli.main(argv.split()) == 0, argv\n"
             "print('numpy' in sys.modules)\n")
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps(X_MINUS_2))
         commands = [f"tm run {machine} --input 11 --trace", "zeno time --n 50",
                     "enum list --count 30", "limits --symbols 8 --power 1 --dt 0.5",
-                    "tae goldbach --horizon 100"]
+                    "tae goldbach --horizon 100",
+                    f"aqc solve {poly} --cutoff 4 --time 50 --dt 0.01 --shots 1000",
+                    f"aqc solve {poly} --cutoff 4 --oracle-only"]
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
