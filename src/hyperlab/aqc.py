@@ -51,6 +51,11 @@ if TYPE_CHECKING:
 LATTICE_BUDGET = 10**7
 VALUE_BITS_BUDGET = 4096
 STEP_BUDGET = 10**7
+# distinct values of D**2 one scan may group: about 300 bytes each while they
+# are grouped and evolved
+LEVEL_BUDGET = 10**6
+# levels x steps of one evolution: each costs about 0.35-0.5 us
+LEVEL_STEP_BUDGET = 10**8
 STABILITY_LIMIT = 0.5
 MAX_SHOTS = 2**63 - 1  # a count any signed 64-bit reader of the report can hold
 
@@ -264,16 +269,26 @@ class LevelScan:
         return found
 
 
-def scan_levels(poly: DiophantinePolynomial, space: TruncatedFockSpace) -> LevelScan:
+def scan_levels(
+    poly: DiophantinePolynomial, space: TruncatedFockSpace, max_levels: int = LEVEL_BUDGET
+) -> LevelScan:
     """Evaluate D**2 once at every lattice point and group the points by value.
 
     Memory is one 4-byte index per point and one dictionary entry per
-    distinct level; the budgets are checked before the first evaluation.
+    distinct level; the lattice budgets are checked before the first
+    evaluation, and the scan stops with :class:`ResourceError` at the first
+    level past ``max_levels``.
     """
     first_seen: dict[int, int] = {}
     seen = array("I")  # the first-seen rank of each point's value
     for value in _lattice_values(poly, space):
-        seen.append(first_seen.setdefault(value * value, len(first_seen)))
+        rank = first_seen.setdefault(value * value, len(first_seen))
+        if rank >= max_levels:
+            raise ResourceError(
+                f"the lattice has more than {max_levels} distinct levels, past the "
+                f"budgets of {LEVEL_BUDGET} levels and {LEVEL_STEP_BUDGET} "
+                "levels x steps")
+        seen.append(rank)
     levels = sorted(first_seen)
     level = [0] * len(levels)
     for j, value in enumerate(levels):
@@ -332,6 +347,10 @@ def _check_schedule(total_time: float, dt: float) -> None:
     if total_time / dt > STEP_BUDGET:
         raise ResourceError(
             f"{total_time / dt:.3g} integrator steps are past the budget of {STEP_BUDGET}")
+
+
+def _step_count(total_time: float, dt: float) -> int:
+    return max(1, math.ceil(total_time / dt))
 
 
 @dataclass(frozen=True)
@@ -403,8 +422,10 @@ def evolve_levels(
     factor again; the halves that meet between steps run as one. Each factor
     is exactly unitary and the scheme is second order in dt, so the guard
     dt * max||H|| <= STABILITY_LIMIT, with the norm of the whole d-point
-    operator, bounds the splitting error. Returns the final coefficients,
-    unnormalised, with the drift of their norm.
+    operator, bounds the splitting error. More than LEVEL_STEP_BUDGET
+    levels x steps is a :class:`ResourceError` before the first step.
+    Returns the final coefficients, unnormalised, with the drift of their
+    norm.
     """
     d = sum(multiplicities)
     c = list(amplitudes)
@@ -416,7 +437,11 @@ def evolve_levels(
             f"dt * max||H|| = {dt * bound:.3g} exceeds {STABILITY_LIMIT}; "
             "use a smaller step")
 
-    steps = max(1, math.ceil(total_time / dt))
+    steps = _step_count(total_time, dt)
+    if len(levels) * steps > LEVEL_STEP_BUDGET:
+        raise ResourceError(
+            f"{len(levels)} levels x {steps} steps is past the budget of "
+            f"{LEVEL_STEP_BUDGET}")
     dt = total_time / steps
     w = [math.sqrt(m / d) for m in multiplicities]
     rates = [-1j * dt * p for p in levels]
@@ -680,13 +705,16 @@ def decide(
     negative verdict scoped to the cutoff, with the exact scan's minimum
     attached. The success-probability estimate is the candidate's empirical
     frequency; there is deliberately no automatic rule for growing T or shots.
+    The scan refuses a lattice of more than min(LEVEL_BUDGET,
+    LEVEL_STEP_BUDGET // steps) levels before the evolution starts.
     """
     _check_schedule(total_time, dt)
     if cutoff < 0 or total_time == 0 or not 1 <= shots <= MAX_SHOTS:
         raise DomainError(
             f"cutoff must be a natural number, time positive and shots in 1..{MAX_SHOTS}")
     space = TruncatedFockSpace(poly.num_vars, cutoff)
-    scan = scan_levels(poly, space)
+    scan = scan_levels(poly, space,
+                       min(LEVEL_BUDGET, LEVEL_STEP_BUDGET // _step_count(total_time, dt)))
     d = space.dimension
     evolved = evolve_levels(_float_levels(scan.levels), scan.multiplicities,
                             [math.sqrt(m / d) for m in scan.multiplicities], total_time, dt)

@@ -6,8 +6,12 @@ deterministic report (JSON by default, CSV on request) to stdout or to
 problems exit with status 2. Identical invocations with identical seeds
 produce byte-identical reports.
 
-numpy is imported only by the commands that use it (tae ashby --simulate and
-tae bogosort); every other command, aqc solve included, starts without it.
+Each command imports only the layer it runs, inside its handler: building
+the parser loads no command module, `tm run` loads `turing`, `enum` loads
+`pairing`, `aqc solve` loads `aqc`, and `zeno` and `tae` commands load
+`turing` only when they drive a machine (`zeno halting`). numpy is imported
+only by the commands that use it (tae ashby --simulate and tae bogosort);
+every other command, aqc solve included, starts without it.
 """
 
 from __future__ import annotations
@@ -19,10 +23,8 @@ import sys
 from fractions import Fraction
 from typing import Callable
 
-from . import limits, pairing, tae, turing, zeno
 from .errors import DomainError, HyperlabError
 from .reporting import emit_report, render_report
-from .zeno import UNBOUNDED
 
 
 def _natural_arg(text: str) -> int:
@@ -58,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     tm_run = tm.add_parser("run", help="run a machine on an input string")
     tm_run.add_argument("machine", help="machine document (JSON)")
     tm_run.add_argument("--input", default="", help="initial tape content")
-    tm_run.add_argument("--fuel", type=int, default=turing.DEFAULT_FUEL)
+    tm_run.add_argument("--fuel", type=int, default=None)  # None: turing.DEFAULT_FUEL
     tm_run.add_argument("--trace", action="store_true", help="include a bounded trace")
     tm_run.set_defaults(handler=_cmd_tm_run)
 
@@ -143,8 +145,11 @@ def _load_json(path: str) -> dict:
 
 
 def _cmd_tm_run(args) -> dict:
+    from . import turing
+
+    fuel = turing.DEFAULT_FUEL if args.fuel is None else args.fuel
     machine = turing.load_machine(_load_json(args.machine))
-    outcome = turing.run(machine, args.input, fuel=args.fuel, trace=args.trace)
+    outcome = turing.run(machine, args.input, fuel=fuel, trace=args.trace)
     report = {
         "command": "tm run",
         "outcome": outcome.kind.value,
@@ -164,6 +169,8 @@ def _cmd_tm_run(args) -> dict:
 
 
 def _cmd_goldbach(args) -> dict:
+    from . import tae
+
     stream = tae.goldbach_stream(args.horizon)
     return {
         "command": "tae goldbach",
@@ -176,6 +183,8 @@ def _cmd_goldbach(args) -> dict:
 
 
 def _cmd_ashby(args) -> dict:
+    from . import tae
+
     strategy = tae.WheelStrategy(args.strategy)
     exp = tae.WheelExperiment(args.wheels, args.p, strategy, seed=args.seed)
     if strategy is tae.WheelStrategy.ALL_OR_NOTHING:  # p**-N overflows before its log2
@@ -216,6 +225,8 @@ def _cmd_ashby(args) -> dict:
 def _cmd_bogosort(args) -> dict:
     import numpy as np
 
+    from . import tae
+
     # independent children of the seed, so the shuffles never replay the input's draw
     input_seed, shuffle_seed = np.random.SeedSequence(args.seed).spawn(2)
     sequence = [int(x) for x in np.random.default_rng(input_seed).permutation(args.length)]
@@ -234,6 +245,8 @@ def _cmd_bogosort(args) -> dict:
 
 
 def _cmd_zeno_time(args) -> dict:
+    from . import zeno
+
     seconds = zeno.zeno_time(args.n)
     return {
         "command": "zeno time",
@@ -262,6 +275,8 @@ def _time_view(value: Fraction, what: str) -> float:
 
 
 def _cmd_zeno_budget(args) -> dict:
+    from . import zeno
+
     seconds = _time_view(args.seconds, "--seconds")
     got = zeno.steps_within_budget(args.seconds)
     decelerated = (zeno.decelerated_steps_within_budget(args.seconds)
@@ -269,7 +284,7 @@ def _cmd_zeno_budget(args) -> dict:
     return {
         "command": "zeno budget",
         "budget_seconds": seconds,
-        "largest_step_index": "unbounded" if got is UNBOUNDED else got,
+        "largest_step_index": "unbounded" if got is zeno.UNBOUNDED else got,
         "decelerated_step_index": decelerated,
         "note": (
             "decelerated_step_index counts the mirrored cascade whose step n "
@@ -278,6 +293,8 @@ def _cmd_zeno_budget(args) -> dict:
 
 
 def _cmd_zeno_lamp(args) -> dict:
+    from . import zeno
+
     t = _time_view(args.t, "--t")
     state = zeno.thomson_lamp(args.t)
     report = {
@@ -291,6 +308,8 @@ def _cmd_zeno_lamp(args) -> dict:
 
 
 def _cmd_zeno_halting(args) -> dict:
+    from . import turing, zeno
+
     machine = turing.load_machine(_load_json(args.machine))
     result = zeno.atm_halting_flag(machine, args.input, fuel=args.fuel)
     return {
@@ -305,6 +324,8 @@ def _cmd_zeno_halting(args) -> dict:
 
 
 def _cmd_limits(args) -> dict:
+    from . import limits
+
     report = {"command": "limits"}
     report.update(limits.limits_report(args.symbols, power=args.power, dt=args.dt))
     report["formulas"] = {
@@ -329,6 +350,8 @@ def _enum_entry(entry: dict) -> dict:
 
 
 def _cmd_enum_decode(args) -> dict:
+    from . import pairing
+
     a, b = pairing.pair_decode(args.index)
     return {"command": "enum decode"} | _enum_entry({
         "index": args.index, "a": a, "b": b,
@@ -338,6 +361,8 @@ def _cmd_enum_decode(args) -> dict:
 
 
 def _cmd_enum_encode(args) -> dict:
+    from . import pairing
+
     return {
         "command": "enum encode",
         "a": args.a,
@@ -347,6 +372,8 @@ def _cmd_enum_encode(args) -> dict:
 
 
 def _cmd_enum_list(args) -> list:
+    from . import pairing
+
     return [_enum_entry(e) for e in pairing.enumerate_reals(args.count)]
 
 

@@ -35,7 +35,47 @@ def format_int(n: int) -> str:
     try:
         return str(n)
     except ValueError:
-        return format(decimal.Decimal(n), "f")
+        return format(_to_decimal(n), "f")
+
+
+_SPLIT_BITS = 128  # below this many bits Decimal converts an int directly
+
+
+def _to_decimal(n: int) -> decimal.Decimal:
+    """n as an exact Decimal, by divide and conquer.
+
+    Decimal(n) is quadratic in the digits. Splitting n at half its bit length
+    as hi * 2**w + lo and joining the converted halves in exact decimal
+    arithmetic costs about as much as the last multiplication, and the powers
+    2**w are cached, since every level of the split reuses a few of them.
+    This is the algorithm of CPython 3.12's ``_pylong.int_to_decimal_string``.
+    """
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power(w: int) -> decimal.Decimal:
+        value = powers.get(w)
+        if value is None:
+            if w <= _SPLIT_BITS:
+                value = decimal.Decimal(1 << w)
+            elif w - 1 in powers:
+                value = powers[w - 1] * 2
+            else:
+                value = power(w >> 1) * power(w - (w >> 1))
+            powers[w] = value
+        return value
+
+    def convert(m: int, w: int) -> decimal.Decimal:
+        if w <= _SPLIT_BITS:
+            return decimal.Decimal(m)
+        half = w >> 1
+        hi = m >> half
+        return convert(m - (hi << half), half) + convert(hi, w - half) * power(half)
+
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                            Emin=decimal.MIN_EMIN, traps=[decimal.Inexact])
+    with decimal.localcontext(exact):
+        value = convert(abs(n), n.bit_length())
+        return -value if n < 0 else value
 
 
 def format_fraction(q: Fraction) -> str:

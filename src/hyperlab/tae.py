@@ -18,10 +18,12 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import DomainError, ResourceError
-from .turing import OutcomeKind, TuringMachine, run
+
+if TYPE_CHECKING:
+    from .turing import TuringMachine
 
 
 class KernelDivergenceError(DomainError):
@@ -46,6 +48,7 @@ def tm_kernel(machine: TuringMachine, fuel: int) -> Callable[..., int]:
     its fuel raises :class:`KernelDivergenceError`; a halting run answers 1
     exactly when the cell under the head holds a mark.
     """
+    from .turing import OutcomeKind, run
 
     def kernel(*args: int) -> int:
         text = machine.blank.join("1" * a for a in args)

@@ -22,17 +22,19 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from numbers import Rational
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .errors import DomainError, ResourceError
-from .turing import OutcomeKind, RunOutcome, TuringMachine, run
+
+if TYPE_CHECKING:
+    from .turing import RunOutcome, TuringMachine
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 LIMIT = Fraction(2)  # seconds the whole cascade takes
 
 # largest step index a report may carry the exact elapsed time of: that time is
-# a fraction over 2**n, and printing it takes about 3.7 s at n = 10**6
+# a fraction over 2**n, and `zeno time` takes about 0.3 s to print it at n = 10**6
 STEP_INDEX_BUDGET = 10**6
 
 # step index commonly quoted for the head outrunning light at 1 m/s per step 1;
@@ -198,6 +200,8 @@ def atm_halting_flag(
     if fuel > STEP_INDEX_BUDGET:
         raise ResourceError(
             f"fuel of {fuel} steps is past the budget of {STEP_INDEX_BUDGET}")
+    from .turing import OutcomeKind, run
+
     outcome = run(machine, input_symbols, fuel=fuel)
     halted = outcome.kind is OutcomeKind.HALTED
     return HaltingFlagReport(

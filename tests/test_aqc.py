@@ -405,6 +405,51 @@ class TestDecide:
         with pytest.raises(ResourceError, match="integrator steps"):
             aqc.decide(poly, cutoff=500, total_time=1e300, dt=1e-300, shots=10, seed=0)
 
+    def test_level_budgets_are_inclusive_and_checked_before_evolving(self, monkeypatch):
+        # x - 2 at cutoff 20 has 19 levels, (x - 2)**2 for x = 2..20
+        poly = aqc.parse_polynomial(X_MINUS_2)
+        evolved = []
+        evolve_levels = aqc.evolve_levels
+        monkeypatch.setattr(aqc, "evolve_levels", lambda *a: (
+            evolved.append(a) or evolve_levels(*a)))
+        run = lambda: aqc.decide(poly, cutoff=20, total_time=0.01, dt=0.001,  # 10 steps
+                                 shots=10, seed=0)
+        monkeypatch.setattr(aqc, "LEVEL_STEP_BUDGET", 19 * 10)
+        assert run().ground_energy == 0
+        monkeypatch.setattr(aqc, "LEVEL_STEP_BUDGET", 19 * 10 - 1)
+        with pytest.raises(ResourceError, match="more than 18 distinct levels"):
+            run()
+        monkeypatch.setattr(aqc, "LEVEL_STEP_BUDGET", 10**8)
+        monkeypatch.setattr(aqc, "LEVEL_BUDGET", 19)
+        assert run().ground_energy == 0
+        monkeypatch.setattr(aqc, "LEVEL_BUDGET", 18)
+        with pytest.raises(ResourceError, match="more than 18 distinct levels"):
+            run()
+        assert len(evolved) == 2
+
+    def test_scan_stops_at_the_first_level_past_its_cap(self, monkeypatch):
+        poly = aqc.parse_polynomial(X_MINUS_2)
+        space = TruncatedFockSpace(1, 20)
+        assert len(aqc.scan_levels(poly, space, max_levels=19).levels) == 19
+        values = aqc._lattice_values
+        scanned = []
+        monkeypatch.setattr(aqc, "_lattice_values", lambda poly, space: (
+            scanned.append(v) or v for v in values(poly, space)))
+        with pytest.raises(ResourceError, match="budget"):
+            aqc.scan_levels(poly, space, max_levels=3)
+        # D = -2, -1, 0, 1, 2 give three levels; D = 3 at x = 5 is the fourth
+        assert scanned == [-2, -1, 0, 1, 2, 3]
+
+    def test_level_step_budget_bounds_the_numpy_evolution(self, monkeypatch):
+        space = TruncatedFockSpace(1, 4)
+        problem = aqc.AdiabaticProblem(space=space, h_problem=np.arange(5.0),
+                                       total_time=1.0, dt=0.1)
+        monkeypatch.setattr(aqc, "LEVEL_STEP_BUDGET", 5 * 10)
+        assert aqc.evolve(problem, aqc.uniform_ket(space)).steps == 10
+        monkeypatch.setattr(aqc, "LEVEL_STEP_BUDGET", 5 * 10 - 1)
+        with pytest.raises(ResourceError, match="5 levels x 10 steps"):
+            aqc.evolve(problem, aqc.uniform_ket(space))
+
     def test_shots_past_the_sampler_range_are_refused(self):
         poly = aqc.parse_polynomial(X_MINUS_2)
         with pytest.raises(DomainError, match="shots"):

@@ -227,6 +227,8 @@ class TestErrors:
         ["aqc", "solve", "{poly}", "--cutoff", "4", "--time", "1e300", "--dt", "1e-300"],
         ["aqc", "solve", "{long}", "--cutoff", "6", "--oracle-only"],
         ["aqc", "solve", "{long}", "--cutoff", "6"],
+        # 19 levels x 10**7 steps
+        ["aqc", "solve", "{poly}", "--cutoff", "20", "--time", "10000", "--dt", "0.001"],
     ], ids=" ".join)
     def test_budgets_are_refused_before_any_work(self, write_json, argv):
         loop = write_json("loop.json", self_loop_doc())
@@ -489,6 +491,42 @@ class TestCosts:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
+
+    def test_each_command_imports_only_its_own_layer(self, tmp_path):
+        machine = tmp_path / "machine.json"
+        machine.write_text(json.dumps(successor_doc()))
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps(X_MINUS_2))
+        script = (
+            "import io, json, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from hyperlab import cli\n"
+            "argv = sys.argv[1].split()\n"
+            "if argv:\n"
+            "    with redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "print(json.dumps(sorted(m.split('.', 1)[1] for m in sys.modules\n"
+            "                        if m.startswith('hyperlab.'))))\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+        def layers(command: str) -> set[str]:
+            done = subprocess.run([sys.executable, "-c", script, command], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            return set(json.loads(done.stdout))
+
+        base = {"cli", "errors", "reporting"}
+        assert layers("") == base
+        assert layers(f"aqc solve {poly} --cutoff 4 --time 5 --dt 0.01 --shots 100") \
+            == base | {"aqc"}
+        assert layers(f"aqc solve {poly} --cutoff 4 --oracle-only") == base | {"aqc"}
+        assert layers("enum list --count 30") == base | {"pairing"}
+        assert "turing" not in layers("zeno time --n 50")
+        assert "turing" not in layers("tae goldbach --horizon 100")
+        loaded = layers(f"tm run {machine} --input 11")
+        assert "turing" in loaded and not loaded & {"tae", "zeno", "limits", "pairing"}
 
     def test_traced_run_memory_is_linear_in_the_report(self, write_json, tmp_path):
         # 2001 snapshots of a 2000-symbol tape: about 8 MB of report text,

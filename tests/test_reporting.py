@@ -1,11 +1,14 @@
 import io
 import json
+import sys
 from collections import OrderedDict
 from enum import IntEnum
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperlab import reporting
 from hyperlab.errors import DomainError
@@ -32,6 +35,24 @@ class TestJson:
         text = reporting.to_json({"n": big, "q": Fraction(1, big)})
         assert text == '{"n":1' + "0" * 4999 + '7,"q":"1/1' + "0" * 4999 + '7"}'
         assert reporting.to_csv([{"n": -big}]).splitlines()[1] == "-1" + "0" * 4999 + "7"
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.one_of(
+        st.binary(min_size=1, max_size=9000).map(lambda b: int.from_bytes(b, "big")),
+        st.integers(4290, 20000).map(lambda k: 10**k - 1),
+        st.integers(4290, 20000).map(lambda k: 10**k),
+        st.integers(14270, 70000).map(lambda k: 2**k),
+    ), negative=st.booleans())
+    @example(n=2**(10**5 + 1) - 1, negative=False)
+    def test_format_int_agrees_with_str_at_every_size(self, n, negative):
+        n = -n if negative else n
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = str(n)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert reporting.format_int(n) == expected
 
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
