@@ -65,6 +65,14 @@ CASES = {
     "aqc-solve-two-mode": ["aqc", "solve", "tests/golden/xy_minus_6.json", "--cutoff", "6",
                            "--time", "10", "--dt", "0.00055", "--shots", "1000", "--seed", "3"],
     "error-enum-decode": ["enum", "decode", "--index", "-1"],
+    # the engine's long loops: thousands of steps, erasures at both ends,
+    # a fuel-bounded zeno run, and the prime-pair stream at 10**5
+    "tm-run-doubling": ["tm", "run", "tests/golden/doubling.json", "--input", "1" * 40],
+    "tm-run-palindrome-reject": ["tm", "run", "tests/golden/palindrome.json",
+                                 "--input", "abbabaababbaababba"],
+    "zeno-halting-out-of-fuel": ["zeno", "halting", "tests/golden/doubling.json",
+                                 "--input", "1" * 40, "--fuel", "1000"],
+    "tae-goldbach-100000": ["tae", "goldbach", "--horizon", "100000"],
 }
 
 
