@@ -3,16 +3,19 @@
 Reports must be byte-reproducible: fields keep their insertion order, floats
 are printed with 17 significant digits, and no locale or hash randomisation
 can leak in. Both writers pick a formatter by a value's exact type from a
-table, else by its nearest base class in the same table; JSON refuses any
-other type and CSV prints it through ``str``. CSV flattens nested keys with
-dots, one record per row. Exact integers and fractions are printed in full
-however many digits they have.
+table, else by its nearest base class in the same table. Any other integral
+type, such as numpy's integers, prints as the int it stands for; JSON refuses
+every remaining type and CSV prints it through ``str``. CSV flattens nested
+keys with dots, one record per row. Exact integers and fractions are printed
+in full however many digits they have.
 """
 
 from __future__ import annotations
 
 import decimal
 import math
+import numbers
+import operator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import IO, Any
@@ -85,13 +88,18 @@ def format_fraction(q: Fraction) -> str:
         return f"{format_int(q.numerator)}/{format_int(q.denominator)}"
 
 
+def _format_integral(value: numbers.Integral) -> str:
+    return format_int(operator.index(value))
+
+
 def _writer(writers: dict, value: Any):
-    """The writer of value's type or of its nearest base class, or None."""
+    """The writer of value's type or of its nearest base class, else the
+    integer writer for an integral value, or None."""
     for cls in type(value).__mro__:
         write = writers.get(cls)
         if write is not None:
             return write
-    return None
+    return _format_integral if isinstance(value, numbers.Integral) else None
 
 
 def _json_dict(value: dict) -> str:

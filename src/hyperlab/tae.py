@@ -14,6 +14,8 @@ one grand success.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -144,17 +146,49 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# `tae goldbach` at the budget: about 0.45 s and 18 MB peak RSS on a 2-vCPU VM
+GOLDBACH_HORIZON_BUDGET = 10**6
+
+
+@functools.cache
+def _odd_primes() -> tuple[bytearray, list[int]]:
+    """Odd-prime flags up to the horizon budget, sieved once per process.
+
+    ``flags[k]`` is 1 exactly when 2k + 1 is prime; the list holds every such
+    k for the primes up to half the budget, the smaller half of a pair.
+    """
+    size = (GOLDBACH_HORIZON_BUDGET + 1) // 2
+    flags = bytearray([1]) * size
+    flags[0] = 0
+    for k in range(1, (math.isqrt(GOLDBACH_HORIZON_BUDGET) + 1) // 2):
+        if flags[k]:
+            p = 2 * k + 1
+            start = p * p // 2
+            flags[start::p] = bytes(len(range(start, size, p)))
+    return flags, list(itertools.compress(range(GOLDBACH_HORIZON_BUDGET // 4 + 1), flags))
+
+
 def has_prime_pair(even: int) -> bool:
-    """True when the even number is a sum of two primes."""
+    """True when the even number is a sum of two primes.
+
+    Reads the sieved flags, so evens past the horizon budget are refused.
+    """
     if even % 2 != 0 or even < 4:
         raise DomainError("prime-pair check is defined for even numbers >= 4")
-    for p in range(2, even // 2 + 1):
-        if is_prime(p) and is_prime(even - p):
+    if even > GOLDBACH_HORIZON_BUDGET:
+        raise ResourceError(
+            f"prime-pair check at {even} is past the budget of {GOLDBACH_HORIZON_BUDGET}")
+    if even == 4:
+        return True  # 2 + 2; every larger even can only split into two odd primes
+    flags, smaller = _odd_primes()
+    j = even // 2 - 1  # p = 2k + 1 leaves even - p = 2(j - k) + 1
+    last = (even - 2) // 4  # p <= even / 2
+    for k in smaller:
+        if k > last:
+            return False
+        if flags[j - k]:
             return True
     return False
-
-
-GOLDBACH_HORIZON_BUDGET = 10**6  # about 20 s of trial division
 
 
 def goldbach_stream(horizon_even: int) -> AnswerStream:

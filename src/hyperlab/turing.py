@@ -6,7 +6,9 @@ in a list-backed :class:`Tape`; a machine may have several tapes, in which
 case one transition reads and writes all heads and moves them in one shared
 direction.
 
-Two hooks extend the one stepping loop that runs and sessions share:
+Each machine compiles its quintuples once into a table ``(state, read) ->
+(state, write, shift)`` that the one stepping loop, shared by runs, sessions
+and :func:`step`, reads. Two hooks extend that loop:
 
 * an oracle: entering the declared ask-state consults an opaque total
   predicate on the unary number written left of the head and resumes in the
@@ -21,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import astuple, dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from .errors import ConfigurationError, DomainError, ResourceError, ValidationError
@@ -61,6 +64,20 @@ class TuringMachine:
     input_states: Optional[InputStates] = None
     oracle: Optional[Callable[[int], bool]] = None
 
+    @cached_property
+    def _table(self) -> dict:
+        """The transitions as the stepping loop reads them, compiled once.
+
+        The key reads tape 0's symbol alone on a one-tape machine, else the
+        tuple of every tape's symbol. The value is ``(dst, write, shift,
+        rest)``: ``write`` is tape 0's new symbol, or None where the rule
+        writes back what it read; ``shift`` is the head move as an int;
+        ``rest`` holds the symbols written on tapes 1 and up.
+        """
+        return {(src, read[0] if self.num_tapes == 1 else read):
+                (dst, None if write[0] == read[0] else write[0], MOVES[move], write[1:])
+                for (src, read), (dst, write, move) in self.transitions.items()}
+
 
 class Tape:
     """One tape, unbounded in both directions, backed by a list.
@@ -76,10 +93,11 @@ class Tape:
     def __init__(self, blank: str, symbols: Iterable[str] = ()):
         """A tape holding ``symbols`` from cell 0 on, blank everywhere else."""
         self.blank = blank
-        self.cells = list(symbols)
+        cells = self.cells = list(symbols)
         self.origin = 0
-        written = [i for i, s in enumerate(self.cells) if s != blank]
-        self.lo, self.hi = (written[0], written[-1]) if written else (0, -1)
+        # found from the two ends, so only blanks at an end are walked
+        self.lo = next((i for i, s in enumerate(cells) if s != blank), 0)
+        self.hi = next((i for i in range(len(cells) - 1, -1, -1) if cells[i] != blank), -1)
 
     def read(self, pos: int) -> str:
         index = pos - self.origin
@@ -325,9 +343,10 @@ def load_machine(doc: dict) -> TuringMachine:
 
 def initial_configuration(machine: TuringMachine, input_symbols: str = "") -> TapeConfiguration:
     """Write the input on tape 0 starting at cell 0; all heads start at 0."""
-    for sym in input_symbols:
-        if sym not in machine.alphabet:
-            raise ValidationError(f"input symbol {sym!r} is outside the alphabet")
+    outside = set(input_symbols) - machine.alphabet
+    if outside:
+        first = next(sym for sym in input_symbols if sym in outside)
+        raise ValidationError(f"input symbol {first!r} is outside the alphabet")
     tapes = (Tape(machine.blank, input_symbols),) + tuple(
         Tape(machine.blank) for _ in range(machine.num_tapes - 1))
     return TapeConfiguration(tapes=tapes, heads=(0,) * machine.num_tapes, state=machine.initial)
@@ -336,31 +355,16 @@ def initial_configuration(machine: TuringMachine, input_symbols: str = "") -> Ta
 # -- stepping ------------------------------------------------------------------
 
 
-def _apply_transition(machine: TuringMachine, config: TapeConfiguration) -> bool:
-    """Advance ``config`` in place by one transition; False when no rule applies."""
-    rule = machine.transitions.get((config.state, config.read()))
-    if rule is None:
-        return False
-    dst, write, move = rule
-    delta = MOVES[move]
-    if machine.one_sided and min(config.heads) + delta < 0:
-        raise DomainError("head moved past the left edge of a one-sided tape")
-    heads = []
-    for tape, head, symbol in zip(config.tapes, config.heads, write):
-        tape.write(head, symbol)
-        heads.append(head + delta)
-    config.heads = tuple(heads)
-    config.state = dst
-    config.steps += 1
-    return True
-
-
 def step(machine: TuringMachine, config: TapeConfiguration) -> TapeConfiguration:
-    """Pure single step: returns the successor configuration, inputs untouched."""
+    """Pure single step: returns the successor configuration, inputs untouched.
+
+    No hook resolves: a configuration in the oracle's ask-state or the
+    input request-state steps by the machine's own rules, if any.
+    """
     if config.state in machine.finals:
         raise AlreadyHaltedError(f"state {config.state!r} is final")
     nxt = config.clone()
-    if not _apply_transition(machine, nxt):
+    if _drive(machine, nxt, nxt.steps + 1)[0] is OutcomeKind.STUCK:
         raise TransitionMissing(config.state, config.read())
     return nxt
 
@@ -374,43 +378,114 @@ def attach_oracle(machine: TuringMachine, oracle: Callable[[int], bool]) -> Turi
 
 
 def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
+           oracle: Optional[Callable[[int], bool]] = None,
            queue: Optional[deque[str]] = None, snapshots: Optional[list[TraceSnapshot]] = None,
            trace_cap: int = DEFAULT_TRACE_CAP) -> tuple[Optional[OutcomeKind], int]:
     """Step ``config`` in place until it halts, sticks, reaches ``fuel`` steps or waits.
 
-    Before each step the hooks resolve at no fuel cost: an attached oracle
+    Before each step the hooks resolve at no fuel cost: a given oracle
     answers the ask-state, then, only when a queue is given, the request-state
     takes the oldest queued symbol or the drive returns ``None`` (waiting on
     input). Returns the outcome kind and the number of oracle consultations.
+
+    The inner loop steps on the compiled table with the head, the state, the
+    step count and tape 0's layout in locals, doing :meth:`Tape.write`'s
+    bookkeeping inline. It leaves, writing them back to ``config``, before
+    anything that reads the configuration: a hook, a trace snapshot, the end.
     """
     if fuel - config.steps > FUEL_BUDGET:
         raise ResourceError(
             f"fuel of {fuel - config.steps} steps is past the budget of {FUEL_BUDGET}")
     finals = machine.finals
     ask = yes = no = request = resume = None
-    if machine.oracle is not None and machine.oracle_states is not None:
+    if oracle is not None and machine.oracle_states is not None:
         ask, yes, no = astuple(machine.oracle_states)
     if queue is not None:
         request, resume = astuple(machine.input_states)
+    stops = finals.union(s for s in (ask, request) if s is not None)
+    table, one_sided = machine._table, machine.one_sided
+    tape = config.tapes[0]
+    blank, cells = tape.blank, tape.cells
+    # every head moves by the same shift, so the others keep their offsets
+    # from head 0, and a one-sided machine's lowest head stays at or right of
+    # cell 0 exactly when head 0 stays at or right of ``floor``
+    offsets = [h - config.heads[0] for h in config.heads[1:]]
+    others_at = list(zip(config.tapes[1:], offsets))
+    floor = -min([0, *offsets])
+    trace_left = max(0, trace_cap - len(snapshots)) if snapshots is not None else 0
     consultations = 0
     while True:
         if config.state == ask:
-            answer = machine.oracle(config.tapes[0].marks_left_of(config.heads[0]))
+            answer = oracle(tape.marks_left_of(config.heads[0]))
             config.state = yes if answer else no
             consultations += 1
         if config.state == request:
             if not queue:
                 return None, consultations
-            config.tapes[0].write(config.heads[0], queue.popleft())
+            tape.write(config.heads[0], queue.popleft())
             config.state = resume
         if config.state in finals:
             return OutcomeKind.HALTED, consultations
         if config.steps >= fuel:
             return OutcomeKind.OUT_OF_FUEL, consultations
-        if not _apply_transition(machine, config):
-            return OutcomeKind.STUCK, consultations
-        if snapshots is not None and len(snapshots) < trace_cap:
+        origin, lo, hi, size = tape.origin, tape.lo, tape.hi, len(cells)
+        head, state, steps = config.heads[0], config.state, config.steps
+        try:
+            while True:
+                i = head - origin
+                key = cells[i] if 0 <= i < size else blank
+                if others_at:
+                    key = (key, *[t.read(head + off) for t, off in others_at])
+                rule = table.get((state, key))
+                if rule is None:
+                    return OutcomeKind.STUCK, consultations
+                dst, write, shift, rest = rule
+                if one_sided and head + shift < floor:
+                    raise DomainError("head moved past the left edge of a one-sided tape")
+                if write is None:
+                    pass  # the rule writes back what it read
+                elif lo <= head <= hi:
+                    cells[i] = write
+                    if write == blank:
+                        if head == lo:
+                            while lo <= hi and cells[lo - origin] == blank:
+                                lo += 1
+                        elif head == hi:
+                            while cells[hi - origin] == blank:
+                                hi -= 1
+                elif write != blank:
+                    if i < 0:
+                        grow = max(-i, size)
+                        cells[:0] = [blank] * grow
+                        origin -= grow
+                        i += grow
+                        size += grow
+                    elif i >= size:
+                        grow = max(i + 1 - size, size)
+                        cells.extend([blank] * grow)
+                        size += grow
+                    cells[i] = write
+                    if lo > hi:
+                        lo = hi = head
+                    elif head < lo:
+                        lo = head
+                    else:
+                        hi = head
+                if rest:
+                    for (t, off), symbol in zip(others_at, rest):
+                        t.write(head + off, symbol)
+                head += shift
+                state = dst
+                steps += 1
+                if state in stops or steps >= fuel or trace_left:
+                    break
+        finally:
+            tape.origin, tape.lo, tape.hi = origin, lo, hi
+            config.heads = (head, *[head + off for off in offsets])
+            config.state, config.steps = state, steps
+        if trace_left:
             snapshots.append(_snapshot(config))
+            trace_left -= 1
 
 
 def run(
@@ -430,7 +505,8 @@ def run(
         raise DomainError("fuel must be a positive integer")
     config = initial_configuration(machine, input_symbols)
     snapshots = [_snapshot(config)] if trace else None
-    kind, consultations = _drive(machine, config, fuel, snapshots=snapshots, trace_cap=trace_cap)
+    kind, consultations = _drive(machine, config, fuel, machine.oracle, snapshots=snapshots,
+                                 trace_cap=trace_cap)
     return RunOutcome(kind, config, consultations, snapshots)
 
 
@@ -491,7 +567,8 @@ class CoupledSession:
         """Step until waiting on input, halting, sticking, or exhausting max_steps."""
         if self.status in (SessionStatus.HALTED, SessionStatus.STUCK):
             return self.status
-        kind, _ = _drive(self.machine, self.config, self.config.steps + max_steps, self.queue)
+        kind, _ = _drive(self.machine, self.config, self.config.steps + max_steps,
+                         self.machine.oracle, self.queue)
         self.status = _SESSION_STATUS[kind]
         return self.status
 

@@ -77,12 +77,14 @@ class _Text(str):
 
 class TestTypeTable:
     """Exact types take the table; subclasses and unknown types keep the
-    isinstance rules, so each line below prints as it always did."""
+    isinstance rules, so each line below prints as it always did, except that
+    JSON prints numpy integers, through format_int as CSV does."""
 
     @pytest.mark.parametrize("value, text", [
         (True, "true"), (False, "false"), (None, "null"), (3, "3"), (-0.0, "-0"),
         (_Level.LOW, reporting.format_int(_Level.LOW)),
         (np.float64(0.1), "0.10000000000000001"),
+        (np.int64(3), "3"), (np.uint64(2**64 - 1), "18446744073709551615"),
         (_Text('say "hi"'), '"say \\"hi\\""'),
         ("é", '"\\u00e9"'),
         (OrderedDict([("b", 1), ("a", [2])]), '{"b":1,"a":[2]}'),
@@ -91,14 +93,16 @@ class TestTypeTable:
     def test_json(self, value, text):
         assert reporting.to_json(value) == text
 
-    @pytest.mark.parametrize("value", [np.int64(3), {1, 2}, b"x", complex(1, 1)], ids=repr)
+    @pytest.mark.parametrize("value", [np.bool_(True), {1, 2}, b"x", complex(1, 1)], ids=repr)
     def test_json_rejects_what_it_always_rejected(self, value):
         with pytest.raises(DomainError, match="cannot serialise"):
             reporting.to_json({"x": value})
 
     @pytest.mark.parametrize("value, cell", [
         (True, "True"), (None, ""), (_Level.LOW, str(_Level.LOW)),
-        (np.float64(0.5), "0.5"), (np.int64(3), "3"), (Fraction(-3, 4), "-3/4"),
+        (np.float64(0.5), "0.5"), (np.int64(3), "3"),
+        (np.uint64(2**64 - 1), "18446744073709551615"), (np.bool_(True), "True"),
+        (Fraction(-3, 4), "-3/4"),
         ({"a": 1}, "{'a': 1}"),
     ], ids=repr)
     def test_csv_cells(self, value, cell):

@@ -26,6 +26,10 @@ def sieve(limit: int) -> list[bool]:
     return flags
 
 
+def _pair_by_trial_division(even: int) -> bool:
+    return any(tae.is_prime(p) and tae.is_prime(even - p) for p in range(2, even // 2 + 1))
+
+
 class TestLimitPredicates:
     def test_threshold_kernel(self):
         pred = LimitPredicate(kernel=lambda x, y: 1 if y >= x else 0, arity=1)
@@ -133,6 +137,19 @@ class TestGoldbachStream:
             tae.goldbach_stream(tae.GOLDBACH_HORIZON_BUDGET + 2)
         assert examined == []
         assert tae.goldbach_stream(tae.GOLDBACH_HORIZON_BUDGET).final_verdict is True
+
+    def test_sieved_pairs_agree_with_trial_division_for_every_even_to_4000(self):
+        for even in range(4, 4001, 2):
+            assert tae.has_prime_pair(even) is _pair_by_trial_division(even)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, tae.GOLDBACH_HORIZON_BUDGET // 2))
+    def test_sieved_pairs_agree_with_trial_division_up_to_the_budget(self, half):
+        assert tae.has_prime_pair(2 * half) is _pair_by_trial_division(2 * half)
+
+    def test_pair_check_past_the_budget_is_refused(self):
+        with pytest.raises(ResourceError, match="budget"):
+            tae.has_prime_pair(tae.GOLDBACH_HORIZON_BUDGET + 2)
 
     def test_primality_by_trial_division(self):
         flags = sieve(2000)

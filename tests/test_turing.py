@@ -1,4 +1,5 @@
-from dataclasses import replace
+from collections import deque
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -335,6 +336,185 @@ class TestTape:
         assert tape.text() == "a"
         twin.write(-3, "c.")
         assert tape.text() == "a" and twin.text() == "c." + _BLANK * 2 + "bb"
+
+
+# -- an independent reference stepper ---------------------------------------------
+
+
+@dataclass
+class _Reference:
+    """A machine run by hand: each tape a dict of its non-blank cells."""
+
+    tapes: list[dict]
+    state: str
+    head: int = 0
+    steps: int = 0
+    asked: int = 0
+
+
+def _listed(value) -> list:
+    return [value] if isinstance(value, str) else list(value)
+
+
+def _reference_drive(doc, ref, fuel, oracle=None, queue=None, trace=None):
+    """Step ``ref`` by the document's raw rules, as the engine's hooks and
+    budget say; the outcome kind, or None when waiting on input."""
+    blank, moves = doc["blank"], {"l": -1, "n": 0, "r": 1}
+    rules = {(r["from"], tuple(_listed(r["read"]))): r for r in doc["transitions"]}
+
+    def put(tape, symbol):
+        if symbol == blank:
+            tape.pop(ref.head, None)
+        else:
+            tape[ref.head] = symbol
+
+    while True:
+        if oracle is not None and ref.state == doc["oracle_states"]["ask"]:
+            marks = sum(p < ref.head for p in ref.tapes[0])
+            ref.state = doc["oracle_states"]["yes" if oracle(marks) else "no"]
+            ref.asked += 1
+        if queue is not None and ref.state == doc["input_states"]["request"]:
+            if not queue:
+                return None
+            put(ref.tapes[0], queue.popleft())
+            ref.state = doc["input_states"]["resume"]
+        if ref.state in doc["finals"]:
+            return OutcomeKind.HALTED
+        if ref.steps >= fuel:
+            return OutcomeKind.OUT_OF_FUEL
+        rule = rules.get((ref.state, tuple(t.get(ref.head, blank) for t in ref.tapes)))
+        if rule is None:
+            return OutcomeKind.STUCK
+        if doc.get("one_sided") and ref.head + moves[rule["move"]] < 0:
+            raise DomainError("head moved past the left edge of a one-sided tape")
+        for tape, symbol in zip(ref.tapes, _listed(rule["write"])):
+            put(tape, symbol)
+        ref.head, ref.state = ref.head + moves[rule["move"]], rule["to"]
+        ref.steps += 1
+        if trace is not None:
+            trace.append(_reference_view(doc, ref)[:4])
+
+
+def _reference_start(doc, text="") -> _Reference:
+    tapes = [{p: s for p, s in enumerate(text) if s != doc["blank"]}]
+    return _Reference(tapes + [{} for _ in range(doc.get("tapes", 1) - 1)], doc["initial"])
+
+
+def _reference_view(doc, ref):
+    """State, head, steps, each tape's text, each tape's non-blank extent."""
+    texts = tuple("".join(t.get(p, doc["blank"]) for p in range(min(t), max(t) + 1))
+                  if t else "" for t in ref.tapes)
+    extents = tuple((min(t), max(t)) if t else None for t in ref.tapes)
+    return ref.state, ref.head, ref.steps, texts, extents
+
+
+def _engine_view(config):
+    assert config.heads == (config.heads[0],) * len(config.tapes)  # one shared move
+    texts = tuple(t.text() for t in config.tapes)
+    extents = tuple((t.lo, t.hi) if t.lo <= t.hi else None for t in config.tapes)
+    return config.state, config.heads[0], config.steps, texts, extents
+
+
+@st.composite
+def _hooked_docs(draw):
+    """Raw documents of random 1- or 2-tape machines over _WIDE_SYMBOLS, with
+    an oracle ask-state and an input request-state, one-sided or not."""
+    tapes = draw(st.integers(1, 2))
+    states = ["s0", "s1", "s2", "ask", "req", "halt"]
+    reads = [(a,) if tapes == 1 else (a, b)
+             for a in _WIDE_SYMBOLS for b in _WIDE_SYMBOLS[:2 if tapes == 2 else 1]]
+    transitions = [
+        {"from": state, "read": list(read), "to": draw(st.sampled_from(states)),
+         "write": [draw(st.sampled_from(_WIDE_SYMBOLS)) for _ in range(tapes)],
+         "move": draw(st.sampled_from("lnr"))}
+        for state in states[:3] for read in reads if draw(st.booleans()) or read[0] == ".."]
+    yes, no = draw(st.permutations(["s0", "s1", "s2", "halt"]))[:2]
+    return {"blank": "..", "alphabet": _WIDE_SYMBOLS, "states": states, "tapes": tapes,
+            "initial": "s0", "finals": ["halt"], "transitions": transitions,
+            "one_sided": draw(st.booleans()),
+            "oracle_states": {"ask": "ask", "yes": yes, "no": no},
+            "input_states": {"request": "req", "resume": draw(st.sampled_from(states[:3]))}}
+
+
+def _parity(n: int) -> bool:
+    return n % 2 == 0
+
+
+class TestAgainstTheReference:
+    """run(), step() and sessions against _reference_drive, which shares no
+    code with the engine: not the compiled table, not the Tape."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_hooked_docs(), st.text(alphabet="a", max_size=6), st.integers(1, 80),
+           st.integers(0, 6), st.booleans())
+    def test_run_and_its_trace(self, doc, text, fuel, cap, with_oracle):
+        machine = turing.load_machine(doc)
+        oracle = _parity if with_oracle else None
+        if with_oracle:
+            machine = turing.attach_oracle(machine, oracle)
+        ref, trace = _reference_start(doc, text), []
+        try:
+            kind = _reference_drive(doc, ref, fuel, oracle, trace=trace)
+        except DomainError:
+            with pytest.raises(DomainError, match="one-sided"):
+                turing.run(machine, text, fuel=fuel, trace=True, trace_cap=cap)
+            return
+        outcome = turing.run(machine, text, fuel=fuel, trace=True, trace_cap=cap)
+        assert outcome.kind is kind
+        assert outcome.oracle_consultations == ref.asked
+        assert _engine_view(outcome.config) == _reference_view(doc, ref)
+        # the first snapshot, of the starting configuration, is kept at any cap
+        expected = ([_reference_view(doc, _reference_start(doc, text))[:4]] + trace)[:max(cap, 1)]
+        assert [(s.state, s.heads[0], s.steps, s.texts) for s in outcome.trace] == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(_hooked_docs(), st.text(alphabet="a", max_size=6), st.integers(1, 40))
+    def test_folded_steps_resolve_no_hook(self, doc, text, fuel):
+        machine = turing.attach_oracle(turing.load_machine(doc), _parity)
+        ref = _reference_start(doc, text)
+        try:
+            _reference_drive(doc, ref, fuel)
+        except DomainError:
+            ref = None
+        config = turing.initial_configuration(machine, text)
+        try:
+            while config.state not in machine.finals and config.steps < fuel:
+                config = turing.step(machine, config)
+        except turing.TransitionMissing:
+            pass
+        except DomainError:
+            assert ref is None
+            return
+        assert _engine_view(config) == _reference_view(doc, ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_hooked_docs(), st.booleans(),
+           st.lists(st.tuples(st.lists(st.sampled_from(_WIDE_SYMBOLS), max_size=3),
+                              st.integers(1, 15)), min_size=1, max_size=6))
+    def test_session_fed_in_chunks(self, doc, with_oracle, chunks):
+        machine = turing.load_machine(doc)
+        oracle = _parity if with_oracle else None
+        if with_oracle:
+            machine = turing.attach_oracle(machine, oracle)
+        session, ref, queue = turing.open_session(machine), _reference_start(doc), deque()
+        status = {None: SessionStatus.WAITING, OutcomeKind.OUT_OF_FUEL: SessionStatus.RUNNING,
+                  OutcomeKind.HALTED: SessionStatus.HALTED, OutcomeKind.STUCK: SessionStatus.STUCK}
+        for symbols, max_steps in chunks:
+            for symbol in symbols:
+                session.feed(symbol)
+            queue.extend(symbols)
+            try:
+                kind = _reference_drive(doc, ref, ref.steps + max_steps, oracle, queue)
+            except DomainError:
+                with pytest.raises(DomainError, match="one-sided"):
+                    session.advance(max_steps)
+                assert _engine_view(session.config) == _reference_view(doc, ref)
+                return
+            assert session.advance(max_steps) is status[kind]
+            assert _engine_view(session.config) == _reference_view(doc, ref)
+            assert list(session.queue) == list(queue)
+            if kind in (OutcomeKind.HALTED, OutcomeKind.STUCK):
+                return
 
 
 class TestOracle:
