@@ -28,6 +28,32 @@ def test_overlap_sweep_runs_and_trends_upward():
     assert overlaps[1] > overlaps[0]
 
 
+# the sweep of x - 2 at cutoff 4, dt = 0.01, as recorded before the script moved
+# onto the level path: (T, ground overlap, norm drift, steps)
+OVERLAP_SWEEP_X_MINUS_2 = [
+    (1, 0.22980919326586657, 4.4408920985006262e-16, 100),
+    (5, 0.49405152036401379, 2.4424906541753444e-15, 500),
+    (25, 0.99158021915623484, 2.4424906541753444e-15, 2500),
+    (125, 0.99982138413013222, 4.6629367034256575e-15, 12500),
+]
+
+
+def test_overlap_sweep_keeps_its_recorded_rows():
+    proc = run_script("overlap_sweep.py", "fixtures/x_minus_2.json", "--cutoff", "4",
+                      "--times", "1", "5", "25", "125", "--dt", "0.01")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert {k: v for k, v in report.items() if k != "sweep"} == {
+        "cutoff": 4, "dt": 0.01, "exact_ground_energy": 0, "exact_minimizers": [[2]]}
+    assert len(report["sweep"]) == len(OVERLAP_SWEEP_X_MINUS_2)
+    for row, (total_time, overlap, drift, steps) in zip(report["sweep"],
+                                                        OVERLAP_SWEEP_X_MINUS_2):
+        assert set(row) == {"total_time", "ground_overlap", "norm_drift", "steps"}
+        assert row["total_time"] == total_time and row["steps"] == steps
+        assert abs(row["ground_overlap"] - overlap) <= 1e-12
+        assert abs(row["norm_drift"] - drift) <= 1e-14
+
+
 def test_overlap_sweep_sums_a_degenerate_ground_level(tmp_path):
     # x**2 - 3x + 2 = (x - 1)(x - 2) vanishes at both 1 and 2
     doc = tmp_path / "two_roots.json"
