@@ -4,9 +4,9 @@
 For a slow enough schedule the final state should concentrate on the problem
 operator's ground level; this script makes that trend visible for any small
 polynomial document. The overlap is the summed population of every lattice
-point where D**2 is minimal, so a degenerate ground level counts whole. A
-failure, such as a lattice past the budget, exits 1 with the CLI's JSON error
-on stderr.
+point where D**2 is minimal, so a degenerate ground level counts whole. The
+evolution keeps one amplitude per level and needs no numpy. A failure, such
+as a lattice past the budget, exits 1 with the CLI's JSON error on stderr.
 
     python3 scripts/overlap_sweep.py fixtures/x_minus_2.json --cutoff 4 \
         --times 1 5 25 125 --dt 0.01
@@ -15,8 +15,6 @@ on stderr.
 import argparse
 import json
 import sys
-
-import numpy as np
 
 from hyperlab import aqc
 from hyperlab.cli import report_errors
@@ -37,21 +35,17 @@ def main() -> int:
 def sweep(args) -> None:
     with open(args.polynomial, encoding="utf-8") as fh:
         poly = aqc.parse_polynomial(json.load(fh))
-    space = aqc.TruncatedFockSpace(poly.num_vars, args.cutoff)
-    h_p = aqc.build_problem_hamiltonian(poly, space)
-    start = aqc.uniform_ket(space)
+    scan = aqc.scan_levels(poly, aqc.TruncatedFockSpace(poly.num_vars, args.cutoff))
     energy, winners = aqc.exact_ground_oracle(poly, args.cutoff)
-    ground = [space.index_of(w) for w in winners]
 
     rows = []
     for total_time in args.times:
-        problem = aqc.AdiabaticProblem(
-            space=space, h_problem=h_p, total_time=total_time, dt=args.dt)
-        result = aqc.evolve(problem, start)
-        overlap = float(np.sum(np.abs(result.state[ground]) ** 2))
+        result = aqc.evolve_from_uniform(scan, total_time, args.dt)
+        populations = [abs(c) ** 2 for c in result.amplitudes]
         rows.append({
             "total_time": total_time,
-            "ground_overlap": overlap,
+            # level 0 holds exactly the minimisers
+            "ground_overlap": populations[0] / sum(populations),
             "norm_drift": result.norm_drift,
             "steps": result.steps,
         })

@@ -18,10 +18,7 @@ An exact integer scan of the truncated lattice serves as the oracle for
 every quantum-path result. `decide` scans once and groups the points by the
 distinct values of D**2 (the levels): from the uniform start the state stays
 constant on each level, so it propagates one amplitude per level and samples
-levels, then points within them, all in the standard library. The
-numpy-facing functions (`uniform_ket`, `build_problem_hamiltonian`,
-`AdiabaticProblem`, `evolve`, `measure_sample`) import numpy when called and
-run on the same scan, propagator and sampler.
+levels, then points within them, all in the standard library.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     DomainError,
@@ -44,9 +41,6 @@ from .errors import (
     StabilityError,
     ValidationError,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 LATTICE_BUDGET = 10**7
 VALUE_BITS_BUDGET = 4096
@@ -317,29 +311,6 @@ def _float_levels(levels: Sequence[int]) -> list[float]:
 # space's uniform ket and p = D(n)**2; neither operator is ever a d x d array.
 
 
-def uniform_ket(space: TruncatedFockSpace) -> np.ndarray:
-    """The uniform superposition u as a column vector: the unique ground state
-    of the start operator I - |u><u| (energy 0; every other eigenvalue is 1)."""
-    import numpy as np
-
-    return np.full((space.dimension, 1), 1.0 / math.sqrt(space.dimension),
-                   dtype=np.complex128)
-
-
-def build_problem_hamiltonian(
-    poly: DiophantinePolynomial, space: TruncatedFockSpace
-) -> np.ndarray:
-    """Diagonal operator with entry D(n1..nk)**2 at each occupation tuple.
-
-    Returned as its real diagonal (a length-d array); ``np.diag`` of it is
-    the matrix. The lattice and value budgets are checked before the scan.
-    """
-    import numpy as np
-
-    scan = scan_levels(poly, space)
-    return np.array(_float_levels(scan.levels))[np.asarray(scan.level_of)]
-
-
 def _check_schedule(total_time: float, dt: float) -> None:
     """Refuse a schedule that is not finite, or whose step count is past the budget."""
     if not (0 <= total_time < math.inf and 0 < dt < math.inf):
@@ -353,40 +324,10 @@ def _step_count(total_time: float, dt: float) -> int:
     return max(1, math.ceil(total_time / dt))
 
 
-@dataclass(frozen=True)
-class AdiabaticProblem:
-    """H(s) = (1 - s)(I - |u><u|) + s * diag(h_problem), u the space's uniform ket.
-
-    h_problem is a real 1-D diagonal of the space's dimension; any other shape
-    is a :class:`ShapeError` and a complex diagonal, which is not Hermitian, a
-    :class:`DomainError`, as is a time or step that is not finite; a schedule
-    of more than STEP_BUDGET steps is a :class:`ResourceError`.
-    """
-
-    space: TruncatedFockSpace
-    h_problem: np.ndarray
-    total_time: float
-    dt: float
-
-    def __post_init__(self):
-        import numpy as np
-
-        _check_schedule(self.total_time, self.dt)
-        if self.h_problem.shape != (self.space.dimension,):
-            raise ShapeError("the problem diagonal must match the space dimension")
-        if not np.isrealobj(self.h_problem):
-            raise DomainError("a diagonal Hamiltonian must be real to be Hermitian")
-
-
 def _norm_bound(levels: Sequence[float], dimension: int) -> float:
     """max||H(s)|| over the schedule (convexity): the larger of max|p| and
     ||I - |u><u|||, which is 1, or 0 when d = 1."""
     return max(float(dimension > 1), max(map(abs, levels)))
-
-
-def spectral_norm_bound(problem: AdiabaticProblem) -> float:
-    """Upper bound on ||H(s)|| over the whole schedule, as the guard of evolve uses it."""
-    return _norm_bound(problem.h_problem.tolist(), problem.space.dimension)
 
 
 # -- propagation --------------------------------------------------------------------
@@ -423,10 +364,14 @@ def evolve_levels(
     is exactly unitary and the scheme is second order in dt, so the guard
     dt * max||H|| <= STABILITY_LIMIT, with the norm of the whole d-point
     operator, bounds the splitting error. More than LEVEL_STEP_BUDGET
-    levels x steps is a :class:`ResourceError` before the first step.
-    Returns the final coefficients, unnormalised, with the drift of their
-    norm.
+    levels x steps is a :class:`ResourceError` before the first step; the
+    schedule is checked as :func:`decide` checks it, and three sequences of
+    unequal length are a :class:`ShapeError`. Returns the final
+    coefficients, unnormalised, with the drift of their norm.
     """
+    _check_schedule(total_time, dt)
+    if not len(levels) == len(multiplicities) == len(amplitudes):
+        raise ShapeError("levels, multiplicities and amplitudes must have one entry per level")
     d = sum(multiplicities)
     c = list(amplitudes)
     if total_time == 0.0:
@@ -465,50 +410,15 @@ def evolve_levels(
     return LevelEvolution(amplitudes=c, norm_drift=abs(final_norm - start_norm), steps=steps)
 
 
-@dataclass(frozen=True)
-class EvolveResult:
-    state: np.ndarray
-    norm_drift: float
-    steps: int
+def evolve_from_uniform(scan: LevelScan, total_time: float, dt: float) -> LevelEvolution:
+    """Evolve the uniform superposition over the scanned lattice by :func:`evolve_levels`.
 
-
-def evolve(problem: AdiabaticProblem, psi0: np.ndarray) -> EvolveResult:
-    """Integrate i dpsi/dt = H(t/T) psi from 0 to T by Strang splitting.
-
-    The points are grouped by their value of h_problem. The part of psi0 that
-    is constant on every group evolves by :func:`evolve_levels`; the rest has
-    zero sum on every group, so the start factor is e^{-ia} on it and the
-    problem factor a phase per group, and over the whole schedule it gains
-    exactly exp(-i T/2 (1 + p_j)) on group j. The drift of the final norm
-    from 1 is returned with the renormalised state.
+    Its coefficient on level j is sqrt(m_j / d), and the state stays
+    constant on every level, so the point amplitudes are c_j / sqrt(m_j).
     """
-    import numpy as np
-
-    from . import linalg
-
-    psi = linalg.ket(psi0).astype(np.complex128)
-    if psi.shape[0] != problem.space.dimension:
-        raise ShapeError("initial state dimension does not match the space")
-    nrm = linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-9:
-        raise DomainError(f"initial state must be normalised, got norm {nrm}")
-    if problem.total_time == 0.0:
-        return EvolveResult(state=psi.copy(), norm_drift=0.0, steps=0)
-
-    v = psi.reshape(-1)
-    values, group, sizes = np.unique(problem.h_problem, return_inverse=True,
-                                     return_counts=True)
-    sums = np.bincount(group, v.real) + 1j * np.bincount(group, v.imag)
-    remainder = v - (sums / sizes)[group]
-    reduced = evolve_levels(values.tolist(), sizes.tolist(), (sums / np.sqrt(sizes)).tolist(),
-                            problem.total_time, problem.dt)
-    phases = np.exp(-0.5j * problem.total_time * (1.0 + values))
-    v = (np.array(reduced.amplitudes) / np.sqrt(sizes))[group] + phases[group] * remainder
-
-    final_norm = linalg.norm(v)
-    drift = abs(final_norm - 1.0)
-    return EvolveResult(state=(v / final_norm).reshape(-1, 1), norm_drift=drift,
-                        steps=reduced.steps)
+    d = scan.space.dimension
+    return evolve_levels(_float_levels(scan.levels), scan.multiplicities,
+                         [math.sqrt(m / d) for m in scan.multiplicities], total_time, dt)
 
 
 # -- measurement --------------------------------------------------------------------
@@ -607,24 +517,6 @@ def _check_shots(shots: int) -> None:
         raise DomainError(f"shots must lie in 1..{MAX_SHOTS}")
 
 
-def measure_sample(
-    psi: np.ndarray, space: TruncatedFockSpace, shots: int, seed: int
-) -> dict[tuple[int, ...], int]:
-    """Sample occupation tuples from |amplitude|**2, deterministically per seed."""
-    _check_shots(shots)
-    from . import linalg
-
-    state = linalg.ket(psi)
-    if state.shape[0] != space.dimension:
-        raise ShapeError("state dimension does not match the space")
-    nrm = linalg.norm(state)
-    if not abs(nrm - 1.0) <= 1e-6:
-        raise DomainError(f"state must be normalised, got norm {nrm}")
-    weights = (abs(state.reshape(-1)) ** 2).tolist()
-    counts = _multinomial(random.Random(seed), shots, weights)
-    return {space.occupation_of(i): c for i, c in counts.items()}
-
-
 def sample_levels(
     scan: LevelScan, populations: Sequence[float], shots: int, seed: int
 ) -> dict[tuple[int, ...], int]:
@@ -715,9 +607,7 @@ def decide(
     space = TruncatedFockSpace(poly.num_vars, cutoff)
     scan = scan_levels(poly, space,
                        min(LEVEL_BUDGET, LEVEL_STEP_BUDGET // _step_count(total_time, dt)))
-    d = space.dimension
-    evolved = evolve_levels(_float_levels(scan.levels), scan.multiplicities,
-                            [math.sqrt(m / d) for m in scan.multiplicities], total_time, dt)
+    evolved = evolve_from_uniform(scan, total_time, dt)
     samples = sample_levels(scan, [abs(x) ** 2 for x in evolved.amplitudes], shots, seed)
 
     candidate = max(samples.items(), key=lambda kv: (kv[1], tuple(-x for x in kv[0])))[0]

@@ -33,6 +33,12 @@ MOVES = {"l": -1, "n": 0, "r": 1}
 DEFAULT_FUEL = 10**6
 DEFAULT_TRACE_CAP = 10**4
 FUEL_BUDGET = 10**7  # steps one drive may take; refused up front beyond this
+# characters of tape text one drive may reach, (extent + fuel) x the longest
+# symbol on each tape; refused up front beyond this
+TAPE_TEXT_BUDGET = 5 * 10**7
+# characters of tape text the snapshots of one traced run may keep; counted as
+# they are taken, since a snapshot's text is not known before the run reaches it
+TRACE_TEXT_BUDGET = 5 * 10**7
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,11 @@ class TuringMachine:
         return {(src, read[0] if self.num_tapes == 1 else read):
                 (dst, None if write[0] == read[0] else write[0], MOVES[move], write[1:])
                 for (src, read), (dst, write, move) in self.transitions.items()}
+
+    @cached_property
+    def _longest_symbol(self) -> int:
+        """The length of the longest symbol a cell may hold (the blank is in the alphabet)."""
+        return max(map(len, self.alphabet))
 
 
 class Tape:
@@ -392,10 +403,22 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
     step count and tape 0's layout in locals, doing :meth:`Tape.write`'s
     bookkeeping inline. It leaves, writing them back to ``config``, before
     anything that reads the configuration: a hook, a trace snapshot, the end.
+
+    Fuel past FUEL_BUDGET, or tapes whose text could grow past
+    TAPE_TEXT_BUDGET characters within it, are a :class:`ResourceError`
+    before the first step; snapshots whose texts together pass
+    TRACE_TEXT_BUDGET characters are one before the first snapshot past it.
     """
-    if fuel - config.steps > FUEL_BUDGET:
+    remaining = fuel - config.steps
+    if remaining > FUEL_BUDGET:
+        raise ResourceError(f"fuel of {remaining} steps is past the budget of {FUEL_BUDGET}")
+    # each step adds at most one cell to each tape
+    reach = sum(max(0, t.hi - t.lo + 1) + remaining for t in config.tapes)
+    if reach * machine._longest_symbol > TAPE_TEXT_BUDGET:
         raise ResourceError(
-            f"fuel of {fuel - config.steps} steps is past the budget of {FUEL_BUDGET}")
+            f"{reach} cells of symbols up to {machine._longest_symbol} characters long may "
+            f"hold {reach * machine._longest_symbol} characters of tape text, past the "
+            f"budget of {TAPE_TEXT_BUDGET}")
     finals = machine.finals
     ask = yes = no = request = resume = None
     if oracle is not None and machine.oracle_states is not None:
@@ -413,6 +436,7 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
     others_at = list(zip(config.tapes[1:], offsets))
     floor = -min([0, *offsets])
     trace_left = max(0, trace_cap - len(snapshots)) if snapshots is not None else 0
+    kept = sum(len(text) for snap in snapshots for text in snap.texts) if trace_left else 0
     consultations = 0
     while True:
         if config.state == ask:
@@ -484,7 +508,13 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
             config.heads = (head, *[head + off for off in offsets])
             config.state, config.steps = state, steps
         if trace_left:
-            snapshots.append(_snapshot(config))
+            snapshot = _snapshot(config)
+            kept += sum(map(len, snapshot.texts))
+            if kept > TRACE_TEXT_BUDGET:
+                raise ResourceError(
+                    f"trace snapshots would keep {kept} characters of tape text, past the "
+                    f"budget of {TRACE_TEXT_BUDGET}")
+            snapshots.append(snapshot)
             trace_left -= 1
 
 

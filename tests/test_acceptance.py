@@ -40,15 +40,15 @@ _DRIFTS: list[float] = []
 def _evolve_x_minus_2(total_time: float, dt: float = 0.01):
     poly = aqc.parse_polynomial({"vars": 1, "terms": [[1, [1]], [-2, [0]]]})
     space = TruncatedFockSpace(1, 4)
-    h_p = aqc.build_problem_hamiltonian(poly, space)
-    problem = aqc.AdiabaticProblem(
-        space=space, h_problem=h_p, total_time=total_time, dt=dt)
-    result = aqc.evolve(problem, aqc.uniform_ket(space))
+    scan = aqc.scan_levels(poly, space)
+    result = aqc.evolve_from_uniform(scan, total_time, dt)
     _DRIFTS.append(result.norm_drift)
-    # summed population of every minimiser, as scripts/overlap_sweep.py reports
+    # summed population of every minimiser, found by the exact oracle; the
+    # state is c_j / sqrt(m_j) at each point of level j
+    populations = [abs(result.amplitudes[j]) ** 2 / scan.multiplicities[j]
+                   for j in scan.level_of]
     _, winners = aqc.exact_ground_oracle(poly, space.cutoff)
-    ground = [space.index_of(w) for w in winners]
-    overlap = float(np.sum(np.abs(result.state[ground]) ** 2))
+    overlap = sum(populations[space.index_of(w)] for w in winners) / sum(populations)
     return result, overlap
 
 
@@ -136,16 +136,16 @@ def test_criterion_06_norm_conservation_and_phases():
         # every level equal to c: all H(s) commute, so psi evolves exactly to
         # e^{-icT/2} (e^{-iT/2} (psi - m) + m), m the mean amplitude of psi
         c, total_time = 3.0, 1.0
-        problem = aqc.AdiabaticProblem(space=TruncatedFockSpace(1, 4), h_problem=np.full(5, c),
-                                       total_time=total_time, dt=0.002)
+        # each of the 5 points its own level: the full 5-point Strang loop
         psi = np.array([0.1, 0.7, -0.2j, 0.3 + 0.1j, 0.5])
         psi = psi / np.linalg.norm(psi)
-        result = aqc.evolve(problem, linalg.ket(psi))
+        result = aqc.evolve_levels([c] * 5, [1] * 5, psi.tolist(), total_time, 0.002)
         _DRIFTS.append(result.norm_drift)
+        state = np.array(result.amplitudes)
         m = psi.mean()
         expected = np.exp(-0.5j * c * total_time) * (
             np.exp(-0.5j * total_time) * (psi - m) + m)
-        assert np.max(np.abs(result.state.reshape(-1) - expected)) < 1e-12
+        assert np.max(np.abs(state / np.linalg.norm(state) - expected)) < 1e-12
 
         _evolve_x_minus_2(25.0)
         assert _DRIFTS, "no evolution ran"

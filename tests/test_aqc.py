@@ -29,18 +29,40 @@ CUBES_PLUS_XYZ = {"vars": 3, "terms": [
 ]}
 
 
+def uniform_ket(space: TruncatedFockSpace) -> np.ndarray:
+    """The uniform superposition u as a column vector."""
+    return np.full((space.dimension, 1), 1.0 / math.sqrt(space.dimension), dtype=np.complex128)
+
+
 def start_operator(space: TruncatedFockSpace) -> np.ndarray:
     """I - |u><u| as a dense d x d matrix, u the space's uniform ket."""
-    u = aqc.uniform_ket(space)
+    u = uniform_ket(space)
     return linalg.identity(space.dimension) - u @ u.conj().T
 
 
-def interpolate_hamiltonian(problem: aqc.AdiabaticProblem, s: float) -> np.ndarray:
+def interpolate_hamiltonian(space: TruncatedFockSpace, diagonal: np.ndarray,
+                            s: float) -> np.ndarray:
     """H(s) = (1 - s)(I - |u><u|) + s * diag(p) as a dense matrix; Hermitian for s in [0, 1]."""
     if not 0.0 <= s <= 1.0:
         raise DomainError("interpolation parameter must lie in [0, 1]")
-    return ((1.0 - s) * start_operator(problem.space)
-            + s * np.diag(problem.h_problem).astype(np.complex128))
+    return (1.0 - s) * start_operator(space) + s * np.diag(diagonal).astype(np.complex128)
+
+
+def scan_diagonal(scan: aqc.LevelScan) -> np.ndarray:
+    """D(n)**2 at every lattice point in basis order: the scan's levels expanded by level_of."""
+    return np.array([float(scan.levels[j]) for j in scan.level_of])
+
+
+def problem_diagonal(poly: aqc.DiophantinePolynomial, space: TruncatedFockSpace) -> np.ndarray:
+    return scan_diagonal(aqc.scan_levels(poly, space))
+
+
+def point_state(scan: aqc.LevelScan, evolution: aqc.LevelEvolution) -> np.ndarray:
+    """The normalised amplitude at every point of a state constant on each level:
+    coefficient c_j on level j is c_j / sqrt(m_j) at each of its m_j points."""
+    per_level = np.array(evolution.amplitudes) / np.sqrt(scan.multiplicities)
+    v = per_level[np.asarray(scan.level_of)]
+    return v / np.linalg.norm(v)
 
 
 class TestParsing:
@@ -97,51 +119,45 @@ class TestFockSpace:
 class TestProblemHamiltonian:
     def test_x_minus_2_diagonal(self):
         poly = aqc.parse_polynomial(X_MINUS_2)
-        levels = aqc.build_problem_hamiltonian(poly, TruncatedFockSpace(1, 4))
-        h = np.diag(levels)
-        assert np.array_equal(np.diag(h).real, [4, 1, 0, 1, 4])
-        assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
+        assert np.array_equal(problem_diagonal(poly, TruncatedFockSpace(1, 4)), [4, 1, 0, 1, 4])
 
     def test_entries_beyond_float_range_are_refused(self):
         poly = aqc.parse_polynomial({"vars": 1, "terms": [[1, [400]]]})
         with pytest.raises(DomainError, match="too large for a float"):
-            aqc.build_problem_hamiltonian(poly, TruncatedFockSpace(1, 9))
+            aqc.decide(poly, 9, total_time=1.0, dt=0.01, shots=10, seed=0)
 
     def test_two_x_minus_1_has_positive_floor(self):
         poly = aqc.parse_polynomial(TWO_X_MINUS_1)
-        h = np.diag(aqc.build_problem_hamiltonian(poly, TruncatedFockSpace(1, 8)))
-        assert np.min(np.diag(h).real) == 1.0
+        assert np.min(problem_diagonal(poly, TruncatedFockSpace(1, 8))) == 1.0
 
     def test_identity_polynomial_grounds_at_origin(self):
         poly = aqc.parse_polynomial({"vars": 1, "terms": [[1, [1]]]})
-        h = np.diag(aqc.build_problem_hamiltonian(poly, TruncatedFockSpace(1, 6)))
-        assert np.diag(h).real[0] == 0.0
+        assert problem_diagonal(poly, TruncatedFockSpace(1, 6))[0] == 0.0
 
     def test_arity_mismatch(self):
         poly = aqc.parse_polynomial(X_MINUS_2)
         with pytest.raises(ShapeError):
-            aqc.build_problem_hamiltonian(poly, TruncatedFockSpace(2, 4))
+            aqc.scan_levels(poly, TruncatedFockSpace(2, 4))
 
     def test_lattice_past_the_budget_is_refused_before_the_scan(self, monkeypatch):
         poly = aqc.parse_polynomial(CUBES_PLUS_XYZ)
         scanned = []
         monkeypatch.setattr(TruncatedFockSpace, "basis", lambda space: scanned.append(1))
         with pytest.raises(ResourceError, match="budget"):
-            aqc.build_problem_hamiltonian(poly, TruncatedFockSpace(3, 500))
+            aqc.scan_levels(poly, TruncatedFockSpace(3, 500))
         assert scanned == []
 
     def test_ground_entry_matches_exact_oracle(self):
         poly = aqc.parse_polynomial(CUBES_PLUS_XYZ)
         space = TruncatedFockSpace(3, 3)
-        h = np.diag(aqc.build_problem_hamiltonian(poly, space))
+        diagonal = problem_diagonal(poly, space)
         energy, winners = aqc.exact_ground_oracle(poly, 3)
-        assert np.min(np.diag(h).real) == energy
-        idx = space.index_of(winners[0])
-        assert h[idx, idx].real == energy
+        assert np.min(diagonal) == energy
+        assert diagonal[space.index_of(winners[0])] == energy
 
     def test_spectrum_agrees_with_eigensolver(self):
         poly = aqc.parse_polynomial(X_MINUS_2)
-        h = np.diag(aqc.build_problem_hamiltonian(poly, TruncatedFockSpace(1, 4)))
+        h = np.diag(problem_diagonal(poly, TruncatedFockSpace(1, 4)))
         es = linalg.hermitian_eigensystem(h)
         energy, _ = aqc.exact_ground_oracle(poly, 4)
         assert abs(es.ground_value - energy) < 1e-9
@@ -153,7 +169,7 @@ class TestInitialHamiltonian:
 
     def test_uniform_state_is_ground(self):
         space = TruncatedFockSpace(1, 5)
-        u = aqc.uniform_ket(space)
+        u = uniform_ket(space)
         assert np.max(np.abs(start_operator(space) @ u)) < 1e-14
         assert abs(linalg.norm(u) - 1) < 1e-12
 
@@ -165,134 +181,121 @@ class TestInitialHamiltonian:
 class TestInterpolation:
     @pytest.fixture
     def problem(self):
-        poly = aqc.parse_polynomial(X_MINUS_2)
         space = TruncatedFockSpace(1, 4)
-        h_p = aqc.build_problem_hamiltonian(poly, space)
-        return aqc.AdiabaticProblem(space=space, h_problem=h_p, total_time=10.0, dt=0.01)
+        return space, problem_diagonal(aqc.parse_polynomial(X_MINUS_2), space)
 
     def test_endpoints(self, problem):
-        assert np.array_equal(interpolate_hamiltonian(problem, 0.0),
-                              start_operator(problem.space))
-        assert np.array_equal(interpolate_hamiltonian(problem, 1.0),
-                              np.diag(problem.h_problem))
+        space, diagonal = problem
+        assert np.array_equal(interpolate_hamiltonian(space, diagonal, 0.0),
+                              start_operator(space))
+        assert np.array_equal(interpolate_hamiltonian(space, diagonal, 1.0), np.diag(diagonal))
 
     def test_midpoint_is_mean_and_hermitian(self, problem):
-        mid = interpolate_hamiltonian(problem, 0.5)
-        assert np.allclose(mid, (start_operator(problem.space)
-                                 + np.diag(problem.h_problem)) / 2)
+        space, diagonal = problem
+        mid = interpolate_hamiltonian(space, diagonal, 0.5)
+        assert np.allclose(mid, (start_operator(space) + np.diag(diagonal)) / 2)
         assert np.max(np.abs(mid - mid.conj().T)) < 1e-14
 
     def test_out_of_range_rejected(self, problem):
         with pytest.raises(DomainError):
-            interpolate_hamiltonian(problem, 1.5)
+            interpolate_hamiltonian(*problem, 1.5)
+
+
+def _normalised_start(seed: int, d: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return psi / np.linalg.norm(psi)
 
 
 class TestEvolve:
+    """The level loop from the uniform start, and with unit multiplicities (each
+    point its own level) from any start, which is the full d-point Strang loop."""
+
     # the largest step the guard lets through for x - 2 at cutoff 20, where max p = 18**2
     LARGEST_DT = aqc.STABILITY_LIMIT / 18**2
 
-    def _problem(self, total_time, dt, cutoff=4):
-        poly = aqc.parse_polynomial(X_MINUS_2)
-        space = TruncatedFockSpace(1, cutoff)
-        h_p = aqc.build_problem_hamiltonian(poly, space)
-        problem = aqc.AdiabaticProblem(
-            space=space, h_problem=h_p, total_time=total_time, dt=dt)
-        return problem, aqc.uniform_ket(space)
+    def _evolve(self, total_time, dt, cutoff=4):
+        """(scan, evolution, normalised point state) of x - 2 from the uniform start."""
+        scan = aqc.scan_levels(aqc.parse_polynomial(X_MINUS_2), TruncatedFockSpace(1, cutoff))
+        result = aqc.evolve_from_uniform(scan, total_time, dt)
+        return scan, result, point_state(scan, result)
 
     def test_zero_time_returns_initial_state(self):
-        problem, u = self._problem(0.0, 0.01)
-        result = aqc.evolve(problem, u)
-        assert np.array_equal(result.state, u)
-        assert result.norm_drift == 0.0
+        psi = _normalised_start(2, 5).tolist()
+        result = aqc.evolve_levels([4.0, 1.0, 0.0, 1.0, 4.0], [1] * 5, psi, 0.0, 0.01)
+        assert result.amplitudes == psi
+        assert result.norm_drift == 0.0 and result.steps == 0
+        scan, result, _ = self._evolve(0.0, 0.01)
+        assert result.amplitudes == [math.sqrt(m / 5) for m in scan.multiplicities]
 
     def test_constant_diagonal_matches_analytic_phases(self):
         # every level equal to c: all H(s) commute, so psi evolves exactly to
         # e^{-icT/2} (e^{-iT/2} (psi - m) + m), m the mean amplitude of psi
-        space = TruncatedFockSpace(2, 2)
         c, total_time = 7.0, 1.0
-        problem = aqc.AdiabaticProblem(space=space, h_problem=np.full(9, c),
-                                       total_time=total_time, dt=0.002)
-        rng = np.random.default_rng(4)
-        psi = rng.normal(size=9) + 1j * rng.normal(size=9)
-        psi = psi / np.linalg.norm(psi)
-        result = aqc.evolve(problem, linalg.ket(psi))
+        psi = _normalised_start(4, 9)
+        result = aqc.evolve_levels([c] * 9, [1] * 9, psi.tolist(), total_time, 0.002)
+        state = np.array(result.amplitudes)
         m = psi.mean()
         expected = np.exp(-0.5j * c * total_time) * (
             np.exp(-0.5j * total_time) * (psi - m) + m)
-        assert np.max(np.abs(result.state.reshape(-1) - expected)) < 1e-12
+        assert np.max(np.abs(state / np.linalg.norm(state) - expected)) < 1e-12
 
     def test_adiabatic_transfer_to_problem_ground(self):
-        problem, u = self._problem(50.0, 0.01)
-        result = aqc.evolve(problem, u)
-        ground = linalg.hermitian_eigensystem(np.diag(problem.h_problem)).ground_vector
-        overlap = abs(linalg.inner_product(ground, result.state)) ** 2
+        scan, _, state = self._evolve(50.0, 0.01)
+        ground = linalg.hermitian_eigensystem(np.diag(scan_diagonal(scan))).ground_vector
+        overlap = abs(linalg.inner_product(ground, linalg.ket(state))) ** 2
         assert overlap >= 0.9
 
     def test_norm_drift_small(self):
-        problem, u = self._problem(25.0, 0.01)
-        assert aqc.evolve(problem, u).norm_drift <= 1e-6
-
-    def test_unnormalised_initial_state_rejected(self):
-        problem, _ = self._problem(1.0, 0.01)
-        with pytest.raises(DomainError, match="normalised"):
-            aqc.evolve(problem, linalg.ket([1, 1, 0, 0, 0]))
+        assert self._evolve(25.0, 0.01)[1].norm_drift <= 1e-6
 
     def test_stability_guard(self):
-        problem, u = self._problem(1.0, 0.2)  # dt * ||H|| = 0.8
         with pytest.raises(StabilityError, match="smaller step"):
-            aqc.evolve(problem, u)
+            self._evolve(1.0, 0.2)  # dt * ||H|| = 0.8
 
     def test_largest_guarded_step_is_accurate(self):
         # cutoff 20, T = 50: 32,400 steps; the converged ground population is 0.390088
         dt = self.LARGEST_DT
-        populations = []
-        for step in (dt, dt / 8):
-            problem, u = self._problem(50.0, step, cutoff=20)
-            populations.append(abs(aqc.evolve(problem, u).state[2, 0]) ** 2)
+        populations = [abs(self._evolve(50.0, step, cutoff=20)[2][2]) ** 2
+                       for step in (dt, dt / 8)]
         assert abs(populations[0] - 0.390088) < 1e-5
         assert abs(populations[0] - populations[1]) < 1e-4
 
     def test_splitting_is_second_order(self):
         dt = self.LARGEST_DT
-        states = []
-        for step in (dt, dt / 2, dt / 16):
-            problem, u = self._problem(5.0, step, cutoff=20)
-            states.append(aqc.evolve(problem, u).state)
-        coarse, fine, reference = states
+        coarse, fine, reference = [self._evolve(5.0, step, cutoff=20)[2]
+                                   for step in (dt, dt / 2, dt / 16)]
         ratio = np.linalg.norm(coarse - reference) / np.linalg.norm(fine - reference)
         assert 3.0 <= ratio <= 5.0
 
     def test_structured_pair_keeps_the_norm(self):
-        problem, u = self._problem(50.0, self.LARGEST_DT, cutoff=20)
-        assert aqc.evolve(problem, u).norm_drift <= 1e-12
+        assert self._evolve(50.0, self.LARGEST_DT, cutoff=20)[1].norm_drift <= 1e-12
 
 
 class TestMeasurement:
+    # x - 2 at cutoff 4: level 0 is the point 2, level 1 the points 1 and 3
+    SCAN = aqc.scan_levels(aqc.parse_polynomial(X_MINUS_2), TruncatedFockSpace(1, 4))
+
     def test_basis_state_is_certain(self):
-        space = TruncatedFockSpace(1, 4)
-        psi = linalg.ket([0, 0, 1, 0, 0])
-        hist = aqc.measure_sample(psi, space, shots=100, seed=3)
-        assert hist == {(2,): 100}
+        assert aqc.sample_levels(self.SCAN, [1.0, 0.0, 0.0], shots=100, seed=3) == {(2,): 100}
+        assert aqc._multinomial(random.Random(3), 100, [0, 0, 1, 0, 0]) == {2: 100}
 
     def test_balanced_superposition_within_three_sigma(self):
-        space = TruncatedFockSpace(1, 1)
-        psi = linalg.ket([1 / np.sqrt(2), 1 / np.sqrt(2)])
-        hist = aqc.measure_sample(psi, space, shots=10**5, seed=11)
-        sigma = np.sqrt(10**5 * 0.25)
-        assert abs(hist[(0,)] - 5e4) <= 3 * sigma
-        assert abs(hist[(1,)] - 5e4) <= 3 * sigma
+        sigma = math.sqrt(10**5 * 0.25)
+        within_level = aqc.sample_levels(self.SCAN, [0.0, 1.0, 0.0], shots=10**5, seed=11)
+        across_levels = aqc.sample_levels(self.SCAN, [0.5, 0.5, 0.0], shots=10**5, seed=11)
+        assert set(within_level) == {(1,), (3,)}
+        for count in (within_level[(1,)], within_level[(3,)], across_levels[(2,)]):
+            assert abs(count - 5e4) <= 3 * sigma
 
     def test_seed_determinism(self):
-        space = TruncatedFockSpace(1, 3)
-        psi = linalg.ket(np.full(4, 0.5))
-        a = aqc.measure_sample(psi, space, shots=1000, seed=9)
-        b = aqc.measure_sample(psi, space, shots=1000, seed=9)
+        a = aqc.sample_levels(self.SCAN, [0.2, 0.5, 0.3], shots=1000, seed=9)
+        b = aqc.sample_levels(self.SCAN, [0.2, 0.5, 0.3], shots=1000, seed=9)
         assert a == b
 
     def test_zero_shots_rejected(self):
-        space = TruncatedFockSpace(1, 1)
         with pytest.raises(DomainError):
-            aqc.measure_sample(linalg.ket([1, 0]), space, shots=0, seed=0)
+            aqc.sample_levels(self.SCAN, [1.0, 0.0, 0.0], shots=0, seed=0)
 
 
 class TestExactOracle:
@@ -322,7 +325,7 @@ class TestExactOracle:
         space = TruncatedFockSpace(1, 6)
         monkeypatch.setattr(TruncatedFockSpace, "basis", lambda space: pytest.fail("scanned"))
         for work in (lambda: aqc.exact_ground_oracle(poly, 6),
-                     lambda: aqc.build_problem_hamiltonian(poly, space),
+                     lambda: aqc.scan_levels(poly, space),
                      lambda: aqc.decide(poly, 6, 1.0, 0.01, shots=10, seed=0)):
             with pytest.raises(ResourceError, match="bits"):
                 work()
@@ -389,17 +392,20 @@ class TestDecide:
         with pytest.raises(DomainError):
             aqc.decide(poly, cutoff=4, total_time=total_time, dt=dt, shots=10, seed=0)
         with pytest.raises(DomainError):
-            aqc.AdiabaticProblem(space=TruncatedFockSpace(1, 4), h_problem=np.zeros(5),
-                                 total_time=total_time, dt=dt)
+            aqc.evolve_levels([0.0], [1], [1.0], total_time, dt)
 
-    def test_step_budget_is_inclusive_and_checked_before_building(self):
-        space = TruncatedFockSpace(1, 4)
-        at_budget = aqc.AdiabaticProblem(space=space, h_problem=np.zeros(5),
-                                         total_time=aqc.STEP_BUDGET * 0.5, dt=0.5)
-        assert at_budget.total_time / at_budget.dt == aqc.STEP_BUDGET
+    def test_step_budget_is_inclusive_and_checked_before_building(self, monkeypatch):
+        poly = aqc.parse_polynomial(X_MINUS_2)
+        monkeypatch.setattr(aqc, "STEP_BUDGET", 100)
+        # T / dt = 100 and 101 exactly, dt * max p = 0.5 at cutoff 4
+        assert aqc.decide(poly, 4, total_time=100 * 0.125, dt=0.125, shots=10,
+                          seed=0).ground_energy == 0
+        scanned = []
+        monkeypatch.setattr(TruncatedFockSpace, "basis", lambda space: scanned.append(1))
         with pytest.raises(ResourceError, match="budget"):
-            aqc.AdiabaticProblem(space=space, h_problem=np.zeros(5),
-                                 total_time=(aqc.STEP_BUDGET + 1) * 0.5, dt=0.5)
+            aqc.decide(poly, 4, total_time=101 * 0.125, dt=0.125, shots=10, seed=0)
+        assert scanned == []
+        monkeypatch.undo()
         # the lattice is past its own budget too: the schedule is refused first
         poly = aqc.parse_polynomial(CUBES_PLUS_XYZ)
         with pytest.raises(ResourceError, match="integrator steps"):
@@ -440,26 +446,25 @@ class TestDecide:
         # D = -2, -1, 0, 1, 2 give three levels; D = 3 at x = 5 is the fourth
         assert scanned == [-2, -1, 0, 1, 2, 3]
 
-    def test_level_step_budget_bounds_the_numpy_evolution(self, monkeypatch):
-        space = TruncatedFockSpace(1, 4)
-        problem = aqc.AdiabaticProblem(space=space, h_problem=np.arange(5.0),
-                                       total_time=1.0, dt=0.1)
+    def test_level_step_budget_bounds_evolve_levels(self, monkeypatch):
+        args = ([0.0, 1.0, 2.0, 3.0, 4.0], [1] * 5, [math.sqrt(0.2)] * 5, 1.0, 0.1)
         monkeypatch.setattr(aqc, "LEVEL_STEP_BUDGET", 5 * 10)
-        assert aqc.evolve(problem, aqc.uniform_ket(space)).steps == 10
+        assert aqc.evolve_levels(*args).steps == 10
         monkeypatch.setattr(aqc, "LEVEL_STEP_BUDGET", 5 * 10 - 1)
         with pytest.raises(ResourceError, match="5 levels x 10 steps"):
-            aqc.evolve(problem, aqc.uniform_ket(space))
+            aqc.evolve_levels(*args)
 
     def test_shots_past_the_sampler_range_are_refused(self):
         poly = aqc.parse_polynomial(X_MINUS_2)
         with pytest.raises(DomainError, match="shots"):
             aqc.decide(poly, cutoff=4, total_time=1.0, dt=0.01, shots=aqc.MAX_SHOTS + 1,
                        seed=0)
-        psi = linalg.ket([1, 0])
+        # cutoff 1: level 0 is the point 1, where (x - 2)**2 = 1
+        scan = aqc.scan_levels(poly, TruncatedFockSpace(1, 1))
         with pytest.raises(DomainError, match="shots"):
-            aqc.measure_sample(psi, TruncatedFockSpace(1, 1), shots=10**23, seed=0)
-        assert aqc.measure_sample(psi, TruncatedFockSpace(1, 1), shots=aqc.MAX_SHOTS,
-                                  seed=0) == {(0,): aqc.MAX_SHOTS}
+            aqc.sample_levels(scan, [1.0, 0.0], shots=10**23, seed=0)
+        assert aqc.sample_levels(scan, [1.0, 0.0], shots=aqc.MAX_SHOTS,
+                                 seed=0) == {(1,): aqc.MAX_SHOTS}
 
 
 def _chi_square(draws, n, p):
@@ -541,40 +546,42 @@ def _poly(k, terms):
     return aqc.parse_polynomial({"vars": k, "terms": terms})
 
 
-def strang_reference(problem: aqc.AdiabaticProblem, psi0: np.ndarray):
+def strang_reference(space: TruncatedFockSpace, diagonal: np.ndarray, total_time: float,
+                     dt: float, psi0: np.ndarray):
     """(steps, normalised final state) of the unmerged Strang product on dense matrices.
 
     Every step applies exp(-i a H_I) exp(-i b H_P) exp(-i a H_I) with
     a = (1 - s) dt / 2 and b = s dt at the midpoint s, each exponential taken
     through the Jacobi eigensystem of the dense operator, so no closed form
-    and no merging of the halves between steps is shared with evolve.
+    and no merging of the halves between steps is shared with evolve_levels.
     """
-    steps = max(1, math.ceil(problem.total_time / problem.dt))
-    dt = problem.total_time / steps
+    steps = max(1, math.ceil(total_time / dt))
+    dt = total_time / steps
 
     def exponential(op):
         es = linalg.hermitian_eigensystem(op)
         return lambda theta, v: es.vectors @ (
             np.exp(-1j * theta * es.values) * (es.vectors.conj().T @ v))
 
-    exp_i = exponential(start_operator(problem.space))
-    exp_p = exponential(np.diag(problem.h_problem).astype(np.complex128))
+    exp_i = exponential(start_operator(space))
+    exp_p = exponential(np.diag(diagonal).astype(np.complex128))
     v = linalg.ket(psi0).reshape(-1)
     for k in range(steps):
         s = (k + 0.5) / steps
         half = 0.5 * dt * (1.0 - s)
         v = exp_i(half, exp_p(dt * s, exp_i(half, v)))
-    return steps, (v / linalg.norm(v)).reshape(-1, 1)
+    return steps, v / linalg.norm(v)
 
 
 def _sampler_tie(state, shots=1000) -> bool:
-    """True when the sampler's binomial splitting meets an exact tie for this state.
+    """True when the sampler's binomial splitting meets an exact tie for these amplitudes.
 
-    It draws point j from Binomial(shots left, p_j / mass of points j..d-1).
-    Each draw maps to the lighter side above a ratio of 1/2 and changes
-    method where n * min(ratio, 1 - ratio) reaches 10. Symmetric lattice
-    points make the ratio exactly 1/2, or 10/n for some n <= shots, in exact
-    arithmetic, and two states equal to rounding then fall on either side of it.
+    It draws category j from Binomial(shots left, p_j / mass of categories
+    j..last). Each draw maps to the lighter side above a ratio of 1/2 and
+    changes method where n * min(ratio, 1 - ratio) reaches 10. Symmetric
+    lattice points or levels of equal population make the ratio exactly 1/2,
+    or 10/n for some n <= shots, in exact arithmetic, and two states equal to
+    rounding then fall on either side of it.
     """
     probs = np.abs(state.reshape(-1)) ** 2
     tails = np.cumsum(probs[::-1])[::-1]
@@ -582,6 +589,21 @@ def _sampler_tie(state, shots=1000) -> bool:
         if abs(p - 0.5) < 1e-9 or (p and 10 / p <= shots and abs(10 / p - round(10 / p)) < 1e-6):
             return True
     return False
+
+
+def _guarded_schedule(problem, steps, guard_share):
+    """(space, scan, diagonal, total time, dt) with dt at guard_share of the guard's largest."""
+    poly, cutoff = problem
+    space = TruncatedFockSpace(poly.num_vars, cutoff)
+    scan = aqc.scan_levels(poly, space)
+    # the norm bound is max(max p, 1), or max p at d = 1: this dt passes the guard
+    dt = guard_share * aqc.STABILITY_LIMIT / max(float(scan.levels[-1]), 1.0)
+    return space, scan, scan_diagonal(scan), steps * dt, dt
+
+
+def _pointwise(diagonal, psi, total_time, dt) -> aqc.LevelEvolution:
+    """evolve_levels with every point its own level: the full d-point Strang loop."""
+    return aqc.evolve_levels(diagonal.tolist(), [1] * len(diagonal), list(psi), total_time, dt)
 
 
 class TestStructuredOperators:
@@ -598,44 +620,61 @@ class TestStructuredOperators:
     @example(problem=(_poly(3, [[0, [1, 0, 0]]]), 4),
              steps=20, guard_share=0.5, seed=7)
     def test_evolution_matches_the_dense_path(self, problem, steps, guard_share, seed):
-        poly, cutoff = problem
-        space = TruncatedFockSpace(poly.num_vars, cutoff)
-        levels = aqc.build_problem_hamiltonian(poly, space)
-        u = aqc.uniform_ket(space)
-
-        # spectral_norm_bound is max(max p, 1), or max p at d = 1: this dt passes the guard
-        dt = guard_share * aqc.STABILITY_LIMIT / max(float(np.max(levels)), 1.0)
-        problem = aqc.AdiabaticProblem(space=space, h_problem=levels,
-                                       total_time=steps * dt, dt=dt)
+        space, scan, diagonal, total_time, dt = _guarded_schedule(problem, steps, guard_share)
         exact = max(float(np.linalg.norm(start_operator(space), 2)),
-                    float(np.linalg.norm(np.diag(levels), 2)))
-        assert abs(aqc.spectral_norm_bound(problem) - exact) <= 1e-14 * exact
-        a = aqc.evolve(problem, u)
-        reference_steps, reference = strang_reference(problem, u)
+                    float(np.linalg.norm(np.diag(diagonal), 2)))
+        assert abs(aqc._norm_bound(diagonal.tolist(), space.dimension) - exact) <= 1e-14 * exact
+        a = aqc.evolve_from_uniform(scan, total_time, dt)
+        reference_steps, reference = strang_reference(space, diagonal, total_time, dt,
+                                                      uniform_ket(space))
         assert a.steps == reference_steps
-        assert np.max(np.abs(a.state - reference)) <= 1e-12
-        if not _sampler_tie(a.state):
-            assert (aqc.measure_sample(a.state, space, 1000, seed)
-                    == aqc.measure_sample(reference, space, 1000, seed))
+        assert np.max(np.abs(point_state(scan, a) - reference)) <= 1e-12
+        populations = [abs(c) ** 2 for c in a.amplitudes]
+        reference_populations = np.bincount(np.asarray(scan.level_of), np.abs(reference) ** 2)
+        if not _sampler_tie(np.sqrt(reference_populations)):
+            assert (aqc.sample_levels(scan, populations, 1000, seed)
+                    == aqc.sample_levels(scan, reference_populations.tolist(), 1000, seed))
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=lattice_problems(), steps=st.integers(1, 80),
+           guard_share=st.floats(0.05, 0.99), seed=st.integers(0, 2**32 - 1))
+    def test_unit_multiplicities_match_the_dense_path_from_any_start(
+            self, problem, steps, guard_share, seed):
+        space, _, diagonal, total_time, dt = _guarded_schedule(problem, steps, guard_share)
+        psi = _normalised_start(seed, space.dimension)
+        a = _pointwise(diagonal, psi, total_time, dt)
+        reference_steps, reference = strang_reference(space, diagonal, total_time, dt, psi)
+        assert a.steps == reference_steps
+        state = np.array(a.amplitudes)
+        assert np.max(np.abs(state / np.linalg.norm(state) - reference)) <= 1e-12
+        assert a.norm_drift <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=lattice_problems(), steps=st.integers(1, 80),
+           guard_share=st.floats(0.05, 0.99))
+    def test_grouping_equal_points_keeps_the_pointwise_state(self, problem, steps, guard_share):
+        space, scan, diagonal, total_time, dt = _guarded_schedule(problem, steps, guard_share)
+        grouped = aqc.evolve_from_uniform(scan, total_time, dt)
+        pointwise = _pointwise(diagonal, uniform_ket(space).reshape(-1), total_time, dt)
+        assert grouped.steps == pointwise.steps
+        state = np.array(pointwise.amplitudes)
+        assert np.max(np.abs(point_state(scan, grouped) - state / np.linalg.norm(state))) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(problem=lattice_problems(), steps=st.integers(1, 80),
            guard_share=st.floats(0.05, 0.99))
     def test_decide_samples_the_level_populations_of_the_full_evolution(
             self, problem, steps, guard_share):
+        space, scan, diagonal, total_time, dt = _guarded_schedule(problem, steps, guard_share)
         poly, cutoff = problem
-        space = TruncatedFockSpace(poly.num_vars, cutoff)
-        scan = aqc.scan_levels(poly, space)
-        dt = guard_share * aqc.STABILITY_LIMIT / max(float(scan.levels[-1]), 1.0)
         sampled = []
         sample_levels = aqc.sample_levels
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(aqc, "sample_levels", lambda scan, populations, shots, seed: (
                 sampled.append(populations) or sample_levels(scan, populations, shots, seed)))
-            aqc.decide(poly, cutoff, steps * dt, dt, shots=10, seed=0)
-        problem = aqc.AdiabaticProblem(space=space, h_problem=aqc.build_problem_hamiltonian(
-            poly, space), total_time=steps * dt, dt=dt)
-        state = aqc.evolve(problem, aqc.uniform_ket(space)).state.reshape(-1)
+            aqc.decide(poly, cutoff, total_time, dt, shots=10, seed=0)
+        state = np.array(_pointwise(diagonal, uniform_ket(space).reshape(-1), total_time,
+                                    dt).amplitudes)
         full = np.bincount(np.asarray(scan.level_of), weights=np.abs(state) ** 2,
                            minlength=len(scan.levels))
         assert np.max(np.abs(np.array(sampled[0]) - full)) <= 1e-12
@@ -653,54 +692,28 @@ class TestStructuredOperators:
 
     def test_symmetric_points_keep_bitwise_equal_amplitudes(self):
         # 2x in two variables: (1, 0) and (1, 1) are images under y <-> 1 - y,
-        # which is also the sampler tie that the comparison above steps round
-        poly = _poly(2, [[2, [1, 0]]])
+        # and the pointwise loop keeps their amplitudes bitwise equal; split
+        # point by point, they would be a sampler tie
         space = TruncatedFockSpace(2, 1)
-        levels = aqc.build_problem_hamiltonian(poly, space)
-        problem = aqc.AdiabaticProblem(space=space, h_problem=levels,
-                                       total_time=0.75, dt=0.125)
-        state = aqc.evolve(problem, aqc.uniform_ket(space)).state.reshape(-1)
+        diagonal = problem_diagonal(_poly(2, [[2, [1, 0]]]), space)
+        state = np.array(_pointwise(diagonal, uniform_ket(space).reshape(-1), 0.75,
+                                    0.125).amplitudes)
         assert state[2] == state[3] and state[0] == state[1]
         assert _sampler_tie(state)
 
     def test_projector_complement_norm_is_zero_at_dimension_one(self):
-        space = TruncatedFockSpace(1, 0)
-        problem = aqc.AdiabaticProblem(space=space, h_problem=np.zeros(1),
-                                       total_time=1.0, dt=0.01)
-        assert aqc.spectral_norm_bound(problem) == 0.0
-        assert np.array_equal(start_operator(space), [[0]])
+        assert aqc._norm_bound([0.0], 1) == 0.0
+        assert np.array_equal(start_operator(TruncatedFockSpace(1, 0)), [[0]])
 
     def test_closed_form_bound_drives_the_stability_guard(self):
-        poly = aqc.parse_polynomial(X_MINUS_2)
-        space = TruncatedFockSpace(1, 4)
-        problem = aqc.AdiabaticProblem(
-            space=space, h_problem=aqc.build_problem_hamiltonian(poly, space),
-            total_time=1.0, dt=0.126)  # dt * 4 = 0.504
-        assert aqc.spectral_norm_bound(problem) == 4.0
+        scan = aqc.scan_levels(aqc.parse_polynomial(X_MINUS_2), TruncatedFockSpace(1, 4))
+        assert aqc._norm_bound([float(p) for p in scan.levels], 5) == 4.0
         with pytest.raises(StabilityError):
-            aqc.evolve(problem, aqc.uniform_ket(space))
+            aqc.evolve_from_uniform(scan, 1.0, 0.126)  # dt * 4 = 0.504
 
     def test_state_of_the_wrong_dimension_rejected(self):
-        problem = aqc.AdiabaticProblem(
-            space=TruncatedFockSpace(1, 4), h_problem=np.zeros(5), total_time=1.0, dt=0.01)
         with pytest.raises(ShapeError):
-            aqc.evolve(problem, linalg.ket([1.0]))
-
-    def test_operator_of_the_wrong_dimension_rejected(self):
-        space = TruncatedFockSpace(1, 4)
-        for length in (4, 6):
-            with pytest.raises(ShapeError):
-                aqc.AdiabaticProblem(space=space, h_problem=np.zeros(length),
-                                     total_time=1.0, dt=0.01)
-
-    def test_problem_operator_that_is_not_a_real_diagonal_refused_at_construction(self):
-        space = TruncatedFockSpace(1, 2)
-        with pytest.raises(ShapeError):
-            aqc.AdiabaticProblem(space=space, h_problem=np.diag([0.0, 1.0, 4.0]),
-                                 total_time=1.0, dt=0.01)
-        with pytest.raises(DomainError, match="Hermitian"):
-            aqc.AdiabaticProblem(space=space, h_problem=np.array([0.0, 1.0, 4.0 + 0.5j]),
-                                 total_time=1.0, dt=0.01)
+            aqc.evolve_levels([0.0] * 5, [1] * 5, [1.0], 1.0, 0.01)
 
     def test_decide_allocates_no_dense_matrix(self):
         # x + y + z - 3 at cutoff 9: d = 1000, where one dense complex matrix

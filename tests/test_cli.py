@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperlab import cli, pairing, tae
+from hyperlab import cli, pairing, tae, turing
 
 from conftest import self_loop_doc, successor_doc
 
@@ -210,6 +210,8 @@ class TestErrors:
     @pytest.mark.parametrize("argv", [
         ["tm", "run", "{loop}", "--fuel", "1000000000"],
         ["tm", "run", "{loop}", "--fuel", "10000001", "--trace"],
+        # a 20-character symbol at the fuel budget: 2 * 10**8 characters of tape text
+        ["tm", "run", "{wide}", "--fuel", "10000000"],
         ["zeno", "halting", "{loop}", "--fuel", "1000000000"],
         ["zeno", "halting", "{loop}", "--fuel", "1000001"],
         ["zeno", "time", "--n", "1000001"],
@@ -235,14 +237,31 @@ class TestErrors:
         poly = write_json("poly.json", X_MINUS_2)
         # x**(10**7) - 2: values of 3 * 10**7 bits at cutoff 6
         long = write_json("long.json", {"vars": 1, "terms": [[1, [10**7]], [-2, [0]]]})
+        wide_doc = self_loop_doc()
+        wide_doc["alphabet"].append("w" * 20)
+        wide = write_json("wide.json", wide_doc)
         start = time.monotonic()
-        status, out, err = run_cli([arg.format(loop=loop, poly=poly, long=long)
+        status, out, err = run_cli([arg.format(loop=loop, poly=poly, long=long, wide=wide)
                                     for arg in argv])
         assert time.monotonic() - start < 1.0
         assert status == 1 and out == ""
         payload = json.loads(err)
         assert payload["error"] == "resource-error"
         assert "budget" in payload["message"]
+
+    def test_trace_past_its_text_budget_writes_nothing(self, write_json, tmp_path,
+                                                        monkeypatch):
+        # 100 marks keep about 100 characters a snapshot, 10**4 over 101 snapshots
+        monkeypatch.setattr(turing, "TRACE_TEXT_BUDGET", 1000)
+        path = write_json("machine.json", successor_doc())
+        target = tmp_path / "trace.json"
+        status, out, err = run_cli(["--output", str(target), "tm", "run", path,
+                                    "--input", "1" * 100, "--trace"])
+        assert status == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "resource-error"
+        assert "budget" in payload["message"]
+        assert not target.exists()
 
     @pytest.mark.parametrize("key", ["from", "to", "read", "write", "move"])
     def test_transition_missing_a_key(self, write_json, key):

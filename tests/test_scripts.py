@@ -10,11 +10,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_script(name, *args, python_args=()):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, *python_args, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, cwd=ROOT, env=env, timeout=300)
 
 
@@ -52,6 +52,21 @@ def test_overlap_sweep_keeps_its_recorded_rows():
         assert row["total_time"] == total_time and row["steps"] == steps
         assert abs(row["ground_overlap"] - overlap) <= 1e-12
         assert abs(row["norm_drift"] - drift) <= 1e-14
+
+
+def test_overlap_sweep_imports_no_numpy():
+    code = ("import runpy, sys\n"
+            "sys.argv = sys.argv[1:]\n"
+            "try:\n"
+            "    runpy.run_path(sys.argv[0], run_name='__main__')\n"
+            "except SystemExit as done:\n"
+            "    assert not done.code, done.code\n"
+            "sys.stderr.write(repr('numpy' in sys.modules))\n")
+    proc = run_script("overlap_sweep.py", "fixtures/x_minus_2.json", "--cutoff", "4",
+                      "--times", "1", "--dt", "0.01", python_args=("-c", code))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["sweep"][0]["steps"] == 100
+    assert proc.stderr == "False"
 
 
 def test_overlap_sweep_sums_a_degenerate_ground_level(tmp_path):

@@ -1,5 +1,7 @@
+import json
 from collections import deque
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -734,3 +736,64 @@ class TestFuelBudget:
     def test_run_at_the_budget_is_accepted(self, successor):
         outcome = turing.run(successor, "11", fuel=turing.FUEL_BUDGET)
         assert outcome.kind is OutcomeKind.HALTED
+
+
+def _successor_writing(mark: str) -> turing.TuringMachine:
+    """The successor machine with ``mark`` as the symbol it appends; its input mark is "1"."""
+    doc = successor_doc()
+    doc["alphabet"].append(mark)
+    doc["transitions"][1]["write"] = mark
+    return turing.load_machine(doc)
+
+
+class TestTapeTextBudget:
+    """(extent + fuel) x the longest symbol bounds the tape text, checked before stepping."""
+
+    def test_long_symbols_at_the_fuel_budget_are_refused(self):
+        machine = _successor_writing("m" * 20)
+        with pytest.raises(ResourceError, match="budget"):
+            turing.run(machine, "", fuel=turing.FUEL_BUDGET)
+        assert turing.run(machine, "", fuel=turing.FUEL_BUDGET // 20).kind is OutcomeKind.HALTED
+
+    def test_budget_is_inclusive(self):
+        length = turing.TAPE_TEXT_BUDGET // turing.FUEL_BUDGET
+        assert length * turing.FUEL_BUDGET == turing.TAPE_TEXT_BUDGET
+        machine = _successor_writing("m" * length)
+        # an empty tape and 10**7 steps of fuel: exactly the budget
+        outcome = turing.run(machine, "", fuel=turing.FUEL_BUDGET)
+        assert outcome.kind is OutcomeKind.HALTED and outcome.config.tape_text() == "m" * length
+        # one input cell more is past it
+        with pytest.raises(ResourceError, match="budget"):
+            turing.run(machine, "1", fuel=turing.FUEL_BUDGET)
+
+    def test_every_tape_counts(self):
+        doc = {"blank": "_", "alphabet": ["_", "1", "m" * 3], "states": ["s", "h"],
+               "initial": "s", "finals": ["h"], "tapes": 2,
+               "transitions": [{"from": "s", "read": ["_", "_"], "to": "h",
+                                "write": ["1", "1"], "move": "n"}]}
+        machine = turing.load_machine(doc)
+        # two tapes of 10**7 cells each at 3 characters: 6 * 10**7
+        with pytest.raises(ResourceError, match="budget"):
+            turing.run(machine, "", fuel=turing.FUEL_BUDGET)
+        assert turing.run(machine, "", fuel=turing.FUEL_BUDGET // 2).kind is OutcomeKind.HALTED
+
+    def test_multichar_document_is_accepted_at_the_fuel_budget(self):
+        path = Path(__file__).parent / "golden" / "multichar.json"
+        machine = turing.load_machine(json.loads(path.read_text()))
+        outcome = turing.run(machine, "abba", fuel=turing.FUEL_BUDGET)
+        assert outcome.kind is OutcomeKind.HALTED
+
+
+class TestTraceTextBudget:
+    def test_budget_is_inclusive_and_counts_every_snapshot(self, successor, monkeypatch):
+        full = turing.run(successor, "1" * 50, trace=True)
+        kept = sum(len(text) for snap in full.trace for text in snap.texts)
+        monkeypatch.setattr(turing, "TRACE_TEXT_BUDGET", kept)
+        assert turing.run(successor, "1" * 50, trace=True).trace == full.trace
+        monkeypatch.setattr(turing, "TRACE_TEXT_BUDGET", kept - 1)
+        with pytest.raises(ResourceError, match="budget"):
+            turing.run(successor, "1" * 50, trace=True)
+
+    def test_untraced_runs_keep_no_text(self, successor, monkeypatch):
+        monkeypatch.setattr(turing, "TRACE_TEXT_BUDGET", 0)
+        assert turing.run(successor, "1" * 50).kind is OutcomeKind.HALTED
