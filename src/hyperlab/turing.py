@@ -2,13 +2,16 @@
 
 Machines are quintuple programs ``(state, read) -> (state, write, move)``
 loaded from JSON documents. Tapes are unbounded in both directions and held
-in a list-backed :class:`Tape`; a machine may have several tapes, in which
-case one transition reads and writes all heads and moves them in one shared
-direction.
+in a :class:`Tape` of one-byte symbol codes; a machine may have several
+tapes, in which case one transition reads and writes all heads and moves them
+in one shared direction.
 
 Each machine compiles its quintuples once into a table ``(state, read) ->
-(state, write, shift)`` that the one stepping loop, shared by runs, sessions
-and :func:`step`, reads. Two hooks extend that loop:
+(state, write, shift)`` over symbol codes that the one stepping loop, shared
+by runs, sessions and :func:`step`, reads. On one tape, a rule whose state
+keeps itself over a set of symbols, writing a fixed symbol for each and
+moving one way, is a sweep: the loop applies it to the whole block of such
+cells at once. Two hooks extend that loop:
 
 * an oracle: entering the declared ask-state consults an opaque total
   predicate on the unary number written left of the head and resumes in the
@@ -24,7 +27,7 @@ from collections import deque
 from dataclasses import astuple, dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import ConfigurationError, DomainError, ResourceError, ValidationError
 
@@ -39,6 +42,7 @@ TAPE_TEXT_BUDGET = 5 * 10**7
 # characters of tape text the snapshots of one traced run may keep; counted as
 # they are taken, since a snapshot's text is not known before the run reaches it
 TRACE_TEXT_BUDGET = 5 * 10**7
+ALPHABET_BUDGET = 256  # symbols, the blank included: a cell holds one byte
 
 
 @dataclass(frozen=True)
@@ -71,18 +75,60 @@ class TuringMachine:
     oracle: Optional[Callable[[int], bool]] = None
 
     @cached_property
+    def _codes(self) -> SymbolCodes:
+        """The alphabet's one-byte codes, the blank as code 0, fixed once."""
+        return SymbolCodes(self.blank, self.alphabet, fixed=True)
+
+    @cached_property
     def _table(self) -> dict:
         """The transitions as the stepping loop reads them, compiled once.
 
-        The key reads tape 0's symbol alone on a one-tape machine, else the
-        tuple of every tape's symbol. The value is ``(dst, write, shift,
-        rest)``: ``write`` is tape 0's new symbol, or None where the rule
-        writes back what it read; ``shift`` is the head move as an int;
-        ``rest`` holds the symbols written on tapes 1 and up.
+        Symbols are codes. The key reads tape 0's code alone on a one-tape
+        machine, else the tuple of every tape's code. The value is ``(dst,
+        write, shift, extra)``: ``write`` is tape 0's new code, or None where
+        the rule writes back what it read; ``shift`` is the head move as an
+        int; ``extra`` is the tuple of codes written on tapes 1 and up, or on
+        one tape the rule's :class:`Sweep`, or None.
         """
-        return {(src, read[0] if self.num_tapes == 1 else read):
-                (dst, None if write[0] == read[0] else write[0], MOVES[move], write[1:])
-                for (src, read), (dst, write, move) in self.transitions.items()}
+        code, sweeps = self._codes.by_name, self._sweeps
+        table = {}
+        for (src, read), (dst, write, move) in self.transitions.items():
+            got, put = [code[s] for s in read], [code[s] for s in write]
+            if self.num_tapes > 1:
+                key, extra = (src, tuple(got)), tuple(put[1:])
+            else:
+                sweep = sweeps.get(src)
+                key, extra = (src, got[0]), sweep if sweep and got[0] not in sweep.outside else None
+            table[key] = (dst, None if put[0] == got[0] else put[0], MOVES[move], extra)
+        return table
+
+    @cached_property
+    def _sweeps(self) -> dict[str, Sweep]:
+        """The states of a one-tape machine that sweep, each with its sweep.
+
+        State q sweeps over the set S of the non-blank symbols a whose rule
+        keeps q, writes a non-blank f(a) and moves left or right, when all
+        those rules move the same way. From a cell in S such a state passes,
+        unchanged, every cell up to the first one outside S.
+        """
+        if self.num_tapes > 1:
+            return {}
+        loops: dict[str, dict[str, tuple[str, str]]] = {}
+        for (src, (got,)), (dst, (put,), move) in self.transitions.items():
+            if src == dst and self.blank not in (got, put):
+                loops.setdefault(src, {})[got] = (put, move)
+        code = self._codes.by_name
+        sweeps = {}
+        for state, rules in loops.items():
+            moves = {move for _, move in rules.values()}
+            if len(moves) > 1 or moves == {"n"}:
+                continue
+            rewrite = bytearray(range(256))
+            for got, (put, _) in rules.items():
+                rewrite[code[got]] = code[put]
+            outside = bytes(sorted(set(code.values()) - {code[a] for a in rules}))
+            sweeps[state] = Sweep(outside, None if rewrite == bytes(range(256)) else bytes(rewrite))
+        return sweeps
 
     @cached_property
     def _longest_symbol(self) -> int:
@@ -90,53 +136,138 @@ class TuringMachine:
         return max(map(len, self.alphabet))
 
 
-class Tape:
-    """One tape, unbounded in both directions, backed by a list.
+class Sweep(NamedTuple):
+    """A state's rules over the set S of the symbols it keeps itself on.
 
-    Cell p sits at ``cells[p - origin]`` and unwritten cells hold the blank
-    symbol; ``lo..hi`` bounds the non-blank cells (empty when lo > hi). The
-    list grows by doubling at whichever end a write falls beyond, so the
-    tape's text is one join over a slice, not a walk of its cells.
+    ``outside`` holds the code of every symbol outside S, the blank among
+    them; ``rewrite`` is the ``bytes.translate`` table taking each code in S to the
+    code its rule writes, or None where every rule writes back what it read.
     """
 
-    __slots__ = ("blank", "cells", "origin", "lo", "hi")
+    outside: bytes
+    rewrite: Optional[bytes]
 
-    def __init__(self, blank: str, symbols: Iterable[str] = ()):
-        """A tape holding ``symbols`` from cell 0 on, blank everywhere else."""
-        self.blank = blank
-        cells = self.cells = list(symbols)
+
+class SymbolCodes:
+    """Tape symbols as one-byte codes, the blank as code 0, and back.
+
+    A machine fixes its codes once, over its alphabet, and refuses any other
+    symbol. A tape made on its own gives the next code to each new symbol
+    written on it, up to ALPHABET_BUDGET symbols.
+    """
+
+    __slots__ = ("names", "by_name", "fixed", "_encode", "_decode")
+
+    def __init__(self, blank: str, symbols: Iterable[str] = (), fixed: bool = False):
+        self.names = [blank, *sorted(set(symbols) - {blank})]
+        if len(self.names) > ALPHABET_BUDGET:
+            raise ResourceError(f"a tape holds at most {ALPHABET_BUDGET} distinct symbols")
+        self.by_name = {name: code for code, name in enumerate(self.names)}
+        self.fixed = fixed
+        self._tabulate()
+
+    def code(self, name: str) -> int:
+        code = self.by_name.get(name)
+        if code is None:
+            if self.fixed:
+                raise ValidationError(f"symbol {name!r} is outside the alphabet")
+            if len(self.names) == ALPHABET_BUDGET:
+                raise ResourceError(f"a tape holds at most {ALPHABET_BUDGET} distinct symbols")
+            code = self.by_name[name] = len(self.names)
+            self.names.append(name)
+            self._tabulate()
+        return code
+
+    def _tabulate(self) -> None:
+        """Where every symbol is one character below U+0100, translate tables
+        that turn such text into codes and back in one pass; else None."""
+        self._encode = self._decode = None
+        if all(len(name) == 1 and ord(name) < 256 for name in self.names):
+            encode = bytearray(256)
+            for code, name in enumerate(self.names):
+                encode[ord(name)] = code
+            self._encode = bytes(encode)
+            self._decode = bytes(map(ord, self.names)).ljust(256, b"\0")
+
+    def encode(self, symbols: Iterable[str]) -> bytearray:
+        """The codes of ``symbols``, each of which must have one."""
+        if self._encode is not None and isinstance(symbols, str):
+            return bytearray(symbols.encode("latin-1").translate(self._encode))
+        return bytearray(map(self.code, symbols))
+
+    def text(self, cells: bytearray) -> str:
+        """The symbols of ``cells``, written one after another."""
+        if self._decode is not None:
+            return cells.translate(self._decode).decode("latin-1")
+        return "".join(map(self.names.__getitem__, cells))
+
+
+class Tape:
+    """One tape, unbounded in both directions, backed by a bytearray of codes.
+
+    Cell p sits at ``cells[p - origin]`` as the code ``codes`` gives its
+    symbol, and unwritten cells hold the blank, code 0; ``lo..hi`` bounds the
+    non-blank cells (empty when lo > hi). The array grows by doubling at
+    whichever end a write falls beyond, so the tape's text is one translation
+    of a slice, not a walk of its cells.
+    """
+
+    __slots__ = ("codes", "cells", "origin", "lo", "hi")
+
+    def __init__(self, blank: str, symbols: Iterable[str] = (),
+                 codes: Optional[SymbolCodes] = None):
+        """A tape holding ``symbols`` from cell 0 on, blank everywhere else.
+
+        Its symbols are coded by ``codes``, whose blank must be ``blank``,
+        or else by codes of its own.
+        """
+        if codes is None:
+            symbols = list(symbols)
+            codes = SymbolCodes(blank, symbols)
+        self.codes = codes
+        cells = self.cells = codes.encode(symbols)
         self.origin = 0
-        # found from the two ends, so only blanks at an end are walked
-        self.lo = next((i for i, s in enumerate(cells) if s != blank), 0)
-        self.hi = next((i for i in range(len(cells) - 1, -1, -1) if cells[i] != blank), -1)
+        # found from the two ends, so only blanks at an end are passed
+        self.lo = len(cells) - len(cells.lstrip(b"\0"))
+        self.hi = len(cells.rstrip(b"\0")) - 1
+
+    @property
+    def blank(self) -> str:
+        return self.codes.names[0]
 
     def read(self, pos: int) -> str:
-        index = pos - self.origin
-        return self.cells[index] if 0 <= index < len(self.cells) else self.blank
+        return self.codes.names[self._code(pos)]
 
     def write(self, pos: int, symbol: str) -> None:
-        blank, cells = self.blank, self.cells
+        self._put(pos, self.codes.code(symbol))
+
+    def _code(self, pos: int) -> int:
+        index = pos - self.origin
+        return self.cells[index] if 0 <= index < len(self.cells) else 0
+
+    def _put(self, pos: int, code: int) -> None:
+        cells = self.cells
         if self.lo <= pos <= self.hi:
-            cells[pos - self.origin] = symbol
-            if symbol == blank:
+            cells[pos - self.origin] = code
+            if not code:
                 if pos == self.lo:
-                    while self.lo <= self.hi and cells[self.lo - self.origin] == blank:
+                    while self.lo <= self.hi and not cells[self.lo - self.origin]:
                         self.lo += 1
                 elif pos == self.hi:
-                    while cells[self.hi - self.origin] == blank:
+                    while not cells[self.hi - self.origin]:
                         self.hi -= 1
             return
-        if symbol == blank:
+        if not code:
             return
         index = pos - self.origin
         if index < 0:
             grow = max(-index, len(cells))
-            cells[:0] = [blank] * grow
+            cells[:0] = bytes(grow)
             self.origin -= grow
             index += grow
         elif index >= len(cells):
-            cells.extend([blank] * max(index + 1 - len(cells), len(cells)))
-        cells[index] = symbol
+            cells.extend(bytes(max(index + 1 - len(cells), len(cells))))
+        cells[index] = code
         if self.lo > self.hi:
             self.lo = self.hi = pos
         elif pos < self.lo:
@@ -146,28 +277,31 @@ class Tape:
 
     def text(self) -> str:
         """Non-blank content, from leftmost to rightmost written cell."""
-        return "".join(self._written())
+        return self.codes.text(self._written())
 
     def marks_left_of(self, pos: int) -> int:
         """Number of non-blank cells strictly left of ``pos``."""
         if pos <= self.lo:
             return 0
         window = self.cells[self.lo - self.origin:min(pos, self.hi + 1) - self.origin]
-        return len(window) - window.count(self.blank)
+        return len(window) - window.count(0)
 
     def copy(self) -> "Tape":
-        twin = Tape(self.blank)
+        twin = Tape(self.blank, codes=self.codes)
         twin.cells, twin.origin, twin.lo, twin.hi = self.cells[:], self.origin, self.lo, self.hi
         return twin
 
-    def _written(self) -> list[str]:
+    def _written(self) -> bytearray:
         return self.cells[self.lo - self.origin:self.hi - self.origin + 1]
 
     def __eq__(self, other) -> bool:
-        """Same blank and the same symbol in every cell, however the list is laid out."""
+        """Same blank and the same symbol in every cell, however the array is laid out."""
         if not isinstance(other, Tape):
             return NotImplemented
-        return (self.blank == other.blank and self._written() == other._written()
+        names, other_names = self.codes.names, other.codes.names
+        return (self.blank == other.blank
+                and [names[c] for c in self._written()]
+                == [other_names[c] for c in other._written()]
                 and (self.lo == other.lo or self.lo > self.hi))
 
     def __repr__(self) -> str:
@@ -291,6 +425,9 @@ def load_machine(doc: dict) -> TuringMachine:
         raise ValidationError("a machine needs at least one tape")
     if blank not in alphabet:
         raise ValidationError(f"blank symbol {blank!r} must be in the alphabet")
+    if len(alphabet) > ALPHABET_BUDGET:
+        raise ResourceError(f"an alphabet of {len(alphabet)} symbols is past the budget of "
+                            f"{ALPHABET_BUDGET}, the blank included")
     if initial not in states:
         raise ValidationError(f"initial state {initial!r} is not declared")
     if not finals <= states:
@@ -353,13 +490,17 @@ def load_machine(doc: dict) -> TuringMachine:
 
 
 def initial_configuration(machine: TuringMachine, input_symbols: str = "") -> TapeConfiguration:
-    """Write the input on tape 0 starting at cell 0; all heads start at 0."""
+    """Write the input on tape 0 starting at cell 0; all heads start at 0.
+
+    The input is a string of one-character symbols, or a list of symbols.
+    """
     outside = set(input_symbols) - machine.alphabet
     if outside:
         first = next(sym for sym in input_symbols if sym in outside)
         raise ValidationError(f"input symbol {first!r} is outside the alphabet")
-    tapes = (Tape(machine.blank, input_symbols),) + tuple(
-        Tape(machine.blank) for _ in range(machine.num_tapes - 1))
+    codes = machine._codes
+    tapes = (Tape(machine.blank, input_symbols, codes),) + tuple(
+        Tape(machine.blank, codes=codes) for _ in range(machine.num_tapes - 1))
     return TapeConfiguration(tapes=tapes, heads=(0,) * machine.num_tapes, state=machine.initial)
 
 
@@ -388,6 +529,32 @@ def attach_oracle(machine: TuringMachine, oracle: Callable[[int], bool]) -> Turi
     return replace(machine, oracle=oracle)
 
 
+def _sweep_length(cells: bytearray, outside: bytes, i: int, shift: int, room: int) -> int:
+    """How many cells from ``cells[i]`` on, stepping by ``shift``, hold no
+    code of ``outside``, counting at most ``room``.
+
+    Each code is looked for with one find in windows that grow fourfold, so
+    a code missing from a long tape is not sought far past the end of a
+    short run.
+    """
+    run, width = 0, 64
+    while run < room:
+        probe = reach = min(run + width, room)
+        for code in outside:
+            if shift > 0:
+                found = cells.find(code, i + run, i + reach)
+                if found >= 0:
+                    reach = found - i
+            else:
+                found = cells.rfind(code, i + 1 - reach, i + 1 - run)
+                if found >= 0:
+                    reach = i - found
+        if reach < probe:
+            return reach
+        run, width = probe, 4 * width
+    return room
+
+
 def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
            oracle: Optional[Callable[[int], bool]] = None,
            queue: Optional[deque[str]] = None, snapshots: Optional[list[TraceSnapshot]] = None,
@@ -403,6 +570,14 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
     step count and tape 0's layout in locals, doing :meth:`Tape.write`'s
     bookkeeping inline. It leaves, writing them back to ``config``, before
     anything that reads the configuration: a hook, a trace snapshot, the end.
+
+    A sweep rule takes the whole run of cells its state keeps itself on at
+    once: up to the first cell outside its set, clipped at the extent, at
+    the fuel and, moving left on a one-sided tape, short of cell 0, so the
+    ordinary step still raises there. It rewrites them with one
+    ``bytes.translate`` and counts one step per cell. Sweeps are off while
+    trace snapshots are taken, on several tapes, and in a state that is a
+    stop (final, or a hook's ask or request state).
 
     Fuel past FUEL_BUDGET, or tapes whose text could grow past
     TAPE_TEXT_BUDGET characters within it, are a :class:`ResourceError`
@@ -428,7 +603,7 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
     stops = finals.union(s for s in (ask, request) if s is not None)
     table, one_sided = machine._table, machine.one_sided
     tape = config.tapes[0]
-    blank, cells = tape.blank, tape.cells
+    cells = tape.cells
     # every head moves by the same shift, so the others keep their offsets
     # from head 0, and a one-sided machine's lowest head stays at or right of
     # cell 0 exactly when head 0 stays at or right of ``floor``
@@ -457,36 +632,57 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
         try:
             while True:
                 i = head - origin
-                key = cells[i] if 0 <= i < size else blank
+                key = cells[i] if 0 <= i < size else 0
                 if others_at:
-                    key = (key, *[t.read(head + off) for t, off in others_at])
+                    key = (key, *[t._code(head + off) for t, off in others_at])
                 rule = table.get((state, key))
                 if rule is None:
                     return OutcomeKind.STUCK, consultations
-                dst, write, shift, rest = rule
+                dst, write, shift, extra = rule
                 if one_sided and head + shift < floor:
                     raise DomainError("head moved past the left edge of a one-sided tape")
+                if extra is not None:
+                    if others_at:
+                        for (t, off), code in zip(others_at, extra):
+                            t._put(head + off, code)
+                    elif not trace_left and state not in stops:
+                        # a sweep over non-blank cells, so inside the extent
+                        room = fuel - steps
+                        if shift > 0:
+                            room = min(room, hi - head + 1)
+                        else:
+                            room = min(room, head - (max(lo, floor + 1) if one_sided else lo) + 1)
+                        run = _sweep_length(cells, extra.outside, i, shift, room)
+                        if extra.rewrite is not None:
+                            first = i if shift > 0 else i + 1 - run
+                            cells[first:first + run] = cells[first:first + run].translate(
+                                extra.rewrite)
+                        head += shift * run
+                        steps += run
+                        if steps >= fuel:
+                            break
+                        continue
                 if write is None:
                     pass  # the rule writes back what it read
                 elif lo <= head <= hi:
                     cells[i] = write
-                    if write == blank:
+                    if not write:
                         if head == lo:
-                            while lo <= hi and cells[lo - origin] == blank:
+                            while lo <= hi and not cells[lo - origin]:
                                 lo += 1
                         elif head == hi:
-                            while cells[hi - origin] == blank:
+                            while not cells[hi - origin]:
                                 hi -= 1
-                elif write != blank:
+                elif write:
                     if i < 0:
                         grow = max(-i, size)
-                        cells[:0] = [blank] * grow
+                        cells[:0] = bytes(grow)
                         origin -= grow
                         i += grow
                         size += grow
                     elif i >= size:
                         grow = max(i + 1 - size, size)
-                        cells.extend([blank] * grow)
+                        cells.extend(bytes(grow))
                         size += grow
                     cells[i] = write
                     if lo > hi:
@@ -495,9 +691,6 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
                         lo = head
                     else:
                         hi = head
-                if rest:
-                    for (t, off), symbol in zip(others_at, rest):
-                        t.write(head + off, symbol)
                 head += shift
                 state = dst
                 steps += 1

@@ -442,6 +442,75 @@ def _parity(n: int) -> bool:
     return n % 2 == 0
 
 
+@st.composite
+def _sweeping_docs(draw):
+    """Raw documents like _hooked_docs', on which runs of one state over a
+    block of cells take most steps: each state but the final keeps itself,
+    moving one way, over a set of non-blank symbols, rewriting them or not.
+    The ask and request states have rules too, which step where no hook
+    takes them or where the request resumes in one of them."""
+    tapes = draw(st.integers(1, 2))
+    states = ["s0", "s1", "s2", "ask", "req", "halt"]
+    marks = _WIDE_SYMBOLS[1:]
+    transitions = []
+    for state in states[:5]:
+        keep = draw(st.sets(st.sampled_from(marks), min_size=1, max_size=3))
+        move, rewrites = draw(st.sampled_from("lr")), draw(st.booleans())
+        for a in _WIDE_SYMBOLS:
+            for read in ([a],) if tapes == 1 else ([a, b] for b in _WIDE_SYMBOLS[:2]):
+                others = [draw(st.sampled_from(_WIDE_SYMBOLS)) for _ in read[1:]]
+                if a in keep:
+                    write = [draw(st.sampled_from(marks)) if rewrites else a] + others
+                    transitions.append({"from": state, "read": read, "to": state,
+                                        "write": write, "move": move})
+                elif draw(st.booleans()) or a == "..":
+                    transitions.append({
+                        "from": state, "read": read, "to": draw(st.sampled_from(states)),
+                        "write": [draw(st.sampled_from(_WIDE_SYMBOLS))] + others,
+                        "move": draw(st.sampled_from("lnr"))})
+    yes, no = draw(st.permutations(["s0", "s1", "s2", "halt"]))[:2]
+    return {"blank": "..", "alphabet": _WIDE_SYMBOLS, "states": states, "tapes": tapes,
+            "initial": "s0", "finals": ["halt"], "transitions": transitions,
+            "one_sided": draw(st.booleans()),
+            "oracle_states": {"ask": "ask", "yes": yes, "no": no},
+            "input_states": {"request": "req", "resume": draw(st.sampled_from(states[:5]))}}
+
+
+# inputs of up to 40 symbols in blocks of one symbol, so runs have cells to cross
+_BLOCKS = st.lists(st.tuples(st.sampled_from(_WIDE_SYMBOLS), st.integers(1, 12)),
+                   max_size=8).map(lambda blocks: [s for s, n in blocks for _ in range(n)][:40])
+
+
+def _sweeper(rules, tapes=1, one_sided=False, resume="s1") -> dict:
+    """A hooked document from (state, read, to, write, move) rules on one tape;
+    a second tape, if asked for, is read as blank and left blank."""
+    return {"blank": "..", "alphabet": _WIDE_SYMBOLS, "tapes": tapes,
+            "states": ["s0", "s1", "s2", "ask", "req", "halt"], "initial": "s0",
+            "finals": ["halt"], "one_sided": one_sided,
+            "oracle_states": {"ask": "ask", "yes": "halt", "no": "s2"},
+            "input_states": {"request": "req", "resume": resume},
+            "transitions": [{"from": f, "read": [r] + [".."] * (tapes - 1), "to": t,
+                             "write": [w] + [".."] * (tapes - 1), "move": m}
+                            for f, r, t, w, m in rules]}
+
+
+# s0 runs right over a and bb, rewriting a to c.; a blank sends it to ``after``
+_RIGHT = [("s0", "a", "s0", "c.", "r"), ("s0", "bb", "s0", "bb", "r")]
+_THEN_ASK = _sweeper(_RIGHT + [("s0", "..", "ask", "..", "n"), ("s2", "..", "halt", "a", "l")])
+# ...then s1 runs left over what s0 left, rewriting c. to a, into cell 0
+_INTO_THE_EDGE = _sweeper(_RIGHT + [("s0", "..", "s1", ".d", "l"), ("s1", "c.", "s1", "a", "l"),
+                                    ("s1", "bb", "s1", "bb", "l")], one_sided=True)
+# a session: every fed symbol lands right of the block, and s1 runs back over it
+_FED = _sweeper([("s0", "a", "s0", "a", "r"), ("s0", "..", "req", "..", "n"),
+                 ("s1", "a", "s1", "a", "l"), ("s1", "..", "s0", "..", "r")])
+# a session whose request resumes in itself, and whose request state runs
+# left over a block: each fed symbol takes one step of that run before the next
+_SELF_FED = _sweeper([("s0", "..", "req", "..", "n"), ("req", "a", "req", "a", "l"),
+                      ("req", "bb", "req", "bb", "l"), ("req", ".d", "s1", ".d", "r"),
+                      ("s1", "a", "s1", "a", "r"), ("s1", "..", "req", "..", "n")], resume="req")
+_LONG = ["a"] * 18 + ["bb"] * 20
+
+
 class TestAgainstTheReference:
     """run(), step() and sessions against _reference_drive, which shares no
     code with the engine: not the compiled table, not the Tape."""
@@ -450,24 +519,19 @@ class TestAgainstTheReference:
     @given(_hooked_docs(), st.text(alphabet="a", max_size=6), st.integers(1, 80),
            st.integers(0, 6), st.booleans())
     def test_run_and_its_trace(self, doc, text, fuel, cap, with_oracle):
-        machine = turing.load_machine(doc)
-        oracle = _parity if with_oracle else None
-        if with_oracle:
-            machine = turing.attach_oracle(machine, oracle)
-        ref, trace = _reference_start(doc, text), []
-        try:
-            kind = _reference_drive(doc, ref, fuel, oracle, trace=trace)
-        except DomainError:
-            with pytest.raises(DomainError, match="one-sided"):
-                turing.run(machine, text, fuel=fuel, trace=True, trace_cap=cap)
-            return
-        outcome = turing.run(machine, text, fuel=fuel, trace=True, trace_cap=cap)
-        assert outcome.kind is kind
-        assert outcome.oracle_consultations == ref.asked
-        assert _engine_view(outcome.config) == _reference_view(doc, ref)
-        # the first snapshot, of the starting configuration, is kept at any cap
-        expected = ([_reference_view(doc, _reference_start(doc, text))[:4]] + trace)[:max(cap, 1)]
-        assert [(s.state, s.heads[0], s.steps, s.texts) for s in outcome.trace] == expected
+        _check_run(doc, text, fuel, cap, with_oracle)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sweeping_docs(), _BLOCKS, st.integers(1, 200), st.integers(0, 30), st.booleans())
+    # fuel ends inside a run; the ask state straight out of one; a one-sided
+    # run left into cell 0; a trace cap reached inside a run; two tapes
+    @example(_THEN_ASK, _LONG, 25, 0, False)
+    @example(_THEN_ASK, _LONG, 100, 0, True)
+    @example(_INTO_THE_EDGE, _LONG, 200, 0, False)
+    @example(_INTO_THE_EDGE, _LONG, 200, 9, False)
+    @example(_sweeper(_RIGHT + [("s0", "..", "halt", "a", "n")], tapes=2), _LONG, 100, 0, False)
+    def test_sweeping_run_and_its_trace(self, doc, text, fuel, cap, with_oracle):
+        _check_run(doc, text, fuel, cap, with_oracle)
 
     @settings(max_examples=100, deadline=None)
     @given(_hooked_docs(), st.text(alphabet="a", max_size=6), st.integers(1, 40))
@@ -494,29 +558,73 @@ class TestAgainstTheReference:
            st.lists(st.tuples(st.lists(st.sampled_from(_WIDE_SYMBOLS), max_size=3),
                               st.integers(1, 15)), min_size=1, max_size=6))
     def test_session_fed_in_chunks(self, doc, with_oracle, chunks):
-        machine = turing.load_machine(doc)
-        oracle = _parity if with_oracle else None
-        if with_oracle:
-            machine = turing.attach_oracle(machine, oracle)
-        session, ref, queue = turing.open_session(machine), _reference_start(doc), deque()
-        status = {None: SessionStatus.WAITING, OutcomeKind.OUT_OF_FUEL: SessionStatus.RUNNING,
-                  OutcomeKind.HALTED: SessionStatus.HALTED, OutcomeKind.STUCK: SessionStatus.STUCK}
-        for symbols, max_steps in chunks:
-            for symbol in symbols:
-                session.feed(symbol)
-            queue.extend(symbols)
-            try:
-                kind = _reference_drive(doc, ref, ref.steps + max_steps, oracle, queue)
-            except DomainError:
-                with pytest.raises(DomainError, match="one-sided"):
-                    session.advance(max_steps)
-                assert _engine_view(session.config) == _reference_view(doc, ref)
-                return
-            assert session.advance(max_steps) is status[kind]
+        _check_session(doc, with_oracle, chunks)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_sweeping_docs(), st.booleans(),
+           st.lists(st.tuples(st.lists(st.sampled_from(_WIDE_SYMBOLS), max_size=10),
+                              st.integers(1, 60)), min_size=1, max_size=6))
+    @example(_FED, False, [(["a"] * 10, 60), (["a"] * 10, 7), ([], 60), (["a"], 60)])
+    @example(_SELF_FED, False, [(["a"] * 5 + [".d"], 60), (["bb"], 60)])
+    def test_sweeping_session_fed_in_chunks(self, doc, with_oracle, chunks):
+        _check_session(doc, with_oracle, chunks)
+
+
+def _check_run(doc, text, fuel, cap, with_oracle):
+    """run() with a trace, and an untraced drive, against the reference."""
+    machine = turing.load_machine(doc)
+    oracle = _parity if with_oracle else None
+    if with_oracle:
+        machine = turing.attach_oracle(machine, oracle)
+    ref, trace = _reference_start(doc, text), []
+    try:
+        kind = _reference_drive(doc, ref, fuel, oracle, trace=trace)
+    except DomainError:
+        with pytest.raises(DomainError, match="one-sided"):
+            turing.run(machine, text, fuel=fuel, trace=True, trace_cap=cap)
+        # untraced, the drive stops where the reference raised
+        config = turing.initial_configuration(machine, text)
+        with pytest.raises(DomainError, match="one-sided"):
+            turing._drive(machine, config, fuel, oracle)
+        assert _engine_view(config) == _reference_view(doc, ref)
+        return
+    outcome = turing.run(machine, text, fuel=fuel, trace=True, trace_cap=cap)
+    assert outcome.kind is kind
+    assert outcome.oracle_consultations == ref.asked
+    assert _engine_view(outcome.config) == _reference_view(doc, ref)
+    # the first snapshot, of the starting configuration, is kept at any cap
+    expected = ([_reference_view(doc, _reference_start(doc, text))[:4]] + trace)[:max(cap, 1)]
+    assert [(s.state, s.heads[0], s.steps, s.texts) for s in outcome.trace] == expected
+    untraced = turing.run(machine, text, fuel=fuel)
+    assert untraced.kind is kind
+    assert _engine_view(untraced.config) == _reference_view(doc, ref)
+
+
+def _check_session(doc, with_oracle, chunks):
+    """A session fed and advanced chunk by chunk against the reference."""
+    machine = turing.load_machine(doc)
+    oracle = _parity if with_oracle else None
+    if with_oracle:
+        machine = turing.attach_oracle(machine, oracle)
+    session, ref, queue = turing.open_session(machine), _reference_start(doc), deque()
+    status = {None: SessionStatus.WAITING, OutcomeKind.OUT_OF_FUEL: SessionStatus.RUNNING,
+              OutcomeKind.HALTED: SessionStatus.HALTED, OutcomeKind.STUCK: SessionStatus.STUCK}
+    for symbols, max_steps in chunks:
+        for symbol in symbols:
+            session.feed(symbol)
+        queue.extend(symbols)
+        try:
+            kind = _reference_drive(doc, ref, ref.steps + max_steps, oracle, queue)
+        except DomainError:
+            with pytest.raises(DomainError, match="one-sided"):
+                session.advance(max_steps)
             assert _engine_view(session.config) == _reference_view(doc, ref)
-            assert list(session.queue) == list(queue)
-            if kind in (OutcomeKind.HALTED, OutcomeKind.STUCK):
-                return
+            return
+        assert session.advance(max_steps) is status[kind]
+        assert _engine_view(session.config) == _reference_view(doc, ref)
+        assert list(session.queue) == list(queue)
+        if kind in (OutcomeKind.HALTED, OutcomeKind.STUCK):
+            return
 
 
 class TestOracle:
@@ -726,6 +834,99 @@ class TestCoupledSession:
         with pytest.raises(ResourceError):
             session.advance(max_steps=turing.FUEL_BUDGET + 1)
         assert session.config.steps == 0 and list(session.queue) == ["a"]
+
+
+def _golden_machine(name: str) -> turing.TuringMachine:
+    path = Path(__file__).parent / "golden" / f"{name}.json"
+    return turing.load_machine(json.loads(path.read_text()))
+
+
+def _swept(machine: turing.TuringMachine) -> set[str]:
+    """The states whose compiled rules carry a sweep."""
+    return {src for (src, _), rule in machine._table.items() if rule[3] is not None}
+
+
+class TestSweepMarks:
+    """Which states the compiled table runs as sweeps, and over what."""
+
+    def test_the_benchmark_machines(self):
+        # the scan, palindrome and doubling machines of the exact-heavy
+        # benchmark, with their state and symbol names
+        scan = turing.load_machine({
+            "blank": "_", "alphabet": ["_", "a", "b"], "states": ["scan", "done"],
+            "initial": "scan", "finals": ["done"],
+            "transitions": [
+                {"from": "scan", "read": "a", "to": "scan", "write": "b", "move": "r"},
+                {"from": "scan", "read": "b", "to": "scan", "write": "a", "move": "r"},
+                {"from": "scan", "read": "_", "to": "done", "write": "a", "move": "n"}]})
+        palindrome, doubling = _golden_machine("palindrome"), _golden_machine("doubling")
+        assert set(scan._sweeps) == _swept(scan) == {"scan"}
+        assert set(palindrome._sweeps) == _swept(palindrome) == {"carry_a", "carry_b", "back"}
+        assert (set(doubling._sweeps) == _swept(doubling)
+                == {"right", "left", "convert", "rewind"})
+        assert all(sweep.rewrite is None for sweep in palindrome._sweeps.values())
+        assert doubling._sweeps["right"].rewrite is doubling._sweeps["left"].rewrite is None
+        for machine, state, rewrites in (
+                (scan, "scan", {"a": "b", "b": "a"}), (doubling, "convert", {"y": "1"}),
+                (doubling, "rewind", {"x": "1", "1": "1"})):  # mark -> one
+            code, rewrite = machine._codes.by_name, machine._sweeps[state].rewrite
+            assert {a: machine._codes.names[rewrite[code[a]]] for a in rewrites} == rewrites
+
+    def test_a_run_ends_on_every_symbol_outside_the_set(self):
+        doubling = _golden_machine("doubling")
+        names = doubling._codes.names
+        outside = {state: sorted(names[c] for c in sweep.outside)
+                   for state, sweep in doubling._sweeps.items()}
+        assert outside == {"right": ["_", "x"], "left": ["_", "x"], "convert": ["1", "_", "x"],
+                         "rewind": ["_", "y"]}
+
+    def test_a_loop_writing_the_blank_is_no_part_of_a_sweep(self):
+        # fwd keeps itself over a, writing AA, and over b, erasing it
+        multichar = _golden_machine("multichar")
+        assert _swept(multichar) == {"fwd", "back"}
+        code = multichar._codes.by_name
+        assert multichar._table[("fwd", code["a"])][3] is not None
+        assert multichar._table[("fwd", code["b"])][3] is None
+
+    def test_loops_that_move_two_ways_or_stay_do_not_sweep(self):
+        doc = {"blank": "_", "alphabet": ["_", "a", "b"], "states": ["two", "stay", "erase"],
+               "initial": "two", "finals": [], "transitions": [
+                   {"from": "two", "read": "a", "to": "two", "write": "a", "move": "r"},
+                   {"from": "two", "read": "b", "to": "two", "write": "b", "move": "l"},
+                   {"from": "stay", "read": "a", "to": "stay", "write": "b", "move": "n"},
+                   {"from": "erase", "read": "a", "to": "erase", "write": "_", "move": "r"}]}
+        assert _swept(turing.load_machine(doc)) == set()
+
+    def test_several_tapes_never_sweep(self):
+        assert _golden_machine("two_tape")._sweeps == {}
+
+
+class TestAlphabetBudget:
+    def _doc(self, size: int) -> dict:
+        """A one-rule machine over ``size`` symbols that writes the last one."""
+        symbols = ["_"] + [f"s{i}" for i in range(1, size)]
+        return {"blank": "_", "alphabet": symbols, "states": ["go", "done"],
+                "initial": "go", "finals": ["done"], "transitions": [
+                    {"from": "go", "read": "_", "to": "done", "write": symbols[-1],
+                     "move": "n"}]}
+
+    def test_at_the_budget_a_machine_loads_and_runs(self):
+        assert turing.ALPHABET_BUDGET == 256
+        machine = turing.load_machine(self._doc(256))
+        outcome = turing.run(machine, fuel=5)
+        assert outcome.kind is OutcomeKind.HALTED and outcome.config.tape_text() == "s255"
+
+    def test_past_the_budget_the_machine_is_refused(self):
+        with pytest.raises(ResourceError, match="budget of 256"):
+            turing.load_machine(self._doc(257))
+
+    def test_a_tape_of_its_own_refuses_a_257th_symbol(self):
+        tape = turing.Tape("_")
+        for pos in range(1, 256):
+            tape.write(pos, f"s{pos}")
+        with pytest.raises(ResourceError, match="256"):
+            tape.write(0, "one too many")
+        assert tape.text() == "".join(f"s{pos}" for pos in range(1, 256))
 
 
 class TestFuelBudget:
