@@ -83,24 +83,28 @@ class TuringMachine:
     def _table(self) -> dict:
         """The transitions as the stepping loop reads them, compiled once.
 
-        Symbols are codes. The key reads tape 0's code alone on a one-tape
-        machine, else the tuple of every tape's code. The value is ``(dst,
-        write, shift, extra)``: ``write`` is tape 0's new code, or None where
-        the rule writes back what it read; ``shift`` is the head move as an
-        int; ``extra`` is the tuple of codes written on tapes 1 and up, or on
-        one tape the rule's :class:`Sweep`, or None.
+        Each state maps to its row of rules by the codes it reads: on one
+        tape a list indexed by tape 0's code, else a dict keyed by the tuple
+        of every tape's code; a row reads None where no rule applies. A rule
+        is ``(dst, row, write, shift, extra)``: ``row`` is dst's row;
+        ``write`` is tape 0's new code, or None where the rule writes back
+        what it read; ``shift`` is the head move as an int; ``extra`` is the
+        tuple of codes written on tapes 1 and up, or on one tape the rule's
+        :class:`Sweep`, or None.
         """
         code, sweeps = self._codes.by_name, self._sweeps
-        table = {}
+        one_tape = self.num_tapes == 1
+        rows = {state: [None] * ALPHABET_BUDGET if one_tape else _Rules() for state in self.states}
         for (src, read), (dst, write, move) in self.transitions.items():
             got, put = [code[s] for s in read], [code[s] for s in write]
-            if self.num_tapes > 1:
-                key, extra = (src, tuple(got)), tuple(put[1:])
-            else:
+            if one_tape:
                 sweep = sweeps.get(src)
-                key, extra = (src, got[0]), sweep if sweep and got[0] not in sweep.outside else None
-            table[key] = (dst, None if put[0] == got[0] else put[0], MOVES[move], extra)
-        return table
+                key, extra = got[0], sweep if sweep and got[0] not in sweep.outside else None
+            else:
+                key, extra = tuple(got), tuple(put[1:])
+            rows[src][key] = (dst, rows[dst], None if put[0] == got[0] else put[0], MOVES[move],
+                              extra)
+        return rows
 
     @cached_property
     def _sweeps(self) -> dict[str, Sweep]:
@@ -134,6 +138,13 @@ class TuringMachine:
     def _longest_symbol(self) -> int:
         """The length of the longest symbol a cell may hold (the blank is in the alphabet)."""
         return max(map(len, self.alphabet))
+
+
+class _Rules(dict):
+    """A row of a machine with several tapes, which reads None where no rule applies."""
+
+    def __missing__(self, key):
+        return None
 
 
 class Sweep(NamedTuple):
@@ -629,16 +640,19 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
             return OutcomeKind.OUT_OF_FUEL, consultations
         origin, lo, hi, size = tape.origin, tape.lo, tape.hi, len(cells)
         head, state, steps = config.heads[0], config.state, config.steps
+        row = table.get(state)
+        if row is None:
+            return OutcomeKind.STUCK, consultations
         try:
             while True:
                 i = head - origin
                 key = cells[i] if 0 <= i < size else 0
                 if others_at:
                     key = (key, *[t._code(head + off) for t, off in others_at])
-                rule = table.get((state, key))
+                rule = row[key]
                 if rule is None:
                     return OutcomeKind.STUCK, consultations
-                dst, write, shift, extra = rule
+                dst, next_row, write, shift, extra = rule
                 if one_sided and head + shift < floor:
                     raise DomainError("head moved past the left edge of a one-sided tape")
                 if extra is not None:
@@ -692,7 +706,7 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
                     else:
                         hi = head
                 head += shift
-                state = dst
+                state, row = dst, next_row
                 steps += 1
                 if state in stops or steps >= fuel or trace_left:
                     break

@@ -494,7 +494,7 @@ def _sweeper(rules, tapes=1, one_sided=False, resume="s1") -> dict:
                             for f, r, t, w, m in rules]}
 
 
-# s0 runs right over a and bb, rewriting a to c.; a blank sends it to ``after``
+# s0 runs right over a and bb, rewriting a to c., until a blank
 _RIGHT = [("s0", "a", "s0", "c.", "r"), ("s0", "bb", "s0", "bb", "r")]
 _THEN_ASK = _sweeper(_RIGHT + [("s0", "..", "ask", "..", "n"), ("s2", "..", "halt", "a", "l")])
 # ...then s1 runs left over what s0 left, rewriting c. to a, into cell 0
@@ -843,7 +843,8 @@ def _golden_machine(name: str) -> turing.TuringMachine:
 
 def _swept(machine: turing.TuringMachine) -> set[str]:
     """The states whose compiled rules carry a sweep."""
-    return {src for (src, _), rule in machine._table.items() if rule[3] is not None}
+    return {state for state, row in machine._table.items()
+            if any(rule is not None and rule[-1] is not None for rule in row)}
 
 
 class TestSweepMarks:
@@ -885,8 +886,8 @@ class TestSweepMarks:
         multichar = _golden_machine("multichar")
         assert _swept(multichar) == {"fwd", "back"}
         code = multichar._codes.by_name
-        assert multichar._table[("fwd", code["a"])][3] is not None
-        assert multichar._table[("fwd", code["b"])][3] is None
+        assert multichar._table["fwd"][code["a"]][-1] is not None
+        assert multichar._table["fwd"][code["b"]][-1] is None
 
     def test_loops_that_move_two_ways_or_stay_do_not_sweep(self):
         doc = {"blank": "_", "alphabet": ["_", "a", "b"], "states": ["two", "stay", "erase"],
