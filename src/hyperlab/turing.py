@@ -219,8 +219,8 @@ class Tape:
     Cell p sits at ``cells[p - origin]`` as the code ``codes`` gives its
     symbol, and unwritten cells hold the blank, code 0; ``lo..hi`` bounds the
     non-blank cells (empty when lo > hi). The array grows by doubling at
-    whichever end a write falls beyond, so the tape's text is one translation
-    of a slice, not a walk of its cells.
+    whichever end a write falls beyond, so the tape's text is made from one
+    slice, not a walk of its cells.
     """
 
     __slots__ = ("codes", "cells", "origin", "lo", "hi")
