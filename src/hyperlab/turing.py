@@ -121,17 +121,17 @@ class TuringMachine:
         for (src, (got,)), (dst, (put,), move) in self.transitions.items():
             if src == dst and self.blank not in (got, put):
                 loops.setdefault(src, {})[got] = (put, move)
-        code = self._codes.by_name
+        code, identity = self._codes.by_name, bytes(range(256))
         sweeps = {}
         for state, rules in loops.items():
             moves = {move for _, move in rules.values()}
             if len(moves) > 1 or moves == {"n"}:
                 continue
-            rewrite = bytearray(range(256))
+            rewrite = bytearray(identity)
             for got, (put, _) in rules.items():
                 rewrite[code[got]] = code[put]
             outside = bytes(sorted(set(code.values()) - {code[a] for a in rules}))
-            sweeps[state] = Sweep(outside, None if rewrite == bytes(range(256)) else bytes(rewrite))
+            sweeps[state] = Sweep(outside, None if rewrite == identity else bytes(rewrite))
         return sweeps
 
     @cached_property
@@ -151,8 +151,9 @@ class Sweep(NamedTuple):
     """A state's rules over the set S of the symbols it keeps itself on.
 
     ``outside`` holds the code of every symbol outside S, the blank among
-    them; ``rewrite`` is the ``bytes.translate`` table taking each code in S to the
-    code its rule writes, or None where every rule writes back what it read.
+    them; ``rewrite`` is the ``bytes.translate`` table taking each code in S
+    to the code its rule writes, or None where every rule writes back what
+    it read.
     """
 
     outside: bytes

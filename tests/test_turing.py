@@ -500,6 +500,11 @@ _THEN_ASK = _sweeper(_RIGHT + [("s0", "..", "ask", "..", "n"), ("s2", "..", "hal
 # ...then s1 runs left over what s0 left, rewriting c. to a, into cell 0
 _INTO_THE_EDGE = _sweeper(_RIGHT + [("s0", "..", "s1", ".d", "l"), ("s1", "c.", "s1", "a", "l"),
                                     ("s1", "bb", "s1", "bb", "l")], one_sided=True)
+# s0 runs right over a and bb and stops on a .d, then s1 runs left over bb
+# and stops on an a, both inside the extent
+_BACK_TO_A = _sweeper([("s0", "a", "s0", "a", "r"), ("s0", "bb", "s0", "bb", "r"),
+                       ("s0", ".d", "s1", ".d", "l"), ("s1", "bb", "s1", "bb", "l"),
+                       ("s1", "a", "halt", "a", "n")])
 # a session: every fed symbol lands right of the block, and s1 runs back over it
 _FED = _sweeper([("s0", "a", "s0", "a", "r"), ("s0", "..", "req", "..", "n"),
                  ("s1", "a", "s1", "a", "l"), ("s1", "..", "s0", "..", "r")])
@@ -524,12 +529,14 @@ class TestAgainstTheReference:
     @settings(max_examples=300, deadline=None)
     @given(_sweeping_docs(), _BLOCKS, st.integers(1, 200), st.integers(0, 30), st.booleans())
     # fuel ends inside a run; the ask state straight out of one; a one-sided
-    # run left into cell 0; a trace cap reached inside a run; two tapes
+    # run left into cell 0; a trace cap reached inside a run; two tapes;
+    # runs both ways that end on a symbol inside the extent
     @example(_THEN_ASK, _LONG, 25, 0, False)
     @example(_THEN_ASK, _LONG, 100, 0, True)
     @example(_INTO_THE_EDGE, _LONG, 200, 0, False)
     @example(_INTO_THE_EDGE, _LONG, 200, 9, False)
     @example(_sweeper(_RIGHT + [("s0", "..", "halt", "a", "n")], tapes=2), _LONG, 100, 0, False)
+    @example(_BACK_TO_A, _LONG + [".d", "a", "a"], 200, 0, False)
     def test_sweeping_run_and_its_trace(self, doc, text, fuel, cap, with_oracle):
         _check_run(doc, text, fuel, cap, with_oracle)
 
