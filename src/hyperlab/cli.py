@@ -9,9 +9,9 @@ produce byte-identical reports.
 Each command imports only the layer it runs, inside its handler: building
 the parser loads no command module, `tm run` loads `turing`, `enum` loads
 `pairing`, `aqc solve` loads `aqc`, and `zeno` and `tae` commands load
-`turing` only when they drive a machine (`zeno halting`). numpy is imported
-only by the commands that use it (tae ashby --simulate and tae bogosort);
-every other command, aqc solve included, starts without it.
+`turing` only when they drive a machine (`zeno halting`). No command imports
+numpy: the seeded ones (aqc solve, tae ashby --simulate and tae bogosort)
+draw from the standard library's random.Random(seed).
 """
 
 from __future__ import annotations
@@ -223,15 +223,14 @@ def _cmd_ashby(args) -> dict:
 
 
 def _cmd_bogosort(args) -> dict:
-    import numpy as np
+    import random
 
     from . import tae
 
-    # independent children of the seed, so the shuffles never replay the input's draw
-    input_seed, shuffle_seed = np.random.SeedSequence(args.seed).spawn(2)
-    sequence = [int(x) for x in np.random.default_rng(input_seed).permutation(args.length)]
-    result = tae.bogosort(sequence, memoized=args.memo, seed=shuffle_seed,
-                          max_tries=args.max_tries)
+    # the shuffles continue the stream the input was drawn from, never replay it
+    rng = random.Random(args.seed)
+    sequence = rng.sample(range(args.length), args.length)
+    result = tae.bogosort(sequence, memoized=args.memo, seed=rng, max_tries=args.max_tries)
     return {
         "command": "tae bogosort",
         "length": args.length,

@@ -17,12 +17,15 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import DomainError, ResourceError
+from .variates import multinomial
 
 if TYPE_CHECKING:
     from .turing import TuringMachine
@@ -222,31 +225,26 @@ class BogosortResult:
     gave_up: bool = False
 
 
-def _permutation_by_rank(items: Sequence[int], rank: int) -> list[int]:
-    """Lehmer-code unranking: rank in [0, len!) to a unique arrangement."""
-    pool = list(items)
-    out = []
-    for radix in range(len(pool), 0, -1):
-        f = math.factorial(radix - 1)
-        digit, rank = divmod(rank, f)
-        out.append(pool.pop(digit))
-    return out
-
-
 def bogosort(
     seq: Sequence[int],
     memoized: bool = False,
-    seed: "int | numpy.random.SeedSequence" = 0,
+    seed: int | random.Random = 0,
     max_tries: int = 10**6,
 ) -> BogosortResult:
     """Shuffle until sorted; checking an arrangement costs one try.
 
-    The plain variant may redraw arrangements it has already rejected and is
-    capped by ``max_tries`` (a gave-up result carries the count). The memoized
-    variant never revisits an arrangement -- ranks are drawn without
-    replacement -- so it needs at most len! tries. The shuffles draw from
-    ``numpy.random.default_rng(seed)``; a caller that drew ``seq`` from the
-    same seed passes an independent child of it instead.
+    The first try checks the input. Say the values have M = n! / prod c_i!
+    distinct arrangements, c_i the count of each value. A plain run shuffles
+    uniformly and may redraw arrangements it has already rejected, so each
+    shuffle sorts with chance 1/M: it takes 1 + Geometric(1/M) tries, capped
+    by ``max_tries``. A gave-up result carries the count and ends on its last
+    shuffle, uniform over the unsorted arrangements (the input itself when
+    ``max_tries`` is 1). A memoized run never revisits an arrangement, so the
+    sorted one sits at a uniform place among the M - 1 not yet tried: it
+    takes 1 + randrange(1, M) tries, at most M. The tries are drawn, not the
+    shuffles, from ``random.Random(seed)``, or from ``seed`` itself when it is
+    a ``random.Random``: a caller that drew ``seq`` from a stream passes the
+    stream on, so the shuffles continue it instead of replaying it.
     """
     items = list(seq)
     if len(items) > MAX_BOGOSORT_LEN:
@@ -255,40 +253,24 @@ def bogosort(
             "is past desk scale")
     if max_tries < 1:
         raise DomainError("max_tries must be positive")
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
     target = sorted(items)
-
-    current = items
-    tries = 1
-    if current == target:
-        return BogosortResult(tuple(current), tries)
-
+    if items == target:
+        return BogosortResult(tuple(items), 1)
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    arrangements = math.factorial(len(items))
+    for count in Counter(items).values():
+        arrangements //= math.factorial(count)
     if memoized:
-        total = math.factorial(len(items))
-        # virtual Fisher-Yates over ranks [0, total): each draw is uniform over
-        # the ranks not yet tried. Rank 0 (the input order) was spent by the
-        # first check, so swap the last slot into its place up front.
-        swap: dict[int, int] = {0: total - 1}
-        remaining = total - 1
-        while remaining > 0:
-            j = int(rng.integers(remaining))
-            rank = swap.get(j, j)
-            swap[j] = swap.get(remaining - 1, remaining - 1)
-            remaining -= 1
-            tries += 1
-            current = _permutation_by_rank(items, rank)
-            if current == target:
-                return BogosortResult(tuple(current), tries)
-        raise AssertionError("a sorted arrangement always exists")  # pragma: no cover
-
-    while tries < max_tries:
-        current = [items[i] for i in rng.permutation(len(items))]
-        tries += 1
-        if current == target:
-            return BogosortResult(tuple(current), tries)
-    return BogosortResult(tuple(current), tries, gave_up=True)
+        return BogosortResult(tuple(target), 1 + rng.randrange(1, arrangements))
+    shuffles = 1 + math.floor(math.log(1.0 - rng.random()) / math.log1p(-1 / arrangements))
+    if shuffles < max_tries:
+        return BogosortResult(tuple(target), 1 + shuffles)
+    last = items
+    if max_tries > 1:
+        last = target
+        while last == target:
+            last = rng.sample(items, len(items))
+    return BogosortResult(tuple(last), max_tries, gave_up=True)
 
 
 # -- wheel strategies ----------------------------------------------------------------
@@ -321,19 +303,15 @@ TAIL_RELATIVE_TOL = 1e-9
 # the freeze-successes series may sum at most this many terms, a few seconds
 SERIES_TERM_BUDGET = 3 * 10**7
 
-# a simulated trial may expect at most 2**57 spins, 64 times below 2**63,
-# where numpy saturates a geometric draw and an int64 sum wraps around
+# a simulated trial may expect at most 2**57 spins, 64 times below 2**63, so
+# the trial times a run draws stay 64-bit counts
 SIMULATION_LOG2_SPINS = 57
 
-# strategies 2 and 3 draw at most this many int64 cells (8 MiB) at a time,
-# so a simulation's memory does not grow with the number of wheels; a block
-# holds at least one whole trial, so this is also their budget of wheels
-DRAW_BLOCK_CELLS = 2**20
+# times one simulation of strategy 2 or 3 may tabulate for the law of one
+# trial; tabulating them and drawing the trials over them costs about 2 us each
+CELL_BUDGET = 2**18
 
-# draws (wheels x trials) one simulation of strategy 2 or 3 may make
-DRAW_BUDGET = 10**8
-
-# trials one simulation may run: it keeps one float64 per trial, 80 MB at the budget
+# trials one simulation may draw: all-or-nothing draws them one at a time
 TRIAL_BUDGET = 10**7
 
 
@@ -386,24 +364,72 @@ def ashby_case3_inclusion_exclusion(n: int, p: float) -> float:
     )
 
 
+def _trial_time_law(exp: WheelExperiment) -> tuple[int, list[float]]:
+    """The law of one trial's time under strategy 2 or 3: (first time, weights).
+
+    Weight i is in proportion to the chance that a trial takes first + i
+    seconds. The weights leave out a mass of at most 2**-64 on either side,
+    so at the trial budget the chance that a run would have drawn a time
+    outside them is below 1.1e-12. With q = 1 - p and L = log 2**64:
+
+    - Freeze-successes waits for the slowest of N wheels. P(T <= t) = F(t) =
+      exp(a_t), a_t = N log1p(-q**t), so P(T > t) = -expm1(a_t), at most
+      N q**t, which is 2**-64 or less from t = (log N + L) / -log q on. Weight
+      t is F(t) - F(t - 1) while F(t) < 1/2, and P(T > t - 1) - P(T > t)
+      after, so neither tail is a difference of numbers close to 1.
+    - One-at-a-time spins N + NegativeBinomial(N, p) times. T > t exactly
+      when t spins bring fewer than N successes, so Chernoff's bounds on that
+      binomial of mean t p leave at most 2**-64 outside
+      N + L/2 - sqrt(L**2/4 + 2 L N) < t p <= N + L + sqrt(L**2 + 2 L N).
+      The weights are taken relative to the mode, through the ratio
+      P(t + 1) / P(t) = q t / (t - N + 1), so none overflows.
+
+    Past the cell budget the law is refused before it is tabulated.
+    """
+    n, p, q = exp.n_wheels, exp.p, 1.0 - exp.p
+    log_bound = 64 * math.log(2)
+    if exp.strategy is WheelStrategy.FREEZE_SUCCESSES:
+        first, last = 1, math.ceil((math.log(n) + log_bound) / -math.log1p(-p))
+    else:
+        low = n + log_bound / 2 - math.sqrt(log_bound**2 / 4 + 2 * log_bound * n)
+        high = n + log_bound + math.sqrt(log_bound**2 + 2 * log_bound * n)
+        first, last = max(n, math.floor(low / p) + 1), math.ceil(high / p)
+    if last - first + 1 > CELL_BUDGET:
+        raise ResourceError(
+            f"the law of one trial spans {last - first + 1} times, past the budget of "
+            f"{CELL_BUDGET}")
+    if exp.strategy is WheelStrategy.FREEZE_SUCCESSES:
+        logs = [-math.inf] + [n * math.log1p(-q**t) for t in range(1, last + 1)]
+        return first, [math.exp(b) - math.exp(a) if b < -math.log(2)
+                       else math.expm1(b) - math.expm1(a) for a, b in zip(logs, logs[1:])]
+    mode = min(max(n + math.floor((n - 1) * q / p), first), last)
+    weights = [0.0] * (last - first + 1)
+    weights[mode - first] = 1.0
+    for t in range(mode, last):
+        weights[t + 1 - first] = weights[t - first] * q * t / (t - n + 1)
+    for t in range(mode, first, -1):
+        weights[t - 1 - first] = weights[t - first] * (t - n) / (q * (t - 1))
+    return first, weights
+
+
 def ashby_simulate(exp: WheelExperiment, trials: int) -> tuple[float, float]:
     """Seeded Monte Carlo of the chosen strategy: (mean seconds, standard error).
 
     Each wheel's spin count until its first success is geometric with
     parameter p. The strategies compound those counts differently: a single
-    geometric draw at p**N for all-or-nothing rounds, the per-wheel sum for
-    one-at-a-time, the per-wheel maximum for freeze-successes.
+    geometric count at p**N for all-or-nothing rounds, the per-wheel sum for
+    one-at-a-time, the per-wheel maximum for freeze-successes. The report
+    reads only the exact integer sums of the trial times and of their
+    squares, so the trials are never kept. All-or-nothing draws each trial
+    by inversion, 1 + floor(log U / log1p(-p**N)); the other two draw how
+    many trials take each time, with one multinomial draw over the law of
+    one trial. Every draw is from ``random.Random(seed)``.
     """
-    if trials < 1:
-        raise DomainError("need at least one trial")
+    if trials < 2:
+        raise DomainError("a standard error needs at least two trials")
     if trials > TRIAL_BUDGET:
         raise ResourceError(f"{trials} trials is past the budget of {TRIAL_BUDGET}")
     n, p = exp.n_wheels, exp.p
-    if exp.strategy is not WheelStrategy.ALL_OR_NOTHING and (
-            n > DRAW_BLOCK_CELLS or n * trials > DRAW_BUDGET):
-        raise ResourceError(
-            f"{n} wheels x {trials} trials is past the budget of {DRAW_BLOCK_CELLS} "
-            f"wheels and {DRAW_BUDGET} draws")
     if exp.strategy is WheelStrategy.ALL_OR_NOTHING:
         log2_spins = -n * math.log2(p)
     elif exp.strategy is WheelStrategy.ONE_AT_A_TIME:
@@ -413,25 +439,24 @@ def ashby_simulate(exp: WheelExperiment, trials: int) -> tuple[float, float]:
     if log2_spins > SIMULATION_LOG2_SPINS:
         raise DomainError(
             f"a simulated trial expects 2**{log2_spins:.1f} spins, past the "
-            f"2**{SIMULATION_LOG2_SPINS} that 64-bit draws count exactly; "
+            f"2**{SIMULATION_LOG2_SPINS} that 64-bit counts hold; "
             "use the analytic expectation")
-    import numpy as np
-
-    rng = np.random.default_rng(exp.seed)
+    rng = random.Random(exp.seed)
+    total = squares = 0
     if exp.strategy is WheelStrategy.ALL_OR_NOTHING:
-        times = rng.geometric(p**n, size=trials).astype(np.float64)
+        log_fail, uniform, log = math.log1p(-p**n), rng.random, math.log
+        for _ in range(trials):
+            t = 1 + int(log(1.0 - uniform()) / log_fail)
+            total += t
+            squares += t * t
     else:
-        # trials x wheels draws, a block of whole rows at a time: the blocks
-        # continue one geometric stream, so the draws are those of one array
-        reduce = np.sum if exp.strategy is WheelStrategy.ONE_AT_A_TIME else np.max
-        rows = max(1, DRAW_BLOCK_CELLS // n)
-        times = np.empty(trials, dtype=np.float64)
-        for start in range(0, trials, rows):
-            block = rng.geometric(p, size=(min(rows, trials - start), n))
-            times[start:start + len(block)] = reduce(block, axis=1)
-    mean = float(times.mean())
-    stderr = float(times.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
-    return mean, stderr
+        first, weights = _trial_time_law(exp)
+        for i, count in multinomial(rng, trials, weights).items():
+            total += (first + i) * count
+            squares += (first + i) ** 2 * count
+    # the squared standard error as one exact fraction, rounded once
+    return total / trials, math.sqrt(
+        (trials * squares - total * total) / (trials * trials * (trials - 1)))
 
 
 # companion figures commonly quoted for the N=1000, p=1/2 example; recorded

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -79,3 +80,8 @@ def charpoly_eigenvalues(h: np.ndarray) -> np.ndarray:
     values = np.array([np.linalg.det(x * np.eye(n) - hs) for x in nodes]).real
     coeffs = np.linalg.solve(np.vander(nodes, n + 1), values)
     return np.sort(np.roots(coeffs).real) * scale
+
+
+def chi_square_upper(df: int, z: float = 3.09) -> float:
+    """The upper 0.1 % point of chi-square with df degrees of freedom (Wilson-Hilferty)."""
+    return df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hyperlab import aqc, linalg
+from hyperlab import aqc, linalg, variates
 from hyperlab.aqc import TruncatedFockSpace, Verdict
 from hyperlab.errors import (
     DomainError,
@@ -16,6 +16,8 @@ from hyperlab.errors import (
     StabilityError,
     ValidationError,
 )
+
+from conftest import chi_square_upper
 
 X_MINUS_2 = {"vars": 1, "terms": [[1, [1]], [-2, [0]]]}
 TWO_X_MINUS_1 = {"vars": 1, "terms": [[2, [1]], [-1, [0]]]}
@@ -278,7 +280,7 @@ class TestMeasurement:
 
     def test_basis_state_is_certain(self):
         assert aqc.sample_levels(self.SCAN, [1.0, 0.0, 0.0], shots=100, seed=3) == {(2,): 100}
-        assert aqc._multinomial(random.Random(3), 100, [0, 0, 1, 0, 0]) == {2: 100}
+        assert variates.multinomial(random.Random(3), 100, [0, 0, 1, 0, 0]) == {2: 100}
 
     def test_balanced_superposition_within_three_sigma(self):
         sigma = math.sqrt(10**5 * 0.25)
@@ -483,11 +485,6 @@ def _chi_square(draws, n, p):
     return sum((o - e) ** 2 / e for o, e in bins), len(bins) - 1
 
 
-def _chi_square_upper(df, z=3.09):
-    """The upper 0.1 % point of chi-square with df degrees of freedom (Wilson-Hilferty)."""
-    return df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
-
-
 class TestBinomial:
     """The sampler's binomial draw against the exact pmf, in both of its methods."""
 
@@ -498,16 +495,16 @@ class TestBinomial:
     ])
     def test_draws_follow_the_exact_pmf(self, n, p):
         rng = random.Random(n)
-        draws = [aqc._binomial(rng, n, p) for _ in range(20000)]
+        draws = [variates.binomial(rng, n, p) for _ in range(20000)]
         statistic, df = _chi_square(draws, n, p)
-        assert statistic < _chi_square_upper(df)
+        assert statistic < chi_square_upper(df)
 
     @pytest.mark.parametrize("p", [0.3, 0.75, 1e-18])
     def test_moments_at_two_to_the_62(self, p):
         # 1e-18: n p = 4.6, the geometric method with log(1 - p) below the float spacing of 1
         n, draws = 2**62, 20000
         rng = random.Random(62)
-        values = [aqc._binomial(rng, n, p) for _ in range(draws)]
+        values = [variates.binomial(rng, n, p) for _ in range(draws)]
         assert all(0 <= v <= n for v in values)
         variance = n * p * (1 - p)
         deviations = [v - n * p for v in values]
@@ -517,12 +514,23 @@ class TestBinomial:
 
     def test_edge_cases(self):
         rng = random.Random(0)
-        assert aqc._binomial(rng, 0, 0.3) == 0
-        assert aqc._binomial(rng, 10**6, 0.0) == 0
-        assert aqc._binomial(rng, aqc.MAX_SHOTS, 1.0) == aqc.MAX_SHOTS
+        assert variates.binomial(rng, 0, 0.3) == 0
+        assert variates.binomial(rng, 10**6, 0.0) == 0
+        assert variates.binomial(rng, aqc.MAX_SHOTS, 1.0) == aqc.MAX_SHOTS
         for n, p in [(40, 0.6), (10**6, 0.999)]:
-            assert (aqc._binomial(random.Random(5), n, p)
-                    == n - aqc._binomial(random.Random(5), n, 1 - p))
+            assert (variates.binomial(random.Random(5), n, p)
+                    == n - variates.binomial(random.Random(5), n, 1 - p))
+
+    @pytest.mark.parametrize("p", [5e-324, 1e-320])
+    def test_subnormal_probability_draws_nothing(self, p):
+        # the geometric gap log(u) / log1p(-p) is infinite here, past any n
+        rng = random.Random(1)
+        for n in (1, 10, aqc.MAX_SHOTS):
+            assert [variates.binomial(rng, n, p) for _ in range(100)] == [0] * 100
+
+    def test_subnormal_weight_takes_no_draw(self):
+        counts = variates.multinomial(random.Random(1), 1000, [1.0, 1e-320, 0.5])
+        assert set(counts) <= {0, 2} and sum(counts.values()) == 1000
 
 
 # d <= 125 for every arity: 21, 121 and 125 points at the largest cutoffs

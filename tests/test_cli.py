@@ -221,10 +221,11 @@ class TestErrors:
         ["tae", "ashby", "--wheels", "10", "--p", "1e-7", "--strategy", "3"],
         ["tae", "ashby", "--wheels", "2", "--p", "0.5", "--strategy", "2", "--simulate",
          "--trials", str(10**12)],
-        ["tae", "ashby", "--wheels", "100000", "--p", "0.5", "--strategy", "3", "--simulate",
+        # the law of one trial spans about 470,000 and 380,000 times
+        ["tae", "ashby", "--wheels", "10", "--p", "1e-4", "--strategy", "3", "--simulate",
          "--trials", str(10**7)],
-        ["tae", "ashby", "--wheels", str(2 * 10**7), "--p", "0.5", "--strategy", "2",
-         "--simulate", "--trials", "1"],
+        ["tae", "ashby", "--wheels", str(10**8), "--p", "0.5", "--strategy", "2",
+         "--simulate", "--trials", "2"],
         ["aqc", "solve", "{poly}", "--cutoff", "4", "--time", "1e12"],
         ["aqc", "solve", "{poly}", "--cutoff", "4", "--time", "1e300", "--dt", "1e-300"],
         ["aqc", "solve", "{long}", "--cutoff", "6", "--oracle-only"],
@@ -371,6 +372,18 @@ class TestErrors:
         assert status == 0
         assert json.loads(out)["minimizers"] == [[0]]
 
+    @pytest.mark.parametrize("argv", [
+        ["tae", "ashby", "--wheels", "2", "--p", "0.5", "--strategy", "1", "--simulate",
+         "--trials", "1"],
+        ["tae", "ashby", "--wheels", "2", "--p", "0.5", "--strategy", "3", "--simulate",
+         "--trials", "0"],
+    ], ids=" ".join)
+    def test_simulation_without_a_standard_error_is_refused(self, argv):
+        status, out, err = run_cli(argv)
+        assert status == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "domain-error" and "two trials" in payload["message"]
+
     def test_all_or_nothing_simulation_past_64_bit_counts(self):
         start = time.monotonic()
         status, out, err = run_cli(["tae", "ashby", "--wheels", "2000", "--p", "0.5",
@@ -499,10 +512,16 @@ class TestCosts:
         poly = tmp_path / "poly.json"
         poly.write_text(json.dumps(X_MINUS_2))
         commands = [f"tm run {machine} --input 11 --trace", "zeno time --n 50",
-                    "enum list --count 30", "limits --symbols 8 --power 1 --dt 0.5",
-                    "tae goldbach --horizon 100",
+                    "zeno budget --seconds 64", "zeno lamp --t 1.5",
+                    f"zeno halting {machine} --input 11 --fuel 100",
+                    "enum list --count 30", "enum decode --index 4", "enum encode --a 1 --b 1",
+                    "limits --symbols 8 --power 1 --dt 0.5",
+                    "tae goldbach --horizon 100", "tae bogosort --len 6 --seed 3",
+                    "tae bogosort --len 6 --memo --seed 3",
                     f"aqc solve {poly} --cutoff 4 --time 50 --dt 0.01 --shots 1000",
-                    f"aqc solve {poly} --cutoff 4 --oracle-only"]
+                    f"aqc solve {poly} --cutoff 4 --oracle-only"] + [
+                    f"tae ashby --wheels 4 --p 0.5 --strategy {strategy} --simulate --trials 100"
+                    for strategy in (1, 2, 3)]
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -539,8 +558,8 @@ class TestCosts:
         base = {"cli", "errors", "reporting"}
         assert layers("") == base
         assert layers(f"aqc solve {poly} --cutoff 4 --time 5 --dt 0.01 --shots 100") \
-            == base | {"aqc"}
-        assert layers(f"aqc solve {poly} --cutoff 4 --oracle-only") == base | {"aqc"}
+            == base | {"aqc", "variates"}
+        assert layers(f"aqc solve {poly} --cutoff 4 --oracle-only") == base | {"aqc", "variates"}
         assert layers("enum list --count 30") == base | {"pairing"}
         assert "turing" not in layers("zeno time --n 50")
         assert "turing" not in layers("tae goldbach --horizon 100")

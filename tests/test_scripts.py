@@ -54,18 +54,29 @@ def test_overlap_sweep_keeps_its_recorded_rows():
         assert abs(row["norm_drift"] - drift) <= 1e-14
 
 
+# runs a script as __main__ and writes to stderr whether it imported numpy
+NUMPY_PROBE = ("import runpy, sys\n"
+               "sys.argv = sys.argv[1:]\n"
+               "try:\n"
+               "    runpy.run_path(sys.argv[0], run_name='__main__')\n"
+               "except SystemExit as done:\n"
+               "    assert not done.code, done.code\n"
+               "sys.stderr.write(repr('numpy' in sys.modules))\n")
+
+
 def test_overlap_sweep_imports_no_numpy():
-    code = ("import runpy, sys\n"
-            "sys.argv = sys.argv[1:]\n"
-            "try:\n"
-            "    runpy.run_path(sys.argv[0], run_name='__main__')\n"
-            "except SystemExit as done:\n"
-            "    assert not done.code, done.code\n"
-            "sys.stderr.write(repr('numpy' in sys.modules))\n")
     proc = run_script("overlap_sweep.py", "fixtures/x_minus_2.json", "--cutoff", "4",
-                      "--times", "1", "--dt", "0.01", python_args=("-c", code))
+                      "--times", "1", "--dt", "0.01", python_args=("-c", NUMPY_PROBE))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["sweep"][0]["steps"] == 100
+    assert proc.stderr == "False"
+
+
+def test_wheel_strategies_imports_no_numpy():
+    proc = run_script("wheel_strategies.py", "--wheels", "2", "4", "--trials", "200",
+                      python_args=("-c", NUMPY_PROBE))
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 3
     assert proc.stderr == "False"
 
 

@@ -1,12 +1,16 @@
+import itertools
 import math
+import random
+import statistics
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperlab import tae, turing
+from hyperlab import tae, turing, variates
 from hyperlab.errors import DomainError, ResourceError
 from hyperlab.tae import (
     KernelDivergenceError,
@@ -15,7 +19,7 @@ from hyperlab.tae import (
     WheelStrategy,
 )
 
-from conftest import self_loop_doc
+from conftest import chi_square_upper, self_loop_doc
 
 
 def sieve(limit: int) -> list[bool]:
@@ -157,6 +161,38 @@ class TestGoldbachStream:
             assert tae.is_prime(n) == flags[n]
 
 
+def fisher_yates_tries(items: list[int], rng: random.Random) -> int:
+    """Memoized bogosort by brute force: check the input, then draw the other
+    distinct arrangements without replacement until the sorted one comes up."""
+    target = tuple(sorted(items))
+    if tuple(items) == target:
+        return 1
+    untried = sorted(set(itertools.permutations(items)) - {tuple(items)})
+    tries = 1
+    while True:
+        j = rng.randrange(len(untried))
+        tries += 1
+        if untried[j] == target:
+            return tries
+        untried[j] = untried[-1]
+        untried.pop()
+
+
+def pooled_chi_square(observed: Counter, expected: dict) -> tuple[float, int]:
+    """Pearson's statistic and degrees of freedom; neighbouring outcomes, in
+    key order, pool until each bin expects at least 5."""
+    bins, seen, mass = [], 0, 0.0
+    for key in sorted(expected):
+        seen, mass = seen + observed[key], mass + expected[key]
+        if mass >= 5:
+            bins.append((seen, mass))
+            seen, mass = 0, 0.0
+    if mass:
+        last_seen, last_mass = bins.pop()
+        bins.append((last_seen + seen, last_mass + mass))
+    return sum((o - e) ** 2 / e for o, e in bins), len(bins) - 1
+
+
 class TestBogosort:
     def test_sorted_input_takes_one_try(self):
         result = tae.bogosort([1, 2, 3], seed=5)
@@ -169,16 +205,37 @@ class TestBogosort:
             assert result.tries <= math.factorial(3)
 
     def test_memoized_never_repeats_an_arrangement(self):
-        # drive the sampler through a full factorial sweep on an unsortable
-        # target? no -- instead check uniqueness of the visited ranks directly
-        seen = set()
-        items = [4, 3, 2, 1]
-        total = math.factorial(len(items))
-        for rank in range(total):
-            arrangement = tuple(tae._permutation_by_rank(items, rank))
-            assert arrangement not in seen
-            seen.add(arrangement)
-        assert len(seen) == total
+        # 2, 1, 1, 0 has 4!/2! = 12 distinct arrangements: a memoized run
+        # finds the sorted one by try 12 at the latest, and reaches every count
+        tries = {tae.bogosort([2, 1, 1, 0], memoized=True, seed=seed).tries
+                 for seed in range(2000)}
+        assert tries == set(range(2, 13))
+
+    @pytest.mark.parametrize("items", [[3, 1, 0, 2], [1, 0, 2, 1]])
+    def test_memoized_tries_match_a_fisher_yates_loop(self, items):
+        # two samples of 20,000 runs, compared bin by bin at the 0.1 % level
+        runs = 20000
+        rng = random.Random(41)
+        drawn = Counter(tae.bogosort(items, memoized=True, seed=rng).tries
+                        for _ in range(runs))
+        looped = Counter(fisher_yates_tries(items, rng) for _ in range(runs))
+        assert set(drawn) == set(looped)
+        statistic = sum((drawn[k] - looped[k]) ** 2 / (drawn[k] + looped[k]) for k in drawn)
+        assert statistic < chi_square_upper(len(drawn) - 1)
+
+    @pytest.mark.parametrize("items, arrangements", [([2, 0, 1], 6), ([1, 0, 1], 3),
+                                                     ([4, 3, 2, 1, 0], 120)])
+    def test_plain_shuffles_are_geometric(self, items, arrangements):
+        # tries - 1 shuffles, each sorting with chance 1/M; 20,000 runs at the 0.1 % level
+        runs = 20000
+        rng = random.Random(43)
+        shuffles = Counter(tae.bogosort(items, seed=rng).tries - 1 for _ in range(runs))
+        rate = 1 / arrangements
+        horizon = max(shuffles) + 1
+        expected = {k: runs * rate * (1 - rate) ** (k - 1) for k in range(1, horizon)}
+        expected[horizon] = runs * (1 - rate) ** (horizon - 1)  # the tail, never seen
+        statistic, df = pooled_chi_square(shuffles, expected)
+        assert statistic < chi_square_upper(df)
 
     def test_non_memoized_mean_matches_geometric_rate(self):
         # success probability per scramble of 5 distinct items is 1/120
@@ -193,6 +250,23 @@ class TestBogosort:
     def test_gave_up_carries_tries(self):
         result = tae.bogosort([2, 1, 3, 5, 4], seed=0, max_tries=3)
         assert result.gave_up and result.tries == 3
+
+    @pytest.mark.parametrize("items", [[2, 0, 1], [1, 0, 1]])
+    def test_give_up_ends_on_a_uniform_unsorted_shuffle(self, items):
+        # 20,000 runs capped at one shuffle, at the 0.1 % level
+        runs = 20000
+        rng = random.Random(47)
+        results = [tae.bogosort(items, seed=rng, max_tries=2) for _ in range(runs)]
+        last = Counter(r.sequence for r in results if r.gave_up)
+        unsorted = set(itertools.permutations(items)) - {tuple(sorted(items))}
+        assert set(last) == unsorted
+        gave_up = sum(last.values())
+        statistic, df = pooled_chi_square(last, {a: gave_up / len(unsorted) for a in unsorted})
+        assert statistic < chi_square_upper(df)
+
+    def test_a_single_try_gives_up_on_the_input(self):
+        result = tae.bogosort([2, 1, 3], seed=1, max_tries=1)
+        assert result == tae.BogosortResult((2, 1, 3), 1, gave_up=True)
 
     def test_factorial_guard(self):
         with pytest.raises(ResourceError):
@@ -315,20 +389,70 @@ class TestAshbySimulation:
             tae.ashby_simulate(WheelExperiment(2, 0.5, WheelStrategy.ONE_AT_A_TIME),
                                tae.TRIAL_BUDGET + 1)
 
-    @pytest.mark.parametrize("strategy", [WheelStrategy.ONE_AT_A_TIME,
-                                          WheelStrategy.FREEZE_SUCCESSES])
+    def test_one_trial_is_refused(self):
+        with pytest.raises(DomainError, match="two trials"):
+            tae.ashby_simulate(WheelExperiment(2, 0.5, WheelStrategy.ALL_OR_NOTHING), 1)
+
+    @pytest.mark.parametrize("strategy, n, p", [
+        (WheelStrategy.ALL_OR_NOTHING, 4, 0.5), (WheelStrategy.ALL_OR_NOTHING, 2, 0.1),
+        (WheelStrategy.ONE_AT_A_TIME, 10, 0.5), (WheelStrategy.ONE_AT_A_TIME, 1000, 0.3),
+        (WheelStrategy.FREEZE_SUCCESSES, 10, 0.5), (WheelStrategy.FREEZE_SUCCESSES, 10**5, 0.2),
+    ])
+    def test_z_scores_over_seeds_are_standard(self, strategy, n, p):
+        # 200 seeds of 2000 trials: the mean of 200 standard z-scores has standard
+        # error 0.07 and their standard deviation about 0.05, so both bounds sit
+        # about 4 standard errors out
+        zs = []
+        for seed in range(200):
+            exp = WheelExperiment(n, p, strategy, seed=seed)
+            mean, stderr = tae.ashby_simulate(exp, 2000)
+            zs.append((mean - tae.ashby_expected(exp)) / stderr)
+        assert abs(statistics.fmean(zs)) < 0.3
+        assert abs(statistics.stdev(zs) - 1) < 0.2
+
+    @pytest.mark.parametrize("strategy", list(WheelStrategy))
     @pytest.mark.parametrize("n, p, trials, seed", [
-        (1, 0.5, 300, 1), (3, 0.2, 301, 2), (10, 0.9, 97, 3), (37, 0.01, 250, 4)])
-    def test_blocked_draws_equal_one_draw(self, monkeypatch, strategy, n, p, trials, seed):
-        # blocks of 64 cells put many block boundaries inside these small runs
-        monkeypatch.setattr(tae, "DRAW_BLOCK_CELLS", 64)
-        draws = np.random.default_rng(seed).geometric(p, size=(trials, n))
-        reduced = draws.sum(axis=1) if strategy is WheelStrategy.ONE_AT_A_TIME \
-            else draws.max(axis=1)
-        times = reduced.astype(np.float64)
-        expected = (float(times.mean()), float(times.std(ddof=1) / math.sqrt(trials)))
-        assert tae.ashby_simulate(WheelExperiment(n, p, strategy, seed=seed),
-                                  trials) == expected
+        (1, 0.5, 300, 1), (3, 0.2, 301, 2), (10, 0.9, 97, 3), (37, 0.4, 250, 4)])
+    def test_moments_equal_a_per_trial_sum(self, strategy, n, p, trials, seed):
+        exp = WheelExperiment(n, p, strategy, seed=seed)
+        rng = random.Random(seed)
+        if strategy is WheelStrategy.ALL_OR_NOTHING:
+            times = [1 + math.floor(math.log(1 - rng.random()) / math.log1p(-p**n))
+                     for _ in range(trials)]
+        else:
+            first, weights = tae._trial_time_law(exp)
+            times = [first + i for i, count in variates.multinomial(rng, trials, weights).items()
+                     for _ in range(count)]
+        mean = Fraction(sum(times), trials)
+        variance = sum((t - mean) ** 2 for t in times) / (trials - 1)
+        assert tae.ashby_simulate(exp, trials) == (float(mean), math.sqrt(variance / trials))
+
+    @pytest.mark.parametrize("strategy, n, p", [
+        (WheelStrategy.ONE_AT_A_TIME, 1, 0.5), (WheelStrategy.ONE_AT_A_TIME, 5, 0.3),
+        (WheelStrategy.ONE_AT_A_TIME, 40, 0.7), (WheelStrategy.FREEZE_SUCCESSES, 1, 0.5),
+        (WheelStrategy.FREEZE_SUCCESSES, 10, 0.5), (WheelStrategy.FREEZE_SUCCESSES, 12, 0.25),
+    ])
+    def test_law_of_one_trial_is_exact_and_leaves_out_at_most_2_to_the_minus_64(self, strategy, n, p):
+        first, weights = tae._trial_time_law(WheelExperiment(n, p, strategy))
+        last = first + len(weights) - 1
+        p, q = Fraction(p), 1 - Fraction(p)
+        if strategy is WheelStrategy.ONE_AT_A_TIME:
+            def chance(t):  # the n-th success on spin t
+                return math.comb(t - 1, n - 1) * p**n * q ** (t - n) if t >= n else 0
+
+            def below(t):  # fewer than n successes in t spins
+                return sum(math.comb(t, k) * p**k * q ** (t - k) for k in range(n))
+
+            left_out = (1 - below(first - 1), below(last))
+        else:
+            def chance(t):  # the slowest of n wheels succeeds on spin t
+                return (1 - q**t) ** n - (1 - q ** (t - 1)) ** n
+
+            left_out = ((1 - q ** (first - 1)) ** n, 1 - (1 - q**last) ** n)
+        assert max(left_out) <= Fraction(1, 2**64)
+        total = sum(weights)
+        for t, weight in enumerate(weights, first):
+            assert abs(weight / total - chance(t)) <= 1e-12 * chance(t) + 1e-18
 
     @pytest.mark.parametrize("strategy", [WheelStrategy.ONE_AT_A_TIME,
                                           WheelStrategy.FREEZE_SUCCESSES])

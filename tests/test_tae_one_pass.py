@@ -60,24 +60,40 @@ def test_stream_stops_at_its_first_no(monkeypatch, counterexample):
     assert all(verdict for _, verdict in stream.answers[:-1])
 
 
-class TestDrawBudget:
-    @pytest.mark.parametrize("strategy", [WheelStrategy.ONE_AT_A_TIME,
-                                          WheelStrategy.FREEZE_SUCCESSES])
-    def test_wheels_past_one_draw_block_are_refused(self, strategy):
-        exp = WheelExperiment(tae.DRAW_BLOCK_CELLS + 1, 0.5, strategy)
+class TestCellBudget:
+    @pytest.mark.parametrize("exp", [
+        WheelExperiment(10**8, 0.5, WheelStrategy.ONE_AT_A_TIME),
+        WheelExperiment(10, 1e-4, WheelStrategy.FREEZE_SUCCESSES),
+    ], ids=["wheels", "small-p"])
+    def test_laws_past_the_cell_budget_are_refused(self, exp):
         with pytest.raises(ResourceError, match="budget"):
-            tae.ashby_simulate(exp, 1)
+            tae.ashby_simulate(exp, 2)
 
     @pytest.mark.parametrize("strategy", [WheelStrategy.ONE_AT_A_TIME,
                                           WheelStrategy.FREEZE_SUCCESSES])
-    def test_draws_budget_is_inclusive(self, monkeypatch, strategy):
-        monkeypatch.setattr(tae, "DRAW_BUDGET", 1000)
-        tae.ashby_simulate(WheelExperiment(10, 0.5, strategy), 100)
+    def test_cell_budget_is_inclusive(self, monkeypatch, strategy):
+        exp = WheelExperiment(10, 0.5, strategy)
+        monkeypatch.setattr(tae, "CELL_BUDGET", len(tae._trial_time_law(exp)[1]))
+        tae.ashby_simulate(exp, 100)
+        monkeypatch.setattr(tae, "CELL_BUDGET", tae.CELL_BUDGET - 1)
         with pytest.raises(ResourceError, match="budget"):
-            tae.ashby_simulate(WheelExperiment(10, 0.5, strategy), 101)
+            tae.ashby_simulate(exp, 100)
 
     def test_all_or_nothing_draws_one_count_per_trial(self):
         # 2**21 wheels at p = 1 - 1e-9 still succeed in about one round
-        exp = WheelExperiment(2 * tae.DRAW_BLOCK_CELLS, 1 - 1e-9, WheelStrategy.ALL_OR_NOTHING)
+        exp = WheelExperiment(2**21, 1 - 1e-9, WheelStrategy.ALL_OR_NOTHING)
         mean, _ = tae.ashby_simulate(exp, 100)
         assert 1.0 <= mean < 1.1
+
+
+@pytest.mark.parametrize("strategy", list(WheelStrategy))
+def test_simulation_keeps_no_trial(strategy):
+    # 40,000 trials: a float per trial would be 320 kB
+    exp = WheelExperiment(10, 0.5, strategy, seed=3)
+    tracemalloc.start()
+    try:
+        tae.ashby_simulate(exp, 40000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
