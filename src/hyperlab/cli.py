@@ -227,8 +227,7 @@ def _cmd_bogosort(args) -> dict:
 
     from . import tae
 
-    # the shuffles continue the stream the input was drawn from, never replay it
-    rng = random.Random(args.seed)
+    rng = random.Random(args.seed)  # the shuffles continue the input's stream
     sequence = rng.sample(range(args.length), args.length)
     result = tae.bogosort(sequence, memoized=args.memo, seed=rng, max_tries=args.max_tries)
     return {

@@ -19,7 +19,6 @@ import itertools
 import math
 import random
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -233,18 +232,12 @@ def bogosort(
 ) -> BogosortResult:
     """Shuffle until sorted; checking an arrangement costs one try.
 
-    The first try checks the input. Say the values have M = n! / prod c_i!
-    distinct arrangements, c_i the count of each value. A plain run shuffles
-    uniformly and may redraw arrangements it has already rejected, so each
-    shuffle sorts with chance 1/M: it takes 1 + Geometric(1/M) tries, capped
-    by ``max_tries``. A gave-up result carries the count and ends on its last
-    shuffle, uniform over the unsorted arrangements (the input itself when
-    ``max_tries`` is 1). A memoized run never revisits an arrangement, so the
-    sorted one sits at a uniform place among the M - 1 not yet tried: it
-    takes 1 + randrange(1, M) tries, at most M. The tries are drawn, not the
-    shuffles, from ``random.Random(seed)``, or from ``seed`` itself when it is
-    a ``random.Random``: a caller that drew ``seq`` from a stream passes the
-    stream on, so the shuffles continue it instead of replaying it.
+    Only the outcome is drawn. Over the M = n!/prod(c_i!) distinct
+    arrangements (c_i the count of each value), a memoized run takes
+    1 + randrange(1, M) tries and a plain one 1 + Geometric(1/M), capped by
+    ``max_tries``; a plain run that gives up ends on a uniform unsorted
+    shuffle (on the input when ``max_tries`` is 1). ``seed`` is an int or a
+    ``random.Random`` to continue, as a caller that drew ``seq`` from it does.
     """
     items = list(seq)
     if len(items) > MAX_BOGOSORT_LEN:
@@ -257,19 +250,16 @@ def bogosort(
     if items == target:
         return BogosortResult(tuple(items), 1)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    arrangements = math.factorial(len(items))
-    for count in Counter(items).values():
-        arrangements //= math.factorial(count)
+    arrangements = math.factorial(len(items)) // math.prod(
+        math.factorial(items.count(v)) for v in set(items))
     if memoized:
         return BogosortResult(tuple(target), 1 + rng.randrange(1, arrangements))
     shuffles = 1 + math.floor(math.log(1.0 - rng.random()) / math.log1p(-1 / arrangements))
     if shuffles < max_tries:
         return BogosortResult(tuple(target), 1 + shuffles)
-    last = items
-    if max_tries > 1:
-        last = target
-        while last == target:
-            last = rng.sample(items, len(items))
+    last = items if max_tries == 1 else target
+    while last == target:
+        last = rng.sample(items, len(items))
     return BogosortResult(tuple(last), max_tries, gave_up=True)
 
 
@@ -303,12 +293,11 @@ TAIL_RELATIVE_TOL = 1e-9
 # the freeze-successes series may sum at most this many terms, a few seconds
 SERIES_TERM_BUDGET = 3 * 10**7
 
-# a simulated trial may expect at most 2**57 spins, 64 times below 2**63, so
-# the trial times a run draws stay 64-bit counts
+# a simulated trial may expect at most 2**57 spins (its mean, or 1/p for each frozen
+# wheel), 64 times below 2**63, so the trial times a run draws stay 64-bit counts
 SIMULATION_LOG2_SPINS = 57
 
-# times one simulation of strategy 2 or 3 may tabulate for the law of one
-# trial; tabulating them and drawing the trials over them costs about 2 us each
+# times tabulated for the law of one trial under strategy 2 or 3, about 2 us each
 CELL_BUDGET = 2**18
 
 # trials one simulation may draw: all-or-nothing draws them one at a time
@@ -365,26 +354,16 @@ def ashby_case3_inclusion_exclusion(n: int, p: float) -> float:
 
 
 def _trial_time_law(exp: WheelExperiment) -> tuple[int, list[float]]:
-    """The law of one trial's time under strategy 2 or 3: (first time, weights).
+    """The law of one trial's time T under strategy 2 or 3: (first, weights), with
+    weight i in proportion to P(T = first + i) and at most 2**-64 left out each side.
 
-    Weight i is in proportion to the chance that a trial takes first + i
-    seconds. The weights leave out a mass of at most 2**-64 on either side,
-    so at the trial budget the chance that a run would have drawn a time
-    outside them is below 1.1e-12. With q = 1 - p and L = log 2**64:
-
-    - Freeze-successes waits for the slowest of N wheels. P(T <= t) = F(t) =
-      exp(a_t), a_t = N log1p(-q**t), so P(T > t) = -expm1(a_t), at most
-      N q**t, which is 2**-64 or less from t = (log N + L) / -log q on. Weight
-      t is F(t) - F(t - 1) while F(t) < 1/2, and P(T > t - 1) - P(T > t)
-      after, so neither tail is a difference of numbers close to 1.
-    - One-at-a-time spins N + NegativeBinomial(N, p) times. T > t exactly
-      when t spins bring fewer than N successes, so Chernoff's bounds on that
-      binomial of mean t p leave at most 2**-64 outside
-      N + L/2 - sqrt(L**2/4 + 2 L N) < t p <= N + L + sqrt(L**2 + 2 L N).
-      The weights are taken relative to the mode, through the ratio
-      P(t + 1) / P(t) = q t / (t - N + 1), so none overflows.
-
-    Past the cell budget the law is refused before it is tabulated.
+    Here q = 1 - p and L = log 2**64. Freeze-successes: F(t) = P(T <= t) =
+    exp(N log1p(-q**t)), and 1 - F(t) <= N q**t <= 2**-64 from t = (log N + L)
+    / -log q on; the weights are differences of exp below F = 1/2, of expm1
+    above. One-at-a-time: T > t when t spins bring fewer than N successes, and
+    Chernoff's bounds on that binomial leave out the t with t p outside (N + L/2
+    - sqrt(L**2/4 + 2LN), N + L + sqrt(L**2 + 2LN)]; the log weights, by lgamma,
+    are taken less their largest.
     """
     n, p, q = exp.n_wheels, exp.p, 1.0 - exp.p
     log_bound = 64 * math.log(2)
@@ -402,40 +381,26 @@ def _trial_time_law(exp: WheelExperiment) -> tuple[int, list[float]]:
         logs = [-math.inf] + [n * math.log1p(-q**t) for t in range(1, last + 1)]
         return first, [math.exp(b) - math.exp(a) if b < -math.log(2)
                        else math.expm1(b) - math.expm1(a) for a, b in zip(logs, logs[1:])]
-    mode = min(max(n + math.floor((n - 1) * q / p), first), last)
-    weights = [0.0] * (last - first + 1)
-    weights[mode - first] = 1.0
-    for t in range(mode, last):
-        weights[t + 1 - first] = weights[t - first] * q * t / (t - n + 1)
-    for t in range(mode, first, -1):
-        weights[t - 1 - first] = weights[t - first] * (t - n) / (q * (t - 1))
-    return first, weights
+    logs = [math.lgamma(t) - math.lgamma(t - n + 1) + t * math.log(q)
+            for t in range(first, last + 1)]
+    peak = max(logs)
+    return first, [math.exp(a - peak) for a in logs]
 
 
 def ashby_simulate(exp: WheelExperiment, trials: int) -> tuple[float, float]:
     """Seeded Monte Carlo of the chosen strategy: (mean seconds, standard error).
 
-    Each wheel's spin count until its first success is geometric with
-    parameter p. The strategies compound those counts differently: a single
-    geometric count at p**N for all-or-nothing rounds, the per-wheel sum for
-    one-at-a-time, the per-wheel maximum for freeze-successes. The report
-    reads only the exact integer sums of the trial times and of their
-    squares, so the trials are never kept. All-or-nothing draws each trial
-    by inversion, 1 + floor(log U / log1p(-p**N)); the other two draw how
-    many trials take each time, with one multinomial draw over the law of
-    one trial. Every draw is from ``random.Random(seed)``.
+    Only exact sums of the trial times and of their squares are kept. All-or-
+    nothing draws each trial by inversion, 1 + floor(log U / log1p(-p**N)); the
+    other two draw the count of trials at each time in one multinomial draw.
     """
     if trials < 2:
         raise DomainError("a standard error needs at least two trials")
     if trials > TRIAL_BUDGET:
         raise ResourceError(f"{trials} trials is past the budget of {TRIAL_BUDGET}")
     n, p = exp.n_wheels, exp.p
-    if exp.strategy is WheelStrategy.ALL_OR_NOTHING:
-        log2_spins = -n * math.log2(p)
-    elif exp.strategy is WheelStrategy.ONE_AT_A_TIME:
-        log2_spins = math.log2(n) - math.log2(p)
-    else:
-        log2_spins = -math.log2(p)
+    log2_spins = (-math.log2(p) if exp.strategy is WheelStrategy.FREEZE_SUCCESSES
+                  else ashby_expected_log2(exp))
     if log2_spins > SIMULATION_LOG2_SPINS:
         raise DomainError(
             f"a simulated trial expects 2**{log2_spins:.1f} spins, past the "
@@ -454,9 +419,7 @@ def ashby_simulate(exp: WheelExperiment, trials: int) -> tuple[float, float]:
         for i, count in multinomial(rng, trials, weights).items():
             total += (first + i) * count
             squares += (first + i) ** 2 * count
-    # the squared standard error as one exact fraction, rounded once
-    return total / trials, math.sqrt(
-        (trials * squares - total * total) / (trials * trials * (trials - 1)))
+    return total / trials, math.sqrt((trials * squares - total**2) / (trials**2 * (trials - 1)))
 
 
 # companion figures commonly quoted for the N=1000, p=1/2 example; recorded

@@ -1,12 +1,5 @@
-"""Binomial and multinomial draws from ``random.Random``, exact to 2**63 draws.
-
-Both seeded samplers draw from here: `aqc` splits measurement shots over
-levels and points, and `tae` splits simulated trials over trial times. The
-methods are those of Devroye, *Non-Uniform Random Variate Generation* (1986),
-and Hoermann (1993); their cost does not grow with the number of draws.
-"""
-
-from __future__ import annotations
+"""Binomial and multinomial draws from ``random.Random``, for `aqc`'s shots
+and `tae`'s trials (Devroye, *Non-Uniform Random Variate Generation*, 1986)."""
 
 import itertools
 import math
@@ -32,9 +25,9 @@ def binomial(rng: random.Random, n: int, p: float) -> int:
     log(1 - p), which is 0 below p = 1.1e-16; the centre n p and the mode as
     exact integers; and the acceptance test's log f(k)/f(m) in Hoermann's
     Stirling form with log1p, where lgamma(n) cancels (at n = 2**62 that
-    cancellation made the variance twelve times too large). Uniforms that
-    meet a log or a division never come out 0. A geometric gap of n or more
-    ends the draw before it is floored, since at subnormal p it is infinite.
+    cancellation made the variance twelve times too large). A geometric gap
+    is capped at n before it is floored, since at subnormal p it is infinite,
+    and uniforms that meet a log or a division never come out 0.
     """
     if n == 0 or p <= 0.0:
         return 0
@@ -46,10 +39,7 @@ def binomial(rng: random.Random, n: int, p: float) -> int:
         x = y = 0
         c = math.log1p(-p)
         while True:
-            gap = math.log(1.0 - rng.random()) / c
-            if gap >= n:
-                return x
-            y += math.floor(gap) + 1
+            y += math.floor(min(math.log(1.0 - rng.random()) / c, n)) + 1
             if y > n:
                 return x
             x += 1

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -85,3 +86,17 @@ def charpoly_eigenvalues(h: np.ndarray) -> np.ndarray:
 def chi_square_upper(df: int, z: float = 3.09) -> float:
     """The upper 0.1 % point of chi-square with df degrees of freedom (Wilson-Hilferty)."""
     return df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+
+
+def pooled_chi_square(observed: Counter, expected: dict) -> tuple[float, int]:
+    """Pearson's statistic and its degrees of freedom. Neighbouring outcomes, in
+    key order, pool until each bin expects at least 5; the rest joins the last bin."""
+    bins, seen, mass = [], 0, 0.0
+    for key in sorted(expected):
+        seen, mass = seen + observed[key], mass + expected[key]
+        if mass >= 5:
+            bins.append((seen, mass))
+            seen, mass = 0, 0.0
+    last_seen, last_mass = bins.pop()
+    bins.append((last_seen + seen, last_mass + mass))
+    return sum((o - e) ** 2 / e for o, e in bins), len(bins) - 1

@@ -17,7 +17,7 @@ from hyperlab.errors import (
     ValidationError,
 )
 
-from conftest import chi_square_upper
+from conftest import chi_square_upper, pooled_chi_square
 
 X_MINUS_2 = {"vars": 1, "terms": [[1, [1]], [-2, [0]]]}
 TWO_X_MINUS_1 = {"vars": 1, "terms": [[2, [1]], [-1, [0]]]}
@@ -471,18 +471,9 @@ class TestDecide:
 
 def _chi_square(draws, n, p):
     """Pearson's statistic of draws against the exact Binomial(n, p) pmf, with its
-    degrees of freedom; neighbouring outcomes pool until each bin expects 5."""
-    observed = Counter(draws)
-    bins, expected, seen = [], 0.0, 0
-    for k in range(n + 1):
-        expected += len(draws) * math.comb(n, k) * p**k * (1 - p) ** (n - k)
-        seen += observed[k]
-        if expected >= 5:
-            bins.append((seen, expected))
-            expected, seen = 0.0, 0
-    last_seen, last_expected = bins.pop()
-    bins.append((last_seen + seen, last_expected + expected))
-    return sum((o - e) ** 2 / e for o, e in bins), len(bins) - 1
+    degrees of freedom."""
+    return pooled_chi_square(Counter(draws), {
+        k: len(draws) * math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)})
 
 
 class TestBinomial:

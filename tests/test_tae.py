@@ -19,7 +19,7 @@ from hyperlab.tae import (
     WheelStrategy,
 )
 
-from conftest import chi_square_upper, self_loop_doc
+from conftest import chi_square_upper, pooled_chi_square, self_loop_doc
 
 
 def sieve(limit: int) -> list[bool]:
@@ -178,21 +178,6 @@ def fisher_yates_tries(items: list[int], rng: random.Random) -> int:
         untried.pop()
 
 
-def pooled_chi_square(observed: Counter, expected: dict) -> tuple[float, int]:
-    """Pearson's statistic and degrees of freedom; neighbouring outcomes, in
-    key order, pool until each bin expects at least 5."""
-    bins, seen, mass = [], 0, 0.0
-    for key in sorted(expected):
-        seen, mass = seen + observed[key], mass + expected[key]
-        if mass >= 5:
-            bins.append((seen, mass))
-            seen, mass = 0, 0.0
-    if mass:
-        last_seen, last_mass = bins.pop()
-        bins.append((last_seen + seen, last_mass + mass))
-    return sum((o - e) ** 2 / e for o, e in bins), len(bins) - 1
-
-
 class TestBogosort:
     def test_sorted_input_takes_one_try(self):
         result = tae.bogosort([1, 2, 3], seed=5)
@@ -265,8 +250,9 @@ class TestBogosort:
         assert statistic < chi_square_upper(df)
 
     def test_a_single_try_gives_up_on_the_input(self):
-        result = tae.bogosort([2, 1, 3], seed=1, max_tries=1)
-        assert result == tae.BogosortResult((2, 1, 3), 1, gave_up=True)
+        for seed in range(50):
+            result = tae.bogosort([2, 1, 3, 0], seed=seed, max_tries=1)
+            assert result == tae.BogosortResult((2, 1, 3, 0), 1, gave_up=True)
 
     def test_factorial_guard(self):
         with pytest.raises(ResourceError):
@@ -410,10 +396,15 @@ class TestAshbySimulation:
         assert abs(statistics.fmean(zs)) < 0.3
         assert abs(statistics.stdev(zs) - 1) < 0.2
 
-    @pytest.mark.parametrize("strategy", list(WheelStrategy))
-    @pytest.mark.parametrize("n, p, trials, seed", [
-        (1, 0.5, 300, 1), (3, 0.2, 301, 2), (10, 0.9, 97, 3), (37, 0.4, 250, 4)])
-    def test_moments_equal_a_per_trial_sum(self, strategy, n, p, trials, seed):
+    @pytest.mark.parametrize("n, p, trials, seed, strategy", [
+        (n, p, trials, seed, strategy)
+        for strategy in (WheelStrategy.ONE_AT_A_TIME, WheelStrategy.FREEZE_SUCCESSES)
+        for n, p, trials, seed in [(1, 0.5, 300, 1), (3, 0.2, 301, 2), (10, 0.9, 97, 3),
+                                   (37, 0.01, 250, 4)]
+    ] + [(1, 0.5, 300, 1, WheelStrategy.ALL_OR_NOTHING),
+         (3, 0.2, 301, 2, WheelStrategy.ALL_OR_NOTHING),
+         (37, 0.99, 250, 4, WheelStrategy.ALL_OR_NOTHING)])
+    def test_moments_equal_a_per_trial_sum(self, n, p, trials, seed, strategy):
         exp = WheelExperiment(n, p, strategy, seed=seed)
         rng = random.Random(seed)
         if strategy is WheelStrategy.ALL_OR_NOTHING:
