@@ -36,7 +36,6 @@ def sweep(args) -> None:
     with open(args.polynomial, encoding="utf-8") as fh:
         poly = aqc.parse_polynomial(json.load(fh))
     scan = aqc.scan_levels(poly, aqc.TruncatedFockSpace(poly.num_vars, args.cutoff))
-    energy, winners = aqc.exact_ground_oracle(poly, args.cutoff)
 
     rows = []
     for total_time in args.times:
@@ -53,8 +52,9 @@ def sweep(args) -> None:
     emit_report({
         "cutoff": args.cutoff,
         "dt": args.dt,
-        "exact_ground_energy": energy,
-        "exact_minimizers": [list(w) for w in winners],
+        # level 0 is the exact minimum of D**2, its members the minimisers
+        "exact_ground_energy": scan.levels[0],
+        "exact_minimizers": [list(scan.space.occupation_of(i)) for i in scan.members([0])[0]],
         "sweep": rows,
     }, "json", sys.stdout)
 

@@ -362,9 +362,11 @@ def evolve_levels(
     Step k freezes H at its midpoint s_k and applies the start factor with
     a = (1 - s_k) dt / 2, the problem factor with b = s_k dt, then the start
     factor again; the halves that meet between steps run as one. Each factor
-    is exactly unitary and the scheme is second order in dt, so the guard
+    is exactly unitary and the scheme is second order in dt. The guard
     dt * max||H|| <= STABILITY_LIMIT, with the norm of the whole d-point
-    operator, bounds the splitting error. More than LEVEL_STEP_BUDGET
+    operator, is a step-size guard that does not bound the splitting error:
+    at ten times its dt the lowest level's population is off by 7e-7 on one
+    lattice and by 6.7e-4 on another. More than LEVEL_STEP_BUDGET
     levels x steps is a :class:`ResourceError` before the first step; the
     schedule is checked as :func:`decide` checks it, and three sequences of
     unequal length are a :class:`ShapeError`. Returns the final

@@ -187,7 +187,7 @@ def _cmd_ashby(args) -> dict:
 
     strategy = tae.WheelStrategy(args.strategy)
     exp = tae.WheelExperiment(args.wheels, args.p, strategy, seed=args.seed)
-    if strategy is tae.WheelStrategy.ALL_OR_NOTHING:  # p**-N overflows before its log2
+    if strategy is not tae.WheelStrategy.FREEZE_SUCCESSES:  # p**-N, N/p overflow before log2
         log2_expected = tae.ashby_expected_log2(exp)
         expected = tae.ashby_expected(exp) if log2_expected < 1020 else None
     else:  # one sum of the series gives both

@@ -52,6 +52,6 @@ class ConfigurationError(HyperlabError):
 
 
 class StabilityError(HyperlabError):
-    """Integrator step exceeds the dt * max||H|| accuracy bound."""
+    """Integrator step exceeds the dt * max||H|| step-size guard (which bounds no error)."""
 
     kind = "stability-error"

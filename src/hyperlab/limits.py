@@ -32,15 +32,18 @@ QUOTED_RATE_CONSTANT = 5.655e18
 
 def max_frequency_from_power(watts: float) -> float:
     """Frequency cap from power draw: f <= sqrt(2*pi*W/h) steps per second."""
-    if watts <= 0:
-        raise DomainError("power must be positive")
-    return math.sqrt(2.0 * math.pi * watts / CONSTANTS.h)
+    if not 0 < watts < math.inf:
+        raise DomainError(f"power must be positive and finite, got {watts!r} W")
+    frequency = math.sqrt(2.0 * math.pi * watts / CONSTANTS.h)
+    if frequency == math.inf:
+        raise DomainError(f"a power of {watts!r} W puts the frequency cap past the float range")
+    return frequency
 
 
 def min_step_energy(dt: float) -> float:
     """Uncertainty floor on the energy of a step lasting dt: E >= h/(2*pi*dt)."""
-    if dt <= 0:
-        raise DomainError("step duration must be positive")
+    if not 0 < dt < math.inf:
+        raise DomainError(f"step duration must be positive and finite, got {dt!r} s")
     return CONSTANTS.h / (2.0 * math.pi * dt)
 
 

@@ -337,10 +337,13 @@ def ashby_expected(exp: WheelExperiment) -> float:
 
 
 def ashby_expected_log2(exp: WheelExperiment) -> float:
-    """log2 of the expectation, exact where the value itself would overflow."""
+    """log2 of the expectation, finite where the value itself would overflow."""
     n, p = exp.n_wheels, exp.p
     if exp.strategy is WheelStrategy.ALL_OR_NOTHING:
         return -n * math.log2(p)
+    if exp.strategy is WheelStrategy.ONE_AT_A_TIME:
+        spins = n / p
+        return math.log2(spins) if spins < math.inf else math.log2(n) - math.log2(p)
     return math.log2(ashby_expected(exp))
 
 

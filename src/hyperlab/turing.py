@@ -77,7 +77,7 @@ class TuringMachine:
     @cached_property
     def _codes(self) -> SymbolCodes:
         """The alphabet's one-byte codes, the blank as code 0, fixed once."""
-        return SymbolCodes(self.blank, self.alphabet, fixed=True)
+        return SymbolCodes(self.blank, self.alphabet)
 
     @cached_property
     def _table(self) -> dict:
@@ -161,38 +161,19 @@ class Sweep(NamedTuple):
 
 
 class SymbolCodes:
-    """Tape symbols as one-byte codes, the blank as code 0, and back.
+    """A machine's alphabet as one-byte codes, the blank as code 0, and back.
 
-    A machine fixes its codes once, over its alphabet, and refuses any other
-    symbol. A tape made on its own gives the next code to each new symbol
-    written on it, up to ALPHABET_BUDGET symbols.
+    The codes are fixed once, over the whole alphabet, which the loader keeps
+    within ALPHABET_BUDGET symbols; every symbol encoded must be in it.
+    Where every symbol is one character below U+0100, text turns into codes
+    and back by one ``bytes.translate`` each way; else symbol by symbol.
     """
 
-    __slots__ = ("names", "by_name", "fixed", "_encode", "_decode")
+    __slots__ = ("names", "by_name", "_encode", "_decode")
 
-    def __init__(self, blank: str, symbols: Iterable[str] = (), fixed: bool = False):
-        self.names = [blank, *sorted(set(symbols) - {blank})]
-        if len(self.names) > ALPHABET_BUDGET:
-            raise ResourceError(f"a tape holds at most {ALPHABET_BUDGET} distinct symbols")
+    def __init__(self, blank: str, alphabet: Iterable[str]):
+        self.names = [blank, *sorted(set(alphabet) - {blank})]
         self.by_name = {name: code for code, name in enumerate(self.names)}
-        self.fixed = fixed
-        self._tabulate()
-
-    def code(self, name: str) -> int:
-        code = self.by_name.get(name)
-        if code is None:
-            if self.fixed:
-                raise ValidationError(f"symbol {name!r} is outside the alphabet")
-            if len(self.names) == ALPHABET_BUDGET:
-                raise ResourceError(f"a tape holds at most {ALPHABET_BUDGET} distinct symbols")
-            code = self.by_name[name] = len(self.names)
-            self.names.append(name)
-            self._tabulate()
-        return code
-
-    def _tabulate(self) -> None:
-        """Where every symbol is one character below U+0100, translate tables
-        that turn such text into codes and back in one pass; else None."""
         self._encode = self._decode = None
         if all(len(name) == 1 and ord(name) < 256 for name in self.names):
             encode = bytearray(256)
@@ -202,10 +183,10 @@ class SymbolCodes:
             self._decode = bytes(map(ord, self.names)).ljust(256, b"\0")
 
     def encode(self, symbols: Iterable[str]) -> bytearray:
-        """The codes of ``symbols``, each of which must have one."""
+        """The codes of ``symbols``, each of which must be in the alphabet."""
         if self._encode is not None and isinstance(symbols, str):
             return bytearray(symbols.encode("latin-1").translate(self._encode))
-        return bytearray(map(self.code, symbols))
+        return bytearray(map(self.by_name.__getitem__, symbols))
 
     def text(self, cells: bytearray) -> str:
         """The symbols of ``cells``, written one after another."""
@@ -218,30 +199,21 @@ class Tape:
     """One tape, unbounded in both directions, backed by a bytearray of codes.
 
     Cell p sits at ``cells[p - origin]`` as the code ``codes`` gives its
-    symbol, and unwritten cells hold the blank, code 0; ``lo..hi`` bounds the
-    non-blank cells (empty when lo > hi). The array grows by doubling at
-    whichever end a write falls beyond, so the tape's text is made from one
-    slice, not a walk of its cells.
+    symbol; every cell outside the array, and every erased one, holds the
+    blank, code 0. The non-blank extent is not kept: it is read off the
+    array, by stripping its blanks, where it is needed. Only :meth:`_put`
+    grows the array, by doubling at whichever end a non-blank write falls
+    beyond, so the tape's text is made from one slice, not a walk of its
+    cells.
     """
 
-    __slots__ = ("codes", "cells", "origin", "lo", "hi")
+    __slots__ = ("codes", "cells", "origin")
 
-    def __init__(self, blank: str, symbols: Iterable[str] = (),
-                 codes: Optional[SymbolCodes] = None):
-        """A tape holding ``symbols`` from cell 0 on, blank everywhere else.
-
-        Its symbols are coded by ``codes``, whose blank must be ``blank``,
-        or else by codes of its own.
-        """
-        if codes is None:
-            symbols = list(symbols)
-            codes = SymbolCodes(blank, symbols)
+    def __init__(self, codes: SymbolCodes, symbols: Iterable[str] = ()):
+        """A tape holding ``symbols`` from cell 0 on, blank everywhere else."""
         self.codes = codes
-        cells = self.cells = codes.encode(symbols)
+        self.cells = codes.encode(symbols)
         self.origin = 0
-        # found from the two ends, so only blanks at an end are passed
-        self.lo = len(cells) - len(cells.lstrip(b"\0"))
-        self.hi = len(cells.rstrip(b"\0")) - 1
 
     @property
     def blank(self) -> str:
@@ -251,73 +223,59 @@ class Tape:
         return self.codes.names[self._code(pos)]
 
     def write(self, pos: int, symbol: str) -> None:
-        self._put(pos, self.codes.code(symbol))
+        self._put(pos, self.codes.by_name[symbol])
 
     def _code(self, pos: int) -> int:
         index = pos - self.origin
         return self.cells[index] if 0 <= index < len(self.cells) else 0
 
     def _put(self, pos: int, code: int) -> None:
-        cells = self.cells
-        if self.lo <= pos <= self.hi:
-            cells[pos - self.origin] = code
+        cells, index = self.cells, pos - self.origin
+        if not 0 <= index < len(cells):
             if not code:
-                if pos == self.lo:
-                    while self.lo <= self.hi and not cells[self.lo - self.origin]:
-                        self.lo += 1
-                elif pos == self.hi:
-                    while not cells[self.hi - self.origin]:
-                        self.hi -= 1
-            return
-        if not code:
-            return
-        index = pos - self.origin
-        if index < 0:
-            grow = max(-index, len(cells))
-            cells[:0] = bytes(grow)
-            self.origin -= grow
-            index += grow
-        elif index >= len(cells):
-            cells.extend(bytes(max(index + 1 - len(cells), len(cells))))
+                return  # the cell is blank already
+            if index < 0:
+                grow = max(-index, len(cells))
+                cells[:0] = bytes(grow)
+                self.origin -= grow
+                index += grow
+            else:
+                cells.extend(bytes(max(index + 1 - len(cells), len(cells))))
         cells[index] = code
-        if self.lo > self.hi:
-            self.lo = self.hi = pos
-        elif pos < self.lo:
-            self.lo = pos
-        else:
-            self.hi = pos
+
+    def extent(self) -> Optional[tuple[int, int]]:
+        """The leftmost and rightmost non-blank cells, or None on a blank tape."""
+        body = self.cells.lstrip(b"\0")
+        if not body:
+            return None
+        lo = self.origin + len(self.cells) - len(body)
+        return lo, lo + len(body.rstrip(b"\0")) - 1
 
     def text(self) -> str:
         """Non-blank content, from leftmost to rightmost written cell."""
-        return self.codes.text(self._written())
+        return self.codes.text(self.cells.strip(b"\0"))
 
     def marks_left_of(self, pos: int) -> int:
         """Number of non-blank cells strictly left of ``pos``."""
-        if pos <= self.lo:
-            return 0
-        window = self.cells[self.lo - self.origin:min(pos, self.hi + 1) - self.origin]
-        return len(window) - window.count(0)
+        end = min(max(pos - self.origin, 0), len(self.cells))
+        return end - self.cells.count(0, 0, end)
 
     def copy(self) -> "Tape":
-        twin = Tape(self.blank, codes=self.codes)
-        twin.cells, twin.origin, twin.lo, twin.hi = self.cells[:], self.origin, self.lo, self.hi
+        twin = Tape(self.codes)
+        twin.cells, twin.origin = self.cells[:], self.origin
         return twin
-
-    def _written(self) -> bytearray:
-        return self.cells[self.lo - self.origin:self.hi - self.origin + 1]
 
     def __eq__(self, other) -> bool:
         """Same blank and the same symbol in every cell, however the array is laid out."""
         if not isinstance(other, Tape):
             return NotImplemented
         names, other_names = self.codes.names, other.codes.names
-        return (self.blank == other.blank
-                and [names[c] for c in self._written()]
-                == [other_names[c] for c in other._written()]
-                and (self.lo == other.lo or self.lo > self.hi))
+        return (self.blank == other.blank and self.extent() == other.extent()
+                and [names[c] for c in self.cells.strip(b"\0")]
+                == [other_names[c] for c in other.cells.strip(b"\0")])
 
     def __repr__(self) -> str:
-        return f"Tape(blank={self.blank!r}, lo={self.lo}, text={self.text()!r})"
+        return f"Tape(blank={self.blank!r}, extent={self.extent()}, text={self.text()!r})"
 
 
 @dataclass
@@ -511,8 +469,8 @@ def initial_configuration(machine: TuringMachine, input_symbols: str = "") -> Ta
         first = next(sym for sym in input_symbols if sym in outside)
         raise ValidationError(f"input symbol {first!r} is outside the alphabet")
     codes = machine._codes
-    tapes = (Tape(machine.blank, input_symbols, codes),) + tuple(
-        Tape(machine.blank, codes=codes) for _ in range(machine.num_tapes - 1))
+    tapes = (Tape(codes, input_symbols),) + tuple(
+        Tape(codes) for _ in range(machine.num_tapes - 1))
     return TapeConfiguration(tapes=tapes, heads=(0,) * machine.num_tapes, state=machine.initial)
 
 
@@ -578,13 +536,15 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
     takes the oldest queued symbol or the drive returns ``None`` (waiting on
     input). Returns the outcome kind and the number of oracle consultations.
 
-    The inner loop steps on the compiled table with the head, the state, the
-    step count and tape 0's layout in locals, doing :meth:`Tape.write`'s
-    bookkeeping inline. It leaves, writing them back to ``config``, before
-    anything that reads the configuration: a hook, a trace snapshot, the end.
+    The inner loop steps on the compiled table with the head, the state and
+    the step count in locals, and writes tape 0's array in place; only a
+    write beyond the array goes through :meth:`Tape._put`, which grows it.
+    It leaves, writing the locals back to ``config``, before anything that
+    reads the configuration: a hook, a trace snapshot, the end.
 
     A sweep rule takes the whole run of cells its state keeps itself on at
-    once: up to the first cell outside its set, clipped at the extent, at
+    once: up to the first cell outside its set, clipped at the array's end
+    (every cell past it is blank, and the blank always ends a sweep), at
     the fuel and, moving left on a one-sided tape, short of cell 0, so the
     ordinary step still raises there. It rewrites them with one
     ``bytes.translate`` and counts one step per cell. Sweeps are off while
@@ -600,7 +560,7 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
     if remaining > FUEL_BUDGET:
         raise ResourceError(f"fuel of {remaining} steps is past the budget of {FUEL_BUDGET}")
     # each step adds at most one cell to each tape
-    reach = sum(max(0, t.hi - t.lo + 1) + remaining for t in config.tapes)
+    reach = sum(len(t.cells.strip(b"\0")) + remaining for t in config.tapes)
     if reach * machine._longest_symbol > TAPE_TEXT_BUDGET:
         raise ResourceError(
             f"{reach} cells of symbols up to {machine._longest_symbol} characters long may "
@@ -639,7 +599,7 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
             return OutcomeKind.HALTED, consultations
         if config.steps >= fuel:
             return OutcomeKind.OUT_OF_FUEL, consultations
-        origin, lo, hi, size = tape.origin, tape.lo, tape.hi, len(cells)
+        origin, size = tape.origin, len(cells)
         head, state, steps = config.heads[0], config.state, config.steps
         row = table.get(state)
         if row is None:
@@ -661,12 +621,10 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
                         for (t, off), code in zip(others_at, extra):
                             t._put(head + off, code)
                     elif not trace_left and state not in stops:
-                        # a sweep over non-blank cells, so inside the extent
-                        room = fuel - steps
-                        if shift > 0:
-                            room = min(room, hi - head + 1)
-                        else:
-                            room = min(room, head - (max(lo, floor + 1) if one_sided else lo) + 1)
+                        # a sweep over non-blank cells, so inside the array
+                        room = min(fuel - steps, size - i if shift > 0 else i + 1)
+                        if one_sided and shift < 0:
+                            room = min(room, head - floor)
                         run = _sweep_length(cells, extra.outside, i, shift, room)
                         if extra.rewrite is not None:
                             first = i if shift > 0 else i + 1 - run
@@ -679,40 +637,17 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
                         continue
                 if write is None:
                     pass  # the rule writes back what it read
-                elif lo <= head <= hi:
+                elif 0 <= i < size:
                     cells[i] = write
-                    if not write:
-                        if head == lo:
-                            while lo <= hi and not cells[lo - origin]:
-                                lo += 1
-                        elif head == hi:
-                            while not cells[hi - origin]:
-                                hi -= 1
-                elif write:
-                    if i < 0:
-                        grow = max(-i, size)
-                        cells[:0] = bytes(grow)
-                        origin -= grow
-                        i += grow
-                        size += grow
-                    elif i >= size:
-                        grow = max(i + 1 - size, size)
-                        cells.extend(bytes(grow))
-                        size += grow
-                    cells[i] = write
-                    if lo > hi:
-                        lo = hi = head
-                    elif head < lo:
-                        lo = head
-                    else:
-                        hi = head
+                else:
+                    tape._put(head, write)
+                    origin, size = tape.origin, len(cells)
                 head += shift
                 state, row = dst, next_row
                 steps += 1
                 if state in stops or steps >= fuel or trace_left:
                     break
         finally:
-            tape.origin, tape.lo, tape.hi = origin, lo, hi
             config.heads = (head, *[head + off for off in offsets])
             config.state, config.steps = state, steps
         if trace_left:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -400,6 +401,20 @@ class TestErrors:
         assert time.monotonic() - start < 1.0
         assert status == 1 and out == ""
         assert json.loads(err)["error"] == "domain-error"
+
+    def test_one_at_a_time_past_the_float_range(self):
+        # N/p overflows although log2 N - log2 p is finite
+        argv = ["tae", "ashby", "--wheels", str(10**308), "--p", "0.1", "--strategy", "2"]
+        status, out, err = run_cli(argv)
+        assert status == 0 and err == ""
+        report = json.loads(out)
+        assert report["expected_seconds"] is None
+        assert report["expected_log2"] == math.log2(10**308) - math.log2(0.1)
+        status, out, err = run_cli([*argv, "--simulate"])
+        assert status == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "domain-error"
+        assert "expects 2**1026.5 spins" in payload["message"]
 
     @pytest.mark.parametrize("flags", [
         ["--time", "nan"], ["--dt", "nan"], ["--time", "inf"], ["--shots", str(10**23)],

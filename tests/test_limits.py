@@ -1,11 +1,14 @@
+import io
+import json
 import math
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperlab import limits
+from hyperlab import cli, limits
 from hyperlab.errors import DomainError
 
 
@@ -27,6 +30,11 @@ class TestPowerBound:
         with pytest.raises(DomainError):
             limits.max_frequency_from_power(0.0)
 
+    @pytest.mark.parametrize("watts", [math.nan, math.inf, 1e308])
+    def test_rejects_non_finite_power_or_an_overflowing_cap(self, watts):
+        with pytest.raises(DomainError, match="power"):
+            limits.max_frequency_from_power(watts)
+
 
 class TestEnergyBound:
     def test_one_second_step(self):
@@ -45,6 +53,14 @@ class TestEnergyBound:
     def test_rejects_non_positive(self):
         with pytest.raises(DomainError):
             limits.min_step_energy(-1.0)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_rejects_non_finite_duration(self, dt):
+        with pytest.raises(DomainError, match="step duration"):
+            limits.min_step_energy(dt)
+
+    def test_smallest_duration_gives_a_finite_floor(self):
+        assert math.isfinite(limits.min_step_energy(5e-324))
 
 
 class TestGeometryBounds:
@@ -113,6 +129,17 @@ class TestReport:
             assert key in report
         assert all(v > 0 for k, v in report.items()
                    if isinstance(v, float) and k != "relative_gap")
+
+    @pytest.mark.parametrize("flag, value, quantity", [
+        ("--power", "nan", "power"), ("--power", "inf", "power"), ("--power", "1e308", "power"),
+        ("--dt", "nan", "step duration"), ("--dt", "inf", "step duration")])
+    def test_cli_refuses_power_or_duration_before_the_report(self, flag, value, quantity):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            status = cli.main(["limits", "--symbols", "4", flag, value])
+        assert status == 1 and out.getvalue() == ""
+        payload = json.loads(err.getvalue())
+        assert payload["error"] == "domain-error" and quantity in payload["message"]
 
     def test_consistency_check(self):
         check = limits.rate_constant_consistency()

@@ -212,7 +212,8 @@ def test_tape_sparsity_grows_at_most_one_cell_per_step(marks, fuel):
     machine = turing.load_machine(successor_doc())
     text = "1" * marks
     outcome = turing.run(machine, text, fuel=fuel)
-    written = sum(t.hi - t.lo + 1 for t in outcome.config.tapes)
+    extents = [t.extent() for t in outcome.config.tapes]
+    written = sum(hi - lo + 1 for lo, hi in filter(None, extents))
     assert written <= marks + outcome.config.steps
 
 
@@ -289,7 +290,7 @@ class TestTrace:
         assert [s.tape_text() for s in outcome.trace] == [
             "a", "a", "a", "a__XY", "a__XY", "XY", "XY"]
         # a blank written inside the extent reads as an erased cell
-        tape = turing.Tape("__")
+        tape = turing.Tape(turing.SymbolCodes("__", ["a", "XY"]))
         for pos, symbol in {-2: "a", 0: "__", 1: "XY", 3: "__"}.items():
             tape.write(pos, symbol)
         cfg = turing.TapeConfiguration(tapes=(tape,), heads=(0,), state="go")
@@ -297,6 +298,7 @@ class TestTrace:
 
 
 _BLANK = _WIDE_SYMBOLS[0]
+_CODES = turing.SymbolCodes(_BLANK, _WIDE_SYMBOLS)
 
 
 class TestTape:
@@ -309,7 +311,7 @@ class TestTape:
     # erase both edges of the input, then write far left of the emptied tape
     @example(["a", _BLANK, "bb"], [(0, _BLANK), (2, _BLANK), (-5, "c.")])
     def test_agrees_with_a_dict_model(self, initial, writes):
-        tape = turing.Tape(_BLANK, initial)
+        tape = turing.Tape(_CODES, initial)
         model = {p: s for p, s in enumerate(initial) if s != _BLANK}
         touched = set(range(len(initial)))
         for pos, symbol in writes:
@@ -324,7 +326,7 @@ class TestTape:
         for pos in {p + d for p in touched for d in range(-2, 3)}:
             assert tape.read(pos) == model.get(pos, _BLANK)
             assert tape.marks_left_of(pos) == sum(1 for p in model if p < pos)
-        rebuilt, shifted = turing.Tape(_BLANK), turing.Tape(_BLANK)
+        rebuilt, shifted = turing.Tape(_CODES), turing.Tape(_CODES)
         for pos in sorted(model, reverse=True):
             rebuilt.write(pos, model[pos])
             shifted.write(pos + 1, model[pos])
@@ -332,7 +334,7 @@ class TestTape:
         assert (shifted == tape) is (not model)
 
     def test_copy_is_independent(self):
-        tape = turing.Tape(_BLANK, ["a"])
+        tape = turing.Tape(_CODES, ["a"])
         twin = tape.copy()
         twin.write(0, "bb")
         assert tape.text() == "a"
@@ -413,7 +415,7 @@ def _reference_view(doc, ref):
 def _engine_view(config):
     assert config.heads == (config.heads[0],) * len(config.tapes)  # one shared move
     texts = tuple(t.text() for t in config.tapes)
-    extents = tuple((t.lo, t.hi) if t.lo <= t.hi else None for t in config.tapes)
+    extents = tuple(t.extent() for t in config.tapes)
     return config.state, config.heads[0], config.steps, texts, extents
 
 
@@ -514,6 +516,17 @@ _SELF_FED = _sweeper([("s0", "..", "req", "..", "n"), ("req", "a", "req", "a", "
                       ("req", "bb", "req", "bb", "l"), ("req", ".d", "s1", ".d", "r"),
                       ("s1", "a", "s1", "a", "r"), ("s1", "..", "req", "..", "n")], resume="req")
 _LONG = ["a"] * 18 + ["bb"] * 20
+# s0 runs right to the end and s1 erases the bb block leftwards; then s2 runs
+# left over the a block and s0 right over it, into the erased cells
+_INTO_ERASED_RIGHT = _sweeper([("s0", "a", "s0", "a", "r"), ("s0", "bb", "s0", "bb", "r"),
+                               ("s0", "..", "s1", "..", "l"), ("s1", "bb", "s1", "..", "l"),
+                               ("s1", "a", "s2", "a", "l"), ("s2", "a", "s2", "a", "l"),
+                               ("s2", "..", "s0", "..", "r")])
+# s0 erases the bb block rightwards; then s1 runs right over the a block and
+# s2 left over it, into the erased cells
+_INTO_ERASED_LEFT = [("s0", "bb", "s0", "..", "r"), ("s0", "a", "s1", "a", "r"),
+                     ("s1", "a", "s1", "a", "r"), ("s1", "..", "s2", "..", "l"),
+                     ("s2", "a", "s2", "a", "l"), ("s2", "..", "s1", "..", "r")]
 
 
 class TestAgainstTheReference:
@@ -537,6 +550,10 @@ class TestAgainstTheReference:
     @example(_INTO_THE_EDGE, _LONG, 200, 9, False)
     @example(_sweeper(_RIGHT + [("s0", "..", "halt", "a", "n")], tapes=2), _LONG, 100, 0, False)
     @example(_BACK_TO_A, _LONG + [".d", "a", "a"], 200, 0, False)
+    # runs into erased cells inside the array, each way, and one-sided next to cell 0
+    @example(_INTO_ERASED_RIGHT, _LONG, 200, 0, False)
+    @example(_sweeper(_INTO_ERASED_LEFT), ["bb"] * 6 + ["a"] * 20, 200, 0, False)
+    @example(_sweeper(_INTO_ERASED_LEFT, one_sided=True), ["bb"] + ["a"] * 20, 200, 0, False)
     def test_sweeping_run_and_its_trace(self, doc, text, fuel, cap, with_oracle):
         _check_run(doc, text, fuel, cap, with_oracle)
 
@@ -928,14 +945,6 @@ class TestAlphabetBudget:
         with pytest.raises(ResourceError, match="budget of 256"):
             turing.load_machine(self._doc(257))
 
-    def test_a_tape_of_its_own_refuses_a_257th_symbol(self):
-        tape = turing.Tape("_")
-        for pos in range(1, 256):
-            tape.write(pos, f"s{pos}")
-        with pytest.raises(ResourceError, match="256"):
-            tape.write(0, "one too many")
-        assert tape.text() == "".join(f"s{pos}" for pos in range(1, 256))
-
 
 class TestFuelBudget:
     def test_run_past_the_budget_is_refused_before_stepping(self, self_loop):
@@ -970,6 +979,9 @@ class TestTapeTextBudget:
         machine = _successor_writing("m" * length)
         # an empty tape and 10**7 steps of fuel: exactly the budget
         outcome = turing.run(machine, "", fuel=turing.FUEL_BUDGET)
+        assert outcome.kind is OutcomeKind.HALTED and outcome.config.tape_text() == "m" * length
+        # blank input cells are no part of the extent: still exactly the budget
+        outcome = turing.run(machine, "_" * 3, fuel=turing.FUEL_BUDGET)
         assert outcome.kind is OutcomeKind.HALTED and outcome.config.tape_text() == "m" * length
         # one input cell more is past it
         with pytest.raises(ResourceError, match="budget"):
