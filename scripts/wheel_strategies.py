@@ -15,7 +15,7 @@ import sys
 
 from hyperlab import tae
 from hyperlab.cli import report_errors
-from hyperlab.reporting import emit_report
+from hyperlab.reporting import Table, emit_report
 
 
 def main() -> int:
@@ -29,20 +29,20 @@ def main() -> int:
 
 
 def tabulate(args) -> None:
+    columns = ["wheels", "p"]
+    for strategy in tae.WheelStrategy:
+        columns += [f"case{int(strategy)}_{part}" for part in ("analytic", "mc_mean", "mc_stderr")]
     rows = []
     for n in args.wheels:
-        row = {"wheels": n, "p": args.p}
+        row = [n, args.p]
         for strategy in tae.WheelStrategy:
             exp = tae.WheelExperiment(n, args.p, strategy,
                                       seed=args.seed + 100 * n + strategy)
             mean, stderr = tae.ashby_simulate(exp, args.trials)
-            row[f"case{int(strategy)}_analytic"] = tae.ashby_expected(exp)
-            row[f"case{int(strategy)}_mc_mean"] = mean
-            row[f"case{int(strategy)}_mc_stderr"] = stderr
-        rows.append(row)
+            row += [tae.ashby_expected(exp), mean, stderr]
+        rows.append(tuple(row))
 
-    emit_report(rows, "csv" if len(rows) > 1 else "json", sys.stdout)
-
+    emit_report(Table(columns, rows), "csv" if len(rows) > 1 else "json", sys.stdout)
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import DomainError, HyperlabError
-from .reporting import emit_report, render_report
+from .reporting import Table, emit_report, render_report
 
 
 def _natural_arg(text: str) -> int:
@@ -336,26 +336,14 @@ def _cmd_limits(args) -> dict:
     return report
 
 
-def _enum_entry(entry: dict) -> dict:
-    return {
-        "index": entry["index"],
-        "a": entry["a"],
-        "b": entry["b"],
-        "value": _float_view(entry["value"], "the value a * 10**-b"),
-        "value_exact": entry["value"],
-        "canonical": entry["canonical"],
-    }
-
-
 def _cmd_enum_decode(args) -> dict:
     from . import pairing
 
     a, b = pairing.pair_decode(args.index)
-    return {"command": "enum decode"} | _enum_entry({
-        "index": args.index, "a": a, "b": b,
-        "value": pairing.real_value(a, b),
-        "canonical": pairing.is_canonical_pair(a, b),
-    })
+    exact = pairing.real_value(a, b)
+    entry = (args.index, a, b, _float_view(exact, "the value a * 10**-b"), exact,
+             pairing.is_canonical_pair(a, b))
+    return {"command": "enum decode"} | dict(zip(pairing.ENTRY_COLUMNS, entry))
 
 
 def _cmd_enum_encode(args) -> dict:
@@ -369,10 +357,10 @@ def _cmd_enum_encode(args) -> dict:
     }
 
 
-def _cmd_enum_list(args) -> list:
+def _cmd_enum_list(args) -> Table:
     from . import pairing
 
-    return [_enum_entry(e) for e in pairing.enumerate_reals(args.count)]
+    return Table(pairing.ENTRY_COLUMNS, pairing.enumerate_reals(args.count))
 
 
 def _cmd_aqc_solve(args) -> dict:

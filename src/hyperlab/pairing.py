@@ -5,8 +5,8 @@ The pairs live in a Cantor-style matrix and are numbered along diagonals:
 ``diag_start`` gives the index opening diagonal x, ``pair_index`` numbers a
 pair (canonicalising trailing zeros of a first, so 1.50 and 1.5 share an
 index), and ``pair_decode`` inverts the numbering in closed form via an exact
-integer square root. Everything here is exact integer or rational arithmetic;
-no floats.
+integer square root. Everything here is exact integer or rational arithmetic,
+except the float view an enumerated entry carries beside its exact value.
 """
 
 from __future__ import annotations
@@ -115,14 +115,21 @@ def is_canonical_pair(x: int, y: int) -> bool:
     return x % 10 != 0
 
 
-def enumerate_reals(n: int) -> list[dict]:
+# the cells of one enumerated entry, in order
+ENTRY_COLUMNS = ("index", "a", "b", "value", "value_exact", "canonical")
+
+
+def enumerate_reals(n: int) -> list[tuple]:
     """Decode indices 0..n-1 into finite-precision reals, flagging duplicates.
 
-    Non-canonical pairs repeat values that an earlier canonical pair already
-    produced (for example index of (10, 1) equals that of (1, 0)); they are
-    reported rather than skipped so the enumeration stays aligned with the
-    index sequence. The walk goes along the diagonals, where index
-    diag_start(w) + y holds the pair (w - y, y), exactly as pair_decode says.
+    Each entry is a row of ENTRY_COLUMNS: the index, the pair (a, b), the
+    float nearest a / 10**b, the exact value as its lowest-terms text "p/q",
+    and whether the pair is canonical. Non-canonical pairs repeat values that
+    an earlier canonical pair already produced (for example index of (10, 1)
+    equals that of (1, 0)); they are reported rather than skipped so the
+    enumeration stays aligned with the index sequence. The walk goes along
+    the diagonals, where index diag_start(w) + y holds the pair (w - y, y),
+    exactly as pair_decode says.
     """
     _require_natural(n, "n")
     if n > ENUMERATION_BUDGET:
@@ -134,13 +141,14 @@ def enumerate_reals(n: int) -> list[dict]:
         start = len(out)
         for y in range(min(w + 1, n - start)):
             a = w - y
-            out.append({
-                "index": start + y,
-                "a": a,
-                "b": y,
-                "value": Fraction(a, tens[y]),
-                "canonical": is_canonical_pair(a, y),
-            })
+            # for a > 0, g = gcd(a, 10**y) = 2**i * 5**j has i, j <= y and
+            # 2**i, 5**j <= a, so it divides 10**k; the digits of 10**y // g
+            # are then those of 10**k // g and y - k zeros, with no y-digit
+            # integer to convert
+            k = min(y, a.bit_length()) if a else y
+            g = math.gcd(a, tens[k])
+            out.append((start + y, a, y, a / tens[y],
+                        f"{a // g}/{tens[k] // g}{'0' * (y - k)}", is_canonical_pair(a, y)))
         w += 1
         tens.append(tens[-1] * 10)
     return out

@@ -5,9 +5,11 @@ are printed with 17 significant digits, and no locale or hash randomisation
 can leak in. Both writers pick a formatter by a value's exact type from a
 table, else by its nearest base class in the same table. Any other integral
 type, such as numpy's integers, prints as the int it stands for; JSON refuses
-every remaining type and CSV prints it through ``str``. CSV flattens nested
-keys with dots, one record per row. Exact integers and fractions are printed
-in full however many digits they have.
+every remaining type and CSV prints it through ``str``. A report is one
+record or one ``Table`` of rows. CSV flattens a record's nested keys with
+dots into one row, and prints a table as its header and one line per row;
+a table picks one writer per column, not per cell. Exact integers and
+fractions are printed in full however many digits they have.
 """
 
 from __future__ import annotations
@@ -153,62 +155,114 @@ def _csv_cell(value: Any) -> str:
 
 
 def _quote(cell: str) -> str:
-    if "," in cell or '"' in cell or "\n" in cell:
+    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
         return '"' + cell.replace('"', '""') + '"'
     return cell
 
 
+def _csv_field(value: Any) -> str:
+    """Quoted cell text of one value that is not a record; lists join with
+    semicolons."""
+    if isinstance(value, (list, tuple)):
+        return _quote(";".join([_csv_cell(v) for v in value]))
+    return _quote(_csv_cell(value))
+
+
 def _flatten(record: dict, prefix: str = "") -> dict[str, str]:
-    """Quoted cell text by dotted column name; lists join with semicolons."""
+    """Quoted cell text by dotted column name."""
     flat: dict[str, str] = {}
-    writers = _CSV_WRITERS
-    for key, value in record.items():
-        name = f"{prefix}{key}"
-        write = writers.get(type(value))
-        if write is not None:
-            flat[name] = _quote(write(value))
-        elif isinstance(value, dict):
-            flat.update(_flatten(value, prefix=f"{name}."))
-        elif isinstance(value, (list, tuple)):
-            flat[name] = _quote(";".join([_csv_cell(v) for v in value]))
-        else:
-            flat[name] = _quote(_csv_cell(value))
-    return flat
-
-
-def _columns(record: dict, prefix: str = ""):
-    """The column names _flatten gives record, in the same order."""
     for key, value in record.items():
         name = f"{prefix}{key}"
         if isinstance(value, dict):
-            yield from _columns(value, prefix=f"{name}.")
+            flat.update(_flatten(value, prefix=f"{name}."))
         else:
-            yield name
+            flat[name] = _csv_field(value)
+    return flat
 
 
-def to_csv(records: list[dict]) -> str:
-    """Header first, then one row per record; a row's cells live only while
-    its line is made, so the text is the only copy of the report."""
-    if not records:
+class Table:
+    """A multi-row report: column names and a sized sequence of row tuples,
+    one cell per column. It reads as the list of records
+    ``[dict(zip(columns, row)) for row in rows]``: JSON prints exactly that
+    list, CSV a header and then one line per row. Cells are not records."""
+
+    __slots__ = ("columns", "rows")
+
+    def __init__(self, columns, rows):
+        self.columns = tuple(columns)
+        self.rows = rows
+
+
+_BLOCK_ROWS = 4096  # rows made into text at a time, so one block's cell texts are live at once
+
+
+def _table_blocks(table: Table, column_text, line_text, sep: str) -> list[str]:
+    """The text of table's rows, a block of rows at a time: column_text
+    makes a block's cells a column at a time, picking its writer once per
+    column, line_text makes one row's line from its cell texts, and sep
+    joins the lines of a block."""
+    rows = table.rows
+    width = len(table.columns)
+    if any(len(row) != width for row in rows):
+        raise DomainError(f"every row of a table must have {width} cells")
+    blocks = []
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        cells = zip(*[column_text(column) for column in zip(*block)]) if width else [()] * len(block)
+        blocks.append(sep.join(map(line_text, cells)))
+    return blocks
+
+
+def _one_type(cells: tuple):
+    kinds = set(map(type, cells))
+    return kinds.pop() if len(kinds) == 1 else None
+
+
+def _json_column(cells: tuple) -> list[str]:
+    return list(map(_JSON_WRITERS.get(_one_type(cells), to_json), cells))
+
+
+def _csv_column(cells: tuple) -> list[str]:
+    kind = _one_type(cells)
+    if kind in (int, float, Fraction, bool, type(None)):  # texts that never need quotes
+        return list(map(_CSV_WRITERS[kind], cells))
+    return list(map(_quote if kind is str else _csv_field, cells))
+
+
+def _json_table(table: Table) -> str:
+    row = "{" + ",".join([encode_basestring_ascii(str(k)).replace("%", "%%") + ":%s"
+                          for k in table.columns]) + "}"
+    return "[" + ",".join(_table_blocks(table, _json_column, row.__mod__, ",")) + "]"
+
+
+def _csv_table(table: Table) -> str:
+    if not table.rows:
         return "\n"
-    header = list(dict.fromkeys(key for record in records for key in _columns(record)))
-    lines = [",".join(header)]
-    for record in records:
-        flat = _flatten(record)
-        lines.append(",".join([flat.get(key, "") for key in header]))
-    return "\n".join(lines) + "\n"
+    return (",".join(map(str, table.columns)) + "\n"
+            + "\n".join(_table_blocks(table, _csv_column, ",".join, "\n")) + "\n")
 
 
-def render_report(result: dict | list, fmt: str) -> str:
-    """The report text of one record (or a list of records)."""
+_JSON_WRITERS[Table] = _json_table
+
+
+def to_csv(report: dict | Table) -> str:
+    """One record as a header and one row, or a table as its header and rows."""
+    if isinstance(report, Table):
+        return _csv_table(report)
+    flat = _flatten(report)
+    return ",".join(flat) + "\n" + ",".join(flat.values()) + "\n"
+
+
+def render_report(result: dict | Table, fmt: str) -> str:
+    """The report text of one record or one table."""
     if fmt == "json":
         return to_json(result) + "\n"
     if fmt == "csv":
-        return to_csv(result if isinstance(result, list) else [result])
+        return to_csv(result)
     raise DomainError(f"unknown report format {fmt!r}")
 
 
-def emit_report(result: dict | list, fmt: str, dest: IO[str]) -> int:
+def emit_report(result: dict | Table, fmt: str, dest: IO[str]) -> int:
     """Write the report to dest once its text is whole; return bytes written."""
     text = render_report(result, fmt)
     dest.write(text)

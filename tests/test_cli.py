@@ -497,6 +497,15 @@ class TestDeterminism:
         run_cli(argv)
         assert target.read_bytes() == first
 
+    def test_csv_quotes_a_carriage_return(self, write_json):
+        doc = json.loads(json.dumps(successor_doc()).replace('"done"', '"h\\rx"'))
+        path = write_json("cr.json", doc)
+        status, out, _ = run_cli(["--format", "csv", "tm", "run", path, "--input", "11"])
+        assert status == 0
+        header, row = csv.reader(io.StringIO(out, newline=""))
+        assert len(row) == len(header)
+        assert dict(zip(header, row))["final_state"] == "h\rx"
+
     def test_global_seed_flows_to_subcommand(self):
         a = run_cli(["--seed", "9", "tae", "bogosort", "--len", "5"])
         b = run_cli(["tae", "bogosort", "--len", "5", "--seed", "9"])

@@ -118,18 +118,27 @@ class TestIntegerSqrt:
         assert r * r <= v < (r + 1) * (r + 1)
 
 
+def entries(n):
+    return [dict(zip(pairing.ENTRY_COLUMNS, row)) for row in pairing.enumerate_reals(n)]
+
+
+def exact_text(a, b):
+    q = pairing.real_value(a, b)
+    return f"{q.numerator}/{q.denominator}"
+
+
 class TestEnumerate:
     def test_first_element_is_zero(self):
-        assert pairing.enumerate_reals(1)[0]["value"] == 0
+        [row] = pairing.enumerate_reals(1)
+        assert row == (0, 0, 0, 0.0, "0/1", True)
 
     def test_first_ten_follow_the_decode_order(self):
-        entries = pairing.enumerate_reals(10)
-        assert [(e["a"], e["b"]) for e in entries] == \
+        assert [(e["a"], e["b"]) for e in entries(10)] == \
             [pairing.pair_decode(i) for i in range(10)]
 
     def test_covers_every_pair_on_early_diagonals_once(self):
         count = pairing.diag_start(21)
-        got = {(e["a"], e["b"]) for e in pairing.enumerate_reals(count)}
+        got = {(e["a"], e["b"]) for e in entries(count)}
         expected = {(x, y) for x in range(21) for y in range(21) if x + y <= 20}
         assert got == expected
         assert len(got) == count  # each exactly once
@@ -141,10 +150,16 @@ class TestEnumerate:
         expected = []
         for idx in range(n):
             a, b = pairing.pair_decode(idx)
-            expected.append({"index": idx, "a": a, "b": b,
-                             "value": pairing.real_value(a, b),
-                             "canonical": pairing.is_canonical_pair(a, b)})
+            expected.append((idx, a, b, float(pairing.real_value(a, b)), exact_text(a, b),
+                             pairing.is_canonical_pair(a, b)))
         assert pairing.enumerate_reals(n) == expected
+
+    def test_last_entries_at_the_budget_match_the_decode(self):
+        n = pairing.ENUMERATION_BUDGET
+        for idx, a, b, value, exact, canonical in pairing.enumerate_reals(n)[-700:]:
+            assert (a, b) == pairing.pair_decode(idx)
+            assert (value, exact) == (float(pairing.real_value(a, b)), exact_text(a, b))
+            assert canonical == pairing.is_canonical_pair(a, b)
 
     @pytest.mark.parametrize("n", [-1, True, 2.0])
     def test_count_must_be_natural(self, n):
@@ -156,8 +171,7 @@ class TestEnumerate:
             pairing.enumerate_reals(pairing.ENUMERATION_BUDGET + 1)
 
     def test_duplicates_are_flagged_not_skipped(self):
-        entries = pairing.enumerate_reals(pairing.diag_start(21))
-        non_canonical = [e for e in entries if not e["canonical"]]
+        non_canonical = [e for e in entries(pairing.diag_start(21)) if not e["canonical"]]
         assert non_canonical, "early diagonals contain pairs like (10, 1)"
         # a flagged pair either canonicalises to a smaller-index twin with the
         # same value, or its payload has more trailing zeros than the shift
@@ -172,5 +186,5 @@ class TestEnumerate:
                 continue
             tx, ty = pairing.pair_decode(twin_index)
             assert pairing.is_canonical_pair(tx, ty)
-            assert pairing.real_value(tx, ty) == e["value"]
+            assert exact_text(tx, ty) == e["value_exact"]
             assert twin_index < e["index"]

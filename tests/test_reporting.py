@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperlab import reporting
+from hyperlab import pairing, reporting
 from hyperlab.errors import DomainError
 
 
@@ -34,7 +35,8 @@ class TestJson:
         big = 10**5000 + 7
         text = reporting.to_json({"n": big, "q": Fraction(1, big)})
         assert text == '{"n":1' + "0" * 4999 + '7,"q":"1/1' + "0" * 4999 + '7"}'
-        assert reporting.to_csv([{"n": -big}]).splitlines()[1] == "-1" + "0" * 4999 + "7"
+        table = reporting.Table(["n"], [(-big,)])
+        assert reporting.to_csv(table).splitlines()[1] == "-1" + "0" * 4999 + "7"
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.one_of(
@@ -130,7 +132,7 @@ class TestCsv:
 
     def test_one_row_per_record(self):
         out = io.StringIO()
-        reporting.emit_report([{"a": 1}, {"a": 2}], "csv", out)
+        reporting.emit_report(reporting.Table(["a"], [(1,), (2,)]), "csv", out)
         assert out.getvalue().splitlines() == ["a", "1", "2"]
 
     def test_lists_join_with_semicolons(self):
@@ -143,6 +145,117 @@ class TestCsv:
         reporting.emit_report({"msg": 'a,"b"'}, "csv", out)
         assert out.getvalue().splitlines()[1] == '"a,""b"""'
 
+    @pytest.mark.parametrize("text", ["h\rx", "a\r\nb", "\r"])
+    def test_carriage_returns_are_quoted(self, text):
+        out = io.StringIO()
+        reporting.emit_report({"state": text, "n": 1}, "csv", out)
+        assert list(csv.reader(io.StringIO(out.getvalue(), newline=""))) == \
+            [["state", "n"], [text, "1"]]
+
     def test_unknown_format_rejected(self):
         with pytest.raises(DomainError):
             reporting.emit_report({}, "xml", io.StringIO())
+
+
+def reference_json(records: list[dict]) -> str:
+    return reporting.to_json(records) + "\n"
+
+
+def reference_csv(records: list[dict]) -> str:
+    """A list of flat records as CSV, the header the union of their keys: the
+    writer tables replaced."""
+    if not records:
+        return "\n"
+    header = list(dict.fromkeys(key for record in records for key in record))
+    lines = [",".join(header)]
+    for record in records:
+        flat = reporting._flatten(record)
+        lines.append(",".join([flat.get(key, "") for key in header]))
+    return "\n".join(lines) + "\n"
+
+
+def as_records(columns, rows) -> list[dict]:
+    return [dict(zip(columns, row)) for row in rows]
+
+
+def enum_records(n: int) -> list[dict]:
+    """Enumerated entries as the report printed them from one dict each,
+    decoded index by index."""
+    records = []
+    for index in range(n):
+        a, b = pairing.pair_decode(index)
+        exact = pairing.real_value(a, b)
+        records.append({"index": index, "a": a, "b": b, "value": float(exact),
+                        "value_exact": exact, "canonical": pairing.is_canonical_pair(a, b)})
+    return records
+
+
+SCALARS = [
+    st.integers(-10**30, 10**30), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(alphabet=st.sampled_from('ab,"\n\r %é'), max_size=6), st.booleans(), st.none(),
+    st.fractions(max_denominator=10**6), st.lists(st.integers(0, 9), max_size=3)]
+
+
+@st.composite
+def tables(draw):
+    columns = draw(st.lists(st.text(alphabet="xyz.%", min_size=1, max_size=3),
+                            max_size=4, unique=True))
+    # a column of one type takes that type's writer; a mixed one writes cell by cell
+    cells = [draw(st.sampled_from(SCALARS + [st.one_of(SCALARS)])) for _ in columns]
+    return columns, draw(st.lists(st.tuples(*cells), max_size=12))
+
+
+class TestTable:
+    """A table prints exactly the bytes of its rows as a list of records."""
+
+    @pytest.mark.parametrize("n", [0, 1, 57, 2000, 60000])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_enumeration_is_byte_identical_to_one_record_per_entry(self, n, fmt):
+        table = reporting.Table(pairing.ENTRY_COLUMNS, pairing.enumerate_reals(n))
+        reference = (reference_json if fmt == "json" else reference_csv)(enum_records(n))
+        assert reporting.render_report(table, fmt) == reference
+
+    def test_empty_table_prints_no_header(self):
+        table = reporting.Table(pairing.ENTRY_COLUMNS, [])
+        assert reporting.render_report(table, "json") == "[]\n"
+        assert reporting.render_report(table, "csv") == "\n"
+
+    def test_enumeration_past_the_float_range_prints_subnormals_then_zero(self):
+        rows = pairing.enumerate_reals(60000)
+        assert any(0 < row[3] < 2.2250738585072014e-308 for row in rows)
+        assert any(row[3] == 0 and row[1] for row in rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=tables())
+    def test_any_table_matches_its_records(self, table):
+        columns, rows = table
+        records = as_records(columns, rows)
+        assert reporting.to_json(reporting.Table(columns, rows)) == reporting.to_json(records)
+        assert reporting.to_csv(reporting.Table(columns, rows)) == reference_csv(records)
+
+    def test_a_column_that_changes_type_between_blocks(self):
+        rows = [(i, 0.5 if i < 5000 else None, "x" if i % 2 else 7) for i in range(9000)]
+        records = as_records(["i", "v", "s"], rows)
+        table = reporting.Table(["i", "v", "s"], rows)
+        assert reporting.to_json(table) == reporting.to_json(records)
+        assert reporting.to_csv(table) == reference_csv(records)
+
+    def test_cells_the_writers_refuse(self):
+        with pytest.raises(DomainError, match="finite"):
+            reporting.to_json(reporting.Table(["x"], [(1.0,), (float("nan"),)]))
+        with pytest.raises(DomainError, match="finite"):
+            reporting.to_csv(reporting.Table(["x"], [(float("-inf"),)]))
+        with pytest.raises(DomainError, match="cannot serialise"):
+            reporting.to_json(reporting.Table(["x"], [({1, 2},)]))
+
+    def test_every_row_has_one_cell_per_column(self):
+        for rows in ([(1, 2), (3,)], [(1, 2, 3)]):
+            with pytest.raises(DomainError, match="2 cells"):
+                reporting.to_json(reporting.Table(["a", "b"], rows))
+
+    def test_long_integers_in_a_column(self):
+        big = 10**5000 + 7
+        table = reporting.Table(["n", "q"], [(big, Fraction(1, big)), (1, Fraction(1, 2))])
+        records = as_records(["n", "q"], table.rows)
+        assert reporting.to_json(table) == reporting.to_json(records)
+        assert reporting.to_csv(table) == reference_csv(records)
