@@ -193,24 +193,26 @@ class Table:
         self.rows = rows
 
 
-_BLOCK_ROWS = 4096  # rows made into text at a time, so one block's cell texts are live at once
+# rows made into text at a time: one block's cell texts are live at once, and
+# a report keeps a table's text in its blocks, never in a second whole copy
+_BLOCK_ROWS = 4096
 
 
 def _table_blocks(table: Table, column_text, line_text, sep: str) -> list[str]:
-    """The text of table's rows, a block of rows at a time: column_text
-    makes a block's cells a column at a time, picking its writer once per
-    column, line_text makes one row's line from its cell texts, and sep
-    joins the lines of a block."""
+    """The text of table's rows, a block of rows at a time, with sep between
+    the blocks: column_text makes a block's cells a column at a time, picking
+    its writer once per column, line_text makes one row's line from its cell
+    texts, and sep joins the lines of a block."""
     rows = table.rows
     width = len(table.columns)
     if any(len(row) != width for row in rows):
         raise DomainError(f"every row of a table must have {width} cells")
-    blocks = []
+    pieces = []
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start:start + _BLOCK_ROWS]
         cells = zip(*[column_text(column) for column in zip(*block)]) if width else [()] * len(block)
-        blocks.append(sep.join(map(line_text, cells)))
-    return blocks
+        pieces += [sep.join(map(line_text, cells)), sep]
+    return pieces[:-1]
 
 
 def _one_type(cells: tuple):
@@ -229,41 +231,47 @@ def _csv_column(cells: tuple) -> list[str]:
     return list(map(_quote if kind is str else _csv_field, cells))
 
 
-def _json_table(table: Table) -> str:
+def _json_table(table: Table) -> list[str]:
     row = "{" + ",".join([encode_basestring_ascii(str(k)).replace("%", "%%") + ":%s"
                           for k in table.columns]) + "}"
-    return "[" + ",".join(_table_blocks(table, _json_column, row.__mod__, ",")) + "]"
+    return ["[", *_table_blocks(table, _json_column, row.__mod__, ","), "]"]
 
 
-def _csv_table(table: Table) -> str:
+def _csv_table(table: Table) -> list[str]:
     if not table.rows:
-        return "\n"
-    return (",".join(map(str, table.columns)) + "\n"
-            + "\n".join(_table_blocks(table, _csv_column, ",".join, "\n")) + "\n")
+        return ["\n"]
+    header = ",".join(map(str, table.columns)) + "\n"
+    return [header, *_table_blocks(table, _csv_column, ",".join, "\n"), "\n"]
 
 
-_JSON_WRITERS[Table] = _json_table
+_JSON_WRITERS[Table] = lambda table: "".join(_json_table(table))
 
 
 def to_csv(report: dict | Table) -> str:
     """One record as a header and one row, or a table as its header and rows."""
     if isinstance(report, Table):
-        return _csv_table(report)
+        return "".join(_csv_table(report))
     flat = _flatten(report)
     return ",".join(flat) + "\n" + ",".join(flat.values()) + "\n"
 
 
-def render_report(result: dict | Table, fmt: str) -> str:
-    """The report text of one record or one table."""
+def _report_pieces(result: dict | Table, fmt: str) -> list[str]:
+    """The report text of one record or one table, in pieces that join to
+    it: a table's text stays in its blocks of rows."""
     if fmt == "json":
-        return to_json(result) + "\n"
+        return _json_table(result) + ["\n"] if isinstance(result, Table) else [to_json(result) + "\n"]
     if fmt == "csv":
-        return to_csv(result)
+        return _csv_table(result) if isinstance(result, Table) else [to_csv(result)]
     raise DomainError(f"unknown report format {fmt!r}")
 
 
+def render_report(result: dict | Table, fmt: str) -> str:
+    """The report text of one record or one table."""
+    return "".join(_report_pieces(result, fmt))
+
+
 def emit_report(result: dict | Table, fmt: str, dest: IO[str]) -> int:
-    """Write the report to dest once its text is whole; return bytes written."""
-    text = render_report(result, fmt)
-    dest.write(text)
-    return len(text) if text.isascii() else len(text.encode("utf-8"))
+    """Write the report to dest once all its text is made; return bytes written."""
+    pieces = _report_pieces(result, fmt)
+    dest.writelines(pieces)
+    return sum(len(p) if p.isascii() else len(p.encode("utf-8")) for p in pieces)

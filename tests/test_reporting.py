@@ -174,6 +174,15 @@ def reference_csv(records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def first_difference(got: str, want: str):
+    """None for equal texts, else a little of each around where they first
+    differ: a diff of two reports of many megabytes would take minutes."""
+    if got == want:
+        return None
+    at = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), min(len(got), len(want)))
+    return at, got[at - 60:at + 60], want[at - 60:at + 60]
+
+
 def as_records(columns, rows) -> list[dict]:
     return [dict(zip(columns, row)) for row in rows]
 
@@ -213,7 +222,7 @@ class TestTable:
     def test_enumeration_is_byte_identical_to_one_record_per_entry(self, n, fmt):
         table = reporting.Table(pairing.ENTRY_COLUMNS, pairing.enumerate_reals(n))
         reference = (reference_json if fmt == "json" else reference_csv)(enum_records(n))
-        assert reporting.render_report(table, fmt) == reference
+        assert first_difference(reporting.render_report(table, fmt), reference) is None
 
     def test_empty_table_prints_no_header(self):
         table = reporting.Table(pairing.ENTRY_COLUMNS, [])
