@@ -44,5 +44,6 @@ def tabulate(args) -> None:
 
     emit_report(Table(columns, rows), "csv" if len(rows) > 1 else "json", sys.stdout)
 
+
 if __name__ == "__main__":
     sys.exit(main())

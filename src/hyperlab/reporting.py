@@ -210,7 +210,8 @@ def _table_blocks(table: Table, column_text, line_text, sep: str) -> list[str]:
     pieces = []
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start:start + _BLOCK_ROWS]
-        cells = zip(*[column_text(column) for column in zip(*block)]) if width else [()] * len(block)
+        columns = [column_text(column) for column in zip(*block)]
+        cells = zip(*columns) if width else [()] * len(block)
         pieces += [sep.join(map(line_text, cells)), sep]
     return pieces[:-1]
 
@@ -258,10 +259,11 @@ def to_csv(report: dict | Table) -> str:
 def _report_pieces(result: dict | Table, fmt: str) -> list[str]:
     """The report text of one record or one table, in pieces that join to
     it: a table's text stays in its blocks of rows."""
+    table = isinstance(result, Table)
     if fmt == "json":
-        return _json_table(result) + ["\n"] if isinstance(result, Table) else [to_json(result) + "\n"]
+        return _json_table(result) + ["\n"] if table else [to_json(result) + "\n"]
     if fmt == "csv":
-        return _csv_table(result) if isinstance(result, Table) else [to_csv(result)]
+        return _csv_table(result) if table else [to_csv(result)]
     raise DomainError(f"unknown report format {fmt!r}")
 
 
