@@ -229,7 +229,7 @@ class TestTable:
         assert reporting.render_report(table, "json") == "[]\n"
         assert reporting.render_report(table, "csv") == "\n"
 
-    def test_enumeration_past_the_float_range_prints_subnormals_then_zero(self):
+    def test_enumeration_reaches_subnormal_and_zero_float_views(self):
         rows = pairing.enumerate_reals(60000)
         assert any(0 < row[3] < 2.2250738585072014e-308 for row in rows)
         assert any(row[3] == 0 and row[1] for row in rows)
