@@ -30,9 +30,8 @@ import operator
 import random
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     DomainError,
@@ -58,8 +57,7 @@ MAX_SHOTS = 2**63 - 1  # a count any signed 64-bit reader of the report can hold
 # -- polynomials -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiophantinePolynomial:
+class DiophantinePolynomial(NamedTuple):
     """Sparse integer polynomial: terms are (coefficient, exponent vector)."""
 
     num_vars: int
@@ -126,18 +124,17 @@ def parse_polynomial(doc: dict) -> DiophantinePolynomial:
 # -- truncated mode space -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TruncatedFockSpace:
     """k modes, occupation numbers 0..cutoff each, basis in lexicographic order."""
 
-    num_modes: int
-    cutoff: int
+    __slots__ = ("num_modes", "cutoff")
 
-    def __post_init__(self):
-        if self.num_modes < 1:
+    def __init__(self, num_modes: int, cutoff: int):
+        if num_modes < 1:
             raise DomainError("need at least one mode")
-        if self.cutoff < 0:
+        if cutoff < 0:
             raise DomainError("cutoff must be a natural number")
+        self.num_modes, self.cutoff = num_modes, cutoff
 
     @property
     def dimension(self) -> int:
@@ -241,8 +238,7 @@ def exact_ground_oracle(
     return best, [space.occupation_of(i) for i in winners]
 
 
-@dataclass(frozen=True)
-class LevelScan:
+class LevelScan(NamedTuple):
     """The lattice grouped by the exact value p = D(n)**2.
 
     ``levels`` are the distinct values in increasing order, level j is taken
@@ -334,8 +330,7 @@ def _norm_bound(levels: Sequence[float], dimension: int) -> float:
 # -- propagation --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LevelEvolution:
+class LevelEvolution(NamedTuple):
     """The final level coefficients, unnormalised, the drift of their norm and the step count."""
 
     amplitudes: list[complex]
@@ -460,8 +455,7 @@ class Verdict(Enum):
     NO_SOLUTION_UP_TO_CUTOFF = "no-solution-up-to-cutoff"
 
 
-@dataclass(frozen=True)
-class DecisionReport:
+class DecisionReport(NamedTuple):
     verdict: Verdict
     witness: Optional[tuple[int, ...]]
     ground_energy: int

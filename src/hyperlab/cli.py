@@ -8,10 +8,15 @@ produce byte-identical reports.
 
 Each command imports only the layer it runs, inside its handler: building
 the parser loads no command module, `tm run` loads `turing`, `enum` loads
-`pairing`, `aqc solve` loads `aqc`, and `zeno` and `tae` commands load
-`turing` only when they drive a machine (`zeno halting`). No command imports
-numpy: the seeded ones (aqc solve, tae ashby --simulate and tae bogosort)
-draw from the standard library's random.Random(seed).
+`pairing`, `aqc solve` loads `aqc` and `variates`, `limits` loads `limits`,
+`tae` commands load `tae` and `variates`, and `zeno` commands load `zeno`,
+with `turing` only where they drive a machine (`zeno halting`). No command
+imports numpy: the seeded ones (aqc solve, tae ashby --simulate and tae
+bogosort) draw from the standard library's random.Random(seed). No command
+imports `dataclasses`, whose import pulls in `inspect`: the records are
+plain classes. Only the commands that parse or print an exact fraction
+(every `zeno` command and `enum decode`) load `fractions`, and with it
+`decimal`.
 """
 
 from __future__ import annotations
@@ -20,11 +25,13 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError, HyperlabError
-from .reporting import Table, emit_report, render_report
+from .reporting import Table, emit_report, report_pieces
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _natural_arg(text: str) -> int:
@@ -38,6 +45,8 @@ def _natural_arg(text: str) -> int:
 
 
 def _fraction_arg(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -415,9 +424,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.output == "-":
             emit_report(result, args.format, sys.stdout)
         else:
-            text = render_report(result, args.format)  # fails before the file is opened
+            pieces = report_pieces(result, args.format)  # fails before the file is opened
             with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
 
     return report_errors(work)
 

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(NamedTuple):
     c: float = 299_792_458.0  # speed of light, m/s
     h: float = 6.62607015e-34  # Planck constant, J*s
     a: float = 5.29177210903e-11  # Bohr radius (hydrogen), m

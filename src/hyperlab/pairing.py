@@ -12,10 +12,12 @@ except the float view an enumerated entry carries beside its exact value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, ResourceError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 ENUMERATION_BUDGET = 2 * 10**5  # entries one enumeration may list
 
@@ -30,16 +32,13 @@ def _require_natural(value: int, name: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
 class FinitePrecisionReal:
     """Value a * 10**-b with natural a, b."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        _require_natural(self.a, "a")
-        _require_natural(self.b, "b")
+    def __init__(self, a: int, b: int):
+        self.a, self.b = _require_natural(a, "a"), _require_natural(b, "b")
 
     @property
     def value(self) -> Fraction:
@@ -53,6 +52,8 @@ class FinitePrecisionReal:
 
 def real_value(a: int, b: int) -> Fraction:
     """Exact rational a / 10**b; b past DECIMAL_SHIFT_BUDGET is a ResourceError."""
+    from fractions import Fraction  # only `enum decode` prints an exact value
+
     _require_natural(a, "a")
     _require_natural(b, "b")
     if b > DECIMAL_SHIFT_BUDGET:

@@ -3,9 +3,12 @@
 Reports must be byte-reproducible: fields keep their insertion order, floats
 are printed with 17 significant digits, and no locale or hash randomisation
 can leak in. Both writers pick a formatter by a value's exact type from a
-table, else by its nearest base class in the same table. Any other integral
-type, such as numpy's integers, prints as the int it stands for; JSON refuses
-every remaining type and CSV prints it through ``str``. A report is one
+table, else by its nearest base class in the same table: a ``Fraction``
+takes the writer of ``numbers.Rational``, so this module never imports
+``fractions``, and it loads ``decimal`` only for an integer past the
+interpreter's digit limit. Any other integral type, such as numpy's
+integers, prints as the int it stands for; JSON refuses every remaining
+type and CSV prints it through ``str``. A report is one
 record or one ``Table`` of rows. CSV flattens a record's nested keys with
 dots into one row, and prints a table as its header and one line per row;
 a table picks one writer per column, not per cell. Exact integers and
@@ -14,15 +17,16 @@ fractions are printed in full however many digits they have.
 
 from __future__ import annotations
 
-import decimal
 import math
 import numbers
 import operator
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import IO, Any
+from typing import IO, TYPE_CHECKING, Any
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import decimal
 
 
 def format_float(x: float) -> str:
@@ -55,6 +59,8 @@ def _to_decimal(n: int) -> decimal.Decimal:
     2**w are cached, since every level of the split reuses a few of them.
     This is the algorithm of CPython 3.12's ``_pylong.int_to_decimal_string``.
     """
+    import decimal  # only integers past the digit limit need it
+
     powers: dict[int, decimal.Decimal] = {}
 
     def power(w: int) -> decimal.Decimal:
@@ -83,7 +89,7 @@ def _to_decimal(n: int) -> decimal.Decimal:
         return -value if n < 0 else value
 
 
-def format_fraction(q: Fraction) -> str:
+def format_fraction(q: numbers.Rational) -> str:
     try:
         return f"{q.numerator}/{q.denominator}"
     except ValueError:
@@ -130,7 +136,7 @@ _JSON_WRITERS = {
     str: encode_basestring_ascii,
     int: format_int,
     float: format_float,
-    Fraction: lambda q: '"' + format_fraction(q) + '"',
+    numbers.Rational: lambda q: '"' + format_fraction(q) + '"',
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
 }
@@ -144,7 +150,7 @@ _CSV_WRITERS = {
     str: str,
     int: format_int,
     float: format_float,
-    Fraction: format_fraction,
+    numbers.Rational: format_fraction,
     bool: str,
     type(None): lambda _: "",
 }
@@ -227,9 +233,10 @@ def _json_column(cells: tuple) -> list[str]:
 
 def _csv_column(cells: tuple) -> list[str]:
     kind = _one_type(cells)
-    if kind in (int, float, Fraction, bool, type(None)):  # texts that never need quotes
-        return list(map(_CSV_WRITERS[kind], cells))
-    return list(map(_quote if kind is str else _csv_field, cells))
+    if kind is str:
+        return list(map(_quote, cells))
+    # an int, float, bool or None column needs no quotes; any other is quoted cell by cell
+    return list(map(_CSV_WRITERS.get(kind, _csv_field), cells))
 
 
 def _json_table(table: Table) -> list[str]:
@@ -256,7 +263,7 @@ def to_csv(report: dict | Table) -> str:
     return ",".join(flat) + "\n" + ",".join(flat.values()) + "\n"
 
 
-def _report_pieces(result: dict | Table, fmt: str) -> list[str]:
+def report_pieces(result: dict | Table, fmt: str) -> list[str]:
     """The report text of one record or one table, in pieces that join to
     it: a table's text stays in its blocks of rows."""
     table = isinstance(result, Table)
@@ -267,13 +274,8 @@ def _report_pieces(result: dict | Table, fmt: str) -> list[str]:
     raise DomainError(f"unknown report format {fmt!r}")
 
 
-def render_report(result: dict | Table, fmt: str) -> str:
-    """The report text of one record or one table."""
-    return "".join(_report_pieces(result, fmt))
-
-
 def emit_report(result: dict | Table, fmt: str, dest: IO[str]) -> int:
     """Write the report to dest once all its text is made; return bytes written."""
-    pieces = _report_pieces(result, fmt)
+    pieces = report_pieces(result, fmt)
     dest.writelines(pieces)
     return sum(len(p) if p.isascii() else len(p.encode("utf-8")) for p in pieces)

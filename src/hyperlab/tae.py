@@ -19,9 +19,8 @@ import itertools
 import math
 import random
 import sys
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import DomainError, ResourceError
 from .variates import multinomial
@@ -37,8 +36,7 @@ class KernelDivergenceError(DomainError):
 # -- limit predicates ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LimitPredicate:
+class LimitPredicate(NamedTuple):
     """Binary kernel f(x1..xn, y) whose limit in y defines the predicate."""
 
     kernel: Callable[..., int]
@@ -66,8 +64,7 @@ def tm_kernel(machine: TuringMachine, fuel: int) -> Callable[..., int]:
     return kernel
 
 
-@dataclass(frozen=True)
-class LimitEvaluation:
+class LimitEvaluation(NamedTuple):
     verdict: bool
     mind_changes: int
     stable_since: int
@@ -108,15 +105,16 @@ def evaluate_limit_predicate(
 # -- answer streams and the even/prime-pair procedure ----------------------------
 
 
-@dataclass(frozen=True)
 class AnswerStream:
     """Prime-pair answers: yes at 4, 6, ... before ``last_examined``, then
     ``final_verdict`` there, the working verdict. Only that last answer can
     be no, so the stream changes its mind at most once."""
 
-    horizon: int
-    last_examined: int
-    final_verdict: bool
+    __slots__ = ("horizon", "last_examined", "final_verdict")
+
+    def __init__(self, horizon: int, last_examined: int, final_verdict: bool):
+        self.horizon, self.last_examined, self.final_verdict = (
+            horizon, last_examined, final_verdict)
 
     @property
     def mind_changes(self) -> int:
@@ -217,8 +215,7 @@ def goldbach_stream(horizon_even: int) -> AnswerStream:
 MAX_BOGOSORT_LEN = 10
 
 
-@dataclass(frozen=True)
-class BogosortResult:
+class BogosortResult(NamedTuple):
     sequence: tuple[int, ...]
     tries: int
     gave_up: bool = False
@@ -272,20 +269,17 @@ class WheelStrategy(IntEnum):
     FREEZE_SUCCESSES = 3  # respin only the wheels still failing
 
 
-@dataclass(frozen=True)
 class WheelExperiment:
-    n_wheels: int
-    p: float
-    strategy: WheelStrategy
-    seed: int = 0
+    __slots__ = ("n_wheels", "p", "strategy", "seed")
 
-    def __post_init__(self):
-        if self.n_wheels < 1:
+    def __init__(self, n_wheels: int, p: float, strategy: WheelStrategy, seed: int = 0):
+        if n_wheels < 1:
             raise DomainError("need at least one wheel")
-        if self.n_wheels > sys.float_info.max:  # every strategy computes with N as a float
+        if n_wheels > sys.float_info.max:  # every strategy computes with N as a float
             raise DomainError(f"at most {sys.float_info.max:.6g} wheels, the float range")
-        if not 0.0 < self.p < 1.0:
+        if not 0.0 < p < 1.0:
             raise DomainError("success probability must lie strictly between 0 and 1")
+        self.n_wheels, self.p, self.strategy, self.seed = n_wheels, p, strategy, seed
 
 
 TAIL_RELATIVE_TOL = 1e-9

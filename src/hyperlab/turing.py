@@ -24,7 +24,6 @@ cells at once. Two hooks extend that loop:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import astuple, dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -45,34 +44,42 @@ TRACE_TEXT_BUDGET = 5 * 10**7
 ALPHABET_BUDGET = 256  # symbols, the blank included: a cell holds one byte
 
 
-@dataclass(frozen=True)
-class OracleStates:
+class OracleStates(NamedTuple):
     ask: str
     yes: str
     no: str
 
 
-@dataclass(frozen=True)
-class InputStates:
+class InputStates(NamedTuple):
     request: str
     resume: str
 
 
-@dataclass(frozen=True)
 class TuringMachine:
-    """Validated machine definition; immutable and shareable."""
+    """Validated machine definition; shareable, and never changed once built.
 
-    states: frozenset[str]
-    initial: str
-    finals: frozenset[str]
-    alphabet: frozenset[str]
-    blank: str
-    num_tapes: int
-    transitions: dict[tuple[str, tuple[str, ...]], tuple[str, tuple[str, ...], str]]
-    one_sided: bool = False
-    oracle_states: Optional[OracleStates] = None
-    input_states: Optional[InputStates] = None
-    oracle: Optional[Callable[[int], bool]] = None
+    It keeps a ``__dict__``, where its compiled tables are cached.
+    """
+
+    def __init__(
+        self,
+        states: frozenset[str],
+        initial: str,
+        finals: frozenset[str],
+        alphabet: frozenset[str],
+        blank: str,
+        num_tapes: int,
+        transitions: dict[tuple[str, tuple[str, ...]], tuple[str, tuple[str, ...], str]],
+        one_sided: bool = False,
+        oracle_states: Optional[OracleStates] = None,
+        input_states: Optional[InputStates] = None,
+        oracle: Optional[Callable[[int], bool]] = None,
+    ):
+        self.states, self.initial, self.finals, self.alphabet = states, initial, finals, alphabet
+        self.blank, self.num_tapes, self.transitions = blank, num_tapes, transitions
+        self.one_sided, self.oracle_states, self.input_states = (
+            one_sided, oracle_states, input_states)
+        self.oracle = oracle
 
     @cached_property
     def _codes(self) -> SymbolCodes:
@@ -278,14 +285,14 @@ class Tape:
         return f"Tape(blank={self.blank!r}, extent={self.extent()}, text={self.text()!r})"
 
 
-@dataclass
 class TapeConfiguration:
     """Snapshot of a running machine: tapes, head positions, state."""
 
-    tapes: tuple[Tape, ...]
-    heads: tuple[int, ...]
-    state: str
-    steps: int = 0
+    __slots__ = ("tapes", "heads", "state", "steps")
+
+    def __init__(self, tapes: tuple[Tape, ...], heads: tuple[int, ...], state: str,
+                 steps: int = 0):
+        self.tapes, self.heads, self.state, self.steps = tapes, heads, state, steps
 
     def read(self) -> tuple[str, ...]:
         return tuple([t.read(h) for t, h in zip(self.tapes, self.heads)])
@@ -295,11 +302,11 @@ class TapeConfiguration:
         return self.tapes[tape].text()
 
     def clone(self) -> "TapeConfiguration":
-        return replace(self, tapes=tuple(t.copy() for t in self.tapes))
+        return TapeConfiguration(tuple(t.copy() for t in self.tapes), self.heads, self.state,
+                                 self.steps)
 
 
-@dataclass(frozen=True)
-class TraceSnapshot:
+class TraceSnapshot(NamedTuple):
     """One traced configuration: state, heads, steps and the text of each tape."""
 
     state: str
@@ -322,12 +329,13 @@ class OutcomeKind(Enum):
     STUCK = "stuck"
 
 
-@dataclass
 class RunOutcome:
-    kind: OutcomeKind
-    config: TapeConfiguration
-    oracle_consultations: int = 0
-    trace: Optional[list[TraceSnapshot]] = None
+    __slots__ = ("kind", "config", "oracle_consultations", "trace")
+
+    def __init__(self, kind: OutcomeKind, config: TapeConfiguration,
+                 oracle_consultations: int = 0, trace: Optional[list[TraceSnapshot]] = None):
+        self.kind, self.config, self.oracle_consultations, self.trace = (
+            kind, config, oracle_consultations, trace)
 
 
 class AlreadyHaltedError(DomainError):
@@ -496,7 +504,11 @@ def attach_oracle(machine: TuringMachine, oracle: Callable[[int], bool]) -> Turi
     if machine.oracle_states is None:
         raise ConfigurationError(
             "machine declares no oracle states (ask/yes/no); cannot attach an oracle")
-    return replace(machine, oracle=oracle)
+    import copy
+
+    bound = copy.copy(machine)  # shares the compiled tables, which hold no oracle
+    bound.oracle = oracle
+    return bound
 
 
 def _sweep_length(cells: bytearray, outside: bytes, i: int, shift: int, room: int) -> int:
@@ -569,9 +581,9 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
     finals = machine.finals
     ask = yes = no = request = resume = None
     if oracle is not None and machine.oracle_states is not None:
-        ask, yes, no = astuple(machine.oracle_states)
+        ask, yes, no = machine.oracle_states
     if queue is not None:
-        request, resume = astuple(machine.input_states)
+        request, resume = machine.input_states
     stops = finals.union(s for s in (ask, request) if s is not None)
     table, one_sided = machine._table, machine.one_sided
     tape = config.tapes[0]
@@ -702,7 +714,6 @@ _SESSION_STATUS = {  # a drive's outcome as a session status; None is waiting on
     OutcomeKind.HALTED: SessionStatus.HALTED, OutcomeKind.STUCK: SessionStatus.STUCK}
 
 
-@dataclass
 class CoupledSession:
     """A running machine that accepts symbols after the computation started.
 
@@ -713,17 +724,15 @@ class CoupledSession:
     without stepping. An attached oracle answers the ask-state as in :func:`run`.
     """
 
-    machine: TuringMachine
-    config: TapeConfiguration = field(init=False)
-    status: SessionStatus = field(init=False, default=SessionStatus.RUNNING)
-    queue: deque[str] = field(init=False, default_factory=deque)
+    __slots__ = ("machine", "config", "status", "queue")
 
-    def __post_init__(self):
-        if self.machine.input_states is None:
+    def __init__(self, machine: TuringMachine):
+        if machine.input_states is None:
             raise ConfigurationError(
                 "machine declares no input states (request/resume); "
                 "cannot open a coupled session")
-        self.config = initial_configuration(self.machine)
+        self.machine, self.config = machine, initial_configuration(machine)
+        self.status, self.queue = SessionStatus.RUNNING, deque()
 
     def feed(self, symbol: str) -> int:
         """Queue one symbol; returns the queue length as acknowledgment."""

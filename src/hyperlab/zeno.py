@@ -18,11 +18,10 @@ explicitly instead of pretending the limit was reached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from numbers import Rational
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .errors import DomainError, ResourceError
 
@@ -167,8 +166,7 @@ def thomson_lamp(t: TimeLike, start_on: bool = True) -> LampState:
 # -- halting flag on an accelerated run --------------------------------------------
 
 
-@dataclass(frozen=True)
-class HaltingFlagReport:
+class HaltingFlagReport(NamedTuple):
     """Fuel-bounded surrogate for the accelerated halting-flag construction.
 
     The true construction completes a supertask: simulate the machine at

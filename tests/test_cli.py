@@ -497,6 +497,15 @@ class TestDeterminism:
         run_cli(argv)
         assert target.read_bytes() == first
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_output_file_holds_the_bytes_of_stdout_for_a_table(self, tmp_path, fmt):
+        target = tmp_path / f"report.{fmt}"
+        argv = ["--format", fmt, "enum", "list", "--count", "5000"]  # more than one block
+        status, out, _ = run_cli(argv)
+        assert status == 0
+        assert run_cli(["--output", str(target), *argv]) == (0, "", "")
+        assert target.read_bytes() == out.encode()
+
     def test_csv_quotes_a_carriage_return(self, write_json):
         doc = json.loads(json.dumps(successor_doc()).replace('"done"', '"h\\rx"'))
         path = write_json("cr.json", doc)
@@ -589,6 +598,47 @@ class TestCosts:
         assert "turing" not in layers("tae goldbach --horizon 100")
         loaded = layers(f"tm run {machine} --input 11")
         assert "turing" in loaded and not loaded & {"tae", "zeno", "limits", "pairing"}
+
+    def test_commands_load_no_dataclasses_and_rationals_only_to_print_them(self, tmp_path):
+        machine = tmp_path / "machine.json"
+        machine.write_text(json.dumps(successor_doc()))
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps(X_MINUS_2))
+        script = (
+            "import io, json, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "bare = set(sys.modules)\n"
+            "from hyperlab import cli\n"
+            "for argv in sys.argv[1:]:\n"
+            "    with redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv.split()) == 0, argv\n"
+            "print(json.dumps(sorted(set(sys.modules) - bare)))\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+        def added(commands: list[str]) -> set[str]:
+            """The modules the commands add to what the interpreter had loaded
+            before the first import of hyperlab, site .pth files included."""
+            done = subprocess.run([sys.executable, "-c", script, *commands], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            return set(json.loads(done.stdout))
+
+        no_fraction = [
+            f"tm run {machine} --input 11 --trace", "enum list --count 30",
+            "enum encode --a 15 --b 1", "limits --symbols 8 --power 1 --dt 0.5",
+            "tae goldbach --horizon 100", "tae bogosort --len 6 --memo --seed 3",
+            "tae ashby --wheels 4 --p 0.5 --strategy 3 --simulate --trials 100",
+            f"aqc solve {poly} --cutoff 4 --time 5 --dt 0.01 --shots 100",
+            f"aqc solve {poly} --cutoff 4 --oracle-only"]
+        loaded = added(no_fraction)
+        assert "hyperlab.aqc" in loaded
+        assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "_decimal"}
+        loaded = added(["zeno time --n 50", "zeno budget --seconds 1.5", "zeno lamp --t 1.5",
+                        f"zeno halting {machine} --input 11 --fuel 100",
+                        "enum decode --index 7"])
+        assert "hyperlab.zeno" in loaded and not loaded & {"dataclasses", "inspect"}
 
     def test_traced_run_memory_is_linear_in_the_report(self, write_json, tmp_path):
         # 2001 snapshots of a 2000-symbol tape: about 8 MB of report text,

@@ -1,6 +1,6 @@
 import json
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -838,8 +838,10 @@ class TestCoupledSession:
     @given(_wide_machines(), st.lists(st.integers(1, 25), min_size=1, max_size=5))
     def test_a_session_that_never_requests_input_reaches_what_run_reaches(self, case, chunks):
         machine, _ = case
-        machine = replace(machine, states=machine.states | {"req", "res"},
-                          input_states=turing.InputStates("req", "res"))
+        machine = turing.TuringMachine(
+            machine.states | {"req", "res"}, machine.initial, machine.finals, machine.alphabet,
+            machine.blank, machine.num_tapes, machine.transitions, machine.one_sided,
+            input_states=turing.InputStates("req", "res"))
         session = turing.open_session(machine)
         for max_steps in chunks:
             if session.advance(max_steps) is not SessionStatus.RUNNING:
