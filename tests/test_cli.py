@@ -20,6 +20,13 @@ from conftest import self_loop_doc, successor_doc
 X_MINUS_2 = {"vars": 1, "terms": [[1, [1]], [-2, [0]]]}
 
 
+def src_env() -> dict:
+    """The environment of a child interpreter that imports hyperlab from this checkout."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -555,9 +562,7 @@ class TestCosts:
                     f"aqc solve {poly} --cutoff 4 --oracle-only"] + [
                     f"tae ashby --wheels 4 --p 0.5 --strategy {strategy} --simulate --trials 100"
                     for strategy in (1, 2, 3)]
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        env = src_env()
         done = subprocess.run([sys.executable, "-c", script, *commands], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
@@ -578,9 +583,7 @@ class TestCosts:
             "        assert cli.main(argv) == 0, argv\n"
             "print(json.dumps(sorted(m.split('.', 1)[1] for m in sys.modules\n"
             "                        if m.startswith('hyperlab.'))))\n")
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        env = src_env()
 
         def layers(command: str) -> set[str]:
             done = subprocess.run([sys.executable, "-c", script, command], env=env,
@@ -613,9 +616,7 @@ class TestCosts:
             "    with redirect_stdout(io.StringIO()):\n"
             "        assert cli.main(argv.split()) == 0, argv\n"
             "print(json.dumps(sorted(set(sys.modules) - bare)))\n")
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        env = src_env()
 
         def added(commands: list[str]) -> set[str]:
             """The modules the commands add to what the interpreter had loaded
