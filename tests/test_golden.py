@@ -64,6 +64,9 @@ CASES = {
     # two modes, d = 49, dt just under the guard's 0.5 / 30**2
     "aqc-solve-two-mode": ["aqc", "solve", "tests/golden/xy_minus_6.json", "--cutoff", "6",
                            "--time", "10", "--dt", "0.00055", "--shots", "1000", "--seed", "3"],
+    # (x - 3)(x - 5000): the two minimisers fall in different runs of the lattice scan
+    "aqc-oracle-two-chunks": ["aqc", "solve", "tests/golden/x_minus_3_times_x_minus_5000.json",
+                              "--cutoff", "9999", "--oracle-only"],
     "error-enum-decode": ["enum", "decode", "--index", "-1"],
     # the engine's long loops: thousands of steps, erasures at both ends,
     # a fuel-bounded zeno run, and the prime-pair stream at 10**5
