@@ -44,6 +44,8 @@ from .variates import multinomial
 
 LATTICE_BUDGET = 10**7
 VALUE_BITS_BUDGET = 4096
+RUN_LENGTH = 4096  # values of the last coordinate the scan evaluates D over at once
+MINIMIZER_BUDGET = 2 * 10**5  # lattice points one --oracle-only report may list
 STEP_BUDGET = 10**7
 # distinct values of D**2 one scan may group: about 300 bytes each while they
 # are grouped and evolved
@@ -166,13 +168,6 @@ class TruncatedFockSpace:
 # -- the exact scan -------------------------------------------------------------------
 
 
-def _check_lattice_budget(space: TruncatedFockSpace) -> None:
-    if space.dimension > LATTICE_BUDGET:
-        raise ResourceError(
-            f"lattice of {space.dimension} points exceeds the budget "
-            f"{LATTICE_BUDGET}")
-
-
 def _value_bits_bound(poly: DiophantinePolynomial, cutoff: int) -> int:
     """An upper bound on the bit length of D over the lattice 0..cutoff per variable.
 
@@ -184,21 +179,22 @@ def _value_bits_bound(poly: DiophantinePolynomial, cutoff: int) -> int:
     return longest + len(poly.terms).bit_length()
 
 
-def _lattice_values(poly: DiophantinePolynomial, space: TruncatedFockSpace) -> Iterator[int]:
-    """D at every lattice point, in basis order and exact integers.
+def _lattice_runs(poly: DiophantinePolynomial, space: TruncatedFockSpace) -> Iterator[list[int]]:
+    """D at every lattice point, in basis order and exact integers, a run at a time.
 
-    With the other coordinates fixed, D is a polynomial in the last one, so
-    its coefficients are summed once per run of the last coordinate and each
-    point costs one product per exponent of the last variable. A lattice past
-    LATTICE_BUDGET points, or a polynomial whose values there may be longer
-    than VALUE_BITS_BUDGET bits, is a :class:`ResourceError` before the first
-    point.
+    D is a polynomial in the last coordinate whose coefficients are summed
+    once per prefix of the others; a run of up to RUN_LENGTH values of the
+    last coordinate is then one C-level pass per exponent (Horner's rule). A
+    lattice past LATTICE_BUDGET points, or values that may be longer than
+    VALUE_BITS_BUDGET bits, is a :class:`ResourceError` before the first run.
     """
     if poly.num_vars != space.num_modes:
         raise ShapeError(
             f"polynomial has {poly.num_vars} variables but the space has "
             f"{space.num_modes} modes")
-    _check_lattice_budget(space)
+    if space.dimension > LATTICE_BUDGET:
+        raise ResourceError(
+            f"lattice of {space.dimension} points exceeds the budget {LATTICE_BUDGET}")
     bits = _value_bits_bound(poly, space.cutoff)
     if bits > VALUE_BITS_BUDGET:
         raise ResourceError(
@@ -207,14 +203,22 @@ def _lattice_values(poly: DiophantinePolynomial, space: TruncatedFockSpace) -> I
     by_last: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     for coeff, exps in poly.terms:
         by_last.setdefault(exps[-1], []).append((coeff, exps[:-1]))
-    last = list(by_last)
-    prefix, coeffs = None, []
-    for n in space.basis():
-        if n[:-1] != prefix:
-            prefix = n[:-1]
-            coeffs = [sum(c * math.prod(map(pow, prefix, rest)) for c, rest in group)
-                      for group in by_last.values()]
-        yield sum(map(operator.mul, coeffs, map(pow, itertools.repeat(n[-1]), last)))
+    last = sorted(by_last, reverse=True)
+    gaps = [e - f for e, f in zip(last, last[1:] + [0])]  # down to the next exponent, or to 0
+    top = space.cutoff + 1
+    for prefix in itertools.product(range(top), repeat=space.num_modes - 1):
+        coeffs = [sum(c * math.prod(map(pow, prefix, rest)) for c, rest in by_last[e])
+                  for e in last]
+        for start in range(0, top, RUN_LENGTH):
+            zs = range(start, min(start + RUN_LENGTH, top))
+            run = [0] * len(zs)
+            for c, gap in zip(coeffs, gaps):
+                run = map(operator.add, run, itertools.repeat(c))
+                if gap:
+                    run = map(operator.mul, run,
+                              zs if gap == 1 else map(pow, zs, itertools.repeat(gap)))
+                run = list(run)
+            yield run
 
 
 def exact_ground_oracle(
@@ -223,19 +227,25 @@ def exact_ground_oracle(
     """The exact minimum of D**2 over the truncated lattice and every tuple attaining it.
 
     Arithmetic is plain Python integers, so no value is ever rounded, and
-    memory does not grow with the lattice beyond the minimisers.
+    memory does not grow with the lattice beyond the minimisers. Only a run
+    whose least |D| ties the best so far is searched for them; more than
+    MINIMIZER_BUDGET is a :class:`ResourceError` once the scan is done.
     """
     space = TruncatedFockSpace(poly.num_vars, cutoff)
-    best: Optional[int] = None
-    winners: list[int] = []
-    for i, value in enumerate(_lattice_values(poly, space)):
-        value *= value
-        if best is None or value < best:
-            best, winners = value, [i]
-        elif value == best:
-            winners.append(i)
-    assert best is not None
-    return best, [space.occupation_of(i) for i in winners]
+    best, winners, start = math.inf, [], 0
+    for run in _lattice_runs(poly, space):
+        low = min(map(abs, run))
+        if low < best:
+            best, winners = low, []
+        if low == best:
+            winners += itertools.compress(range(start, start + len(run)),
+                                          map(low.__eq__, map(abs, run)))
+            del winners[MINIMIZER_BUDGET + 1:]
+        start += len(run)
+    if len(winners) > MINIMIZER_BUDGET:
+        raise ResourceError(
+            f"more than {MINIMIZER_BUDGET} lattice points attain the minimum, past the budget")
+    return best * best, [space.occupation_of(i) for i in winners]
 
 
 class LevelScan(NamedTuple):
@@ -267,19 +277,19 @@ def scan_levels(
 
     Memory is one 4-byte index per point and one dictionary entry per
     distinct level; the lattice budgets are checked before the first
-    evaluation, and the scan stops with :class:`ResourceError` at the first
-    level past ``max_levels``.
+    evaluation, and the scan stops with :class:`ResourceError` after the run
+    that holds the first level past ``max_levels``.
     """
     first_seen: dict[int, int] = {}
     seen = array("I")  # the first-seen rank of each point's value
-    for value in _lattice_values(poly, space):
-        rank = first_seen.setdefault(value * value, len(first_seen))
-        if rank >= max_levels:
+    for run in _lattice_runs(poly, space):
+        seen.extend(map(first_seen.setdefault, map(operator.mul, run, run),
+                        map(len, itertools.repeat(first_seen))))
+        if len(first_seen) > max_levels:
             raise ResourceError(
                 f"the lattice has more than {max_levels} distinct levels, past the "
                 f"budgets of {LEVEL_BUDGET} levels and {LEVEL_STEP_BUDGET} "
                 "levels x steps")
-        seen.append(rank)
     levels = sorted(first_seen)
     level = [0] * len(levels)
     for j, value in enumerate(levels):
@@ -422,11 +432,6 @@ def evolve_from_uniform(scan: LevelScan, total_time: float, dt: float) -> LevelE
 # -- measurement --------------------------------------------------------------------
 
 
-def _check_shots(shots: int) -> None:
-    if not 1 <= shots <= MAX_SHOTS:
-        raise DomainError(f"shots must lie in 1..{MAX_SHOTS}")
-
-
 def sample_levels(
     scan: LevelScan, populations: Sequence[float], shots: int, seed: int
 ) -> dict[tuple[int, ...], int]:
@@ -436,7 +441,8 @@ def sample_levels(
     share splits evenly over its points; both splits draw from
     random.Random(seed), in that order.
     """
-    _check_shots(shots)
+    if not 1 <= shots <= MAX_SHOTS:
+        raise DomainError(f"shots must lie in 1..{MAX_SHOTS}")
     rng = random.Random(seed)
     per_level = multinomial(rng, shots, populations)
     per_point = {j: multinomial(rng, count, [1] * scan.multiplicities[j])

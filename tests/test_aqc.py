@@ -59,6 +59,14 @@ def problem_diagonal(poly: aqc.DiophantinePolynomial, space: TruncatedFockSpace)
     return scan_diagonal(aqc.scan_levels(poly, space))
 
 
+def record_runs(patch) -> list[list[int]]:
+    """Every run of D values the lattice scan yields from now on, in order."""
+    runs, lattice_runs = [], aqc._lattice_runs
+    patch.setattr(aqc, "_lattice_runs", lambda poly, space: (
+        runs.append(run) or run for run in lattice_runs(poly, space)))
+    return runs
+
+
 def point_state(scan: aqc.LevelScan, evolution: aqc.LevelEvolution) -> np.ndarray:
     """The normalised amplitude at every point of a state constant on each level:
     coefficient c_j on level j is c_j / sqrt(m_j) at each of its m_j points."""
@@ -143,8 +151,7 @@ class TestProblemHamiltonian:
 
     def test_lattice_past_the_budget_is_refused_before_the_scan(self, monkeypatch):
         poly = aqc.parse_polynomial(CUBES_PLUS_XYZ)
-        scanned = []
-        monkeypatch.setattr(TruncatedFockSpace, "basis", lambda space: scanned.append(1))
+        scanned = record_runs(monkeypatch)
         with pytest.raises(ResourceError, match="budget"):
             aqc.scan_levels(poly, TruncatedFockSpace(3, 500))
         assert scanned == []
@@ -325,12 +332,13 @@ class TestExactOracle:
         # x**(10**7) - 2 at cutoff 6: a short document whose values have 3 * 10**7 bits
         poly = aqc.parse_polynomial({"vars": 1, "terms": [[1, [10**7]], [-2, [0]]]})
         space = TruncatedFockSpace(1, 6)
-        monkeypatch.setattr(TruncatedFockSpace, "basis", lambda space: pytest.fail("scanned"))
+        scanned = record_runs(monkeypatch)
         for work in (lambda: aqc.exact_ground_oracle(poly, 6),
                      lambda: aqc.scan_levels(poly, space),
                      lambda: aqc.decide(poly, 6, 1.0, 0.01, shots=10, seed=0)):
             with pytest.raises(ResourceError, match="bits"):
                 work()
+        assert scanned == []
 
     def test_bit_budget_is_inclusive(self):
         # at cutoff 1, x**e - 1 has bits(1) + e * bits(1) + bits(2 terms) = e + 3
@@ -340,6 +348,29 @@ class TestExactOracle:
         poly = aqc.parse_polynomial({"vars": 1, "terms": [[1, [at_budget + 1]], [-1, [0]]]})
         with pytest.raises(ResourceError, match="budget"):
             aqc.exact_ground_oracle(poly, 1)
+
+    def test_minimiser_budget_is_inclusive_and_counts_only_the_final_minimum(
+            self, monkeypatch):
+        monkeypatch.setattr(aqc, "MINIMIZER_BUDGET", 5)
+        monkeypatch.setattr(aqc, "RUN_LENGTH", 2)
+        constant = _poly(1, [[3, [0]]])
+        assert aqc.exact_ground_oracle(constant, 4) == (9, [(0,), (1,), (2,), (3,), (4,)])
+        with pytest.raises(ResourceError, match="more than 5 lattice points"):
+            aqc.exact_ground_oracle(constant, 5)
+        # 1 - x + xy is 1 on the six points of the row x = 0, then 0 only at (1, 0)
+        poly = _poly(2, [[1, [0, 0]], [-1, [1, 0]], [1, [1, 1]]])
+        assert aqc.exact_ground_oracle(poly, 5) == (0, [(1, 0)])
+
+    def test_memory_is_one_run_not_the_lattice(self):
+        # x - 7 at cutoff 10**5: the last coordinate alone is 10**5 ints, 3.6 MB
+        poly = aqc.parse_polynomial({"vars": 1, "terms": [[1, [1]], [-7, [0]]]})
+        tracemalloc.start()
+        try:
+            assert aqc.exact_ground_oracle(poly, 10**5) == (0, [(7,)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestDecide:
@@ -402,8 +433,7 @@ class TestDecide:
         # T / dt = 100 and 101 exactly, dt * max p = 0.5 at cutoff 4
         assert aqc.decide(poly, 4, total_time=100 * 0.125, dt=0.125, shots=10,
                           seed=0).ground_energy == 0
-        scanned = []
-        monkeypatch.setattr(TruncatedFockSpace, "basis", lambda space: scanned.append(1))
+        scanned = record_runs(monkeypatch)
         with pytest.raises(ResourceError, match="budget"):
             aqc.decide(poly, 4, total_time=101 * 0.125, dt=0.125, shots=10, seed=0)
         assert scanned == []
@@ -439,14 +469,13 @@ class TestDecide:
         poly = aqc.parse_polynomial(X_MINUS_2)
         space = TruncatedFockSpace(1, 20)
         assert len(aqc.scan_levels(poly, space, max_levels=19).levels) == 19
-        values = aqc._lattice_values
-        scanned = []
-        monkeypatch.setattr(aqc, "_lattice_values", lambda poly, space: (
-            scanned.append(v) or v for v in values(poly, space)))
+        monkeypatch.setattr(aqc, "RUN_LENGTH", 2)
+        scanned = record_runs(monkeypatch)
         with pytest.raises(ResourceError, match="budget"):
             aqc.scan_levels(poly, space, max_levels=3)
-        # D = -2, -1, 0, 1, 2 give three levels; D = 3 at x = 5 is the fourth
-        assert scanned == [-2, -1, 0, 1, 2, 3]
+        # D = -2, -1, 0, 1, 2 give three levels; D = 3 at x = 5 is the fourth,
+        # in the third run, and no later run is evaluated
+        assert scanned == [[-2, -1], [0, 1], [2, 3]]
 
     def test_level_step_budget_bounds_evolve_levels(self, monkeypatch):
         args = ([0.0, 1.0, 2.0, 3.0, 4.0], [1] * 5, [math.sqrt(0.2)] * 5, 1.0, 0.1)
@@ -603,6 +632,82 @@ def _guarded_schedule(problem, steps, guard_share):
 def _pointwise(diagonal, psi, total_time, dt) -> aqc.LevelEvolution:
     """evolve_levels with every point its own level: the full d-point Strang loop."""
     return aqc.evolve_levels(diagonal.tolist(), [1] * len(diagonal), list(psi), total_time, dt)
+
+
+# the kernel's own run length and lengths that split rows of 13 at every boundary
+RUN_LENGTHS = [1, 2, 3, 7, aqc.RUN_LENGTH]
+
+
+@st.composite
+def run_problems(draw):
+    """(polynomial, cutoff, run length): 1-3 variables, up to five terms of degree up
+    to 4 in each variable with coefficients of either sign, and a cutoff in 0..12."""
+    k = draw(st.integers(1, 3))
+    exponents = draw(st.lists(st.tuples(*[st.integers(0, 4)] * k), max_size=5, unique=True))
+    coeffs = draw(st.lists(st.integers(-50, 50), min_size=len(exponents),
+                           max_size=len(exponents)))
+    poly = _poly(k, [[c, list(e)] for c, e in zip(coeffs, exponents)])
+    return poly, draw(st.integers(0, 12)), draw(st.sampled_from(RUN_LENGTHS))
+
+
+# no terms, so D = 0 and every point is a minimiser; no term holds the last
+# variable; values of 4088 and 4083 bits at cutoff 12, near VALUE_BITS_BUDGET
+EDGE_PROBLEMS = [
+    (_poly(2, []), 12, 7),
+    (_poly(3, [[2, [1, 1, 0]], [-3, [2, 0, 0]], [1, [0, 0, 0]]]), 5, 3),
+    (_poly(1, [[-3, [1021]], [5, [1020]], [1, [0]]]), 12, 2),
+    (_poly(3, [[1, [340, 340, 340]], [-1, [0, 0, 1]]]), 12, 7),
+]
+
+
+def _with_examples(test):
+    for problem in EDGE_PROBLEMS:
+        test = example(problem=problem)(test)
+    return test
+
+
+class TestLatticeRuns:
+    """The run kernel against term-by-term evaluation at every point, at any run length."""
+
+    def test_edge_problems_are_near_the_bit_budget(self):
+        assert [aqc._value_bits_bound(poly, cutoff)
+                for poly, cutoff, _ in EDGE_PROBLEMS[2:]] == [4088, 4083]
+        assert aqc.VALUE_BITS_BUDGET == 4096
+
+    @settings(max_examples=80, deadline=None)
+    @given(problem=run_problems())
+    @_with_examples
+    def test_runs_are_d_at_every_point_in_basis_order(self, problem):
+        poly, cutoff, run_length = problem
+        space = TruncatedFockSpace(poly.num_vars, cutoff)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(aqc, "RUN_LENGTH", run_length)
+            runs = list(aqc._lattice_runs(poly, space))
+        assert [value for run in runs for value in run] == [
+            poly.evaluate(n) for n in space.basis()]
+        # each row of the last coordinate splits into full runs and a shorter last one
+        per_row = -(-(cutoff + 1) // run_length)
+        assert len(runs) == (cutoff + 1) ** (poly.num_vars - 1) * per_row
+        assert [len(run) for run in runs] == [
+            min(run_length, cutoff + 1 - run_length * (i % per_row)) for i in range(len(runs))]
+
+    @settings(max_examples=80, deadline=None)
+    @given(problem=run_problems())
+    @_with_examples
+    # (x - 1)(x - 4): the two minimisers in different runs
+    @example(problem=(_poly(1, [[1, [2]], [-5, [1]], [4, [0]]]), 12, 3))
+    def test_oracle_and_level_scan_match_brute_force(self, problem):
+        poly, cutoff, run_length = problem
+        space = TruncatedFockSpace(poly.num_vars, cutoff)
+        squares = [poly.evaluate(n) ** 2 for n in space.basis()]
+        low = min(squares)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(aqc, "RUN_LENGTH", run_length)
+            assert aqc.exact_ground_oracle(poly, cutoff) == (
+                low, [n for n, p in zip(space.basis(), squares) if p == low])
+            scan = aqc.scan_levels(poly, space)
+        assert list(scan.levels) == sorted(set(squares))
+        assert [scan.levels[j] for j in scan.level_of] == squares
 
 
 class TestStructuredOperators:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperlab import cli, pairing, tae, turing
+from hyperlab import aqc, cli, pairing, tae, turing
 
 from conftest import self_loop_doc, successor_doc
 
@@ -253,6 +253,17 @@ class TestErrors:
         status, out, err = run_cli([arg.format(loop=loop, poly=poly, long=long, wide=wide)
                                     for arg in argv])
         assert time.monotonic() - start < 1.0
+        assert status == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "resource-error"
+        assert "budget" in payload["message"]
+
+    def test_minimisers_past_their_budget_end_in_resource_error(self, write_json):
+        # D = 0 everywhere: each of the MINIMIZER_BUDGET + 1 lattice points is a
+        # minimiser, which only the scan finds out
+        path = write_json("poly.json", {"vars": 1, "terms": []})
+        status, out, err = run_cli(["aqc", "solve", path, "--cutoff",
+                                    str(aqc.MINIMIZER_BUDGET), "--oracle-only"])
         assert status == 1 and out == ""
         payload = json.loads(err)
         assert payload["error"] == "resource-error"
