@@ -14,11 +14,11 @@ Every negative answer is cutoff-bounded by construction. Variables range over
 the naturals; searches over negative integers need an explicit substitution
 such as x -> x' - m before encoding.
 
-An exact integer scan of the truncated lattice serves as the oracle for
-every quantum-path result. `decide` scans once and groups the points by the
-distinct values of D**2 (the levels): from the uniform start the state stays
-constant on each level, so it propagates one amplitude per level and samples
-levels, then points within them, all in the standard library.
+An exact integer scan of the lattice, a run of the last coordinate at a time,
+is the oracle for every quantum-path result. `decide` scans once and groups
+the points by the distinct values of D**2 (the levels): from the uniform
+start the state stays constant on each level, so it propagates one amplitude
+per level and samples levels, then points within them, in the standard library.
 """
 
 from __future__ import annotations
@@ -182,11 +182,10 @@ def _value_bits_bound(poly: DiophantinePolynomial, cutoff: int) -> int:
 def _lattice_runs(poly: DiophantinePolynomial, space: TruncatedFockSpace) -> Iterator[list[int]]:
     """D at every lattice point, in basis order and exact integers, a run at a time.
 
-    D is a polynomial in the last coordinate whose coefficients are summed
-    once per prefix of the others; a run of up to RUN_LENGTH values of the
-    last coordinate is then one C-level pass per exponent (Horner's rule). A
-    lattice past LATTICE_BUDGET points, or values that may be longer than
-    VALUE_BITS_BUDGET bits, is a :class:`ResourceError` before the first run.
+    D's coefficients in the last coordinate are summed once per prefix of the
+    others; a run of up to RUN_LENGTH values of it is then one C-level pass per
+    exponent (Horner's rule). A lattice past LATTICE_BUDGET points, or values
+    past VALUE_BITS_BUDGET bits, is a :class:`ResourceError` before the first run.
     """
     if poly.num_vars != space.num_modes:
         raise ShapeError(
@@ -228,7 +227,7 @@ def exact_ground_oracle(
 
     Arithmetic is plain Python integers, so no value is ever rounded, and
     memory does not grow with the lattice beyond the minimisers. Only a run
-    whose least |D| ties the best so far is searched for them; more than
+    whose least |D| ties or beats the best so far is searched for them; more than
     MINIMIZER_BUDGET is a :class:`ResourceError` once the scan is done.
     """
     space = TruncatedFockSpace(poly.num_vars, cutoff)
@@ -243,8 +242,7 @@ def exact_ground_oracle(
             del winners[MINIMIZER_BUDGET + 1:]
         start += len(run)
     if len(winners) > MINIMIZER_BUDGET:
-        raise ResourceError(
-            f"more than {MINIMIZER_BUDGET} lattice points attain the minimum, past the budget")
+        raise ResourceError(f"more than {MINIMIZER_BUDGET} minimisers are past the budget")
     return best * best, [space.occupation_of(i) for i in winners]
 
 
@@ -432,6 +430,11 @@ def evolve_from_uniform(scan: LevelScan, total_time: float, dt: float) -> LevelE
 # -- measurement --------------------------------------------------------------------
 
 
+def _check_shots(shots: int) -> None:
+    if not 1 <= shots <= MAX_SHOTS:
+        raise DomainError(f"shots must lie in 1..{MAX_SHOTS}")
+
+
 def sample_levels(
     scan: LevelScan, populations: Sequence[float], shots: int, seed: int
 ) -> dict[tuple[int, ...], int]:
@@ -441,8 +444,7 @@ def sample_levels(
     share splits evenly over its points; both splits draw from
     random.Random(seed), in that order.
     """
-    if not 1 <= shots <= MAX_SHOTS:
-        raise DomainError(f"shots must lie in 1..{MAX_SHOTS}")
+    _check_shots(shots)
     rng = random.Random(seed)
     per_level = multinomial(rng, shots, populations)
     per_point = {j: multinomial(rng, count, [1] * scan.multiplicities[j])

@@ -355,7 +355,7 @@ class TestExactOracle:
         monkeypatch.setattr(aqc, "RUN_LENGTH", 2)
         constant = _poly(1, [[3, [0]]])
         assert aqc.exact_ground_oracle(constant, 4) == (9, [(0,), (1,), (2,), (3,), (4,)])
-        with pytest.raises(ResourceError, match="more than 5 lattice points"):
+        with pytest.raises(ResourceError, match="more than 5 minimisers"):
             aqc.exact_ground_oracle(constant, 5)
         # 1 - x + xy is 1 on the six points of the row x = 0, then 0 only at (1, 0)
         poly = _poly(2, [[1, [0, 0]], [-1, [1, 0]], [1, [1, 1]]])
