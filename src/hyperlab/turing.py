@@ -8,22 +8,17 @@ in one shared direction.
 
 Each machine compiles its quintuples once into a table ``(state, read) ->
 (state, write, shift)`` over symbol codes that the one stepping loop, shared
-by runs, sessions and :func:`step`, reads. On one tape, a rule whose state
+by :func:`run` and :func:`step`, reads. On one tape, a rule whose state
 keeps itself over a set of symbols, writing a fixed symbol for each and
 moving one way, is a sweep: the loop applies it to the whole block of such
-cells at once. Two hooks extend that loop:
-
-* an oracle: entering the declared ask-state consults an opaque total
-  predicate on the unary number written left of the head and resumes in the
-  declared yes- or no-state, at no fuel cost;
-* coupled input: entering the declared request-state pops the oldest symbol
-  from an inbound queue onto the tape, or reports ``Waiting`` if the queue is
-  empty.
+cells at once. One hook extends that loop, an oracle: entering the declared
+ask-state consults an opaque total predicate on the unary number written
+left of the head and resumes in the declared yes- or no-state, at no fuel
+cost.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -42,17 +37,13 @@ TAPE_TEXT_BUDGET = 5 * 10**7
 # they are taken, since a snapshot's text is not known before the run reaches it
 TRACE_TEXT_BUDGET = 5 * 10**7
 ALPHABET_BUDGET = 256  # symbols, the blank included: a cell holds one byte
+TAPE_BUDGET = 256  # tapes of one machine, refused when its document is loaded
 
 
 class OracleStates(NamedTuple):
     ask: str
     yes: str
     no: str
-
-
-class InputStates(NamedTuple):
-    request: str
-    resume: str
 
 
 class TuringMachine:
@@ -72,14 +63,11 @@ class TuringMachine:
         transitions: dict[tuple[str, tuple[str, ...]], tuple[str, tuple[str, ...], str]],
         one_sided: bool = False,
         oracle_states: Optional[OracleStates] = None,
-        input_states: Optional[InputStates] = None,
         oracle: Optional[Callable[[int], bool]] = None,
     ):
         self.states, self.initial, self.finals, self.alphabet = states, initial, finals, alphabet
         self.blank, self.num_tapes, self.transitions = blank, num_tapes, transitions
-        self.one_sided, self.oracle_states, self.input_states = (
-            one_sided, oracle_states, input_states)
-        self.oracle = oracle
+        self.one_sided, self.oracle_states, self.oracle = one_sided, oracle_states, oracle
 
     @cached_property
     def _codes(self) -> SymbolCodes:
@@ -92,7 +80,9 @@ class TuringMachine:
 
         Each state maps to its row of rules by the codes it reads: on one
         tape a list indexed by tape 0's code, else a dict keyed by the tuple
-        of every tape's code; a row reads None where no rule applies. A rule
+        of every tape's code; a row reads None where no rule applies, and
+        the states without rules are left out, sharing one empty row as a
+        rule's destination, so the table grows with the rules. A rule
         is ``(dst, row, write, shift, extra)``: ``row`` is dst's row;
         ``write`` is tape 0's new code, or None where the rule writes back
         what it read; ``shift`` is the head move as an int; ``extra`` is the
@@ -101,7 +91,8 @@ class TuringMachine:
         """
         code, sweeps = self._codes.by_name, self._sweeps
         one_tape = self.num_tapes == 1
-        rows = {state: [None] * ALPHABET_BUDGET if one_tape else _Rules() for state in self.states}
+        new_row = (lambda: [None] * ALPHABET_BUDGET) if one_tape else _Rules
+        rows, empty = {src: new_row() for src, _ in self.transitions}, new_row()
         for (src, read), (dst, write, move) in self.transitions.items():
             got, put = [code[s] for s in read], [code[s] for s in write]
             if one_tape:
@@ -109,8 +100,8 @@ class TuringMachine:
                 key, extra = got[0], sweep if sweep and got[0] not in sweep.outside else None
             else:
                 key, extra = tuple(got), tuple(put[1:])
-            rows[src][key] = (dst, rows[dst], None if put[0] == got[0] else put[0], MOVES[move],
-                              extra)
+            rows[src][key] = (dst, rows.get(dst, empty), None if put[0] == got[0] else put[0],
+                              MOVES[move], extra)
         return rows
 
     @cached_property
@@ -384,7 +375,8 @@ def load_machine(doc: dict) -> TuringMachine:
     """Validate a machine document and build an immutable definition.
 
     Rejects duplicate ``(state, read)`` keys (nondeterminism), references to
-    undeclared states or symbols, and malformed oracle or input declarations.
+    undeclared states or symbols, and a malformed oracle declaration. Keys
+    it does not know are ignored.
     """
     where = "machine document"
     blank = str(_required(doc, "blank", where))
@@ -401,6 +393,11 @@ def load_machine(doc: dict) -> TuringMachine:
         raise ValidationError(f"tapes must be an integer, got {num_tapes!r}")
     if num_tapes < 1:
         raise ValidationError("a machine needs at least one tape")
+    if num_tapes > TAPE_BUDGET:
+        raise ResourceError(f"{num_tapes} tapes are past the budget of {TAPE_BUDGET}")
+    one_sided = doc.get("one_sided", False)
+    if not isinstance(one_sided, bool):
+        raise ValidationError(f"one_sided must be true or false, got {one_sided!r}")
     if blank not in alphabet:
         raise ValidationError(f"blank symbol {blank!r} must be in the alphabet")
     if len(alphabet) > ALPHABET_BUDGET:
@@ -444,15 +441,6 @@ def load_machine(doc: dict) -> TuringMachine:
         if oracle_states.ask in (oracle_states.yes, oracle_states.no):
             raise ValidationError("oracle ask state must differ from yes/no states")
 
-    input_states = None
-    if "input_states" in doc:
-        isd = doc["input_states"]
-        input_states = InputStates(
-            *(str(_required(isd, key, "input_states")) for key in ("request", "resume")))
-        for s in (input_states.request, input_states.resume):
-            if s not in states:
-                raise ValidationError(f"input state {s!r} is not declared")
-
     return TuringMachine(
         states=states,
         initial=initial,
@@ -461,9 +449,8 @@ def load_machine(doc: dict) -> TuringMachine:
         blank=blank,
         num_tapes=num_tapes,
         transitions=transitions,
-        one_sided=bool(doc.get("one_sided", False)),
+        one_sided=one_sided,
         oracle_states=oracle_states,
-        input_states=input_states,
     )
 
 
@@ -488,8 +475,8 @@ def initial_configuration(machine: TuringMachine, input_symbols: str = "") -> Ta
 def step(machine: TuringMachine, config: TapeConfiguration) -> TapeConfiguration:
     """Pure single step: returns the successor configuration, inputs untouched.
 
-    No hook resolves: a configuration in the oracle's ask-state or the
-    input request-state steps by the machine's own rules, if any.
+    The oracle hook does not resolve: a configuration in the ask-state steps
+    by the machine's own rules, if any.
     """
     if config.state in machine.finals:
         raise AlreadyHaltedError(f"state {config.state!r} is final")
@@ -539,20 +526,18 @@ def _sweep_length(cells: bytearray, outside: bytes, i: int, shift: int, room: in
 
 def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
            oracle: Optional[Callable[[int], bool]] = None,
-           queue: Optional[deque[str]] = None, snapshots: Optional[list[TraceSnapshot]] = None,
-           trace_cap: int = DEFAULT_TRACE_CAP) -> tuple[Optional[OutcomeKind], int]:
-    """Step ``config`` in place until it halts, sticks, reaches ``fuel`` steps or waits.
+           snapshots: Optional[list[TraceSnapshot]] = None,
+           trace_cap: int = DEFAULT_TRACE_CAP) -> tuple[OutcomeKind, int]:
+    """Step ``config`` in place until it halts, sticks or reaches ``fuel`` steps.
 
-    Before each step the hooks resolve at no fuel cost: a given oracle
-    answers the ask-state, then, only when a queue is given, the request-state
-    takes the oldest queued symbol or the drive returns ``None`` (waiting on
-    input). Returns the outcome kind and the number of oracle consultations.
+    Before each step a given oracle answers the ask-state, at no fuel cost.
+    Returns the outcome kind and the number of oracle consultations.
 
     The inner loop steps on the compiled table with the head, the state and
     the step count in locals, and writes tape 0's array in place; only a
     write beyond the array goes through :meth:`Tape._put`, which grows it.
     It leaves, writing the locals back to ``config``, before anything that
-    reads the configuration: a hook, a trace snapshot, the end.
+    reads the configuration: the oracle, a trace snapshot, the end.
 
     A sweep rule takes the whole run of cells its state keeps itself on at
     once: up to the first cell outside its set, clipped at the array's end
@@ -561,7 +546,7 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
     ordinary step still raises there. It rewrites them with one
     ``bytes.translate`` and counts one step per cell. Sweeps are off while
     trace snapshots are taken, on several tapes, and in a state that is a
-    stop (final, or a hook's ask or request state).
+    stop (final, or the ask state of a given oracle).
 
     Fuel past FUEL_BUDGET, or tapes whose text could grow past
     TAPE_TEXT_BUDGET characters within it, are a :class:`ResourceError`
@@ -579,12 +564,10 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
             f"hold {reach * machine._longest_symbol} characters of tape text, past the "
             f"budget of {TAPE_TEXT_BUDGET}")
     finals = machine.finals
-    ask = yes = no = request = resume = None
+    ask = yes = no = None
     if oracle is not None and machine.oracle_states is not None:
         ask, yes, no = machine.oracle_states
-    if queue is not None:
-        request, resume = machine.input_states
-    stops = finals.union(s for s in (ask, request) if s is not None)
+    stops = finals | {ask} if ask is not None else finals
     table, one_sided = machine._table, machine.one_sided
     tape = config.tapes[0]
     cells = tape.cells
@@ -602,11 +585,6 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
             answer = oracle(tape.marks_left_of(config.heads[0]))
             config.state = yes if answer else no
             consultations += 1
-        if config.state == request:
-            if not queue:
-                return None, consultations
-            tape.write(config.heads[0], queue.popleft())
-            config.state = resume
         if config.state in finals:
             return OutcomeKind.HALTED, consultations
         if config.steps >= fuel:
@@ -694,66 +672,3 @@ def run(
                                  trace_cap=trace_cap)
     return RunOutcome(kind, config, consultations, snapshots)
 
-
-# -- coupled input sessions ------------------------------------------------------
-
-
-class SessionClosedError(DomainError):
-    """The coupled session already halted or got stuck."""
-
-
-class SessionStatus(Enum):
-    RUNNING = "running"
-    WAITING = "waiting"
-    HALTED = "halted"
-    STUCK = "stuck"
-
-
-_SESSION_STATUS = {  # a drive's outcome as a session status; None is waiting on input
-    None: SessionStatus.WAITING, OutcomeKind.OUT_OF_FUEL: SessionStatus.RUNNING,
-    OutcomeKind.HALTED: SessionStatus.HALTED, OutcomeKind.STUCK: SessionStatus.STUCK}
-
-
-class CoupledSession:
-    """A running machine that accepts symbols after the computation started.
-
-    Symbols are queued first-in-first-out by :meth:`feed`. Whenever control
-    sits in the declared request-state, :meth:`advance` pops the oldest queued
-    symbol onto the tape at the head and resumes in the declared resume-state
-    at no fuel cost; with an empty queue the session reports ``WAITING``
-    without stepping. An attached oracle answers the ask-state as in :func:`run`.
-    """
-
-    __slots__ = ("machine", "config", "status", "queue")
-
-    def __init__(self, machine: TuringMachine):
-        if machine.input_states is None:
-            raise ConfigurationError(
-                "machine declares no input states (request/resume); "
-                "cannot open a coupled session")
-        self.machine, self.config = machine, initial_configuration(machine)
-        self.status, self.queue = SessionStatus.RUNNING, deque()
-
-    def feed(self, symbol: str) -> int:
-        """Queue one symbol; returns the queue length as acknowledgment."""
-        if self.status in (SessionStatus.HALTED, SessionStatus.STUCK):
-            raise SessionClosedError(f"session is {self.status.value}; cannot feed input")
-        if symbol not in self.machine.alphabet:
-            raise ValidationError(f"symbol {symbol!r} is outside the alphabet")
-        self.queue.append(symbol)
-        if self.status is SessionStatus.WAITING:
-            self.status = SessionStatus.RUNNING
-        return len(self.queue)
-
-    def advance(self, max_steps: int = DEFAULT_FUEL) -> SessionStatus:
-        """Step until waiting on input, halting, sticking, or exhausting max_steps."""
-        if self.status in (SessionStatus.HALTED, SessionStatus.STUCK):
-            return self.status
-        kind, _ = _drive(self.machine, self.config, self.config.steps + max_steps,
-                         self.machine.oracle, self.queue)
-        self.status = _SESSION_STATUS[kind]
-        return self.status
-
-
-def open_session(machine: TuringMachine) -> CoupledSession:
-    return CoupledSession(machine)

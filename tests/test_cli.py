@@ -76,6 +76,16 @@ class TestDispatch:
         report = json.loads(out)
         assert [c["state"] for c in report["trace"]][-1] == "done"
 
+    @pytest.mark.parametrize("command", [["tm", "run"], ["zeno", "halting"]], ids=" ".join)
+    def test_an_input_states_declaration_changes_no_report(self, write_json, command):
+        # a key no command reads is ignored, like any other unknown key
+        plain = write_json("plain.json", successor_doc())
+        declared = write_json("declared.json", successor_doc() | {
+            "input_states": {"request": "scan", "resume": "done"}})
+        reports = [run_cli([*command, path, "--input", "11", "--fuel", "100"])
+                   for path in (plain, declared)]
+        assert reports[0][0] == 0 and reports[0] == reports[1]
+
     def test_tae_goldbach(self):
         status, out, _ = run_cli(["tae", "goldbach", "--horizon", "100"])
         report = json.loads(out)
@@ -258,6 +268,15 @@ class TestErrors:
         assert payload["error"] == "resource-error"
         assert "budget" in payload["message"]
 
+    def test_tapes_past_their_budget_end_in_resource_error(self, write_json):
+        path = write_json("machine.json", successor_doc() | {
+            "tapes": turing.TAPE_BUDGET + 1, "transitions": []})
+        status, out, err = run_cli(["tm", "run", path])
+        assert status == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "resource-error"
+        assert "budget" in payload["message"]
+
     def test_minimisers_past_their_budget_end_in_resource_error(self, write_json):
         # D = 0 everywhere: each of the MINIMIZER_BUDGET + 1 lattice points is a
         # minimiser, which only the scan finds out
@@ -307,11 +326,12 @@ class TestErrors:
 
     @pytest.mark.parametrize("change", [
         {"oracle_states": {"ask": "scan", "no": "done"}},
-        {"input_states": {"request": "scan"}},
         {"oracle_states": ["scan"]},
         {"transitions": 5},
         {"alphabet": "_1"},
         {"tapes": "two"},
+        {"one_sided": "false"},
+        {"one_sided": 0.5},
     ], ids=repr)
     def test_malformed_machine_document(self, write_json, change):
         path = write_json("machine.json", successor_doc() | change)
@@ -667,3 +687,24 @@ class TestCosts:
         assert status == 0
         assert len(json.loads(target.read_text())["trace"]) == 2002
         assert peak < 40 * 2**20
+
+    @pytest.mark.parametrize("command", ["tm run", "zeno halting"])
+    def test_declared_states_without_rules_cost_no_table_rows(self, tmp_path, command):
+        # 2 * 10**5 declared states and one rule, a document of about 2 MB: a
+        # row of 256 slots for each state peaked at about 450 MB
+        doc = successor_doc()
+        doc["states"] += [f"q{i:06d}" for i in range(2 * 10**5)]
+        machine = tmp_path / "machine.json"
+        machine.write_text(json.dumps(doc))
+        script = (
+            "import io, resource, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from hyperlab import cli\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(sys.argv[1:]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        done = subprocess.run([sys.executable, "-c", script, *command.split(), str(machine),
+                               "--input", "11", "--fuel", "100"], env=src_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 120 * 1024  # kilobytes, as Linux reports them

@@ -1,5 +1,4 @@
 import json
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -10,12 +9,16 @@ from hypothesis import strategies as st
 
 from hyperlab import turing
 from hyperlab.errors import ConfigurationError, DomainError, ResourceError, ValidationError
-from hyperlab.turing import OutcomeKind, SessionStatus
+from hyperlab.turing import OutcomeKind
 
 from conftest import self_loop_doc, successor_doc
 
 
 class TestLoading:
+    def test_unknown_keys_are_ignored(self, successor):
+        doc = successor_doc() | {"input_states": {"request": "scan"}, "comment": 7}
+        assert turing.load_machine(doc).transitions == successor.transitions
+
     def test_successor_loads_with_two_states(self, successor):
         assert len(successor.states) == 2
         outcome = turing.run(successor, "111", fuel=100)
@@ -360,9 +363,9 @@ def _listed(value) -> list:
     return [value] if isinstance(value, str) else list(value)
 
 
-def _reference_drive(doc, ref, fuel, oracle=None, queue=None, trace=None):
-    """Step ``ref`` by the document's raw rules, as the engine's hooks and
-    budget say; the outcome kind, or None when waiting on input."""
+def _reference_drive(doc, ref, fuel, oracle=None, trace=None):
+    """Step ``ref`` by the document's raw rules, as the engine's oracle hook
+    and fuel say; the outcome kind."""
     blank, moves = doc["blank"], {"l": -1, "n": 0, "r": 1}
     rules = {(r["from"], tuple(_listed(r["read"]))): r for r in doc["transitions"]}
 
@@ -377,11 +380,6 @@ def _reference_drive(doc, ref, fuel, oracle=None, queue=None, trace=None):
             marks = sum(p < ref.head for p in ref.tapes[0])
             ref.state = doc["oracle_states"]["yes" if oracle(marks) else "no"]
             ref.asked += 1
-        if queue is not None and ref.state == doc["input_states"]["request"]:
-            if not queue:
-                return None
-            put(ref.tapes[0], queue.popleft())
-            ref.state = doc["input_states"]["resume"]
         if ref.state in doc["finals"]:
             return OutcomeKind.HALTED
         if ref.steps >= fuel:
@@ -422,9 +420,9 @@ def _engine_view(config):
 @st.composite
 def _hooked_docs(draw):
     """Raw documents of random 1- or 2-tape machines over _WIDE_SYMBOLS, with
-    an oracle ask-state and an input request-state, one-sided or not."""
+    an oracle ask-state and a state with no rules, one-sided or not."""
     tapes = draw(st.integers(1, 2))
-    states = ["s0", "s1", "s2", "ask", "req", "halt"]
+    states = ["s0", "s1", "s2", "ask", "dead", "halt"]
     reads = [(a,) if tapes == 1 else (a, b)
              for a in _WIDE_SYMBOLS for b in _WIDE_SYMBOLS[:2 if tapes == 2 else 1]]
     transitions = [
@@ -436,8 +434,7 @@ def _hooked_docs(draw):
     return {"blank": "..", "alphabet": _WIDE_SYMBOLS, "states": states, "tapes": tapes,
             "initial": "s0", "finals": ["halt"], "transitions": transitions,
             "one_sided": draw(st.booleans()),
-            "oracle_states": {"ask": "ask", "yes": yes, "no": no},
-            "input_states": {"request": "req", "resume": draw(st.sampled_from(states[:3]))}}
+            "oracle_states": {"ask": "ask", "yes": yes, "no": no}}
 
 
 def _parity(n: int) -> bool:
@@ -449,10 +446,9 @@ def _sweeping_docs(draw):
     """Raw documents like _hooked_docs', on which runs of one state over a
     block of cells take most steps: each state but the final keeps itself,
     moving one way, over a set of non-blank symbols, rewriting them or not.
-    The ask and request states have rules too, which step where no hook
-    takes them or where the request resumes in one of them."""
+    The ask state has rules too, which step where no oracle takes it."""
     tapes = draw(st.integers(1, 2))
-    states = ["s0", "s1", "s2", "ask", "req", "halt"]
+    states = ["s0", "s1", "s2", "s3", "ask", "halt"]
     marks = _WIDE_SYMBOLS[1:]
     transitions = []
     for state in states[:5]:
@@ -474,8 +470,7 @@ def _sweeping_docs(draw):
     return {"blank": "..", "alphabet": _WIDE_SYMBOLS, "states": states, "tapes": tapes,
             "initial": "s0", "finals": ["halt"], "transitions": transitions,
             "one_sided": draw(st.booleans()),
-            "oracle_states": {"ask": "ask", "yes": yes, "no": no},
-            "input_states": {"request": "req", "resume": draw(st.sampled_from(states[:5]))}}
+            "oracle_states": {"ask": "ask", "yes": yes, "no": no}}
 
 
 # inputs of up to 40 symbols in blocks of one symbol, so runs have cells to cross
@@ -483,14 +478,13 @@ _BLOCKS = st.lists(st.tuples(st.sampled_from(_WIDE_SYMBOLS), st.integers(1, 12))
                    max_size=8).map(lambda blocks: [s for s, n in blocks for _ in range(n)][:40])
 
 
-def _sweeper(rules, tapes=1, one_sided=False, resume="s1") -> dict:
+def _sweeper(rules, tapes=1, one_sided=False) -> dict:
     """A hooked document from (state, read, to, write, move) rules on one tape;
     a second tape, if asked for, is read as blank and left blank."""
     return {"blank": "..", "alphabet": _WIDE_SYMBOLS, "tapes": tapes,
-            "states": ["s0", "s1", "s2", "ask", "req", "halt"], "initial": "s0",
+            "states": ["s0", "s1", "s2", "ask", "halt"], "initial": "s0",
             "finals": ["halt"], "one_sided": one_sided,
             "oracle_states": {"ask": "ask", "yes": "halt", "no": "s2"},
-            "input_states": {"request": "req", "resume": resume},
             "transitions": [{"from": f, "read": [r] + [".."] * (tapes - 1), "to": t,
                              "write": [w] + [".."] * (tapes - 1), "move": m}
                             for f, r, t, w, m in rules]}
@@ -507,14 +501,6 @@ _INTO_THE_EDGE = _sweeper(_RIGHT + [("s0", "..", "s1", ".d", "l"), ("s1", "c.", 
 _BACK_TO_A = _sweeper([("s0", "a", "s0", "a", "r"), ("s0", "bb", "s0", "bb", "r"),
                        ("s0", ".d", "s1", ".d", "l"), ("s1", "bb", "s1", "bb", "l"),
                        ("s1", "a", "halt", "a", "n")])
-# a session: every fed symbol lands right of the block, and s1 runs back over it
-_FED = _sweeper([("s0", "a", "s0", "a", "r"), ("s0", "..", "req", "..", "n"),
-                 ("s1", "a", "s1", "a", "l"), ("s1", "..", "s0", "..", "r")])
-# a session whose request resumes in itself, and whose request state runs
-# left over a block: each fed symbol takes one step of that run before the next
-_SELF_FED = _sweeper([("s0", "..", "req", "..", "n"), ("req", "a", "req", "a", "l"),
-                      ("req", "bb", "req", "bb", "l"), ("req", ".d", "s1", ".d", "r"),
-                      ("s1", "a", "s1", "a", "r"), ("s1", "..", "req", "..", "n")], resume="req")
 _LONG = ["a"] * 18 + ["bb"] * 20
 # s0 runs right to the end and s1 erases the bb block leftwards; then s2 runs
 # left over the a block and s0 right over it, into the erased cells
@@ -530,7 +516,7 @@ _INTO_ERASED_LEFT = [("s0", "bb", "s0", "..", "r"), ("s0", "a", "s1", "a", "r"),
 
 
 class TestAgainstTheReference:
-    """run(), step() and sessions against _reference_drive, which shares no
+    """run() and step() against _reference_drive, which shares no
     code with the engine: not the compiled table, not the Tape."""
 
     @settings(max_examples=200, deadline=None)
@@ -577,22 +563,6 @@ class TestAgainstTheReference:
             return
         assert _engine_view(config) == _reference_view(doc, ref)
 
-    @settings(max_examples=200, deadline=None)
-    @given(_hooked_docs(), st.booleans(),
-           st.lists(st.tuples(st.lists(st.sampled_from(_WIDE_SYMBOLS), max_size=3),
-                              st.integers(1, 15)), min_size=1, max_size=6))
-    def test_session_fed_in_chunks(self, doc, with_oracle, chunks):
-        _check_session(doc, with_oracle, chunks)
-
-    @settings(max_examples=200, deadline=None)
-    @given(_sweeping_docs(), st.booleans(),
-           st.lists(st.tuples(st.lists(st.sampled_from(_WIDE_SYMBOLS), max_size=10),
-                              st.integers(1, 60)), min_size=1, max_size=6))
-    @example(_FED, False, [(["a"] * 10, 60), (["a"] * 10, 7), ([], 60), (["a"], 60)])
-    @example(_SELF_FED, False, [(["a"] * 5 + [".d"], 60), (["bb"], 60)])
-    def test_sweeping_session_fed_in_chunks(self, doc, with_oracle, chunks):
-        _check_session(doc, with_oracle, chunks)
-
 
 def _check_run(doc, text, fuel, cap, with_oracle):
     """run() with a trace, and an untraced drive, against the reference."""
@@ -622,33 +592,6 @@ def _check_run(doc, text, fuel, cap, with_oracle):
     untraced = turing.run(machine, text, fuel=fuel)
     assert untraced.kind is kind
     assert _engine_view(untraced.config) == _reference_view(doc, ref)
-
-
-def _check_session(doc, with_oracle, chunks):
-    """A session fed and advanced chunk by chunk against the reference."""
-    machine = turing.load_machine(doc)
-    oracle = _parity if with_oracle else None
-    if with_oracle:
-        machine = turing.attach_oracle(machine, oracle)
-    session, ref, queue = turing.open_session(machine), _reference_start(doc), deque()
-    status = {None: SessionStatus.WAITING, OutcomeKind.OUT_OF_FUEL: SessionStatus.RUNNING,
-              OutcomeKind.HALTED: SessionStatus.HALTED, OutcomeKind.STUCK: SessionStatus.STUCK}
-    for symbols, max_steps in chunks:
-        for symbol in symbols:
-            session.feed(symbol)
-        queue.extend(symbols)
-        try:
-            kind = _reference_drive(doc, ref, ref.steps + max_steps, oracle, queue)
-        except DomainError:
-            with pytest.raises(DomainError, match="one-sided"):
-                session.advance(max_steps)
-            assert _engine_view(session.config) == _reference_view(doc, ref)
-            return
-        assert session.advance(max_steps) is status[kind]
-        assert _engine_view(session.config) == _reference_view(doc, ref)
-        assert list(session.queue) == list(queue)
-        if kind in (OutcomeKind.HALTED, OutcomeKind.STUCK):
-            return
 
 
 class TestOracle:
@@ -708,158 +651,6 @@ class TestOracle:
     def test_attach_requires_declaration(self, successor):
         with pytest.raises(ConfigurationError):
             turing.attach_oracle(successor, lambda n: True)
-
-
-class TestCoupledSession:
-    def _echo_doc(self) -> dict:
-        # request a symbol, let it be written under the head, step right, repeat
-        return {
-            "blank": "_", "alphabet": ["_", "a", "b", "c"],
-            "states": ["req", "put"],
-            "initial": "req", "finals": [],
-            "input_states": {"request": "req", "resume": "put"},
-            "transitions": [
-                {"from": "put", "read": sym, "to": "req", "write": sym, "move": "r"}
-                for sym in ("a", "b", "c")
-            ],
-        }
-
-    def test_echo_emits_in_order(self):
-        session = turing.open_session(turing.load_machine(self._echo_doc()))
-        for sym in "abc":
-            session.feed(sym)
-        status = session.advance()
-        assert status is SessionStatus.WAITING
-        assert session.config.tape_text() == "abc"
-
-    def test_empty_queue_reports_waiting_without_stepping(self):
-        session = turing.open_session(turing.load_machine(self._echo_doc()))
-        status = session.advance()
-        assert status is SessionStatus.WAITING
-        assert session.config.steps == 0
-
-    def test_feed_after_halt_rejected(self):
-        doc = self._echo_doc()
-        doc["states"].append("stop")
-        doc["finals"] = ["stop"]
-        doc["transitions"] = [
-            {"from": "put", "read": "a", "to": "stop", "write": "a", "move": "n"}]
-        session = turing.open_session(turing.load_machine(doc))
-        session.feed("a")
-        assert session.advance() is SessionStatus.HALTED
-        with pytest.raises(turing.SessionClosedError):
-            session.feed("b")
-
-    def test_symbol_outside_alphabet_rejected(self):
-        session = turing.open_session(turing.load_machine(self._echo_doc()))
-        with pytest.raises(ValidationError):
-            session.feed("z")
-
-    def test_session_requires_declaration(self, successor):
-        with pytest.raises(ConfigurationError):
-            turing.open_session(successor)
-
-    def test_feeding_wakes_a_waiting_session(self):
-        session = turing.open_session(turing.load_machine(self._echo_doc()))
-        session.advance()
-        session.feed("b")
-        session.advance()
-        assert session.config.tape_text() == "b"
-
-    def _oracle_session_doc(self) -> dict:
-        # take one symbol, step right past it, then ask about the marks left of the head
-        return {
-            "blank": "_", "alphabet": ["_", "1"],
-            "states": ["req", "put", "ask", "yes", "no"],
-            "initial": "req", "finals": ["yes", "no"],
-            "input_states": {"request": "req", "resume": "put"},
-            "oracle_states": {"ask": "ask", "yes": "yes", "no": "no"},
-            "transitions": [
-                {"from": "put", "read": "1", "to": "ask", "write": "1", "move": "r"}],
-        }
-
-    @pytest.mark.parametrize("answer, final", [(True, "yes"), (False, "no")])
-    def test_attached_oracle_is_consulted_inside_a_session(self, answer, final):
-        asked = []
-        machine = turing.attach_oracle(
-            turing.load_machine(self._oracle_session_doc()),
-            lambda n: asked.append(n) or answer)
-        session = turing.open_session(machine)
-        session.feed("1")
-        assert session.advance() is SessionStatus.HALTED
-        assert session.config.state == final
-        assert session.config.steps == 1  # the query costs no fuel
-        assert asked == [1]
-
-    def test_no_rule_for_the_state_is_stuck(self):
-        doc = self._echo_doc()
-        doc["transitions"] = [
-            {"from": "put", "read": "a", "to": "req", "write": "a", "move": "r"}]
-        session = turing.open_session(turing.load_machine(doc))
-        session.feed("a")
-        session.feed("b")
-        assert session.advance() is SessionStatus.STUCK
-        assert (session.config.state, session.config.steps) == ("put", 1)
-        assert session.config.tape_text() == "ab"
-        assert session.advance() is SessionStatus.STUCK
-        with pytest.raises(turing.SessionClosedError):
-            session.feed("a")
-
-    def test_exhausted_max_steps_is_running_and_the_next_advance_resumes(self):
-        # writes marks rightwards forever; the request state is never entered
-        machine = turing.load_machine({
-            "blank": "_", "alphabet": ["_", "1"],
-            "states": ["mark", "req", "res"], "initial": "mark", "finals": [],
-            "input_states": {"request": "req", "resume": "res"},
-            "transitions": [
-                {"from": "mark", "read": "_", "to": "mark", "write": "1", "move": "r"}],
-        })
-        session = turing.open_session(machine)
-        assert session.advance(max_steps=5) is SessionStatus.RUNNING
-        assert session.config.steps == 5
-        assert session.advance(max_steps=7) is SessionStatus.RUNNING
-        assert session.config.steps == 12
-        reference = turing.run(machine, fuel=12).config
-        assert session.config.tapes == reference.tapes
-        assert session.config.heads == reference.heads == (12,)
-
-    def test_a_budget_that_ends_on_a_final_state_reports_halted(self):
-        doc = self._echo_doc()
-        doc["states"].append("stop")
-        doc["finals"] = ["stop"]
-        doc["transitions"] = [
-            {"from": "put", "read": "a", "to": "stop", "write": "a", "move": "n"}]
-        session = turing.open_session(turing.load_machine(doc))
-        session.feed("a")
-        assert session.advance(max_steps=1) is SessionStatus.HALTED
-        assert session.config.steps == 1
-
-    @settings(max_examples=100, deadline=None)
-    @given(_wide_machines(), st.lists(st.integers(1, 25), min_size=1, max_size=5))
-    def test_a_session_that_never_requests_input_reaches_what_run_reaches(self, case, chunks):
-        machine, _ = case
-        machine = turing.TuringMachine(
-            machine.states | {"req", "res"}, machine.initial, machine.finals, machine.alphabet,
-            machine.blank, machine.num_tapes, machine.transitions, machine.one_sided,
-            input_states=turing.InputStates("req", "res"))
-        session = turing.open_session(machine)
-        for max_steps in chunks:
-            if session.advance(max_steps) is not SessionStatus.RUNNING:
-                break
-        outcome = turing.run(machine, fuel=sum(chunks))
-        expected = {OutcomeKind.HALTED: SessionStatus.HALTED, OutcomeKind.STUCK:
-                    SessionStatus.STUCK, OutcomeKind.OUT_OF_FUEL: SessionStatus.RUNNING}
-        assert session.status is expected[outcome.kind]
-        got, ref = session.config, outcome.config
-        assert (got.state, got.steps, got.heads) == (ref.state, ref.steps, ref.heads)
-        assert got.tapes == ref.tapes
-
-    def test_max_steps_past_the_fuel_budget_is_refused_before_stepping(self):
-        session = turing.open_session(turing.load_machine(self._echo_doc()))
-        session.feed("a")
-        with pytest.raises(ResourceError):
-            session.advance(max_steps=turing.FUEL_BUDGET + 1)
-        assert session.config.steps == 0 and list(session.queue) == ["a"]
 
 
 def _golden_machine(name: str) -> turing.TuringMachine:
@@ -942,6 +733,25 @@ class TestAlphabetBudget:
         machine = turing.load_machine(self._doc(256))
         outcome = turing.run(machine, fuel=5)
         assert outcome.kind is OutcomeKind.HALTED and outcome.config.tape_text() == "s255"
+
+    def test_past_the_budget_the_machine_is_refused(self):
+        with pytest.raises(ResourceError, match="budget of 256"):
+            turing.load_machine(self._doc(257))
+
+
+class TestTapeBudget:
+    def _doc(self, tapes: int) -> dict:
+        """A one-rule machine on ``tapes`` tapes that marks every tape once."""
+        return {"blank": "_", "alphabet": ["_", "1"], "states": ["go", "done"],
+                "initial": "go", "finals": ["done"], "tapes": tapes, "transitions": [
+                    {"from": "go", "read": ["_"] * tapes, "to": "done", "write": ["1"] * tapes,
+                     "move": "n"}]}
+
+    def test_at_the_budget_a_machine_loads_and_runs(self):
+        assert turing.TAPE_BUDGET == 256
+        outcome = turing.run(turing.load_machine(self._doc(256)), fuel=5)
+        assert outcome.kind is OutcomeKind.HALTED
+        assert [t.text() for t in outcome.config.tapes] == ["1"] * 256
 
     def test_past_the_budget_the_machine_is_refused(self):
         with pytest.raises(ResourceError, match="budget of 256"):
