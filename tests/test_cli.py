@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -543,6 +544,24 @@ class TestDeterminism:
         assert status == 0
         assert run_cli(["--output", str(target), *argv]) == (0, "", "")
         assert target.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "3a89f700b87c373f0ea44409f668548ed4824d8c4512ebd20105de11e39e0fa2"),
+        ("csv", "b86020be855f1176698108c01ae4f4a2d248104823f7da37e81e86aa8fb91951"),
+    ])
+    def test_enumeration_at_its_budget_is_pinned(self, tmp_path, fmt, digest):
+        # the golden corpus stops at 2,000 entries; by the budget the float
+        # views have run through the subnormals to 0. A child writes the
+        # report to a file, so the peak RSS of this process, which later
+        # children inherit, stays where it was.
+        target = tmp_path / "report"
+        argv = ["--format", fmt, "--output", str(target), "enum", "list", "--count",
+                str(pairing.ENUMERATION_BUDGET)]
+        done = subprocess.run([sys.executable, "-m", "hyperlab.cli", *argv], env=src_env(),
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        with open(target, "rb") as report:
+            assert hashlib.file_digest(report, "sha256").hexdigest() == digest
 
     def test_csv_quotes_a_carriage_return(self, write_json):
         doc = json.loads(json.dumps(successor_doc()).replace('"done"', '"h\\rx"'))

@@ -255,6 +255,25 @@ class TestTable:
         assert reporting.to_json(table) == reporting.to_json(records)
         assert reporting.to_csv(table) == reference_csv(records)
 
+    def test_blocks_that_mix_long_integers_signed_zeros_and_text_to_escape(self):
+        # which cells a block can print without a per-cell writer changes
+        # from block to block: the second holds integers past the digit limit
+        # and one quote, the third every kind of text that JSON escapes or
+        # CSV quotes
+        block = reporting._BLOCK_ROWS
+        texts = ['say "hi"', "back\\slash", "bell\x07", "del\x7f", "caf\u00e9", "a,b",
+                 "cr\rlf\n", "%d%s"]
+        rows = []
+        for i in range(3 * block + 5):
+            n = 10**5000 + i if i // block == 1 and i % 1000 == 7 else (-1) ** i * i
+            x = -0.0 if i % 3 == 0 else (-1) ** i * i / 7
+            s = texts[i % len(texts)] if i // block == 2 and i % 97 == 0 else f"t{i}"
+            rows.append((n, x, 'q"' if i == block + 50 else s, i % 2 == 0))
+        columns = ["n", "x%", "s", "flag"]
+        records = as_records(columns, rows)
+        assert reporting.to_json(reporting.Table(columns, rows)) == reporting.to_json(records)
+        assert reporting.to_csv(reporting.Table(columns, rows)) == reference_csv(records)
+
     def test_cells_the_writers_refuse(self):
         with pytest.raises(DomainError, match="finite"):
             reporting.to_json(reporting.Table(["x"], [(1.0,), (float("nan"),)]))
