@@ -40,9 +40,10 @@ def tabulate(args) -> None:
                                       seed=args.seed + 100 * n + strategy)
             mean, stderr = tae.ashby_simulate(exp, args.trials)
             row += [tae.ashby_expected(exp), mean, stderr]
-        rows.append(tuple(row))
+        rows.append(row)
 
-    emit_report(Table(columns, rows), "csv" if len(rows) > 1 else "json", sys.stdout)
+    # a table holds one sequence per column
+    emit_report(Table(columns, zip(*rows)), "csv" if len(rows) > 1 else "json", sys.stdout)
 
 
 if __name__ == "__main__":

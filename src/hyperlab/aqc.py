@@ -179,13 +179,35 @@ def _value_bits_bound(poly: DiophantinePolynomial, cutoff: int) -> int:
     return longest + len(poly.terms).bit_length()
 
 
+def _descending(exponents) -> tuple[list[int], list[int]]:
+    """Distinct exponents in descending order, and from each the gap down to
+    the next one, or to 0 from the last."""
+    order = sorted(exponents, reverse=True)
+    return order, [e - f for e, f in zip(order, order[1:] + [0])]
+
+
+def _horner(coeffs, gaps, xs: range) -> list[int]:
+    """sum(c * x**e) at every x of xs, given the coefficients of descending
+    exponents e and their gaps: one C-level pass over xs, a chain of maps."""
+    values = itertools.repeat(0, len(xs))
+    for c, gap in zip(coeffs, gaps):
+        values = map(operator.add, values, itertools.repeat(c))
+        if gap:
+            values = map(operator.mul, values,
+                         xs if gap == 1 else map(pow, xs, itertools.repeat(gap)))
+    return list(values)
+
+
 def _lattice_runs(poly: DiophantinePolynomial, space: TruncatedFockSpace) -> Iterator[list[int]]:
     """D at every lattice point, in basis order and exact integers, a run at a time.
 
-    D's coefficients in the last coordinate are summed once per prefix of the
-    others; a run of up to RUN_LENGTH values of it is then one C-level pass per
-    exponent (Horner's rule). A lattice past LATTICE_BUDGET points, or values
-    past VALUE_BITS_BUDGET bits, is a :class:`ResourceError` before the first run.
+    D is a polynomial in the last coordinate whose coefficients are
+    polynomials in the second-to-last. For each setting of the coordinates
+    before those two, the coefficients over the whole row of the
+    second-to-last are one C-level Horner pass per exponent, and so is a run
+    of up to RUN_LENGTH values of the last. A lattice past LATTICE_BUDGET
+    points, or values past VALUE_BITS_BUDGET bits, is a
+    :class:`ResourceError` before the first run.
     """
     if poly.num_vars != space.num_modes:
         raise ShapeError(
@@ -199,25 +221,22 @@ def _lattice_runs(poly: DiophantinePolynomial, space: TruncatedFockSpace) -> Ite
         raise ResourceError(
             f"values of up to {bits} bits on the lattice are past the budget of "
             f"{VALUE_BITS_BUDGET} bits")
-    by_last: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    for coeff, exps in poly.terms:
-        by_last.setdefault(exps[-1], []).append((coeff, exps[:-1]))
-    last = sorted(by_last, reverse=True)
-    gaps = [e - f for e, f in zip(last, last[1:] + [0])]  # down to the next exponent, or to 0
     top = space.cutoff + 1
-    for prefix in itertools.product(range(top), repeat=space.num_modes - 1):
-        coeffs = [sum(c * math.prod(map(pow, prefix, rest)) for c, rest in by_last[e])
-                  for e in last]
-        for start in range(0, top, RUN_LENGTH):
-            zs = range(start, min(start + RUN_LENGTH, top))
-            run = [0] * len(zs)
-            for c, gap in zip(coeffs, gaps):
-                run = map(operator.add, run, itertools.repeat(c))
-                if gap:
-                    run = map(operator.mul, run,
-                              zs if gap == 1 else map(pow, zs, itertools.repeat(gap)))
-                run = list(run)
-            yield run
+    # one variable stands for two, the first of them fixed at 0
+    terms, rows = (poly.terms, range(top)) if space.num_modes > 1 else (
+        [(c, (0, *exps)) for c, exps in poly.terms], range(1))
+    groups: dict[int, dict[int, list[tuple[int, tuple[int, ...]]]]] = {}
+    for coeff, exps in terms:
+        groups.setdefault(exps[-1], {}).setdefault(exps[-2], []).append((coeff, exps[:-2]))
+    last, gaps = _descending(groups)
+    inner = [_descending(groups[e]) for e in last]
+    for outer in itertools.product(range(top), repeat=max(space.num_modes - 2, 0)):
+        columns = [_horner([sum(c * math.prod(map(pow, outer, rest)) for c, rest in groups[e][f])
+                            for f in fs], fgaps, rows)
+                   for e, (fs, fgaps) in zip(last, inner)]
+        for coeffs in zip(*columns) if columns else itertools.repeat((), len(rows)):
+            for start in range(0, top, RUN_LENGTH):
+                yield _horner(coeffs, gaps, range(start, min(start + RUN_LENGTH, top)))
 
 
 def exact_ground_oracle(

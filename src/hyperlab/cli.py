@@ -369,7 +369,7 @@ def _cmd_enum_encode(args) -> dict:
 def _cmd_enum_list(args) -> Table:
     from . import pairing
 
-    return Table(pairing.ENTRY_COLUMNS, pairing.enumerate_reals(args.count))
+    return pairing.enumerate_reals(args.count)
 
 
 def _cmd_aqc_solve(args) -> dict:

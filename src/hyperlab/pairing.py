@@ -12,9 +12,11 @@ except the float view an enumerated entry carries beside its exact value.
 from __future__ import annotations
 
 import math
+import operator
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, ResourceError
+from .reporting import Table
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -120,7 +122,7 @@ def is_canonical_pair(x: int, y: int) -> bool:
 ENTRY_COLUMNS = ("index", "a", "b", "value", "value_exact", "canonical")
 
 
-def enumerate_reals(n: int) -> list[tuple]:
+def enumerate_reals(n: int) -> Table:
     """Decode indices 0..n-1 into finite-precision reals, flagging duplicates.
 
     Each entry is a row of ENTRY_COLUMNS: the index, the pair (a, b), the
@@ -130,26 +132,44 @@ def enumerate_reals(n: int) -> list[tuple]:
     equals that of (1, 0)); they are reported rather than skipped so the
     enumeration stays aligned with the index sequence. The walk goes along
     the diagonals, where index diag_start(w) + y holds the pair (w - y, y),
-    exactly as pair_decode says.
+    exactly as pair_decode says, and makes each column a diagonal at a time.
+
+    For a > 0, g = gcd(a, 10**y) = 2**i * 5**j has i, j <= y and 2**i, 5**j
+    <= a, so g divides 10**k for every k >= a.bit_length(). On diagonal w,
+    with k = w.bit_length(), the text of a / 10**y for y >= k is then the
+    text of a / 10**k, cached per a, followed by y - k zeros.
     """
     _require_natural(n, "n")
     if n > ENUMERATION_BUDGET:
         raise ResourceError(f"{n} entries is past the budget of {ENUMERATION_BUDGET}")
-    out = []
-    tens = [1]  # tens[y] == 10**y
-    w = 0
-    while len(out) < n:
-        start = len(out)
-        for y in range(min(w + 1, n - start)):
-            a = w - y
-            # for a > 0, g = gcd(a, 10**y) = 2**i * 5**j has i, j <= y and
-            # 2**i, 5**j <= a, so it divides 10**k; the digits of 10**y // g
-            # are then those of 10**k // g and y - k zeros, with no y-digit
-            # integer to convert
-            k = min(y, a.bit_length()) if a else y
-            g = math.gcd(a, tens[k])
-            out.append((start + y, a, y, a / tens[y],
-                        f"{a // g}/{tens[k] // g}{'0' * (y - k)}", is_canonical_pair(a, y)))
+    a_column, b_column, values, texts, canonical = [], [], [], [], []
+    tens, zeros = [1], [""]  # tens[y] == 10**y, zeros[j] == "0" * j
+    heads, canonical_of = [], []  # by a: the text of a / 10**k, and a % 10 != 0
+    k = w = 0
+    while len(a_column) < n:
+        length = min(w + 1, n - len(a_column))  # pairs (w - y, y) for y < length
+        if w.bit_length() != k:
+            k = w.bit_length()
+            heads = [_lowest_terms(a, tens[k]) for a in range(w)]
+        heads.append(_lowest_terms(w, tens[k]))
+        canonical_of.append(w % 10 != 0)
+        a_column += range(w, w - length, -1)
+        b_column += range(length)
+        values += map(operator.truediv, range(w, w - length, -1), tens)
+        positive = min(length, w)  # the pairs with a > 0
+        short = min(k, positive)  # and among them the pairs with y < k
+        texts += [_lowest_terms(w - y, tens[y]) for y in range(short)]
+        texts += map(operator.add, heads[w - short:w - positive:-1], zeros[:positive - short])
+        canonical += canonical_of[w:w - positive:-1]
+        if length > w:  # (0, w) ends the diagonal
+            texts.append("0/1")
+            canonical.append(w == 0)
         w += 1
         tens.append(tens[-1] * 10)
-    return out
+        zeros.append(zeros[-1] + "0")
+    return Table(ENTRY_COLUMNS, [range(n), a_column, b_column, values, texts, canonical])
+
+
+def _lowest_terms(p: int, q: int) -> str:
+    g = math.gcd(p, q)
+    return f"{p // g}/{q // g}"

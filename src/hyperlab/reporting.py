@@ -8,11 +8,10 @@ takes the writer of ``numbers.Rational``, so this module never imports
 ``fractions``, and it loads ``decimal`` only for an integer past the
 interpreter's digit limit. Any other integral type, such as numpy's
 integers, prints as the int it stands for; JSON refuses every remaining
-type and CSV prints it through ``str``. A report is one
-record or one ``Table`` of rows. CSV flattens a record's nested keys with
-dots into one row, and prints a table as its header and one line per row;
-a table picks one writer per column, not per cell. Exact integers and
-fractions are printed in full however many digits they have.
+type and CSV prints it through ``str``. A report is one record or one
+``Table`` of columns. CSV flattens a record's nested keys with dots into one
+row, and prints a table as its header and one line per row, a block of rows
+with one ``%`` template. Exact integers and fractions are printed in full.
 """
 
 from __future__ import annotations
@@ -137,7 +136,7 @@ _JSON_WRITERS = {
     int: format_int,
     float: format_float,
     numbers.Rational: lambda q: '"' + format_fraction(q) + '"',
-    bool: lambda b: "true" if b else "false",
+    bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
 
@@ -187,78 +186,72 @@ def _flatten(record: dict, prefix: str = "") -> dict[str, str]:
 
 
 class Table:
-    """A multi-row report: column names and a sized sequence of row tuples,
-    one cell per column. It reads as the list of records
-    ``[dict(zip(columns, row)) for row in rows]``: JSON prints exactly that
-    list, CSV a header and then one line per row. Cells are not records."""
+    """Column names and one sized sequence of cells per column, one cell a
+    row. JSON prints it as the records ``[dict(zip(names, row)) for row in
+    zip(*columns)]``, CSV as a header and one line per row."""
 
-    __slots__ = ("columns", "rows")
+    __slots__ = ("names", "columns")
 
-    def __init__(self, columns, rows):
-        self.columns = tuple(columns)
-        self.rows = rows
+    def __init__(self, names, columns):
+        self.names, self.columns = tuple(names), tuple(columns)
+        if len(self.columns) != len(self.names) or len(set(map(len, self.columns))) > 1:
+            raise DomainError(f"every row of a table must have {len(self.names)} cells")
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
 
 
 # rows made into text at a time: one block's cell texts are live at once, and
 # a report keeps a table's text in its blocks, never in a second whole copy
 _BLOCK_ROWS = 4096
+_SHORT_INT = 10**640  # an int shorter than this prints under any digit limit
 
 
-def _table_blocks(table: Table, column_text, line_text, sep: str) -> list[str]:
-    """The text of table's rows, a block of rows at a time, with sep between
-    the blocks: column_text makes a block's cells a column at a time, picking
-    its writer once per column, line_text makes one row's line from its cell
-    texts, and sep joins the lines of a block."""
-    rows = table.rows
-    width = len(table.columns)
-    if any(len(row) != width for row in rows):
-        raise DomainError(f"every row of a table must have {width} cells")
-    pieces = []
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start:start + _BLOCK_ROWS]
-        columns = [column_text(column) for column in zip(*block)]
-        cells = zip(*columns) if width else [()] * len(block)
-        pieces += [sep.join(map(line_text, cells)), sep]
-    return pieces[:-1]
-
-
-def _one_type(cells: tuple):
-    kinds = set(map(type, cells))
-    return kinds.pop() if len(kinds) == 1 else None
-
-
-def _json_column(cells: tuple) -> list[str]:
-    return list(map(_JSON_WRITERS.get(_one_type(cells), to_json), cells))
-
-
-def _csv_column(cells: tuple) -> list[str]:
-    kind = _one_type(cells)
+def _block_column(cells, json: bool) -> tuple[str, Any]:
+    """A block's column as a % directive and its values: one plain type that
+    needs no check per cell goes to % as it is, any other column through its
+    per-cell writer."""
+    kind = type(cells[0]) if len(set(map(type, cells))) == 1 else None
+    if kind is int and -_SHORT_INT < min(cells) and max(cells) < _SHORT_INT:
+        return "%d", cells
+    if kind is float and math.isfinite(sum(cells)):  # else format_float finds the culprit
+        return "%.17g", cells
     if kind is str:
-        return list(map(_quote, cells))
-    # an int, float, bool or None column needs no quotes; any other is quoted cell by cell
-    return list(map(_CSV_WRITERS.get(kind, _csv_field), cells))
+        text = "".join(cells)  # a cell needs escaping or quoting only if the block's text does
+        if (encode_basestring_ascii(text)[1:-1] if json else _quote(text)) == text:
+            return '"%s"' if json else "%s", cells
+    if json:
+        return "%s", list(map(_JSON_WRITERS.get(kind, to_json), cells))
+    return "%s", list(map(_quote if kind is str else _CSV_WRITERS.get(kind, _csv_field), cells))
 
 
-def _json_table(table: Table) -> list[str]:
-    row = "{" + ",".join([encode_basestring_ascii(str(k)).replace("%", "%%") + ":%s"
-                          for k in table.columns]) + "}"
-    return ["[", *_table_blocks(table, _json_column, row.__mod__, ","), "]"]
+def _table_pieces(table: Table, json: bool) -> list[str]:
+    """A table's report text, a block of rows at a time."""
+    rows, width = len(table), len(table.names)
+    keys = [encode_basestring_ascii(str(k)).replace("%", "%%") + ":" for k in table.names]
+    pieces = []
+    for start in range(0, rows, _BLOCK_ROWS):
+        size = min(_BLOCK_ROWS, rows - start)
+        directives, values = zip(*[_block_column(column[start:start + size], json)
+                                   for column in table.columns])
+        cells = [None] * (size * width)  # the block's values, row by row
+        for i, column in enumerate(values):
+            cells[i::width] = column
+        row = ("{" + ",".join(map(operator.add, keys, directives)) + "},") if json \
+            else ",".join(directives) + "\n"
+        pieces.append(row * size % tuple(cells))
+    if json:  # no comma after the last row
+        return ["[", *pieces[:-1], *[last[:-1] for last in pieces[-1:]], "]"]
+    return [",".join(map(str, table.names)) + "\n", *pieces] if rows else ["\n"]
 
 
-def _csv_table(table: Table) -> list[str]:
-    if not table.rows:
-        return ["\n"]
-    header = ",".join(map(str, table.columns)) + "\n"
-    return [header, *_table_blocks(table, _csv_column, ",".join, "\n"), "\n"]
-
-
-_JSON_WRITERS[Table] = lambda table: "".join(_json_table(table))
+_JSON_WRITERS[Table] = lambda table: "".join(_table_pieces(table, True))
 
 
 def to_csv(report: dict | Table) -> str:
     """One record as a header and one row, or a table as its header and rows."""
     if isinstance(report, Table):
-        return "".join(_csv_table(report))
+        return "".join(_table_pieces(report, False))
     flat = _flatten(report)
     return ",".join(flat) + "\n" + ",".join(flat.values()) + "\n"
 
@@ -268,9 +261,9 @@ def report_pieces(result: dict | Table, fmt: str) -> list[str]:
     it: a table's text stays in its blocks of rows."""
     table = isinstance(result, Table)
     if fmt == "json":
-        return _json_table(result) + ["\n"] if table else [to_json(result) + "\n"]
+        return _table_pieces(result, True) + ["\n"] if table else [to_json(result) + "\n"]
     if fmt == "csv":
-        return _csv_table(result) if table else [to_csv(result)]
+        return _table_pieces(result, False) if table else [to_csv(result)]
     raise DomainError(f"unknown report format {fmt!r}")
 
 

@@ -14,7 +14,6 @@ one grand success.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -150,29 +149,22 @@ def is_prime(n: int) -> bool:
 GOLDBACH_HORIZON_BUDGET = 10**6
 
 
-@functools.cache
-def _odd_primes() -> tuple[bytearray, list[int]]:
-    """Odd-prime flags up to the horizon budget, sieved once per process.
-
-    ``flags[k]`` is 1 exactly when 2k + 1 is prime; the list holds every such
-    k for the primes up to half the budget, the smaller half of a pair.
-    """
-    size = (GOLDBACH_HORIZON_BUDGET + 1) // 2
+def _odd_prime_flags(limit: int) -> bytearray:
+    """``flags[k]`` is 1 exactly when 2k + 1 <= limit is prime."""
+    size = (limit + 1) // 2
     flags = bytearray([1]) * size
     flags[0] = 0
-    for k in range(1, (math.isqrt(GOLDBACH_HORIZON_BUDGET) + 1) // 2):
+    for k in range(1, (math.isqrt(limit) + 1) // 2):
         if flags[k]:
             p = 2 * k + 1
             start = p * p // 2
             flags[start::p] = bytes(len(range(start, size, p)))
-    return flags, list(itertools.compress(range(GOLDBACH_HORIZON_BUDGET // 4 + 1), flags))
+    return flags
 
 
 def has_prime_pair(even: int) -> bool:
-    """True when the even number is a sum of two primes.
-
-    Reads the sieved flags, so evens past the horizon budget are refused.
-    """
+    """True when the even number is a sum of two primes, read off odd-prime
+    flags sieved up to it; evens past the horizon budget are refused."""
     if even % 2 != 0 or even < 4:
         raise DomainError("prime-pair check is defined for even numbers >= 4")
     if even > GOLDBACH_HORIZON_BUDGET:
@@ -180,15 +172,9 @@ def has_prime_pair(even: int) -> bool:
             f"prime-pair check at {even} is past the budget of {GOLDBACH_HORIZON_BUDGET}")
     if even == 4:
         return True  # 2 + 2; every larger even can only split into two odd primes
-    flags, smaller = _odd_primes()
+    flags = _odd_prime_flags(even)
     j = even // 2 - 1  # p = 2k + 1 leaves even - p = 2(j - k) + 1
-    last = (even - 2) // 4  # p <= even / 2
-    for k in smaller:
-        if k > last:
-            return False
-        if flags[j - k]:
-            return True
-    return False
+    return any(flags[k] and flags[j - k] for k in range(1, (even - 2) // 4 + 1))
 
 
 def goldbach_stream(horizon_even: int) -> AnswerStream:
@@ -198,15 +184,27 @@ def goldbach_stream(horizon_even: int) -> AnswerStream:
     yes going if it splits into two primes, otherwise the stream says no once
     and stops. A stream that ends still saying yes has, of course, only
     checked up to its horizon.
+
+    All the evens are examined at once. Bit i of one int stands for the even
+    2i + 2 while it has no prime pair, and bit k of another is set exactly
+    when 2k + 1 is an odd prime up to the horizon. For each such prime up to
+    half the horizon, shifting the primes left by k gives the evens it pairs
+    off; the lowest bit left when the primes run out is the first no.
     """
     if horizon_even < 4 or horizon_even % 2 != 0:
         raise DomainError("horizon must be an even number >= 4")
     if horizon_even > GOLDBACH_HORIZON_BUDGET:
         raise ResourceError(
             f"horizon {horizon_even} is past the budget of {GOLDBACH_HORIZON_BUDGET}")
-    for even in range(6, horizon_even + 1, 2):
-        if not has_prime_pair(even):
-            return AnswerStream(horizon_even, even, False)
+    flags = _odd_prime_flags(horizon_even)
+    primes = int(flags[::-1].translate(bytes.maketrans(b"\0\1", b"01")), 2)
+    unpaired = (1 << horizon_even // 2) - 4  # 6, 8, ..., the horizon
+    for k in itertools.compress(range((horizon_even - 2) // 4 + 1), flags):
+        if not unpaired:
+            break
+        unpaired &= ~(primes << k)
+    if unpaired:
+        return AnswerStream(horizon_even, 2 * (unpaired & -unpaired).bit_length(), False)
     return AnswerStream(horizon_even, horizon_even, True)
 
 

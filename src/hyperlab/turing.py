@@ -29,7 +29,7 @@ MOVES = {"l": -1, "n": 0, "r": 1}
 
 DEFAULT_FUEL = 10**6
 DEFAULT_TRACE_CAP = 10**4
-FUEL_BUDGET = 10**7  # steps one drive may take; refused up front beyond this
+FUEL_BUDGET = 10**7  # steps x tapes one drive may take; refused up front beyond this
 # characters of tape text one drive may reach, (extent + fuel) x the longest
 # symbol on each tape; refused up front beyond this
 TAPE_TEXT_BUDGET = 5 * 10**7
@@ -548,14 +548,15 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
     trace snapshots are taken, on several tapes, and in a state that is a
     stop (final, or the ask state of a given oracle).
 
-    Fuel past FUEL_BUDGET, or tapes whose text could grow past
+    Fuel times tapes past FUEL_BUDGET, or tapes whose text could grow past
     TAPE_TEXT_BUDGET characters within it, are a :class:`ResourceError`
     before the first step; snapshots whose texts together pass
     TRACE_TEXT_BUDGET characters are one before the first snapshot past it.
     """
-    remaining = fuel - config.steps
-    if remaining > FUEL_BUDGET:
-        raise ResourceError(f"fuel of {remaining} steps is past the budget of {FUEL_BUDGET}")
+    remaining, tapes = fuel - config.steps, len(config.tapes)
+    if tapes * remaining > FUEL_BUDGET:  # a step costs about the same on each tape
+        on = f" on {tapes} tapes" if tapes > 1 else ""
+        raise ResourceError(f"fuel of {remaining} steps{on} is past the budget of {FUEL_BUDGET}")
     # each step adds at most one cell to each tape
     reach = sum(len(t.cells.strip(b"\0")) + remaining for t in config.tapes)
     if reach * machine._longest_symbol > TAPE_TEXT_BUDGET:

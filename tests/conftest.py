@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hyperlab import turing
+from hyperlab import tae, turing
 
 
 def successor_doc() -> dict:
@@ -36,6 +36,22 @@ def self_loop_doc() -> dict:
             {"from": "loop", "read": "1", "to": "loop", "write": "1", "move": "n"},
         ],
     }
+
+
+def plant_composites(monkeypatch, numbers) -> None:
+    """Have tae's odd-prime sieve mark the given odd numbers composite, for
+    the Goldbach stream and the per-even predicate alike: no even
+    counterexample exists in testable ranges, so tests plant one this way."""
+    sieve = tae._odd_prime_flags
+
+    def planted(limit: int) -> bytearray:
+        flags = sieve(limit)
+        for n in numbers:
+            if n <= limit:
+                flags[n // 2] = 0
+        return flags
+
+    monkeypatch.setattr(tae, "_odd_prime_flags", planted)
 
 
 @pytest.fixture

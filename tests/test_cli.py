@@ -278,6 +278,25 @@ class TestErrors:
         assert payload["error"] == "resource-error"
         assert "budget" in payload["message"]
 
+    @pytest.mark.parametrize("tapes", [1, 2, turing.TAPE_BUDGET])
+    def test_fuel_times_tapes_past_the_fuel_budget_ends_in_resource_error(self, write_json,
+                                                                          tapes):
+        # the machine marks every tape and halts after one step, so only a
+        # check made before the first step can refuse it
+        path = write_json("machine.json", {
+            "blank": "_", "alphabet": ["_", "1"], "states": ["go", "done"], "initial": "go",
+            "finals": ["done"], "tapes": tapes, "transitions": [
+                {"from": "go", "read": ["_"] * tapes, "to": "done", "write": ["1"] * tapes,
+                 "move": "n"}]})
+        fuel = turing.FUEL_BUDGET // tapes
+        status, out, _ = run_cli(["tm", "run", path, "--fuel", str(fuel)])
+        assert status == 0 and json.loads(out)["outcome"] == "halted"
+        status, out, err = run_cli(["tm", "run", path, "--fuel", str(fuel + 1)])
+        assert status == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "resource-error"
+        assert f"fuel of {fuel + 1} steps" in payload["message"]
+
     def test_minimisers_past_their_budget_end_in_resource_error(self, write_json):
         # D = 0 everywhere: each of the MINIMIZER_BUDGET + 1 lattice points is a
         # minimiser, which only the scan finds out

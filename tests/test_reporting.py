@@ -35,7 +35,7 @@ class TestJson:
         big = 10**5000 + 7
         text = reporting.to_json({"n": big, "q": Fraction(1, big)})
         assert text == '{"n":1' + "0" * 4999 + '7,"q":"1/1' + "0" * 4999 + '7"}'
-        table = reporting.Table(["n"], [(-big,)])
+        table = reporting.Table(["n"], [[-big]])
         assert reporting.to_csv(table).splitlines()[1] == "-1" + "0" * 4999 + "7"
 
     @settings(max_examples=60, deadline=None)
@@ -132,7 +132,7 @@ class TestCsv:
 
     def test_one_row_per_record(self):
         out = io.StringIO()
-        reporting.emit_report(reporting.Table(["a"], [(1,), (2,)]), "csv", out)
+        reporting.emit_report(reporting.Table(["a"], [[1, 2]]), "csv", out)
         assert out.getvalue().splitlines() == ["a", "1", "2"]
 
     def test_lists_join_with_semicolons(self):
@@ -217,7 +217,8 @@ def tables(draw):
                             max_size=4, unique=True))
     # a column of one type takes that type's writer; a mixed one writes cell by cell
     cells = [draw(st.sampled_from(SCALARS + [st.one_of(SCALARS)])) for _ in columns]
-    return columns, draw(st.lists(st.tuples(*cells), max_size=12))
+    # a table of no columns has no rows
+    return columns, draw(st.lists(st.tuples(*cells), max_size=12 if columns else 0))
 
 
 class TestTable:
@@ -226,17 +227,17 @@ class TestTable:
     @pytest.mark.parametrize("n", [0, 1, 57, 2000, 60000])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_enumeration_is_byte_identical_to_one_record_per_entry(self, n, fmt):
-        table = reporting.Table(pairing.ENTRY_COLUMNS, pairing.enumerate_reals(n))
+        table = pairing.enumerate_reals(n)
         reference = (reference_json if fmt == "json" else reference_csv)(enum_records(n))
         assert first_difference(emitted(table, fmt), reference) is None
 
     def test_empty_table_prints_no_header(self):
-        table = reporting.Table(pairing.ENTRY_COLUMNS, [])
+        table = reporting.Table(pairing.ENTRY_COLUMNS, [()] * len(pairing.ENTRY_COLUMNS))
         assert emitted(table, "json") == "[]\n"
         assert emitted(table, "csv") == "\n"
 
     def test_enumeration_reaches_subnormal_and_zero_float_views(self):
-        rows = pairing.enumerate_reals(60000)
+        rows = list(zip(*pairing.enumerate_reals(60000).columns))
         assert any(0 < row[3] < 2.2250738585072014e-308 for row in rows)
         assert any(row[3] == 0 and row[1] for row in rows)
 
@@ -245,13 +246,14 @@ class TestTable:
     def test_any_table_matches_its_records(self, table):
         columns, rows = table
         records = as_records(columns, rows)
-        assert reporting.to_json(reporting.Table(columns, rows)) == reporting.to_json(records)
-        assert reporting.to_csv(reporting.Table(columns, rows)) == reference_csv(records)
+        table = reporting.Table(columns, zip(*rows) if rows else [()] * len(columns))
+        assert reporting.to_json(table) == reporting.to_json(records)
+        assert reporting.to_csv(table) == reference_csv(records)
 
     def test_a_column_that_changes_type_between_blocks(self):
         rows = [(i, 0.5 if i < 5000 else None, "x" if i % 2 else 7) for i in range(9000)]
         records = as_records(["i", "v", "s"], rows)
-        table = reporting.Table(["i", "v", "s"], rows)
+        table = reporting.Table(["i", "v", "s"], zip(*rows))
         assert reporting.to_json(table) == reporting.to_json(records)
         assert reporting.to_csv(table) == reference_csv(records)
 
@@ -271,25 +273,26 @@ class TestTable:
             rows.append((n, x, 'q"' if i == block + 50 else s, i % 2 == 0))
         columns = ["n", "x%", "s", "flag"]
         records = as_records(columns, rows)
-        assert reporting.to_json(reporting.Table(columns, rows)) == reporting.to_json(records)
-        assert reporting.to_csv(reporting.Table(columns, rows)) == reference_csv(records)
+        assert reporting.to_json(reporting.Table(columns, zip(*rows))) == reporting.to_json(records)
+        assert reporting.to_csv(reporting.Table(columns, zip(*rows))) == reference_csv(records)
 
     def test_cells_the_writers_refuse(self):
         with pytest.raises(DomainError, match="finite"):
-            reporting.to_json(reporting.Table(["x"], [(1.0,), (float("nan"),)]))
+            reporting.to_json(reporting.Table(["x"], [[1.0, float("nan")]]))
         with pytest.raises(DomainError, match="finite"):
-            reporting.to_csv(reporting.Table(["x"], [(float("-inf"),)]))
+            reporting.to_csv(reporting.Table(["x"], [[float("-inf")]]))
         with pytest.raises(DomainError, match="cannot serialise"):
-            reporting.to_json(reporting.Table(["x"], [({1, 2},)]))
+            reporting.to_json(reporting.Table(["x"], [[{1, 2}]]))
 
     def test_every_row_has_one_cell_per_column(self):
-        for rows in ([(1, 2), (3,)], [(1, 2, 3)]):
+        # the rows (1, 2), (3,) and the one row (1, 2, 3), a column at a time
+        for columns in ([(1, 3), (2,)], [(1,), (2,), (3,)]):
             with pytest.raises(DomainError, match="2 cells"):
-                reporting.to_json(reporting.Table(["a", "b"], rows))
+                reporting.to_json(reporting.Table(["a", "b"], columns))
 
     def test_long_integers_in_a_column(self):
         big = 10**5000 + 7
-        table = reporting.Table(["n", "q"], [(big, Fraction(1, big)), (1, Fraction(1, 2))])
-        records = as_records(["n", "q"], table.rows)
+        table = reporting.Table(["n", "q"], [(big, 1), (Fraction(1, big), Fraction(1, 2))])
+        records = as_records(["n", "q"], zip(*table.columns))
         assert reporting.to_json(table) == reporting.to_json(records)
         assert reporting.to_csv(table) == reference_csv(records)

@@ -19,7 +19,7 @@ from hyperlab.tae import (
     WheelStrategy,
 )
 
-from conftest import chi_square_upper, pooled_chi_square, self_loop_doc
+from conftest import chi_square_upper, plant_composites, pooled_chi_square, self_loop_doc
 
 
 def sieve(limit: int) -> list[bool]:
@@ -122,11 +122,10 @@ class TestGoldbachStream:
         assert stream.mind_changes == 0
 
     def test_mind_change_iff_counterexample(self, monkeypatch):
-        # no even counterexample exists in testable ranges, so force one to
-        # exercise the stopping contract
-        monkeypatch.setattr(tae, "has_prime_pair", lambda even: even != 10)
+        # with 7 planted as composite, 12 = 5 + 7 is the first even without a pair
+        plant_composites(monkeypatch, [7])
         stream = tae.goldbach_stream(20)
-        assert stream.answers[-1] == (10, False)
+        assert stream.answers[-1] == (12, False)
         assert stream.mind_changes == 1
         assert stream.final_verdict is False
 
@@ -135,12 +134,27 @@ class TestGoldbachStream:
             tae.goldbach_stream(7)
 
     def test_horizon_past_the_budget_is_refused(self, monkeypatch):
-        examined = []
-        monkeypatch.setattr(tae, "has_prime_pair", lambda even: examined.append(even) or True)
+        sieved = []
+        monkeypatch.setattr(tae, "_odd_prime_flags", sieved.append)
         with pytest.raises(ResourceError):
             tae.goldbach_stream(tae.GOLDBACH_HORIZON_BUDGET + 2)
-        assert examined == []
+        assert sieved == []
+        monkeypatch.undo()
         assert tae.goldbach_stream(tae.GOLDBACH_HORIZON_BUDGET).final_verdict is True
+
+    @settings(max_examples=60, deadline=None)
+    @given(half=st.integers(2, 600), composites=st.lists(
+        st.sampled_from([p for p in range(3, 100) if tae.is_prime(p)]), max_size=3))
+    def test_stream_stops_where_the_predicate_first_says_no(self, half, composites):
+        with pytest.MonkeyPatch.context() as mp:
+            plant_composites(mp, composites)
+            stream = tae.goldbach_stream(2 * half)
+            first_no = next((even for even in range(4, 2 * half + 1, 2)
+                             if not tae.has_prime_pair(even)), None)
+        if first_no is None:
+            assert (stream.last_examined, stream.final_verdict) == (2 * half, True)
+        else:
+            assert (stream.last_examined, stream.final_verdict) == (first_no, False)
 
     def test_sieved_pairs_agree_with_trial_division_for_every_even_to_4000(self):
         for even in range(4, 4001, 2):

@@ -10,6 +10,8 @@ from hyperlab import tae
 from hyperlab.errors import ResourceError
 from hyperlab.tae import LimitPredicate, WheelExperiment, WheelStrategy
 
+from conftest import plant_composites
+
 
 def read_table(table: list[int]) -> tuple[bool, int, int, bool]:
     """Verdict, mind changes, stable_since and unsettled, read off the whole table."""
@@ -46,13 +48,13 @@ def test_goldbach_stream_retains_no_answer_list():
     assert retained < 4096
 
 
-@pytest.mark.parametrize("counterexample", [6, 12, 20])
-def test_stream_stops_at_its_first_no(monkeypatch, counterexample):
-    examined = []
-    monkeypatch.setattr(tae, "has_prime_pair",
-                        lambda even: examined.append(even) or even != counterexample)
+@pytest.mark.parametrize("counterexample, composites", [(6, [3]), (12, [7]), (20, [13, 17])],
+                         ids=["6", "12", "20"])
+def test_stream_stops_at_its_first_no(monkeypatch, counterexample, composites):
+    plant_composites(monkeypatch, composites)
     stream = tae.goldbach_stream(20)
-    assert examined[-1] == stream.last_examined == counterexample
+    assert stream.last_examined == counterexample
+    assert [even for even in range(4, 21, 2) if not tae.has_prime_pair(even)][0] == counterexample
     assert (stream.final_verdict, stream.mind_changes) == (False, 1)
     assert len(stream) == len(stream.answers) == counterexample // 2 - 1
     assert stream.answers[-1] == (counterexample, False)
