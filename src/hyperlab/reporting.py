@@ -186,9 +186,8 @@ def _flatten(record: dict, prefix: str = "") -> dict[str, str]:
 
 
 class Table:
-    """Column names and one sized sequence of cells per column, one cell a
-    row. JSON prints it as the records ``[dict(zip(names, row)) for row in
-    zip(*columns)]``, CSV as a header and one line per row."""
+    """Names and one sized sequence of cells per column, a cell a row: JSON
+    prints the records ``[dict(zip(names, row)) for row in zip(*columns)]``."""
 
     __slots__ = ("names", "columns")
 
@@ -205,12 +204,12 @@ class Table:
 # a report keeps a table's text in its blocks, never in a second whole copy
 _BLOCK_ROWS = 4096
 _SHORT_INT = 10**640  # an int shorter than this prints under any digit limit
+_JSON_PLAIN = bytes(set(range(32, 127)) - set(b'"\\'))  # ASCII that JSON prints as it is
 
 
 def _block_column(cells, json: bool) -> tuple[str, Any]:
-    """A block's column as a % directive and its values: one plain type that
-    needs no check per cell goes to % as it is, any other column through its
-    per-cell writer."""
+    """A block's column as a % directive and its values: a plain type that
+    needs no check per cell as it is, any other through its per-cell writer."""
     kind = type(cells[0]) if len(set(map(type, cells))) == 1 else None
     if kind is int and -_SHORT_INT < min(cells) and max(cells) < _SHORT_INT:
         return "%d", cells
@@ -218,7 +217,8 @@ def _block_column(cells, json: bool) -> tuple[str, Any]:
         return "%.17g", cells
     if kind is str:
         text = "".join(cells)  # a cell needs escaping or quoting only if the block's text does
-        if (encode_basestring_ascii(text)[1:-1] if json else _quote(text)) == text:
+        if (text.isascii() and not text.encode().translate(None, _JSON_PLAIN)) if json \
+                else _quote(text) is text:
             return '"%s"' if json else "%s", cells
     if json:
         return "%s", list(map(_JSON_WRITERS.get(kind, to_json), cells))
