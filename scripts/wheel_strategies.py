@@ -42,7 +42,6 @@ def tabulate(args) -> None:
             row += [tae.ashby_expected(exp), mean, stderr]
         rows.append(row)
 
-    # a table holds one sequence per column
     emit_report(Table(columns, zip(*rows)), "csv" if len(rows) > 1 else "json", sys.stdout)
 
 
