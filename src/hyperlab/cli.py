@@ -58,6 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hyperlab",
         description="Desk-scale workbench for classical and hypercomputational machine models.",
     )
+    # a seeded subcommand's own --seed, when given, replaces this one
     parser.add_argument("--seed", type=_natural_arg, default=0,
                         help="global RNG seed (default 0)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
@@ -84,13 +85,13 @@ def build_parser() -> argparse.ArgumentParser:
     ashby.add_argument("--strategy", type=int, choices=(1, 2, 3), required=True)
     ashby.add_argument("--simulate", action="store_true")
     ashby.add_argument("--trials", type=int, default=10**5)
-    ashby.add_argument("--seed", type=_natural_arg, default=None, dest="seed_local")
+    ashby.add_argument("--seed", type=_natural_arg, default=argparse.SUPPRESS)
     ashby.set_defaults(handler=_cmd_ashby)
     bogo = tae_g.add_parser("bogosort", help="shuffle a random sequence until sorted")
     bogo.add_argument("--len", type=_natural_arg, required=True, dest="length")
     bogo.add_argument("--memo", action="store_true")
     bogo.add_argument("--max-tries", type=int, default=10**6)
-    bogo.add_argument("--seed", type=_natural_arg, default=None, dest="seed_local")
+    bogo.add_argument("--seed", type=_natural_arg, default=argparse.SUPPRESS)
     bogo.set_defaults(handler=_cmd_bogosort)
 
     zeno_g = groups.add_parser("zeno", help="accelerated-machine time accounting").add_subparsers(
@@ -137,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--time", type=float, default=50.0)
     solve.add_argument("--dt", type=float, default=0.01)
     solve.add_argument("--shots", type=int, default=1000)
-    solve.add_argument("--seed", type=_natural_arg, default=None, dest="seed_local")
+    solve.add_argument("--seed", type=_natural_arg, default=argparse.SUPPRESS)
     solve.add_argument("--oracle-only", action="store_true",
                        help="skip the evolution; report the exact scan only")
     solve.set_defaults(handler=_cmd_aqc_solve)
@@ -393,12 +394,7 @@ def _cmd_aqc_solve(args) -> dict:
 
 
 def dispatch(args: argparse.Namespace):
-    """Run the handler the parser bound to the subcommand.
-
-    A subcommand's own ``--seed`` takes the place of the global one.
-    """
-    if getattr(args, "seed_local", None) is not None:
-        args.seed = args.seed_local
+    """Run the handler the parser bound to the subcommand."""
     return args.handler(args)
 
 

@@ -34,24 +34,6 @@ def _require_natural(value: int, name: str) -> int:
     return value
 
 
-class FinitePrecisionReal:
-    """Value a * 10**-b with natural a, b."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int):
-        self.a, self.b = _require_natural(a, "a"), _require_natural(b, "b")
-
-    @property
-    def value(self) -> Fraction:
-        return real_value(self.a, self.b)
-
-    @property
-    def canonical(self) -> bool:
-        """True when the digit payload carries no redundant trailing zero."""
-        return is_canonical_pair(self.a, self.b)
-
-
 def real_value(a: int, b: int) -> Fraction:
     """Exact rational a / 10**b; b past DECIMAL_SHIFT_BUDGET is a ResourceError."""
     from fractions import Fraction  # only `enum decode` prints an exact value
@@ -93,17 +75,11 @@ def pair_index(x: int, y: int) -> int:
         return diag_start(x + y) + y
 
 
-def integer_sqrt(v: int) -> int:
-    """Exact floor square root; result r satisfies r*r <= v < (r+1)*(r+1)."""
-    _require_natural(v, "v")
-    return math.isqrt(v)
-
-
 def pair_decode(idx: int) -> tuple[int, int]:
     """Pair (x, y) at index idx: diagonal w = floor((sqrt(1+8*idx)-1)/2),
     then y = idx - diag_start(w) and x = w - y. Exact for any index size."""
     _require_natural(idx, "idx")
-    w = (integer_sqrt(1 + 8 * idx) - 1) // 2
+    w = (math.isqrt(1 + 8 * idx) - 1) // 2
     y = idx - diag_start(w)
     x = w - y
     return x, y

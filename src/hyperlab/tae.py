@@ -129,22 +129,6 @@ class AnswerStream:
             (self.last_examined, self.final_verdict)]
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic trial division up to sqrt(n)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 # `tae goldbach` at the budget: about 0.45 s and 18 MB peak RSS on a 2-vCPU VM
 GOLDBACH_HORIZON_BUDGET = 10**6
 
@@ -337,15 +321,6 @@ def ashby_expected_log2(exp: WheelExperiment) -> float:
         spins = n / p
         return math.log2(spins) if spins < math.inf else math.log2(n) - math.log2(p)
     return math.log2(ashby_expected(exp))
-
-
-def ashby_case3_inclusion_exclusion(n: int, p: float) -> float:
-    """Closed form for the freeze-successes mean, by inclusion-exclusion over
-    subsets of wheels: sum_k (-1)**(k+1) C(n,k) / (1 - (1-p)**k)."""
-    q = 1.0 - p
-    return sum(
-        (-1) ** (k + 1) * math.comb(n, k) / (1.0 - q**k) for k in range(1, n + 1)
-    )
 
 
 def _trial_time_law(exp: WheelExperiment) -> tuple[int, list[float]]:

@@ -7,8 +7,8 @@ tapes, in which case one transition reads and writes all heads and moves them
 in one shared direction.
 
 Each machine compiles its quintuples once into a table ``(state, read) ->
-(state, write, shift)`` over symbol codes that the one stepping loop, shared
-by :func:`run` and :func:`step`, reads. On one tape, a rule whose state
+(state, write, shift)`` over symbol codes, which the one stepping loop
+behind :func:`run` reads. On one tape, a rule whose state
 keeps itself over a set of symbols, writing a fixed symbol for each and
 moving one way, is a sweep: the loop applies it to the whole block of such
 cells at once. One hook extends that loop, an oracle: entering the declared
@@ -63,11 +63,10 @@ class TuringMachine:
         transitions: dict[tuple[str, tuple[str, ...]], tuple[str, tuple[str, ...], str]],
         one_sided: bool = False,
         oracle_states: Optional[OracleStates] = None,
-        oracle: Optional[Callable[[int], bool]] = None,
     ):
         self.states, self.initial, self.finals, self.alphabet = states, initial, finals, alphabet
         self.blank, self.num_tapes, self.transitions = blank, num_tapes, transitions
-        self.one_sided, self.oracle_states, self.oracle = one_sided, oracle_states, oracle
+        self.one_sided, self.oracle_states, self.oracle = one_sided, oracle_states, None
 
     @cached_property
     def _codes(self) -> SymbolCodes:
@@ -258,11 +257,6 @@ class Tape:
         end = min(max(pos - self.origin, 0), len(self.cells))
         return end - self.cells.count(0, 0, end)
 
-    def copy(self) -> "Tape":
-        twin = Tape(self.codes)
-        twin.cells, twin.origin = self.cells[:], self.origin
-        return twin
-
     def __eq__(self, other) -> bool:
         """Same blank and the same symbol in every cell, however the array is laid out."""
         if not isinstance(other, Tape):
@@ -285,16 +279,9 @@ class TapeConfiguration:
                  steps: int = 0):
         self.tapes, self.heads, self.state, self.steps = tapes, heads, state, steps
 
-    def read(self) -> tuple[str, ...]:
-        return tuple([t.read(h) for t, h in zip(self.tapes, self.heads)])
-
     def tape_text(self, tape: int = 0) -> str:
         """Non-blank content of one tape, from leftmost to rightmost written cell."""
         return self.tapes[tape].text()
-
-    def clone(self) -> "TapeConfiguration":
-        return TapeConfiguration(tuple(t.copy() for t in self.tapes), self.heads, self.state,
-                                 self.steps)
 
 
 class TraceSnapshot(NamedTuple):
@@ -327,19 +314,6 @@ class RunOutcome:
                  oracle_consultations: int = 0, trace: Optional[list[TraceSnapshot]] = None):
         self.kind, self.config, self.oracle_consultations, self.trace = (
             kind, config, oracle_consultations, trace)
-
-
-class AlreadyHaltedError(DomainError):
-    """step() was asked to advance a configuration whose state is final."""
-
-
-class TransitionMissing(Exception):
-    """step() was asked to advance a configuration that no rule applies to."""
-
-    def __init__(self, state: str, symbols: tuple[str, ...]):
-        super().__init__(f"no transition for state {state!r} reading {symbols!r}")
-        self.state = state
-        self.symbols = symbols
 
 
 # -- loading -------------------------------------------------------------------
@@ -472,20 +446,6 @@ def initial_configuration(machine: TuringMachine, input_symbols: str = "") -> Ta
 # -- stepping ------------------------------------------------------------------
 
 
-def step(machine: TuringMachine, config: TapeConfiguration) -> TapeConfiguration:
-    """Pure single step: returns the successor configuration, inputs untouched.
-
-    The oracle hook does not resolve: a configuration in the ask-state steps
-    by the machine's own rules, if any.
-    """
-    if config.state in machine.finals:
-        raise AlreadyHaltedError(f"state {config.state!r} is final")
-    nxt = config.clone()
-    if _drive(machine, nxt, nxt.steps + 1)[0] is OutcomeKind.STUCK:
-        raise TransitionMissing(config.state, config.read())
-    return nxt
-
-
 def attach_oracle(machine: TuringMachine, oracle: Callable[[int], bool]) -> TuringMachine:
     """Bind an opaque total predicate to the machine's declared query states."""
     if machine.oracle_states is None:
@@ -533,6 +493,10 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
     Before each step a given oracle answers the ask-state, at no fuel cost.
     Returns the outcome kind and the number of oracle consultations.
 
+    Every head starts at cell 0, as :func:`run` sets them, and all move by
+    one shared shift, so the loop keeps one head and reads and writes every
+    tape at it.
+
     The inner loop steps on the compiled table with the head, the state and
     the step count in locals, and writes tape 0's array in place; only a
     write beyond the array goes through :meth:`Tape._put`, which grows it.
@@ -570,14 +534,8 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
         ask, yes, no = machine.oracle_states
     stops = finals | {ask} if ask is not None else finals
     table, one_sided = machine._table, machine.one_sided
-    tape = config.tapes[0]
+    tape, others = config.tapes[0], config.tapes[1:]
     cells = tape.cells
-    # every head moves by the same shift, so the others keep their offsets
-    # from head 0, and a one-sided machine's lowest head stays at or right of
-    # cell 0 exactly when head 0 stays at or right of ``floor``
-    offsets = [h - config.heads[0] for h in config.heads[1:]]
-    others_at = list(zip(config.tapes[1:], offsets))
-    floor = -min([0, *offsets])
     trace_left = max(0, trace_cap - len(snapshots)) if snapshots is not None else 0
     kept = sum(len(text) for snap in snapshots for text in snap.texts) if trace_left else 0
     consultations = 0
@@ -599,23 +557,23 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
             while True:
                 i = head - origin
                 key = cells[i] if 0 <= i < size else 0
-                if others_at:
-                    key = (key, *[t._code(head + off) for t, off in others_at])
+                if others:
+                    key = (key, *[t._code(head) for t in others])
                 rule = row[key]
                 if rule is None:
                     return OutcomeKind.STUCK, consultations
                 dst, next_row, write, shift, extra = rule
-                if one_sided and head + shift < floor:
+                if one_sided and head + shift < 0:
                     raise DomainError("head moved past the left edge of a one-sided tape")
                 if extra is not None:
-                    if others_at:
-                        for (t, off), code in zip(others_at, extra):
-                            t._put(head + off, code)
+                    if others:
+                        for t, code in zip(others, extra):
+                            t._put(head, code)
                     elif not trace_left and state not in stops:
                         # a sweep over non-blank cells, so inside the array
                         room = min(fuel - steps, size - i if shift > 0 else i + 1)
                         if one_sided and shift < 0:
-                            room = min(room, head - floor)
+                            room = min(room, head)
                         run = _sweep_length(cells, extra.outside, i, shift, room)
                         if extra.rewrite is not None:
                             first = i if shift > 0 else i + 1 - run
@@ -639,7 +597,7 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
                 if state in stops or steps >= fuel or trace_left:
                     break
         finally:
-            config.heads = (head, *[head + off for off in offsets])
+            config.heads = (head,) * tapes
             config.state, config.steps = state, steps
         if trace_left:
             snapshot = _snapshot(config)

@@ -596,6 +596,11 @@ class TestDeterminism:
         b = run_cli(["tae", "bogosort", "--len", "5", "--seed", "9"])
         assert json.loads(a[1]) == json.loads(b[1])
 
+    def test_subcommand_seed_wins_over_the_global_one(self):
+        local = run_cli(["tae", "bogosort", "--len", "5", "--seed", "9"])
+        assert run_cli(["--seed", "5", "tae", "bogosort", "--len", "5", "--seed", "9"]) == local
+        assert run_cli(["--seed", "5", "tae", "bogosort", "--len", "5"]) != local
+
 
 class TestCosts:
     @pytest.mark.parametrize("strategy", ["1", "2", "3"])
@@ -735,14 +740,21 @@ class TestCosts:
         machine = tmp_path / "machine.json"
         machine.write_text(json.dumps(doc))
         script = (
-            "import io, resource, sys\n"
+            "import io, sys\n"
             "from contextlib import redirect_stdout\n"
             "from hyperlab import cli\n"
             "with redirect_stdout(io.StringIO()):\n"
-            "    assert cli.main(sys.argv[1:]) == 0\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
-        done = subprocess.run([sys.executable, "-c", script, *command.split(), str(machine),
-                               "--input", "11", "--fuel", "100"], env=src_env(),
-                              capture_output=True, text=True, timeout=60)
+            "    assert cli.main(sys.argv[1:]) == 0\n")
+        # a child's peak RSS starts at its parent's, so a small interpreter,
+        # not this process, starts the measured one and reads its peak
+        measure = (
+            "import os, subprocess, sys\n"
+            "child = subprocess.Popen(sys.argv[1:])\n"
+            "_, status, usage = os.wait4(child.pid, 0)\n"
+            "print(usage.ru_maxrss)\n"
+            "sys.exit(os.waitstatus_to_exitcode(status))\n")
+        done = subprocess.run([sys.executable, "-c", measure, sys.executable, "-c", script,
+                               *command.split(), str(machine), "--input", "11", "--fuel", "100"],
+                              env=src_env(), capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert int(done.stdout) < 120 * 1024  # kilobytes, as Linux reports them

@@ -32,10 +32,10 @@ class TestRealValue:
             pairing.real_value(3, budget + 1)
 
     def test_canonical_flag(self):
-        assert pairing.FinitePrecisionReal(15, 1).canonical
-        assert not pairing.FinitePrecisionReal(150, 2).canonical
-        assert pairing.FinitePrecisionReal(0, 0).canonical
-        assert not pairing.FinitePrecisionReal(0, 3).canonical
+        assert pairing.is_canonical_pair(15, 1)
+        assert not pairing.is_canonical_pair(150, 2)
+        assert pairing.is_canonical_pair(0, 0)
+        assert not pairing.is_canonical_pair(0, 3)
 
 
 class TestDiagStart:
@@ -109,13 +109,6 @@ class TestPairDecode:
         x, y = pairing.pair_decode(idx)
         if pairing.is_canonical_pair(x, y):
             assert pairing.pair_index(x, y) == idx
-
-
-class TestIntegerSqrt:
-    @given(st.integers(0, 10**30))
-    def test_floor_contract(self, v):
-        r = pairing.integer_sqrt(v)
-        assert r * r <= v < (r + 1) * (r + 1)
 
 
 def rows(n):

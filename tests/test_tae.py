@@ -30,8 +30,24 @@ def sieve(limit: int) -> list[bool]:
     return flags
 
 
+def is_prime(n: int) -> bool:
+    """Deterministic trial division up to sqrt(n)."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
 def _pair_by_trial_division(even: int) -> bool:
-    return any(tae.is_prime(p) and tae.is_prime(even - p) for p in range(2, even // 2 + 1))
+    return any(is_prime(p) and is_prime(even - p) for p in range(2, even // 2 + 1))
 
 
 class TestLimitPredicates:
@@ -144,7 +160,7 @@ class TestGoldbachStream:
 
     @settings(max_examples=60, deadline=None)
     @given(half=st.integers(2, 600), composites=st.lists(
-        st.sampled_from([p for p in range(3, 100) if tae.is_prime(p)]), max_size=3))
+        st.sampled_from([p for p in range(3, 100) if is_prime(p)]), max_size=3))
     def test_stream_stops_where_the_predicate_first_says_no(self, half, composites):
         with pytest.MonkeyPatch.context() as mp:
             plant_composites(mp, composites)
@@ -172,7 +188,7 @@ class TestGoldbachStream:
     def test_primality_by_trial_division(self):
         flags = sieve(2000)
         for n in range(2000):
-            assert tae.is_prime(n) == flags[n]
+            assert is_prime(n) == flags[n]
 
 
 def fisher_yates_tries(items: list[int], rng: random.Random) -> int:
@@ -273,6 +289,15 @@ class TestBogosort:
             tae.bogosort(list(range(11)))
 
 
+def ashby_case3_inclusion_exclusion(n: int, p: float) -> float:
+    """Closed form for the freeze-successes mean, by inclusion-exclusion over
+    subsets of wheels: sum_k (-1)**(k+1) C(n,k) / (1 - (1-p)**k)."""
+    q = 1.0 - p
+    return sum(
+        (-1) ** (k + 1) * math.comb(n, k) / (1.0 - q**k) for k in range(1, n + 1)
+    )
+
+
 class TestAshbyAnalytic:
     def test_single_wheel_strategies_coincide(self):
         for strategy in WheelStrategy:
@@ -321,7 +346,7 @@ class TestAshbyAnalytic:
     def test_series_matches_inclusion_exclusion(self, n, p):
         exp = WheelExperiment(n, p, WheelStrategy.FREEZE_SUCCESSES)
         series = tae.ashby_expected(exp)
-        closed = tae.ashby_case3_inclusion_exclusion(n, p)
+        closed = ashby_case3_inclusion_exclusion(n, p)
         assert abs(series - closed) <= 1e-6 * closed
 
     @given(st.integers(2, 12), st.floats(0.05, 0.5))

@@ -57,32 +57,16 @@ class TestLoading:
 
 class TestStep:
     def test_skip_right_leaves_tape(self, successor):
-        cfg = turing.initial_configuration(successor, "1")
-        nxt = turing.step(successor, cfg)
-        assert nxt.heads == (1,)
-        assert nxt.tape_text() == "1"
-        assert nxt.steps == 1
-        # the original configuration is untouched
-        assert cfg.heads == (0,) and cfg.steps == 0
+        outcome = turing.run(successor, "1", fuel=1)
+        assert outcome.kind is OutcomeKind.OUT_OF_FUEL
+        assert outcome.config.heads == (1,)
+        assert outcome.config.tape_text() == "1"
+        assert outcome.config.steps == 1
 
     def test_no_movement_keeps_head(self):
-        doc = self_loop_doc()
-        machine = turing.load_machine(doc)
-        cfg = turing.initial_configuration(machine)
-        nxt = turing.step(machine, cfg)
-        assert nxt.heads == (0,)
-
-    def test_step_from_final_state_rejected(self, successor):
-        cfg = turing.initial_configuration(successor)
-        cfg.state = "done"
-        with pytest.raises(turing.AlreadyHaltedError):
-            turing.step(successor, cfg)
-
-    def test_step_is_a_function(self, successor):
-        cfg = turing.initial_configuration(successor, "11")
-        a = turing.step(successor, cfg)
-        b = turing.step(successor, cfg)
-        assert a.state == b.state and a.heads == b.heads and a.tapes == b.tapes
+        machine = turing.load_machine(self_loop_doc())
+        outcome = turing.run(machine, fuel=1)
+        assert outcome.config.heads == (0,) and outcome.config.steps == 1
 
     def test_multitape_rule_consumes_and_writes_pairs(self):
         doc = {
@@ -190,23 +174,15 @@ class TestFuelMonotonicity:
 
 def test_run_agrees_with_iterated_pure_steps(rng):
     # the fast in-place loop inside run() must be indistinguishable from
-    # folding the pure step() function
+    # stepping the document's raw rules one at a time (_reference_drive)
     for _ in range(20):
-        machine = turing.load_machine(_random_machine_doc(rng))
+        doc = _random_machine_doc(rng)
         text = "1" * int(rng.integers(4))
-        outcome = turing.run(machine, text, fuel=50)
-        cfg = turing.initial_configuration(machine, text)
-        for _ in range(50):
-            if cfg.state in machine.finals:
-                break
-            try:
-                cfg = turing.step(machine, cfg)
-            except turing.TransitionMissing:
-                break
-        assert cfg.state == outcome.config.state
-        assert cfg.steps == outcome.config.steps
-        assert cfg.tapes == outcome.config.tapes
-        assert cfg.heads == outcome.config.heads
+        outcome = turing.run(turing.load_machine(doc), text, fuel=50)
+        ref = _reference_start(doc, text)
+        assert outcome.kind is _reference_drive(doc, ref, 50)
+        # state, the shared head, steps, and each tape's text and extent
+        assert _engine_view(outcome.config) == _reference_view(doc, ref)
 
 
 @settings(max_examples=40)
@@ -245,29 +221,26 @@ def _wide_machines(draw):
     doc = {"blank": "..", "alphabet": _WIDE_SYMBOLS, "states": states, "tapes": tapes,
            "initial": "s0", "finals": ["halt"], "transitions": transitions}
     text = draw(st.text(alphabet="a", max_size=6))
-    return turing.load_machine(doc), text
+    return doc, text
 
 
 class TestTrace:
     @settings(max_examples=150, deadline=None)
     @given(_wide_machines(), st.integers(1, 80), st.integers(1, 40))
     def test_snapshots_match_stepped_configurations(self, case, fuel, cap):
-        machine, text = case
+        doc, text = case
+        machine = turing.load_machine(doc)
         outcome = turing.run(machine, text, fuel=fuel, trace=True, trace_cap=cap)
-        cfg = turing.initial_configuration(machine, text)
-        expected = [cfg]
-        while (len(expected) < cap and cfg.state not in machine.finals
-               and cfg.steps < fuel):
-            try:
-                cfg = turing.step(machine, cfg)
-            except turing.TransitionMissing:
-                break
-            expected.append(cfg)
+        ref = _reference_start(doc, text)
+        trace = [_reference_view(doc, ref)[:4]]  # the starting configuration
+        _reference_drive(doc, ref, fuel, trace=trace)
+        expected = trace[:cap]
         assert len(outcome.trace) == len(expected)
-        for snap, ref in zip(outcome.trace, expected):
-            assert (snap.state, snap.heads, snap.steps) == (ref.state, ref.heads, ref.steps)
+        for snap, (state, head, steps, texts) in zip(outcome.trace, expected):
+            assert (snap.state, snap.heads, snap.steps) == (
+                state, (head,) * machine.num_tapes, steps)
             for tape in range(machine.num_tapes):
-                assert snap.tape_text(tape) == ref.tape_text(tape)
+                assert snap.tape_text(tape) == texts[tape]
 
     def test_interior_blanks_print_as_the_blank_symbol(self):
         doc = {"blank": "__", "alphabet": ["__", "a", "XY"], "states": ["go", "done"],
@@ -333,16 +306,8 @@ class TestTape:
         for pos in sorted(model, reverse=True):
             rebuilt.write(pos, model[pos])
             shifted.write(pos + 1, model[pos])
-        assert rebuilt == tape == tape.copy()
+        assert rebuilt == tape
         assert (shifted == tape) is (not model)
-
-    def test_copy_is_independent(self):
-        tape = turing.Tape(_CODES, ["a"])
-        twin = tape.copy()
-        twin.write(0, "bb")
-        assert tape.text() == "a"
-        twin.write(-3, "c.")
-        assert tape.text() == "a" and twin.text() == "c." + _BLANK * 2 + "bb"
 
 
 # -- an independent reference stepper ---------------------------------------------
@@ -516,8 +481,8 @@ _INTO_ERASED_LEFT = [("s0", "bb", "s0", "..", "r"), ("s0", "a", "s1", "a", "r"),
 
 
 class TestAgainstTheReference:
-    """run() and step() against _reference_drive, which shares no
-    code with the engine: not the compiled table, not the Tape."""
+    """run() against _reference_drive, which shares no code with the
+    engine: not the compiled table, not the Tape."""
 
     @settings(max_examples=200, deadline=None)
     @given(_hooked_docs(), st.text(alphabet="a", max_size=6), st.integers(1, 80),
@@ -542,26 +507,6 @@ class TestAgainstTheReference:
     @example(_sweeper(_INTO_ERASED_LEFT, one_sided=True), ["bb"] + ["a"] * 20, 200, 0, False)
     def test_sweeping_run_and_its_trace(self, doc, text, fuel, cap, with_oracle):
         _check_run(doc, text, fuel, cap, with_oracle)
-
-    @settings(max_examples=100, deadline=None)
-    @given(_hooked_docs(), st.text(alphabet="a", max_size=6), st.integers(1, 40))
-    def test_folded_steps_resolve_no_hook(self, doc, text, fuel):
-        machine = turing.attach_oracle(turing.load_machine(doc), _parity)
-        ref = _reference_start(doc, text)
-        try:
-            _reference_drive(doc, ref, fuel)
-        except DomainError:
-            ref = None
-        config = turing.initial_configuration(machine, text)
-        try:
-            while config.state not in machine.finals and config.steps < fuel:
-                config = turing.step(machine, config)
-        except turing.TransitionMissing:
-            pass
-        except DomainError:
-            assert ref is None
-            return
-        assert _engine_view(config) == _reference_view(doc, ref)
 
 
 def _check_run(doc, text, fuel, cap, with_oracle):
