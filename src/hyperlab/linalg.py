@@ -1,56 +1,19 @@
-"""Dense complex linear algebra kernel.
+"""Dense complex linear algebra, loaded by no command.
 
-States are column vectors (kets), duals are row vectors (bras), operators are
-square matrices; everything is a 2-D ``numpy`` array of ``complex128``. The
-eigensolver is a cyclic Jacobi iteration specialised to Hermitian matrices,
-small enough to audit and accurate enough to serve as the exact reference for
-the quantum module.
+States are column vectors (kets) and operators are square matrices; everything
+is a 2-D ``numpy`` array of ``complex128``. The eigensolver is a cyclic Jacobi
+iteration specialised to Hermitian matrices, small enough to audit and accurate
+enough to serve the tests as the exact reference for the quantum module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, NumericError, ShapeError
-
-# -- complex scalar family ---------------------------------------------------
-#
-# Python's builtin complex carries the arithmetic; these wrappers pin down the
-# componentwise contracts (and the zero-inverse domain error) in one place.
-
-
-def c_add(a: complex, b: complex) -> complex:
-    return complex(a) + complex(b)
-
-
-def c_mul(a: complex, b: complex) -> complex:
-    a, b = complex(a), complex(b)
-    return complex(a.real * b.real - a.imag * b.imag,
-                   a.real * b.imag + a.imag * b.real)
-
-
-def conj(a: complex) -> complex:
-    return complex(a).conjugate()
-
-
-def modulus(a: complex) -> float:
-    return abs(complex(a))
-
-
-def c_distance(a: complex, b: complex) -> float:
-    return abs(complex(a) - complex(b))
-
-
-def c_inverse(a: complex) -> complex:
-    a = complex(a)
-    m2 = a.real * a.real + a.imag * a.imag
-    if m2 == 0.0:
-        raise DomainError("zero has no multiplicative inverse")
-    return a.conjugate() / m2
-
 
 # -- matrix construction and validation --------------------------------------
 
@@ -67,10 +30,6 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.complex128)
 
 
-def zeros(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols), dtype=np.complex128)
-
-
 def ket(amplitudes) -> np.ndarray:
     """Column vector from a flat sequence of amplitudes."""
     v = np.asarray(amplitudes, dtype=np.complex128)
@@ -81,36 +40,7 @@ def ket(amplitudes) -> np.ndarray:
     return v.reshape(-1, 1)
 
 
-def bra_of(psi: np.ndarray) -> np.ndarray:
-    """Dual (conjugate transpose) of a ket: a 1 x n row vector."""
-    k = ket(psi)
-    return k.conj().T.copy()
-
-
-def _require_same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
-# -- elementwise / structural operations -------------------------------------
-
-
-def matrix_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = matrix(a), matrix(b)
-    _require_same_shape(a, b)
-    return a + b
-
-
-def matrix_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = matrix(a), matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}")
-    return a @ b
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    return matrix(a).conj().T.copy()
+# -- structural operations ---------------------------------------------------
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -118,19 +48,11 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(matrix(a), matrix(b))
 
 
-def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Block-diagonal [[a, 0], [0, b]]; dimensions add."""
-    a, b = matrix(a), matrix(b)
-    out = zeros(a.shape[0] + b.shape[0], a.shape[1] + b.shape[1])
-    out[:a.shape[0], :a.shape[1]] = a
-    out[a.shape[0]:, a.shape[1]:] = b
-    return out
-
-
 def inner_product(phi: np.ndarray, psi: np.ndarray) -> complex:
     """Sum of conj(phi_i) * psi_i; conjugate-linear in the first argument."""
     p, q = ket(phi), ket(psi)
-    _require_same_shape(p, q)
+    if p.shape != q.shape:
+        raise ShapeError(f"shape mismatch: {p.shape} vs {q.shape}")
     return complex((p.conj().T @ q)[0, 0])
 
 
@@ -138,44 +60,12 @@ def norm(psi: np.ndarray) -> float:
     return math.sqrt(max(inner_product(psi, psi).real, 0.0))
 
 
-def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(matrix(a)))
-
-
-def trace(a: np.ndarray) -> complex:
-    a = matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError("trace requires a square matrix")
-    return complex(np.trace(a))
-
-
-def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
+    """Square and within 1e-10 of its conjugate transpose, entry by entry."""
     a = matrix(a)
     if a.shape[0] != a.shape[1]:
         return False
-    return bool(np.max(np.abs(a - a.conj().T), initial=0.0) <= tol)
-
-
-# -- serialization ------------------------------------------------------------
-
-
-def to_json_dict(a: np.ndarray) -> dict:
-    a = matrix(a)
-    flat = a.reshape(-1)
-    return {
-        "rows": int(a.shape[0]),
-        "cols": int(a.shape[1]),
-        "re": [float(x) for x in flat.real],
-        "im": [float(x) for x in flat.imag],
-    }
-
-
-def from_json_dict(doc: dict) -> np.ndarray:
-    rows, cols = int(doc["rows"]), int(doc["cols"])
-    re, im = doc["re"], doc["im"]
-    if len(re) != rows * cols or len(im) != rows * cols:
-        raise ShapeError("entry count does not match rows*cols")
-    return (np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)).reshape(rows, cols)
+    return bool(np.max(np.abs(a - a.conj().T), initial=0.0) <= 1e-10)
 
 
 # -- Hermitian eigensolver -----------------------------------------------------
@@ -184,8 +74,7 @@ MAX_SWEEPS = 100
 OFF_DIAGONAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class EigenSystem:
+class EigenSystem(NamedTuple):
     """Full spectrum of a Hermitian matrix.
 
     ``values`` is ascending and real; column j of ``vectors`` is the
@@ -209,7 +98,7 @@ def _off_diagonal_mass(h: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
-def hermitian_eigensystem(h: np.ndarray, hermiticity_tol: float = 1e-10) -> EigenSystem:
+def hermitian_eigensystem(h: np.ndarray) -> EigenSystem:
     """Diagonalise a Hermitian matrix by cyclic Jacobi rotations.
 
     Each pivot (p, q) is annihilated by a complex plane rotation: the pivot's
@@ -222,10 +111,10 @@ def hermitian_eigensystem(h: np.ndarray, hermiticity_tol: float = 1e-10) -> Eige
     n = a.shape[0]
     if n != a.shape[1]:
         raise DomainError("eigensystem requires a square matrix")
-    if not is_hermitian(a, tol=hermiticity_tol):
+    if not is_hermitian(a):
         raise DomainError("matrix is not Hermitian within tolerance")
 
-    scale = max(1.0, frobenius_norm(a))
+    scale = max(1.0, float(np.linalg.norm(a)))
     threshold = OFF_DIAGONAL_TOL * scale
     v = identity(n)
 

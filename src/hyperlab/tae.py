@@ -288,12 +288,18 @@ def ashby_expected(exp: WheelExperiment) -> float:
     Freeze-successes: the slowest of N independent wheels; its mean
     sum_{t>=0} (1 - (1 - (1-p)**t)**N) is summed until the tail is
     negligible relative to the accumulated value.
+    A mean past the float range, reachable only by the first two, raises
+    :class:`DomainError`; ``ashby_expected_log2`` gives its log2.
     """
     n, p = exp.n_wheels, exp.p
-    if exp.strategy is WheelStrategy.ALL_OR_NOTHING:
-        return p**-n
-    if exp.strategy is WheelStrategy.ONE_AT_A_TIME:
-        return n / p
+    if exp.strategy is not WheelStrategy.FREEZE_SUCCESSES:
+        try:  # p**-N raises past the float range, N/p rounds to inf
+            expected = p**-n if exp.strategy is WheelStrategy.ALL_OR_NOTHING else n / p
+        except OverflowError:
+            expected = math.inf
+        if expected == math.inf:
+            raise DomainError("the expectation is past the float range; use ashby_expected_log2")
+        return expected
     # term t is at most N*q**t and the total at least 1, so the tail test
     # holds by the first t with N*q**t <= tol: at most this many terms
     terms = math.log(n / TAIL_RELATIVE_TOL) / -math.log1p(-p) + 2

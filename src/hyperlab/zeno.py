@@ -223,7 +223,7 @@ def first_superluminal_step(head_speed_step1: float, cell_pitch: float = 1.0) ->
     kept as a parameter because one could instead shrink the cells and keep
     the duration fixed, which would move the threshold.
     """
-    if head_speed_step1 <= 0 or cell_pitch <= 0:
+    if not (head_speed_step1 > 0 and cell_pitch > 0):  # NaN fails both
         raise DomainError("speed and pitch must be positive")
     n = 1
     speed = float(head_speed_step1)

@@ -332,6 +332,15 @@ class TestAshbyAnalytic:
         assert tae.ashby_expected_log2(exp) == 1000.0
         assert tae.ashby_expected(exp) == 2.0**1000
 
+    @pytest.mark.parametrize("n, strategy", [(1100, WheelStrategy.ALL_OR_NOTHING),
+                                             (10**308, WheelStrategy.ONE_AT_A_TIME)],
+                             ids=["all-or-nothing", "one-at-a-time"])
+    def test_mean_past_the_float_range_is_refused(self, n, strategy):
+        exp = WheelExperiment(n, 0.5, strategy)
+        with pytest.raises(DomainError, match="float range"):
+            tae.ashby_expected(exp)
+        assert tae.ashby_expected_log2(exp) > 1024
+
     def test_one_at_a_time_is_n_over_p(self):
         exp = WheelExperiment(10, 0.25, WheelStrategy.ONE_AT_A_TIME)
         assert tae.ashby_expected(exp) == 40.0

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -178,3 +179,7 @@ class TestSuperluminal:
         with pytest.raises(DomainError):
             zeno.first_superluminal_step(0.0)
 
+    @pytest.mark.parametrize("speed, pitch", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_rejects_nan(self, speed, pitch):
+        with pytest.raises(DomainError):
+            zeno.first_superluminal_step(speed, pitch)
