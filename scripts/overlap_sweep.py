@@ -13,11 +13,10 @@ as a lattice past the budget, exits 1 with the CLI's JSON error on stderr.
 """
 
 import argparse
-import json
 import sys
 
 from hyperlab import aqc
-from hyperlab.cli import report_errors
+from hyperlab.cli import load_json, report_errors
 from hyperlab.reporting import emit_report
 
 
@@ -33,8 +32,7 @@ def main() -> int:
 
 
 def sweep(args) -> None:
-    with open(args.polynomial, encoding="utf-8") as fh:
-        poly = aqc.parse_polynomial(json.load(fh))
+    poly = aqc.parse_polynomial(load_json(args.polynomial))
     scan = aqc.scan_levels(poly, aqc.TruncatedFockSpace(poly.num_vars, args.cutoff))
 
     rows = []

@@ -142,19 +142,6 @@ class TruncatedFockSpace:
     def dimension(self) -> int:
         return (self.cutoff + 1) ** self.num_modes
 
-    def basis(self):
-        return itertools.product(range(self.cutoff + 1), repeat=self.num_modes)
-
-    def index_of(self, occupation: Sequence[int]) -> int:
-        if len(occupation) != self.num_modes:
-            raise ShapeError("occupation tuple arity mismatch")
-        idx = 0
-        for n in occupation:
-            if not 0 <= n <= self.cutoff:
-                raise DomainError(f"occupation number {n} outside 0..{self.cutoff}")
-            idx = idx * (self.cutoff + 1) + n
-        return idx
-
     def occupation_of(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.dimension:
             raise DomainError("basis index out of range")
@@ -207,15 +194,19 @@ def _lattice_runs(poly: DiophantinePolynomial, space: TruncatedFockSpace) -> Ite
     second-to-last are one C-level Horner pass per exponent, and so is a run
     of up to RUN_LENGTH values of the last. A lattice past LATTICE_BUDGET
     points, or values past VALUE_BITS_BUDGET bits, is a
-    :class:`ResourceError` before the first run.
+    :class:`ResourceError` before the first run. So is a lattice of as many
+    modes as LATTICE_BUDGET has bits, before its size is computed: at any
+    cutoff above 0 it is past the budget.
     """
     if poly.num_vars != space.num_modes:
         raise ShapeError(
             f"polynomial has {poly.num_vars} variables but the space has "
             f"{space.num_modes} modes")
-    if space.dimension > LATTICE_BUDGET:
+    modes = LATTICE_BUDGET.bit_length() - 1  # 2**(modes + 1) points are past the budget
+    if space.num_modes > modes or space.dimension > LATTICE_BUDGET:
         raise ResourceError(
-            f"lattice of {space.dimension} points exceeds the budget {LATTICE_BUDGET}")
+            f"lattice of ({space.cutoff}+1)**{space.num_modes} points is past the budget of "
+            f"{LATTICE_BUDGET} points and {modes} modes")
     bits = _value_bits_bound(poly, space.cutoff)
     if bits > VALUE_BITS_BUDGET:
         raise ResourceError(

@@ -27,7 +27,7 @@ import math
 import sys
 from typing import TYPE_CHECKING, Callable
 
-from .errors import DomainError, HyperlabError
+from .errors import DomainError, HyperlabError, ParseError
 from .reporting import Table, emit_report, report_pieces
 
 if TYPE_CHECKING:
@@ -149,16 +149,22 @@ def build_parser() -> argparse.ArgumentParser:
 # -- command handlers -----------------------------------------------------------
 
 
-def _load_json(path: str) -> dict:
+def load_json(path: str):
+    """The JSON document at path. Text that is not UTF-8 JSON, or that the
+    decoder cannot turn into values (an integer past the interpreter's digit
+    limit, nesting past its recursion limit), is a :class:`ParseError`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+            raise ParseError(str(exc)) from None
 
 
 def _cmd_tm_run(args) -> dict:
     from . import turing
 
     fuel = turing.DEFAULT_FUEL if args.fuel is None else args.fuel
-    machine = turing.load_machine(_load_json(args.machine))
+    machine = turing.load_machine(load_json(args.machine))
     outcome = turing.run(machine, args.input, fuel=fuel, trace=args.trace)
     report = {
         "command": "tm run",
@@ -166,12 +172,12 @@ def _cmd_tm_run(args) -> dict:
         "steps": outcome.config.steps,
         "final_state": outcome.config.state,
         "tape": outcome.config.tape_text(),
-        "head": outcome.config.heads[0],
+        "head": outcome.config.head,
         "oracle_consultations": outcome.oracle_consultations,
     }
     if outcome.trace is not None:
         report["trace"] = [
-            {"state": c.state, "head": c.heads[0], "steps": c.steps,
+            {"state": c.state, "head": c.head, "steps": c.steps,
              "tape": c.tape_text()}
             for c in outcome.trace
         ]
@@ -318,7 +324,7 @@ def _cmd_zeno_lamp(args) -> dict:
 def _cmd_zeno_halting(args) -> dict:
     from . import turing, zeno
 
-    machine = turing.load_machine(_load_json(args.machine))
+    machine = turing.load_machine(load_json(args.machine))
     result = zeno.atm_halting_flag(machine, args.input, fuel=args.fuel)
     return {
         "command": "zeno halting",
@@ -376,7 +382,7 @@ def _cmd_enum_list(args) -> Table:
 def _cmd_aqc_solve(args) -> dict:
     from . import aqc
 
-    poly = aqc.parse_polynomial(_load_json(args.polynomial))
+    poly = aqc.parse_polynomial(load_json(args.polynomial))
     if args.oracle_only:
         energy, winners = aqc.exact_ground_oracle(poly, args.cutoff)
         return {
@@ -404,9 +410,8 @@ def report_errors(work: Callable[[], object]) -> int:
     experiment scripts report their failures through it alike."""
     try:
         work()
-    except (HyperlabError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
-        kind = (exc.kind if isinstance(exc, HyperlabError)
-                else "parse-error" if isinstance(exc, ValueError) else "io-error")
+    except (HyperlabError, OSError) as exc:
+        kind = exc.kind if isinstance(exc, HyperlabError) else "io-error"
         print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
         return 1
     return 0

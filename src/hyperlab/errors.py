@@ -23,6 +23,12 @@ class DomainError(HyperlabError):
     kind = "domain-error"
 
 
+class ParseError(HyperlabError):
+    """A document is not UTF-8 JSON that the decoder can turn into values."""
+
+    kind = "parse-error"
+
+
 class ValidationError(HyperlabError):
     """A document or machine definition failed structural validation."""
 

@@ -6,9 +6,8 @@ can leak in. Both writers pick a formatter by a value's exact type from a
 table, else by its nearest base class in the same table: a ``Fraction``
 takes the writer of ``numbers.Rational``, so this module never imports
 ``fractions``, and it loads ``decimal`` only for an integer past the
-interpreter's digit limit. Any other integral type, such as numpy's
-integers, prints as the int it stands for; JSON refuses every remaining
-type and CSV prints it through ``str``. A report is one record or one
+interpreter's digit limit. JSON refuses every other type, numpy's integers
+among them, and CSV prints it through ``str``. A report is one record or one
 ``Table`` of columns. CSV flattens a record's nested keys with dots into one
 row, and prints a table as its header and one line per row, a block of rows
 with one ``%`` template. Exact integers and fractions are printed in full.
@@ -95,18 +94,13 @@ def format_fraction(q: numbers.Rational) -> str:
         return f"{format_int(q.numerator)}/{format_int(q.denominator)}"
 
 
-def _format_integral(value: numbers.Integral) -> str:
-    return format_int(operator.index(value))
-
-
 def _writer(writers: dict, value: Any):
-    """The writer of value's type or of its nearest base class, else the
-    integer writer for an integral value, or None."""
+    """The writer of value's type or of its nearest base class, or None."""
     for cls in type(value).__mro__:
         write = writers.get(cls)
         if write is not None:
             return write
-    return _format_integral if isinstance(value, numbers.Integral) else None
+    return None
 
 
 def _json_dict(value: dict) -> str:

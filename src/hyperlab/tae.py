@@ -57,8 +57,8 @@ def tm_kernel(machine: TuringMachine, fuel: int) -> Callable[..., int]:
         if outcome.kind is OutcomeKind.OUT_OF_FUEL:
             raise KernelDivergenceError(
                 f"kernel machine exceeded {fuel} steps on arguments {args!r}")
-        head = outcome.config.heads[0]
-        return 1 if outcome.config.tapes[0].read(head) != machine.blank else 0
+        config = outcome.config
+        return 1 if config.tapes[0].read(config.head) != machine.blank else 0
 
     return kernel
 

@@ -3,8 +3,8 @@
 Machines are quintuple programs ``(state, read) -> (state, write, move)``
 loaded from JSON documents. Tapes are unbounded in both directions and held
 in a :class:`Tape` of one-byte symbol codes; a machine may have several
-tapes, in which case one transition reads and writes all heads and moves them
-in one shared direction.
+tapes, all read and written at one head, which each transition moves in one
+direction.
 
 Each machine compiles its quintuples once into a table ``(state, read) ->
 (state, write, shift)`` over symbol codes, which the one stepping loop
@@ -28,7 +28,7 @@ from .errors import ConfigurationError, DomainError, ResourceError, ValidationEr
 MOVES = {"l": -1, "n": 0, "r": 1}
 
 DEFAULT_FUEL = 10**6
-DEFAULT_TRACE_CAP = 10**4
+TRACE_CAP = 10**4  # snapshots one traced run keeps
 FUEL_BUDGET = 10**7  # steps x tapes one drive may take; refused up front beyond this
 # characters of tape text one drive may reach, (extent + fuel) x the longest
 # symbol on each tape; refused up front beyond this
@@ -212,10 +212,6 @@ class Tape:
         self.cells = codes.encode(symbols)
         self.origin = 0
 
-    @property
-    def blank(self) -> str:
-        return self.codes.names[0]
-
     def read(self, pos: int) -> str:
         return self.codes.names[self._code(pos)]
 
@@ -257,27 +253,14 @@ class Tape:
         end = min(max(pos - self.origin, 0), len(self.cells))
         return end - self.cells.count(0, 0, end)
 
-    def __eq__(self, other) -> bool:
-        """Same blank and the same symbol in every cell, however the array is laid out."""
-        if not isinstance(other, Tape):
-            return NotImplemented
-        names, other_names = self.codes.names, other.codes.names
-        return (self.blank == other.blank and self.extent() == other.extent()
-                and [names[c] for c in self.cells.strip(b"\0")]
-                == [other_names[c] for c in other.cells.strip(b"\0")])
-
-    def __repr__(self) -> str:
-        return f"Tape(blank={self.blank!r}, extent={self.extent()}, text={self.text()!r})"
-
 
 class TapeConfiguration:
-    """Snapshot of a running machine: tapes, head positions, state."""
+    """Snapshot of a running machine: tapes, the head they share, state, steps."""
 
-    __slots__ = ("tapes", "heads", "state", "steps")
+    __slots__ = ("tapes", "head", "state", "steps")
 
-    def __init__(self, tapes: tuple[Tape, ...], heads: tuple[int, ...], state: str,
-                 steps: int = 0):
-        self.tapes, self.heads, self.state, self.steps = tapes, heads, state, steps
+    def __init__(self, tapes: tuple[Tape, ...], head: int, state: str):
+        self.tapes, self.head, self.state, self.steps = tapes, head, state, 0
 
     def tape_text(self, tape: int = 0) -> str:
         """Non-blank content of one tape, from leftmost to rightmost written cell."""
@@ -285,10 +268,10 @@ class TapeConfiguration:
 
 
 class TraceSnapshot(NamedTuple):
-    """One traced configuration: state, heads, steps and the text of each tape."""
+    """One traced configuration: state, head, steps and the text of each tape."""
 
     state: str
-    heads: tuple[int, ...]
+    head: int
     steps: int
     texts: tuple[str, ...]
 
@@ -297,7 +280,7 @@ class TraceSnapshot(NamedTuple):
 
 
 def _snapshot(config: TapeConfiguration) -> TraceSnapshot:
-    return TraceSnapshot(config.state, config.heads, config.steps,
+    return TraceSnapshot(config.state, config.head, config.steps,
                          tuple(t.text() for t in config.tapes))
 
 
@@ -429,7 +412,7 @@ def load_machine(doc: dict) -> TuringMachine:
 
 
 def initial_configuration(machine: TuringMachine, input_symbols: str = "") -> TapeConfiguration:
-    """Write the input on tape 0 starting at cell 0; all heads start at 0.
+    """Write the input on tape 0 starting at cell 0; the head starts at 0.
 
     The input is a string of one-character symbols, or a list of symbols.
     """
@@ -440,7 +423,7 @@ def initial_configuration(machine: TuringMachine, input_symbols: str = "") -> Ta
     codes = machine._codes
     tapes = (Tape(codes, input_symbols),) + tuple(
         Tape(codes) for _ in range(machine.num_tapes - 1))
-    return TapeConfiguration(tapes=tapes, heads=(0,) * machine.num_tapes, state=machine.initial)
+    return TapeConfiguration(tapes=tapes, head=0, state=machine.initial)
 
 
 # -- stepping ------------------------------------------------------------------
@@ -486,16 +469,15 @@ def _sweep_length(cells: bytearray, outside: bytes, i: int, shift: int, room: in
 
 def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
            oracle: Optional[Callable[[int], bool]] = None,
-           snapshots: Optional[list[TraceSnapshot]] = None,
-           trace_cap: int = DEFAULT_TRACE_CAP) -> tuple[OutcomeKind, int]:
+           snapshots: Optional[list[TraceSnapshot]] = None) -> tuple[OutcomeKind, int]:
     """Step ``config`` in place until it halts, sticks or reaches ``fuel`` steps.
 
     Before each step a given oracle answers the ask-state, at no fuel cost.
     Returns the outcome kind and the number of oracle consultations.
 
-    Every head starts at cell 0, as :func:`run` sets them, and all move by
-    one shared shift, so the loop keeps one head and reads and writes every
-    tape at it.
+    The configuration's one head reads and writes every tape. Given
+    snapshots, it appends one after each step while they number fewer than
+    TRACE_CAP.
 
     The inner loop steps on the compiled table with the head, the state and
     the step count in locals, and writes tape 0's array in place; only a
@@ -536,12 +518,12 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
     table, one_sided = machine._table, machine.one_sided
     tape, others = config.tapes[0], config.tapes[1:]
     cells = tape.cells
-    trace_left = max(0, trace_cap - len(snapshots)) if snapshots is not None else 0
+    trace_left = max(0, TRACE_CAP - len(snapshots)) if snapshots is not None else 0
     kept = sum(len(text) for snap in snapshots for text in snap.texts) if trace_left else 0
     consultations = 0
     while True:
         if config.state == ask:
-            answer = oracle(tape.marks_left_of(config.heads[0]))
+            answer = oracle(tape.marks_left_of(config.head))
             config.state = yes if answer else no
             consultations += 1
         if config.state in finals:
@@ -549,7 +531,7 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
         if config.steps >= fuel:
             return OutcomeKind.OUT_OF_FUEL, consultations
         origin, size = tape.origin, len(cells)
-        head, state, steps = config.heads[0], config.state, config.steps
+        head, state, steps = config.head, config.state, config.steps
         row = table.get(state)
         if row is None:
             return OutcomeKind.STUCK, consultations
@@ -597,8 +579,7 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
                 if state in stops or steps >= fuel or trace_left:
                     break
         finally:
-            config.heads = (head,) * tapes
-            config.state, config.steps = state, steps
+            config.head, config.state, config.steps = head, state, steps
         if trace_left:
             snapshot = _snapshot(config)
             kept += sum(map(len, snapshot.texts))
@@ -615,19 +596,17 @@ def run(
     input_symbols: str = "",
     fuel: int = DEFAULT_FUEL,
     trace: bool = False,
-    trace_cap: int = DEFAULT_TRACE_CAP,
 ) -> RunOutcome:
     """Run until a final state, a missing transition, or fuel exhaustion.
 
     Oracle consultations resolve the ask-state without consuming fuel. The
-    optional trace holds at most ``trace_cap`` snapshots; each keeps the
-    text of every tape rather than a copy of it.
+    optional trace holds at most TRACE_CAP snapshots; each keeps the text of
+    every tape rather than a copy of it.
     """
     if fuel < 1:
         raise DomainError("fuel must be a positive integer")
     config = initial_configuration(machine, input_symbols)
     snapshots = [_snapshot(config)] if trace else None
-    kind, consultations = _drive(machine, config, fuel, machine.oracle, snapshots=snapshots,
-                                 trace_cap=trace_cap)
+    kind, consultations = _drive(machine, config, fuel, machine.oracle, snapshots=snapshots)
     return RunOutcome(kind, config, consultations, snapshots)
 

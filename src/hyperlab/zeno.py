@@ -145,13 +145,13 @@ def lamp_toggle_count(t: TimeLike) -> int:
     return 0 if got is None else got + 1
 
 
-def thomson_lamp(t: TimeLike, start_on: bool = True) -> LampState:
+def thomson_lamp(t: TimeLike) -> LampState:
     """Lamp state at time t under the documented phase convention.
 
-    The lamp switches on at t = 0 (configurable via ``start_on``) and toggles
-    at every instant zeno_time(n), n >= 0. The state is only defined before
-    the supertask limit; at and beyond it no finite parity constrains the
-    lamp, so the function answers UNDEFINED there rather than pick a value.
+    The lamp switches on at t = 0 and toggles at every instant zeno_time(n),
+    n >= 0. The state is only defined before the supertask limit; at and
+    beyond it no finite parity constrains the lamp, so the function answers
+    UNDEFINED there rather than pick a value.
     """
     instant = _exact(t, "t")
     if instant < 0:
@@ -159,8 +159,7 @@ def thomson_lamp(t: TimeLike, start_on: bool = True) -> LampState:
     if instant >= LIMIT:
         return LampState.UNDEFINED
     toggles = lamp_toggle_count(instant)
-    lit = bool(start_on) ^ (toggles % 2 == 1)
-    return LampState.ON if lit else LampState.OFF
+    return LampState.ON if toggles % 2 == 0 else LampState.OFF
 
 
 # -- halting flag on an accelerated run --------------------------------------------
@@ -213,18 +212,15 @@ def atm_halting_flag(
 # -- superluminal threshold ---------------------------------------------------------
 
 
-def first_superluminal_step(head_speed_step1: float, cell_pitch: float = 1.0) -> int:
+def first_superluminal_step(head_speed_step1: float) -> int:
     """First step (1-based) whose head speed must exceed the speed of light.
 
     Step n lasts ``2**-(n-1)`` times the first step's duration while the head
-    still crosses one cell pitch, so the required speed doubles every step:
-    speed(n) = head_speed_step1 * 2**(n-1). The pitch fixes the first step's
-    duration (pitch / speed1) but cancels out of the threshold itself; it is
-    kept as a parameter because one could instead shrink the cells and keep
-    the duration fixed, which would move the threshold.
+    still crosses one cell, so the required speed doubles every step:
+    speed(n) = head_speed_step1 * 2**(n-1), whatever the cell pitch.
     """
-    if not (head_speed_step1 > 0 and cell_pitch > 0):  # NaN fails both
-        raise DomainError("speed and pitch must be positive")
+    if not head_speed_step1 > 0:  # NaN fails too
+        raise DomainError("speed must be positive")
     n = 1
     speed = float(head_speed_step1)
     while speed <= SPEED_OF_LIGHT:

@@ -8,6 +8,7 @@ scans) -- never copied from the implementation under test.
 """
 
 import io
+import itertools
 import json
 import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
@@ -48,7 +49,8 @@ def _evolve_x_minus_2(total_time: float, dt: float = 0.01):
     populations = [abs(result.amplitudes[j]) ** 2 / scan.multiplicities[j]
                    for j in scan.level_of]
     _, winners = aqc.exact_ground_oracle(poly, space.cutoff)
-    overlap = sum(populations[space.index_of(w)] for w in winners) / sum(populations)
+    order = list(itertools.product(range(space.cutoff + 1), repeat=space.num_modes))
+    overlap = sum(populations[order.index(w)] for w in winners) / sum(populations)
     return result, overlap
 
 

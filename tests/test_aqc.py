@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -29,6 +30,11 @@ CUBES_PLUS_XYZ = {"vars": 3, "terms": [
     [1, [0, 0, 3]], [3, [0, 0, 2]], [3, [0, 0, 1]],
     [3, [0, 0, 0]], [1, [1, 1, 1]],
 ]}
+
+
+def lattice(space: TruncatedFockSpace):
+    """Every occupation tuple of the space in lexicographic order, its basis order."""
+    return itertools.product(range(space.cutoff + 1), repeat=space.num_modes)
 
 
 def uniform_ket(space: TruncatedFockSpace) -> np.ndarray:
@@ -112,18 +118,14 @@ class TestFockSpace:
     def test_dimension(self):
         assert TruncatedFockSpace(3, 4).dimension == 125
 
-    def test_index_tuple_bijection(self):
-        space = TruncatedFockSpace(2, 3)
-        seen = set()
-        for i, tup in enumerate(space.basis()):
-            assert space.index_of(tup) == i
-            assert space.occupation_of(i) == tup
-            seen.add(tup)
-        assert len(seen) == space.dimension
-
     def test_lexicographic_order(self):
-        space = TruncatedFockSpace(2, 1)
-        assert list(space.basis()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert list(lattice(TruncatedFockSpace(2, 1))) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        for space in (TruncatedFockSpace(1, 0), TruncatedFockSpace(2, 3),
+                      TruncatedFockSpace(3, 2)):
+            assert [space.occupation_of(i) for i in range(space.dimension)] == list(
+                lattice(space))
+            with pytest.raises(DomainError, match="out of range"):
+                space.occupation_of(space.dimension)
 
 
 class TestProblemHamiltonian:
@@ -162,7 +164,7 @@ class TestProblemHamiltonian:
         diagonal = problem_diagonal(poly, space)
         energy, winners = aqc.exact_ground_oracle(poly, 3)
         assert np.min(diagonal) == energy
-        assert diagonal[space.index_of(winners[0])] == energy
+        assert diagonal[list(lattice(space)).index(winners[0])] == energy
 
     def test_spectrum_agrees_with_eigensolver(self):
         poly = aqc.parse_polynomial(X_MINUS_2)
@@ -684,7 +686,7 @@ class TestLatticeRuns:
             patch.setattr(aqc, "RUN_LENGTH", run_length)
             runs = list(aqc._lattice_runs(poly, space))
         assert [value for run in runs for value in run] == [
-            poly.evaluate(n) for n in space.basis()]
+            poly.evaluate(n) for n in lattice(space)]
         # each row of the last coordinate splits into full runs and a shorter last one
         per_row = -(-(cutoff + 1) // run_length)
         assert len(runs) == (cutoff + 1) ** (poly.num_vars - 1) * per_row
@@ -699,12 +701,12 @@ class TestLatticeRuns:
     def test_oracle_and_level_scan_match_brute_force(self, problem):
         poly, cutoff, run_length = problem
         space = TruncatedFockSpace(poly.num_vars, cutoff)
-        squares = [poly.evaluate(n) ** 2 for n in space.basis()]
+        squares = [poly.evaluate(n) ** 2 for n in lattice(space)]
         low = min(squares)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(aqc, "RUN_LENGTH", run_length)
             assert aqc.exact_ground_oracle(poly, cutoff) == (
-                low, [n for n, p in zip(space.basis(), squares) if p == low])
+                low, [n for n, p in zip(lattice(space), squares) if p == low])
             scan = aqc.scan_levels(poly, space)
         assert list(scan.levels) == sorted(set(squares))
         assert [scan.levels[j] for j in scan.level_of] == squares
@@ -789,7 +791,7 @@ class TestStructuredOperators:
         poly, cutoff = problem
         space = TruncatedFockSpace(poly.num_vars, cutoff)
         scan = aqc.scan_levels(poly, space)
-        values = [poly.evaluate(n) ** 2 for n in space.basis()]
+        values = [poly.evaluate(n) ** 2 for n in lattice(space)]
         assert list(scan.levels) == sorted(set(values))
         assert list(scan.multiplicities) == [values.count(p) for p in scan.levels]
         assert [scan.levels[j] for j in scan.level_of] == values

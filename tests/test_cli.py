@@ -249,6 +249,11 @@ class TestErrors:
         ["aqc", "solve", "{poly}", "--cutoff", "4", "--time", "1e300", "--dt", "1e-300"],
         ["aqc", "solve", "{long}", "--cutoff", "6", "--oracle-only"],
         ["aqc", "solve", "{long}", "--cutoff", "6"],
+        # 5000 and 10**7 variables, refused before (cutoff + 1)**k is computed:
+        # printing 10**5000 raised, and computing 3**(10**7) took 7-9 s
+        ["aqc", "solve", "{many}", "--cutoff", "9"],
+        ["aqc", "solve", "{many}", "--cutoff", "9", "--oracle-only"],
+        ["aqc", "solve", "{vast}", "--cutoff", "2"],
         # 19 levels x 10**7 steps
         ["aqc", "solve", "{poly}", "--cutoff", "20", "--time", "10000", "--dt", "0.001"],
     ], ids=" ".join)
@@ -260,9 +265,11 @@ class TestErrors:
         wide_doc = self_loop_doc()
         wide_doc["alphabet"].append("w" * 20)
         wide = write_json("wide.json", wide_doc)
+        docs = dict(loop=loop, poly=poly, long=long, wide=wide,
+                    many=write_json("many.json", {"vars": 5000, "terms": []}),
+                    vast=write_json("vast.json", {"vars": 10**7, "terms": []}))
         start = time.monotonic()
-        status, out, err = run_cli([arg.format(loop=loop, poly=poly, long=long, wide=wide)
-                                    for arg in argv])
+        status, out, err = run_cli([arg.format(**docs) for arg in argv])
         assert time.monotonic() - start < 1.0
         assert status == 1 and out == ""
         payload = json.loads(err)
@@ -371,6 +378,41 @@ class TestErrors:
         status, _, err = run_cli(["tm", "run", str(path)])
         assert status == 1
         assert json.loads(err)["error"] == "parse-error"
+
+    # JSON the decoder reads but cannot turn into values: an integer literal
+    # past the interpreter's 4300-digit limit, and arrays nested past its
+    # recursion limit
+    @pytest.mark.parametrize("command, text", [
+        ("tm run", json.dumps(successor_doc())[:-1] + ', "comment": ' + "7" * 5000 + "}"),
+        ("zeno halting", "[" * 10**5 + "]" * 10**5),
+        ("tm run", "[" * 10**5 + "]" * 10**5),
+        ("aqc solve", '{"vars": 1, "terms": [[' + "9" * 5000 + ", [1]]]}"),
+        ("aqc solve", "[" * 10**5 + "]" * 10**5),
+    ], ids=["tm-run-long-integer", "zeno-halting-deep", "tm-run-deep", "aqc-solve-long-integer",
+            "aqc-solve-deep"])
+    def test_document_without_values_is_a_parse_error(self, tmp_path, command, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        cutoff = ["--cutoff", "2"] if command == "aqc solve" else []
+        start = time.monotonic()
+        status, out, err = run_cli([*command.split(), str(path), *cutoff])
+        assert time.monotonic() - start < 1.0
+        assert status == 1 and out == ""
+        assert json.loads(err)["error"] == "parse-error"
+
+    # a lattice of 24 or more modes is past the budget at any cutoff from 1
+    # on, so it is refused even at cutoff 0, where it has one point
+    @pytest.mark.parametrize("flags", [[], ["--oracle-only"]], ids=["evolve", "oracle-only"])
+    def test_one_point_lattices_are_answered_up_to_23_variables(self, write_json, flags):
+        answered = write_json("23.json", {"vars": 23, "terms": [[1, [1] * 23]]})
+        status, out, _ = run_cli(["aqc", "solve", answered, "--cutoff", "0", *flags])
+        assert status == 0 and json.loads(out)["ground_energy"] == 0
+        refused = write_json("24.json", {"vars": 24, "terms": [[1, [1] * 24]]})
+        status, out, err = run_cli(["aqc", "solve", refused, "--cutoff", "0", *flags])
+        assert status == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "resource-error"
+        assert "(0+1)**24 points is past the budget" in payload["message"]
 
     def test_emission_error_leaves_no_output_file(self, tmp_path):
         # one trial has an infinite standard error, which no report may hold

@@ -109,14 +109,23 @@ def test_wheel_strategies_emits_rows():
     ("wheel_strategies.py", ["--wheels", "2", "--trials", "20000000"], "resource-error"),
     # 8 variables at cutoff 9: 10**8 lattice points, refused before the scan
     ("overlap_sweep.py", ["{big}", "--cutoff", "9"], "resource-error"),
+    # 5000 variables: refused before the lattice's 5,001-digit size is computed
+    ("overlap_sweep.py", ["{wide}", "--cutoff", "9"], "resource-error"),
     ("overlap_sweep.py", ["{missing}"], "io-error"),
-], ids=["trials-past-budget", "lattice-past-budget", "missing-document"])
+    # JSON the decoder cannot turn into values
+    ("overlap_sweep.py", ["{long_integer}"], "parse-error"),
+    ("overlap_sweep.py", ["{deep}"], "parse-error"),
+], ids=["trials-past-budget", "lattice-past-budget", "variables-past-budget",
+        "missing-document", "integer-past-digit-limit", "nesting-past-recursion-limit"])
 def test_failures_are_structured_json(tmp_path, name, args, kind):
-    big = tmp_path / "big.json"
-    big.write_text(json.dumps({"vars": 8, "terms": [[1, [1] * 8], [-1, [0] * 8]]}))
-    missing = tmp_path / "missing.json"
+    paths = {key: tmp_path / f"{key}.json"
+             for key in ("big", "wide", "missing", "long_integer", "deep")}
+    paths["big"].write_text(json.dumps({"vars": 8, "terms": [[1, [1] * 8], [-1, [0] * 8]]}))
+    paths["wide"].write_text(json.dumps({"vars": 5000, "terms": []}))
+    paths["long_integer"].write_text('{"vars": 1, "terms": [[' + "9" * 5000 + ", [1]]]}")
+    paths["deep"].write_text("[" * 10**5 + "]" * 10**5)
     start = time.monotonic()
-    proc = run_script(name, *[a.format(big=big, missing=missing) for a in args])
+    proc = run_script(name, *[a.format(**paths) for a in args])
     assert time.monotonic() - start < 10.0
     assert proc.returncode == 1 and proc.stdout == ""
     assert "Traceback" not in proc.stderr

@@ -1,6 +1,7 @@
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -59,14 +60,14 @@ class TestStep:
     def test_skip_right_leaves_tape(self, successor):
         outcome = turing.run(successor, "1", fuel=1)
         assert outcome.kind is OutcomeKind.OUT_OF_FUEL
-        assert outcome.config.heads == (1,)
+        assert outcome.config.head == 1
         assert outcome.config.tape_text() == "1"
         assert outcome.config.steps == 1
 
     def test_no_movement_keeps_head(self):
         machine = turing.load_machine(self_loop_doc())
         outcome = turing.run(machine, fuel=1)
-        assert outcome.config.heads == (0,) and outcome.config.steps == 1
+        assert outcome.config.head == 0 and outcome.config.steps == 1
 
     def test_multitape_rule_consumes_and_writes_pairs(self):
         doc = {
@@ -86,8 +87,8 @@ class TestStep:
         assert outcome.kind is OutcomeKind.HALTED
         assert outcome.config.tape_text(tape=0) == "aaa"
         assert outcome.config.tape_text(tape=1) == "aaa"
-        # one shared move per transition: heads stay aligned
-        assert outcome.config.heads == (3, 3)
+        # one head over both tapes, moved once per transition
+        assert outcome.config.head == 3
 
 
 class TestRun:
@@ -118,7 +119,8 @@ class TestRun:
         assert outcome.kind is OutcomeKind.STUCK
 
     def test_trace_is_bounded(self, self_loop):
-        outcome = turing.run(self_loop, "", fuel=30, trace=True, trace_cap=5)
+        with mock.patch.object(turing, "TRACE_CAP", 5):
+            outcome = turing.run(self_loop, "", fuel=30, trace=True)
         assert len(outcome.trace) == 5
 
     def test_input_validated(self, successor):
@@ -168,7 +170,7 @@ class TestFuelMonotonicity:
                 again = turing.run(machine, text, fuel=max(fuel, 1))
                 assert again.kind is first.kind
                 assert again.config.steps == first.config.steps
-                assert again.config.tapes == first.config.tapes
+                assert _engine_view(again.config) == _engine_view(first.config)
         assert settled >= 10  # the corpus must actually exercise the property
 
 
@@ -230,15 +232,15 @@ class TestTrace:
     def test_snapshots_match_stepped_configurations(self, case, fuel, cap):
         doc, text = case
         machine = turing.load_machine(doc)
-        outcome = turing.run(machine, text, fuel=fuel, trace=True, trace_cap=cap)
+        with mock.patch.object(turing, "TRACE_CAP", cap):
+            outcome = turing.run(machine, text, fuel=fuel, trace=True)
         ref = _reference_start(doc, text)
         trace = [_reference_view(doc, ref)[:4]]  # the starting configuration
         _reference_drive(doc, ref, fuel, trace=trace)
         expected = trace[:cap]
         assert len(outcome.trace) == len(expected)
         for snap, (state, head, steps, texts) in zip(outcome.trace, expected):
-            assert (snap.state, snap.heads, snap.steps) == (
-                state, (head,) * machine.num_tapes, steps)
+            assert (snap.state, snap.head, snap.steps) == (state, head, steps)
             for tape in range(machine.num_tapes):
                 assert snap.tape_text(tape) == texts[tape]
 
@@ -269,7 +271,7 @@ class TestTrace:
         tape = turing.Tape(turing.SymbolCodes("__", ["a", "XY"]))
         for pos, symbol in {-2: "a", 0: "__", 1: "XY", 3: "__"}.items():
             tape.write(pos, symbol)
-        cfg = turing.TapeConfiguration(tapes=(tape,), heads=(0,), state="go")
+        cfg = turing.TapeConfiguration(tapes=(tape,), head=0, state="go")
         assert cfg.tape_text() == "a____XY"
 
 
@@ -306,8 +308,9 @@ class TestTape:
         for pos in sorted(model, reverse=True):
             rebuilt.write(pos, model[pos])
             shifted.write(pos + 1, model[pos])
-        assert rebuilt == tape
-        assert (shifted == tape) is (not model)
+        assert (rebuilt.text(), rebuilt.extent()) == (tape.text(), tape.extent())
+        assert ((shifted.text(), shifted.extent()) == (tape.text(), tape.extent())) is (
+            not model)
 
 
 # -- an independent reference stepper ---------------------------------------------
@@ -376,10 +379,9 @@ def _reference_view(doc, ref):
 
 
 def _engine_view(config):
-    assert config.heads == (config.heads[0],) * len(config.tapes)  # one shared move
     texts = tuple(t.text() for t in config.tapes)
     extents = tuple(t.extent() for t in config.tapes)
-    return config.state, config.heads[0], config.steps, texts, extents
+    return config.state, config.head, config.steps, texts, extents
 
 
 @st.composite
@@ -510,30 +512,33 @@ class TestAgainstTheReference:
 
 
 def _check_run(doc, text, fuel, cap, with_oracle):
-    """run() with a trace, and an untraced drive, against the reference."""
+    """run() with a trace of at most cap snapshots, and an untraced drive,
+    against the reference."""
     machine = turing.load_machine(doc)
     oracle = _parity if with_oracle else None
     if with_oracle:
         machine = turing.attach_oracle(machine, oracle)
     ref, trace = _reference_start(doc, text), []
+    capped = mock.patch.object(turing, "TRACE_CAP", cap)
     try:
         kind = _reference_drive(doc, ref, fuel, oracle, trace=trace)
     except DomainError:
-        with pytest.raises(DomainError, match="one-sided"):
-            turing.run(machine, text, fuel=fuel, trace=True, trace_cap=cap)
+        with capped, pytest.raises(DomainError, match="one-sided"):
+            turing.run(machine, text, fuel=fuel, trace=True)
         # untraced, the drive stops where the reference raised
         config = turing.initial_configuration(machine, text)
         with pytest.raises(DomainError, match="one-sided"):
             turing._drive(machine, config, fuel, oracle)
         assert _engine_view(config) == _reference_view(doc, ref)
         return
-    outcome = turing.run(machine, text, fuel=fuel, trace=True, trace_cap=cap)
+    with capped:
+        outcome = turing.run(machine, text, fuel=fuel, trace=True)
     assert outcome.kind is kind
     assert outcome.oracle_consultations == ref.asked
     assert _engine_view(outcome.config) == _reference_view(doc, ref)
     # the first snapshot, of the starting configuration, is kept at any cap
     expected = ([_reference_view(doc, _reference_start(doc, text))[:4]] + trace)[:max(cap, 1)]
-    assert [(s.state, s.heads[0], s.steps, s.texts) for s in outcome.trace] == expected
+    assert [(s.state, s.head, s.steps, s.texts) for s in outcome.trace] == expected
     untraced = turing.run(machine, text, fuel=fuel)
     assert untraced.kind is kind
     assert _engine_view(untraced.config) == _reference_view(doc, ref)

@@ -130,9 +130,6 @@ class TestThomsonLamp:
         with pytest.raises(DomainError):
             zeno.thomson_lamp(-0.5)
 
-    def test_phase_convention_is_configurable(self):
-        assert zeno.thomson_lamp(Fraction(1, 2), start_on=False) is LampState.OFF
-
     @given(st.integers(0, 200))
     def test_parity_flips_exactly_at_toggles(self, n):
         before = zeno.thomson_lamp(zeno.zeno_time(n) - Fraction(1, 2**(n + 2)))
@@ -179,7 +176,6 @@ class TestSuperluminal:
         with pytest.raises(DomainError):
             zeno.first_superluminal_step(0.0)
 
-    @pytest.mark.parametrize("speed, pitch", [(math.nan, 1.0), (1.0, math.nan)])
-    def test_rejects_nan(self, speed, pitch):
+    def test_rejects_nan(self):
         with pytest.raises(DomainError):
-            zeno.first_superluminal_step(speed, pitch)
+            zeno.first_superluminal_step(math.nan)
