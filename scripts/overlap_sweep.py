@@ -33,7 +33,7 @@ def main() -> int:
 
 def sweep(args) -> None:
     poly = aqc.parse_polynomial(load_json(args.polynomial))
-    scan = aqc.scan_levels(poly, aqc.TruncatedFockSpace(poly.num_vars, args.cutoff))
+    scan = aqc.scan_levels(poly, args.cutoff)
 
     rows = []
     for total_time in args.times:

@@ -39,6 +39,7 @@ from .errors import (
     ShapeError,
     StabilityError,
     ValidationError,
+    shown,
 )
 from .variates import multinomial
 
@@ -82,7 +83,7 @@ class DiophantinePolynomial(NamedTuple):
 def _integer(value, what: str) -> int:
     """An exact JSON integer; floats, strings and booleans are not coerced."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
+        raise ValidationError(f"{what} must be an integer, got {shown(value)}")
     return value
 
 
@@ -93,30 +94,32 @@ def parse_polynomial(doc: dict) -> DiophantinePolynomial:
     zero-coefficient terms are dropped as canonicalisation. Every malformed
     document raises :class:`ValidationError`.
     """
+    if not isinstance(doc, dict):
+        raise ValidationError(f"polynomial document must be a JSON object, got {shown(doc)}")
     try:
         num_vars = _integer(doc["vars"], "vars")
         raw_terms = doc["terms"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValidationError(f"malformed polynomial document: {exc}") from None
     if num_vars < 1:
         raise ValidationError("polynomial needs at least one variable")
     if not isinstance(raw_terms, (list, tuple)):
-        raise ValidationError(f"terms must be a list, got {raw_terms!r}")
+        raise ValidationError(f"terms must be a list, got {shown(raw_terms)}")
     seen: set[tuple[int, ...]] = set()
     terms: list[tuple[int, tuple[int, ...]]] = []
     for entry in raw_terms:
         if (not isinstance(entry, (list, tuple)) or len(entry) != 2
                 or not isinstance(entry[1], (list, tuple))):
-            raise ValidationError(f"term must be [coefficient, exponents], got {entry!r}")
+            raise ValidationError(f"term must be [coefficient, exponents], got {shown(entry)}")
         coeff = _integer(entry[0], "coefficient")
         exps = tuple(_integer(e, "exponent") for e in entry[1])
         if len(exps) != num_vars:
             raise ValidationError(
-                f"exponent vector {exps!r} does not match {num_vars} variables")
+                f"exponent vector {shown(exps)} does not match {num_vars} variables")
         if any(e < 0 for e in exps):
             raise ValidationError("exponents must be naturals")
         if exps in seen:
-            raise ValidationError(f"duplicate exponent vector {exps!r}")
+            raise ValidationError(f"duplicate exponent vector {shown(exps)}")
         seen.add(exps)
         if coeff != 0:
             terms.append((coeff, exps))
@@ -198,10 +201,6 @@ def _lattice_runs(poly: DiophantinePolynomial, space: TruncatedFockSpace) -> Ite
     modes as LATTICE_BUDGET has bits, before its size is computed: at any
     cutoff above 0 it is past the budget.
     """
-    if poly.num_vars != space.num_modes:
-        raise ShapeError(
-            f"polynomial has {poly.num_vars} variables but the space has "
-            f"{space.num_modes} modes")
     modes = LATTICE_BUDGET.bit_length() - 1  # 2**(modes + 1) points are past the budget
     if space.num_modes > modes or space.dimension > LATTICE_BUDGET:
         raise ResourceError(
@@ -279,15 +278,16 @@ class LevelScan(NamedTuple):
 
 
 def scan_levels(
-    poly: DiophantinePolynomial, space: TruncatedFockSpace, max_levels: int = LEVEL_BUDGET
+    poly: DiophantinePolynomial, cutoff: int, max_levels: int = LEVEL_BUDGET
 ) -> LevelScan:
-    """Evaluate D**2 once at every lattice point and group the points by value.
+    """Evaluate D**2 once at every lattice point up to the cutoff and group the points by value.
 
     Memory is one 4-byte index per point and one dictionary entry per
     distinct level; the lattice budgets are checked before the first
     evaluation, and the scan stops with :class:`ResourceError` after the run
     that holds the first level past ``max_levels``.
     """
+    space = TruncatedFockSpace(poly.num_vars, cutoff)
     first_seen: dict[int, int] = {}
     seen = array("I")  # the first-seen rank of each point's value
     for run in _lattice_runs(poly, space):
@@ -531,8 +531,7 @@ def decide(
     if cutoff < 0 or total_time == 0 or not 1 <= shots <= MAX_SHOTS:
         raise DomainError(
             f"cutoff must be a natural number, time positive and shots in 1..{MAX_SHOTS}")
-    space = TruncatedFockSpace(poly.num_vars, cutoff)
-    scan = scan_levels(poly, space,
+    scan = scan_levels(poly, cutoff,
                        min(LEVEL_BUDGET, LEVEL_STEP_BUDGET // _step_count(total_time, dt)))
     evolved = evolve_from_uniform(scan, total_time, dt)
     samples = sample_levels(scan, [abs(x) ** 2 for x in evolved.amplitudes], shots, seed)

@@ -156,8 +156,11 @@ def load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ParseError(str(exc)) from None
+        except ValueError:  # an int past the digit limit; its own text names a call, not a flag
+            raise ParseError(
+                f"integer literal longer than {sys.get_int_max_str_digits()} digits") from None
 
 
 def _cmd_tm_run(args) -> dict:
@@ -206,10 +209,9 @@ def _cmd_ashby(args) -> dict:
     if strategy is not tae.WheelStrategy.FREEZE_SUCCESSES:  # p**-N, N/p overflow before log2
         log2_expected = tae.ashby_expected_log2(exp)
         expected = tae.ashby_expected(exp) if log2_expected < 1020 else None
-    else:  # one sum of the series gives both
+    else:  # one sum gives both; its SERIES_TERM_BUDGET terms of at most 1 stay below 2**1020
         expected = tae.ashby_expected(exp)
         log2_expected = math.log2(expected)
-        expected = expected if log2_expected < 1020 else None
     report = {
         "command": "tae ashby",
         "wheels": args.wheels,

@@ -1,8 +1,21 @@
-"""Shared exception types.
+"""Shared exception types, and how their messages quote a value.
 
 Every module raises subclasses of :class:`HyperlabError` so the CLI can map
 failures onto structured error reports with a single handler.
 """
+
+SHOWN_LENGTH = 80  # characters of a value's repr that a message quotes
+
+
+def shown(value) -> str:
+    """``repr(value)`` when it is at most SHOWN_LENGTH characters, else the
+    start of it with the value's type and size, so that a message quoting a
+    value from a document stays short however large the document is."""
+    text = repr(value)
+    if len(text) <= SHOWN_LENGTH:
+        return text
+    size = len(value) if isinstance(value, (str, list, tuple, dict)) else len(text)
+    return f"{text[:SHOWN_LENGTH]}... ({type(value).__name__} of length {size})"
 
 
 class HyperlabError(Exception):

@@ -11,18 +11,12 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
 
 from .errors import DomainError
 
-
-class PhysicalConstants(NamedTuple):
-    c: float = 299_792_458.0  # speed of light, m/s
-    h: float = 6.62607015e-34  # Planck constant, J*s
-    a: float = 5.29177210903e-11  # Bohr radius (hydrogen), m
-
-
-CONSTANTS = PhysicalConstants()
+SPEED_OF_LIGHT = 299_792_458.0  # c, m/s
+PLANCK = 6.62607015e-34  # h, J*s
+BOHR_RADIUS = 5.29177210903e-11  # a, of hydrogen, m
 
 # rounded figure the frequency-alphabet bound is usually quoted with, in s^-1;
 # the constants above give c/a about 0.18% higher
@@ -33,7 +27,7 @@ def max_frequency_from_power(watts: float) -> float:
     """Frequency cap from power draw: f <= sqrt(2*pi*W/h) steps per second."""
     if not 0 < watts < math.inf:
         raise DomainError(f"power must be positive and finite, got {watts!r} W")
-    frequency = math.sqrt(2.0 * math.pi * watts / CONSTANTS.h)
+    frequency = math.sqrt(2.0 * math.pi * watts / PLANCK)
     if frequency == math.inf:
         raise DomainError(f"a power of {watts!r} W puts the frequency cap past the float range")
     return frequency
@@ -43,7 +37,7 @@ def min_step_energy(dt: float) -> float:
     """Uncertainty floor on the energy of a step lasting dt: E >= h/(2*pi*dt)."""
     if not 0 < dt < math.inf:
         raise DomainError(f"step duration must be positive and finite, got {dt!r} s")
-    return CONSTANTS.h / (2.0 * math.pi * dt)
+    return PLANCK / (2.0 * math.pi * dt)
 
 
 def _require_symbols(z: int) -> None:
@@ -55,31 +49,31 @@ def _require_symbols(z: int) -> None:
 def min_symbol_volume(z: int) -> float:
     """Minimum volume holding z symbols, one atomic sphere each: (4/3)*pi*a^3*z."""
     _require_symbols(z)
-    return (4.0 / 3.0) * math.pi * CONSTANTS.a**3 * z
+    return (4.0 / 3.0) * math.pi * BOHR_RADIUS**3 * z
 
 
 def min_symbol_distance(z: int) -> float:
     """Minimum distance between two of z packed symbols: d = 2*a*z**(1/3)."""
     _require_symbols(z)
-    return 2.0 * CONSTANTS.a * z ** (1.0 / 3.0)
+    return 2.0 * BOHR_RADIUS * z ** (1.0 / 3.0)
 
 
 def max_frequency_from_alphabet(z: int) -> float:
     """Signal-propagation cap: f <= c / (2*a*z**(1/3)) steps per second."""
-    return CONSTANTS.c / min_symbol_distance(z)
+    return SPEED_OF_LIGHT / min_symbol_distance(z)
 
 
 def bound_product_holds(f: float, z: int) -> bool:
     """Check f * z**(1/3) <= (1/2) * (c/a), with a relative slack of 1e-12 for roundoff."""
     _require_symbols(z)
     lhs = f * z ** (1.0 / 3.0)
-    rhs = 0.5 * CONSTANTS.c / CONSTANTS.a
+    rhs = 0.5 * SPEED_OF_LIGHT / BOHR_RADIUS
     return lhs <= rhs * (1.0 + 1e-12)
 
 
 def rate_constant_consistency() -> dict:
     """Computed (1/2)*(c/a) against the quoted rounding; gap stays under 0.5%."""
-    computed = 0.5 * CONSTANTS.c / CONSTANTS.a
+    computed = 0.5 * SPEED_OF_LIGHT / BOHR_RADIUS
     quoted = 0.5 * QUOTED_RATE_CONSTANT
     return {
         "computed_half_c_over_a": computed,

@@ -23,7 +23,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .errors import ConfigurationError, DomainError, ResourceError, ValidationError
+from .errors import ConfigurationError, DomainError, ResourceError, ValidationError, shown
 
 MOVES = {"l": -1, "n": 0, "r": 1}
 
@@ -236,14 +236,6 @@ class Tape:
                 cells.extend(bytes(max(index + 1 - len(cells), len(cells))))
         cells[index] = code
 
-    def extent(self) -> Optional[tuple[int, int]]:
-        """The leftmost and rightmost non-blank cells, or None on a blank tape."""
-        body = self.cells.lstrip(b"\0")
-        if not body:
-            return None
-        lo = self.origin + len(self.cells) - len(body)
-        return lo, lo + len(body.rstrip(b"\0")) - 1
-
     def text(self) -> str:
         """Non-blank content, from leftmost to rightmost written cell."""
         return self.codes.text(self.cells.strip(b"\0"))
@@ -305,7 +297,7 @@ class RunOutcome:
 def _required(doc, key: str, where: str):
     """doc[key] of a JSON object, or ValidationError saying what is missing."""
     if not isinstance(doc, dict):
-        raise ValidationError(f"{where} must be a JSON object, got {doc!r}")
+        raise ValidationError(f"{where} must be a JSON object, got {shown(doc)}")
     try:
         return doc[key]
     except KeyError:
@@ -314,7 +306,7 @@ def _required(doc, key: str, where: str):
 
 def _names(value, what: str) -> frozenset[str]:
     if not isinstance(value, (list, tuple)):
-        raise ValidationError(f"{what} must be a list, got {value!r}")
+        raise ValidationError(f"{what} must be a list, got {shown(value)}")
     return frozenset(str(s) for s in value)
 
 
@@ -322,9 +314,10 @@ def _as_symbol_tuple(value, num_tapes: int, what: str) -> tuple[str, ...]:
     if isinstance(value, str):
         value = [value]
     if not isinstance(value, (list, tuple)):
-        raise ValidationError(f"{what} must be a symbol or a list of symbols, got {value!r}")
+        raise ValidationError(
+            f"{what} must be a symbol or a list of symbols, got {shown(value)}")
     if len(value) != num_tapes:
-        raise ValidationError(f"{what} must list {num_tapes} symbols, got {value!r}")
+        raise ValidationError(f"{what} must list {num_tapes} symbols, got {shown(value)}")
     return tuple(str(s) for s in value)
 
 
@@ -343,27 +336,27 @@ def load_machine(doc: dict) -> TuringMachine:
     finals = _names(_required(doc, "finals", where), "finals")
     raw_transitions = _required(doc, "transitions", where)
     if not isinstance(raw_transitions, list):
-        raise ValidationError(f"transitions must be a list, got {raw_transitions!r}")
+        raise ValidationError(f"transitions must be a list, got {shown(raw_transitions)}")
 
     num_tapes = doc.get("tapes", 1)
     if not isinstance(num_tapes, int) or isinstance(num_tapes, bool):
-        raise ValidationError(f"tapes must be an integer, got {num_tapes!r}")
+        raise ValidationError(f"tapes must be an integer, got {shown(num_tapes)}")
     if num_tapes < 1:
         raise ValidationError("a machine needs at least one tape")
     if num_tapes > TAPE_BUDGET:
         raise ResourceError(f"{num_tapes} tapes are past the budget of {TAPE_BUDGET}")
     one_sided = doc.get("one_sided", False)
     if not isinstance(one_sided, bool):
-        raise ValidationError(f"one_sided must be true or false, got {one_sided!r}")
+        raise ValidationError(f"one_sided must be true or false, got {shown(one_sided)}")
     if blank not in alphabet:
-        raise ValidationError(f"blank symbol {blank!r} must be in the alphabet")
+        raise ValidationError(f"blank symbol {shown(blank)} must be in the alphabet")
     if len(alphabet) > ALPHABET_BUDGET:
         raise ResourceError(f"an alphabet of {len(alphabet)} symbols is past the budget of "
                             f"{ALPHABET_BUDGET}, the blank included")
     if initial not in states:
-        raise ValidationError(f"initial state {initial!r} is not declared")
+        raise ValidationError(f"initial state {shown(initial)} is not declared")
     if not finals <= states:
-        raise ValidationError(f"final states {sorted(finals - states)} are not declared")
+        raise ValidationError(f"final states {shown(sorted(finals - states))} are not declared")
 
     transitions: dict[tuple[str, tuple[str, ...]], tuple[str, tuple[str, ...], str]] = {}
     for number, rule in enumerate(raw_transitions):
@@ -374,16 +367,17 @@ def load_machine(doc: dict) -> TuringMachine:
         write = _as_symbol_tuple(_required(rule, "write", where), num_tapes, "write")
         move = str(_required(rule, "move", where))
         if src not in states or dst not in states:
-            raise ValidationError(f"transition {src!r}->{dst!r} references an undeclared state")
+            raise ValidationError(
+                f"transition {shown(src)}->{shown(dst)} references an undeclared state")
         for sym in read + write:
             if sym not in alphabet:
-                raise ValidationError(f"transition uses symbol {sym!r} outside the alphabet")
+                raise ValidationError(f"transition uses symbol {shown(sym)} outside the alphabet")
         if move not in MOVES:
-            raise ValidationError(f"move must be one of {sorted(MOVES)}, got {move!r}")
+            raise ValidationError(f"move must be one of {sorted(MOVES)}, got {shown(move)}")
         key = (src, read)
         if key in transitions:
             raise ValidationError(
-                f"duplicate transition for state {src!r} reading {read!r}: "
+                f"duplicate transition for state {shown(src)} reading {shown(read)}: "
                 "machines must be deterministic")
         transitions[key] = (dst, write, move)
 
@@ -394,7 +388,7 @@ def load_machine(doc: dict) -> TuringMachine:
             *(str(_required(osd, key, "oracle_states")) for key in ("ask", "yes", "no")))
         for s in (oracle_states.ask, oracle_states.yes, oracle_states.no):
             if s not in states:
-                raise ValidationError(f"oracle state {s!r} is not declared")
+                raise ValidationError(f"oracle state {shown(s)} is not declared")
         if oracle_states.ask in (oracle_states.yes, oracle_states.no):
             raise ValidationError("oracle ask state must differ from yes/no states")
 
@@ -419,7 +413,7 @@ def initial_configuration(machine: TuringMachine, input_symbols: str = "") -> Ta
     outside = set(input_symbols) - machine.alphabet
     if outside:
         first = next(sym for sym in input_symbols if sym in outside)
-        raise ValidationError(f"input symbol {first!r} is outside the alphabet")
+        raise ValidationError(f"input symbol {shown(first)} is outside the alphabet")
     codes = machine._codes
     tapes = (Tape(codes, input_symbols),) + tuple(
         Tape(codes) for _ in range(machine.num_tapes - 1))
@@ -468,12 +462,12 @@ def _sweep_length(cells: bytearray, outside: bytes, i: int, shift: int, room: in
 
 
 def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
-           oracle: Optional[Callable[[int], bool]] = None,
            snapshots: Optional[list[TraceSnapshot]] = None) -> tuple[OutcomeKind, int]:
-    """Step ``config`` in place until it halts, sticks or reaches ``fuel`` steps.
+    """Step a fresh ``config`` in place until it halts, sticks or reaches ``fuel`` steps.
 
-    Before each step a given oracle answers the ask-state, at no fuel cost.
-    Returns the outcome kind and the number of oracle consultations.
+    Before each step the oracle that :func:`attach_oracle` bound to the
+    machine, if any, answers the ask-state, at no fuel cost. Returns the
+    outcome kind and the number of oracle consultations.
 
     The configuration's one head reads and writes every tape. Given
     snapshots, it appends one after each step while they number fewer than
@@ -492,27 +486,27 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
     ordinary step still raises there. It rewrites them with one
     ``bytes.translate`` and counts one step per cell. Sweeps are off while
     trace snapshots are taken, on several tapes, and in a state that is a
-    stop (final, or the ask state of a given oracle).
+    stop (final, or the ask state of a bound oracle).
 
     Fuel times tapes past FUEL_BUDGET, or tapes whose text could grow past
     TAPE_TEXT_BUDGET characters within it, are a :class:`ResourceError`
     before the first step; snapshots whose texts together pass
     TRACE_TEXT_BUDGET characters are one before the first snapshot past it.
     """
-    remaining, tapes = fuel - config.steps, len(config.tapes)
-    if tapes * remaining > FUEL_BUDGET:  # a step costs about the same on each tape
+    tapes = len(config.tapes)
+    if tapes * fuel > FUEL_BUDGET:  # a step costs about the same on each tape
         on = f" on {tapes} tapes" if tapes > 1 else ""
-        raise ResourceError(f"fuel of {remaining} steps{on} is past the budget of {FUEL_BUDGET}")
+        raise ResourceError(f"fuel of {fuel} steps{on} is past the budget of {FUEL_BUDGET}")
     # each step adds at most one cell to each tape
-    reach = sum(len(t.cells.strip(b"\0")) + remaining for t in config.tapes)
+    reach = sum(len(t.cells.strip(b"\0")) + fuel for t in config.tapes)
     if reach * machine._longest_symbol > TAPE_TEXT_BUDGET:
         raise ResourceError(
             f"{reach} cells of symbols up to {machine._longest_symbol} characters long may "
             f"hold {reach * machine._longest_symbol} characters of tape text, past the "
             f"budget of {TAPE_TEXT_BUDGET}")
-    finals = machine.finals
+    finals, oracle = machine.finals, machine.oracle
     ask = yes = no = None
-    if oracle is not None and machine.oracle_states is not None:
+    if oracle is not None:  # attach_oracle binds one only where oracle states are declared
         ask, yes, no = machine.oracle_states
     stops = finals | {ask} if ask is not None else finals
     table, one_sided = machine._table, machine.one_sided
@@ -607,6 +601,6 @@ def run(
         raise DomainError("fuel must be a positive integer")
     config = initial_configuration(machine, input_symbols)
     snapshots = [_snapshot(config)] if trace else None
-    kind, consultations = _drive(machine, config, fuel, machine.oracle, snapshots=snapshots)
+    kind, consultations = _drive(machine, config, fuel, snapshots)
     return RunOutcome(kind, config, consultations, snapshots)
 

@@ -28,17 +28,11 @@ from .errors import DomainError, ResourceError
 if TYPE_CHECKING:
     from .turing import RunOutcome, TuringMachine
 
-SPEED_OF_LIGHT = 299_792_458.0  # m/s
-
 LIMIT = Fraction(2)  # seconds the whole cascade takes
 
 # largest step index a report may carry the exact elapsed time of: that time is
 # a fraction over 2**n, and `zeno time` takes about 0.3 s to print it at n = 10**6
 STEP_INDEX_BUDGET = 10**6
-
-# step index commonly quoted for the head outrunning light at 1 m/s per step 1;
-# the derived value under the convention below is 30 (see first_superluminal_step)
-QUOTED_SUPERLUMINAL_STEP = 29
 
 TimeLike = Union[int, float, Fraction]
 
@@ -75,9 +69,6 @@ class Unbounded(Enum):
 
     UNBOUNDED = "unbounded"
 
-    def __repr__(self):
-        return "UNBOUNDED"
-
 
 UNBOUNDED = Unbounded.UNBOUNDED
 
@@ -98,31 +89,21 @@ def steps_within_budget(t: TimeLike) -> Union[int, Unbounded, None]:
     return _floor_log2(1 / (LIMIT - budget))
 
 
-def decelerated_steps_within_budget(t: TimeLike, base: TimeLike = 1) -> int:
+def decelerated_steps_within_budget(t: TimeLike) -> int:
     """Largest step index n of the mirrored (decelerating) cascade within budget t.
 
     Mirroring the accelerating cascade turns the time left to its limit after
-    step n (base * 2**-n) into elapsed time base * 2**n: each further step
-    waits twice as long as the one before. A budget therefore buys only
-    log2(budget / base) step indices, which is why stretching the deadline
-    from 1 to 64 time units gains just 6 steps, and stretching it from 1
-    second to 2**1000 seconds gains just 1000. Exact integer arithmetic.
+    step n (2**-n) into elapsed time 2**n: the first step lasts 1 time unit
+    and each further step waits twice as long as the one before. A budget
+    therefore buys only floor(log2(budget)) step indices, which is why
+    stretching the deadline from 1 to 64 time units gains just 6 steps, and
+    stretching it from 1 to 2**1000 gains just 1000. A budget below the first
+    step is a :class:`DomainError`. Exact integer arithmetic.
     """
     budget = _exact(t, "budget")
-    base = _exact(base, "base")
-    if budget <= 0 or base <= 0:
-        raise DomainError("budget and base must be positive")
-    q = budget / base
-    if q < 1:
+    if budget < 1:
         raise DomainError("budget does not cover the first step")
-    return _floor_log2(q)
-
-
-def budget_step_gain(t_small: TimeLike, t_large: TimeLike, base: TimeLike = 1) -> int:
-    """Extra decelerated step indices bought by raising the budget."""
-    return decelerated_steps_within_budget(t_large, base) - decelerated_steps_within_budget(
-        t_small, base
-    )
+    return _floor_log2(budget)
 
 
 # -- Thomson's lamp ---------------------------------------------------------------
@@ -219,6 +200,8 @@ def first_superluminal_step(head_speed_step1: float) -> int:
     still crosses one cell, so the required speed doubles every step:
     speed(n) = head_speed_step1 * 2**(n-1), whatever the cell pitch.
     """
+    from .limits import SPEED_OF_LIGHT
+
     if not head_speed_step1 > 0:  # NaN fails too
         raise DomainError("speed must be positive")
     n = 1

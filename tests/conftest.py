@@ -40,7 +40,7 @@ def self_loop_doc() -> dict:
 
 def plant_composites(monkeypatch, numbers) -> None:
     """Have tae's odd-prime sieve mark the given odd numbers composite, for
-    the Goldbach stream and the per-even predicate alike: no even
+    the Goldbach stream and has_prime_pair below alike: no even
     counterexample exists in testable ranges, so tests plant one this way."""
     sieve = tae._odd_prime_flags
 
@@ -52,6 +52,19 @@ def plant_composites(monkeypatch, numbers) -> None:
         return flags
 
     monkeypatch.setattr(tae, "_odd_prime_flags", planted)
+
+
+def has_prime_pair(even: int) -> bool:
+    """True when the even number is a sum of two primes, read off tae's
+    odd-prime flags sieved up to it: the per-even reference that the tests
+    compare the Goldbach stream with."""
+    if even % 2 != 0 or even < 4:
+        raise ValueError("prime-pair check is defined for even numbers >= 4")
+    if even == 4:
+        return True  # 2 + 2; every larger even can only split into two odd primes
+    flags = tae._odd_prime_flags(even)
+    j = even // 2 - 1  # p = 2k + 1 leaves even - p = 2(j - k) + 1
+    return any(flags[k] and flags[j - k] for k in range(1, (even - 2) // 4 + 1))
 
 
 @pytest.fixture

@@ -62,7 +62,7 @@ def scan_diagonal(scan: aqc.LevelScan) -> np.ndarray:
 
 
 def problem_diagonal(poly: aqc.DiophantinePolynomial, space: TruncatedFockSpace) -> np.ndarray:
-    return scan_diagonal(aqc.scan_levels(poly, space))
+    return scan_diagonal(aqc.scan_levels(poly, space.cutoff))
 
 
 def record_runs(patch) -> list[list[int]]:
@@ -146,16 +146,11 @@ class TestProblemHamiltonian:
         poly = aqc.parse_polynomial({"vars": 1, "terms": [[1, [1]]]})
         assert problem_diagonal(poly, TruncatedFockSpace(1, 6))[0] == 0.0
 
-    def test_arity_mismatch(self):
-        poly = aqc.parse_polynomial(X_MINUS_2)
-        with pytest.raises(ShapeError):
-            aqc.scan_levels(poly, TruncatedFockSpace(2, 4))
-
     def test_lattice_past_the_budget_is_refused_before_the_scan(self, monkeypatch):
         poly = aqc.parse_polynomial(CUBES_PLUS_XYZ)
         scanned = record_runs(monkeypatch)
         with pytest.raises(ResourceError, match="budget"):
-            aqc.scan_levels(poly, TruncatedFockSpace(3, 500))
+            aqc.scan_levels(poly, 500)
         assert scanned == []
 
     def test_ground_entry_matches_exact_oracle(self):
@@ -227,7 +222,7 @@ class TestEvolve:
 
     def _evolve(self, total_time, dt, cutoff=4):
         """(scan, evolution, normalised point state) of x - 2 from the uniform start."""
-        scan = aqc.scan_levels(aqc.parse_polynomial(X_MINUS_2), TruncatedFockSpace(1, cutoff))
+        scan = aqc.scan_levels(aqc.parse_polynomial(X_MINUS_2), cutoff)
         result = aqc.evolve_from_uniform(scan, total_time, dt)
         return scan, result, point_state(scan, result)
 
@@ -285,7 +280,7 @@ class TestEvolve:
 
 class TestMeasurement:
     # x - 2 at cutoff 4: level 0 is the point 2, level 1 the points 1 and 3
-    SCAN = aqc.scan_levels(aqc.parse_polynomial(X_MINUS_2), TruncatedFockSpace(1, 4))
+    SCAN = aqc.scan_levels(aqc.parse_polynomial(X_MINUS_2), 4)
 
     def test_basis_state_is_certain(self):
         assert aqc.sample_levels(self.SCAN, [1.0, 0.0, 0.0], shots=100, seed=3) == {(2,): 100}
@@ -333,10 +328,9 @@ class TestExactOracle:
     def test_values_past_the_bit_budget_are_refused_before_the_scan(self, monkeypatch):
         # x**(10**7) - 2 at cutoff 6: a short document whose values have 3 * 10**7 bits
         poly = aqc.parse_polynomial({"vars": 1, "terms": [[1, [10**7]], [-2, [0]]]})
-        space = TruncatedFockSpace(1, 6)
         scanned = record_runs(monkeypatch)
         for work in (lambda: aqc.exact_ground_oracle(poly, 6),
-                     lambda: aqc.scan_levels(poly, space),
+                     lambda: aqc.scan_levels(poly, 6),
                      lambda: aqc.decide(poly, 6, 1.0, 0.01, shots=10, seed=0)):
             with pytest.raises(ResourceError, match="bits"):
                 work()
@@ -469,12 +463,11 @@ class TestDecide:
 
     def test_scan_stops_at_the_first_level_past_its_cap(self, monkeypatch):
         poly = aqc.parse_polynomial(X_MINUS_2)
-        space = TruncatedFockSpace(1, 20)
-        assert len(aqc.scan_levels(poly, space, max_levels=19).levels) == 19
+        assert len(aqc.scan_levels(poly, 20, max_levels=19).levels) == 19
         monkeypatch.setattr(aqc, "RUN_LENGTH", 2)
         scanned = record_runs(monkeypatch)
         with pytest.raises(ResourceError, match="budget"):
-            aqc.scan_levels(poly, space, max_levels=3)
+            aqc.scan_levels(poly, 20, max_levels=3)
         # D = -2, -1, 0, 1, 2 give three levels; D = 3 at x = 5 is the fourth,
         # in the third run, and no later run is evaluated
         assert scanned == [[-2, -1], [0, 1], [2, 3]]
@@ -493,7 +486,7 @@ class TestDecide:
             aqc.decide(poly, cutoff=4, total_time=1.0, dt=0.01, shots=aqc.MAX_SHOTS + 1,
                        seed=0)
         # cutoff 1: level 0 is the point 1, where (x - 2)**2 = 1
-        scan = aqc.scan_levels(poly, TruncatedFockSpace(1, 1))
+        scan = aqc.scan_levels(poly, 1)
         with pytest.raises(DomainError, match="shots"):
             aqc.sample_levels(scan, [1.0, 0.0], shots=10**23, seed=0)
         assert aqc.sample_levels(scan, [1.0, 0.0], shots=aqc.MAX_SHOTS,
@@ -625,7 +618,7 @@ def _guarded_schedule(problem, steps, guard_share):
     """(space, scan, diagonal, total time, dt) with dt at guard_share of the guard's largest."""
     poly, cutoff = problem
     space = TruncatedFockSpace(poly.num_vars, cutoff)
-    scan = aqc.scan_levels(poly, space)
+    scan = aqc.scan_levels(poly, cutoff)
     # the norm bound is max(max p, 1), or max p at d = 1: this dt passes the guard
     dt = guard_share * aqc.STABILITY_LIMIT / max(float(scan.levels[-1]), 1.0)
     return space, scan, scan_diagonal(scan), steps * dt, dt
@@ -707,7 +700,7 @@ class TestLatticeRuns:
             patch.setattr(aqc, "RUN_LENGTH", run_length)
             assert aqc.exact_ground_oracle(poly, cutoff) == (
                 low, [n for n, p in zip(lattice(space), squares) if p == low])
-            scan = aqc.scan_levels(poly, space)
+            scan = aqc.scan_levels(poly, cutoff)
         assert list(scan.levels) == sorted(set(squares))
         assert [scan.levels[j] for j in scan.level_of] == squares
 
@@ -790,7 +783,7 @@ class TestStructuredOperators:
     def test_scan_levels_every_point_exactly(self, problem):
         poly, cutoff = problem
         space = TruncatedFockSpace(poly.num_vars, cutoff)
-        scan = aqc.scan_levels(poly, space)
+        scan = aqc.scan_levels(poly, cutoff)
         values = [poly.evaluate(n) ** 2 for n in lattice(space)]
         assert list(scan.levels) == sorted(set(values))
         assert list(scan.multiplicities) == [values.count(p) for p in scan.levels]
@@ -812,7 +805,7 @@ class TestStructuredOperators:
         assert np.array_equal(start_operator(TruncatedFockSpace(1, 0)), [[0]])
 
     def test_closed_form_bound_drives_the_stability_guard(self):
-        scan = aqc.scan_levels(aqc.parse_polynomial(X_MINUS_2), TruncatedFockSpace(1, 4))
+        scan = aqc.scan_levels(aqc.parse_polynomial(X_MINUS_2), 4)
         assert aqc._norm_bound([float(p) for p in scan.levels], 5) == 4.0
         with pytest.raises(StabilityError):
             aqc.evolve_from_uniform(scan, 1.0, 0.126)  # dt * 4 = 0.504

@@ -13,6 +13,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperlab import aqc, cli, pairing, tae, turing
 
@@ -399,6 +401,42 @@ class TestErrors:
         assert time.monotonic() - start < 1.0
         assert status == 1 and out == ""
         assert json.loads(err)["error"] == "parse-error"
+
+    @pytest.mark.parametrize("command", ["tm run", "aqc solve"])
+    def test_long_integer_literal_is_refused_by_its_digit_count(self, tmp_path, command):
+        path = tmp_path / "doc.json"
+        path.write_text('{"vars": 1, "terms": [[' + "9" * 5000 + ", [1]]]}")
+        cutoff = ["--cutoff", "2"] if command == "aqc solve" else []
+        status, out, err = run_cli([*command.split(), str(path), *cutoff])
+        assert status == 1 and out == "" and len(err) < 1024
+        assert json.loads(err) == {
+            "error": "parse-error",
+            "message": f"integer literal longer than {sys.get_int_max_str_digits()} digits"}
+
+    # a message quotes a bounded prefix of a long value, not the value
+    @pytest.mark.parametrize("command, doc", [
+        ("aqc solve", {"vars": 1, "terms": [[1, list(range(200_000))]]}),
+        ("aqc solve", [list(range(200_000))]),
+        ("tm run", list(range(200_000))),
+        ("tm run", successor_doc() | {"transitions": [
+            {"from": "scan", "read": "x" * 100_000, "to": "done", "write": "1", "move": "n"}]}),
+        ("tm run", successor_doc() | {"initial": "q" * 100_000}),
+    ], ids=["exponents", "polynomial-array", "machine-array", "symbol", "state"])
+    def test_validation_message_stays_short_on_a_long_value(self, write_json, command, doc):
+        path = write_json("doc.json", doc)
+        cutoff = ["--cutoff", "2"] if command == "aqc solve" else []
+        start = time.monotonic()
+        status, out, err = run_cli([*command.split(), path, *cutoff])
+        assert time.monotonic() - start < 2.0
+        assert status == 1 and out == "" and len(err) < 1024
+        assert json.loads(err)["error"] == "validation-error"
+
+    def test_a_document_that_is_not_an_object_is_refused_alike(self, write_json):
+        path = write_json("doc.json", [1, 2])
+        messages = [json.loads(run_cli(argv)[2])["message"]
+                    for argv in (["tm", "run", path], ["aqc", "solve", path, "--cutoff", "2"])]
+        assert messages == ["machine document must be a JSON object, got [1, 2]",
+                            "polynomial document must be a JSON object, got [1, 2]"]
 
     # a lattice of 24 or more modes is past the budget at any cutoff from 1
     # on, so it is refused even at cutoff 0, where it has one point
@@ -800,3 +838,89 @@ class TestCosts:
                               env=src_env(), capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert int(done.stdout) < 120 * 1024  # kilobytes, as Linux reports them
+
+
+# -- totality: generated documents end in a report or a structured error ----------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+SYMBOLS = st.sampled_from(["_", "1", "a"])
+STATES = st.sampled_from(["q", "h", "r"])
+
+
+def _spoiled(draw, doc: dict):
+    """doc as it is, doc with one key dropped or set to an arbitrary JSON
+    value, or an arbitrary JSON value in its place, in about 4:3:1."""
+    choice = draw(st.integers(0, 7))
+    if choice == 7:
+        return draw(JSON_VALUES)
+    if choice >= 4:
+        key = draw(st.sampled_from(sorted(doc)))
+        if draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(JSON_VALUES)
+    return doc
+
+
+@st.composite
+def machine_docs(draw):
+    """Machine documents near a valid one over three states and three symbols."""
+    tapes = draw(st.integers(1, 3))
+    cells = SYMBOLS if tapes == 1 else st.lists(SYMBOLS, min_size=tapes, max_size=tapes)
+    rule = st.fixed_dictionaries({"from": STATES, "read": cells, "to": STATES,
+                                  "write": cells, "move": st.sampled_from("lnr")})
+    doc = {
+        "blank": "_",
+        "alphabet": ["_", "1", "a"],
+        "states": ["q", "h", "r"],
+        "initial": draw(STATES),
+        "finals": draw(st.lists(STATES, max_size=1)),
+        "transitions": draw(st.lists(rule, max_size=6,
+                                     unique_by=lambda r: (r["from"], str(r["read"])))),
+        "tapes": tapes,
+        "one_sided": draw(st.booleans()),
+    }
+    if draw(st.booleans()):
+        doc["oracle_states"] = {"ask": "r", "yes": "q", "no": "h"}
+    return _spoiled(draw, doc)
+
+
+@st.composite
+def polynomial_docs(draw):
+    """Polynomial documents near a valid one in one to three variables."""
+    k = draw(st.integers(1, 3))
+    term = st.tuples(st.integers(-20, 20), st.lists(st.integers(0, 4), min_size=k, max_size=k))
+    terms = draw(st.lists(term.map(list), max_size=4, unique_by=lambda t: tuple(t[1])))
+    return _spoiled(draw, {"vars": k, "terms": terms})
+
+
+class TestTotality:
+    """Every generated document ends in exit 0 or in exit 1 with a JSON error."""
+
+    @staticmethod
+    def _check(path: Path, doc, argv: list[str]) -> None:
+        path.write_text(json.dumps(doc))
+        status, out, err = run_cli(argv)
+        assert status in (0, 1)
+        if status == 1:
+            assert out == "" and isinstance(json.loads(err)["error"], str)
+        else:
+            assert err == "" and json.loads(out)
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=machine_docs(), text=st.sampled_from(["", "1", "1a_1"]))
+    def test_tm_run(self, tmp_path_factory, doc, text):
+        path = tmp_path_factory.getbasetemp() / "fuzz-machine.json"
+        self._check(path, doc, ["tm", "run", str(path), "--fuel", "50", "--input", text])
+
+    @pytest.mark.parametrize("flags", [["--oracle-only"], ["--time", "1", "--dt", "0.1"]],
+                             ids=["oracle-only", "evolve"])
+    @settings(max_examples=100, deadline=None)
+    @given(doc=polynomial_docs(), cutoff=st.integers(0, 3))
+    def test_aqc_solve(self, tmp_path_factory, flags, doc, cutoff):
+        path = tmp_path_factory.getbasetemp() / "fuzz-polynomial.json"
+        self._check(path, doc, ["aqc", "solve", str(path), "--cutoff", str(cutoff), *flags])

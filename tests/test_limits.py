@@ -14,7 +14,7 @@ from hyperlab.errors import DomainError
 
 class TestPowerBound:
     def test_unit_cancelling_input(self):
-        w = limits.CONSTANTS.h / (2 * math.pi)
+        w = limits.PLANCK / (2 * math.pi)
         assert abs(limits.max_frequency_from_power(w) - 1.0) < 1e-12
 
     def test_one_watt(self):
@@ -65,16 +65,16 @@ class TestEnergyBound:
 
 class TestGeometryBounds:
     def test_single_symbol_volume(self):
-        a = limits.CONSTANTS.a
+        a = limits.BOHR_RADIUS
         assert limits.min_symbol_volume(1) == (4 / 3) * math.pi * a**3
         assert 6.1e-31 < limits.min_symbol_volume(1) < 6.3e-31
 
     def test_single_symbol_distance_is_one_diameter(self):
-        assert limits.min_symbol_distance(1) == 2 * limits.CONSTANTS.a
+        assert limits.min_symbol_distance(1) == 2 * limits.BOHR_RADIUS
 
     def test_thousand_symbols_distance(self):
         assert abs(limits.min_symbol_distance(1000)
-                   - 20 * limits.CONSTANTS.a) < 1e-22
+                   - 20 * limits.BOHR_RADIUS) < 1e-22
 
     def test_rejects_zero_symbols(self):
         with pytest.raises(DomainError):
@@ -94,7 +94,7 @@ class TestGeometryBounds:
 class TestFrequencyAlphabetBound:
     def test_single_symbol_rate(self):
         f1 = limits.max_frequency_from_alphabet(1)
-        assert abs(f1 - limits.CONSTANTS.c / (2 * limits.CONSTANTS.a)) < 1
+        assert abs(f1 - limits.SPEED_OF_LIGHT / (2 * limits.BOHR_RADIUS)) < 1
         assert 2.82e18 < f1 < 2.84e18
 
     def test_eight_symbols_halve_the_rate(self):
@@ -102,7 +102,7 @@ class TestFrequencyAlphabetBound:
                    / limits.max_frequency_from_alphabet(1) - 0.5) < 1e-12
 
     def test_quoted_constant_within_two_tenths_percent(self):
-        c_over_a = limits.CONSTANTS.c / limits.CONSTANTS.a
+        c_over_a = limits.SPEED_OF_LIGHT / limits.BOHR_RADIUS
         gap = abs(c_over_a - limits.QUOTED_RATE_CONSTANT) / c_over_a
         assert gap < 0.002
 
@@ -111,8 +111,8 @@ class TestFrequencyAlphabetBound:
         f = limits.max_frequency_from_alphabet(z)
         assert limits.bound_product_holds(f, z)
         # equality within 1e-12 relative: the bound is saturated by definition
-        assert abs(f * z ** (1 / 3) - 0.5 * limits.CONSTANTS.c / limits.CONSTANTS.a) \
-            <= 1e-12 * 0.5 * limits.CONSTANTS.c / limits.CONSTANTS.a
+        assert abs(f * z ** (1 / 3) - 0.5 * limits.SPEED_OF_LIGHT / limits.BOHR_RADIUS) \
+            <= 1e-12 * 0.5 * limits.SPEED_OF_LIGHT / limits.BOHR_RADIUS
 
     @given(st.integers(1, 10**6))
     def test_strictly_decreasing_in_alphabet_size(self, z):

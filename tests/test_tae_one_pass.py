@@ -10,7 +10,7 @@ from hyperlab import tae
 from hyperlab.errors import ResourceError
 from hyperlab.tae import LimitPredicate, WheelExperiment, WheelStrategy
 
-from conftest import plant_composites
+from conftest import has_prime_pair, plant_composites
 
 
 def read_table(table: list[int]) -> tuple[bool, int, int, bool]:
@@ -54,7 +54,7 @@ def test_stream_stops_at_its_first_no(monkeypatch, counterexample, composites):
     plant_composites(monkeypatch, composites)
     stream = tae.goldbach_stream(20)
     assert stream.last_examined == counterexample
-    assert [even for even in range(4, 21, 2) if not tae.has_prime_pair(even)][0] == counterexample
+    assert [even for even in range(4, 21, 2) if not has_prime_pair(even)][0] == counterexample
     assert (stream.final_verdict, stream.mind_changes) == (False, 1)
     assert len(stream) == len(stream.answers) == counterexample // 2 - 1
     assert stream.answers[-1] == (counterexample, False)
