@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import TYPE_CHECKING, Callable
 
@@ -419,6 +420,33 @@ def report_errors(work: Callable[[], object]) -> int:
     return 0
 
 
+def _write_output(path: str, pieces: list[str]) -> None:
+    """Write ``pieces`` to ``path``, all of them or, where a write fails, none.
+
+    A regular file, or a new one, at the end of any symlinks is written as a
+    temporary file beside it, with the usual mode, which replaces it once
+    complete and is removed otherwise. Anything else, a device such as
+    ``os.devnull`` among them, is written in place.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(pieces)
+        return
+    temporary = os.path.join(os.path.dirname(target), f".{os.urandom(6).hex()}.tmp")
+    try:
+        fh = open(temporary, "x", encoding="utf-8", newline="")
+    except OSError as exc:  # named by the path asked for, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            fh.writelines(pieces)
+        os.replace(temporary, target)
+    except BaseException:
+        os.unlink(temporary)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -427,9 +455,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.output == "-":
             emit_report(result, args.format, sys.stdout)
         else:
-            pieces = report_pieces(result, args.format)  # fails before the file is opened
-            with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                fh.writelines(pieces)
+            _write_output(args.output, report_pieces(result, args.format))
 
     return report_errors(work)
 

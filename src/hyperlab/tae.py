@@ -58,7 +58,7 @@ def tm_kernel(machine: TuringMachine, fuel: int) -> Callable[..., int]:
             raise KernelDivergenceError(
                 f"kernel machine exceeded {fuel} steps on arguments {args!r}")
         config = outcome.config
-        return 1 if config.tapes[0].read(config.head) != machine.blank else 0
+        return 1 if config.tape.read(config.head) != machine.blank else 0
 
     return kernel
 

@@ -1,20 +1,20 @@
 """Deterministic Turing-machine engine.
 
 Machines are quintuple programs ``(state, read) -> (state, write, move)``
-loaded from JSON documents. Tapes are unbounded in both directions and held
-in a :class:`Tape` of one-byte symbol codes; a machine may have several
-tapes, all read and written at one head, which each transition moves in one
-direction.
+loaded from JSON documents. Tapes are unbounded in both directions; a
+machine may have several, all read and written at one head, which each
+transition moves in one direction. Its tapes run as the tracks of one
+:class:`Tape` (Hopcroft, Motwani & Ullman's "multiple tracks"): a cell holds
+one symbol per tape, coded in one byte.
 
-Each machine compiles its quintuples once into a table ``(state, read) ->
-(state, write, shift)`` over symbol codes, which the one stepping loop
-behind :func:`run` reads. On one tape, a rule whose state
-keeps itself over a set of symbols, writing a fixed symbol for each and
-moving one way, is a sweep: the loop applies it to the whole block of such
-cells at once. One hook extends that loop, an oracle: entering the declared
-ask-state consults an opaque total predicate on the unary number written
-left of the head and resumes in the declared yes- or no-state, at no fuel
-cost.
+Each machine compiles its quintuples once into a table ``(state, cell) ->
+(state, write, shift)`` over cell codes, which the one stepping loop behind
+:func:`run` reads. A rule whose state keeps itself over a set of cells,
+writing a fixed cell for each and moving one way, is a sweep: the loop
+applies it to the whole block of such cells at once. One hook extends that
+loop, an oracle: entering the declared ask-state consults an opaque total
+predicate on the unary number written on tape 0 left of the head and
+resumes in the declared yes- or no-state, at no fuel cost.
 """
 
 from __future__ import annotations
@@ -29,15 +29,15 @@ MOVES = {"l": -1, "n": 0, "r": 1}
 
 DEFAULT_FUEL = 10**6
 TRACE_CAP = 10**4  # snapshots one traced run keeps
-FUEL_BUDGET = 10**7  # steps x tapes one drive may take; refused up front beyond this
-# characters of tape text one drive may reach, (extent + fuel) x the longest
-# symbol on each tape; refused up front beyond this
+FUEL_BUDGET = 10**7  # steps one drive may take; refused up front beyond this
+# characters of tape text one drive may reach, tapes x (extent + fuel) x the
+# longest symbol; refused up front beyond this
 TAPE_TEXT_BUDGET = 5 * 10**7
-# characters of tape text the snapshots of one traced run may keep; counted as
-# they are taken, since a snapshot's text is not known before the run reaches it
+# characters of tape text the snapshots of one traced run may keep, counted as
+# kept cells x the longest symbol as each is taken, since its extent is not known
 TRACE_TEXT_BUDGET = 5 * 10**7
-ALPHABET_BUDGET = 256  # symbols, the blank included: a cell holds one byte
-TAPE_BUDGET = 256  # tapes of one machine, refused when its document is loaded
+ALPHABET_BUDGET = 256  # symbols, the blank included, and contents of a cell: one byte
+TAPE_BUDGET = 256  # tapes of one machine, so symbols in a cell; refused at load
 
 
 class OracleStates(NamedTuple):
@@ -47,7 +47,8 @@ class OracleStates(NamedTuple):
 
 
 class TuringMachine:
-    """Validated machine definition; shareable, and never changed once built.
+    """Validated machine definition, with the codes of its cells; shareable,
+    and never changed once built.
 
     It keeps a ``__dict__``, where its compiled tables are cached.
     """
@@ -67,58 +68,49 @@ class TuringMachine:
         self.states, self.initial, self.finals, self.alphabet = states, initial, finals, alphabet
         self.blank, self.num_tapes, self.transitions = blank, num_tapes, transitions
         self.one_sided, self.oracle_states, self.oracle = one_sided, oracle_states, None
-
-    @cached_property
-    def _codes(self) -> SymbolCodes:
-        """The alphabet's one-byte codes, the blank as code 0, fixed once."""
-        return SymbolCodes(self.blank, self.alphabet)
+        self._codes = SymbolCodes(blank, alphabet, num_tapes,
+                                  (write for _, write, _ in transitions.values()))
 
     @cached_property
     def _table(self) -> dict:
         """The transitions as the stepping loop reads them, compiled once.
 
-        Each state maps to its row of rules by the codes it reads: on one
-        tape a list indexed by tape 0's code, else a dict keyed by the tuple
-        of every tape's code; a row reads None where no rule applies, and
-        the states without rules are left out, sharing one empty row as a
-        rule's destination, so the table grows with the rules. A rule
-        is ``(dst, row, write, shift, extra)``: ``row`` is dst's row;
-        ``write`` is tape 0's new code, or None where the rule writes back
-        what it read; ``shift`` is the head move as an int; ``extra`` is the
-        tuple of codes written on tapes 1 and up, or on one tape the rule's
-        :class:`Sweep`, or None.
+        Each state maps to its row of rules, a list indexed by the cell code
+        it reads, which reads None where no rule applies; a rule that reads
+        a content no cell can hold is left out. The states without rules are
+        left out too, sharing one empty row as a rule's destination, so the
+        table grows with the rules. A rule is ``(dst, row, write, shift,
+        sweep)``: ``row`` is dst's row; ``write`` is the new cell code, or
+        None where the rule writes back what it read; ``shift`` is the head
+        move as an int; ``sweep`` is the rule's :class:`Sweep`, or None.
         """
-        code, sweeps = self._codes.by_name, self._sweeps
-        one_tape = self.num_tapes == 1
-        new_row = (lambda: [None] * ALPHABET_BUDGET) if one_tape else _Rules
-        rows, empty = {src: new_row() for src, _ in self.transitions}, new_row()
+        cell, sweeps, width = self._codes.by_cell, self._sweeps, len(self._codes.cells)
+        rows, empty = {src: [None] * width for src, _ in self.transitions}, [None] * width
         for (src, read), (dst, write, move) in self.transitions.items():
-            got, put = [code[s] for s in read], [code[s] for s in write]
-            if one_tape:
-                sweep = sweeps.get(src)
-                key, extra = got[0], sweep if sweep and got[0] not in sweep.outside else None
-            else:
-                key, extra = tuple(got), tuple(put[1:])
-            rows[src][key] = (dst, rows.get(dst, empty), None if put[0] == got[0] else put[0],
-                              MOVES[move], extra)
+            got, put, sweep = cell.get(read), cell[write], sweeps.get(src)
+            if got is not None:
+                rows[src][got] = (
+                    dst, rows.get(dst, empty), None if put == got else put, MOVES[move],
+                    sweep if sweep and got not in sweep.outside else None)
         return rows
 
     @cached_property
     def _sweeps(self) -> dict[str, Sweep]:
-        """The states of a one-tape machine that sweep, each with its sweep.
+        """The states that sweep, each with its sweep.
 
-        State q sweeps over the set S of the non-blank symbols a whose rule
-        keeps q, writes a non-blank f(a) and moves left or right, when all
-        those rules move the same way. From a cell in S such a state passes,
-        unchanged, every cell up to the first one outside S.
+        State q sweeps over the set S of the non-blank cells c whose rule
+        keeps q, writes a non-blank cell f(c) and moves left or right, when
+        all those rules move the same way; a cell is blank when it is blank
+        on every track. From a cell in S such a state passes, unchanged,
+        every cell up to the first one outside S.
         """
-        if self.num_tapes > 1:
-            return {}
-        loops: dict[str, dict[str, tuple[str, str]]] = {}
-        for (src, (got,)), (dst, (put,), move) in self.transitions.items():
-            if src == dst and self.blank not in (got, put):
+        cell = self._codes.by_cell
+        loops: dict[str, dict[int, tuple[int, str]]] = {}
+        for (src, read), (dst, write, move) in self.transitions.items():
+            got, put = cell.get(read), cell[write]
+            if src == dst and got and put:  # neither blank, nor a content no cell holds
                 loops.setdefault(src, {})[got] = (put, move)
-        code, identity = self._codes.by_name, bytes(range(256))
+        identity = bytes(range(256))
         sweeps = {}
         for state, rules in loops.items():
             moves = {move for _, move in rules.values()}
@@ -126,8 +118,8 @@ class TuringMachine:
                 continue
             rewrite = bytearray(identity)
             for got, (put, _) in rules.items():
-                rewrite[code[got]] = code[put]
-            outside = bytes(sorted(set(code.values()) - {code[a] for a in rules}))
+                rewrite[got] = put
+            outside = bytes(sorted(set(range(len(self._codes.cells))) - rules.keys()))
             sweeps[state] = Sweep(outside, None if rewrite == identity else bytes(rewrite))
         return sweeps
 
@@ -137,17 +129,10 @@ class TuringMachine:
         return max(map(len, self.alphabet))
 
 
-class _Rules(dict):
-    """A row of a machine with several tapes, which reads None where no rule applies."""
-
-    def __missing__(self, key):
-        return None
-
-
 class Sweep(NamedTuple):
-    """A state's rules over the set S of the symbols it keeps itself on.
+    """A state's rules over the set S of the cells it keeps itself on.
 
-    ``outside`` holds the code of every symbol outside S, the blank among
+    ``outside`` holds the code of every cell outside S, the blank among
     them; ``rewrite`` is the ``bytes.translate`` table taking each code in S
     to the code its rule writes, or None where every rule writes back what
     it read.
@@ -158,19 +143,38 @@ class Sweep(NamedTuple):
 
 
 class SymbolCodes:
-    """A machine's alphabet as one-byte codes, the blank as code 0, and back.
+    """A machine's alphabet and the contents of its cells, as one-byte codes.
 
-    The codes are fixed once, over the whole alphabet, which the loader keeps
-    within ALPHABET_BUDGET symbols; every symbol encoded must be in it.
-    Where every symbol is one character below U+0100, text turns into codes
-    and back by one ``bytes.translate`` each way; else symbol by symbol.
+    Symbols are coded over the whole alphabet, the blank as code 0, which
+    the loader keeps within ALPHABET_BUDGET symbols; every symbol encoded
+    must be in it. Where every symbol is one character below U+0100, codes
+    turn into text by one ``bytes.translate``, and text into codes by one;
+    else symbol by symbol.
+
+    A cell holds one symbol per tape, a content of ``cells``, coded by its
+    index there (``by_cell`` maps back). The contents come first that hold
+    a symbol on tape 0 and the blank on every other, in the symbols' order,
+    so an input symbol's code is its cell's code and the blank cell is code
+    0; then every content some rule writes. More than ALPHABET_BUDGET
+    contents are a :class:`ResourceError`. ``tracks[t]`` is the
+    ``bytes.translate`` table taking a cell code to the code of its symbol
+    on tape t.
     """
 
-    __slots__ = ("names", "by_name", "_encode", "_decode")
+    __slots__ = ("names", "by_name", "cells", "by_cell", "tracks", "_encode", "_decode")
 
-    def __init__(self, blank: str, alphabet: Iterable[str]):
+    def __init__(self, blank: str, alphabet: Iterable[str], tapes: int = 1,
+                 written: Iterable[tuple[str, ...]] = ()):
         self.names = [blank, *sorted(set(alphabet) - {blank})]
         self.by_name = {name: code for code, name in enumerate(self.names)}
+        inputs = [(name,) + (blank,) * (tapes - 1) for name in self.names]
+        self.cells = list(dict.fromkeys([*inputs, *written]))  # each content once, inputs first
+        self.by_cell = {cell: code for code, cell in enumerate(self.cells)}
+        if len(self.cells) > ALPHABET_BUDGET:
+            raise ResourceError(f"{len(self.cells)} contents of a cell are past the budget of "
+                                f"{ALPHABET_BUDGET}, the blank cell included")
+        self.tracks = [bytes(self.by_name[cell[t]] for cell in self.cells).ljust(256, b"\0")
+                       for t in range(tapes)]
         self._encode = self._decode = None
         if all(len(name) == 1 and ord(name) < 256 for name in self.names):
             encode = bytearray(256)
@@ -185,37 +189,41 @@ class SymbolCodes:
             return bytearray(symbols.encode("latin-1").translate(self._encode))
         return bytearray(map(self.by_name.__getitem__, symbols))
 
-    def text(self, cells: bytearray) -> str:
-        """The symbols of ``cells``, written one after another."""
+    def text(self, cells: bytes, track: int = 0) -> str:
+        """Track ``track`` of ``cells``, from its leftmost to its rightmost non-blank symbol."""
+        # strip the blank cells first, so that only the extent is copied
+        codes = cells.strip(b"\0").translate(self.tracks[track]).strip(b"\0")
         if self._decode is not None:
-            return cells.translate(self._decode).decode("latin-1")
-        return "".join(map(self.names.__getitem__, cells))
+            return codes.translate(self._decode).decode("latin-1")
+        return "".join(map(self.names.__getitem__, codes))
 
 
 class Tape:
-    """One tape, unbounded in both directions, backed by a bytearray of codes.
+    """The tracks of a machine's tapes, unbounded in both directions, backed
+    by a bytearray of cell codes.
 
     Cell p sits at ``cells[p - origin]`` as the code ``codes`` gives its
-    symbol; every cell outside the array, and every erased one, holds the
-    blank, code 0. The non-blank extent is not kept: it is read off the
+    content; every cell outside the array, and every erased one, holds the
+    blank cell, code 0. The non-blank extent is not kept: it is read off the
     array, by stripping its blanks, where it is needed. Only :meth:`_put`
     grows the array, by doubling at whichever end a non-blank write falls
-    beyond, so the tape's text is made from one slice, not a walk of its
+    beyond, so a track's text is made from one slice, not a walk of its
     cells.
     """
 
     __slots__ = ("codes", "cells", "origin")
 
     def __init__(self, codes: SymbolCodes, symbols: Iterable[str] = ()):
-        """A tape holding ``symbols`` from cell 0 on, blank everywhere else."""
+        """A tape holding ``symbols`` on track 0 from cell 0 on, blank everywhere else."""
         self.codes = codes
         self.cells = codes.encode(symbols)
         self.origin = 0
 
-    def read(self, pos: int) -> str:
-        return self.codes.names[self._code(pos)]
+    def read(self, pos: int, track: int = 0) -> str:
+        return self.codes.names[self.codes.tracks[track][self._code(pos)]]
 
     def write(self, pos: int, symbol: str) -> None:
+        """Write ``symbol`` on track 0 and the blank on every other."""
         self._put(pos, self.codes.by_name[symbol])
 
     def _code(self, pos: int) -> int:
@@ -236,44 +244,51 @@ class Tape:
                 cells.extend(bytes(max(index + 1 - len(cells), len(cells))))
         cells[index] = code
 
-    def text(self) -> str:
-        """Non-blank content, from leftmost to rightmost written cell."""
-        return self.codes.text(self.cells.strip(b"\0"))
+    def text(self, track: int = 0) -> str:
+        """Non-blank content of one track, from its leftmost to its rightmost written cell."""
+        return self.codes.text(self.cells, track)
 
     def marks_left_of(self, pos: int) -> int:
-        """Number of non-blank cells strictly left of ``pos``."""
+        """Number of cells strictly left of ``pos`` whose track 0 is not blank."""
         end = min(max(pos - self.origin, 0), len(self.cells))
-        return end - self.cells.count(0, 0, end)
+        return end - self.cells[:end].translate(self.codes.tracks[0]).count(0)
 
 
 class TapeConfiguration:
-    """Snapshot of a running machine: tapes, the head they share, state, steps."""
+    """Snapshot of a running machine: its tape, the head, state, steps."""
 
-    __slots__ = ("tapes", "head", "state", "steps")
+    __slots__ = ("tape", "head", "state", "steps")
 
-    def __init__(self, tapes: tuple[Tape, ...], head: int, state: str):
-        self.tapes, self.head, self.state, self.steps = tapes, head, state, 0
+    def __init__(self, tape: Tape, head: int, state: str):
+        self.tape, self.head, self.state, self.steps = tape, head, state, 0
 
     def tape_text(self, tape: int = 0) -> str:
         """Non-blank content of one tape, from leftmost to rightmost written cell."""
-        return self.tapes[tape].text()
+        return self.tape.text(tape)
 
 
 class TraceSnapshot(NamedTuple):
-    """One traced configuration: state, head, steps and the text of each tape."""
+    """One traced configuration: state, head, steps and the tape's non-blank
+    cells, whose tracks are read as text only when asked for."""
 
     state: str
     head: int
     steps: int
-    texts: tuple[str, ...]
+    cells: bytes
+    codes: SymbolCodes
 
     def tape_text(self, tape: int = 0) -> str:
-        return self.texts[tape]
+        return self.codes.text(self.cells, tape)
+
+    @property
+    def texts(self) -> tuple[str, ...]:
+        return tuple(map(self.tape_text, range(len(self.codes.tracks))))
 
 
 def _snapshot(config: TapeConfiguration) -> TraceSnapshot:
+    tape = config.tape
     return TraceSnapshot(config.state, config.head, config.steps,
-                         tuple(t.text() for t in config.tapes))
+                         bytes(tape.cells.strip(b"\0")), tape.codes)
 
 
 class OutcomeKind(Enum):
@@ -414,10 +429,7 @@ def initial_configuration(machine: TuringMachine, input_symbols: str = "") -> Ta
     if outside:
         first = next(sym for sym in input_symbols if sym in outside)
         raise ValidationError(f"input symbol {shown(first)} is outside the alphabet")
-    codes = machine._codes
-    tapes = (Tape(codes, input_symbols),) + tuple(
-        Tape(codes) for _ in range(machine.num_tapes - 1))
-    return TapeConfiguration(tapes=tapes, head=0, state=machine.initial)
+    return TapeConfiguration(Tape(machine._codes, input_symbols), head=0, state=machine.initial)
 
 
 # -- stepping ------------------------------------------------------------------
@@ -469,12 +481,12 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
     machine, if any, answers the ask-state, at no fuel cost. Returns the
     outcome kind and the number of oracle consultations.
 
-    The configuration's one head reads and writes every tape. Given
-    snapshots, it appends one after each step while they number fewer than
-    TRACE_CAP.
+    The configuration's one head reads and writes a cell of the tape, every
+    track at once. Given snapshots, it appends one after each step while
+    they number fewer than TRACE_CAP.
 
     The inner loop steps on the compiled table with the head, the state and
-    the step count in locals, and writes tape 0's array in place; only a
+    the step count in locals, and writes the tape's array in place; only a
     write beyond the array goes through :meth:`Tape._put`, which grows it.
     It leaves, writing the locals back to ``config``, before anything that
     reads the configuration: the oracle, a trace snapshot, the end.
@@ -485,35 +497,32 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
     the fuel and, moving left on a one-sided tape, short of cell 0, so the
     ordinary step still raises there. It rewrites them with one
     ``bytes.translate`` and counts one step per cell. Sweeps are off while
-    trace snapshots are taken, on several tapes, and in a state that is a
-    stop (final, or the ask state of a bound oracle).
+    trace snapshots are taken, and in a state that is a stop (final, or the
+    ask state of a bound oracle).
 
-    Fuel times tapes past FUEL_BUDGET, or tapes whose text could grow past
+    Fuel past FUEL_BUDGET, or tracks whose text could grow past
     TAPE_TEXT_BUDGET characters within it, are a :class:`ResourceError`
-    before the first step; snapshots whose texts together pass
+    before the first step; snapshots that keep cells of more than
     TRACE_TEXT_BUDGET characters are one before the first snapshot past it.
     """
-    tapes = len(config.tapes)
-    if tapes * fuel > FUEL_BUDGET:  # a step costs about the same on each tape
-        on = f" on {tapes} tapes" if tapes > 1 else ""
-        raise ResourceError(f"fuel of {fuel} steps{on} is past the budget of {FUEL_BUDGET}")
-    # each step adds at most one cell to each tape
-    reach = sum(len(t.cells.strip(b"\0")) + fuel for t in config.tapes)
-    if reach * machine._longest_symbol > TAPE_TEXT_BUDGET:
+    if fuel > FUEL_BUDGET:
+        raise ResourceError(f"fuel of {fuel} steps is past the budget of {FUEL_BUDGET}")
+    tape, longest = config.tape, machine._longest_symbol
+    cells = tape.cells
+    # each step adds at most one cell to the extent, a symbol on each track
+    reach = machine.num_tapes * (len(cells.strip(b"\0")) + fuel)
+    if reach * longest > TAPE_TEXT_BUDGET:
         raise ResourceError(
-            f"{reach} cells of symbols up to {machine._longest_symbol} characters long may "
-            f"hold {reach * machine._longest_symbol} characters of tape text, past the "
-            f"budget of {TAPE_TEXT_BUDGET}")
+            f"{reach} cells of symbols up to {longest} characters long may hold "
+            f"{reach * longest} characters of tape text, past the budget of {TAPE_TEXT_BUDGET}")
     finals, oracle = machine.finals, machine.oracle
     ask = yes = no = None
     if oracle is not None:  # attach_oracle binds one only where oracle states are declared
         ask, yes, no = machine.oracle_states
     stops = finals | {ask} if ask is not None else finals
     table, one_sided = machine._table, machine.one_sided
-    tape, others = config.tapes[0], config.tapes[1:]
-    cells = tape.cells
     trace_left = max(0, TRACE_CAP - len(snapshots)) if snapshots is not None else 0
-    kept = sum(len(text) for snap in snapshots for text in snap.texts) if trace_left else 0
+    kept = sum(len(snap.cells) for snap in snapshots) * longest if trace_left else 0
     consultations = 0
     while True:
         if config.state == ask:
@@ -532,34 +541,27 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
         try:
             while True:
                 i = head - origin
-                key = cells[i] if 0 <= i < size else 0
-                if others:
-                    key = (key, *[t._code(head) for t in others])
-                rule = row[key]
+                rule = row[cells[i] if 0 <= i < size else 0]
                 if rule is None:
                     return OutcomeKind.STUCK, consultations
-                dst, next_row, write, shift, extra = rule
+                dst, next_row, write, shift, sweep = rule
                 if one_sided and head + shift < 0:
                     raise DomainError("head moved past the left edge of a one-sided tape")
-                if extra is not None:
-                    if others:
-                        for t, code in zip(others, extra):
-                            t._put(head, code)
-                    elif not trace_left and state not in stops:
-                        # a sweep over non-blank cells, so inside the array
-                        room = min(fuel - steps, size - i if shift > 0 else i + 1)
-                        if one_sided and shift < 0:
-                            room = min(room, head)
-                        run = _sweep_length(cells, extra.outside, i, shift, room)
-                        if extra.rewrite is not None:
-                            first = i if shift > 0 else i + 1 - run
-                            cells[first:first + run] = cells[first:first + run].translate(
-                                extra.rewrite)
-                        head += shift * run
-                        steps += run
-                        if steps >= fuel:
-                            break
-                        continue
+                if sweep is not None and not trace_left and state not in stops:
+                    # a sweep over non-blank cells, so inside the array
+                    room = min(fuel - steps, size - i if shift > 0 else i + 1)
+                    if one_sided and shift < 0:
+                        room = min(room, head)
+                    run = _sweep_length(cells, sweep.outside, i, shift, room)
+                    if sweep.rewrite is not None:
+                        first = i if shift > 0 else i + 1 - run
+                        cells[first:first + run] = cells[first:first + run].translate(
+                            sweep.rewrite)
+                    head += shift * run
+                    steps += run
+                    if steps >= fuel:
+                        break
+                    continue
                 if write is None:
                     pass  # the rule writes back what it read
                 elif 0 <= i < size:
@@ -576,7 +578,7 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
             config.head, config.state, config.steps = head, state, steps
         if trace_left:
             snapshot = _snapshot(config)
-            kept += sum(map(len, snapshot.texts))
+            kept += len(snapshot.cells) * longest
             if kept > TRACE_TEXT_BUDGET:
                 raise ResourceError(
                     f"trace snapshots would keep {kept} characters of tape text, past the "
@@ -594,8 +596,8 @@ def run(
     """Run until a final state, a missing transition, or fuel exhaustion.
 
     Oracle consultations resolve the ask-state without consuming fuel. The
-    optional trace holds at most TRACE_CAP snapshots; each keeps the text of
-    every tape rather than a copy of it.
+    optional trace holds at most TRACE_CAP snapshots; each keeps a copy of
+    the tape's non-blank cells, and reads a track's text off it when asked.
     """
     if fuel < 1:
         raise DomainError("fuel must be a positive integer")

@@ -38,6 +38,22 @@ def self_loop_doc() -> dict:
     }
 
 
+def contents_doc(symbols: int) -> dict:
+    """A 2-tape machine over the blank and ``symbols`` - 1 more, whose one
+    cell passes through every pair with a non-blank second symbol and halts.
+
+    Its cells may hold the ``symbols`` input contents and 16 x 15 pairs, so
+    256 contents at 16 symbols and 257 at 17.
+    """
+    names = ["_"] + [f"s{i}" for i in range(1, symbols)]
+    pairs = [[a, b] for a in names[:16] for b in names[1:16]]
+    return {"blank": "_", "alphabet": names, "tapes": 2, "states": ["go", "done"],
+            "initial": "go", "finals": ["done"], "transitions": [
+                {"from": "go", "read": read, "to": "go" if write != pairs[-1] else "done",
+                 "write": write, "move": "n"}
+                for read, write in zip([["_", "_"]] + pairs, pairs)]}
+
+
 def plant_composites(monkeypatch, numbers) -> None:
     """Have tae's odd-prime sieve mark the given odd numbers composite, for
     the Goldbach stream and has_prime_pair below alike: no even

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from hyperlab import aqc, cli, pairing, tae, turing
 
-from conftest import self_loop_doc, successor_doc
+from conftest import contents_doc, self_loop_doc, successor_doc
 
 X_MINUS_2 = {"vars": 1, "terms": [[1, [1]], [-2, [0]]]}
 
@@ -287,6 +288,13 @@ class TestErrors:
         assert payload["error"] == "resource-error"
         assert "budget" in payload["message"]
 
+    def test_cell_contents_past_their_budget_end_in_resource_error(self, write_json):
+        status, out, err = run_cli(["tm", "run", write_json("machine.json", contents_doc(17))])
+        assert status == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "resource-error"
+        assert "257 contents of a cell are past the budget of 256" in payload["message"]
+
     @pytest.mark.parametrize("tapes", [1, 2, turing.TAPE_BUDGET])
     def test_fuel_times_tapes_past_the_fuel_budget_ends_in_resource_error(self, write_json,
                                                                           tapes):
@@ -297,14 +305,15 @@ class TestErrors:
             "finals": ["done"], "tapes": tapes, "transitions": [
                 {"from": "go", "read": ["_"] * tapes, "to": "done", "write": ["1"] * tapes,
                  "move": "n"}]})
-        fuel = turing.FUEL_BUDGET // tapes
+        # fuel counts steps, and the tape text every tape may reach counts tapes
+        fuel = min(turing.FUEL_BUDGET, turing.TAPE_TEXT_BUDGET // tapes)
         status, out, _ = run_cli(["tm", "run", path, "--fuel", str(fuel)])
         assert status == 0 and json.loads(out)["outcome"] == "halted"
         status, out, err = run_cli(["tm", "run", path, "--fuel", str(fuel + 1)])
         assert status == 1 and out == ""
         payload = json.loads(err)
         assert payload["error"] == "resource-error"
-        assert f"fuel of {fuel + 1} steps" in payload["message"]
+        assert "budget" in payload["message"]
 
     def test_minimisers_past_their_budget_end_in_resource_error(self, write_json):
         # D = 0 everywhere: each of the MINIMIZER_BUDGET + 1 lattice points is a
@@ -468,6 +477,26 @@ class TestErrors:
         status, _, _ = run_cli(["--output", str(target), "tae", "ashby", "--wheels", "2",
                                 "--p", "0.5", "--strategy", "1", "--simulate", "--trials", "1"])
         assert status == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+        assert target.read_text() == "previous"
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        # a child that may write files of at most 100,000 bytes, ignoring the
+        # signal past that limit so that the write fails with EFBIG
+        target = tmp_path / "report.json"
+        target.write_text("previous")
+        script = (
+            "import resource, signal, sys\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, 100_000))\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "from hyperlab import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+        done = subprocess.run([sys.executable, "-c", script, "--output", str(target), "enum",
+                               "list", "--count", "20000"],
+                              env=src_env() | {"PYTHONDONTWRITEBYTECODE": "1"},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1 and done.stdout == ""
+        assert json.loads(done.stderr)["error"] == "io-error"
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
         assert target.read_text() == "previous"
 
@@ -868,19 +897,26 @@ def _spoiled(draw, doc: dict):
 
 @st.composite
 def machine_docs(draw):
-    """Machine documents near a valid one over three states and three symbols."""
-    tapes = draw(st.integers(1, 3))
+    """Machine documents near a valid one over three states and three symbols,
+    on one to four tapes. Some declare up to 20 symbols more and a state w with
+    up to 300 rules, each writing what it reads, so that their cells may hold
+    more contents than the budget allows."""
+    tapes = draw(st.integers(1, 4))
     cells = SYMBOLS if tapes == 1 else st.lists(SYMBOLS, min_size=tapes, max_size=tapes)
     rule = st.fixed_dictionaries({"from": STATES, "read": cells, "to": STATES,
                                   "write": cells, "move": st.sampled_from("lnr")})
+    alphabet = ["_", "1", "a"] + [f"w{i}" for i in range(draw(st.integers(0, 20)))]
+    written = itertools.islice(itertools.product(alphabet, repeat=tapes), draw(st.integers(0, 300)))
     doc = {
         "blank": "_",
-        "alphabet": ["_", "1", "a"],
-        "states": ["q", "h", "r"],
+        "alphabet": alphabet,
+        "states": ["q", "h", "r", "w"],
         "initial": draw(STATES),
         "finals": draw(st.lists(STATES, max_size=1)),
         "transitions": draw(st.lists(rule, max_size=6,
-                                     unique_by=lambda r: (r["from"], str(r["read"])))),
+                                     unique_by=lambda r: (r["from"], str(r["read"])))) + [
+            {"from": "w", "read": list(cell), "to": "w", "write": list(cell), "move": "r"}
+            for cell in written],
         "tapes": tapes,
         "one_sided": draw(st.booleans()),
     }

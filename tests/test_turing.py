@@ -1,5 +1,7 @@
 import json
+import time
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -12,7 +14,7 @@ from hyperlab import turing
 from hyperlab.errors import ConfigurationError, DomainError, ResourceError, ValidationError
 from hyperlab.turing import OutcomeKind
 
-from conftest import self_loop_doc, successor_doc
+from conftest import contents_doc, self_loop_doc, successor_doc
 
 
 class TestLoading:
@@ -193,8 +195,8 @@ def test_tape_sparsity_grows_at_most_one_cell_per_step(marks, fuel):
     machine = turing.load_machine(successor_doc())
     text = "1" * marks
     outcome = turing.run(machine, text, fuel=fuel)
-    extents = [_extent(t) for t in outcome.config.tapes]
-    written = sum(hi - lo + 1 for lo, hi in filter(None, extents))
+    extent = _extent(outcome.config.tape)
+    written = extent[1] - extent[0] + 1 if extent else 0
     assert written <= marks + outcome.config.steps
 
 
@@ -203,18 +205,28 @@ def test_tape_sparsity_grows_at_most_one_cell_per_step(marks, fuel):
 _WIDE_SYMBOLS = ["..", "a", "bb", "c.", ".d"]
 
 
+def _reads(tapes: int) -> list[tuple[str, ...]]:
+    """Every symbol on tape 0, with one of the first two symbols on every other tape."""
+    return [(a,) + (b,) * (tapes - 1)
+            for a in _WIDE_SYMBOLS for b in _WIDE_SYMBOLS[:2 if tapes > 1 else 1]]
+
+
+# symbols to write on every tape after tape 0, by the number of tapes, drawn at once
+_OTHERS = {tapes: st.sampled_from(list(product(_WIDE_SYMBOLS, repeat=tapes - 1))).map(list)
+           for tapes in range(1, 5)}
+
+
 @st.composite
 def _wide_machines(draw):
-    """Random 1- or 2-tape machines over _WIDE_SYMBOLS that erase and move freely."""
-    tapes = draw(st.integers(1, 2))
+    """Random 1- to 4-tape machines over _WIDE_SYMBOLS that erase and move freely."""
+    tapes = draw(st.integers(1, 4))
     states = ["s0", "s1", "s2", "halt"]
-    reads = [(a,) if tapes == 1 else (a, b)
-             for a in _WIDE_SYMBOLS for b in _WIDE_SYMBOLS[:2 if tapes == 2 else 1]]
+    reads = _reads(tapes)
     transitions = []
     for state in states[:-1]:
         for read in reads:
             if draw(st.booleans()) or read[0] == "..":
-                write = [draw(st.sampled_from(_WIDE_SYMBOLS)) for _ in range(tapes)]
+                write = [draw(st.sampled_from(_WIDE_SYMBOLS))] + draw(_OTHERS[tapes])
                 transitions.append({
                     "from": state, "read": list(read),
                     "to": draw(st.sampled_from(states)), "write": write,
@@ -271,7 +283,7 @@ class TestTrace:
         tape = turing.Tape(turing.SymbolCodes("__", ["a", "XY"]))
         for pos, symbol in {-2: "a", 0: "__", 1: "XY", 3: "__"}.items():
             tape.write(pos, symbol)
-        cfg = turing.TapeConfiguration(tapes=(tape,), head=0, state="go")
+        cfg = turing.TapeConfiguration(tape, head=0, state="go")
         assert cfg.tape_text() == "a____XY"
 
 
@@ -378,31 +390,31 @@ def _reference_view(doc, ref):
     return ref.state, ref.head, ref.steps, texts, extents
 
 
-def _extent(tape):
-    """The leftmost and rightmost non-blank cells of a tape, or None on a blank tape."""
-    marked = [i for i, code in enumerate(tape.cells) if code]
+def _extent(tape, track=0):
+    """The leftmost and rightmost cells of a tape whose track is not blank, or
+    None where the track is blank."""
+    marked = [i for i, code in enumerate(tape.cells) if tape.codes.tracks[track][code]]
     return (tape.origin + marked[0], tape.origin + marked[-1]) if marked else None
 
 
 def _engine_view(config):
-    texts = tuple(t.text() for t in config.tapes)
-    extents = tuple(_extent(t) for t in config.tapes)
+    tracks = range(len(config.tape.codes.tracks))
+    texts = tuple(config.tape_text(k) for k in tracks)
+    extents = tuple(_extent(config.tape, k) for k in tracks)
     return config.state, config.head, config.steps, texts, extents
 
 
 @st.composite
 def _hooked_docs(draw):
-    """Raw documents of random 1- or 2-tape machines over _WIDE_SYMBOLS, with
+    """Raw documents of random 1- to 4-tape machines over _WIDE_SYMBOLS, with
     an oracle ask-state and a state with no rules, one-sided or not."""
-    tapes = draw(st.integers(1, 2))
+    tapes = draw(st.integers(1, 4))
     states = ["s0", "s1", "s2", "ask", "dead", "halt"]
-    reads = [(a,) if tapes == 1 else (a, b)
-             for a in _WIDE_SYMBOLS for b in _WIDE_SYMBOLS[:2 if tapes == 2 else 1]]
     transitions = [
         {"from": state, "read": list(read), "to": draw(st.sampled_from(states)),
-         "write": [draw(st.sampled_from(_WIDE_SYMBOLS)) for _ in range(tapes)],
+         "write": [draw(st.sampled_from(_WIDE_SYMBOLS))] + draw(_OTHERS[tapes]),
          "move": draw(st.sampled_from("lnr"))}
-        for state in states[:3] for read in reads if draw(st.booleans()) or read[0] == ".."]
+        for state in states[:3] for read in _reads(tapes) if draw(st.booleans()) or read[0] == ".."]
     yes, no = draw(st.permutations(["s0", "s1", "s2", "halt"]))[:2]
     return {"blank": "..", "alphabet": _WIDE_SYMBOLS, "states": states, "tapes": tapes,
             "initial": "s0", "finals": ["halt"], "transitions": transitions,
@@ -420,25 +432,24 @@ def _sweeping_docs(draw):
     block of cells take most steps: each state but the final keeps itself,
     moving one way, over a set of non-blank symbols, rewriting them or not.
     The ask state has rules too, which step where no oracle takes it."""
-    tapes = draw(st.integers(1, 2))
+    tapes = draw(st.integers(1, 4))
     states = ["s0", "s1", "s2", "s3", "ask", "halt"]
     marks = _WIDE_SYMBOLS[1:]
     transitions = []
     for state in states[:5]:
         keep = draw(st.sets(st.sampled_from(marks), min_size=1, max_size=3))
         move, rewrites = draw(st.sampled_from("lr")), draw(st.booleans())
-        for a in _WIDE_SYMBOLS:
-            for read in ([a],) if tapes == 1 else ([a, b] for b in _WIDE_SYMBOLS[:2]):
-                others = [draw(st.sampled_from(_WIDE_SYMBOLS)) for _ in read[1:]]
-                if a in keep:
-                    write = [draw(st.sampled_from(marks)) if rewrites else a] + others
-                    transitions.append({"from": state, "read": read, "to": state,
-                                        "write": write, "move": move})
-                elif draw(st.booleans()) or a == "..":
-                    transitions.append({
-                        "from": state, "read": read, "to": draw(st.sampled_from(states)),
-                        "write": [draw(st.sampled_from(_WIDE_SYMBOLS))] + others,
-                        "move": draw(st.sampled_from("lnr"))})
+        for a, *read in _reads(tapes):
+            others = draw(_OTHERS[tapes])
+            if a in keep:
+                write = [draw(st.sampled_from(marks)) if rewrites else a] + others
+                transitions.append({"from": state, "read": [a] + read, "to": state,
+                                    "write": write, "move": move})
+            elif draw(st.booleans()) or a == "..":
+                transitions.append({
+                    "from": state, "read": [a] + read, "to": draw(st.sampled_from(states)),
+                    "write": [draw(st.sampled_from(_WIDE_SYMBOLS))] + others,
+                    "move": draw(st.sampled_from("lnr"))})
     yes, no = draw(st.permutations(["s0", "s1", "s2", "halt"]))[:2]
     return {"blank": "..", "alphabet": _WIDE_SYMBOLS, "states": states, "tapes": tapes,
             "initial": "s0", "finals": ["halt"], "transitions": transitions,
@@ -671,8 +682,14 @@ class TestSweepMarks:
                    {"from": "erase", "read": "a", "to": "erase", "write": "_", "move": "r"}]}
         assert _swept(turing.load_machine(doc)) == set()
 
-    def test_several_tapes_never_sweep(self):
-        assert _golden_machine("two_tape")._sweeps == {}
+    def test_several_tapes_sweep_on_their_tracks(self):
+        # move keeps itself over ("1", "_"), writing ("_", "1") and moving right
+        two_tape = _golden_machine("two_tape")
+        assert set(two_tape._sweeps) == _swept(two_tape) == {"move"}
+        cell, sweep = two_tape._codes.by_cell, two_tape._sweeps["move"]
+        assert sweep.rewrite[cell["1", "_"]] == cell["_", "1"]
+        assert sorted(two_tape._codes.cells[c] for c in sweep.outside) == [
+            ("_", "1"), ("_", "_"), ("x", "_"), ("x", "x")]
 
 
 class TestAlphabetBudget:
@@ -695,6 +712,19 @@ class TestAlphabetBudget:
             turing.load_machine(self._doc(257))
 
 
+class TestContentBudget:
+    def test_at_the_budget_a_machine_loads_and_runs(self):
+        machine = turing.load_machine(contents_doc(16))
+        assert len(machine._codes.cells) == turing.ALPHABET_BUDGET
+        outcome = turing.run(machine, fuel=1000)
+        assert outcome.kind is OutcomeKind.HALTED
+        assert [outcome.config.tape_text(k) for k in range(2)] == ["s15", "s15"]
+
+    def test_past_the_budget_the_machine_is_refused(self):
+        with pytest.raises(ResourceError, match="257 contents of a cell are past the budget"):
+            turing.load_machine(contents_doc(17))
+
+
 class TestTapeBudget:
     def _doc(self, tapes: int) -> dict:
         """A one-rule machine on ``tapes`` tapes that marks every tape once."""
@@ -707,11 +737,27 @@ class TestTapeBudget:
         assert turing.TAPE_BUDGET == 256
         outcome = turing.run(turing.load_machine(self._doc(256)), fuel=5)
         assert outcome.kind is OutcomeKind.HALTED
-        assert [t.text() for t in outcome.config.tapes] == ["1"] * 256
+        assert [outcome.config.tape_text(k) for k in range(256)] == ["1"] * 256
 
     def test_past_the_budget_the_machine_is_refused(self):
         with pytest.raises(ResourceError, match="budget of 256"):
             turing.load_machine(self._doc(257))
+
+    def test_a_traced_run_keeps_cells_not_the_text_of_every_tape(self):
+        # 256 tapes, only tape 0 written: a text per tape and snapshot took
+        # about 65 s to reach the cap, one copy of the cells 0.2 s
+        blanks = ["_"] * 255
+        machine = turing.load_machine({
+            "blank": "_", "alphabet": ["_", "1"], "states": ["go"], "initial": "go",
+            "finals": [], "tapes": 256, "transitions": [
+                {"from": "go", "read": ["_"] + blanks, "to": "go", "write": ["1"] + blanks,
+                 "move": "r"}]})
+        start = time.perf_counter()
+        outcome = turing.run(machine, fuel=12_000, trace=True)
+        assert time.perf_counter() - start < 1.0
+        assert len(outcome.trace) == turing.TRACE_CAP
+        last = outcome.trace[-1]
+        assert (last.tape_text(0), last.tape_text(255)) == ("1" * last.steps, "")
 
 
 class TestFuelBudget:
