@@ -424,15 +424,17 @@ def _write_output(path: str, pieces: list[str]) -> None:
     """Write ``pieces`` to ``path``, all of them or, where a write fails, none.
 
     A regular file, or a new one, at the end of any symlinks is written as a
-    temporary file beside it, with the usual mode, which replaces it once
-    complete and is removed otherwise. Anything else, a device such as
-    ``os.devnull`` among them, is written in place.
+    temporary file beside it, which replaces it once complete, with the
+    mode of the file it replaces or, for a new file, the usual one, and is
+    removed otherwise. Anything else, a device such as ``os.devnull`` or a
+    pipe behind ``/dev/stdout`` among them, is written in place; it is told
+    apart on the path as given, since /proc's links to a pipe do not resolve.
     """
-    target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        with open(target, "w", encoding="utf-8", newline="") as fh:
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(pieces)
         return
+    target = os.path.realpath(path)
     temporary = os.path.join(os.path.dirname(target), f".{os.urandom(6).hex()}.tmp")
     try:
         fh = open(temporary, "x", encoding="utf-8", newline="")
@@ -440,6 +442,8 @@ def _write_output(path: str, pieces: list[str]) -> None:
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with fh:
+            if os.path.exists(target):
+                os.chmod(temporary, os.stat(target).st_mode & 0o7777)
             fh.writelines(pieces)
         os.replace(temporary, target)
     except BaseException:

@@ -91,7 +91,7 @@ class TuringMachine:
             if got is not None:
                 rows[src][got] = (
                     dst, rows.get(dst, empty), None if put == got else put, MOVES[move],
-                    sweep if sweep and got not in sweep.outside else None)
+                    sweep if sweep and not sweep.stop[got] else None)
         return rows
 
     @cached_property
@@ -119,8 +119,8 @@ class TuringMachine:
             rewrite = bytearray(identity)
             for got, (put, _) in rules.items():
                 rewrite[got] = put
-            outside = bytes(sorted(set(range(len(self._codes.cells))) - rules.keys()))
-            sweeps[state] = Sweep(outside, None if rewrite == identity else bytes(rewrite))
+            stop = bytes(int(code not in rules) for code in range(256))
+            sweeps[state] = Sweep(stop, None if rewrite == identity else bytes(rewrite))
         return sweeps
 
     @cached_property
@@ -132,13 +132,13 @@ class TuringMachine:
 class Sweep(NamedTuple):
     """A state's rules over the set S of the cells it keeps itself on.
 
-    ``outside`` holds the code of every cell outside S, the blank among
-    them; ``rewrite`` is the ``bytes.translate`` table taking each code in S
-    to the code its rule writes, or None where every rule writes back what
-    it read.
+    ``stop`` is the ``bytes.translate`` table taking each code in S to 0
+    and every other, the blank among them, to 1; ``rewrite`` is the one
+    taking each code in S to the code its rule writes, or None where every
+    rule writes back what it read.
     """
 
-    outside: bytes
+    stop: bytes
     rewrite: Optional[bytes]
 
 
@@ -163,8 +163,8 @@ class SymbolCodes:
 
     __slots__ = ("names", "by_name", "cells", "by_cell", "tracks", "_encode", "_decode")
 
-    def __init__(self, blank: str, alphabet: Iterable[str], tapes: int = 1,
-                 written: Iterable[tuple[str, ...]] = ()):
+    def __init__(self, blank: str, alphabet: Iterable[str], tapes: int,
+                 written: Iterable[tuple[str, ...]]):
         self.names = [blank, *sorted(set(alphabet) - {blank})]
         self.by_name = {name: code for code, name in enumerate(self.names)}
         inputs = [(name,) + (blank,) * (tapes - 1) for name in self.names]
@@ -279,10 +279,6 @@ class TraceSnapshot(NamedTuple):
 
     def tape_text(self, tape: int = 0) -> str:
         return self.codes.text(self.cells, tape)
-
-    @property
-    def texts(self) -> tuple[str, ...]:
-        return tuple(map(self.tape_text, range(len(self.codes.tracks))))
 
 
 def _snapshot(config: TapeConfiguration) -> TraceSnapshot:
@@ -447,29 +443,27 @@ def attach_oracle(machine: TuringMachine, oracle: Callable[[int], bool]) -> Turi
     return bound
 
 
-def _sweep_length(cells: bytearray, outside: bytes, i: int, shift: int, room: int) -> int:
-    """How many cells from ``cells[i]`` on, stepping by ``shift``, hold no
-    code of ``outside``, counting at most ``room``.
+def _sweep_length(cells: bytearray, stop: bytes, i: int, shift: int, room: int) -> int:
+    """How many cells from ``cells[i]`` on, stepping by ``shift``, hold a
+    code that ``stop`` takes to 0, counting at most ``room``.
 
-    Each code is looked for with one find in windows that grow fourfold, so
-    a code missing from a long tape is not sought far past the end of a
-    short run.
+    Each window is translated by ``stop`` and searched once, so entering a
+    sweep costs the same whatever the size of the set; windows grow
+    fourfold, so the end of a short run is not sought far past it on a long
+    tape.
     """
     run, width = 0, 64
     while run < room:
-        probe = reach = min(run + width, room)
-        for code in outside:
-            if shift > 0:
-                found = cells.find(code, i + run, i + reach)
-                if found >= 0:
-                    reach = found - i
-            else:
-                found = cells.rfind(code, i + 1 - reach, i + 1 - run)
-                if found >= 0:
-                    reach = i - found
-        if reach < probe:
-            return reach
-        run, width = probe, 4 * width
+        reach = min(run + width, room)
+        if shift > 0:
+            found = cells[i + run:i + reach].translate(stop).find(1)
+            if found >= 0:
+                return run + found
+        else:
+            found = cells[i + 1 - reach:i + 1 - run].translate(stop).rfind(1)
+            if found >= 0:
+                return reach - 1 - found
+        run, width = reach, 4 * width
     return room
 
 
@@ -552,7 +546,7 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
                     room = min(fuel - steps, size - i if shift > 0 else i + 1)
                     if one_sided and shift < 0:
                         room = min(room, head)
-                    run = _sweep_length(cells, sweep.outside, i, shift, room)
+                    run = _sweep_length(cells, sweep.stop, i, shift, room)
                     if sweep.rewrite is not None:
                         first = i if shift > 0 else i + 1 - run
                         cells[first:first + run] = cells[first:first + run].translate(

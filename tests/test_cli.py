@@ -313,7 +313,12 @@ class TestErrors:
         assert status == 1 and out == ""
         payload = json.loads(err)
         assert payload["error"] == "resource-error"
-        assert "budget" in payload["message"]
+        if fuel == turing.FUEL_BUDGET:  # 1 and 2 tapes
+            assert payload["message"] == (
+                f"fuel of {fuel + 1} steps is past the budget of {turing.FUEL_BUDGET}")
+        else:
+            assert payload["message"].endswith(
+                f"characters of tape text, past the budget of {turing.TAPE_TEXT_BUDGET}")
 
     def test_minimisers_past_their_budget_end_in_resource_error(self, write_json):
         # D = 0 everywhere: each of the MINIMIZER_BUDGET + 1 lattice points is a
@@ -514,6 +519,24 @@ class TestErrors:
         umask = os.umask(0)
         os.umask(umask)
         assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_output_keeps_the_mode_of_the_file_it_replaces(self, tmp_path):
+        target = tmp_path / "report.json"
+        target.write_text("previous")
+        target.chmod(0o600)
+        status, _, _ = run_cli(["--output", str(target), "zeno", "time", "--n", "3"])
+        assert status == 0
+        assert target.stat().st_mode & 0o777 == 0o600
+        assert json.loads(target.read_text())["seconds_exact"] == "15/8"
+
+    def test_output_to_stdout_through_a_pipe(self):
+        done = subprocess.run([sys.executable, "-m", "hyperlab.cli", "--output", "/dev/stdout",
+                               "zeno", "time", "--n", "3"],
+                              env=src_env() | {"PYTHONDONTWRITEBYTECODE": "1"},
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              timeout=60)
+        assert done.returncode == 0 and done.stderr == ""
+        assert json.loads(done.stdout)["seconds_exact"] == "15/8"
 
     def test_output_to_the_null_device(self):
         status, out, err = run_cli(["--output", os.devnull, "zeno", "time", "--n", "3"])

@@ -280,7 +280,7 @@ class TestTrace:
         assert [s.tape_text() for s in outcome.trace] == [
             "a", "a", "a", "a__XY", "a__XY", "XY", "XY"]
         # a blank written inside the extent reads as an erased cell
-        tape = turing.Tape(turing.SymbolCodes("__", ["a", "XY"]))
+        tape = turing.Tape(turing.SymbolCodes("__", ["a", "XY"], 1, ()))
         for pos, symbol in {-2: "a", 0: "__", 1: "XY", 3: "__"}.items():
             tape.write(pos, symbol)
         cfg = turing.TapeConfiguration(tape, head=0, state="go")
@@ -288,7 +288,7 @@ class TestTrace:
 
 
 _BLANK = _WIDE_SYMBOLS[0]
-_CODES = turing.SymbolCodes(_BLANK, _WIDE_SYMBOLS)
+_CODES = turing.SymbolCodes(_BLANK, _WIDE_SYMBOLS, 1, ())
 
 
 class TestTape:
@@ -555,7 +555,8 @@ def _check_run(doc, text, fuel, cap, with_oracle):
     assert _engine_view(outcome.config) == _reference_view(doc, ref)
     # the first snapshot, of the starting configuration, is kept at any cap
     expected = ([_reference_view(doc, _reference_start(doc, text))[:4]] + trace)[:max(cap, 1)]
-    assert [(s.state, s.head, s.steps, s.texts) for s in outcome.trace] == expected
+    assert [(s.state, s.head, s.steps, tuple(map(s.tape_text, range(machine.num_tapes))))
+            for s in outcome.trace] == expected
     untraced = turing.run(machine, text, fuel=fuel)
     assert untraced.kind is kind
     assert _engine_view(untraced.config) == _reference_view(doc, ref)
@@ -660,7 +661,7 @@ class TestSweepMarks:
     def test_a_run_ends_on_every_symbol_outside_the_set(self):
         doubling = _golden_machine("doubling")
         names = doubling._codes.names
-        outside = {state: sorted(names[c] for c in sweep.outside)
+        outside = {state: sorted(names[c] for c in range(len(names)) if sweep.stop[c])
                    for state, sweep in doubling._sweeps.items()}
         assert outside == {"right": ["_", "x"], "left": ["_", "x"], "convert": ["1", "_", "x"],
                          "rewind": ["_", "y"]}
@@ -688,8 +689,28 @@ class TestSweepMarks:
         assert set(two_tape._sweeps) == _swept(two_tape) == {"move"}
         cell, sweep = two_tape._codes.by_cell, two_tape._sweeps["move"]
         assert sweep.rewrite[cell["1", "_"]] == cell["_", "1"]
-        assert sorted(two_tape._codes.cells[c] for c in sweep.outside) == [
+        cells = two_tape._codes.cells
+        assert sorted(cells[c] for c in range(len(cells)) if sweep.stop[c]) == [
             ("_", "1"), ("_", "_"), ("x", "_"), ("x", "x")]
+
+    def test_entering_a_sweep_costs_the_same_whatever_its_set(self):
+        # r sweeps right over single (s1, _) cells on a 2-tape machine with
+        # 256 contents, so 255 codes end its sweep; one find per code took
+        # about 100 us per sweep entered, about 7 s for these 2 * 10**5 steps
+        doc = contents_doc(16)
+        doc["states"] += ["r", "t"]
+        doc["initial"] = "r"
+        doc["transitions"] += [
+            {"from": "r", "read": ["s1", "_"], "to": "r", "write": ["s1", "_"], "move": "r"},
+            {"from": "r", "read": ["s2", "_"], "to": "t", "write": ["s2", "_"], "move": "r"},
+            {"from": "t", "read": ["s1", "_"], "to": "r", "write": ["s1", "_"], "move": "n"}]
+        machine = turing.load_machine(doc)
+        assert len(machine._codes.cells) == turing.ALPHABET_BUDGET and set(machine._sweeps) == {"r"}
+        start = time.perf_counter()
+        outcome = turing.run(machine, ["s1", "s2"] * 10**5, fuel=2 * 10**5)
+        assert time.perf_counter() - start < 1.0
+        assert outcome.kind is OutcomeKind.OUT_OF_FUEL
+        assert outcome.config.tape_text(0) == "s1s2" * 10**5
 
 
 class TestAlphabetBudget:
@@ -822,7 +843,7 @@ class TestTapeTextBudget:
 class TestTraceTextBudget:
     def test_budget_is_inclusive_and_counts_every_snapshot(self, successor, monkeypatch):
         full = turing.run(successor, "1" * 50, trace=True)
-        kept = sum(len(text) for snap in full.trace for text in snap.texts)
+        kept = sum(len(snap.tape_text()) for snap in full.trace)
         monkeypatch.setattr(turing, "TRACE_TEXT_BUDGET", kept)
         assert turing.run(successor, "1" * 50, trace=True).trace == full.trace
         monkeypatch.setattr(turing, "TRACE_TEXT_BUDGET", kept - 1)
