@@ -67,6 +67,10 @@ CASES = {
     # (x - 3)(x - 5000): the two minimisers fall in different runs of the lattice scan
     "aqc-oracle-two-chunks": ["aqc", "solve", "tests/golden/x_minus_3_times_x_minus_5000.json",
                               "--cutoff", "9999", "--oracle-only"],
+    # samples over all three runs of 4096, in levels that +D and -D share
+    "aqc-solve-three-runs": ["aqc", "solve", "tests/golden/x_minus_3_times_x_minus_5000.json",
+                             "--cutoff", "9999", "--time", "1e-15", "--dt", "1.9e-16",
+                             "--shots", "1000", "--seed", "5"],
     "error-enum-decode": ["enum", "decode", "--index", "-1"],
     # the engine's long loops: thousands of steps, erasures at both ends,
     # a fuel-bounded zeno run, and the prime-pair stream at 10**5
