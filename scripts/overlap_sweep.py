@@ -5,8 +5,10 @@ For a slow enough schedule the final state should concentrate on the problem
 operator's ground level; this script makes that trend visible for any small
 polynomial document. The overlap is the summed population of every lattice
 point where D**2 is minimal, so a degenerate ground level counts whole. The
-evolution keeps one amplitude per level and needs no numpy. A failure, such
-as a lattice past the budget, exits 1 with the CLI's JSON error on stderr.
+evolution keeps one amplitude per level and needs no numpy; the exact ground
+energy and minimisers come from the exact oracle. A failure, such as a lattice
+past the budget or more minimisers than the oracle may list, exits 1 with the
+CLI's JSON error on stderr.
 
     python3 scripts/overlap_sweep.py fixtures/x_minus_2.json --cutoff 4 \
         --times 1 5 25 125 --dt 0.01
@@ -34,6 +36,7 @@ def main() -> int:
 def sweep(args) -> None:
     poly = aqc.parse_polynomial(load_json(args.polynomial))
     scan = aqc.scan_levels(poly, args.cutoff)
+    energy, minimizers = aqc.exact_ground_oracle(poly, args.cutoff)
 
     rows = []
     for total_time in args.times:
@@ -50,9 +53,8 @@ def sweep(args) -> None:
     emit_report({
         "cutoff": args.cutoff,
         "dt": args.dt,
-        # level 0 is the exact minimum of D**2, its members the minimisers
-        "exact_ground_energy": scan.levels[0],
-        "exact_minimizers": [list(scan.space.occupation_of(i)) for i in scan.members([0])[0]],
+        "exact_ground_energy": energy,
+        "exact_minimizers": [list(w) for w in minimizers],
         "sweep": rows,
     }, "json", sys.stdout)
 

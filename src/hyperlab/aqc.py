@@ -15,10 +15,10 @@ the naturals; searches over negative integers need an explicit substitution
 such as x -> x' - m before encoding.
 
 An exact integer scan of the lattice, a run of the last coordinate at a time,
-is the oracle for every quantum-path result. `decide` scans once and groups
-the points by the distinct values of D**2 (the levels): from the uniform
-start the state stays constant on each level, so it propagates one amplitude
-per level and samples levels, then points within them, in the standard library.
+is the oracle for every quantum-path result. `decide` scans once and counts
+the points at each distinct value of D**2 (the levels): from the uniform start
+the state stays constant on each level, so it propagates one amplitude per
+level, samples levels, then points within them, and scans again for those.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import itertools
 import math
 import operator
 import random
-from array import array
 from collections import Counter
 from enum import Enum
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -41,7 +40,7 @@ from .errors import (
     ValidationError,
     shown,
 )
-from .variates import multinomial
+from .variates import even_multinomial, multinomial
 
 LATTICE_BUDGET = 10**7
 VALUE_BITS_BUDGET = 4096
@@ -258,57 +257,62 @@ def exact_ground_oracle(
 class LevelScan(NamedTuple):
     """The lattice grouped by the exact value p = D(n)**2.
 
-    ``levels`` are the distinct values in increasing order, level j is taken
-    at ``multiplicities[j]`` points, and the point at basis index i is at
-    level ``level_of[i]``.
+    ``levels`` are the distinct values in increasing order, and level j is
+    taken at ``multiplicities[j]`` points; the points themselves are not kept.
     """
 
+    poly: DiophantinePolynomial
     space: TruncatedFockSpace
     levels: tuple[int, ...]
     multiplicities: tuple[int, ...]
-    level_of: array
 
-    def members(self, wanted) -> dict[int, list[int]]:
-        """The basis indices at each wanted level, in basis order, from one pass."""
-        found: dict[int, list[int]] = {j: [] for j in wanted}
-        for i, j in enumerate(self.level_of):
-            if j in found:
-                found[j].append(i)
+    def members(self, wanted) -> dict[tuple[int, int], int]:
+        """The basis index of the r-th point of level j, in basis order, for each
+        rank r in wanted[j], from a second scan that counts each wanted level's
+        points and stops at the last wanted one. +D and -D share a level."""
+        roots = {math.isqrt(self.levels[j]): j for j in wanted}
+        passed, found = dict.fromkeys(wanted, 0), {}
+        total, start = sum(map(len, wanted.values())), 0
+        for run in _lattice_runs(self.poly, self.space):
+            for i, root in itertools.compress(enumerate(map(abs, run), start),
+                                              map(roots.__contains__, map(abs, run))):
+                j = roots[root]
+                if passed[j] in wanted[j]:
+                    found[j, passed[j]] = i
+                    if len(found) == total:
+                        return found
+                passed[j] += 1
+            start += len(run)
         return found
 
 
 def scan_levels(
     poly: DiophantinePolynomial, cutoff: int, max_levels: int = LEVEL_BUDGET
 ) -> LevelScan:
-    """Evaluate D**2 once at every lattice point up to the cutoff and group the points by value.
+    """Evaluate D once at every lattice point up to the cutoff and count the points per level.
 
-    Memory is one 4-byte index per point and one dictionary entry per
-    distinct level; the lattice budgets are checked before the first
-    evaluation, and the scan stops with :class:`ResourceError` after the run
-    that holds the first level past ``max_levels``.
+    Memory is one count per distinct |D|, the root of its level; the lattice
+    budgets are checked before the first evaluation, and the scan stops with
+    :class:`ResourceError` after the run that holds the first level past
+    ``max_levels``.
     """
     space = TruncatedFockSpace(poly.num_vars, cutoff)
-    first_seen: dict[int, int] = {}
-    seen = array("I")  # the first-seen rank of each point's value
-    for run in _lattice_runs(poly, space):
-        seen.extend(map(first_seen.setdefault, map(operator.mul, run, run),
-                        map(len, itertools.repeat(first_seen))))
-        if len(first_seen) > max_levels:
-            raise ResourceError(
-                f"the lattice has more than {max_levels} distinct levels, past the "
-                f"budgets of {LEVEL_BUDGET} levels and {LEVEL_STEP_BUDGET} "
-                "levels x steps")
-    levels = sorted(first_seen)
-    level = [0] * len(levels)
-    for j, value in enumerate(levels):
-        level[first_seen[value]] = j
-    counts = Counter(seen)
-    return LevelScan(
-        space=space,
-        levels=tuple(levels),
-        multiplicities=tuple(counts[first_seen[value]] for value in levels),
-        level_of=array("I", map(level.__getitem__, seen)),
-    )
+    counts: Counter[int] = Counter()
+
+    def magnitudes() -> Iterator[Iterator[int]]:
+        # |D| a run at a time; counts holds the whole run when the next is asked for
+        for run in _lattice_runs(poly, space):
+            yield map(abs, run)
+            if len(counts) > max_levels:
+                raise ResourceError(
+                    f"the lattice has more than {max_levels} distinct levels, past the "
+                    f"budgets of {LEVEL_BUDGET} levels and {LEVEL_STEP_BUDGET} "
+                    "levels x steps")
+
+    counts.update(itertools.chain.from_iterable(magnitudes()))
+    roots = sorted(counts)
+    return LevelScan(poly, space, tuple(root * root for root in roots),
+                     tuple(map(counts.__getitem__, roots)))
 
 
 def _float_levels(levels: Sequence[int]) -> list[float]:
@@ -452,16 +456,15 @@ def sample_levels(
 
     The shots split over the levels by their populations, then each level's
     share splits evenly over its points; both splits draw from
-    random.Random(seed), in that order.
+    random.Random(seed), in that order, and a second scan finds the points.
     """
     _check_shots(shots)
     rng = random.Random(seed)
     per_level = multinomial(rng, shots, populations)
-    per_point = {j: multinomial(rng, count, [1] * scan.multiplicities[j])
+    per_point = {j: even_multinomial(rng, count, scan.multiplicities[j])
                  for j, count in per_level.items()}
     members = scan.members(per_point)
-    space = scan.space
-    return {space.occupation_of(members[j][rank]): count
+    return {scan.space.occupation_of(members[j, rank]): count
             for j, draws in per_point.items() for rank, count in draws.items()}
 
 
@@ -488,22 +491,11 @@ class DecisionReport(NamedTuple):
     note: str
 
     def to_json_dict(self) -> dict:
-        return {
+        return self._asdict() | {
             "verdict": self.verdict.value,
             "witness": list(self.witness) if self.witness is not None else None,
-            "ground_energy": self.ground_energy,
-            "success_probability_estimate": self.success_probability_estimate,
-            "samples": {
-                ",".join(map(str, tup)): count
-                for tup, count in sorted(self.samples.items())
-            },
-            "cutoff": self.cutoff,
-            "total_time": self.total_time,
-            "dt": self.dt,
-            "shots": self.shots,
-            "seed": self.seed,
-            "norm_drift": self.norm_drift,
-            "note": self.note,
+            "samples": {",".join(map(str, tup)): count
+                        for tup, count in sorted(self.samples.items())},
         }
 
 
@@ -528,9 +520,9 @@ def decide(
     LEVEL_STEP_BUDGET // steps) levels before the evolution starts.
     """
     _check_schedule(total_time, dt)
-    if cutoff < 0 or total_time == 0 or not 1 <= shots <= MAX_SHOTS:
-        raise DomainError(
-            f"cutoff must be a natural number, time positive and shots in 1..{MAX_SHOTS}")
+    if total_time == 0:
+        raise DomainError("total time must be positive")
+    _check_shots(shots)
     scan = scan_levels(poly, cutoff,
                        min(LEVEL_BUDGET, LEVEL_STEP_BUDGET // _step_count(total_time, dt)))
     evolved = evolve_from_uniform(scan, total_time, dt)

@@ -26,8 +26,8 @@ def binomial(rng: random.Random, n: int, p: float) -> int:
     exact integers; and the acceptance test's log f(k)/f(m) in Hoermann's
     Stirling form with log1p, where lgamma(n) cancels (at n = 2**62 that
     cancellation made the variance twelve times too large). A geometric gap
-    is capped at n before it is floored, since at subnormal p it is infinite,
-    and uniforms that meet a log or a division never come out 0.
+    of n or more ends the draw before it is floored, since at subnormal p it
+    is infinite, and uniforms that meet a log or a division never come out 0.
     """
     if n == 0 or p <= 0.0:
         return 0
@@ -39,7 +39,10 @@ def binomial(rng: random.Random, n: int, p: float) -> int:
         x = y = 0
         c = math.log1p(-p)
         while True:
-            y += math.floor(min(math.log(1.0 - rng.random()) / c, n)) + 1
+            gap = math.log(1.0 - rng.random()) / c
+            if gap >= n:
+                return x
+            y += math.floor(gap) + 1
             if y > n:
                 return x
             x += 1
@@ -84,7 +87,15 @@ def multinomial(rng: random.Random, n: int, weights: Sequence[float]) -> dict[in
     of exact point counts. The loop stops once every draw is placed, and each
     binomial draw costs O(1) on average, so the cost does not grow with n.
     """
-    tails = list(itertools.accumulate(reversed(weights)))[::-1]
+    return _split(rng, n, weights, list(itertools.accumulate(reversed(weights)))[::-1])
+
+
+def even_multinomial(rng: random.Random, n: int, m: int) -> dict[int, int]:
+    """multinomial(rng, n, [1] * m) draw for draw, with no list: w_i / W_i is 1 / (m - i)."""
+    return _split(rng, n, itertools.repeat(1, m), range(m, 0, -1))
+
+
+def _split(rng: random.Random, n: int, weights, tails) -> dict[int, int]:
     counts: dict[int, int] = {}
     for i, (weight, tail) in enumerate(zip(weights, tails)):
         if n == 0:

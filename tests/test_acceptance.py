@@ -45,11 +45,14 @@ def _evolve_x_minus_2(total_time: float, dt: float = 0.01):
     result = aqc.evolve_from_uniform(scan, total_time, dt)
     _DRIFTS.append(result.norm_drift)
     # summed population of every minimiser, found by the exact oracle; the
-    # state is c_j / sqrt(m_j) at each point of level j
-    populations = [abs(result.amplitudes[j]) ** 2 / scan.multiplicities[j]
-                   for j in scan.level_of]
-    _, winners = aqc.exact_ground_oracle(poly, space.cutoff)
+    # state is c_j / sqrt(m_j) at each of the m_j points of level j, the
+    # levels being the distinct values of D**2 in increasing order
     order = list(itertools.product(range(space.cutoff + 1), repeat=space.num_modes))
+    squares = [poly.evaluate(n) ** 2 for n in order]
+    levels = sorted(set(squares))
+    populations = [abs(result.amplitudes[levels.index(p)]) ** 2 / squares.count(p)
+                   for p in squares]
+    _, winners = aqc.exact_ground_oracle(poly, space.cutoff)
     overlap = sum(populations[order.index(w)] for w in winners) / sum(populations)
     return result, overlap
 

@@ -57,8 +57,16 @@ def interpolate_hamiltonian(space: TruncatedFockSpace, diagonal: np.ndarray,
 
 
 def scan_diagonal(scan: aqc.LevelScan) -> np.ndarray:
-    """D(n)**2 at every lattice point in basis order: the scan's levels expanded by level_of."""
-    return np.array([float(scan.levels[j]) for j in scan.level_of])
+    """D(n)**2 at every lattice point of the scan in basis order, term by term."""
+    return np.array([float(scan.poly.evaluate(n) ** 2) for n in lattice(scan.space)])
+
+
+def level_index(scan: aqc.LevelScan) -> list[int]:
+    """The level of every lattice point of the scan in basis order, from term-by-term
+    values of D**2 numbered in increasing order."""
+    squares = [scan.poly.evaluate(n) ** 2 for n in lattice(scan.space)]
+    rank = {p: j for j, p in enumerate(sorted(set(squares)))}
+    return [rank[p] for p in squares]
 
 
 def problem_diagonal(poly: aqc.DiophantinePolynomial, space: TruncatedFockSpace) -> np.ndarray:
@@ -77,7 +85,7 @@ def point_state(scan: aqc.LevelScan, evolution: aqc.LevelEvolution) -> np.ndarra
     """The normalised amplitude at every point of a state constant on each level:
     coefficient c_j on level j is c_j / sqrt(m_j) at each of its m_j points."""
     per_level = np.array(evolution.amplitudes) / np.sqrt(scan.multiplicities)
-    v = per_level[np.asarray(scan.level_of)]
+    v = per_level[level_index(scan)]
     return v / np.linalg.norm(v)
 
 
@@ -543,6 +551,24 @@ class TestBinomial:
         for n in (1, 10, aqc.MAX_SHOTS):
             assert [variates.binomial(rng, n, p) for _ in range(100)] == [0] * 100
 
+    def test_geometric_method_keeps_the_draws_of_capped_gaps(self):
+        # the geometric method with each gap capped at n, then floored: a gap of
+        # n or more ends the draw, so stopping on it at once draws the same
+        def capped(rng, n, p):
+            x = y = 0
+            c = math.log1p(-p)
+            while True:
+                y += math.floor(min(math.log(1.0 - rng.random()) / c, n)) + 1
+                if y > n:
+                    return x
+                x += 1
+
+        for n, p in [(1, 0.5), (7, 1e-6), (40, 0.2), (10**6, 1e-7),
+                     (aqc.MAX_SHOTS, 1e-19), (3, 5e-324)]:
+            a, b = random.Random(n), random.Random(n)
+            assert ([variates.binomial(a, n, p) for _ in range(2000)]
+                    == [capped(b, n, p) for _ in range(2000)])
+
     def test_subnormal_weight_takes_no_draw(self):
         counts = variates.multinomial(random.Random(1), 1000, [1.0, 1e-320, 0.5])
         assert set(counts) <= {0, 2} and sum(counts.values()) == 1000
@@ -702,7 +728,7 @@ class TestLatticeRuns:
                 low, [n for n, p in zip(lattice(space), squares) if p == low])
             scan = aqc.scan_levels(poly, cutoff)
         assert list(scan.levels) == sorted(set(squares))
-        assert [scan.levels[j] for j in scan.level_of] == squares
+        assert list(scan.multiplicities) == [squares.count(p) for p in scan.levels]
 
 
 class TestStructuredOperators:
@@ -729,7 +755,7 @@ class TestStructuredOperators:
         assert a.steps == reference_steps
         assert np.max(np.abs(point_state(scan, a) - reference)) <= 1e-12
         populations = [abs(c) ** 2 for c in a.amplitudes]
-        reference_populations = np.bincount(np.asarray(scan.level_of), np.abs(reference) ** 2)
+        reference_populations = np.bincount(level_index(scan), np.abs(reference) ** 2)
         if not _sampler_tie(np.sqrt(reference_populations)):
             assert (aqc.sample_levels(scan, populations, 1000, seed)
                     == aqc.sample_levels(scan, reference_populations.tolist(), 1000, seed))
@@ -774,7 +800,7 @@ class TestStructuredOperators:
             aqc.decide(poly, cutoff, total_time, dt, shots=10, seed=0)
         state = np.array(_pointwise(diagonal, uniform_ket(space).reshape(-1), total_time,
                                     dt).amplitudes)
-        full = np.bincount(np.asarray(scan.level_of), weights=np.abs(state) ** 2,
+        full = np.bincount(level_index(scan), weights=np.abs(state) ** 2,
                            minlength=len(scan.levels))
         assert np.max(np.abs(np.array(sampled[0]) - full)) <= 1e-12
 
@@ -787,7 +813,6 @@ class TestStructuredOperators:
         values = [poly.evaluate(n) ** 2 for n in lattice(space)]
         assert list(scan.levels) == sorted(set(values))
         assert list(scan.multiplicities) == [values.count(p) for p in scan.levels]
-        assert [scan.levels[j] for j in scan.level_of] == values
 
     def test_symmetric_points_keep_bitwise_equal_amplitudes(self):
         # 2x in two variables: (1, 0) and (1, 1) are images under y <-> 1 - y,
@@ -829,3 +854,100 @@ class TestStructuredOperators:
             tracemalloc.stop()
         assert report.ground_energy == 0
         assert peak < 2 * 2**20
+
+
+# the largest cutoff per arity on lattices of up to 10**4 points: one variable
+# runs past RUN_LENGTH, so its points fall in three runs
+SAMPLED_CUTOFF = {1: 9999, 2: 99, 3: 20}
+
+
+@st.composite
+def sampled_problems(draw):
+    """(polynomial, cutoff, populations): 1-3 variables, terms of degree up to 3
+    in each variable with coefficients of either sign, and one population per
+    level, about a third of them zero."""
+    k = draw(st.integers(1, 3))
+    top = SAMPLED_CUTOFF[k]
+    cutoff = draw(st.integers(0, top) if k > 1 else
+                  st.one_of(st.integers(0, 30), st.integers(aqc.RUN_LENGTH, top)))
+    exponents = draw(st.lists(st.tuples(*[st.integers(0, 3)] * k), max_size=4, unique=True))
+    coeffs = draw(st.lists(st.integers(-30, 30), min_size=len(exponents),
+                           max_size=len(exponents)))
+    poly = _poly(k, [[c, list(e)] for c, e in zip(coeffs, exponents)])
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    levels = len(aqc.scan_levels(poly, cutoff).levels)
+    populations = [rng.random() if rng.random() < 0.7 else 0.0 for _ in range(levels)]
+    populations[rng.randrange(levels)] += 1.0
+    return poly, cutoff, populations
+
+
+def reference_sample(poly, cutoff, populations, shots, seed) -> dict[tuple[int, ...], int]:
+    """sample_levels with a per-point level index, from term-by-term values of
+    D**2: both splits by multinomial over weight lists, and the points of the
+    sampled levels listed by one walk over the index."""
+    space = TruncatedFockSpace(poly.num_vars, cutoff)
+    squares = [poly.evaluate(n) ** 2 for n in lattice(space)]
+    rank = {p: j for j, p in enumerate(sorted(set(squares)))}
+    level_of = [rank[p] for p in squares]
+    multiplicities = Counter(level_of)
+    rng = random.Random(seed)
+    per_level = variates.multinomial(rng, shots, populations)
+    per_point = {j: variates.multinomial(rng, count, [1] * multiplicities[j])
+                 for j, count in per_level.items()}
+    members: dict[int, list[int]] = {j: [] for j in per_point}
+    for i, j in enumerate(level_of):
+        if j in members:
+            members[j].append(i)
+    return {space.occupation_of(members[j][r]): count
+            for j, draws in per_point.items() for r, count in draws.items()}
+
+
+class TestSecondScan:
+    """Sampled points found by a second scan, against a per-point level index."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=sampled_problems(),
+           shots=st.one_of(st.integers(1, 1000), st.integers(1, aqc.MAX_SHOTS)),
+           seed=st.integers(0, 2**32 - 1))
+    # one level of 10**4 points in three runs, every point drawn
+    @example(problem=(_poly(1, []), 9999, [1.0]), shots=aqc.MAX_SHOTS, seed=0)
+    # (x - 3)(x - 5000): 7,498 levels, two-point ones with their points in different runs
+    @example(problem=(_poly(1, [[1, [2]], [-5003, [1]], [15000, [0]]]), 9999,
+                      [1.0] * 7498), shots=1000, seed=5)
+    def test_sample_levels_matches_the_per_point_index(self, problem, shots, seed):
+        poly, cutoff, populations = problem
+        scan = aqc.scan_levels(poly, cutoff)
+        assert (aqc.sample_levels(scan, populations, shots, seed)
+                == reference_sample(poly, cutoff, populations, shots, seed))
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 4097])
+    def test_even_split_draws_as_equal_weights(self, m):
+        for n in (1, 10, 1000, aqc.MAX_SHOTS):
+            assert (variates.even_multinomial(random.Random(n), n, m)
+                    == variates.multinomial(random.Random(n), n, [1] * m))
+
+    def test_plus_and_minus_d_share_a_level(self, monkeypatch):
+        # x - 7 at cutoff 14: |D| = 1 at x = 6 and x = 8, |D| = 7 at x = 0 and x = 14
+        scan = aqc.scan_levels(_poly(1, [[1, [1]], [-7, [0]]]), 14)
+        assert scan.levels == tuple(r * r for r in range(8))
+        assert scan.multiplicities == (1,) + (2,) * 7
+        monkeypatch.setattr(aqc, "RUN_LENGTH", 4)
+        assert scan.members({1: {0: 1, 1: 1}, 7: {1: 1}}) == {
+            (1, 0): 6, (1, 1): 8, (7, 1): 14}
+        # the second scan stops in the run that holds the last wanted point
+        scanned = record_runs(monkeypatch)
+        assert scan.members({1: {0: 1}}) == {(1, 0): 6}
+        assert scanned == [[-7, -6, -5, -4], [-3, -2, -1, 0]]
+
+    def test_decide_keeps_no_per_point_state(self):
+        # D = 0 at cutoff 99,999: one level of 10**5 points, each sampled point
+        # found by the second scan
+        tracemalloc.start()
+        try:
+            report = aqc.decide(_poly(1, []), cutoff=99_999, total_time=1.0, dt=0.1,
+                                shots=1000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.ground_energy == 0 and sum(report.samples.values()) == 1000
+        assert peak < 2**20

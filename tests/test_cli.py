@@ -617,6 +617,17 @@ class TestErrors:
         assert status == 1 and out == ""
         assert json.loads(err)["error"] == "domain-error"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--shots", "0"], f"shots must lie in 1..{aqc.MAX_SHOTS}"),
+        (["--time", "0"], "total time must be positive"),
+        (["--cutoff", "-1"], "cutoff must be a natural number"),
+    ], ids=["shots", "time", "cutoff"])
+    def test_aqc_refusal_names_its_condition(self, write_json, flags, message):
+        path = write_json("poly.json", X_MINUS_2)
+        status, out, err = run_cli(["aqc", "solve", path, "--cutoff", "4", *flags])
+        assert status == 1 and out == ""
+        assert json.loads(err) == {"error": "domain-error", "message": message}
+
     @pytest.mark.parametrize("argv", [
         ["zeno", "budget", "--seconds", "1e99999"],
         ["zeno", "budget", "--seconds=-1e99999"],
@@ -957,6 +968,17 @@ def polynomial_docs(draw):
     return _spoiled(draw, {"vars": k, "terms": terms})
 
 
+@st.composite
+def aqc_cases(draw):
+    """A polynomial document with a cutoff up to 3, or in one variable also one
+    from RUN_LENGTH to 9,000, so that the lattice scan splits into runs."""
+    doc = draw(polynomial_docs())
+    cutoffs = st.integers(0, 3)
+    if isinstance(doc, dict) and doc.get("vars") == 1:
+        cutoffs |= st.integers(aqc.RUN_LENGTH, 9000)
+    return doc, draw(cutoffs)
+
+
 class TestTotality:
     """Every generated document ends in exit 0 or in exit 1 with a JSON error."""
 
@@ -979,7 +1001,10 @@ class TestTotality:
     @pytest.mark.parametrize("flags", [["--oracle-only"], ["--time", "1", "--dt", "0.1"]],
                              ids=["oracle-only", "evolve"])
     @settings(max_examples=100, deadline=None)
-    @given(doc=polynomial_docs(), cutoff=st.integers(0, 3))
-    def test_aqc_solve(self, tmp_path_factory, flags, doc, cutoff):
+    @given(case=aqc_cases(),
+           shots=st.one_of(st.integers(1, aqc.MAX_SHOTS), st.just(aqc.MAX_SHOTS + 1)))
+    def test_aqc_solve(self, tmp_path_factory, flags, case, shots):
+        doc, cutoff = case
         path = tmp_path_factory.getbasetemp() / "fuzz-polynomial.json"
-        self._check(path, doc, ["aqc", "solve", str(path), "--cutoff", str(cutoff), *flags])
+        self._check(path, doc, ["aqc", "solve", str(path), "--cutoff", str(cutoff),
+                                "--shots", str(shots), *flags])

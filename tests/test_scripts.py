@@ -111,17 +111,21 @@ def test_wheel_strategies_emits_rows():
     ("overlap_sweep.py", ["{big}", "--cutoff", "9"], "resource-error"),
     # 5000 variables: refused before the lattice's 5,001-digit size is computed
     ("overlap_sweep.py", ["{wide}", "--cutoff", "9"], "resource-error"),
+    # D = 0 at cutoff 200,000: a ground level of 200,001 points, more than the
+    # exact oracle lists
+    ("overlap_sweep.py", ["{flat}", "--cutoff", "200000"], "resource-error"),
     ("overlap_sweep.py", ["{missing}"], "io-error"),
     # JSON the decoder cannot turn into values
     ("overlap_sweep.py", ["{long_integer}"], "parse-error"),
     ("overlap_sweep.py", ["{deep}"], "parse-error"),
 ], ids=["trials-past-budget", "lattice-past-budget", "variables-past-budget",
-        "missing-document", "integer-past-digit-limit", "nesting-past-recursion-limit"])
+        "minimisers-past-budget", "missing-document", "integer-past-digit-limit", "nesting-past-recursion-limit"])
 def test_failures_are_structured_json(tmp_path, name, args, kind):
     paths = {key: tmp_path / f"{key}.json"
-             for key in ("big", "wide", "missing", "long_integer", "deep")}
+             for key in ("big", "wide", "flat", "missing", "long_integer", "deep")}
     paths["big"].write_text(json.dumps({"vars": 8, "terms": [[1, [1] * 8], [-1, [0] * 8]]}))
     paths["wide"].write_text(json.dumps({"vars": 5000, "terms": []}))
+    paths["flat"].write_text(json.dumps({"vars": 1, "terms": []}))
     paths["long_integer"].write_text('{"vars": 1, "terms": [[' + "9" * 5000 + ", [1]]]}")
     paths["deep"].write_text("[" * 10**5 + "]" * 10**5)
     start = time.monotonic()
