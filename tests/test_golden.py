@@ -71,6 +71,13 @@ CASES = {
     "aqc-solve-three-runs": ["aqc", "solve", "tests/golden/x_minus_3_times_x_minus_5000.json",
                              "--cutoff", "9999", "--time", "1e-15", "--dt", "1.9e-16",
                              "--shots", "1000", "--seed", "5"],
+    # three-variable lattices over several blocks of the scan: samples in
+    # blocks 0, 1 and 2 of 9,261 points, and minimisers over 8 blocks
+    "aqc-solve-cubes-three-blocks": ["aqc", "solve", "fixtures/cubes_sum.json", "--cutoff", "20",
+                                     "--time", "1e-9", "--dt", "1e-9", "--shots", "1000",
+                                     "--seed", "5"],
+    "aqc-oracle-xyz-30": ["aqc", "solve", "tests/golden/x_plus_y_plus_z_minus_30.json",
+                          "--cutoff", "30", "--oracle-only"],
     "error-enum-decode": ["enum", "decode", "--index", "-1"],
     # the engine's long loops: thousands of steps, erasures at both ends,
     # a fuel-bounded zeno run, and the prime-pair stream at 10**5
