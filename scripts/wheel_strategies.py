@@ -42,7 +42,7 @@ def tabulate(args) -> None:
             row += [tae.ashby_expected(exp), mean, stderr]
         rows.append(row)
 
-    emit_report(Table(columns, zip(*rows)), "csv" if len(rows) > 1 else "json", sys.stdout)
+    emit_report(Table(columns, zip(*rows)), "csv", sys.stdout)
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ Every negative answer is cutoff-bounded by construction. Variables range over
 the naturals; searches over negative integers need an explicit substitution
 such as x -> x' - m before encoding.
 
-An exact integer scan of the lattice, a run of the last coordinate at a time,
-is the oracle for every quantum-path result. `decide` scans once and counts
+An exact integer scan of the lattice, a block of basis order at a time, is
+the oracle for every quantum-path result. `decide` scans once and counts
 the points at each distinct value of D**2 (the levels): from the uniform start
 the state stays constant on each level, so it propagates one amplitude per
 level, samples levels, then points within them, and scans again for those.
@@ -44,7 +44,7 @@ from .variates import even_multinomial, multinomial
 
 LATTICE_BUDGET = 10**7
 VALUE_BITS_BUDGET = 4096
-RUN_LENGTH = 4096  # values of the last coordinate the scan evaluates D over at once
+RUN_LENGTH = 4096  # consecutive lattice points in basis order that one pass of the scan evaluates
 MINIMIZER_BUDGET = 2 * 10**5  # lattice points one --oracle-only report may list
 STEP_BUDGET = 10**7
 # distinct values of D**2 one scan may group: about 300 bytes each while they
@@ -168,19 +168,35 @@ def _value_bits_bound(poly: DiophantinePolynomial, cutoff: int) -> int:
     return longest + len(poly.terms).bit_length()
 
 
-def _descending(exponents) -> tuple[list[int], list[int]]:
-    """Distinct exponents in descending order, and from each the gap down to
-    the next one, or to 0 from the last."""
-    order = sorted(exponents, reverse=True)
-    return order, [e - f for e, f in zip(order, order[1:] + [0])]
+def _nested(terms, j: int):
+    """Horner's nesting of the terms in the first j variables: their sum if no term uses
+    those, else (coefficient, gap) pairs in descending exponent e of variable j, each
+    coefficient nested in the first j - 1 and each gap e minus the next e (or 0)."""
+    if not any(any(exps[:j]) for _, exps in terms):
+        return sum(coeff for coeff, _ in terms)
+    groups: dict[int, list] = {}
+    for coeff, exps in terms:
+        groups.setdefault(exps[j - 1], []).append((coeff, exps))
+    order = sorted(groups, reverse=True)
+    return [(_nested(groups[e], j - 1), e - f) for e, f in zip(order, order[1:] + [0])]
 
 
-def _horner(coeffs, gaps, xs: range) -> list[int]:
-    """sum(c * x**e) at every x of xs, given the coefficients of descending
-    exponents e and their gaps: one C-level pass over xs, a chain of maps."""
-    values = itertools.repeat(0, len(xs))
-    for c, gap in zip(coeffs, gaps):
-        values = map(operator.add, values, itertools.repeat(c))
+def _block(nested, top: int, start: int, n: int) -> list[int]:
+    """The nested polynomial at the n points from basis index start, each variable in
+    0..top - 1: one C-level Horner pass over the last variable, each coefficient the same
+    pass over the rows the points lie in, its value repeated over each row's points."""
+    if not isinstance(nested, list):
+        return [nested] * n
+    row, offset = divmod(start, top)
+    counts = [top - offset] + [top] * ((offset + n - 1) // top)  # the points in each row
+    counts[-1] -= sum(counts) - n
+    xs = list(itertools.islice(itertools.chain(range(offset, top),
+                                               itertools.cycle(range(top))), n))
+    values = None
+    for coeff, gap in nested:
+        column = itertools.chain.from_iterable(
+            map(itertools.repeat, _block(coeff, top, row, len(counts)), counts))
+        values = column if values is None else map(operator.add, values, column)
         if gap:
             values = map(operator.mul, values,
                          xs if gap == 1 else map(pow, xs, itertools.repeat(gap)))
@@ -190,15 +206,11 @@ def _horner(coeffs, gaps, xs: range) -> list[int]:
 def _lattice_runs(poly: DiophantinePolynomial, space: TruncatedFockSpace) -> Iterator[list[int]]:
     """D at every lattice point, in basis order and exact integers, a run at a time.
 
-    D is a polynomial in the last coordinate whose coefficients are
-    polynomials in the second-to-last. For each setting of the coordinates
-    before those two, the coefficients over the whole row of the
-    second-to-last are one C-level Horner pass per exponent, and so is a run
-    of up to RUN_LENGTH values of the last. A lattice past LATTICE_BUDGET
-    points, or values past VALUE_BITS_BUDGET bits, is a
-    :class:`ResourceError` before the first run. So is a lattice of as many
-    modes as LATTICE_BUDGET has bits, before its size is computed: at any
-    cutoff above 0 it is past the budget.
+    A run is RUN_LENGTH consecutive points, the last one shorter, each one :func:`_block`
+    pass over D as :func:`_nested` nests it. A lattice past LATTICE_BUDGET points, or
+    values past VALUE_BITS_BUDGET bits, is a :class:`ResourceError` before the first
+    run. So is a lattice of as many modes as LATTICE_BUDGET has bits, before its size
+    is computed: at any cutoff above 0 it is past the budget.
     """
     modes = LATTICE_BUDGET.bit_length() - 1  # 2**(modes + 1) points are past the budget
     if space.num_modes > modes or space.dimension > LATTICE_BUDGET:
@@ -210,22 +222,9 @@ def _lattice_runs(poly: DiophantinePolynomial, space: TruncatedFockSpace) -> Ite
         raise ResourceError(
             f"values of up to {bits} bits on the lattice are past the budget of "
             f"{VALUE_BITS_BUDGET} bits")
-    top = space.cutoff + 1
-    # one variable stands for two, the first of them fixed at 0
-    terms, rows = (poly.terms, range(top)) if space.num_modes > 1 else (
-        [(c, (0, *exps)) for c, exps in poly.terms], range(1))
-    groups: dict[int, dict[int, list[tuple[int, tuple[int, ...]]]]] = {}
-    for coeff, exps in terms:
-        groups.setdefault(exps[-1], {}).setdefault(exps[-2], []).append((coeff, exps[:-2]))
-    last, gaps = _descending(groups)
-    inner = [_descending(groups[e]) for e in last]
-    for outer in itertools.product(range(top), repeat=max(space.num_modes - 2, 0)):
-        columns = [_horner([sum(c * math.prod(map(pow, outer, rest)) for c, rest in groups[e][f])
-                            for f in fs], fgaps, rows)
-                   for e, (fs, fgaps) in zip(last, inner)]
-        for coeffs in zip(*columns) if columns else itertools.repeat((), len(rows)):
-            for start in range(0, top, RUN_LENGTH):
-                yield _horner(coeffs, gaps, range(start, min(start + RUN_LENGTH, top)))
+    nested, dimension = _nested(poly.terms, space.num_modes), space.dimension
+    for start in range(0, dimension, RUN_LENGTH):
+        yield _block(nested, space.cutoff + 1, start, min(RUN_LENGTH, dimension - start))
 
 
 def exact_ground_oracle(

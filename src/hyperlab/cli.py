@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     zhalt = zeno_g.add_parser("halting", help="halting flag of a fuel-bounded run")
     zhalt.add_argument("machine", help="machine document (JSON)")
     zhalt.add_argument("--input", default="")
-    zhalt.add_argument("--fuel", type=int, default=10**6)
+    zhalt.add_argument("--fuel", type=int, default=None)  # None: turing.DEFAULT_FUEL
     zhalt.set_defaults(handler=_cmd_zeno_halting)
 
     lim = groups.add_parser("limits", help="physical bounds on mechanical computation")
@@ -327,8 +327,9 @@ def _cmd_zeno_lamp(args) -> dict:
 def _cmd_zeno_halting(args) -> dict:
     from . import turing, zeno
 
+    fuel = turing.DEFAULT_FUEL if args.fuel is None else args.fuel
     machine = turing.load_machine(load_json(args.machine))
-    result = zeno.atm_halting_flag(machine, args.input, fuel=args.fuel)
+    result = zeno.atm_halting_flag(machine, args.input, fuel)
     return {
         "command": "zeno halting",
         "flag": result.flag,

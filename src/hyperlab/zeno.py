@@ -163,11 +163,7 @@ class HaltingFlagReport(NamedTuple):
     fuel_bounded: bool = True
 
 
-def atm_halting_flag(
-    machine: TuringMachine,
-    input_symbols: str = "",
-    fuel: int = 10**6,
-) -> HaltingFlagReport:
+def atm_halting_flag(machine: TuringMachine, input_symbols: str, fuel: int) -> HaltingFlagReport:
     """Run at most ``fuel`` steps; flag 1 iff the machine halted in that budget.
 
     Elapsed time is zeno_time(steps): the prefix sum through slot ``steps``,

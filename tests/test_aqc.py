@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from collections import Counter
 
@@ -655,20 +656,23 @@ def _pointwise(diagonal, psi, total_time, dt) -> aqc.LevelEvolution:
     return aqc.evolve_levels(diagonal.tolist(), [1] * len(diagonal), list(psi), total_time, dt)
 
 
-# the kernel's own run length and lengths that split rows of 13 at every boundary
-RUN_LENGTHS = [1, 2, 3, 7, aqc.RUN_LENGTH]
+# the kernel's own run length and lengths that cut rows of up to 13 points at
+# every offset, or span several rows
+RUN_LENGTHS = [1, 2, 3, 7, 30, aqc.RUN_LENGTH]
 
 
 @st.composite
 def run_problems(draw):
-    """(polynomial, cutoff, run length): 1-3 variables, up to five terms of degree up
-    to 4 in each variable with coefficients of either sign, and a cutoff in 0..12."""
-    k = draw(st.integers(1, 3))
+    """(polynomial, cutoff, run length): up to five terms of degree up to 4 in each
+    variable with coefficients of either sign, on 1-3 variables with a cutoff in
+    0..12, 4 variables with a cutoff in 0..6, or 5-12 variables at cutoff 1."""
+    k = draw(st.integers(1, 12))
+    cutoff = draw(st.integers(0, 12) if k < 4 else st.integers(0, 6) if k == 4 else st.just(1))
     exponents = draw(st.lists(st.tuples(*[st.integers(0, 4)] * k), max_size=5, unique=True))
     coeffs = draw(st.lists(st.integers(-50, 50), min_size=len(exponents),
                            max_size=len(exponents)))
     poly = _poly(k, [[c, list(e)] for c, e in zip(coeffs, exponents)])
-    return poly, draw(st.integers(0, 12)), draw(st.sampled_from(RUN_LENGTHS))
+    return poly, cutoff, draw(st.sampled_from(RUN_LENGTHS))
 
 
 # no terms, so D = 0 and every point is a minimiser; no term holds the last
@@ -706,11 +710,20 @@ class TestLatticeRuns:
             runs = list(aqc._lattice_runs(poly, space))
         assert [value for run in runs for value in run] == [
             poly.evaluate(n) for n in lattice(space)]
-        # each row of the last coordinate splits into full runs and a shorter last one
-        per_row = -(-(cutoff + 1) // run_length)
-        assert len(runs) == (cutoff + 1) ** (poly.num_vars - 1) * per_row
+        # every run holds run_length points of basis order, except a shorter last one
         assert [len(run) for run in runs] == [
-            min(run_length, cutoff + 1 - run_length * (i % per_row)) for i in range(len(runs))]
+            min(run_length, space.dimension - start)
+            for start in range(0, space.dimension, run_length)]
+
+    def test_short_rows_cost_no_more_than_long_ones(self):
+        # x1 + ... + x20 - 20 at cutoff 1: 2**20 points in rows of 2, so a
+        # Python-level cost per row would dominate the scan
+        poly = _poly(20, [[1, [int(i == j) for i in range(20)]] for j in range(20)]
+                     + [[-20, [0] * 20]])
+        began = time.perf_counter()
+        runs = aqc._lattice_runs(poly, TruncatedFockSpace(20, 1))
+        assert sum(run.count(0) for run in runs) == 1
+        assert time.perf_counter() - began < 3.0
 
     @settings(max_examples=80, deadline=None)
     @given(problem=run_problems())
@@ -856,8 +869,8 @@ class TestStructuredOperators:
         assert peak < 2 * 2**20
 
 
-# the largest cutoff per arity on lattices of up to 10**4 points: one variable
-# runs past RUN_LENGTH, so its points fall in three runs
+# the largest cutoff per arity on lattices of up to 10**4 points, whose points
+# fall in three runs of RUN_LENGTH
 SAMPLED_CUTOFF = {1: 9999, 2: 99, 3: 20}
 
 

@@ -67,6 +67,12 @@ class TestDispatch:
         report = json.loads(out)
         assert report["flag"] == 1 and report["elapsed_seconds"] < 2
 
+    def test_zeno_halting_and_tm_run_share_the_default_fuel(self, write_json):
+        path = write_json("loop.json", self_loop_doc())
+        steps = [json.loads(run_cli([*command, path])[1])["steps"]
+                 for command in (["zeno", "halting"], ["tm", "run"])]
+        assert steps == [turing.DEFAULT_FUEL] * 2
+
     def test_tm_run(self, write_json):
         path = write_json("machine.json", successor_doc())
         status, out, _ = run_cli(["tm", "run", path, "--input", "111", "--fuel", "50"])
@@ -961,8 +967,8 @@ def machine_docs(draw):
 
 @st.composite
 def polynomial_docs(draw):
-    """Polynomial documents near a valid one in one to three variables."""
-    k = draw(st.integers(1, 3))
+    """Polynomial documents near a valid one in one to six variables."""
+    k = draw(st.integers(1, 6))
     term = st.tuples(st.integers(-20, 20), st.lists(st.integers(0, 4), min_size=k, max_size=k))
     terms = draw(st.lists(term.map(list), max_size=4, unique_by=lambda t: tuple(t[1])))
     return _spoiled(draw, {"vars": k, "terms": terms})
@@ -970,12 +976,14 @@ def polynomial_docs(draw):
 
 @st.composite
 def aqc_cases(draw):
-    """A polynomial document with a cutoff up to 3, or in one variable also one
-    from RUN_LENGTH to 9,000, so that the lattice scan splits into runs."""
+    """A polynomial document with a cutoff up to 3, or in one to three variables
+    also one whose lattice the scan splits into several runs: RUN_LENGTH to 9,000
+    in one variable, 64 to 100 in two and 16 to 21 in three."""
     doc = draw(polynomial_docs())
     cutoffs = st.integers(0, 3)
-    if isinstance(doc, dict) and doc.get("vars") == 1:
-        cutoffs |= st.integers(aqc.RUN_LENGTH, 9000)
+    for k, low, high in [(1, aqc.RUN_LENGTH, 9000), (2, 64, 100), (3, 16, 21)]:
+        if isinstance(doc, dict) and doc.get("vars") == k:
+            cutoffs |= st.integers(low, high)
     return doc, draw(cutoffs)
 
 

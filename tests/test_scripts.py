@@ -105,6 +105,14 @@ def test_wheel_strategies_emits_rows():
     assert len(lines) == 3
 
 
+def test_wheel_strategies_emits_csv_for_one_wheel_count():
+    proc = run_script("wheel_strategies.py", "--wheels", "8", "--trials", "200", "--seed", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("wheels,p,case1_analytic")
+    assert len(lines) == 2 and lines[1].startswith("8,0.5,")
+
+
 @pytest.mark.parametrize("name, args, kind", [
     ("wheel_strategies.py", ["--wheels", "2", "--trials", "20000000"], "resource-error"),
     # 8 variables at cutoff 9: 10**8 lattice points, refused before the scan
