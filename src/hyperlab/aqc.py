@@ -1,14 +1,16 @@
-"""Ground-state search for Diophantine solvability on a truncated mode space.
+"""Ground-state search for Diophantine solvability on a truncated lattice.
 
 The pipeline: an integer polynomial D in k unknowns becomes the diagonal
-operator D(N1..Nk)**2 on a k-mode occupation basis truncated at a per-mode
-cutoff (number operators act diagonally, so no operator algebra is needed --
-the matrix entry at basis tuple n is just D(n)**2). The system starts in the
-uniform superposition, the unique ground state of a rank-one projector
-complement, and the Hamiltonian is interpolated linearly into the problem
-operator over a total time T. If the schedule is slow enough the final state
-concentrates on a tuple with minimal D**2; measuring it and substituting back
-answers "is there a zero with all coordinates <= cutoff".
+operator D(N1..Nk)**2 on the lattice of k-tuples with every coordinate in
+0..cutoff, (cutoff + 1)**k points in lexicographic (basis) order, so the
+polynomial and the cutoff name the lattice (number operators act diagonally,
+so no operator algebra is needed -- the matrix entry at point n is just
+D(n)**2). The system starts in the uniform superposition, the unique ground
+state of a rank-one projector complement, and the Hamiltonian is
+interpolated linearly into the problem operator over a total time T. If the
+schedule is slow enough the final state concentrates on a tuple with minimal
+D**2; measuring it and substituting back answers "is there a zero with all
+coordinates <= cutoff".
 
 Every negative answer is cutoff-bounded by construction. Variables range over
 the naturals; searches over negative integers need an explicit substitution
@@ -125,33 +127,16 @@ def parse_polynomial(doc: dict) -> DiophantinePolynomial:
     return DiophantinePolynomial(num_vars=num_vars, terms=tuple(terms))
 
 
-# -- truncated mode space -----------------------------------------------------------
+# -- the truncated lattice -----------------------------------------------------------
 
 
-class TruncatedFockSpace:
-    """k modes, occupation numbers 0..cutoff each, basis in lexicographic order."""
-
-    __slots__ = ("num_modes", "cutoff")
-
-    def __init__(self, num_modes: int, cutoff: int):
-        if num_modes < 1:
-            raise DomainError("need at least one mode")
-        if cutoff < 0:
-            raise DomainError("cutoff must be a natural number")
-        self.num_modes, self.cutoff = num_modes, cutoff
-
-    @property
-    def dimension(self) -> int:
-        return (self.cutoff + 1) ** self.num_modes
-
-    def occupation_of(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.dimension:
-            raise DomainError("basis index out of range")
-        digits = []
-        for _ in range(self.num_modes):
-            index, n = divmod(index, self.cutoff + 1)
-            digits.append(n)
-        return tuple(reversed(digits))
+def _occupation(index: int, num_vars: int, cutoff: int) -> tuple[int, ...]:
+    """The lattice point at a basis index: the index's num_vars digits in base cutoff + 1."""
+    digits = []
+    for _ in range(num_vars):
+        index, n = divmod(index, cutoff + 1)
+        digits.append(n)
+    return tuple(reversed(digits))
 
 
 # -- the exact scan -------------------------------------------------------------------
@@ -190,8 +175,12 @@ def _block(nested, top: int, start: int, n: int) -> list[int]:
     row, offset = divmod(start, top)
     counts = [top - offset] + [top] * ((offset + n - 1) // top)  # the points in each row
     counts[-1] -= sum(counts) - n
-    xs = list(itertools.islice(itertools.chain(range(offset, top),
-                                               itertools.cycle(range(top))), n))
+    # the last variable's value at each point: a range within one row, and over
+    # several rows a list of n, made only when some term uses that variable
+    xs = range(offset, offset + n) if len(counts) == 1 else None
+    if xs is None and any(gap for _, gap in nested):
+        xs = list(itertools.islice(itertools.chain(range(offset, top),
+                                                   itertools.cycle(range(top))), n))
     values = None
     for coeff, gap in nested:
         column = itertools.chain.from_iterable(
@@ -203,28 +192,32 @@ def _block(nested, top: int, start: int, n: int) -> list[int]:
     return list(values)
 
 
-def _lattice_runs(poly: DiophantinePolynomial, space: TruncatedFockSpace) -> Iterator[list[int]]:
-    """D at every lattice point, in basis order and exact integers, a run at a time.
+def _lattice_runs(poly: DiophantinePolynomial, cutoff: int) -> Iterator[tuple[int, list[int]]]:
+    """D at every lattice point, in basis order and exact integers, a run at a time,
+    as (start, run) with start the basis index of the run's first point.
 
     A run is RUN_LENGTH consecutive points, the last one shorter, each one :func:`_block`
-    pass over D as :func:`_nested` nests it. A lattice past LATTICE_BUDGET points, or
-    values past VALUE_BITS_BUDGET bits, is a :class:`ResourceError` before the first
-    run. So is a lattice of as many modes as LATTICE_BUDGET has bits, before its size
-    is computed: at any cutoff above 0 it is past the budget.
+    pass over D as :func:`_nested` nests it. A negative cutoff is a :class:`DomainError`,
+    and a lattice past LATTICE_BUDGET points, or values past VALUE_BITS_BUDGET bits, a
+    :class:`ResourceError`, before the first run. So is a lattice in as many variables as
+    LATTICE_BUDGET has bits, before its size is computed: at any cutoff above 0 it is
+    past the budget.
     """
+    if cutoff < 0:
+        raise DomainError("cutoff must be a natural number")
     modes = LATTICE_BUDGET.bit_length() - 1  # 2**(modes + 1) points are past the budget
-    if space.num_modes > modes or space.dimension > LATTICE_BUDGET:
+    if poly.num_vars > modes or (cutoff + 1) ** poly.num_vars > LATTICE_BUDGET:
         raise ResourceError(
-            f"lattice of ({space.cutoff}+1)**{space.num_modes} points is past the budget of "
+            f"lattice of ({cutoff}+1)**{poly.num_vars} points is past the budget of "
             f"{LATTICE_BUDGET} points and {modes} modes")
-    bits = _value_bits_bound(poly, space.cutoff)
+    bits = _value_bits_bound(poly, cutoff)
     if bits > VALUE_BITS_BUDGET:
         raise ResourceError(
             f"values of up to {bits} bits on the lattice are past the budget of "
             f"{VALUE_BITS_BUDGET} bits")
-    nested, dimension = _nested(poly.terms, space.num_modes), space.dimension
+    nested, dimension = _nested(poly.terms, poly.num_vars), (cutoff + 1) ** poly.num_vars
     for start in range(0, dimension, RUN_LENGTH):
-        yield _block(nested, space.cutoff + 1, start, min(RUN_LENGTH, dimension - start))
+        yield start, _block(nested, cutoff + 1, start, min(RUN_LENGTH, dimension - start))
 
 
 def exact_ground_oracle(
@@ -237,20 +230,17 @@ def exact_ground_oracle(
     whose least |D| ties or beats the best so far is searched for them; more than
     MINIMIZER_BUDGET is a :class:`ResourceError` once the scan is done.
     """
-    space = TruncatedFockSpace(poly.num_vars, cutoff)
-    best, winners, start = math.inf, [], 0
-    for run in _lattice_runs(poly, space):
+    best, winners = math.inf, []
+    for start, run in _lattice_runs(poly, cutoff):
         low = min(map(abs, run))
         if low < best:
             best, winners = low, []
         if low == best:
-            winners += itertools.compress(range(start, start + len(run)),
-                                          map(low.__eq__, map(abs, run)))
+            winners += itertools.compress(itertools.count(start), map(low.__eq__, map(abs, run)))
             del winners[MINIMIZER_BUDGET + 1:]
-        start += len(run)
     if len(winners) > MINIMIZER_BUDGET:
         raise ResourceError(f"more than {MINIMIZER_BUDGET} minimisers are past the budget")
-    return best * best, [space.occupation_of(i) for i in winners]
+    return best * best, [_occupation(i, poly.num_vars, cutoff) for i in winners]
 
 
 class LevelScan(NamedTuple):
@@ -261,7 +251,7 @@ class LevelScan(NamedTuple):
     """
 
     poly: DiophantinePolynomial
-    space: TruncatedFockSpace
+    cutoff: int
     levels: tuple[int, ...]
     multiplicities: tuple[int, ...]
 
@@ -271,8 +261,8 @@ class LevelScan(NamedTuple):
         points and stops at the last wanted one. +D and -D share a level."""
         roots = {math.isqrt(self.levels[j]): j for j in wanted}
         passed, found = dict.fromkeys(wanted, 0), {}
-        total, start = sum(map(len, wanted.values())), 0
-        for run in _lattice_runs(self.poly, self.space):
+        total = sum(map(len, wanted.values()))
+        for start, run in _lattice_runs(self.poly, self.cutoff):
             for i, root in itertools.compress(enumerate(map(abs, run), start),
                                               map(roots.__contains__, map(abs, run))):
                 j = roots[root]
@@ -281,7 +271,6 @@ class LevelScan(NamedTuple):
                     if len(found) == total:
                         return found
                 passed[j] += 1
-            start += len(run)
         return found
 
 
@@ -295,12 +284,11 @@ def scan_levels(
     :class:`ResourceError` after the run that holds the first level past
     ``max_levels``.
     """
-    space = TruncatedFockSpace(poly.num_vars, cutoff)
     counts: Counter[int] = Counter()
 
     def magnitudes() -> Iterator[Iterator[int]]:
         # |D| a run at a time; counts holds the whole run when the next is asked for
-        for run in _lattice_runs(poly, space):
+        for _, run in _lattice_runs(poly, cutoff):
             yield map(abs, run)
             if len(counts) > max_levels:
                 raise ResourceError(
@@ -310,7 +298,7 @@ def scan_levels(
 
     counts.update(itertools.chain.from_iterable(magnitudes()))
     roots = sorted(counts)
-    return LevelScan(poly, space, tuple(root * root for root in roots),
+    return LevelScan(poly, cutoff, tuple(root * root for root in roots),
                      tuple(map(counts.__getitem__, roots)))
 
 
@@ -435,7 +423,7 @@ def evolve_from_uniform(scan: LevelScan, total_time: float, dt: float) -> LevelE
     Its coefficient on level j is sqrt(m_j / d), and the state stays
     constant on every level, so the point amplitudes are c_j / sqrt(m_j).
     """
-    d = scan.space.dimension
+    d = sum(scan.multiplicities)
     return evolve_levels(_float_levels(scan.levels), scan.multiplicities,
                          [math.sqrt(m / d) for m in scan.multiplicities], total_time, dt)
 
@@ -463,7 +451,7 @@ def sample_levels(
     per_point = {j: even_multinomial(rng, count, scan.multiplicities[j])
                  for j, count in per_level.items()}
     members = scan.members(per_point)
-    return {scan.space.occupation_of(members[j, rank]): count
+    return {_occupation(members[j, rank], scan.poly.num_vars, scan.cutoff): count
             for j, draws in per_point.items() for rank, count in draws.items()}
 
 

@@ -179,6 +179,8 @@ def _cmd_tm_run(args) -> dict:
         "head": outcome.config.head,
         "oracle_consultations": outcome.oracle_consultations,
     }
+    if machine.num_tapes > 1:
+        report["tapes"] = [outcome.config.tape_text(t) for t in range(machine.num_tapes)]
     if outcome.trace is not None:
         report["trace"] = [
             {"state": c.state, "head": c.head, "steps": c.steps,

@@ -8,7 +8,6 @@ scans) -- never copied from the implementation under test.
 """
 
 import io
-import itertools
 import json
 import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
@@ -17,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from hyperlab import aqc, cli, linalg, tae, turing, zeno
-from hyperlab.aqc import TruncatedFockSpace, Verdict
+from hyperlab.aqc import Verdict
 from hyperlab.tae import WheelExperiment, WheelStrategy
 from hyperlab.turing import OutcomeKind
 
@@ -40,19 +39,19 @@ _DRIFTS: list[float] = []
 
 def _evolve_x_minus_2(total_time: float, dt: float = 0.01):
     poly = aqc.parse_polynomial({"vars": 1, "terms": [[1, [1]], [-2, [0]]]})
-    space = TruncatedFockSpace(1, 4)
-    scan = aqc.scan_levels(poly, space.cutoff)
+    cutoff = 4
+    scan = aqc.scan_levels(poly, cutoff)
     result = aqc.evolve_from_uniform(scan, total_time, dt)
     _DRIFTS.append(result.norm_drift)
     # summed population of every minimiser, found by the exact oracle; the
     # state is c_j / sqrt(m_j) at each of the m_j points of level j, the
     # levels being the distinct values of D**2 in increasing order
-    order = list(itertools.product(range(space.cutoff + 1), repeat=space.num_modes))
+    order = [(x,) for x in range(cutoff + 1)]
     squares = [poly.evaluate(n) ** 2 for n in order]
     levels = sorted(set(squares))
     populations = [abs(result.amplitudes[levels.index(p)]) ** 2 / squares.count(p)
                    for p in squares]
-    _, winners = aqc.exact_ground_oracle(poly, space.cutoff)
+    _, winners = aqc.exact_ground_oracle(poly, cutoff)
     overlap = sum(populations[order.index(w)] for w in winners) / sum(populations)
     return result, overlap
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hyperlab import aqc, linalg, variates
-from hyperlab.aqc import TruncatedFockSpace, Verdict
+from hyperlab.aqc import Verdict
 from hyperlab.errors import (
     DomainError,
     ResourceError,
@@ -33,52 +33,56 @@ CUBES_PLUS_XYZ = {"vars": 3, "terms": [
 ]}
 
 
-def lattice(space: TruncatedFockSpace):
-    """Every occupation tuple of the space in lexicographic order, its basis order."""
-    return itertools.product(range(space.cutoff + 1), repeat=space.num_modes)
+def lattice(num_vars: int, cutoff: int):
+    """Every point of the lattice 0..cutoff per variable in lexicographic order, its
+    basis order."""
+    return itertools.product(range(cutoff + 1), repeat=num_vars)
 
 
-def uniform_ket(space: TruncatedFockSpace) -> np.ndarray:
-    """The uniform superposition u as a column vector."""
-    return np.full((space.dimension, 1), 1.0 / math.sqrt(space.dimension), dtype=np.complex128)
+def uniform_ket(num_vars: int, cutoff: int) -> np.ndarray:
+    """The uniform superposition u over the lattice as a column vector."""
+    d = (cutoff + 1) ** num_vars
+    return np.full((d, 1), 1.0 / math.sqrt(d), dtype=np.complex128)
 
 
-def start_operator(space: TruncatedFockSpace) -> np.ndarray:
-    """I - |u><u| as a dense d x d matrix, u the space's uniform ket."""
-    u = uniform_ket(space)
-    return linalg.identity(space.dimension) - u @ u.conj().T
+def start_operator(num_vars: int, cutoff: int) -> np.ndarray:
+    """I - |u><u| as a dense d x d matrix, u the lattice's uniform ket."""
+    u = uniform_ket(num_vars, cutoff)
+    return linalg.identity(len(u)) - u @ u.conj().T
 
 
-def interpolate_hamiltonian(space: TruncatedFockSpace, diagonal: np.ndarray,
+def interpolate_hamiltonian(num_vars: int, cutoff: int, diagonal: np.ndarray,
                             s: float) -> np.ndarray:
     """H(s) = (1 - s)(I - |u><u|) + s * diag(p) as a dense matrix; Hermitian for s in [0, 1]."""
     if not 0.0 <= s <= 1.0:
         raise DomainError("interpolation parameter must lie in [0, 1]")
-    return (1.0 - s) * start_operator(space) + s * np.diag(diagonal).astype(np.complex128)
+    return ((1.0 - s) * start_operator(num_vars, cutoff)
+            + s * np.diag(diagonal).astype(np.complex128))
 
 
 def scan_diagonal(scan: aqc.LevelScan) -> np.ndarray:
     """D(n)**2 at every lattice point of the scan in basis order, term by term."""
-    return np.array([float(scan.poly.evaluate(n) ** 2) for n in lattice(scan.space)])
+    return np.array([float(scan.poly.evaluate(n) ** 2)
+                     for n in lattice(scan.poly.num_vars, scan.cutoff)])
 
 
 def level_index(scan: aqc.LevelScan) -> list[int]:
     """The level of every lattice point of the scan in basis order, from term-by-term
     values of D**2 numbered in increasing order."""
-    squares = [scan.poly.evaluate(n) ** 2 for n in lattice(scan.space)]
+    squares = [scan.poly.evaluate(n) ** 2 for n in lattice(scan.poly.num_vars, scan.cutoff)]
     rank = {p: j for j, p in enumerate(sorted(set(squares)))}
     return [rank[p] for p in squares]
 
 
-def problem_diagonal(poly: aqc.DiophantinePolynomial, space: TruncatedFockSpace) -> np.ndarray:
-    return scan_diagonal(aqc.scan_levels(poly, space.cutoff))
+def problem_diagonal(poly: aqc.DiophantinePolynomial, cutoff: int) -> np.ndarray:
+    return scan_diagonal(aqc.scan_levels(poly, cutoff))
 
 
 def record_runs(patch) -> list[list[int]]:
     """Every run of D values the lattice scan yields from now on, in order."""
     runs, lattice_runs = [], aqc._lattice_runs
-    patch.setattr(aqc, "_lattice_runs", lambda poly, space: (
-        runs.append(run) or run for run in lattice_runs(poly, space)))
+    patch.setattr(aqc, "_lattice_runs", lambda poly, cutoff: (
+        runs.append(run) or (start, run) for start, run in lattice_runs(poly, cutoff)))
     return runs
 
 
@@ -124,23 +128,37 @@ class TestParsing:
 
 
 class TestFockSpace:
+    """The truncated mode space is the lattice 0..cutoff per variable, in basis order."""
+
     def test_dimension(self):
-        assert TruncatedFockSpace(3, 4).dimension == 125
+        # the scan counts (cutoff + 1)**k points, the d of the uniform start
+        scan = aqc.scan_levels(aqc.parse_polynomial(CUBES_PLUS_XYZ), 4)
+        assert sum(scan.multiplicities) == 125
+        assert aqc.evolve_from_uniform(scan, 0.0, 0.01).amplitudes == [
+            math.sqrt(m / 125) for m in scan.multiplicities]
 
     def test_lexicographic_order(self):
-        assert list(lattice(TruncatedFockSpace(2, 1))) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        for space in (TruncatedFockSpace(1, 0), TruncatedFockSpace(2, 3),
-                      TruncatedFockSpace(3, 2)):
-            assert [space.occupation_of(i) for i in range(space.dimension)] == list(
-                lattice(space))
-            with pytest.raises(DomainError, match="out of range"):
-                space.occupation_of(space.dimension)
+        assert list(lattice(2, 1)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        for num_vars, cutoff in [(1, 0), (1, 6), (2, 3), (3, 2), (4, 1), (2, 0)]:
+            points = list(itertools.product(range(cutoff + 1), repeat=num_vars))
+            assert len(points) == (cutoff + 1) ** num_vars
+            assert [aqc._occupation(i, num_vars, cutoff) for i in range(len(points))] == points
+
+    def test_negative_cutoff_is_refused_before_the_first_run(self, monkeypatch):
+        poly = aqc.parse_polynomial(X_MINUS_2)
+        scanned = record_runs(monkeypatch)
+        for work in (lambda: aqc.exact_ground_oracle(poly, -1),
+                     lambda: aqc.scan_levels(poly, -3),
+                     lambda: aqc.decide(poly, -1, 1.0, 0.01, shots=10, seed=0)):
+            with pytest.raises(DomainError, match="cutoff must be a natural number"):
+                work()
+        assert scanned == []
 
 
 class TestProblemHamiltonian:
     def test_x_minus_2_diagonal(self):
         poly = aqc.parse_polynomial(X_MINUS_2)
-        assert np.array_equal(problem_diagonal(poly, TruncatedFockSpace(1, 4)), [4, 1, 0, 1, 4])
+        assert np.array_equal(problem_diagonal(poly, 4), [4, 1, 0, 1, 4])
 
     def test_entries_beyond_float_range_are_refused(self):
         poly = aqc.parse_polynomial({"vars": 1, "terms": [[1, [400]]]})
@@ -149,11 +167,11 @@ class TestProblemHamiltonian:
 
     def test_two_x_minus_1_has_positive_floor(self):
         poly = aqc.parse_polynomial(TWO_X_MINUS_1)
-        assert np.min(problem_diagonal(poly, TruncatedFockSpace(1, 8))) == 1.0
+        assert np.min(problem_diagonal(poly, 8)) == 1.0
 
     def test_identity_polynomial_grounds_at_origin(self):
         poly = aqc.parse_polynomial({"vars": 1, "terms": [[1, [1]]]})
-        assert problem_diagonal(poly, TruncatedFockSpace(1, 6))[0] == 0.0
+        assert problem_diagonal(poly, 6)[0] == 0.0
 
     def test_lattice_past_the_budget_is_refused_before_the_scan(self, monkeypatch):
         poly = aqc.parse_polynomial(CUBES_PLUS_XYZ)
@@ -164,15 +182,14 @@ class TestProblemHamiltonian:
 
     def test_ground_entry_matches_exact_oracle(self):
         poly = aqc.parse_polynomial(CUBES_PLUS_XYZ)
-        space = TruncatedFockSpace(3, 3)
-        diagonal = problem_diagonal(poly, space)
+        diagonal = problem_diagonal(poly, 3)
         energy, winners = aqc.exact_ground_oracle(poly, 3)
         assert np.min(diagonal) == energy
-        assert diagonal[list(lattice(space)).index(winners[0])] == energy
+        assert diagonal[list(lattice(3, 3)).index(winners[0])] == energy
 
     def test_spectrum_agrees_with_eigensolver(self):
         poly = aqc.parse_polynomial(X_MINUS_2)
-        h = np.diag(problem_diagonal(poly, TruncatedFockSpace(1, 4)))
+        h = np.diag(problem_diagonal(poly, 4))
         es = linalg.hermitian_eigensystem(h)
         energy, _ = aqc.exact_ground_oracle(poly, 4)
         assert abs(es.ground_value - energy) < 1e-9
@@ -180,40 +197,35 @@ class TestProblemHamiltonian:
 
 class TestInitialHamiltonian:
     def test_dimension_two_matrix(self):
-        assert np.allclose(start_operator(TruncatedFockSpace(1, 1)), [[0.5, -0.5], [-0.5, 0.5]])
+        assert np.allclose(start_operator(1, 1), [[0.5, -0.5], [-0.5, 0.5]])
 
     def test_uniform_state_is_ground(self):
-        space = TruncatedFockSpace(1, 5)
-        u = uniform_ket(space)
-        assert np.max(np.abs(start_operator(space) @ u)) < 1e-14
+        u = uniform_ket(1, 5)
+        assert np.max(np.abs(start_operator(1, 5) @ u)) < 1e-14
         assert abs(linalg.norm(u) - 1) < 1e-12
 
     def test_spectrum_is_zero_then_ones(self):
-        es = linalg.hermitian_eigensystem(start_operator(TruncatedFockSpace(1, 3)))
+        es = linalg.hermitian_eigensystem(start_operator(1, 3))
         assert np.allclose(es.values, [0, 1, 1, 1])
 
 
 class TestInterpolation:
     @pytest.fixture
     def problem(self):
-        space = TruncatedFockSpace(1, 4)
-        return space, problem_diagonal(aqc.parse_polynomial(X_MINUS_2), space)
+        return problem_diagonal(aqc.parse_polynomial(X_MINUS_2), 4)
 
     def test_endpoints(self, problem):
-        space, diagonal = problem
-        assert np.array_equal(interpolate_hamiltonian(space, diagonal, 0.0),
-                              start_operator(space))
-        assert np.array_equal(interpolate_hamiltonian(space, diagonal, 1.0), np.diag(diagonal))
+        assert np.array_equal(interpolate_hamiltonian(1, 4, problem, 0.0), start_operator(1, 4))
+        assert np.array_equal(interpolate_hamiltonian(1, 4, problem, 1.0), np.diag(problem))
 
     def test_midpoint_is_mean_and_hermitian(self, problem):
-        space, diagonal = problem
-        mid = interpolate_hamiltonian(space, diagonal, 0.5)
-        assert np.allclose(mid, (start_operator(space) + np.diag(diagonal)) / 2)
+        mid = interpolate_hamiltonian(1, 4, problem, 0.5)
+        assert np.allclose(mid, (start_operator(1, 4) + np.diag(problem)) / 2)
         assert np.max(np.abs(mid - mid.conj().T)) < 1e-14
 
     def test_out_of_range_rejected(self, problem):
         with pytest.raises(DomainError):
-            interpolate_hamiltonian(*problem, 1.5)
+            interpolate_hamiltonian(1, 4, problem, 1.5)
 
 
 def _normalised_start(seed: int, d: int) -> np.ndarray:
@@ -596,7 +608,7 @@ def _poly(k, terms):
     return aqc.parse_polynomial({"vars": k, "terms": terms})
 
 
-def strang_reference(space: TruncatedFockSpace, diagonal: np.ndarray, total_time: float,
+def strang_reference(num_vars: int, cutoff: int, diagonal: np.ndarray, total_time: float,
                      dt: float, psi0: np.ndarray):
     """(steps, normalised final state) of the unmerged Strang product on dense matrices.
 
@@ -613,7 +625,7 @@ def strang_reference(space: TruncatedFockSpace, diagonal: np.ndarray, total_time
         return lambda theta, v: es.vectors @ (
             np.exp(-1j * theta * es.values) * (es.vectors.conj().T @ v))
 
-    exp_i = exponential(start_operator(space))
+    exp_i = exponential(start_operator(num_vars, cutoff))
     exp_p = exponential(np.diag(diagonal).astype(np.complex128))
     v = linalg.ket(psi0).reshape(-1)
     for k in range(steps):
@@ -642,13 +654,13 @@ def _sampler_tie(state, shots=1000) -> bool:
 
 
 def _guarded_schedule(problem, steps, guard_share):
-    """(space, scan, diagonal, total time, dt) with dt at guard_share of the guard's largest."""
+    """(shape, scan, diagonal, total time, dt), shape the lattice's (num_vars, cutoff),
+    with dt at guard_share of the guard's largest."""
     poly, cutoff = problem
-    space = TruncatedFockSpace(poly.num_vars, cutoff)
     scan = aqc.scan_levels(poly, cutoff)
     # the norm bound is max(max p, 1), or max p at d = 1: this dt passes the guard
     dt = guard_share * aqc.STABILITY_LIMIT / max(float(scan.levels[-1]), 1.0)
-    return space, scan, scan_diagonal(scan), steps * dt, dt
+    return (poly.num_vars, cutoff), scan, scan_diagonal(scan), steps * dt, dt
 
 
 def _pointwise(diagonal, psi, total_time, dt) -> aqc.LevelEvolution:
@@ -704,16 +716,16 @@ class TestLatticeRuns:
     @_with_examples
     def test_runs_are_d_at_every_point_in_basis_order(self, problem):
         poly, cutoff, run_length = problem
-        space = TruncatedFockSpace(poly.num_vars, cutoff)
+        d = (cutoff + 1) ** poly.num_vars
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(aqc, "RUN_LENGTH", run_length)
-            runs = list(aqc._lattice_runs(poly, space))
-        assert [value for run in runs for value in run] == [
-            poly.evaluate(n) for n in lattice(space)]
-        # every run holds run_length points of basis order, except a shorter last one
-        assert [len(run) for run in runs] == [
-            min(run_length, space.dimension - start)
-            for start in range(0, space.dimension, run_length)]
+            runs = list(aqc._lattice_runs(poly, cutoff))
+        assert [value for _, run in runs for value in run] == [
+            poly.evaluate(n) for n in lattice(poly.num_vars, cutoff)]
+        # run r starts at basis index r * run_length and holds run_length points,
+        # except a shorter last one
+        assert [(start, len(run)) for start, run in runs] == [
+            (start, min(run_length, d - start)) for start in range(0, d, run_length)]
 
     def test_short_rows_cost_no_more_than_long_ones(self):
         # x1 + ... + x20 - 20 at cutoff 1: 2**20 points in rows of 2, so a
@@ -721,8 +733,17 @@ class TestLatticeRuns:
         poly = _poly(20, [[1, [int(i == j) for i in range(20)]] for j in range(20)]
                      + [[-20, [0] * 20]])
         began = time.perf_counter()
-        runs = aqc._lattice_runs(poly, TruncatedFockSpace(20, 1))
-        assert sum(run.count(0) for run in runs) == 1
+        runs = aqc._lattice_runs(poly, 1)
+        assert sum(run.count(0) for _, run in runs) == 1
+        assert time.perf_counter() - began < 3.0
+
+    def test_one_long_row_costs_no_more_than_its_blocks(self):
+        # x - 7 at cutoff 4 * 10**6: one row of 4 * 10**6 + 1 points, so a list
+        # of the row, or a slice of it per block, would dominate the scan
+        poly = _poly(1, [[1, [1]], [-7, [0]]])
+        began = time.perf_counter()
+        runs = aqc._lattice_runs(poly, 4 * 10**6)
+        assert sum(run.count(0) for _, run in runs) == 1
         assert time.perf_counter() - began < 3.0
 
     @settings(max_examples=80, deadline=None)
@@ -732,13 +753,12 @@ class TestLatticeRuns:
     @example(problem=(_poly(1, [[1, [2]], [-5, [1]], [4, [0]]]), 12, 3))
     def test_oracle_and_level_scan_match_brute_force(self, problem):
         poly, cutoff, run_length = problem
-        space = TruncatedFockSpace(poly.num_vars, cutoff)
-        squares = [poly.evaluate(n) ** 2 for n in lattice(space)]
+        squares = [poly.evaluate(n) ** 2 for n in lattice(poly.num_vars, cutoff)]
         low = min(squares)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(aqc, "RUN_LENGTH", run_length)
             assert aqc.exact_ground_oracle(poly, cutoff) == (
-                low, [n for n, p in zip(lattice(space), squares) if p == low])
+                low, [n for n, p in zip(lattice(poly.num_vars, cutoff), squares) if p == low])
             scan = aqc.scan_levels(poly, cutoff)
         assert list(scan.levels) == sorted(set(squares))
         assert list(scan.multiplicities) == [squares.count(p) for p in scan.levels]
@@ -758,13 +778,13 @@ class TestStructuredOperators:
     @example(problem=(_poly(3, [[0, [1, 0, 0]]]), 4),
              steps=20, guard_share=0.5, seed=7)
     def test_evolution_matches_the_dense_path(self, problem, steps, guard_share, seed):
-        space, scan, diagonal, total_time, dt = _guarded_schedule(problem, steps, guard_share)
-        exact = max(float(np.linalg.norm(start_operator(space), 2)),
+        shape, scan, diagonal, total_time, dt = _guarded_schedule(problem, steps, guard_share)
+        exact = max(float(np.linalg.norm(start_operator(*shape), 2)),
                     float(np.linalg.norm(np.diag(diagonal), 2)))
-        assert abs(aqc._norm_bound(diagonal.tolist(), space.dimension) - exact) <= 1e-14 * exact
+        assert abs(aqc._norm_bound(diagonal.tolist(), len(diagonal)) - exact) <= 1e-14 * exact
         a = aqc.evolve_from_uniform(scan, total_time, dt)
-        reference_steps, reference = strang_reference(space, diagonal, total_time, dt,
-                                                      uniform_ket(space))
+        reference_steps, reference = strang_reference(*shape, diagonal, total_time, dt,
+                                                      uniform_ket(*shape))
         assert a.steps == reference_steps
         assert np.max(np.abs(point_state(scan, a) - reference)) <= 1e-12
         populations = [abs(c) ** 2 for c in a.amplitudes]
@@ -778,10 +798,10 @@ class TestStructuredOperators:
            guard_share=st.floats(0.05, 0.99), seed=st.integers(0, 2**32 - 1))
     def test_unit_multiplicities_match_the_dense_path_from_any_start(
             self, problem, steps, guard_share, seed):
-        space, _, diagonal, total_time, dt = _guarded_schedule(problem, steps, guard_share)
-        psi = _normalised_start(seed, space.dimension)
+        shape, _, diagonal, total_time, dt = _guarded_schedule(problem, steps, guard_share)
+        psi = _normalised_start(seed, len(diagonal))
         a = _pointwise(diagonal, psi, total_time, dt)
-        reference_steps, reference = strang_reference(space, diagonal, total_time, dt, psi)
+        reference_steps, reference = strang_reference(*shape, diagonal, total_time, dt, psi)
         assert a.steps == reference_steps
         state = np.array(a.amplitudes)
         assert np.max(np.abs(state / np.linalg.norm(state) - reference)) <= 1e-12
@@ -791,9 +811,9 @@ class TestStructuredOperators:
     @given(problem=lattice_problems(), steps=st.integers(1, 80),
            guard_share=st.floats(0.05, 0.99))
     def test_grouping_equal_points_keeps_the_pointwise_state(self, problem, steps, guard_share):
-        space, scan, diagonal, total_time, dt = _guarded_schedule(problem, steps, guard_share)
+        shape, scan, diagonal, total_time, dt = _guarded_schedule(problem, steps, guard_share)
         grouped = aqc.evolve_from_uniform(scan, total_time, dt)
-        pointwise = _pointwise(diagonal, uniform_ket(space).reshape(-1), total_time, dt)
+        pointwise = _pointwise(diagonal, uniform_ket(*shape).reshape(-1), total_time, dt)
         assert grouped.steps == pointwise.steps
         state = np.array(pointwise.amplitudes)
         assert np.max(np.abs(point_state(scan, grouped) - state / np.linalg.norm(state))) <= 1e-12
@@ -803,7 +823,7 @@ class TestStructuredOperators:
            guard_share=st.floats(0.05, 0.99))
     def test_decide_samples_the_level_populations_of_the_full_evolution(
             self, problem, steps, guard_share):
-        space, scan, diagonal, total_time, dt = _guarded_schedule(problem, steps, guard_share)
+        shape, scan, diagonal, total_time, dt = _guarded_schedule(problem, steps, guard_share)
         poly, cutoff = problem
         sampled = []
         sample_levels = aqc.sample_levels
@@ -811,7 +831,7 @@ class TestStructuredOperators:
             patch.setattr(aqc, "sample_levels", lambda scan, populations, shots, seed: (
                 sampled.append(populations) or sample_levels(scan, populations, shots, seed)))
             aqc.decide(poly, cutoff, total_time, dt, shots=10, seed=0)
-        state = np.array(_pointwise(diagonal, uniform_ket(space).reshape(-1), total_time,
+        state = np.array(_pointwise(diagonal, uniform_ket(*shape).reshape(-1), total_time,
                                     dt).amplitudes)
         full = np.bincount(level_index(scan), weights=np.abs(state) ** 2,
                            minlength=len(scan.levels))
@@ -821,9 +841,8 @@ class TestStructuredOperators:
     @given(problem=lattice_problems())
     def test_scan_levels_every_point_exactly(self, problem):
         poly, cutoff = problem
-        space = TruncatedFockSpace(poly.num_vars, cutoff)
         scan = aqc.scan_levels(poly, cutoff)
-        values = [poly.evaluate(n) ** 2 for n in lattice(space)]
+        values = [poly.evaluate(n) ** 2 for n in lattice(poly.num_vars, cutoff)]
         assert list(scan.levels) == sorted(set(values))
         assert list(scan.multiplicities) == [values.count(p) for p in scan.levels]
 
@@ -831,16 +850,15 @@ class TestStructuredOperators:
         # 2x in two variables: (1, 0) and (1, 1) are images under y <-> 1 - y,
         # and the pointwise loop keeps their amplitudes bitwise equal; split
         # point by point, they would be a sampler tie
-        space = TruncatedFockSpace(2, 1)
-        diagonal = problem_diagonal(_poly(2, [[2, [1, 0]]]), space)
-        state = np.array(_pointwise(diagonal, uniform_ket(space).reshape(-1), 0.75,
+        diagonal = problem_diagonal(_poly(2, [[2, [1, 0]]]), 1)
+        state = np.array(_pointwise(diagonal, uniform_ket(2, 1).reshape(-1), 0.75,
                                     0.125).amplitudes)
         assert state[2] == state[3] and state[0] == state[1]
         assert _sampler_tie(state)
 
     def test_projector_complement_norm_is_zero_at_dimension_one(self):
         assert aqc._norm_bound([0.0], 1) == 0.0
-        assert np.array_equal(start_operator(TruncatedFockSpace(1, 0)), [[0]])
+        assert np.array_equal(start_operator(1, 0), [[0]])
 
     def test_closed_form_bound_drives_the_stability_guard(self):
         scan = aqc.scan_levels(aqc.parse_polynomial(X_MINUS_2), 4)
@@ -898,8 +916,8 @@ def reference_sample(poly, cutoff, populations, shots, seed) -> dict[tuple[int, 
     """sample_levels with a per-point level index, from term-by-term values of
     D**2: both splits by multinomial over weight lists, and the points of the
     sampled levels listed by one walk over the index."""
-    space = TruncatedFockSpace(poly.num_vars, cutoff)
-    squares = [poly.evaluate(n) ** 2 for n in lattice(space)]
+    points = list(lattice(poly.num_vars, cutoff))
+    squares = [poly.evaluate(n) ** 2 for n in points]
     rank = {p: j for j, p in enumerate(sorted(set(squares)))}
     level_of = [rank[p] for p in squares]
     multiplicities = Counter(level_of)
@@ -911,7 +929,7 @@ def reference_sample(poly, cutoff, populations, shots, seed) -> dict[tuple[int, 
     for i, j in enumerate(level_of):
         if j in members:
             members[j].append(i)
-    return {space.occupation_of(members[j][r]): count
+    return {points[members[j][r]]: count
             for j, draws in per_point.items() for r, count in draws.items()}
 
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperlab import aqc, cli, pairing, tae, turing
+from hyperlab.errors import ValidationError
 
 from conftest import contents_doc, self_loop_doc, successor_doc
 
@@ -79,6 +80,18 @@ class TestDispatch:
         report = json.loads(out)
         assert report["outcome"] == "halted"
         assert report["tape"] == "1111"
+
+    def test_tm_run_reports_every_tape_of_a_multi_tape_machine(self, write_json):
+        # the machine blanks tape 0's input and copies it onto tape 1, then marks
+        # both with x; a one-tape report has no "tapes" key
+        two_tape = Path(__file__).resolve().parent / "golden" / "two_tape.json"
+        for trace in ([], ["--trace"]):
+            report = json.loads(run_cli(["tm", "run", str(two_tape), "--input", "111",
+                                         *trace])[1])
+            assert report["tape"] == "x" and report["tapes"] == ["x", "111x"]
+        path = write_json("machine.json", successor_doc())
+        report = json.loads(run_cli(["tm", "run", path, "--input", "111"])[1])
+        assert "tapes" not in report
 
     def test_tm_run_with_trace(self, write_json):
         path = write_json("machine.json", successor_doc())
@@ -974,16 +987,21 @@ def polynomial_docs(draw):
     return _spoiled(draw, {"vars": k, "terms": terms})
 
 
+# the first cutoff whose lattice is past LATTICE_BUDGET, by number of variables
+PAST_LATTICE_BUDGET = {1: 10**7, 2: 3162, 3: 215}
+
+
 @st.composite
 def aqc_cases(draw):
-    """A polynomial document with a cutoff up to 3, or in one to three variables
-    also one whose lattice the scan splits into several runs: RUN_LENGTH to 9,000
-    in one variable, 64 to 100 in two and 16 to 21 in three."""
+    """A polynomial document with a cutoff up to 3 or a negative one, or in one to
+    three variables also one whose lattice the scan splits into several runs:
+    RUN_LENGTH to 9,000 in one variable, 64 to 100 in two and 16 to 21 in three;
+    or the first cutoff past LATTICE_BUDGET."""
     doc = draw(polynomial_docs())
-    cutoffs = st.integers(0, 3)
+    cutoffs = st.integers(0, 3) | st.integers(-10**6, -1)
     for k, low, high in [(1, aqc.RUN_LENGTH, 9000), (2, 64, 100), (3, 16, 21)]:
         if isinstance(doc, dict) and doc.get("vars") == k:
-            cutoffs |= st.integers(low, high)
+            cutoffs |= st.integers(low, high) | st.just(PAST_LATTICE_BUDGET[k])
     return doc, draw(cutoffs)
 
 
@@ -991,14 +1009,16 @@ class TestTotality:
     """Every generated document ends in exit 0 or in exit 1 with a JSON error."""
 
     @staticmethod
-    def _check(path: Path, doc, argv: list[str]) -> None:
+    def _check(path: Path, doc, argv: list[str]) -> str | None:
+        """Run argv on doc written to path; the error's kind, or None on exit 0."""
         path.write_text(json.dumps(doc))
         status, out, err = run_cli(argv)
         assert status in (0, 1)
         if status == 1:
             assert out == "" and isinstance(json.loads(err)["error"], str)
-        else:
-            assert err == "" and json.loads(out)
+            return json.loads(err)["error"]
+        assert err == "" and json.loads(out)
+        return None
 
     @settings(max_examples=100, deadline=None)
     @given(doc=machine_docs(), text=st.sampled_from(["", "1", "1a_1"]))
@@ -1014,5 +1034,16 @@ class TestTotality:
     def test_aqc_solve(self, tmp_path_factory, flags, case, shots):
         doc, cutoff = case
         path = tmp_path_factory.getbasetemp() / "fuzz-polynomial.json"
-        self._check(path, doc, ["aqc", "solve", str(path), "--cutoff", str(cutoff),
-                                "--shots", str(shots), *flags])
+        error = self._check(path, doc, ["aqc", "solve", str(path), "--cutoff", str(cutoff),
+                                        "--shots", str(shots), *flags])
+        try:
+            poly = aqc.parse_polynomial(doc)
+        except ValidationError:
+            return
+        # a valid document on a refused lattice ends in the lattice's error,
+        # unless decide refuses the shots first
+        if shots <= aqc.MAX_SHOTS or "--oracle-only" in flags:
+            if cutoff < 0:
+                assert error == "domain-error"
+            elif cutoff == PAST_LATTICE_BUDGET.get(poly.num_vars):
+                assert error == "resource-error"

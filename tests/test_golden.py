@@ -2,14 +2,18 @@
 
 The files under ``tests/golden/`` were written by the CLI and are compared
 byte for byte, so a refactor that changes any report byte fails here. To
-change report bytes on purpose, regenerate the corpus from the repository
-root and record the change in CHANGES.md:
+change report bytes on purpose, regenerate the cases it changes from the
+repository root and record the change in CHANGES.md:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py NAME...
+
+Only the named cases are rewritten, and an unknown name rewrites nothing;
+with no name the whole corpus is rewritten.
 """
 
 import io
 import os
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -125,18 +129,39 @@ def test_every_corpus_file_has_a_case():
     assert names == set(CASES)
 
 
-def regenerate() -> None:
-    """Rewrite the corpus from the current code, one .out (and .err) per case."""
-    for path in GOLDEN.iterdir():
-        if path.suffix in (".out", ".err"):
-            path.unlink()
-    for name, argv in CASES.items():
-        _, out, err = run_case(argv)
+def regenerate(names: list[str]) -> None:
+    """Rewrite the named cases from the current code, or the whole corpus when no
+    name is given, one .out (and .err) per case. An unknown name rewrites nothing."""
+    unknown = sorted(set(names) - CASES.keys())
+    if unknown:
+        raise SystemExit(f"no golden case named {', '.join(unknown)}")
+    stale = ([GOLDEN / f"{name}.{suffix}" for name in names for suffix in ("out", "err")]
+             if names else [p for p in GOLDEN.iterdir() if p.suffix in (".out", ".err")])
+    for path in stale:
+        path.unlink(missing_ok=True)
+    for name in names or CASES:
+        _, out, err = run_case(CASES[name])
         for suffix, data in (("out", out), ("err", err)):
             if data:
                 (GOLDEN / f"{name}.{suffix}").write_bytes(data)
 
 
+def test_regenerate_rewrites_only_the_named_cases(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    expected = _expected("enum-decode", "out")
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
+    (tmp_path / "enum-decode.out").write_bytes(b"stale")
+    (tmp_path / "enum-encode.out").write_bytes(b"stale")
+    with pytest.raises(SystemExit, match="no golden case named nonesuch"):
+        regenerate(["enum-decode", "nonesuch"])
+    assert (tmp_path / "enum-decode.out").read_bytes() == b"stale"
+    regenerate(["enum-decode", "error-enum-decode"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "enum-decode.out", "enum-encode.out", "error-enum-decode.err"]
+    assert (tmp_path / "enum-decode.out").read_bytes() == expected
+    assert (tmp_path / "enum-encode.out").read_bytes() == b"stale"
+
+
 if __name__ == "__main__":
     os.chdir(ROOT)
-    regenerate()
+    regenerate(sys.argv[1:])
