@@ -175,12 +175,8 @@ def _block(nested, top: int, start: int, n: int) -> list[int]:
     row, offset = divmod(start, top)
     counts = [top - offset] + [top] * ((offset + n - 1) // top)  # the points in each row
     counts[-1] -= sum(counts) - n
-    # the last variable's value at each point: a range within one row, and over
-    # several rows a list of n, made only when some term uses that variable
-    xs = range(offset, offset + n) if len(counts) == 1 else None
-    if xs is None and any(gap for _, gap in nested):
-        xs = list(itertools.islice(itertools.chain(range(offset, top),
-                                                   itertools.cycle(range(top))), n))
+    xs = list(itertools.islice(itertools.chain(range(offset, top),
+                                               itertools.cycle(range(top))), n))
     values = None
     for coeff, gap in nested:
         column = itertools.chain.from_iterable(
@@ -314,7 +310,7 @@ def _float_levels(levels: Sequence[int]) -> list[float]:
 # -- Hamiltonians ----------------------------------------------------------------
 #
 # One Hamiltonian path, H(s) = (1 - s)(I - |u><u|) + s * diag(p), with u the
-# space's uniform ket and p = D(n)**2; neither operator is ever a d x d array.
+# lattice's uniform ket and p = D(n)**2; neither operator is ever a d x d array.
 
 
 def _check_schedule(total_time: float, dt: float) -> None:
