@@ -97,6 +97,16 @@ CASES = {
     "tm-run-one-sided-edge": ["tm", "run", "tests/golden/one_sided.json", "--input", "ab" * 150],
     "tm-run-multichar-long": ["tm", "run", "tests/golden/multichar.json",
                               "--input", "a" + "aaab" * 300 + "a" * 600],
+    # the wheel strategies without a golden above, a mean past the float
+    # range, the lamp at its limit and the smallest decelerated budget
+    "tae-ashby-all-or-nothing": ["tae", "ashby", "--wheels", "10", "--p", "0.5", "--strategy",
+                                 "1", "--simulate", "--trials", "2000", "--seed", "3"],
+    "tae-ashby-one-at-a-time": ["tae", "ashby", "--wheels", "10", "--p", "0.5", "--strategy",
+                                "2", "--simulate", "--trials", "2000", "--seed", "3"],
+    "tae-ashby-past-float-range": ["tae", "ashby", "--wheels", "2000", "--p", "0.5",
+                                   "--strategy", "1"],
+    "zeno-lamp-at-limit": ["zeno", "lamp", "--t", "2"],
+    "zeno-budget-one-second": ["zeno", "budget", "--seconds", "1"],
 }
 
 # cases that end in a structured error on stderr with exit status 1
