@@ -39,7 +39,7 @@ def tabulate(args) -> None:
             exp = tae.WheelExperiment(n, args.p, strategy,
                                       seed=args.seed + 100 * n + strategy)
             mean, stderr = tae.ashby_simulate(exp, args.trials)
-            row += [tae.ashby_expected(exp), mean, stderr]
+            row += [tae.ashby_expected(exp)[0], mean, stderr]
         rows.append(row)
 
     emit_report(Table(columns, zip(*rows)), "csv", sys.stdout)

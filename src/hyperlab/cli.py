@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import TYPE_CHECKING, Callable
@@ -59,9 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hyperlab",
         description="Desk-scale workbench for classical and hypercomputational machine models.",
     )
-    # a seeded subcommand's own --seed, when given, replaces this one
-    parser.add_argument("--seed", type=_natural_arg, default=0,
-                        help="global RNG seed (default 0)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--output", default="-", help="report destination file, - for stdout")
     groups = parser.add_subparsers(dest="group", required=True)
@@ -86,13 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
     ashby.add_argument("--strategy", type=int, choices=(1, 2, 3), required=True)
     ashby.add_argument("--simulate", action="store_true")
     ashby.add_argument("--trials", type=int, default=10**5)
-    ashby.add_argument("--seed", type=_natural_arg, default=argparse.SUPPRESS)
+    ashby.add_argument("--seed", type=_natural_arg, default=0)
     ashby.set_defaults(handler=_cmd_ashby)
     bogo = tae_g.add_parser("bogosort", help="shuffle a random sequence until sorted")
     bogo.add_argument("--len", type=_natural_arg, required=True, dest="length")
     bogo.add_argument("--memo", action="store_true")
     bogo.add_argument("--max-tries", type=int, default=10**6)
-    bogo.add_argument("--seed", type=_natural_arg, default=argparse.SUPPRESS)
+    bogo.add_argument("--seed", type=_natural_arg, default=0)
     bogo.set_defaults(handler=_cmd_bogosort)
 
     zeno_g = groups.add_parser("zeno", help="accelerated-machine time accounting").add_subparsers(
@@ -139,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--time", type=float, default=50.0)
     solve.add_argument("--dt", type=float, default=0.01)
     solve.add_argument("--shots", type=int, default=1000)
-    solve.add_argument("--seed", type=_natural_arg, default=argparse.SUPPRESS)
+    solve.add_argument("--seed", type=_natural_arg, default=0)
     solve.add_argument("--oracle-only", action="store_true",
                        help="skip the evolution; report the exact scan only")
     solve.set_defaults(handler=_cmd_aqc_solve)
@@ -209,12 +205,7 @@ def _cmd_ashby(args) -> dict:
 
     strategy = tae.WheelStrategy(args.strategy)
     exp = tae.WheelExperiment(args.wheels, args.p, strategy, seed=args.seed)
-    if strategy is not tae.WheelStrategy.FREEZE_SUCCESSES:  # p**-N, N/p overflow before log2
-        log2_expected = tae.ashby_expected_log2(exp)
-        expected = tae.ashby_expected(exp) if log2_expected < 1020 else None
-    else:  # one sum gives both; its SERIES_TERM_BUDGET terms of at most 1 stay below 2**1020
-        expected = tae.ashby_expected(exp)
-        log2_expected = math.log2(expected)
+    expected, log2_expected = tae.ashby_expected(exp)
     report = {
         "command": "tae ashby",
         "wheels": args.wheels,
@@ -298,13 +289,11 @@ def _cmd_zeno_budget(args) -> dict:
 
     seconds = _time_view(args.seconds, "--seconds")
     got = zeno.steps_within_budget(args.seconds)
-    decelerated = (zeno.decelerated_steps_within_budget(args.seconds)
-                   if args.seconds >= 1 else None)
     return {
         "command": "zeno budget",
         "budget_seconds": seconds,
         "largest_step_index": "unbounded" if got is zeno.UNBOUNDED else got,
-        "decelerated_step_index": decelerated,
+        "decelerated_step_index": zeno.decelerated_steps_within_budget(args.seconds),
         "note": (
             "decelerated_step_index counts the mirrored cascade whose step n "
             "ends at base * 2**n; budget ratios map to step gains as log2"),
@@ -315,14 +304,14 @@ def _cmd_zeno_lamp(args) -> dict:
     from . import zeno
 
     t = _time_view(args.t, "--t")
-    state = zeno.thomson_lamp(args.t)
+    state, toggles = zeno.thomson_lamp(args.t)
     report = {
         "command": "zeno lamp",
         "t": t,
         "state": state.value,
     }
-    if state is not zeno.LampState.UNDEFINED:
-        report["toggles"] = zeno.lamp_toggle_count(args.t)
+    if toggles is not None:
+        report["toggles"] = toggles
     return report
 
 

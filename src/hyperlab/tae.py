@@ -265,26 +265,27 @@ CELL_BUDGET = 2**18
 TRIAL_BUDGET = 10**7
 
 
-def ashby_expected(exp: WheelExperiment) -> float:
-    """Expected seconds to grand success, at one spin round per second.
+def ashby_expected(exp: WheelExperiment) -> tuple[float | None, float]:
+    """Expected seconds to grand success, at one spin round per second, and
+    their log2.
 
     All-or-nothing: a round succeeds with p**N, so the mean is p**-N.
     One-at-a-time: N wheels, each a mean 1/p spins, run back to back: N/p.
     Freeze-successes: the slowest of N independent wheels; its mean
     sum_{t>=0} (1 - (1 - (1-p)**t)**N) is summed until the tail is
     negligible relative to the accumulated value.
-    A mean past the float range, reachable only by the first two, raises
-    :class:`DomainError`; ``ashby_expected_log2`` gives its log2.
+    The seconds are None from 2**1020 on, which only the first two reach;
+    the log2 is always given.
     """
     n, p = exp.n_wheels, exp.p
-    if exp.strategy is not WheelStrategy.FREEZE_SUCCESSES:
-        try:  # p**-N raises past the float range, N/p rounds to inf
-            expected = p**-n if exp.strategy is WheelStrategy.ALL_OR_NOTHING else n / p
-        except OverflowError:
-            expected = math.inf
-        if expected == math.inf:
-            raise DomainError("the expectation is past the float range; use ashby_expected_log2")
-        return expected
+    # a float overflows at 2**1024; below 2**1020 the rounding of log2 cannot reach it
+    if exp.strategy is WheelStrategy.ALL_OR_NOTHING:
+        log2 = -n * math.log2(p)
+        return (p**-n if log2 < 1020 else None), log2
+    if exp.strategy is WheelStrategy.ONE_AT_A_TIME:
+        spins = n / p
+        log2 = math.log2(spins) if spins < math.inf else math.log2(n) - math.log2(p)
+        return (spins if log2 < 1020 else None), log2
     # term t is at most N*q**t and the total at least 1, so the tail test
     # holds by the first t with N*q**t <= tol: at most this many terms
     terms = math.log(n / TAIL_RELATIVE_TOL) / -math.log1p(-p) + 2
@@ -300,18 +301,7 @@ def ashby_expected(exp: WheelExperiment) -> float:
         total += term
         qt *= q
         if term <= total * TAIL_RELATIVE_TOL:
-            return total
-
-
-def ashby_expected_log2(exp: WheelExperiment) -> float:
-    """log2 of the expectation, finite where the value itself would overflow."""
-    n, p = exp.n_wheels, exp.p
-    if exp.strategy is WheelStrategy.ALL_OR_NOTHING:
-        return -n * math.log2(p)
-    if exp.strategy is WheelStrategy.ONE_AT_A_TIME:
-        spins = n / p
-        return math.log2(spins) if spins < math.inf else math.log2(n) - math.log2(p)
-    return math.log2(ashby_expected(exp))
+            return total, math.log2(total)
 
 
 def _trial_time_law(exp: WheelExperiment) -> tuple[int, list[float]]:
@@ -361,7 +351,7 @@ def ashby_simulate(exp: WheelExperiment, trials: int) -> tuple[float, float]:
         raise ResourceError(f"{trials} trials is past the budget of {TRIAL_BUDGET}")
     n, p = exp.n_wheels, exp.p
     log2_spins = (-math.log2(p) if exp.strategy is WheelStrategy.FREEZE_SUCCESSES
-                  else ashby_expected_log2(exp))
+                  else ashby_expected(exp)[1])
     if log2_spins > SIMULATION_LOG2_SPINS:
         raise DomainError(
             f"a simulated trial expects 2**{log2_spins:.1f} spins, past the "

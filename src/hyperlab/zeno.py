@@ -89,7 +89,7 @@ def steps_within_budget(t: TimeLike) -> Union[int, Unbounded, None]:
     return _floor_log2(1 / (LIMIT - budget))
 
 
-def decelerated_steps_within_budget(t: TimeLike) -> int:
+def decelerated_steps_within_budget(t: TimeLike) -> int | None:
     """Largest step index n of the mirrored (decelerating) cascade within budget t.
 
     Mirroring the accelerating cascade turns the time left to its limit after
@@ -97,13 +97,13 @@ def decelerated_steps_within_budget(t: TimeLike) -> int:
     and each further step waits twice as long as the one before. A budget
     therefore buys only floor(log2(budget)) step indices, which is why
     stretching the deadline from 1 to 64 time units gains just 6 steps, and
-    stretching it from 1 to 2**1000 gains just 1000. A budget below the first
-    step is a :class:`DomainError`. Exact integer arithmetic.
+    stretching it from 1 to 2**1000 gains just 1000. Returns None when even
+    the first step does not fit. Exact integer arithmetic.
     """
     budget = _exact(t, "budget")
-    if budget < 1:
-        raise DomainError("budget does not cover the first step")
-    return _floor_log2(budget)
+    if budget <= 0:
+        raise DomainError("budget must be positive")
+    return _floor_log2(budget) if budget >= 1 else None
 
 
 # -- Thomson's lamp ---------------------------------------------------------------
@@ -115,32 +115,23 @@ class LampState(Enum):
     UNDEFINED = "undefined"
 
 
-def lamp_toggle_count(t: TimeLike) -> int:
-    """Number of toggle instants zeno_time(n) <= t, computed exactly."""
-    budget = _exact(t, "t")
-    if budget < 0:
-        raise DomainError("time must be non-negative")
-    got = steps_within_budget(budget) if budget > 0 else None
-    if got is UNBOUNDED:
-        raise DomainError("toggle count is infinite at or beyond the supertask limit")
-    return 0 if got is None else got + 1
-
-
-def thomson_lamp(t: TimeLike) -> LampState:
-    """Lamp state at time t under the documented phase convention.
+def thomson_lamp(t: TimeLike) -> tuple[LampState, int | None]:
+    """Lamp state at time t under the documented phase convention, and the
+    number of toggle instants zeno_time(n) <= t, computed exactly.
 
     The lamp switches on at t = 0 and toggles at every instant zeno_time(n),
     n >= 0. The state is only defined before the supertask limit; at and
     beyond it no finite parity constrains the lamp, so the function answers
-    UNDEFINED there rather than pick a value.
+    UNDEFINED there rather than pick a value, and the toggle count is None.
     """
     instant = _exact(t, "t")
     if instant < 0:
         raise DomainError("time must be non-negative")
     if instant >= LIMIT:
-        return LampState.UNDEFINED
-    toggles = lamp_toggle_count(instant)
-    return LampState.ON if toggles % 2 == 0 else LampState.OFF
+        return LampState.UNDEFINED, None
+    got = steps_within_budget(instant) if instant > 0 else None
+    toggles = 0 if got is None else got + 1
+    return (LampState.ON if toggles % 2 == 0 else LampState.OFF), toggles
 
 
 # -- halting flag on an accelerated run --------------------------------------------
@@ -185,24 +176,3 @@ def atm_halting_flag(machine: TuringMachine, input_symbols: str, fuel: int) -> H
         outcome=outcome,
     )
 
-
-# -- superluminal threshold ---------------------------------------------------------
-
-
-def first_superluminal_step(head_speed_step1: float) -> int:
-    """First step (1-based) whose head speed must exceed the speed of light.
-
-    Step n lasts ``2**-(n-1)`` times the first step's duration while the head
-    still crosses one cell, so the required speed doubles every step:
-    speed(n) = head_speed_step1 * 2**(n-1), whatever the cell pitch.
-    """
-    from .limits import SPEED_OF_LIGHT
-
-    if not head_speed_step1 > 0:  # NaN fails too
-        raise DomainError("speed must be positive")
-    n = 1
-    speed = float(head_speed_step1)
-    while speed <= SPEED_OF_LIGHT:
-        n += 1
-        speed *= 2.0
-    return n

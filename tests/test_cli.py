@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -196,6 +197,25 @@ class TestDispatch:
         report = json.loads(out)
         assert report["ground_energy"] == 0
         assert report["minimizers"] == [[2]]
+
+    def test_no_option_is_defined_both_globally_and_on_a_subcommand(self):
+        # one way per value: a flag set in two places can disagree with itself
+        def options(parser):
+            return {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+
+        def subcommands(parser):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, sub in action.choices.items():
+                        yield name, sub
+                        for inner, leaf in subcommands(sub):
+                            yield f"{name} {inner}", leaf
+
+        parser = cli.build_parser()
+        top = options(parser)
+        twice = {f"{name} {option}" for name, sub in subcommands(parser)
+                 for option in options(sub) & top}
+        assert not twice
 
 
 class TestErrors:
@@ -752,16 +772,6 @@ class TestDeterminism:
         header, row = csv.reader(io.StringIO(out, newline=""))
         assert len(row) == len(header)
         assert dict(zip(header, row))["final_state"] == "h\rx"
-
-    def test_global_seed_flows_to_subcommand(self):
-        a = run_cli(["--seed", "9", "tae", "bogosort", "--len", "5"])
-        b = run_cli(["tae", "bogosort", "--len", "5", "--seed", "9"])
-        assert json.loads(a[1]) == json.loads(b[1])
-
-    def test_subcommand_seed_wins_over_the_global_one(self):
-        local = run_cli(["tae", "bogosort", "--len", "5", "--seed", "9"])
-        assert run_cli(["--seed", "5", "tae", "bogosort", "--len", "5", "--seed", "9"]) == local
-        assert run_cli(["--seed", "5", "tae", "bogosort", "--len", "5"]) != local
 
 
 class TestCosts:

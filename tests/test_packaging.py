@@ -48,7 +48,6 @@ LIBRARY_ONLY = {
     "tae.tm_kernel",  # direction 6: a `tae limit` command
     "tae.evaluate_limit_predicate",  # direction 6: a `tae limit` command
     "turing.attach_oracle",  # direction 6: `tm run --oracle-machine`
-    "zeno.first_superluminal_step",  # direction 6: a `zeno` report field, or tests/
 }
 
 

@@ -7,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperlab import tae, turing, variates
@@ -304,7 +304,7 @@ class TestAshbyAnalytic:
     def test_single_wheel_strategies_coincide(self):
         for strategy in WheelStrategy:
             exp = WheelExperiment(1, 0.5, strategy)
-            assert abs(tae.ashby_expected(exp) - 2.0) < 1e-8
+            assert abs(tae.ashby_expected(exp)[0] - 2.0) < 1e-8
 
     # at p = 1e-17, 1 - p rounds to 1 and the sum would never end
     @pytest.mark.parametrize("p", [1e-7, 1e-17])
@@ -312,8 +312,6 @@ class TestAshbyAnalytic:
         exp = WheelExperiment(10, p, WheelStrategy.FREEZE_SUCCESSES)
         with pytest.raises(ResourceError, match="budget"):
             tae.ashby_expected(exp)
-        with pytest.raises(ResourceError):
-            tae.ashby_expected_log2(exp)
 
     @settings(max_examples=200)
     @given(st.integers(1, 10**4), st.floats(1e-3, 0.99))
@@ -327,36 +325,56 @@ class TestAshbyAnalytic:
                 break
         bound = math.log(n / tae.TAIL_RELATIVE_TOL) / -math.log1p(-p) + 2
         assert terms <= bound
-        assert tae.ashby_expected(WheelExperiment(n, p, WheelStrategy.FREEZE_SUCCESSES)) == total
+        assert tae.ashby_expected(WheelExperiment(n, p, WheelStrategy.FREEZE_SUCCESSES)) == (
+            total, math.log2(total))
 
     def test_thousand_wheels_all_or_nothing_log2(self):
         exp = WheelExperiment(1000, 0.5, WheelStrategy.ALL_OR_NOTHING)
-        assert tae.ashby_expected_log2(exp) == 1000.0
-        assert tae.ashby_expected(exp) == 2.0**1000
+        assert tae.ashby_expected(exp) == (2.0**1000, 1000.0)
 
     @pytest.mark.parametrize("n, strategy", [(1100, WheelStrategy.ALL_OR_NOTHING),
                                              (10**308, WheelStrategy.ONE_AT_A_TIME)],
                              ids=["all-or-nothing", "one-at-a-time"])
     def test_mean_past_the_float_range_is_refused(self, n, strategy):
-        exp = WheelExperiment(n, 0.5, strategy)
-        with pytest.raises(DomainError, match="float range"):
-            tae.ashby_expected(exp)
-        assert tae.ashby_expected_log2(exp) > 1024
+        # the seconds are withheld and the log2 alone is given
+        seconds, log2 = tae.ashby_expected(WheelExperiment(n, 0.5, strategy))
+        assert seconds is None and 1024 < log2 < math.inf
+
+    @settings(max_examples=200)
+    @given(st.sampled_from(list(WheelStrategy)),
+           st.one_of(st.integers(1, 5000), st.integers(1, 10**299)), st.floats(0.01, 0.99))
+    @example(WheelStrategy.ALL_OR_NOTHING, 1019, 0.5)
+    @example(WheelStrategy.ALL_OR_NOTHING, 1020, 0.5)
+    @example(WheelStrategy.ONE_AT_A_TIME, 2**1019, 0.5)
+    @example(WheelStrategy.ONE_AT_A_TIME, 10**308, 0.01)
+    def test_seconds_are_withheld_exactly_from_2_to_the_1020(self, strategy, n, p):
+        # up to N = 10**299 the series' term bound, log(N / TAIL_RELATIVE_TOL) /
+        # -log1p(-p), stays a float below 10**5, within budget; strategy 2
+        # reaches 2**1020 only in the pinned examples
+        seconds, log2 = tae.ashby_expected(WheelExperiment(n, p, strategy))
+        assert (seconds is None) == (log2 >= 1020)
+        if seconds is None:
+            return
+        if strategy is WheelStrategy.FREEZE_SUCCESSES:
+            assert log2 == math.log2(seconds)
+        else:
+            assert seconds == (p**-n if strategy is WheelStrategy.ALL_OR_NOTHING else n / p)
+            assert math.isclose(log2, math.log2(seconds), rel_tol=1e-9, abs_tol=1e-12)
 
     def test_one_at_a_time_is_n_over_p(self):
         exp = WheelExperiment(10, 0.25, WheelStrategy.ONE_AT_A_TIME)
-        assert tae.ashby_expected(exp) == 40.0
+        assert tae.ashby_expected(exp)[0] == 40.0
 
     def test_quoted_figures_differ_from_analytic(self):
         # the quoted one-at-a-time figure is 500 s; the analytic mean is 2000 s
         exp = WheelExperiment(1000, 0.5, WheelStrategy.ONE_AT_A_TIME)
-        assert tae.ashby_expected(exp) == 2000.0
+        assert tae.ashby_expected(exp)[0] == 2000.0
         assert tae.QUOTED_CASE2_SECONDS == 500.0
 
     @given(st.integers(1, 12), st.floats(0.05, 0.95))
     def test_series_matches_inclusion_exclusion(self, n, p):
         exp = WheelExperiment(n, p, WheelStrategy.FREEZE_SUCCESSES)
-        series = tae.ashby_expected(exp)
+        series, _ = tae.ashby_expected(exp)
         closed = ashby_case3_inclusion_exclusion(n, p)
         assert abs(series - closed) <= 1e-6 * closed
 
@@ -365,15 +383,14 @@ class TestAshbyAnalytic:
         # all-or-nothing is slowest and freezing successes is fastest; the
         # first comparison genuinely needs p <= 1/2 (at p near 1 a single
         # parallel round beats n sequential spins)
-        c1 = tae.ashby_expected(WheelExperiment(n, p, WheelStrategy.ALL_OR_NOTHING))
-        c2 = tae.ashby_expected(WheelExperiment(n, p, WheelStrategy.ONE_AT_A_TIME))
-        c3 = tae.ashby_expected(WheelExperiment(n, p, WheelStrategy.FREEZE_SUCCESSES))
+        c1, c2, c3 = (tae.ashby_expected(WheelExperiment(n, p, strategy))[0]
+                      for strategy in WheelStrategy)
         assert c1 >= c2 * (1 - 1e-12) >= c3 * (1 - 1e-12)
 
     @given(st.integers(1, 12), st.floats(0.05, 0.95))
     def test_freezing_never_beats_sequential(self, n, p):
-        c2 = tae.ashby_expected(WheelExperiment(n, p, WheelStrategy.ONE_AT_A_TIME))
-        c3 = tae.ashby_expected(WheelExperiment(n, p, WheelStrategy.FREEZE_SUCCESSES))
+        c2 = tae.ashby_expected(WheelExperiment(n, p, WheelStrategy.ONE_AT_A_TIME))[0]
+        c3 = tae.ashby_expected(WheelExperiment(n, p, WheelStrategy.FREEZE_SUCCESSES))[0]
         assert c3 <= c2 * (1 + 1e-12)
 
     def test_validation(self):
@@ -389,7 +406,7 @@ class TestAshbySimulation:
     def test_monte_carlo_within_three_standard_errors(self, strategy, n):
         exp = WheelExperiment(n, 0.5, strategy, seed=1000 + 10 * n + strategy)
         mean, stderr = tae.ashby_simulate(exp, 10**5)
-        analytic = tae.ashby_expected(exp)
+        analytic, _ = tae.ashby_expected(exp)
         assert abs(mean - analytic) <= 3 * stderr
 
     def test_same_seed_reproduces(self):
@@ -399,7 +416,7 @@ class TestAshbySimulation:
     def test_case3_expectation_against_simulation(self):
         exp = WheelExperiment(10, 0.5, WheelStrategy.FREEZE_SUCCESSES, seed=7)
         mean, stderr = tae.ashby_simulate(exp, 10**5)
-        assert abs(mean - tae.ashby_expected(exp)) <= 3 * stderr
+        assert abs(mean - tae.ashby_expected(exp)[0]) <= 3 * stderr
 
     @pytest.mark.parametrize("n, p, strategy", [
         (2000, 0.5, WheelStrategy.ALL_OR_NOTHING),  # p**N underflows to 0.0
@@ -442,7 +459,7 @@ class TestAshbySimulation:
         for seed in range(200):
             exp = WheelExperiment(n, p, strategy, seed=seed)
             mean, stderr = tae.ashby_simulate(exp, 2000)
-            zs.append((mean - tae.ashby_expected(exp)) / stderr)
+            zs.append((mean - tae.ashby_expected(exp)[0]) / stderr)
         assert abs(statistics.fmean(zs)) < 0.3
         assert abs(statistics.stdev(zs) - 1) < 0.2
 

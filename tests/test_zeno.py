@@ -7,12 +7,30 @@ from hypothesis import strategies as st
 
 from hyperlab import turing, zeno
 from hyperlab.errors import DomainError, ResourceError
+from hyperlab.limits import SPEED_OF_LIGHT
 from hyperlab.turing import OutcomeKind
 from hyperlab.zeno import UNBOUNDED, LampState
 
 # step index commonly quoted for the head outrunning light at 1 m/s on step 1;
 # the convention of first_superluminal_step derives 30
 QUOTED_SUPERLUMINAL_STEP = 29
+
+
+def first_superluminal_step(head_speed_step1: float) -> int:
+    """First step (1-based) whose head speed must exceed the speed of light.
+
+    Step n lasts ``2**-(n-1)`` times the first step's duration while the head
+    still crosses one cell, so the required speed doubles every step:
+    speed(n) = head_speed_step1 * 2**(n-1), whatever the cell pitch.
+    """
+    if not head_speed_step1 > 0:  # NaN fails too
+        raise DomainError("speed must be positive")
+    n = 1
+    speed = float(head_speed_step1)
+    while speed <= SPEED_OF_LIGHT:
+        n += 1
+        speed *= 2.0
+    return n
 
 
 class TestZenoTime:
@@ -82,7 +100,24 @@ class TestStepsWithinBudget:
         while zeno.zeno_time(n + 1) <= t:
             n += 1
         assert zeno.steps_within_budget(t) == (None if n < 0 else n)
-        assert zeno.lamp_toggle_count(t) == n + 1
+        assert zeno.thomson_lamp(t)[1] == n + 1
+
+
+class TestMergedReadings:
+    @settings(max_examples=300)
+    @given(st.one_of(st.fractions(0, 3, max_denominator=10**6),
+                     st.builds(zeno.zeno_time, st.integers(0, 60))))
+    def test_toggles_are_a_count_of_instants_up_to_t(self, t):
+        toggles = None  # infinitely many from the limit on
+        if t < zeno.LIMIT:
+            toggles = 0
+            while zeno.zeno_time(toggles) <= t:
+                toggles += 1
+        assert zeno.thomson_lamp(t)[1] == toggles
+
+    @given(st.fractions(0, 2**12, max_denominator=10**6).filter(lambda t: t > 0))
+    def test_decelerated_index_is_none_exactly_below_one(self, t):
+        assert (zeno.decelerated_steps_within_budget(t) is None) == (t < 1)
 
 
 class TestDeceleratedBudget:
@@ -100,8 +135,11 @@ class TestDeceleratedBudget:
         assert zeno.decelerated_steps_within_budget(Fraction(127, 2)) == 5
 
     def test_rejects_budget_below_base(self):
-        with pytest.raises(DomainError):
-            zeno.decelerated_steps_within_budget(Fraction(1, 2))
+        # below the first step no index fits; a budget of 0 or less is no budget
+        assert zeno.decelerated_steps_within_budget(Fraction(1, 2)) is None
+        for budget in (0, -3):
+            with pytest.raises(DomainError, match="budget must be positive"):
+                zeno.decelerated_steps_within_budget(budget)
 
     @given(st.integers(1, 10**9), st.integers(1, 10**6))
     def test_index_is_exact_floor_log2(self, num, den):
@@ -114,23 +152,23 @@ class TestDeceleratedBudget:
 
 class TestThomsonLamp:
     def test_half_second_is_on(self):
-        assert zeno.thomson_lamp(Fraction(1, 2)) is LampState.ON
+        assert zeno.thomson_lamp(Fraction(1, 2)) == (LampState.ON, 0)
 
     def test_parity_near_the_limit(self):
         t = Fraction(19999, 10000)
         # toggle instants are 2 - 2**-n; count those <= t by hand
         toggles = sum(1 for n in range(60) if 2 - Fraction(1, 2**n) <= t)
-        assert toggles == zeno.lamp_toggle_count(t) == 14
-        assert zeno.thomson_lamp(t) is LampState.ON  # even number of toggles
+        assert toggles == 14
+        assert zeno.thomson_lamp(t) == (LampState.ON, toggles)  # even number of toggles
 
     def test_boundary_toggle_counts(self):
         # exactly at a toggle instant the flip has happened
-        assert zeno.lamp_toggle_count(Fraction(7, 4)) == 3
-        assert zeno.thomson_lamp(Fraction(7, 4)) is LampState.OFF
+        assert zeno.thomson_lamp(Fraction(7, 4)) == (LampState.OFF, 3)
 
     def test_at_and_beyond_limit_undefined(self):
-        assert zeno.thomson_lamp(2.0) is LampState.UNDEFINED
-        assert zeno.thomson_lamp(1000) is LampState.UNDEFINED
+        # no finite count of toggles either
+        assert zeno.thomson_lamp(2.0) == (LampState.UNDEFINED, None)
+        assert zeno.thomson_lamp(1000) == (LampState.UNDEFINED, None)
 
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
@@ -138,8 +176,8 @@ class TestThomsonLamp:
 
     @given(st.integers(0, 200))
     def test_parity_flips_exactly_at_toggles(self, n):
-        before = zeno.thomson_lamp(zeno.zeno_time(n) - Fraction(1, 2**(n + 2)))
-        at = zeno.thomson_lamp(zeno.zeno_time(n))
+        before, _ = zeno.thomson_lamp(zeno.zeno_time(n) - Fraction(1, 2**(n + 2)))
+        at, _ = zeno.thomson_lamp(zeno.zeno_time(n))
         assert before is not at
 
 
@@ -170,18 +208,18 @@ class TestHaltingFlag:
 
 class TestSuperluminal:
     def test_default_threshold(self):
-        assert zeno.first_superluminal_step(1.0) == 30
+        assert first_superluminal_step(1.0) == 30
 
     def test_quoted_figure_recorded(self):
-        assert zeno.first_superluminal_step(1.0) == QUOTED_SUPERLUMINAL_STEP + 1
+        assert first_superluminal_step(1.0) == QUOTED_SUPERLUMINAL_STEP + 1
 
     def test_doubling_start_speed_drops_threshold_by_one(self):
-        assert zeno.first_superluminal_step(2.0) == zeno.first_superluminal_step(1.0) - 1
+        assert first_superluminal_step(2.0) == first_superluminal_step(1.0) - 1
 
     def test_rejects_non_positive(self):
         with pytest.raises(DomainError):
-            zeno.first_superluminal_step(0.0)
+            first_superluminal_step(0.0)
 
     def test_rejects_nan(self):
         with pytest.raises(DomainError):
-            zeno.first_superluminal_step(math.nan)
+            first_superluminal_step(math.nan)
