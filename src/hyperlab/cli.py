@@ -1,30 +1,30 @@
-"""Unified command-line entry point.
+"""Unified command-line entry point:
 
-Verb-noun subcommands, one per workbench area. Every command writes a single
+    hyperlab [--format {json,csv}] [--output PATH] GROUP [COMMAND] ARGS...
+
+Verb-noun commands, one per row of ``COMMANDS``. Every command writes a single
 deterministic report (JSON by default, CSV on request) to stdout or to
---output; errors are structured JSON on stderr with exit status 1, usage
-problems exit with status 2. Identical invocations with identical seeds
-produce byte-identical reports.
+--output; errors are structured JSON on stderr with exit status 1, and a bad
+line prints its usage and exits with status 2. Identical invocations with
+identical seeds produce byte-identical reports. The line reads as argparse
+read it, less prefix abbreviations: global options only before the group, an
+option as ``--opt value`` or ``--opt=value`` (the last of a repeat wins),
+positionals between options, ``-h`` for the usage.
 
-Each command imports only the layer it runs, inside its handler: building
-the parser loads no command module, `tm run` loads `turing`, `enum` loads
-`pairing`, `aqc solve` loads `aqc` and `variates`, `limits` loads `limits`,
-`tae` commands load `tae` and `variates`, and `zeno` commands load `zeno`,
-with `turing` only where they drive a machine (`zeno halting`). No command
-imports numpy: the seeded ones (aqc solve, tae ashby --simulate and tae
-bogosort) draw from the standard library's random.Random(seed). No command
-imports `dataclasses`, whose import pulls in `inspect`: the records are
-plain classes. Only the commands that parse or print an exact fraction
-(every `zeno` command and `enum decode`) load `fractions`, and with it
-`decimal`.
+Each command imports only the layer it runs, inside its handler, and reading
+the line loads none: `tm run` loads `turing`, `enum` `pairing`, `aqc solve`
+`aqc` and `variates`, `limits` `limits`, `tae` `tae` and `variates`, `zeno`
+`zeno` (and `turing` for `zeno halting`). `json` loads only to read a document,
+print an error or escape a string. No command imports numpy, argparse or
+`dataclasses`; only the commands that parse or print an exact fraction (every
+`zeno` command and `enum decode`) load `fractions`, and with it `decimal`.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError, HyperlabError, ParseError
@@ -35,12 +35,9 @@ if TYPE_CHECKING:
 
 
 def _natural_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a natural number, got {value}")
+        raise ValueError(f"must be a natural number, got {value}")
     return value
 
 
@@ -50,97 +47,7 @@ def _fraction_arg(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hyperlab",
-        description="Desk-scale workbench for classical and hypercomputational machine models.",
-    )
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--output", default="-", help="report destination file, - for stdout")
-    groups = parser.add_subparsers(dest="group", required=True)
-
-    tm = groups.add_parser("tm", help="Turing machine engine").add_subparsers(
-        dest="command", required=True)
-    tm_run = tm.add_parser("run", help="run a machine on an input string")
-    tm_run.add_argument("machine", help="machine document (JSON)")
-    tm_run.add_argument("--input", default="", help="initial tape content")
-    tm_run.add_argument("--fuel", type=int, default=None)  # None: turing.DEFAULT_FUEL
-    tm_run.add_argument("--trace", action="store_true", help="include a bounded trace")
-    tm_run.set_defaults(handler=_cmd_tm_run)
-
-    tae_g = groups.add_parser("tae", help="trial-and-error procedures").add_subparsers(
-        dest="command", required=True)
-    gold = tae_g.add_parser("goldbach", help="prime-pair answer stream over even numbers")
-    gold.add_argument("--horizon", type=int, required=True)
-    gold.set_defaults(handler=_cmd_goldbach)
-    ashby = tae_g.add_parser("ashby", help="wheel-compounding strategies")
-    ashby.add_argument("--wheels", type=int, required=True)
-    ashby.add_argument("--p", type=float, required=True)
-    ashby.add_argument("--strategy", type=int, choices=(1, 2, 3), required=True)
-    ashby.add_argument("--simulate", action="store_true")
-    ashby.add_argument("--trials", type=int, default=10**5)
-    ashby.add_argument("--seed", type=_natural_arg, default=0)
-    ashby.set_defaults(handler=_cmd_ashby)
-    bogo = tae_g.add_parser("bogosort", help="shuffle a random sequence until sorted")
-    bogo.add_argument("--len", type=_natural_arg, required=True, dest="length")
-    bogo.add_argument("--memo", action="store_true")
-    bogo.add_argument("--max-tries", type=int, default=10**6)
-    bogo.add_argument("--seed", type=_natural_arg, default=0)
-    bogo.set_defaults(handler=_cmd_bogosort)
-
-    zeno_g = groups.add_parser("zeno", help="accelerated-machine time accounting").add_subparsers(
-        dest="command", required=True)
-    ztime = zeno_g.add_parser("time", help="elapsed time through step index n")
-    ztime.add_argument("--n", type=int, required=True)
-    ztime.set_defaults(handler=_cmd_zeno_time)
-    zbudget = zeno_g.add_parser("budget", help="steps that fit a time budget")
-    zbudget.add_argument("--seconds", type=_fraction_arg, required=True)
-    zbudget.set_defaults(handler=_cmd_zeno_budget)
-    zlamp = zeno_g.add_parser("lamp", help="toggling-lamp state at a time")
-    zlamp.add_argument("--t", type=_fraction_arg, required=True)
-    zlamp.set_defaults(handler=_cmd_zeno_lamp)
-    zhalt = zeno_g.add_parser("halting", help="halting flag of a fuel-bounded run")
-    zhalt.add_argument("machine", help="machine document (JSON)")
-    zhalt.add_argument("--input", default="")
-    zhalt.add_argument("--fuel", type=int, default=None)  # None: turing.DEFAULT_FUEL
-    zhalt.set_defaults(handler=_cmd_zeno_halting)
-
-    lim = groups.add_parser("limits", help="physical bounds on mechanical computation")
-    lim.add_argument("--symbols", type=int, required=True)
-    lim.add_argument("--power", type=float, default=None)
-    lim.add_argument("--dt", type=float, default=None)
-    lim.set_defaults(handler=_cmd_limits)
-
-    enum_g = groups.add_parser("enum", help="finite-precision real enumeration").add_subparsers(
-        dest="command", required=True)
-    edec = enum_g.add_parser("decode", help="pair at a diagonal index")
-    edec.add_argument("--index", type=int, required=True)
-    edec.set_defaults(handler=_cmd_enum_decode)
-    eenc = enum_g.add_parser("encode", help="diagonal index of a pair")
-    eenc.add_argument("--a", type=int, required=True)
-    eenc.add_argument("--b", type=int, required=True)
-    eenc.set_defaults(handler=_cmd_enum_encode)
-    elist = enum_g.add_parser("list", help="first n enumerated values")
-    elist.add_argument("--count", type=int, required=True)
-    elist.set_defaults(handler=_cmd_enum_list)
-
-    aqc_g = groups.add_parser("aqc", help="adiabatic ground-state decision").add_subparsers(
-        dest="command", required=True)
-    solve = aqc_g.add_parser("solve", help="decide solvability up to a cutoff")
-    solve.add_argument("polynomial", help="polynomial document (JSON)")
-    solve.add_argument("--cutoff", type=int, required=True)
-    solve.add_argument("--time", type=float, default=50.0)
-    solve.add_argument("--dt", type=float, default=0.01)
-    solve.add_argument("--shots", type=int, default=1000)
-    solve.add_argument("--seed", type=_natural_arg, default=0)
-    solve.add_argument("--oracle-only", action="store_true",
-                       help="skip the evolution; report the exact scan only")
-    solve.set_defaults(handler=_cmd_aqc_solve)
-
-    return parser
+        raise ValueError(f"not a number: {text!r}") from None
 
 
 # -- command handlers -----------------------------------------------------------
@@ -150,6 +57,8 @@ def load_json(path: str):
     """The JSON document at path. Text that is not UTF-8 JSON, or that the
     decoder cannot turn into values (an integer past the interpreter's digit
     limit, nesting past its recursion limit), is a :class:`ParseError`."""
+    import json
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -166,23 +75,15 @@ def _cmd_tm_run(args) -> dict:
     fuel = turing.DEFAULT_FUEL if args.fuel is None else args.fuel
     machine = turing.load_machine(load_json(args.machine))
     outcome = turing.run(machine, args.input, fuel=fuel, trace=args.trace)
-    report = {
-        "command": "tm run",
-        "outcome": outcome.kind.value,
-        "steps": outcome.config.steps,
-        "final_state": outcome.config.state,
-        "tape": outcome.config.tape_text(),
-        "head": outcome.config.head,
-        "oracle_consultations": outcome.oracle_consultations,
-    }
+    config = outcome.config
+    report = {"command": "tm run", "outcome": outcome.kind.value, "steps": config.steps,
+              "final_state": config.state, "tape": config.tape_text(), "head": config.head,
+              "oracle_consultations": outcome.oracle_consultations}
     if machine.num_tapes > 1:
-        report["tapes"] = [outcome.config.tape_text(t) for t in range(machine.num_tapes)]
+        report["tapes"] = [config.tape_text(t) for t in range(machine.num_tapes)]
     if outcome.trace is not None:
-        report["trace"] = [
-            {"state": c.state, "head": c.head, "steps": c.steps,
-             "tape": c.tape_text()}
-            for c in outcome.trace
-        ]
+        report["trace"] = [{"state": c.state, "head": c.head, "steps": c.steps,
+                            "tape": c.tape_text()} for c in outcome.trace]
     return report
 
 
@@ -190,47 +91,29 @@ def _cmd_goldbach(args) -> dict:
     from . import tae
 
     stream = tae.goldbach_stream(args.horizon)
-    return {
-        "command": "tae goldbach",
-        "horizon": stream.horizon,
-        "final_verdict": stream.final_verdict,
-        "mind_changes": stream.mind_changes,
-        "answers": len(stream),
-        "last_examined": stream.last_examined,
-    }
+    return {"command": "tae goldbach", "horizon": stream.horizon,
+            "final_verdict": stream.final_verdict, "mind_changes": stream.mind_changes,
+            "answers": len(stream), "last_examined": stream.last_examined}
 
 
 def _cmd_ashby(args) -> dict:
     from . import tae
 
-    strategy = tae.WheelStrategy(args.strategy)
-    exp = tae.WheelExperiment(args.wheels, args.p, strategy, seed=args.seed)
+    exp = tae.WheelExperiment(args.wheels, args.p, tae.WheelStrategy(args.strategy),
+                              seed=args.seed)
     expected, log2_expected = tae.ashby_expected(exp)
     report = {
-        "command": "tae ashby",
-        "wheels": args.wheels,
-        "p": args.p,
-        "strategy": int(strategy),
-        "expected_seconds": expected,
-        "expected_log2": log2_expected,
-        "formula": {
-            1: "p**-N rounds",
-            2: "N/p single spins",
-            3: "mean of max of N geometric(p) draws",
-        }[int(strategy)],
-        "quoted_reference": {
-            "case1_log2_seconds": tae.QUOTED_CASE1_LOG2_SECONDS,
-            "case2_seconds": tae.QUOTED_CASE2_SECONDS,
-            "case3": tae.QUOTED_CASE3_NOTE,
-            "asserted": False,
-        },
-    }
+        "command": "tae ashby", "wheels": args.wheels, "p": args.p, "strategy": args.strategy,
+        "expected_seconds": expected, "expected_log2": log2_expected,
+        "formula": {1: "p**-N rounds", 2: "N/p single spins",
+                    3: "mean of max of N geometric(p) draws"}[args.strategy],
+        "quoted_reference": {"case1_log2_seconds": tae.QUOTED_CASE1_LOG2_SECONDS,
+                             "case2_seconds": tae.QUOTED_CASE2_SECONDS,
+                             "case3": tae.QUOTED_CASE3_NOTE, "asserted": False}}
     if args.simulate:
         mean, stderr = tae.ashby_simulate(exp, args.trials)
-        report["simulated_mean_seconds"] = mean
-        report["simulated_standard_error"] = stderr
-        report["trials"] = args.trials
-        report["seed"] = args.seed
+        report |= {"simulated_mean_seconds": mean, "simulated_standard_error": stderr,
+                   "trials": args.trials, "seed": args.seed}
     return report
 
 
@@ -242,30 +125,18 @@ def _cmd_bogosort(args) -> dict:
     rng = random.Random(args.seed)  # the shuffles continue the input's stream
     sequence = rng.sample(range(args.length), args.length)
     result = tae.bogosort(sequence, memoized=args.memo, seed=rng, max_tries=args.max_tries)
-    return {
-        "command": "tae bogosort",
-        "length": args.length,
-        "memoized": args.memo,
-        "seed": args.seed,
-        "input": sequence,
-        "sorted": list(result.sequence),
-        "tries": result.tries,
-        "gave_up": result.gave_up,
-    }
+    return {"command": "tae bogosort", "length": args.length, "memoized": args.memo,
+            "seed": args.seed, "input": sequence, "sorted": list(result.sequence),
+            "tries": result.tries, "gave_up": result.gave_up}
 
 
 def _cmd_zeno_time(args) -> dict:
     from . import zeno
 
     seconds = zeno.zeno_time(args.n)
-    return {
-        "command": "zeno time",
-        "n": args.n,
-        "seconds": float(seconds),
-        "seconds_exact": seconds,
-        "limit_seconds": float(zeno.LIMIT),
-        "formula": "sum_{i=0..n} 2**-i",
-    }
+    return {"command": "zeno time", "n": args.n, "seconds": float(seconds),
+            "seconds_exact": seconds, "limit_seconds": float(zeno.LIMIT),
+            "formula": "sum_{i=0..n} 2**-i"}
 
 
 def _float_view(value: Fraction, what: str) -> float:
@@ -289,15 +160,11 @@ def _cmd_zeno_budget(args) -> dict:
 
     seconds = _time_view(args.seconds, "--seconds")
     got = zeno.steps_within_budget(args.seconds)
-    return {
-        "command": "zeno budget",
-        "budget_seconds": seconds,
-        "largest_step_index": "unbounded" if got is zeno.UNBOUNDED else got,
-        "decelerated_step_index": zeno.decelerated_steps_within_budget(args.seconds),
-        "note": (
-            "decelerated_step_index counts the mirrored cascade whose step n "
-            "ends at base * 2**n; budget ratios map to step gains as log2"),
-    }
+    return {"command": "zeno budget", "budget_seconds": seconds,
+            "largest_step_index": "unbounded" if got is zeno.UNBOUNDED else got,
+            "decelerated_step_index": zeno.decelerated_steps_within_budget(args.seconds),
+            "note": "decelerated_step_index counts the mirrored cascade whose step n "
+                    "ends at base * 2**n; budget ratios map to step gains as log2"}
 
 
 def _cmd_zeno_lamp(args) -> dict:
@@ -305,11 +172,7 @@ def _cmd_zeno_lamp(args) -> dict:
 
     t = _time_view(args.t, "--t")
     state, toggles = zeno.thomson_lamp(args.t)
-    report = {
-        "command": "zeno lamp",
-        "t": t,
-        "state": state.value,
-    }
+    report = {"command": "zeno lamp", "t": t, "state": state.value}
     if toggles is not None:
         report["toggles"] = toggles
     return report
@@ -321,30 +184,19 @@ def _cmd_zeno_halting(args) -> dict:
     fuel = turing.DEFAULT_FUEL if args.fuel is None else args.fuel
     machine = turing.load_machine(load_json(args.machine))
     result = zeno.atm_halting_flag(machine, args.input, fuel)
-    return {
-        "command": "zeno halting",
-        "flag": result.flag,
-        "steps": result.steps,
-        "elapsed_seconds": float(result.elapsed),
-        "elapsed_exact": result.elapsed,
-        "outcome": result.outcome.kind.value,
-        "fuel_bounded": result.fuel_bounded,
-    }
+    return {"command": "zeno halting", "flag": result.flag, "steps": result.steps,
+            "elapsed_seconds": float(result.elapsed), "elapsed_exact": result.elapsed,
+            "outcome": result.outcome.kind.value, "fuel_bounded": result.fuel_bounded}
 
 
 def _cmd_limits(args) -> dict:
     from . import limits
 
-    report = {"command": "limits"}
-    report.update(limits.limits_report(args.symbols, power=args.power, dt=args.dt))
-    report["formulas"] = {
-        "max_frequency_from_power": "sqrt(2*pi*W/h)",
-        "min_step_energy": "h/(2*pi*dt)",
-        "min_symbol_volume": "(4/3)*pi*a**3*z",
-        "min_symbol_distance": "2*a*z**(1/3)",
-        "max_frequency_from_alphabet": "c/(2*a*z**(1/3))",
-    }
-    return report
+    report = limits.limits_report(args.symbols, power=args.power, dt=args.dt)
+    return {"command": "limits", **report, "formulas": {
+        "max_frequency_from_power": "sqrt(2*pi*W/h)", "min_step_energy": "h/(2*pi*dt)",
+        "min_symbol_volume": "(4/3)*pi*a**3*z", "min_symbol_distance": "2*a*z**(1/3)",
+        "max_frequency_from_alphabet": "c/(2*a*z**(1/3))"}}
 
 
 def _cmd_enum_decode(args) -> dict:
@@ -360,12 +212,8 @@ def _cmd_enum_decode(args) -> dict:
 def _cmd_enum_encode(args) -> dict:
     from . import pairing
 
-    return {
-        "command": "enum encode",
-        "a": args.a,
-        "b": args.b,
-        "index": pairing.pair_index(args.a, args.b),
-    }
+    return {"command": "enum encode", "a": args.a, "b": args.b,
+            "index": pairing.pair_index(args.a, args.b)}
 
 
 def _cmd_enum_list(args) -> Table:
@@ -380,21 +228,171 @@ def _cmd_aqc_solve(args) -> dict:
     poly = aqc.parse_polynomial(load_json(args.polynomial))
     if args.oracle_only:
         energy, winners = aqc.exact_ground_oracle(poly, args.cutoff)
-        return {
-            "command": "aqc solve --oracle-only",
-            "cutoff": args.cutoff,
-            "ground_energy": energy,
-            "minimizers": [list(w) for w in winners],
-            "solvable_up_to_cutoff": energy == 0,
-        }
+        return {"command": "aqc solve --oracle-only", "cutoff": args.cutoff,
+                "ground_energy": energy, "minimizers": [list(w) for w in winners],
+                "solvable_up_to_cutoff": energy == 0}
     report = aqc.decide(poly, args.cutoff, args.time, args.dt, args.shots, args.seed)
     return {"command": "aqc solve"} | report.to_json_dict()
+
+
+# -- the command table ----------------------------------------------------------
+
+REQUIRED = object()  # the default of an argument that every command line gives
+_HELP = ("--help", None, False)
+
+# An argument is (name, convert, default or REQUIRED): positional where the
+# name has no leading -, a flag where convert is None, one of the tuple's
+# values where convert is a tuple (the text converted by their type first).
+GLOBAL_OPTIONS = (("--format", ("json", "csv"), "json"), ("--output", str, "-"))
+
+# (group, command) -> (handler, help line, arguments); `limits` has no command.
+# A --fuel of None is turing.DEFAULT_FUEL.
+COMMANDS = {
+    ("tm", "run"): (_cmd_tm_run, "run a machine on an input string", (
+        ("machine", str, REQUIRED), ("--input", str, ""), ("--fuel", int, None),
+        ("--trace", None, False))),
+    ("tae", "goldbach"): (_cmd_goldbach, "prime-pair answer stream over even numbers", (
+        ("--horizon", int, REQUIRED),)),
+    ("tae", "ashby"): (_cmd_ashby, "wheel-compounding strategies", (
+        ("--wheels", int, REQUIRED), ("--p", float, REQUIRED),
+        ("--strategy", (1, 2, 3), REQUIRED), ("--simulate", None, False),
+        ("--trials", int, 10**5), ("--seed", _natural_arg, 0))),
+    ("tae", "bogosort"): (_cmd_bogosort, "shuffle a random sequence until sorted", (
+        ("--len", _natural_arg, REQUIRED), ("--memo", None, False),
+        ("--max-tries", int, 10**6), ("--seed", _natural_arg, 0))),
+    ("zeno", "time"): (_cmd_zeno_time, "elapsed time through step index n", (
+        ("--n", int, REQUIRED),)),
+    ("zeno", "budget"): (_cmd_zeno_budget, "steps that fit a time budget", (
+        ("--seconds", _fraction_arg, REQUIRED),)),
+    ("zeno", "lamp"): (_cmd_zeno_lamp, "toggling-lamp state at a time", (
+        ("--t", _fraction_arg, REQUIRED),)),
+    ("zeno", "halting"): (_cmd_zeno_halting, "halting flag of a fuel-bounded run", (
+        ("machine", str, REQUIRED), ("--input", str, ""), ("--fuel", int, None))),
+    ("limits", None): (_cmd_limits, "physical bounds on mechanical computation", (
+        ("--symbols", int, REQUIRED), ("--power", float, None), ("--dt", float, None))),
+    ("enum", "decode"): (_cmd_enum_decode, "pair at a diagonal index", (
+        ("--index", int, REQUIRED),)),
+    ("enum", "encode"): (_cmd_enum_encode, "diagonal index of a pair", (
+        ("--a", int, REQUIRED), ("--b", int, REQUIRED))),
+    ("enum", "list"): (_cmd_enum_list, "first n enumerated values", (
+        ("--count", int, REQUIRED),)),
+    ("aqc", "solve"): (_cmd_aqc_solve, "decide solvability up to a cutoff", (
+        ("polynomial", str, REQUIRED), ("--cutoff", int, REQUIRED),
+        ("--time", float, 50.0), ("--dt", float, 0.01), ("--shots", int, 1000),
+        ("--seed", _natural_arg, 0), ("--oracle-only", None, False))),
+}
+
+
+def _dest(name: str) -> str:
+    return "length" if name == "--len" else name.lstrip("-").replace("-", "_")
+
+
+def _arguments(path: tuple) -> tuple:
+    """What may follow path: global options and a group, a command, its arguments."""
+    if path in COMMANDS:
+        return COMMANDS[path][2]
+    if path:
+        return (("command", tuple(c for g, c in COMMANDS if g == path[0]), REQUIRED),)
+    return GLOBAL_OPTIONS + (("group", tuple(dict.fromkeys(g for g, _ in COMMANDS)), REQUIRED),)
+
+
+def _word(argument: tuple) -> str:
+    name, convert, default = argument
+    if name[0] != "-":
+        return name.upper()
+    if convert is not None:
+        name += " " + ("{%s}" % ",".join(map(str, convert)) if isinstance(convert, tuple)
+                       else _dest(name).upper())
+    return name if default is REQUIRED else f"[{name}]"
+
+
+def _synopsis(key: tuple) -> str:
+    return " ".join([*filter(None, key), *map(_word, COMMANDS[key][2])])
+
+
+def _usage(path: tuple) -> str:
+    """A command's usage line, or the whole line's before a command is named."""
+    if path in COMMANDS:
+        return "usage: hyperlab " + _synopsis(path)
+    return "usage: hyperlab " + " ".join(map(_word, GLOBAL_OPTIONS)) + " GROUP [COMMAND] ARGS..."
+
+
+def _fail(path: tuple, message: str):
+    print(_usage(path), f"hyperlab: error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _is_option(word: str, options: dict) -> bool:
+    """Whether argparse reads word as an option: a known one, alone or with =value,
+    or a word that starts with - but is not -, a negative number or spaced."""
+    if word.partition("=")[0] in options:
+        return True
+    import re  # only for a word that starts with - and is no known option
+
+    return (len(word) > 1 and word[0] == "-" and " " not in word
+            and not re.match(r"^-\d+$|^-\d*\.\d+$", word))
+
+
+def _parse_args(argv: list[str] | None = None) -> SimpleNamespace:
+    """The namespace of a command line, read as argparse reads it less abbreviations.
+    Unknown words fail once all is read, so a later -h still prints the help."""
+    words = list(sys.argv[1:] if argv is None else argv)
+    values, unknown, path, level, i = {"command": None}, [], (), None, 0
+    while path != level:  # a level: before the group, before the command, the command's own
+        level = path
+        arguments = _arguments(path)
+        values.update((_dest(n), d) for n, _, d in arguments if d is not REQUIRED)
+        options = {"-h": _HELP, "--help": _HELP} | {a[0]: a for a in arguments if a[0][0] == "-"}
+        positionals = [a for a in arguments if a[0][0] != "-"]
+        missing = [a[0] for a in arguments if a[2] is REQUIRED]
+        while i < len(words) and path == level:
+            word, i = words[i], i + 1
+            option, equals, text = word.partition("=") if _is_option(word, options) \
+                else ("", "", word)
+            argument = options.get(option) if option else positionals and positionals.pop(0)
+            if not argument:
+                unknown.append(word)
+                continue
+            name, convert, _ = argument
+            if convert is None:  # a flag
+                if equals:
+                    _fail(path, f"argument {option}: ignored explicit argument {text!r}")
+                if argument is _HELP:
+                    print("\n".join([_usage(()), ""] + [
+                        f"  {_synopsis(key)}\n      {entry[1]}"
+                        for key, entry in COMMANDS.items() if key[:len(path)] == path]))
+                    raise SystemExit(0)
+                values[_dest(name)] = True
+                continue
+            if option and not equals:
+                if i == len(words) or _is_option(words[i], options):
+                    _fail(path, f"argument {option}: expected one argument")
+                text, i = words[i], i + 1
+            try:
+                value = type(convert[0])(text) if isinstance(convert, tuple) else convert(text)
+                if isinstance(convert, tuple) and value not in convert:
+                    raise ValueError(f"invalid choice {value!r}, choose from {convert}")
+            except ValueError as exc:
+                _fail(path, f"argument {name}: {exc}")
+            values[_dest(name)] = value
+            missing = [m for m in missing if m != name]
+            if name in ("group", "command"):
+                path = (value, None) if (value, None) in COMMANDS else (*path, value)
+    if missing or unknown:
+        _fail(path, f"the following arguments are required: {', '.join(missing)}" if missing
+              else f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(handler=COMMANDS[path][0], **values)
+
+
+def build_parser() -> SimpleNamespace:
+    """The parser: ``parse_args(argv=sys.argv[1:])`` gives the handlers' namespace."""
+    return SimpleNamespace(parse_args=_parse_args)
 
 
 # -- dispatch ---------------------------------------------------------------------
 
 
-def dispatch(args: argparse.Namespace):
+def dispatch(args: SimpleNamespace):
     """Run the handler the parser bound to the subcommand."""
     return args.handler(args)
 
@@ -406,6 +404,8 @@ def report_errors(work: Callable[[], object]) -> int:
     try:
         work()
     except (HyperlabError, OSError) as exc:
+        import json
+
         kind = exc.kind if isinstance(exc, HyperlabError) else "io-error"
         print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
         return 1
@@ -415,13 +415,10 @@ def report_errors(work: Callable[[], object]) -> int:
 def _write_output(path: str, pieces: list[str]) -> None:
     """Write ``pieces`` to ``path``, all of them or, where a write fails, none.
 
-    A regular file, or a new one, at the end of any symlinks is written as a
-    temporary file beside it, which replaces it once complete, with the
-    mode of the file it replaces or, for a new file, the usual one, and is
-    removed otherwise. Anything else, a device such as ``os.devnull`` or a
-    pipe behind ``/dev/stdout`` among them, is written in place; it is told
-    apart on the path as given, since /proc's links to a pipe do not resolve.
-    """
+    A regular or new file, symlinks followed, is written as a temporary file
+    beside it that takes the replaced file's mode and replaces it once whole.
+    A device or pipe (``/dev/stdout``, whose /proc link does not resolve, told
+    apart on the path as given) is written in place."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(pieces)

@@ -5,12 +5,14 @@ are printed with 17 significant digits, and no locale or hash randomisation
 can leak in. Both writers pick a formatter by a value's exact type from a
 table, else by its nearest base class in the same table: a ``Fraction``
 takes the writer of ``numbers.Rational``, so this module never imports
-``fractions``, and it loads ``decimal`` only for an integer past the
-interpreter's digit limit. JSON refuses every other type, numpy's integers
-among them, and CSV prints it through ``str``. A report is one record or one
-``Table`` of columns. CSV flattens a record's nested keys with dots into one
-row, and prints a table as its header and one line per row, a block of rows
-with one ``%`` template. Exact integers and fractions are printed in full.
+``fractions``; it loads ``decimal`` only for an integer past the
+interpreter's digit limit, and ``json`` only for a string that JSON escapes
+(printable ASCII without a quote or a backslash is written as it is). JSON
+refuses every other type, numpy's integers among them, and CSV prints it
+through ``str``. A report is one record or one ``Table`` of columns. CSV
+flattens a record's nested keys with dots into one row, and prints a table as
+its header and one line per row, a block of rows with one ``%`` template.
+Exact integers and fractions are printed in full.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from json.encoder import encode_basestring_ascii
 from typing import IO, TYPE_CHECKING, Any
 
 from .errors import DomainError
@@ -94,6 +95,20 @@ def format_fraction(q: numbers.Rational) -> str:
         return f"{format_int(q.numerator)}/{format_int(q.denominator)}"
 
 
+def _plain(s: str) -> bool:
+    """Whether JSON prints s as it is between quotes: printable ASCII, no quote
+    and no backslash."""
+    return s.isascii() and s.isprintable() and '"' not in s and "\\" not in s
+
+
+def _json_str(s: str) -> str:
+    if _plain(s):
+        return '"' + s + '"'
+    from json.encoder import encode_basestring_ascii  # only a string that needs escaping
+
+    return encode_basestring_ascii(s)
+
+
 def _writer(writers: dict, value: Any):
     """The writer of value's type or of its nearest base class, or None."""
     for cls in type(value).__mro__:
@@ -105,7 +120,7 @@ def _writer(writers: dict, value: Any):
 
 def _json_dict(value: dict) -> str:
     writers = _JSON_WRITERS
-    return "{" + ",".join([encode_basestring_ascii(str(k)) + ":"
+    return "{" + ",".join([_json_str(str(k)) + ":"
                            + writers.get(type(v), _json_other)(v)
                            for k, v in value.items()]) + "}"
 
@@ -126,7 +141,7 @@ _JSON_WRITERS = {
     dict: _json_dict,
     list: _json_list,
     tuple: _json_list,
-    str: encode_basestring_ascii,
+    str: _json_str,
     int: format_int,
     float: format_float,
     numbers.Rational: lambda q: '"' + format_fraction(q) + '"',
@@ -198,7 +213,6 @@ class Table:
 # a report keeps a table's text in its blocks, never in a second whole copy
 _BLOCK_ROWS = 4096
 _SHORT_INT = 10**640  # an int shorter than this prints under any digit limit
-_JSON_PLAIN = bytes(set(range(32, 127)) - set(b'"\\'))  # ASCII that JSON prints as it is
 
 
 def _block_column(cells, json: bool) -> tuple[str, Any]:
@@ -211,8 +225,7 @@ def _block_column(cells, json: bool) -> tuple[str, Any]:
         return "%.17g", cells
     if kind is str:
         text = "".join(cells)  # a cell needs escaping or quoting only if the block's text does
-        if (text.isascii() and not text.encode().translate(None, _JSON_PLAIN)) if json \
-                else _quote(text) is text:
+        if _plain(text) if json else _quote(text) is text:
             return '"%s"' if json else "%s", cells
     if json:
         return "%s", list(map(_JSON_WRITERS.get(kind, to_json), cells))
@@ -222,7 +235,7 @@ def _block_column(cells, json: bool) -> tuple[str, Any]:
 def _table_pieces(table: Table, json: bool) -> list[str]:
     """A table's report text, a block of rows at a time."""
     rows, width = len(table), len(table.names)
-    keys = [encode_basestring_ascii(str(k)).replace("%", "%%") + ":" for k in table.names]
+    keys = [_json_str(str(k)).replace("%", "%%") + ":" for k in table.names]
     pieces = []
     for start in range(0, rows, _BLOCK_ROWS):
         size = min(_BLOCK_ROWS, rows - start)

@@ -288,16 +288,16 @@ def ashby_expected(exp: WheelExperiment) -> tuple[float | None, float]:
         return (spins if log2 < 1020 else None), log2
     # term t is at most N*q**t and the total at least 1, so the tail test
     # holds by the first t with N*q**t <= tol: at most this many terms
-    terms = math.log(n / TAIL_RELATIVE_TOL) / -math.log1p(-p) + 2
+    terms = (math.log(n) - math.log(TAIL_RELATIVE_TOL)) / -math.log1p(-p) + 2
     if terms > SERIES_TERM_BUDGET:
         raise ResourceError(
             f"the freeze-successes series needs up to {terms:.3g} terms, past the "
             f"budget of {SERIES_TERM_BUDGET}")
     q = 1.0 - p
-    total = 0.0
-    qt = 1.0  # q**t
+    total = 1.0  # term 0
+    qt = q  # q**t
     while True:
-        term = 1.0 - (1.0 - qt) ** n
+        term = -math.expm1(n * math.log1p(-qt))  # 1 - (1 - q**t)**N, also where q**t < 2**-53
         total += term
         qt *= q
         if term <= total * TAIL_RELATIVE_TOL:

@@ -1,4 +1,3 @@
-import argparse
 import csv
 import hashlib
 import io
@@ -200,21 +199,10 @@ class TestDispatch:
 
     def test_no_option_is_defined_both_globally_and_on_a_subcommand(self):
         # one way per value: a flag set in two places can disagree with itself
-        def options(parser):
-            return {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
-
-        def subcommands(parser):
-            for action in parser._actions:
-                if isinstance(action, argparse._SubParsersAction):
-                    for name, sub in action.choices.items():
-                        yield name, sub
-                        for inner, leaf in subcommands(sub):
-                            yield f"{name} {inner}", leaf
-
-        parser = cli.build_parser()
-        top = options(parser)
-        twice = {f"{name} {option}" for name, sub in subcommands(parser)
-                 for option in options(sub) & top}
+        top = {name for name, _, _ in cli.GLOBAL_OPTIONS}
+        twice = {f"{' '.join(filter(None, key))} {name}"
+                 for key, (_, _, arguments) in cli.COMMANDS.items()
+                 for name, _, _ in arguments if name in top}
         assert not twice
 
 
@@ -705,6 +693,170 @@ class TestErrors:
         assert exit_info.value.code == 2
 
 
+def usage_error(argv) -> tuple[int, str]:
+    """The exit status and stderr of a command line that main refuses."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err), \
+            pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    return exit_info.value.code, err.getvalue()
+
+
+def argparse_reference():
+    """An argparse parser built from cli's command table, without prefix
+    abbreviations: the parser cli read its command lines with before."""
+    import argparse
+
+    def add(parser, arguments):
+        for name, convert, default in arguments:
+            kwargs = {"dest": cli._dest(name)} if name.startswith("-") else {}
+            if convert is None:
+                parser.add_argument(name, action="store_true", **kwargs)
+                continue
+            if isinstance(convert, tuple):
+                kwargs.update(type=type(convert[0]), choices=convert)
+            else:
+                kwargs["type"] = convert
+            if default is not cli.REQUIRED:
+                kwargs["default"] = default
+            elif name.startswith("-"):
+                kwargs["required"] = True
+            parser.add_argument(name, **kwargs)
+
+    top = argparse.ArgumentParser(prog="hyperlab", allow_abbrev=False)
+    add(top, cli.GLOBAL_OPTIONS)
+    groups = top.add_subparsers(dest="group", required=True)
+    commands = {}
+    for (group, command), (handler, _, arguments) in cli.COMMANDS.items():
+        if command is None:
+            leaf = groups.add_parser(group, allow_abbrev=False)
+        else:
+            if group not in commands:
+                commands[group] = groups.add_parser(group, allow_abbrev=False) \
+                    .add_subparsers(dest="command", required=True)
+            leaf = commands[group].add_parser(command, allow_abbrev=False)
+        add(leaf, arguments)
+        leaf.set_defaults(handler=handler, command=command)
+    return top
+
+
+def parsed(parser, argv):
+    """The namespace's attributes, or 2 where the line is refused."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+OPTIONS = sorted({name for _, _, arguments in cli.COMMANDS.values()
+                  for name, _, _ in arguments + cli.GLOBAL_OPTIONS if name.startswith("-")})
+VALUES = ["0", "3", "03", " 7", "-1", "-0.5", "-.5", "2.5", "5.", "1/2", "1/0", "1e3", "-1e3",
+          "x", "", "-", "-x", "-x y", "json", "csv", "tm", "run", "m.json"]
+NAMES = sorted({word for key in cli.COMMANDS for word in key if word}) + ["bogus"]
+
+
+def fitting(convert) -> list[str]:
+    """Words that convert takes, or nearly so."""
+    if isinstance(convert, tuple):
+        return [str(choice) for choice in convert] + ["0"]
+    return {int: ["0", "3", "03", " 7", "-2"], float: ["2.5", "-0.5", "5.", "1e3", "-1e3"],
+            cli._natural_arg: ["0", "3", "-1"], cli._fraction_arg: ["1/2", "3", "-0.25"],
+            str: ["m.json", "-", "-1", ""]}[convert]
+
+
+@st.composite
+def command_lines(draw):
+    """A command's words, most of its arguments given with fitting values, in
+    any order, some as --opt=value, and now and then a word of any kind put in
+    anywhere."""
+    key = draw(st.sampled_from(list(cli.COMMANDS)))
+    chunks = []
+    for name, convert, default in cli.COMMANDS[key][2] + cli.GLOBAL_OPTIONS:
+        if draw(st.integers(0, 7)) < (1 if default is cli.REQUIRED else 4):
+            continue
+        if convert is not None:
+            value = draw(st.sampled_from(fitting(convert) if draw(st.integers(0, 5)) else VALUES))
+        if not name.startswith("-"):
+            chunks.append([value])
+        elif convert is None:
+            chunks.append([name])
+        else:
+            chunks.append([f"{name}={value}"] if draw(st.booleans()) else [name, value])
+    chunks = draw(st.permutations(chunks))
+    glob = [c for c in chunks if c[0].startswith(("--format", "--output"))]
+    argv = [w for c in glob for w in c] + [w for w in key if w] \
+        + [w for c in chunks if c not in glob for w in c]
+    noise = st.one_of(st.sampled_from(OPTIONS + VALUES + NAMES + ["--bogus", "--trace=1"]),
+                      st.builds("{}={}".format, st.sampled_from(OPTIONS),
+                                st.sampled_from(VALUES)))
+    for word in draw(st.lists(noise, max_size=2)) if not draw(st.integers(0, 2)) else []:
+        argv.insert(draw(st.integers(0, len(argv))), word)
+    return argv
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["tm"], ["tm", "walk"], ["zeno", "time", "--n", "3", "--bogus"],
+        ["zeno", "time", "-x"], ["tm", "run"], ["tm", "run", "a.json", "b.json"],
+        ["tae", "ashby", "--wheels", "3", "--p", "0.5"],
+        ["zeno", "time", "--n", "x"], ["zeno", "time", "--n", "1.5"], ["zeno", "time", "--n"],
+        ["zeno", "time", "--n", "--n", "3"],
+        ["tae", "ashby", "--wheels", "3", "--p", "half", "--strategy", "1"],
+        ["zeno", "budget", "--seconds", "1/0"], ["zeno", "lamp", "--t", "x"],
+        ["tae", "ashby", "--wheels", "3", "--p", "0.5", "--strategy", "4"],
+        ["--format", "xml", "zeno", "time", "--n", "3"],
+        ["tm", "run", "m.json", "--trace=1"], ["aqc", "solve", "p.json", "--cutoff", "2",
+                                               "--oracle-only=yes"],
+        ["zeno", "time", "--n", "3", "--format", "csv"],
+        ["zeno", "time", "--output", "-", "--n", "3"],
+        ["--seed", "-1", "tae", "bogosort", "--len", "3"],
+        ["aqc", "solve", "p.json", "--cut", "2"],
+        ["zeno", "time", "--n", "1" * 5000],
+        ["zeno", "time", "--", "--n", "3"],
+    ], ids=lambda argv: " ".join(argv)[:40] or "empty")
+    def test_a_bad_line_prints_its_usage_and_exits_two(self, argv):
+        status, err = usage_error(argv)
+        assert status == 2
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: hyperlab ") and error.startswith("hyperlab: error: ")
+
+    @pytest.mark.parametrize("argv, shown", [
+        (["-h"], [" ".join(filter(None, key)) for key in cli.COMMANDS]),
+        (["tae", "--help"], ["tae goldbach", "tae ashby", "tae bogosort"]),
+        (["tae", "ashby", "-h"], ["tae ashby"]), (["limits", "-h"], ["limits"]),
+        (["zeno", "time", "--bogus", "-h"], ["zeno time"]),
+    ], ids=["top", "group", "command", "limits", "after-an-unknown-option"])
+    def test_help_prints_the_usage_and_the_commands_and_exits_zero(self, argv, shown):
+        out = io.StringIO()
+        with redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 0
+        usage, blank, *listing = out.getvalue().splitlines()
+        assert usage.startswith("usage: hyperlab ") and blank == ""
+        named = [itertools.takewhile(lambda w: w.isalpha() and w.islower(), line.split())
+                 for line in listing[::2]]
+        assert list(map(" ".join, named)) == shown
+
+    def test_the_accepted_forms(self):
+        parse = cli.build_parser().parse_args
+        args = parse(["--output=-", "--format", "csv", "tae", "ashby", "--p", "-0.5",
+                      "--wheels=3", "--strategy", "03", "--seed", "1", "--seed=2"])
+        assert (args.format, args.output, args.p, args.wheels, args.strategy, args.seed) \
+            == ("csv", "-", -0.5, 3, 3, 2)
+        args = parse(["tm", "run", "--input", "-1", "m.json", "--trace", "--fuel", "5"])
+        assert (args.machine, args.input, args.trace, args.fuel) == ("m.json", "-1", True, 5)
+        args = parse(["limits", "--symbols", "8"])
+        assert (args.group, args.command, args.power, args.handler) \
+            == ("limits", None, None, cli._cmd_limits)
+        assert parse(["tae", "bogosort", "--len", "4"]).length == 4
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=command_lines())
+    def test_lines_parse_as_argparse_parsed_them(self, argv):
+        assert parsed(cli.build_parser(), argv) == parsed(argparse_reference(), argv)
+
+
 class TestDeterminism:
     COMMANDS = [
         ["tae", "ashby", "--wheels", "6", "--p", "0.5", "--strategy", "3",
@@ -886,6 +1038,50 @@ class TestCosts:
                         f"zeno halting {machine} --input 11 --fuel 100",
                         "enum decode --index 7"])
         assert "hyperlab.zeno" in loaded and not loaded & {"dataclasses", "inspect"}
+
+    def test_no_command_loads_argparse_and_json_only_to_read_or_to_fail(self, tmp_path):
+        machine = tmp_path / "machine.json"
+        machine.write_text(json.dumps(successor_doc()))
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps(X_MINUS_2))
+        script = (
+            "import io, sys\n"
+            "from contextlib import redirect_stderr, redirect_stdout\n"
+            "bare = set(sys.modules)\n"
+            "from hyperlab import cli\n"
+            "for argv in sys.argv[1:]:\n"
+            "    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):\n"
+            "        try:\n"
+            "            cli.main(argv.split())\n"
+            "        except SystemExit:\n"
+            "            pass\n"
+            "print(' '.join(sorted(set(sys.modules) - bare)))\n")
+        env = src_env()
+
+        def added(commands: list[str]) -> set[str]:
+            done = subprocess.run([sys.executable, "-c", script, *commands], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            return {name.split(".")[0] for name in done.stdout.split()}
+
+        never = {"argparse", "gettext", "locale"}
+        no_document = [
+            "zeno time --n 50", "zeno budget --seconds 1.5", "zeno lamp --t 1.5",
+            "enum list --count 30", "enum decode --index 7", "enum encode --a 15 --b 1",
+            "limits --symbols 8 --power 1 --dt 0.5", "tae goldbach --horizon 100",
+            "tae bogosort --len 6 --memo --seed 3",
+            "tae ashby --wheels 4 --p 0.5 --strategy 3 --simulate --trials 100",
+            "--format csv enum list --count 30", "-h", "tae ashby -h",
+            "zeno time --n x", "bogus"]
+        loaded = added(no_document)
+        assert "hyperlab" in loaded and not loaded & (never | {"json"})
+        documents = [f"tm run {machine} --input 11 --trace",
+                     f"zeno halting {machine} --input 11 --fuel 100",
+                     f"aqc solve {poly} --cutoff 4 --oracle-only"]
+        for failing in ("limits --symbols 0", "tm run does-not-exist.json"):
+            assert "json" in added([failing]) - never
+        loaded = added(documents)
+        assert "json" in loaded and not loaded & never
 
     def test_traced_run_memory_is_linear_in_the_report(self, write_json, tmp_path):
         # 2001 snapshots of a 2000-symbol tape: about 8 MB of report text,

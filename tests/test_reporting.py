@@ -56,6 +56,19 @@ class TestJson:
             sys.set_int_max_str_digits(limit)
         assert reporting.format_int(n) == expected
 
+    @settings(max_examples=300)
+    @given(text=st.text() | st.text(st.characters(max_codepoint=127)))
+    @example(text="")
+    @example(text=' ~"\\\x7f\x1f/')
+    def test_strings_print_as_the_json_module_prints_them(self, text):
+        # printable ASCII without a quote or a backslash is written as it is,
+        # everything else through the json module's escaping
+        assert reporting.to_json(text) == json.dumps(text)
+        assert reporting.to_json({text: [text]}) == json.dumps({text: [text]}, separators=",:")
+        plain = bytes(set(range(32, 127)) - set(b'"\\'))
+        assert reporting._plain(text) == (
+            text.isascii() and not text.encode().translate(None, plain))
+
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             reporting.format_float(float("inf"))

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 import random
@@ -317,16 +318,34 @@ class TestAshbyAnalytic:
     @given(st.integers(1, 10**4), st.floats(1e-3, 0.99))
     def test_term_bound_covers_the_terms_summed(self, n, p):
         # the series' own loop, counting its terms
-        q, total, qt, terms = 1.0 - p, 0.0, 1.0, 0
+        q, total, qt, terms = 1.0 - p, 1.0, 1.0 - p, 1
         while True:
-            term = 1.0 - (1.0 - qt) ** n
+            term = -math.expm1(n * math.log1p(-qt))
             total, qt, terms = total + term, qt * q, terms + 1
             if term <= total * tae.TAIL_RELATIVE_TOL:
                 break
-        bound = math.log(n / tae.TAIL_RELATIVE_TOL) / -math.log1p(-p) + 2
+        bound = (math.log(n) - math.log(tae.TAIL_RELATIVE_TOL)) / -math.log1p(-p) + 2
         assert terms <= bound
         assert tae.ashby_expected(WheelExperiment(n, p, WheelStrategy.FREEZE_SUCCESSES)) == (
             total, math.log2(total))
+
+    @pytest.mark.parametrize("p", [0.5, 0.9])
+    @pytest.mark.parametrize("n", [10, 10**12, 10**20, 10**300],
+                             ids=lambda n: f"1e{len(str(n)) - 1}")
+    def test_freeze_successes_mean_matches_a_high_precision_sum(self, n, p):
+        # each term 1 - (1 - q**t)**N by ln and exp at 400 digits, where the
+        # float series once lost its terms once q**t fell below 2**-54
+        with decimal.localcontext() as ctx:
+            ctx.prec = 400
+            q, one = 1 - decimal.Decimal(p), decimal.Decimal(1)
+            total, t, term = one, 0, one
+            while term >= total * decimal.Decimal("1e-25"):
+                t += 1
+                term = one - (n * (one - q**t).ln()).exp()
+                total += term
+        seconds, log2 = tae.ashby_expected(WheelExperiment(n, p, WheelStrategy.FREEZE_SUCCESSES))
+        assert seconds == pytest.approx(float(total), rel=1e-8)
+        assert log2 == math.log2(seconds)
 
     def test_thousand_wheels_all_or_nothing_log2(self):
         exp = WheelExperiment(1000, 0.5, WheelStrategy.ALL_OR_NOTHING)
