@@ -107,6 +107,12 @@ CASES = {
                                    "--strategy", "1"],
     "zeno-lamp-at-limit": ["zeno", "lamp", "--t", "2"],
     "zeno-budget-one-second": ["zeno", "budget", "--seconds", "1"],
+    # the two experiments: the overlap sweep of the README and the wheel
+    # strategies' closed forms against Monte Carlo
+    "aqc-sweep": ["aqc", "sweep", "fixtures/x_minus_2.json", "--cutoff", "4",
+                  "--times", "1,5,25,125", "--dt", "0.01"],
+    "tae-wheels-csv": ["--format", "csv", "tae", "wheels", "--p", "0.5", "--wheels", "2,4,8,12",
+                       "--trials", "100000"],
 }
 
 # cases that end in a structured error on stderr with exit status 1
