@@ -313,16 +313,13 @@ def _float_levels(levels: Sequence[int]) -> list[float]:
 # lattice's uniform ket and p = D(n)**2; neither operator is ever a d x d array.
 
 
-def _check_schedule(total_time: float, dt: float) -> None:
-    """Refuse a schedule that is not finite, or whose step count is past the budget."""
+def _schedule_steps(total_time: float, dt: float) -> int:
+    """The steps of a schedule, at least 1; refused where it is not finite, or past the budget."""
     if not (0 <= total_time < math.inf and 0 < dt < math.inf):
         raise DomainError("total time must be finite and non-negative, dt finite and positive")
     if total_time / dt > STEP_BUDGET:
         raise ResourceError(
             f"{total_time / dt:.3g} integrator steps are past the budget of {STEP_BUDGET}")
-
-
-def _step_count(total_time: float, dt: float) -> int:
     return max(1, math.ceil(total_time / dt))
 
 
@@ -372,7 +369,7 @@ def evolve_levels(
     unequal length are a :class:`ShapeError`. Returns the final
     coefficients, unnormalised, with the drift of their norm.
     """
-    _check_schedule(total_time, dt)
+    steps = _schedule_steps(total_time, dt)
     if not len(levels) == len(multiplicities) == len(amplitudes):
         raise ShapeError("levels, multiplicities and amplitudes must have one entry per level")
     d = sum(multiplicities)
@@ -385,7 +382,6 @@ def evolve_levels(
             f"dt * max||H|| = {dt * bound:.3g} exceeds {STABILITY_LIMIT}; "
             "use a smaller step")
 
-    steps = _step_count(total_time, dt)
     if len(levels) * steps > LEVEL_STEP_BUDGET:
         raise ResourceError(
             f"{len(levels)} levels x {steps} steps is past the budget of "
@@ -502,12 +498,11 @@ def decide(
     The scan refuses a lattice of more than min(LEVEL_BUDGET,
     LEVEL_STEP_BUDGET // steps) levels before the evolution starts.
     """
-    _check_schedule(total_time, dt)
+    steps = _schedule_steps(total_time, dt)
     if total_time == 0:
         raise DomainError("total time must be positive")
     _check_shots(shots)
-    scan = scan_levels(poly, cutoff,
-                       min(LEVEL_BUDGET, LEVEL_STEP_BUDGET // _step_count(total_time, dt)))
+    scan = scan_levels(poly, cutoff, min(LEVEL_BUDGET, LEVEL_STEP_BUDGET // steps))
     evolved = evolve_from_uniform(scan, total_time, dt)
     samples = sample_levels(scan, [abs(x) ** 2 for x in evolved.amplitudes], shots, seed)
 
@@ -535,3 +530,24 @@ def decide(
         norm_drift=evolved.norm_drift,
         note=note,
     )
+
+
+def overlap_sweep(
+    poly: DiophantinePolynomial, cutoff: int, times: Sequence[float], dt: float
+) -> dict:
+    """The population of the ground level, which holds exactly the minimisers, after
+    each schedule length in times, from one scan. All the schedules' steps are refused
+    past STEP_BUDGET before it, and its levels as in :func:`decide`."""
+    steps = sum(_schedule_steps(total_time, dt) for total_time in times)
+    if steps > STEP_BUDGET:
+        raise ResourceError(f"{steps} steps over the sweep are past the budget of {STEP_BUDGET}")
+    scan = scan_levels(poly, cutoff, min(LEVEL_BUDGET, LEVEL_STEP_BUDGET // max(1, steps)))
+    energy, minimizers = exact_ground_oracle(poly, cutoff)
+    rows = []
+    for total_time in times:
+        evolved = evolve_from_uniform(scan, total_time, dt)
+        populations = [abs(c) ** 2 for c in evolved.amplitudes]
+        rows.append({"total_time": total_time, "ground_overlap": populations[0] / sum(populations),
+                     "norm_drift": evolved.norm_drift, "steps": evolved.steps})
+    return {"cutoff": cutoff, "dt": dt, "exact_ground_energy": energy,
+            "exact_minimizers": [list(w) for w in minimizers], "sweep": rows}

@@ -9,10 +9,10 @@ line prints its usage and exits with status 2. Identical invocations with
 identical seeds produce byte-identical reports. The line reads as argparse
 read it, less prefix abbreviations: global options only before the group, an
 option as ``--opt value`` or ``--opt=value`` (the last of a repeat wins),
-positionals between options, ``-h`` for the usage.
+positionals between options, ``-h`` for the usage, a list as ``1,5,25``.
 
 Each command imports only the layer it runs, inside its handler, and reading
-the line loads none: `tm run` loads `turing`, `enum` `pairing`, `aqc solve`
+the line loads none: `tm run` loads `turing`, `enum` `pairing`, `aqc`
 `aqc` and `variates`, `limits` `limits`, `tae` `tae` and `variates`, `zeno`
 `zeno` (and `turing` for `zeno halting`). `json` loads only to read a document,
 print an error or escape a string. No command imports numpy, argparse or
@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, HyperlabError, ParseError
 from .reporting import Table, emit_report, report_pieces
@@ -42,12 +42,24 @@ def _natural_arg(text: str) -> int:
 
 
 def _fraction_arg(text: str) -> Fraction:
+    import re
     from fractions import Fraction
 
+    # Fraction builds 10**exponent in full: past len(text) + 400, where no nonzero
+    # value is inside the float range whatever its digits, the exponent is clamped
+    exp, bound = re.fullmatch(r"(?s)(.*[\d.][eE][-+]?)(\d[\d_]*)(\s*)", text), len(text) + 400
     try:
-        return Fraction(text)
+        return Fraction(exp[1] + str(bound) + exp[3] if exp and int(exp[2]) > bound else text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"not a number: {text!r}") from None
+
+
+def _ints_arg(text: str) -> tuple[int, ...]:
+    return tuple(map(int, text.split(",")))
+
+
+def _floats_arg(text: str) -> tuple[float, ...]:
+    return tuple(map(float, text.split(",")))
 
 
 # -- command handlers -----------------------------------------------------------
@@ -115,6 +127,12 @@ def _cmd_ashby(args) -> dict:
         report |= {"simulated_mean_seconds": mean, "simulated_standard_error": stderr,
                    "trials": args.trials, "seed": args.seed}
     return report
+
+
+def _cmd_wheels(args) -> Table:
+    from . import tae
+
+    return tae.wheel_table(args.p, args.wheels, args.trials, args.seed)
 
 
 def _cmd_bogosort(args) -> dict:
@@ -235,6 +253,13 @@ def _cmd_aqc_solve(args) -> dict:
     return {"command": "aqc solve"} | report.to_json_dict()
 
 
+def _cmd_aqc_sweep(args) -> dict:
+    from . import aqc
+
+    poly = aqc.parse_polynomial(load_json(args.polynomial))
+    return {"command": "aqc sweep"} | aqc.overlap_sweep(poly, args.cutoff, args.times, args.dt)
+
+
 # -- the command table ----------------------------------------------------------
 
 REQUIRED = object()  # the default of an argument that every command line gives
@@ -257,6 +282,9 @@ COMMANDS = {
         ("--wheels", int, REQUIRED), ("--p", float, REQUIRED),
         ("--strategy", (1, 2, 3), REQUIRED), ("--simulate", None, False),
         ("--trials", int, 10**5), ("--seed", _natural_arg, 0))),
+    ("tae", "wheels"): (_cmd_wheels, "closed forms against Monte Carlo, a row per wheel count", (
+        ("--p", float, 0.5), ("--wheels", _ints_arg, (2, 4, 8, 12)), ("--trials", int, 10**5),
+        ("--seed", _natural_arg, 0))),
     ("tae", "bogosort"): (_cmd_bogosort, "shuffle a random sequence until sorted", (
         ("--len", _natural_arg, REQUIRED), ("--memo", None, False),
         ("--max-tries", int, 10**6), ("--seed", _natural_arg, 0))),
@@ -280,6 +308,9 @@ COMMANDS = {
         ("polynomial", str, REQUIRED), ("--cutoff", int, REQUIRED),
         ("--time", float, 50.0), ("--dt", float, 0.01), ("--shots", int, 1000),
         ("--seed", _natural_arg, 0), ("--oracle-only", None, False))),
+    ("aqc", "sweep"): (_cmd_aqc_sweep, "ground-level overlap against schedule length", (
+        ("polynomial", str, REQUIRED), ("--cutoff", int, 4),
+        ("--times", _floats_arg, (1.0, 5.0, 25.0, 125.0)), ("--dt", float, 0.01))),
 }
 
 
@@ -397,21 +428,6 @@ def dispatch(args: SimpleNamespace):
     return args.handler(args)
 
 
-def report_errors(work: Callable[[], object]) -> int:
-    """Run ``work`` and return its exit status: 0, or 1 after writing the
-    failure to stderr as JSON ``{"error", "message"}``. The commands and the
-    experiment scripts report their failures through it alike."""
-    try:
-        work()
-    except (HyperlabError, OSError) as exc:
-        import json
-
-        kind = exc.kind if isinstance(exc, HyperlabError) else "io-error"
-        print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
-        return 1
-    return 0
-
-
 def _write_output(path: str, pieces: list[str]) -> None:
     """Write ``pieces`` to ``path``, all of them or, where a write fails, none.
 
@@ -442,15 +458,19 @@ def _write_output(path: str, pieces: list[str]) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-
-    def work() -> None:
+    try:
         result = dispatch(args)
         if args.output == "-":
             emit_report(result, args.format, sys.stdout)
         else:
             _write_output(args.output, report_pieces(result, args.format))
+    except (HyperlabError, OSError) as exc:
+        import json
 
-    return report_errors(work)
+        kind = exc.kind if isinstance(exc, HyperlabError) else "io-error"
+        print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

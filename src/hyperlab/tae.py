@@ -22,6 +22,7 @@ from enum import IntEnum
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import DomainError, ResourceError
+from .reporting import Table
 from .variates import multinomial
 
 if TYPE_CHECKING:
@@ -371,6 +372,25 @@ def ashby_simulate(exp: WheelExperiment, trials: int) -> tuple[float, float]:
             total += (first + i) * count
             squares += (first + i) ** 2 * count
     return total / trials, math.sqrt((trials * squares - total**2) / (trials**2 * (trials - 1)))
+
+
+def wheel_table(p: float, wheels: Sequence[int], trials: int, seed: int) -> Table:
+    """Closed form, Monte Carlo mean and standard error of each strategy, a row per wheel count
+    (seed + 100 N + s for N wheels and strategy s); the rows' trials share TRIAL_BUDGET."""
+    if len(wheels) * trials > TRIAL_BUDGET:
+        raise ResourceError(
+            f"{len(wheels)} rows x {trials} trials is past the budget of {TRIAL_BUDGET}")
+    columns = ["wheels", "p"] + [f"case{int(strategy)}_{part}" for strategy in WheelStrategy
+                                 for part in ("analytic", "mc_mean", "mc_stderr")]
+    rows = []
+    for n in wheels:
+        row = [n, p]
+        for strategy in WheelStrategy:
+            exp = WheelExperiment(n, p, strategy, seed=seed + 100 * n + strategy)
+            mean, stderr = ashby_simulate(exp, trials)
+            row += [ashby_expected(exp)[0], mean, stderr]
+        rows.append(row)
+    return Table(columns, zip(*rows))
 
 
 # companion figures commonly quoted for the N=1000, p=1/2 example; recorded

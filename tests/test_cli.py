@@ -206,6 +206,139 @@ class TestDispatch:
         assert not twice
 
 
+# the sweep of x - 2 at cutoff 4, dt = 0.01, as recorded before the sweep moved
+# onto the level path: (T, ground overlap, norm drift, steps)
+OVERLAP_SWEEP_X_MINUS_2 = [
+    (1, 0.22980919326586657, 4.4408920985006262e-16, 100),
+    (5, 0.49405152036401379, 2.4424906541753444e-15, 500),
+    (25, 0.99158021915623484, 2.4424906541753444e-15, 2500),
+    (125, 0.99982138413013222, 4.6629367034256575e-15, 12500),
+]
+
+
+class TestExperiments:
+    """`aqc sweep` and `tae wheels`, the two experiments the command table runs."""
+
+    def sweep(self, path, times, *flags) -> dict:
+        status, out, err = run_cli(["aqc", "sweep", path, "--cutoff", "4", "--times", times,
+                                    "--dt", "0.01", *flags])
+        assert status == 0, err
+        return json.loads(out)
+
+    def test_overlap_sweep_runs_and_trends_upward(self, write_json):
+        report = self.sweep(write_json("poly.json", X_MINUS_2), "1,25")
+        assert report["exact_ground_energy"] == 0
+        overlaps = [row["ground_overlap"] for row in report["sweep"]]
+        assert overlaps[1] > overlaps[0]
+
+    def test_overlap_sweep_keeps_its_recorded_rows(self, write_json):
+        report = self.sweep(write_json("poly.json", X_MINUS_2), "1,5,25,125")
+        assert {k: v for k, v in report.items() if k != "sweep"} == {
+            "command": "aqc sweep", "cutoff": 4, "dt": 0.01, "exact_ground_energy": 0,
+            "exact_minimizers": [[2]]}
+        assert len(report["sweep"]) == len(OVERLAP_SWEEP_X_MINUS_2)
+        for row, (total_time, overlap, drift, steps) in zip(report["sweep"],
+                                                            OVERLAP_SWEEP_X_MINUS_2):
+            assert set(row) == {"total_time", "ground_overlap", "norm_drift", "steps"}
+            assert row["total_time"] == total_time and row["steps"] == steps
+            assert abs(row["ground_overlap"] - overlap) <= 1e-12
+            assert abs(row["norm_drift"] - drift) <= 1e-14
+
+    def test_overlap_sweep_sums_a_degenerate_ground_level(self, write_json):
+        # x**2 - 3x + 2 = (x - 1)(x - 2) vanishes at both 1 and 2
+        path = write_json("two_roots.json", {"vars": 1, "terms": [[1, [2]], [-3, [1]], [2, [0]]]})
+        report = self.sweep(path, "1,25")
+        assert report["exact_ground_energy"] == 0
+        assert report["exact_minimizers"] == [[1], [2]]
+        overlaps = [row["ground_overlap"] for row in report["sweep"]]
+        assert overlaps[1] > overlaps[0]
+        assert overlaps[1] >= 0.9
+
+    @pytest.mark.parametrize("argv, rows", [
+        (["--wheels", "2,4", "--trials", "2000", "--seed", "1"], ["2,0.5,", "4,0.5,"]),
+        (["--wheels", "2,4", "--trials", "200"], ["2,0.5,", "4,0.5,"]),
+        (["--wheels", "8", "--trials", "200", "--seed", "1"], ["8,0.5,"]),
+    ], ids=["two-counts", "two-counts-seed-0", "one-count"])
+    def test_wheel_table_has_a_row_per_wheel_count(self, argv, rows):
+        status, out, err = run_cli(["--format", "csv", "tae", "wheels", *argv])
+        assert status == 0, err
+        header, *lines = out.splitlines()
+        assert header.startswith("wheels,p,case1_analytic")
+        assert len(lines) == len(rows)
+        assert all(line.startswith(row) for line, row in zip(lines, rows))
+
+    def test_wheel_table_prints_json_unless_csv_is_asked_for(self):
+        status, out, _ = run_cli(["tae", "wheels", "--wheels", "3", "--trials", "200"])
+        assert status == 0
+        [row] = json.loads(out)
+        assert (row["wheels"], row["p"], row["case1_analytic"]) == (3, 0.5, 8)
+
+    def test_wheel_trials_are_budgeted_over_the_whole_list(self, monkeypatch):
+        monkeypatch.setattr(tae, "TRIAL_BUDGET", 1000)
+        assert run_cli(["tae", "wheels", "--wheels", "2", "--trials", "600"])[0] == 0
+        simulated = []
+        monkeypatch.setattr(tae, "ashby_simulate", lambda *a: simulated.append(a))
+        status, out, err = run_cli(["tae", "wheels", "--wheels", "2,2", "--trials", "600"])
+        assert status == 1 and out == "" and not simulated
+        assert json.loads(err) == {"error": "resource-error", "message":
+                                   "2 rows x 600 trials is past the budget of 1000"}
+
+    def test_sweep_steps_are_budgeted_over_the_whole_list(self, write_json, monkeypatch):
+        path = write_json("poly.json", X_MINUS_2)
+        monkeypatch.setattr(aqc, "STEP_BUDGET", 1000)
+        assert len(self.sweep(path, "6")["sweep"]) == 1  # 600 steps
+        scanned = []
+        monkeypatch.setattr(aqc, "scan_levels", lambda *a: scanned.append(a))
+        status, out, err = run_cli(["aqc", "sweep", path, "--times", "6,6", "--dt", "0.01"])
+        assert status == 1 and out == "" and not scanned
+        assert json.loads(err) == {"error": "resource-error", "message":
+                                   "1200 steps over the sweep are past the budget of 1000"}
+
+    def test_sweep_levels_are_budgeted_over_the_whole_list(self, write_json, monkeypatch):
+        # x - 2 at cutoff 4 has the 3 levels 0, 1 and 4
+        path = write_json("poly.json", X_MINUS_2)
+        monkeypatch.setattr(aqc, "LEVEL_STEP_BUDGET", 900)
+        assert len(self.sweep(path, "1,2")["sweep"]) == 2  # 3 levels x 300 steps
+        assert len(self.sweep(path, "2.01")["sweep"]) == 1  # 3 levels x 201 steps
+        status, out, err = run_cli(["aqc", "sweep", path, "--times", "1,2.01", "--dt", "0.01"])
+        assert status == 1 and out == ""
+        assert json.loads(err)["error"] == "resource-error"
+        assert "more than 2 distinct levels" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("argv, kind", [
+        (["tae", "wheels", "--wheels", "2", "--trials", "20000000"], "resource-error"),
+        # 8 variables at cutoff 9: 10**8 lattice points, refused before the scan
+        (["aqc", "sweep", "{big}", "--cutoff", "9"], "resource-error"),
+        # 5000 variables: refused before the lattice's 5,001-digit size is computed
+        (["aqc", "sweep", "{wide}", "--cutoff", "9"], "resource-error"),
+        # D = 0 at cutoff 200,000: a ground level of 200,001 points, more than the
+        # exact oracle lists
+        (["aqc", "sweep", "{flat}", "--cutoff", "200000"], "resource-error"),
+        (["aqc", "sweep", "{missing}"], "io-error"),
+        # JSON the decoder cannot turn into values
+        (["aqc", "sweep", "{long_integer}"], "parse-error"),
+        (["aqc", "sweep", "{deep}"], "parse-error"),
+    ], ids=["trials-past-budget", "lattice-past-budget", "variables-past-budget",
+            "minimisers-past-budget", "missing-document", "integer-past-digit-limit",
+            "nesting-past-recursion-limit"])
+    def test_failures_are_structured_json(self, tmp_path, argv, kind):
+        paths = {key: tmp_path / f"{key}.json"
+                 for key in ("big", "wide", "flat", "missing", "long_integer", "deep")}
+        paths["big"].write_text(json.dumps({"vars": 8, "terms": [[1, [1] * 8], [-1, [0] * 8]]}))
+        paths["wide"].write_text(json.dumps({"vars": 5000, "terms": []}))
+        paths["flat"].write_text(json.dumps({"vars": 1, "terms": []}))
+        paths["long_integer"].write_text('{"vars": 1, "terms": [[' + "9" * 5000 + ", [1]]]}")
+        paths["deep"].write_text("[" * 10**5 + "]" * 10**5)
+        start = time.monotonic()
+        status, out, err = run_cli([a.format(**paths) for a in argv])
+        assert time.monotonic() - start < 10.0
+        assert status == 1 and out == ""
+        assert "Traceback" not in err
+        payload = json.loads(err)
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == kind
+
+
 class TestErrors:
     def test_domain_error_exits_one_with_structured_stderr(self):
         status, out, err = run_cli(["limits", "--symbols", "0"])
@@ -671,6 +804,27 @@ class TestErrors:
         assert status == 1 and out == ""
         assert json.loads(err)["error"] == "domain-error"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["zeno", "budget", "--seconds", "1e100000000"], "--seconds is past the float range"),
+        (["zeno", "lamp", "--t", "1e100000000"], "--t is past the float range"),
+        (["zeno", "budget", "--seconds", "1e-100000000"],
+         "--seconds is nonzero but rounds to 0 as a float"),
+        (["zeno", "lamp", "--t", " -1.5E-1_000_000_000 "],
+         "--t is nonzero but rounds to 0 as a float"),
+        (["zeno", "budget", "--seconds", "0e100000000"], "budget must be positive"),
+        (["zeno", "lamp", "--t", "0e100000000"], None),
+    ], ids=["budget-past-range", "lamp-past-range", "budget-rounds-to-0", "lamp-rounds-to-0",
+            "budget-zero", "lamp-zero"])
+    def test_a_long_exponent_is_read_without_its_power_of_ten(self, argv, message):
+        # a child, capped at 5 s: 10**100000000 in full took more than a minute
+        done = subprocess.run([sys.executable, "-m", "hyperlab.cli", *argv], env=src_env(),
+                              capture_output=True, text=True, timeout=5)
+        if message is None:  # the value is 0 whatever its exponent
+            assert (done.returncode, done.stdout) == (0, run_cli(["zeno", "lamp", "--t", "0"])[1])
+        else:
+            assert (done.returncode, done.stdout) == (1, "")
+            assert json.loads(done.stderr) == {"error": "domain-error", "message": message}
+
     def test_symbol_count_past_the_float_range(self):
         start = time.monotonic()
         status, out, err = run_cli(["limits", "--symbols", str(10**400)])
@@ -685,6 +839,7 @@ class TestErrors:
         ["tae", "ashby", "--wheels", "2", "--p", "0.5", "--strategy", "1", "--simulate",
          "--seed", "-1"],
         ["aqc", "solve", "{poly}", "--cutoff", "2", "--seed", "-1"],
+        ["tae", "wheels", "--seed", "-1"],
     ], ids=" ".join)
     def test_negative_seed_or_length_is_a_usage_error(self, write_json, argv):
         poly = write_json("poly.json", X_MINUS_2)
@@ -752,7 +907,7 @@ def parsed(parser, argv):
 OPTIONS = sorted({name for _, _, arguments in cli.COMMANDS.values()
                   for name, _, _ in arguments + cli.GLOBAL_OPTIONS if name.startswith("-")})
 VALUES = ["0", "3", "03", " 7", "-1", "-0.5", "-.5", "2.5", "5.", "1/2", "1/0", "1e3", "-1e3",
-          "x", "", "-", "-x", "-x y", "json", "csv", "tm", "run", "m.json"]
+          "1,2", "x", "", "-", "-x", "-x y", "json", "csv", "tm", "run", "m.json"]
 NAMES = sorted({word for key in cli.COMMANDS for word in key if word}) + ["bogus"]
 
 
@@ -762,6 +917,8 @@ def fitting(convert) -> list[str]:
         return [str(choice) for choice in convert] + ["0"]
     return {int: ["0", "3", "03", " 7", "-2"], float: ["2.5", "-0.5", "5.", "1e3", "-1e3"],
             cli._natural_arg: ["0", "3", "-1"], cli._fraction_arg: ["1/2", "3", "-0.25"],
+            cli._ints_arg: ["2,4", "3", "0,-1", "-1,2", "1,x", "1,"],
+            cli._floats_arg: ["1,5.5", "0.5", "1e3,-2", "-1,2", "1,,2"],
             str: ["m.json", "-", "-1", ""]}[convert]
 
 
@@ -823,10 +980,11 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("argv, shown", [
         (["-h"], [" ".join(filter(None, key)) for key in cli.COMMANDS]),
-        (["tae", "--help"], ["tae goldbach", "tae ashby", "tae bogosort"]),
+        (["tae", "--help"], ["tae goldbach", "tae ashby", "tae wheels", "tae bogosort"]),
+        (["aqc", "-h"], ["aqc solve", "aqc sweep"]),
         (["tae", "ashby", "-h"], ["tae ashby"]), (["limits", "-h"], ["limits"]),
         (["zeno", "time", "--bogus", "-h"], ["zeno time"]),
-    ], ids=["top", "group", "command", "limits", "after-an-unknown-option"])
+    ], ids=["top", "group", "group-aqc", "command", "limits", "after-an-unknown-option"])
     def test_help_prints_the_usage_and_the_commands_and_exits_zero(self, argv, shown):
         out = io.StringIO()
         with redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
@@ -957,7 +1115,9 @@ class TestCosts:
                     "tae goldbach --horizon 100", "tae bogosort --len 6 --seed 3",
                     "tae bogosort --len 6 --memo --seed 3",
                     f"aqc solve {poly} --cutoff 4 --time 50 --dt 0.01 --shots 1000",
-                    f"aqc solve {poly} --cutoff 4 --oracle-only"] + [
+                    f"aqc solve {poly} --cutoff 4 --oracle-only",
+                    f"aqc sweep {poly} --cutoff 4 --times 1 --dt 0.01",
+                    "tae wheels --wheels 2,4 --trials 200"] + [
                     f"tae ashby --wheels 4 --p 0.5 --strategy {strategy} --simulate --trials 100"
                     for strategy in (1, 2, 3)]
         env = src_env()
@@ -994,6 +1154,8 @@ class TestCosts:
         assert layers(f"aqc solve {poly} --cutoff 4 --time 5 --dt 0.01 --shots 100") \
             == base | {"aqc", "variates"}
         assert layers(f"aqc solve {poly} --cutoff 4 --oracle-only") == base | {"aqc", "variates"}
+        assert layers(f"aqc sweep {poly} --times 1,5") == base | {"aqc", "variates"}
+        assert layers("tae wheels --wheels 2,4 --trials 200") == base | {"tae", "variates"}
         assert layers("enum list --count 30") == base | {"pairing"}
         assert "turing" not in layers("zeno time --n 50")
         assert "turing" not in layers("tae goldbach --horizon 100")
@@ -1030,7 +1192,8 @@ class TestCosts:
             "tae goldbach --horizon 100", "tae bogosort --len 6 --memo --seed 3",
             "tae ashby --wheels 4 --p 0.5 --strategy 3 --simulate --trials 100",
             f"aqc solve {poly} --cutoff 4 --time 5 --dt 0.01 --shots 100",
-            f"aqc solve {poly} --cutoff 4 --oracle-only"]
+            f"aqc solve {poly} --cutoff 4 --oracle-only", f"aqc sweep {poly} --times 1,5",
+            "tae wheels --wheels 2,4 --trials 200"]
         loaded = added(no_fraction)
         assert "hyperlab.aqc" in loaded
         assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "_decimal"}
@@ -1071,13 +1234,14 @@ class TestCosts:
             "limits --symbols 8 --power 1 --dt 0.5", "tae goldbach --horizon 100",
             "tae bogosort --len 6 --memo --seed 3",
             "tae ashby --wheels 4 --p 0.5 --strategy 3 --simulate --trials 100",
-            "--format csv enum list --count 30", "-h", "tae ashby -h",
+            "tae wheels --wheels 2,4 --trials 200", "--format csv tae wheels --trials 200",
+            "--format csv enum list --count 30", "-h", "tae ashby -h", "aqc sweep -h",
             "zeno time --n x", "bogus"]
         loaded = added(no_document)
         assert "hyperlab" in loaded and not loaded & (never | {"json"})
         documents = [f"tm run {machine} --input 11 --trace",
                      f"zeno halting {machine} --input 11 --fuel 100",
-                     f"aqc solve {poly} --cutoff 4 --oracle-only"]
+                     f"aqc solve {poly} --cutoff 4 --oracle-only", f"aqc sweep {poly} --times 1,5"]
         for failing in ("limits --symbols 0", "tm run does-not-exist.json"):
             assert "json" in added([failing]) - never
         loaded = added(documents)
