@@ -219,9 +219,9 @@ OVERLAP_SWEEP_X_MINUS_2 = [
 class TestExperiments:
     """`aqc sweep` and `tae wheels`, the two experiments the command table runs."""
 
-    def sweep(self, path, times, *flags) -> dict:
+    def sweep(self, path, times) -> dict:
         status, out, err = run_cli(["aqc", "sweep", path, "--cutoff", "4", "--times", times,
-                                    "--dt", "0.01", *flags])
+                                    "--dt", "0.01"])
         assert status == 0, err
         return json.loads(out)
 
