@@ -1126,6 +1126,33 @@ class TestCosts:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
 
+    @staticmethod
+    def probe_numpy(argv) -> subprocess.CompletedProcess:
+        """Run one command in a child interpreter; stderr ends with whether numpy was imported."""
+        script = ("import sys\n"
+                  "from hyperlab import cli\n"
+                  "status = cli.main(sys.argv[1:])\n"
+                  "sys.stdout.flush()\n"
+                  "sys.stderr.write(str('numpy' in sys.modules))\n"
+                  "sys.exit(status)\n")
+        return subprocess.run([sys.executable, "-c", script, *argv], env=src_env(),
+                              capture_output=True, text=True, timeout=60)
+
+    def test_overlap_sweep_imports_no_numpy(self, write_json):
+        poly = write_json("poly.json", X_MINUS_2)
+        proc = self.probe_numpy(["aqc", "sweep", poly, "--cutoff", "4", "--times", "1",
+                                 "--dt", "0.01"])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["sweep"][0]["steps"] == 100
+        assert proc.stderr == "False"
+
+    def test_wheel_strategies_imports_no_numpy(self):
+        proc = self.probe_numpy(["--format", "csv", "tae", "wheels", "--wheels", "2,4",
+                                 "--trials", "200"])
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 3
+        assert proc.stderr == "False"
+
     def test_each_command_imports_only_its_own_layer(self, tmp_path):
         machine = tmp_path / "machine.json"
         machine.write_text(json.dumps(successor_doc()))
