@@ -113,6 +113,11 @@ CASES = {
                   "--times", "1,5,25,125", "--dt", "0.01"],
     "tae-wheels-csv": ["--format", "csv", "tae", "wheels", "--p", "0.5", "--wheels", "2,4,8,12",
                        "--trials", "100000"],
+    # exact values past the digit limit and in a CSV cell: the pair (1, 5000),
+    # whose denominator has 5,001 digits, and a zeno run's elapsed time
+    "enum-decode-long": ["enum", "decode", "--index", "12512501"],
+    "zeno-halting-csv": ["--format", "csv", "zeno", "halting", "fixtures/successor.json",
+                         "--input", "11", "--fuel", "1000"],
 }
 
 # cases that end in a structured error on stderr with exit status 1
