@@ -16,8 +16,9 @@ the line loads none: `tm run` loads `turing`, `enum` `pairing`, `aqc`
 `aqc` and `variates`, `limits` `limits`, `tae` `tae` and `variates`, `zeno`
 `zeno` (and `turing` for `zeno halting`). `json` loads only to read a document,
 print an error or escape a string. No command imports numpy, argparse or
-`dataclasses`; only the commands that parse or print an exact fraction (every
-`zeno` command and `enum decode`) load `fractions`, and with it `decimal`.
+`dataclasses`. An exact value reaches the report as the text of
+``format_fraction``; only the `zeno` commands, whose layer computes in
+``Fraction``, load `fractions`, and with it `decimal` and `numbers`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, HyperlabError, ParseError
-from .reporting import Table, emit_report, report_pieces
+from .reporting import Table, emit_report, format_fraction, report_pieces
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -153,21 +154,17 @@ def _cmd_zeno_time(args) -> dict:
 
     seconds = zeno.zeno_time(args.n)
     return {"command": "zeno time", "n": args.n, "seconds": float(seconds),
-            "seconds_exact": seconds, "limit_seconds": float(zeno.LIMIT),
-            "formula": "sum_{i=0..n} 2**-i"}
-
-
-def _float_view(value: Fraction, what: str) -> float:
-    """The float a report prints beside an exact value, refused past the float range."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise DomainError(f"{what} is past the float range") from None
+            "seconds_exact": format_fraction(*seconds.as_integer_ratio()),
+            "limit_seconds": float(zeno.LIMIT), "formula": "sum_{i=0..n} 2**-i"}
 
 
 def _time_view(value: Fraction, what: str) -> float:
-    """A zeno time's float view, refused also when a nonzero time rounds to 0."""
-    view = _float_view(value, what)
+    """A zeno time's float view, refused past the float range and when a nonzero
+    time rounds to 0."""
+    try:
+        view = float(value)
+    except OverflowError:
+        raise DomainError(f"{what} is past the float range") from None
     if view == 0 and value != 0:
         raise DomainError(f"{what} is nonzero but rounds to 0 as a float")
     return view
@@ -203,7 +200,8 @@ def _cmd_zeno_halting(args) -> dict:
     machine = turing.load_machine(load_json(args.machine))
     result = zeno.atm_halting_flag(machine, args.input, fuel)
     return {"command": "zeno halting", "flag": result.flag, "steps": result.steps,
-            "elapsed_seconds": float(result.elapsed), "elapsed_exact": result.elapsed,
+            "elapsed_seconds": float(result.elapsed),
+            "elapsed_exact": format_fraction(*result.elapsed.as_integer_ratio()),
             "outcome": result.outcome.kind.value, "fuel_bounded": result.fuel_bounded}
 
 
@@ -220,10 +218,7 @@ def _cmd_limits(args) -> dict:
 def _cmd_enum_decode(args) -> dict:
     from . import pairing
 
-    a, b = pairing.pair_decode(args.index)
-    exact = pairing.real_value(a, b)
-    entry = (args.index, a, b, _float_view(exact, "the value a * 10**-b"), exact,
-             pairing.is_canonical_pair(a, b))
+    entry = pairing.decode_entry(args.index)
     return {"command": "enum decode"} | dict(zip(pairing.ENTRY_COLUMNS, entry))
 
 

@@ -5,21 +5,18 @@ The pairs live in a Cantor-style matrix and are numbered along diagonals:
 ``diag_start`` gives the index opening diagonal x, ``pair_index`` numbers a
 pair (canonicalising trailing zeros of a first, so 1.50 and 1.5 share an
 index), and ``pair_decode`` inverts the numbering in closed form via an exact
-integer square root. Everything here is exact integer or rational arithmetic,
-except the float view an enumerated entry carries beside its exact value.
+integer square root. Everything here is exact integer arithmetic, except the
+float view an entry carries beside its exact value, which is the lowest-terms
+text "p/q" of a / 10**b.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import TYPE_CHECKING
 
 from .errors import DomainError, ResourceError
-from .reporting import Table
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from .reporting import Table, format_fraction
 
 ENUMERATION_BUDGET = 2 * 10**5  # entries one enumeration may list
 
@@ -32,17 +29,6 @@ def _require_natural(value: int, name: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise DomainError(f"{name} must be a natural number, got {value!r}")
     return value
-
-
-def real_value(a: int, b: int) -> Fraction:
-    """Exact rational a / 10**b; b past DECIMAL_SHIFT_BUDGET is a ResourceError."""
-    from fractions import Fraction  # only `enum decode` prints an exact value
-
-    _require_natural(a, "a")
-    _require_natural(b, "b")
-    if b > DECIMAL_SHIFT_BUDGET:
-        raise ResourceError(f"decimal shift is past the budget of {DECIMAL_SHIFT_BUDGET}")
-    return Fraction(a, 10**b)
 
 
 def diag_start(x: int) -> int:
@@ -96,6 +82,21 @@ def is_canonical_pair(x: int, y: int) -> bool:
 
 # the cells of one enumerated entry, in order
 ENTRY_COLUMNS = ("index", "a", "b", "value", "value_exact", "canonical")
+
+
+def decode_entry(idx: int) -> tuple:
+    """The row of ENTRY_COLUMNS at index idx, the row enumerate_reals makes
+    there. A decimal shift past DECIMAL_SHIFT_BUDGET is a ResourceError, found
+    before 10**b is built, and a value past the float range a DomainError."""
+    a, b = pair_decode(idx)
+    if b > DECIMAL_SHIFT_BUDGET:
+        raise ResourceError(f"decimal shift is past the budget of {DECIMAL_SHIFT_BUDGET}")
+    scale = 10**b
+    try:
+        value = a / scale
+    except OverflowError:
+        raise DomainError("the value a * 10**-b is past the float range") from None
+    return idx, a, b, value, format_fraction(a, scale), is_canonical_pair(a, b)
 
 
 def enumerate_reals(n: int) -> Table:

@@ -3,22 +3,21 @@
 Reports must be byte-reproducible: fields keep their insertion order, floats
 are printed with 17 significant digits, and no locale or hash randomisation
 can leak in. Both writers pick a formatter by a value's exact type from a
-table, else by its nearest base class in the same table: a ``Fraction``
-takes the writer of ``numbers.Rational``, so this module never imports
-``fractions``; it loads ``decimal`` only for an integer past the
-interpreter's digit limit, and ``json`` only for a string that JSON escapes
-(printable ASCII without a quote or a backslash is written as it is). JSON
-refuses every other type, numpy's integers among them, and CSV prints it
-through ``str``. A report is one record or one ``Table`` of columns. CSV
-flattens a record's nested keys with dots into one row, and prints a table as
-its header and one line per row, a block of rows with one ``%`` template.
-Exact integers and fractions are printed in full.
+table: JSON refuses every other type, subclasses of the table's types and
+numpy's scalars among them, and CSV prints it through ``str``. An exact
+fraction reaches a report as its text, made by ``format_fraction`` where the
+value is made, so this module never imports ``fractions``. It loads
+``decimal`` only for an integer past the interpreter's digit limit, and
+``json`` only for a string that JSON escapes (printable ASCII without a quote
+or a backslash is written as it is). A report is one record or one ``Table``
+of columns. CSV flattens a record's nested keys with dots into one row, and
+prints a table as its header and one line per row, a block of rows with one
+``%`` template. Exact integers and fractions are printed in full.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from typing import IO, TYPE_CHECKING, Any
 
@@ -88,11 +87,10 @@ def _to_decimal(n: int) -> decimal.Decimal:
         return -value if n < 0 else value
 
 
-def format_fraction(q: numbers.Rational) -> str:
-    try:
-        return f"{q.numerator}/{q.denominator}"
-    except ValueError:
-        return f"{format_int(q.numerator)}/{format_int(q.denominator)}"
+def format_fraction(p: int, q: int) -> str:
+    """p / q in lowest terms as the text "p/q", every digit printed; q > 0."""
+    g = math.gcd(p, q)
+    return f"{format_int(p // g)}/{format_int(q // g)}"
 
 
 def _plain(s: str) -> bool:
@@ -109,15 +107,6 @@ def _json_str(s: str) -> str:
     return encode_basestring_ascii(s)
 
 
-def _writer(writers: dict, value: Any):
-    """The writer of value's type or of its nearest base class, or None."""
-    for cls in type(value).__mro__:
-        write = writers.get(cls)
-        if write is not None:
-            return write
-    return None
-
-
 def _json_dict(value: dict) -> str:
     writers = _JSON_WRITERS
     return "{" + ",".join([_json_str(str(k)) + ":"
@@ -131,10 +120,7 @@ def _json_list(value: list | tuple) -> str:
 
 
 def _json_other(value: Any) -> str:
-    write = _writer(_JSON_WRITERS, value)
-    if write is None:
-        raise DomainError(f"cannot serialise {type(value).__name__} into a report")
-    return write(value)
+    raise DomainError(f"cannot serialise {type(value).__name__} into a report")
 
 
 _JSON_WRITERS = {
@@ -144,7 +130,6 @@ _JSON_WRITERS = {
     str: _json_str,
     int: format_int,
     float: format_float,
-    numbers.Rational: lambda q: '"' + format_fraction(q) + '"',
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
@@ -158,14 +143,13 @@ _CSV_WRITERS = {
     str: str,
     int: format_int,
     float: format_float,
-    numbers.Rational: format_fraction,
     bool: str,
     type(None): lambda _: "",
 }
 
 
 def _csv_cell(value: Any) -> str:
-    return (_writer(_CSV_WRITERS, value) or str)(value)
+    return _CSV_WRITERS.get(type(value), str)(value)
 
 
 def _quote(cell: str) -> str:
@@ -252,13 +236,8 @@ def _table_pieces(table: Table, json: bool) -> list[str]:
     return [",".join(map(str, table.names)) + "\n", *pieces] if rows else ["\n"]
 
 
-_JSON_WRITERS[Table] = lambda table: "".join(_table_pieces(table, True))
-
-
-def to_csv(report: dict | Table) -> str:
-    """One record as a header and one row, or a table as its header and rows."""
-    if isinstance(report, Table):
-        return "".join(_table_pieces(report, False))
+def to_csv(report: dict) -> str:
+    """One record as a header and one row."""
     flat = _flatten(report)
     return ",".join(flat) + "\n" + ",".join(flat.values()) + "\n"
 

@@ -305,19 +305,18 @@ def ashby_expected(exp: WheelExperiment) -> tuple[float | None, float]:
             return total, math.log2(total)
 
 
-def _trial_time_law(exp: WheelExperiment) -> tuple[int, list[float]]:
-    """The law of one trial's time T under strategy 2 or 3: (first, weights), with
-    weight i in proportion to P(T = first + i) and at most 2**-64 left out each side.
+def _law_span(exp: WheelExperiment) -> tuple[int, int]:
+    """The first and last time the law of one trial under strategy 2 or 3
+    tabulates, with at most 2**-64 left out each side; past CELL_BUDGET times
+    is a ResourceError.
 
-    Here q = 1 - p and L = log 2**64. Freeze-successes: F(t) = P(T <= t) =
-    exp(N log1p(-q**t)), and 1 - F(t) <= N q**t <= 2**-64 from t = (log N + L)
-    / -log q on; the weights are differences of exp below F = 1/2, of expm1
-    above. One-at-a-time: T > t when t spins bring fewer than N successes, and
-    Chernoff's bounds on that binomial leave out the t with t p outside (N + L/2
-    - sqrt(L**2/4 + 2LN), N + L + sqrt(L**2 + 2LN)]; the log weights, by lgamma,
-    are taken less their largest.
+    Here L = log 2**64. Freeze-successes: 1 - P(T <= t) <= N (1 - p)**t <=
+    2**-64 from t = (log N + L) / -log1p(-p) on. One-at-a-time: T > t when t
+    spins bring fewer than N successes, and Chernoff's bounds on that binomial
+    leave out the t with t p outside (N + L/2 - sqrt(L**2/4 + 2LN), N + L +
+    sqrt(L**2 + 2LN)].
     """
-    n, p, q = exp.n_wheels, exp.p, 1.0 - exp.p
+    n, p = exp.n_wheels, exp.p
     log_bound = 64 * math.log(2)
     if exp.strategy is WheelStrategy.FREEZE_SUCCESSES:
         first, last = 1, math.ceil((math.log(n) + log_bound) / -math.log1p(-p))
@@ -329,6 +328,19 @@ def _trial_time_law(exp: WheelExperiment) -> tuple[int, list[float]]:
         raise ResourceError(
             f"the law of one trial spans {last - first + 1} times, past the budget of "
             f"{CELL_BUDGET}")
+    return first, last
+
+
+def _trial_time_law(exp: WheelExperiment) -> tuple[int, list[float]]:
+    """The law of one trial's time T under strategy 2 or 3 over _law_span:
+    (first, weights), with weight i in proportion to P(T = first + i).
+
+    Here q = 1 - p. Freeze-successes: F(t) = P(T <= t) = exp(N log1p(-q**t));
+    the weights are differences of exp below F = 1/2, of expm1 above.
+    One-at-a-time: the log weights, by lgamma, are taken less their largest.
+    """
+    n, q = exp.n_wheels, 1.0 - exp.p
+    first, last = _law_span(exp)
     if exp.strategy is WheelStrategy.FREEZE_SUCCESSES:
         logs = [-math.inf] + [n * math.log1p(-q**t) for t in range(1, last + 1)]
         return first, [math.exp(b) - math.exp(a) if b < -math.log(2)
@@ -376,10 +388,20 @@ def ashby_simulate(exp: WheelExperiment, trials: int) -> tuple[float, float]:
 
 def wheel_table(p: float, wheels: Sequence[int], trials: int, seed: int) -> Table:
     """Closed form, Monte Carlo mean and standard error of each strategy, a row per wheel count
-    (seed + 100 N + s for N wheels and strategy s); the rows' trials share TRIAL_BUDGET."""
+    (seed + 100 N + s for N wheels and strategy s). Before the first row runs, the rows'
+    trials and the times of the two laws each row tabulates share TRIAL_BUDGET."""
     if len(wheels) * trials > TRIAL_BUDGET:
         raise ResourceError(
             f"{len(wheels)} rows x {trials} trials is past the budget of {TRIAL_BUDGET}")
+    work = 0
+    for n in wheels:  # a time of a law costs about what a trial does
+        spans = [_law_span(WheelExperiment(n, p, strategy)) for strategy in
+                 (WheelStrategy.ONE_AT_A_TIME, WheelStrategy.FREEZE_SUCCESSES)]
+        work += trials + sum(last - first + 1 for first, last in spans)
+        if work > TRIAL_BUDGET:
+            raise ResourceError(
+                f"{len(wheels)} rows x {trials} trials and the times of their laws are past "
+                f"the budget of {TRIAL_BUDGET}")
     columns = ["wheels", "p"] + [f"case{int(strategy)}_{part}" for strategy in WheelStrategy
                                  for part in ("analytic", "mc_mean", "mc_stderr")]
     rows = []

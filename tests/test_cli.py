@@ -14,7 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperlab import aqc, cli, pairing, tae, turing
@@ -282,6 +282,23 @@ class TestExperiments:
         assert status == 1 and out == "" and not simulated
         assert json.loads(err) == {"error": "resource-error", "message":
                                    "2 rows x 600 trials is past the budget of 1000"}
+
+    @pytest.mark.parametrize("p, wheels, message", [
+        # 29 rows whose two laws span 350,196 times each, about 0.14 s a row
+        ("0.0004", ",".join(["3"] * 29),
+         "29 rows x 2 trials and the times of their laws are past the budget of 10000000"),
+        # a second row whose one-at-a-time law alone is past CELL_BUDGET
+        ("0.01", "2,100000", "the law of one trial spans 597987 times, past the budget of 262144"),
+    ], ids=["rows-of-long-laws", "a-law-past-its-budget"])
+    def test_wheel_laws_are_budgeted_before_the_first_row(self, monkeypatch, p, wheels, message):
+        simulated = []
+        monkeypatch.setattr(tae, "ashby_simulate", lambda *a: simulated.append(a))
+        start = time.monotonic()
+        status, out, err = run_cli(["tae", "wheels", "--p", p, "--wheels", wheels,
+                                    "--trials", "2"])
+        assert time.monotonic() - start < 1.0
+        assert status == 1 and out == "" and not simulated
+        assert json.loads(err) == {"error": "resource-error", "message": message}
 
     def test_sweep_steps_are_budgeted_over_the_whole_list(self, write_json, monkeypatch):
         path = write_json("poly.json", X_MINUS_2)
@@ -1220,13 +1237,13 @@ class TestCosts:
             "tae ashby --wheels 4 --p 0.5 --strategy 3 --simulate --trials 100",
             f"aqc solve {poly} --cutoff 4 --time 5 --dt 0.01 --shots 100",
             f"aqc solve {poly} --cutoff 4 --oracle-only", f"aqc sweep {poly} --times 1,5",
-            "tae wheels --wheels 2,4 --trials 200"]
+            "tae wheels --wheels 2,4 --trials 200", "enum decode --index 7"]
         loaded = added(no_fraction)
         assert "hyperlab.aqc" in loaded
-        assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "_decimal"}
+        assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "_decimal",
+                             "numbers"}
         loaded = added(["zeno time --n 50", "zeno budget --seconds 1.5", "zeno lamp --t 1.5",
-                        f"zeno halting {machine} --input 11 --fuel 100",
-                        "enum decode --index 7"])
+                        f"zeno halting {machine} --input 11 --fuel 100"])
         assert "hyperlab.zeno" in loaded and not loaded & {"dataclasses", "inspect"}
 
     def test_no_command_loads_argparse_and_json_only_to_read_or_to_fail(self, tmp_path):
@@ -1402,8 +1419,74 @@ def aqc_cases(draw):
     return doc, draw(cutoffs)
 
 
+@st.composite
+def list_words(draw, numbers, words):
+    """A list option's word: up to six numbers, or one of them 100 to 1,000
+    times, and in about half the lists one item replaced by one of words."""
+    if draw(st.booleans()):
+        items = draw(st.lists(numbers, min_size=1, max_size=6))
+    else:
+        items = [draw(numbers)] * draw(st.integers(100, 1000))
+    if draw(st.booleans()):
+        items[draw(st.integers(0, len(items) - 1))] = draw(words)
+    return ",".join(items)
+
+
+# zero, negatives and numbers past the float range; empty items and words that
+# are no number of the list's type
+WHEEL_NUMBERS = st.integers(-1, 60).map(str) | st.just(str(10**400))
+WHEEL_WORDS = st.sampled_from(["", " ", "2.5", "nan", "inf", "1e400"])
+TIME_NUMBERS = st.floats(0, 4).map(repr) | st.sampled_from(
+    ["-0", "-1", "1e-300", "1e9", "nan", "inf", "-inf", "1e400"])
+TIME_WORDS = st.sampled_from(["", " ", "x", "1/2"])
+
+
 class TestTotality:
-    """Every generated document ends in exit 0 or in exit 1 with a JSON error."""
+    """Every generated document or list ends in exit 0, or in exit 1 with a JSON
+    error; a list that does not parse ends in its usage and exit 2."""
+
+    @staticmethod
+    def _check_line(argv: list[str], rows: str) -> None:
+        """Run argv within 5 s; a report holds a row per item of the list rows."""
+        out, err = io.StringIO(), io.StringIO()
+        start = time.monotonic()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                status = cli.main(argv)
+            except SystemExit as exit:
+                status = exit.code
+        assert time.monotonic() - start < 5.0
+        out, err = out.getvalue(), err.getvalue()
+        if status == 2:
+            assert out == "" and err.startswith("usage: hyperlab ")
+        elif status == 1:
+            assert out == "" and isinstance(json.loads(err)["error"], str)
+        else:
+            report = json.loads(out)
+            assert status == 0 and err == ""
+            assert len(report if isinstance(report, list) else report["sweep"]) == \
+                len(rows.split(","))
+
+    @settings(max_examples=100, deadline=None)
+    @given(wheels=list_words(WHEEL_NUMBERS, WHEEL_WORDS),
+           p=st.sampled_from(["0.5", "0.9", "0.5", "nan", "0"]),
+           trials=st.sampled_from(["2", "50", "2", "0", "1", "-3"]))
+    @example(wheels=",".join(["50"] * 1000), p="0.5", trials="2")
+    @example(wheels=",".join(["3"] * 29), p="0.0004", trials="2")
+    @example(wheels="2,,4", p="0.5", trials="2")
+    def test_tae_wheels_lists(self, wheels, p, trials):
+        self._check_line(["tae", "wheels", "--p", p, "--wheels", wheels, "--trials", trials],
+                         wheels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(times=list_words(TIME_NUMBERS, TIME_WORDS),
+           dt=st.sampled_from(["0.01", "0.1", "1e-300", "0", "-0.1", "inf", "nan"]))
+    @example(times=",".join(["3"] * 1000), dt="0.01")
+    @example(times=",".join(["1e308"] * 2), dt="1e-300")
+    def test_aqc_sweep_lists(self, tmp_path_factory, times, dt):
+        path = tmp_path_factory.getbasetemp() / "fuzz-sweep.json"
+        path.write_text(json.dumps(X_MINUS_2))
+        self._check_line(["aqc", "sweep", str(path), "--times", times, "--dt", dt], times)
 
     @staticmethod
     def _check(path: Path, doc, argv: list[str]) -> str | None:

@@ -38,6 +38,10 @@ def test_only_linalg_imports_numpy_and_none_imports_dataclasses():
     modules = {p.stem: _imported_roots(p) for p in SRC.glob("*.py")}
     assert {name for name, roots in modules.items() if "numpy" in roots} == {"linalg"}
     assert not {name for name, roots in modules.items() if roots & {"dataclasses", "argparse"}}
+    # exact fractions reach the writers as text: only zeno computes in them,
+    # and cli reads the fractions that zeno's commands take
+    assert not modules["reporting"] & {"numbers", "fractions"}
+    assert {name for name, roots in modules.items() if "fractions" in roots} == {"zeno", "cli"}
 
 
 # public names that no module in src or perfbench loads yet, each

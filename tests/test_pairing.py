@@ -11,25 +11,43 @@ from hyperlab.errors import DomainError, ResourceError
 naturals = st.integers(min_value=0, max_value=10**9)
 
 
+def index_of(a, b):
+    """The index of the pair (a, b), canonical or not: (a, b) is on diagonal a + b."""
+    return pairing.diag_start(a + b) + b
+
+
 class TestRealValue:
+    """The value and exact value of the entry decode_entry makes at an index."""
+
+    def value(self, a, b):
+        index, *pair, value, exact, _ = pairing.decode_entry(index_of(a, b))
+        assert (index, pair) == (index_of(a, b), [a, b])
+        return value, exact
+
     def test_zero_payload(self):
-        assert pairing.real_value(0, 5) == 0
+        assert self.value(0, 5) == (0.0, "0/1")
 
     def test_reduces_to_lowest_terms(self):
-        assert pairing.real_value(15, 1) == Fraction(3, 2)
+        assert self.value(15, 1) == (1.5, "3/2")
+        assert self.value(150, 2) == (1.5, "3/2")
 
     def test_integer_case(self):
-        assert pairing.real_value(123, 0) == 123
+        assert self.value(123, 0) == (123.0, "123/1")
 
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
-            pairing.real_value(-1, 0)
+            pairing.decode_entry(-1)
 
     def test_decimal_shift_budget(self):
         budget = pairing.DECIMAL_SHIFT_BUDGET
-        assert pairing.real_value(3, budget) == Fraction(3, 10**budget)
+        assert self.value(3, budget) == (0.0, "3/1" + "0" * budget)
         with pytest.raises(ResourceError, match="budget"):
-            pairing.real_value(3, budget + 1)
+            pairing.decode_entry(index_of(3, budget + 1))
+
+    def test_value_past_the_float_range(self):
+        with pytest.raises(DomainError, match="past the float range"):
+            pairing.decode_entry(index_of(10**309, 0))
+        assert self.value(10**308, 0) == (1e308, "1" + "0" * 308 + "/1")
 
     def test_canonical_flag(self):
         assert pairing.is_canonical_pair(15, 1)
@@ -122,7 +140,7 @@ def entries(n):
 
 
 def exact_text(a, b):
-    q = pairing.real_value(a, b)
+    q = Fraction(a, 10**b)
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -149,15 +167,15 @@ class TestEnumerate:
         expected = []
         for idx in range(n):
             a, b = pairing.pair_decode(idx)
-            expected.append((idx, a, b, float(pairing.real_value(a, b)), exact_text(a, b),
+            expected.append((idx, a, b, float(Fraction(a, 10**b)), exact_text(a, b),
                              pairing.is_canonical_pair(a, b)))
-        assert rows(n) == expected
+        assert rows(n) == expected == [pairing.decode_entry(idx) for idx in range(n)]
 
     def test_last_entries_at_the_budget_match_the_decode(self):
         n = pairing.ENUMERATION_BUDGET
         for idx, a, b, value, exact, canonical in rows(n)[-700:]:
             assert (a, b) == pairing.pair_decode(idx)
-            assert (value, exact) == (float(pairing.real_value(a, b)), exact_text(a, b))
+            assert (value, exact) == (float(Fraction(a, 10**b)), exact_text(a, b))
             assert canonical == pairing.is_canonical_pair(a, b)
 
     @pytest.mark.parametrize("n", [-1, True, 2.0])
