@@ -1453,8 +1453,8 @@ class TestTotality:
         with redirect_stdout(out), redirect_stderr(err):
             try:
                 status = cli.main(argv)
-            except SystemExit as exit:
-                status = exit.code
+            except SystemExit as stop:
+                status = stop.code
         assert time.monotonic() - start < 5.0
         out, err = out.getvalue(), err.getvalue()
         if status == 2:
