@@ -319,11 +319,16 @@ def _law_span(exp: WheelExperiment) -> tuple[int, int]:
     n, p = exp.n_wheels, exp.p
     log_bound = 64 * math.log(2)
     if exp.strategy is WheelStrategy.FREEZE_SUCCESSES:
-        first, last = 1, math.ceil((math.log(n) + log_bound) / -math.log1p(-p))
+        least, low, high = 1, 0.0, (math.log(n) + log_bound) / -math.log1p(-p)
     else:
-        low = n + log_bound / 2 - math.sqrt(log_bound**2 / 4 + 2 * log_bound * n)
-        high = n + log_bound + math.sqrt(log_bound**2 + 2 * log_bound * n)
-        first, last = max(n, math.floor(low / p) + 1), math.ceil(high / p)
+        least = n
+        low = (n + log_bound / 2 - math.sqrt(log_bound**2 / 4 + 2 * log_bound * n)) / p
+        high = (n + log_bound + math.sqrt(log_bound**2 + 2 * log_bound * n)) / p
+    if high == math.inf:  # |low| <= high, so short of this both bounds are finite
+        raise ResourceError(
+            f"the law of one trial spans more times than a float counts, past the budget "
+            f"of {CELL_BUDGET}")
+    first, last = max(least, math.floor(low) + 1), math.ceil(high)
     if last - first + 1 > CELL_BUDGET:
         raise ResourceError(
             f"the law of one trial spans {last - first + 1} times, past the budget of "
@@ -351,6 +356,26 @@ def _trial_time_law(exp: WheelExperiment) -> tuple[int, list[float]]:
     return first, [math.exp(a - peak) for a in logs]
 
 
+def _admit(exp: WheelExperiment, trials: int) -> int:
+    """Refuse what ashby_simulate refuses, in its order; else the times of the law
+    it tabulates, none under all-or-nothing."""
+    if trials < 2:
+        raise DomainError("a standard error needs at least two trials")
+    if trials > TRIAL_BUDGET:
+        raise ResourceError(f"{trials} trials is past the budget of {TRIAL_BUDGET}")
+    log2_spins = (-math.log2(exp.p) if exp.strategy is WheelStrategy.FREEZE_SUCCESSES
+                  else ashby_expected(exp)[1])
+    if log2_spins > SIMULATION_LOG2_SPINS:
+        raise DomainError(
+            f"a simulated trial expects 2**{log2_spins:.1f} spins, past the "
+            f"2**{SIMULATION_LOG2_SPINS} that 64-bit counts hold; "
+            "use the analytic expectation")
+    if exp.strategy is WheelStrategy.ALL_OR_NOTHING:
+        return 0
+    first, last = _law_span(exp)
+    return last - first + 1
+
+
 def ashby_simulate(exp: WheelExperiment, trials: int) -> tuple[float, float]:
     """Seeded Monte Carlo of the chosen strategy: (mean seconds, standard error).
 
@@ -358,18 +383,8 @@ def ashby_simulate(exp: WheelExperiment, trials: int) -> tuple[float, float]:
     nothing draws each trial by inversion, 1 + floor(log U / log1p(-p**N)); the
     other two draw the count of trials at each time in one multinomial draw.
     """
-    if trials < 2:
-        raise DomainError("a standard error needs at least two trials")
-    if trials > TRIAL_BUDGET:
-        raise ResourceError(f"{trials} trials is past the budget of {TRIAL_BUDGET}")
+    _admit(exp, trials)
     n, p = exp.n_wheels, exp.p
-    log2_spins = (-math.log2(p) if exp.strategy is WheelStrategy.FREEZE_SUCCESSES
-                  else ashby_expected(exp)[1])
-    if log2_spins > SIMULATION_LOG2_SPINS:
-        raise DomainError(
-            f"a simulated trial expects 2**{log2_spins:.1f} spins, past the "
-            f"2**{SIMULATION_LOG2_SPINS} that 64-bit counts hold; "
-            "use the analytic expectation")
     rng = random.Random(exp.seed)
     total = squares = 0
     if exp.strategy is WheelStrategy.ALL_OR_NOTHING:
@@ -388,16 +403,13 @@ def ashby_simulate(exp: WheelExperiment, trials: int) -> tuple[float, float]:
 
 def wheel_table(p: float, wheels: Sequence[int], trials: int, seed: int) -> Table:
     """Closed form, Monte Carlo mean and standard error of each strategy, a row per wheel count
-    (seed + 100 N + s for N wheels and strategy s). Before the first row runs, the rows'
-    trials and the times of the two laws each row tabulates share TRIAL_BUDGET."""
-    if len(wheels) * trials > TRIAL_BUDGET:
-        raise ResourceError(
-            f"{len(wheels)} rows x {trials} trials is past the budget of {TRIAL_BUDGET}")
+    (seed + 100 N + s for N wheels and strategy s). Before the first row runs, each row
+    is refused as ashby_simulate would refuse it, and the rows' trials and the times of
+    the laws they tabulate share TRIAL_BUDGET."""
     work = 0
     for n in wheels:  # a time of a law costs about what a trial does
-        spans = [_law_span(WheelExperiment(n, p, strategy)) for strategy in
-                 (WheelStrategy.ONE_AT_A_TIME, WheelStrategy.FREEZE_SUCCESSES)]
-        work += trials + sum(last - first + 1 for first, last in spans)
+        work += trials + sum(_admit(WheelExperiment(n, p, strategy), trials)
+                             for strategy in WheelStrategy)
         if work > TRIAL_BUDGET:
             raise ResourceError(
                 f"{len(wheels)} rows x {trials} trials and the times of their laws are past "

@@ -281,24 +281,36 @@ class TestExperiments:
         status, out, err = run_cli(["tae", "wheels", "--wheels", "2,2", "--trials", "600"])
         assert status == 1 and out == "" and not simulated
         assert json.loads(err) == {"error": "resource-error", "message":
-                                   "2 rows x 600 trials is past the budget of 1000"}
+                                   "2 rows x 600 trials and the times of their laws are past "
+                                   "the budget of 1000"}
 
-    @pytest.mark.parametrize("p, wheels, message", [
+    @pytest.mark.parametrize("p, wheels, trials, error, message", [
         # 29 rows whose two laws span 350,196 times each, about 0.14 s a row
-        ("0.0004", ",".join(["3"] * 29),
+        ("0.0004", ",".join(["3"] * 29), "2", "resource-error",
          "29 rows x 2 trials and the times of their laws are past the budget of 10000000"),
         # a second row whose one-at-a-time law alone is past CELL_BUDGET
-        ("0.01", "2,100000", "the law of one trial spans 597987 times, past the budget of 262144"),
-    ], ids=["rows-of-long-laws", "a-law-past-its-budget"])
-    def test_wheel_laws_are_budgeted_before_the_first_row(self, monkeypatch, p, wheels, message):
+        ("0.99999999", "2,1000000000", "2", "resource-error",
+         "the law of one trial spans 297920 times, past the budget of 262144"),
+        # a row is refused as its simulation would refuse it, in the same order:
+        # a law past CELL_BUDGET, but a standard error needs two trials first
+        ("0.0004", "3", "1", "domain-error", "a standard error needs at least two trials"),
+        # all-or-nothing's 2**57 spins come before the laws, whose bounds pass the float range
+        ("1e-310", "2", "2", "domain-error", "a simulated trial expects 2**2059.6 spins"),
+        ("0.001", str(10**306), "2", "domain-error", "a simulated trial expects 2**99657842846"),
+        ("0.01", "2,100000", "2", "domain-error", "a simulated trial expects 2**664385.6 spins"),
+    ], ids=["rows-of-long-laws", "a-law-past-its-budget", "one-trial", "subnormal-p",
+            "wheels-near-the-float-range", "a-second-row-past-2-to-the-57-spins"])
+    def test_wheel_laws_are_budgeted_before_the_first_row(self, monkeypatch, p, wheels, trials,
+                                                          error, message):
         simulated = []
         monkeypatch.setattr(tae, "ashby_simulate", lambda *a: simulated.append(a))
         start = time.monotonic()
         status, out, err = run_cli(["tae", "wheels", "--p", p, "--wheels", wheels,
-                                    "--trials", "2"])
+                                    "--trials", trials])
         assert time.monotonic() - start < 1.0
         assert status == 1 and out == "" and not simulated
-        assert json.loads(err) == {"error": "resource-error", "message": message}
+        assert json.loads(err)["error"] == error
+        assert json.loads(err)["message"].startswith(message)
 
     def test_sweep_steps_are_budgeted_over_the_whole_list(self, write_json, monkeypatch):
         path = write_json("poly.json", X_MINUS_2)
@@ -1434,7 +1446,7 @@ def list_words(draw, numbers, words):
 
 # zero, negatives and numbers past the float range; empty items and words that
 # are no number of the list's type
-WHEEL_NUMBERS = st.integers(-1, 60).map(str) | st.just(str(10**400))
+WHEEL_NUMBERS = st.integers(-1, 60).map(str) | st.sampled_from([str(10**306), str(10**400)])
 WHEEL_WORDS = st.sampled_from(["", " ", "2.5", "nan", "inf", "1e400"])
 TIME_NUMBERS = st.floats(0, 4).map(repr) | st.sampled_from(
     ["-0", "-1", "1e-300", "1e9", "nan", "inf", "-inf", "1e400"])
@@ -1469,11 +1481,13 @@ class TestTotality:
 
     @settings(max_examples=100, deadline=None)
     @given(wheels=list_words(WHEEL_NUMBERS, WHEEL_WORDS),
-           p=st.sampled_from(["0.5", "0.9", "0.5", "nan", "0"]),
+           p=st.sampled_from(["0.5", "0.9", "0.5", "nan", "0", "1e-310"]),
            trials=st.sampled_from(["2", "50", "2", "0", "1", "-3"]))
     @example(wheels=",".join(["50"] * 1000), p="0.5", trials="2")
     @example(wheels=",".join(["3"] * 29), p="0.0004", trials="2")
     @example(wheels="2,,4", p="0.5", trials="2")
+    @example(wheels="2", p="1e-310", trials="2")
+    @example(wheels=str(10**306), p="0.001", trials="2")
     def test_tae_wheels_lists(self, wheels, p, trials):
         self._check_line(["tae", "wheels", "--p", p, "--wheels", wheels, "--trials", trials],
                          wheels)

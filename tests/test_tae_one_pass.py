@@ -70,6 +70,15 @@ class TestCellBudget:
         with pytest.raises(ResourceError, match="budget"):
             tae.ashby_simulate(exp, 2)
 
+    @pytest.mark.parametrize("exp", [
+        WheelExperiment(2, 1e-310, WheelStrategy.ONE_AT_A_TIME),
+        WheelExperiment(2, 1e-310, WheelStrategy.FREEZE_SUCCESSES),
+        WheelExperiment(10**306, 0.001, WheelStrategy.ONE_AT_A_TIME),
+    ], ids=["subnormal-p", "subnormal-p-freeze", "wheels-near-the-float-range"])
+    def test_law_bounds_past_the_float_range_are_refused(self, exp):
+        with pytest.raises(ResourceError, match="more times than a float counts"):
+            tae._law_span(exp)
+
     @pytest.mark.parametrize("strategy", [WheelStrategy.ONE_AT_A_TIME,
                                           WheelStrategy.FREEZE_SUCCESSES])
     def test_cell_budget_is_inclusive(self, monkeypatch, strategy):
