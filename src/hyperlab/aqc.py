@@ -115,8 +115,7 @@ def parse_polynomial(doc: dict) -> DiophantinePolynomial:
         coeff = _integer(entry[0], "coefficient")
         exps = tuple(_integer(e, "exponent") for e in entry[1])
         if len(exps) != num_vars:
-            raise ValidationError(
-                f"exponent vector {shown(exps)} does not match {num_vars} variables")
+            raise ValidationError(f"{len(exps)} exponents do not match {shown(num_vars)} variables")
         if any(e < 0 for e in exps):
             raise ValidationError("exponents must be naturals")
         if exps in seen:
@@ -204,12 +203,12 @@ def _lattice_runs(poly: DiophantinePolynomial, cutoff: int) -> Iterator[tuple[in
     modes = LATTICE_BUDGET.bit_length() - 1  # 2**(modes + 1) points are past the budget
     if poly.num_vars > modes or (cutoff + 1) ** poly.num_vars > LATTICE_BUDGET:
         raise ResourceError(
-            f"lattice of ({cutoff}+1)**{poly.num_vars} points is past the budget of "
-            f"{LATTICE_BUDGET} points and {modes} modes")
+            f"lattice of ({shown(cutoff)}+1)**{shown(poly.num_vars)} points is past the budget "
+            f"of {LATTICE_BUDGET} points and {modes} modes")
     bits = _value_bits_bound(poly, cutoff)
     if bits > VALUE_BITS_BUDGET:
         raise ResourceError(
-            f"values of up to {bits} bits on the lattice are past the budget of "
+            f"values of up to {shown(bits)} bits on the lattice are past the budget of "
             f"{VALUE_BITS_BUDGET} bits")
     nested, dimension = _nested(poly.terms, poly.num_vars), (cutoff + 1) ** poly.num_vars
     for start in range(0, dimension, RUN_LENGTH):
@@ -389,7 +388,7 @@ def evolve_levels(
     dt = total_time / steps
     w = [math.sqrt(m / d) for m in multiplicities]
     rates = [-1j * dt * p for p in levels]
-    start_norm = math.sqrt(sum(abs(x) ** 2 for x in c))
+    start_norm = math.sqrt(math.fsum(abs(x) ** 2 for x in c))  # the same on every Python
 
     def mix(theta: float, c: list[complex]) -> tuple[complex, complex]:
         """The start factor's e^{-i theta} and its rank-one weight (1 - e^{-i theta}) w . c."""
@@ -405,7 +404,7 @@ def evolve_levels(
         owed = half
     phase, weight = mix(owed, c)
     c = [phase * x + weight * wj for x, wj in zip(c, w)]
-    final_norm = math.sqrt(sum(abs(x) ** 2 for x in c))
+    final_norm = math.sqrt(math.fsum(abs(x) ** 2 for x in c))
     return LevelEvolution(amplitudes=c, norm_drift=abs(final_norm - start_norm), steps=steps)
 
 
@@ -537,17 +536,21 @@ def overlap_sweep(
 ) -> dict:
     """The population of the ground level, which holds exactly the minimisers, after
     each schedule length in times, from one scan. All the schedules' steps are refused
-    past STEP_BUDGET before it, and its levels as in :func:`decide`."""
+    past STEP_BUDGET before it, and its levels as in :func:`decide`; its minimisers, the
+    ground level's points, past MINIMIZER_BUDGET before a second scan finds them."""
     steps = sum(_schedule_steps(total_time, dt) for total_time in times)
     if steps > STEP_BUDGET:
         raise ResourceError(f"{steps} steps over the sweep are past the budget of {STEP_BUDGET}")
     scan = scan_levels(poly, cutoff, min(LEVEL_BUDGET, LEVEL_STEP_BUDGET // max(1, steps)))
-    energy, minimizers = exact_ground_oracle(poly, cutoff)
+    if scan.multiplicities[0] > MINIMIZER_BUDGET:
+        raise ResourceError(f"more than {MINIMIZER_BUDGET} minimisers are past the budget")
+    ground = scan.members({0: range(scan.multiplicities[0])}).values()
     rows = []
     for total_time in times:
         evolved = evolve_from_uniform(scan, total_time, dt)
         populations = [abs(c) ** 2 for c in evolved.amplitudes]
         rows.append({"total_time": total_time, "ground_overlap": populations[0] / sum(populations),
                      "norm_drift": evolved.norm_drift, "steps": evolved.steps})
-    return {"cutoff": cutoff, "dt": dt, "exact_ground_energy": energy,
-            "exact_minimizers": [list(w) for w in minimizers], "sweep": rows}
+    return {"cutoff": cutoff, "dt": dt, "exact_ground_energy": scan.levels[0],
+            "exact_minimizers": [list(_occupation(i, poly.num_vars, cutoff)) for i in ground],
+            "sweep": rows}

@@ -456,6 +456,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         result = dispatch(args)
         if args.output == "-":
+            if sys.stdout is None:  # started with stdout closed
+                raise OSError("standard output is closed")
             emit_report(result, args.format, sys.stdout)
         else:
             _write_output(args.output, report_pieces(result, args.format))

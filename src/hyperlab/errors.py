@@ -4,18 +4,18 @@ Every module raises subclasses of :class:`HyperlabError` so the CLI can map
 failures onto structured error reports with a single handler.
 """
 
-SHOWN_LENGTH = 80  # characters of a value's repr that a message quotes
+SHOWN_LENGTH = 32  # bytes of a JSON error line that a quoted value may take
 
 
 def shown(value) -> str:
-    """``repr(value)`` when it is at most SHOWN_LENGTH characters, else the
-    start of it with the value's type and size, so that a message quoting a
-    value from a document stays short however large the document is."""
-    text = repr(value)
-    if len(text) <= SHOWN_LENGTH:
+    """``ascii(value)`` if a JSON error line prints it in SHOWN_LENGTH bytes or
+    fewer (JSON doubles a backslash or a quote), else its start with the value's
+    type and size: a message quoting a document's or a flag's value stays short."""
+    text = ascii(value)
+    if len(text) + text.count("\\") + text.count('"') <= SHOWN_LENGTH:
         return text
     size = len(value) if isinstance(value, (str, list, tuple, dict)) else len(text)
-    return f"{text[:SHOWN_LENGTH]}... ({type(value).__name__} of length {size})"
+    return f"{text[:SHOWN_LENGTH // 2]}... ({type(value).__name__} of length {size})"
 
 
 class HyperlabError(Exception):

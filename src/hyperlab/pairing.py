@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, shown
 from .reporting import Table, format_fraction
 
 ENUMERATION_BUDGET = 2 * 10**5  # entries one enumeration may list
@@ -27,7 +27,7 @@ DECIMAL_SHIFT_BUDGET = 3 * 10**5
 
 def _require_natural(value: int, name: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise DomainError(f"{name} must be a natural number, got {value!r}")
+        raise DomainError(f"{name} must be a natural number, got {shown(value)}")
     return value
 
 
@@ -53,7 +53,7 @@ def pair_index(x: int, y: int) -> int:
         if x % 10 == 0:
             if y == 0:
                 raise DomainError(
-                    f"pair {original!r} is not canonicalisable: "
+                    f"pair {shown(original)} is not canonicalisable: "
                     "payload has more trailing zeros than the decimal shift")
             x //= 10
             y -= 1
@@ -118,7 +118,7 @@ def enumerate_reals(n: int) -> Table:
     """
     _require_natural(n, "n")
     if n > ENUMERATION_BUDGET:
-        raise ResourceError(f"{n} entries is past the budget of {ENUMERATION_BUDGET}")
+        raise ResourceError(f"{shown(n)} entries is past the budget of {ENUMERATION_BUDGET}")
     a_column, b_column, values, texts, canonical = [], [], [], [], []
     tens, zeros = [1], [""]  # tens[y] == 10**y, zeros[j] == "0" * j
     heads, canonical_of = [], []  # by a: the text of a / 10**k, and a % 10 != 0
@@ -127,15 +127,15 @@ def enumerate_reals(n: int) -> Table:
         length = min(w + 1, n - len(a_column))  # pairs (w - y, y) for y < length
         if w.bit_length() != k:
             k = w.bit_length()
-            heads = [_lowest_terms(a, tens[k]) for a in range(w)]
-        heads.append(_lowest_terms(w, tens[k]))
+            heads = [format_fraction(a, tens[k]) for a in range(w)]
+        heads.append(format_fraction(w, tens[k]))
         canonical_of.append(w % 10 != 0)
         a_column += range(w, w - length, -1)
         b_column += range(length)
         values += map(operator.truediv, range(w, w - length, -1), tens)
         positive = min(length, w)  # the pairs with a > 0
         short = min(k, positive)  # and among them the pairs with y < k
-        texts += [_lowest_terms(w - y, tens[y]) for y in range(short)]
+        texts += [format_fraction(w - y, tens[y]) for y in range(short)]
         texts += map(operator.add, heads[w - short:w - positive:-1], zeros[:positive - short])
         canonical += canonical_of[w:w - positive:-1]
         if length > w:  # (0, w) ends the diagonal
@@ -145,8 +145,3 @@ def enumerate_reals(n: int) -> Table:
         tens.append(tens[-1] * 10)
         zeros.append(zeros[-1] + "0")
     return Table(ENTRY_COLUMNS, [range(n), a_column, b_column, values, texts, canonical])
-
-
-def _lowest_terms(p: int, q: int) -> str:
-    g = math.gcd(p, q)
-    return f"{p // g}/{q // g}"

@@ -21,7 +21,7 @@ import sys
 from enum import IntEnum
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, shown
 from .reporting import Table
 from .variates import multinomial
 
@@ -165,7 +165,7 @@ def goldbach_stream(horizon_even: int) -> AnswerStream:
         raise DomainError("horizon must be an even number >= 4")
     if horizon_even > GOLDBACH_HORIZON_BUDGET:
         raise ResourceError(
-            f"horizon {horizon_even} is past the budget of {GOLDBACH_HORIZON_BUDGET}")
+            f"horizon {shown(horizon_even)} is past the budget of {GOLDBACH_HORIZON_BUDGET}")
     flags = _odd_prime_flags(horizon_even)
     primes = int(flags[::-1].translate(bytes.maketrans(b"\0\1", b"01")), 2)
     unpaired = (1 << horizon_even // 2) - 4  # 6, 8, ..., the horizon
@@ -265,6 +265,8 @@ CELL_BUDGET = 2**18
 # trials one simulation may draw: all-or-nothing draws them one at a time
 TRIAL_BUDGET = 10**7
 
+ROW_TIMES = 100  # a wheel-table row's own cost, about 48 us, in law times of about 0.46 us
+
 
 def ashby_expected(exp: WheelExperiment) -> tuple[float | None, float]:
     """Expected seconds to grand success, at one spin round per second, and
@@ -362,12 +364,12 @@ def _admit(exp: WheelExperiment, trials: int) -> int:
     if trials < 2:
         raise DomainError("a standard error needs at least two trials")
     if trials > TRIAL_BUDGET:
-        raise ResourceError(f"{trials} trials is past the budget of {TRIAL_BUDGET}")
+        raise ResourceError(f"{shown(trials)} trials is past the budget of {TRIAL_BUDGET}")
     log2_spins = (-math.log2(exp.p) if exp.strategy is WheelStrategy.FREEZE_SUCCESSES
                   else ashby_expected(exp)[1])
     if log2_spins > SIMULATION_LOG2_SPINS:
         raise DomainError(
-            f"a simulated trial expects 2**{log2_spins:.1f} spins, past the "
+            f"a simulated trial expects 2**{log2_spins:.3g} spins, past the "
             f"2**{SIMULATION_LOG2_SPINS} that 64-bit counts hold; "
             "use the analytic expectation")
     if exp.strategy is WheelStrategy.ALL_OR_NOTHING:
@@ -404,12 +406,12 @@ def ashby_simulate(exp: WheelExperiment, trials: int) -> tuple[float, float]:
 def wheel_table(p: float, wheels: Sequence[int], trials: int, seed: int) -> Table:
     """Closed form, Monte Carlo mean and standard error of each strategy, a row per wheel count
     (seed + 100 N + s for N wheels and strategy s). Before the first row runs, each row
-    is refused as ashby_simulate would refuse it, and the rows' trials and the times of
-    the laws they tabulate share TRIAL_BUDGET."""
+    is refused as ashby_simulate would refuse it, and the rows' trials, the times of
+    the laws they tabulate and ROW_TIMES a row share TRIAL_BUDGET."""
     work = 0
     for n in wheels:  # a time of a law costs about what a trial does
-        work += trials + sum(_admit(WheelExperiment(n, p, strategy), trials)
-                             for strategy in WheelStrategy)
+        work += trials + ROW_TIMES + sum(_admit(WheelExperiment(n, p, strategy), trials)
+                                         for strategy in WheelStrategy)
         if work > TRIAL_BUDGET:
             raise ResourceError(
                 f"{len(wheels)} rows x {trials} trials and the times of their laws are past "

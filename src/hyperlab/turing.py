@@ -355,7 +355,7 @@ def load_machine(doc: dict) -> TuringMachine:
     if num_tapes < 1:
         raise ValidationError("a machine needs at least one tape")
     if num_tapes > TAPE_BUDGET:
-        raise ResourceError(f"{num_tapes} tapes are past the budget of {TAPE_BUDGET}")
+        raise ResourceError(f"{shown(num_tapes)} tapes are past the budget of {TAPE_BUDGET}")
     one_sided = doc.get("one_sided", False)
     if not isinstance(one_sided, bool):
         raise ValidationError(f"one_sided must be true or false, got {shown(one_sided)}")
@@ -377,9 +377,9 @@ def load_machine(doc: dict) -> TuringMachine:
         read = _as_symbol_tuple(_required(rule, "read", where), num_tapes, "read")
         write = _as_symbol_tuple(_required(rule, "write", where), num_tapes, "write")
         move = str(_required(rule, "move", where))
-        if src not in states or dst not in states:
-            raise ValidationError(
-                f"transition {shown(src)}->{shown(dst)} references an undeclared state")
+        for state in (src, dst):
+            if state not in states:
+                raise ValidationError(f"{where} references an undeclared state {shown(state)}")
         for sym in read + write:
             if sym not in alphabet:
                 raise ValidationError(f"transition uses symbol {shown(sym)} outside the alphabet")
@@ -387,9 +387,8 @@ def load_machine(doc: dict) -> TuringMachine:
             raise ValidationError(f"move must be one of {sorted(MOVES)}, got {shown(move)}")
         key = (src, read)
         if key in transitions:
-            raise ValidationError(
-                f"duplicate transition for state {shown(src)} reading {shown(read)}: "
-                "machines must be deterministic")
+            raise ValidationError(f"{where} repeats the state and read of an earlier one: "
+                                  "machines must be deterministic")
         transitions[key] = (dst, write, move)
 
     oracle_states = None
@@ -491,8 +490,9 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
     the fuel and, moving left on a one-sided tape, short of cell 0, so the
     ordinary step still raises there. It rewrites them with one
     ``bytes.translate`` and counts one step per cell. Sweeps are off while
-    trace snapshots are taken, and in a state that is a stop (final, or the
-    ask state of a bound oracle).
+    trace snapshots are taken, and none starts in a stop (final, or the ask
+    state of a bound oracle): the inner loop starts off one, as load_machine
+    keeps the answer states apart from the ask state, and breaks on entering one.
 
     Fuel past FUEL_BUDGET, or tracks whose text could grow past
     TAPE_TEXT_BUDGET characters within it, are a :class:`ResourceError`
@@ -500,7 +500,7 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
     TRACE_TEXT_BUDGET characters are one before the first snapshot past it.
     """
     if fuel > FUEL_BUDGET:
-        raise ResourceError(f"fuel of {fuel} steps is past the budget of {FUEL_BUDGET}")
+        raise ResourceError(f"fuel of {shown(fuel)} steps is past the budget of {FUEL_BUDGET}")
     tape, longest = config.tape, machine._longest_symbol
     cells = tape.cells
     # each step adds at most one cell to the extent, a symbol on each track
@@ -541,7 +541,7 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
                 dst, next_row, write, shift, sweep = rule
                 if one_sided and head + shift < 0:
                     raise DomainError("head moved past the left edge of a one-sided tape")
-                if sweep is not None and not trace_left and state not in stops:
+                if sweep is not None and not trace_left:
                     # a sweep over non-blank cells, so inside the array
                     room = min(fuel - steps, size - i if shift > 0 else i + 1)
                     if one_sided and shift < 0:

@@ -3,9 +3,9 @@
 Step ``i`` (counted from 0) lasts ``2**-i`` seconds, so the elapsed time
 through step ``n`` is ``2 - 2**-n`` and the whole infinite cascade fits in
 ``LIMIT`` = 2 seconds, which is what lets such a machine finish unboundedly
-many steps in finite time. All times are kept as exact rationals; floats only
-appear at the reporting boundary (binary floats are dyadic rationals, so
-accepting them loses nothing).
+many steps in finite time. Every time is an exact ``Fraction`` (or an int),
+as ``cli`` reads it from the command line; floats only appear at the
+reporting boundary.
 
 Two caveats frame everything here. Acceleration buys nothing on bounded
 storage: a machine confined to a finite tape revisits a configuration and
@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from numbers import Rational
 from typing import TYPE_CHECKING, NamedTuple, Union
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, shown
 
 if TYPE_CHECKING:
     from .turing import RunOutcome, TuringMachine
@@ -33,19 +32,6 @@ LIMIT = Fraction(2)  # seconds the whole cascade takes
 # largest step index a report may carry the exact elapsed time of: that time is
 # a fraction over 2**n, and `zeno time` takes about 0.3 s to print it at n = 10**6
 STEP_INDEX_BUDGET = 10**6
-
-TimeLike = Union[int, float, Fraction]
-
-
-def _exact(t: TimeLike, what: str = "time") -> Fraction:
-    if isinstance(t, float):
-        if t != t or t in (float("inf"), float("-inf")):
-            raise DomainError(f"{what} must be finite")
-        return Fraction(t)
-    if isinstance(t, Rational):
-        return Fraction(t)
-    raise DomainError(f"{what} must be a real number, got {type(t).__name__}")
-
 
 def _floor_log2(q: Fraction) -> int:
     """floor(log2(q)) for exact rational q >= 1: floor(q) has the same one."""
@@ -60,7 +46,7 @@ def zeno_time(n: int) -> Fraction:
     if n < 0:
         raise DomainError("step index must be a natural number")
     if n > STEP_INDEX_BUDGET:
-        raise ResourceError(f"step index {n} is past the budget of {STEP_INDEX_BUDGET}")
+        raise ResourceError(f"step index {shown(n)} is past the budget of {STEP_INDEX_BUDGET}")
     return LIMIT - Fraction(1, 2**n)
 
 
@@ -73,23 +59,22 @@ class Unbounded(Enum):
 UNBOUNDED = Unbounded.UNBOUNDED
 
 
-def steps_within_budget(t: TimeLike) -> Union[int, Unbounded, None]:
+def steps_within_budget(t: Fraction | int) -> Union[int, Unbounded, None]:
     """Largest step index n with zeno_time(n) <= t, exactly.
 
     Returns UNBOUNDED when the budget reaches LIMIT, and None when even
     step 0 does not fit. Otherwise 2 - 2**-n <= t reads 2**n <= 1 / (2 - t).
     """
-    budget = _exact(t, "budget")
-    if budget <= 0:
+    if t <= 0:
         raise DomainError("budget must be positive")
-    if budget >= LIMIT:
+    if t >= LIMIT:
         return UNBOUNDED
-    if budget < 1:
+    if t < 1:
         return None
-    return _floor_log2(1 / (LIMIT - budget))
+    return _floor_log2(1 / (LIMIT - t))
 
 
-def decelerated_steps_within_budget(t: TimeLike) -> int | None:
+def decelerated_steps_within_budget(t: Fraction | int) -> int | None:
     """Largest step index n of the mirrored (decelerating) cascade within budget t.
 
     Mirroring the accelerating cascade turns the time left to its limit after
@@ -100,10 +85,9 @@ def decelerated_steps_within_budget(t: TimeLike) -> int | None:
     stretching it from 1 to 2**1000 gains just 1000. Returns None when even
     the first step does not fit. Exact integer arithmetic.
     """
-    budget = _exact(t, "budget")
-    if budget <= 0:
+    if t <= 0:
         raise DomainError("budget must be positive")
-    return _floor_log2(budget) if budget >= 1 else None
+    return _floor_log2(t) if t >= 1 else None
 
 
 # -- Thomson's lamp ---------------------------------------------------------------
@@ -115,7 +99,7 @@ class LampState(Enum):
     UNDEFINED = "undefined"
 
 
-def thomson_lamp(t: TimeLike) -> tuple[LampState, int | None]:
+def thomson_lamp(t: Fraction | int) -> tuple[LampState, int | None]:
     """Lamp state at time t under the documented phase convention, and the
     number of toggle instants zeno_time(n) <= t, computed exactly.
 
@@ -124,12 +108,11 @@ def thomson_lamp(t: TimeLike) -> tuple[LampState, int | None]:
     beyond it no finite parity constrains the lamp, so the function answers
     UNDEFINED there rather than pick a value, and the toggle count is None.
     """
-    instant = _exact(t, "t")
-    if instant < 0:
+    if t < 0:
         raise DomainError("time must be non-negative")
-    if instant >= LIMIT:
+    if t >= LIMIT:
         return LampState.UNDEFINED, None
-    got = steps_within_budget(instant) if instant > 0 else None
+    got = steps_within_budget(t) if t > 0 else None
     toggles = 0 if got is None else got + 1
     return (LampState.ON if toggles % 2 == 0 else LampState.OFF), toggles
 
@@ -164,7 +147,7 @@ def atm_halting_flag(machine: TuringMachine, input_symbols: str, fuel: int) -> H
     """
     if fuel > STEP_INDEX_BUDGET:
         raise ResourceError(
-            f"fuel of {fuel} steps is past the budget of {STEP_INDEX_BUDGET}")
+            f"fuel of {shown(fuel)} steps is past the budget of {STEP_INDEX_BUDGET}")
     from .turing import OutcomeKind, run
 
     outcome = run(machine, input_symbols, fuel=fuel)

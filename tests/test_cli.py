@@ -288,6 +288,10 @@ class TestExperiments:
         # 29 rows whose two laws span 350,196 times each, about 0.14 s a row
         ("0.0004", ",".join(["3"] * 29), "2", "resource-error",
          "29 rows x 2 trials and the times of their laws are past the budget of 10000000"),
+        # rows of 97 times whose fixed cost is counted as ROW_TIMES more: past 50,761
+        # rows, which take about 5 s, a list is refused before its first row
+        ("0.999999", ",".join(["1"] * 103092), "2", "resource-error",
+         "103092 rows x 2 trials and the times of their laws are past the budget of 10000000"),
         # a second row whose one-at-a-time law alone is past CELL_BUDGET
         ("0.99999999", "2,1000000000", "2", "resource-error",
          "the law of one trial spans 297920 times, past the budget of 262144"),
@@ -295,11 +299,12 @@ class TestExperiments:
         # a law past CELL_BUDGET, but a standard error needs two trials first
         ("0.0004", "3", "1", "domain-error", "a standard error needs at least two trials"),
         # all-or-nothing's 2**57 spins come before the laws, whose bounds pass the float range
-        ("1e-310", "2", "2", "domain-error", "a simulated trial expects 2**2059.6 spins"),
-        ("0.001", str(10**306), "2", "domain-error", "a simulated trial expects 2**99657842846"),
-        ("0.01", "2,100000", "2", "domain-error", "a simulated trial expects 2**664385.6 spins"),
-    ], ids=["rows-of-long-laws", "a-law-past-its-budget", "one-trial", "subnormal-p",
-            "wheels-near-the-float-range", "a-second-row-past-2-to-the-57-spins"])
+        ("1e-310", "2", "2", "domain-error", "a simulated trial expects 2**2.06e+03 spins"),
+        ("0.001", str(10**306), "2", "domain-error",
+         "a simulated trial expects 2**9.97e+306 spins"),
+        ("0.01", "2,100000", "2", "domain-error", "a simulated trial expects 2**6.64e+05 spins"),
+    ], ids=["rows-of-long-laws", "rows-of-short-laws", "a-law-past-its-budget", "one-trial",
+            "subnormal-p", "wheels-near-the-float-range", "a-second-row-past-2-to-the-57-spins"])
     def test_wheel_laws_are_budgeted_before_the_first_row(self, monkeypatch, p, wheels, trials,
                                                           error, message):
         simulated = []
@@ -311,6 +316,16 @@ class TestExperiments:
         assert status == 1 and out == "" and not simulated
         assert json.loads(err)["error"] == error
         assert json.loads(err)["message"].startswith(message)
+
+    def test_each_wheel_row_is_charged_its_fixed_cost(self, monkeypatch):
+        # one wheel at p = 0.999999: 2 trials, laws of 95 times, and ROW_TIMES
+        row = 2 + 95 + tae.ROW_TIMES
+        argv = ["tae", "wheels", "--p", "0.999999", "--wheels", "1,1", "--trials", "2"]
+        monkeypatch.setattr(tae, "TRIAL_BUDGET", 2 * row)
+        assert run_cli(argv)[0] == 0
+        monkeypatch.setattr(tae, "TRIAL_BUDGET", 2 * row - 1)
+        status, out, err = run_cli(argv)
+        assert status == 1 and out == "" and json.loads(err)["error"] == "resource-error"
 
     def test_sweep_steps_are_budgeted_over_the_whole_list(self, write_json, monkeypatch):
         path = write_json("poly.json", X_MINUS_2)
@@ -793,7 +808,7 @@ class TestErrors:
         assert status == 1 and out == ""
         payload = json.loads(err)
         assert payload["error"] == "domain-error"
-        assert "expects 2**1026.5 spins" in payload["message"]
+        assert "expects 2**1.03e+03 spins" in payload["message"]
 
     @pytest.mark.parametrize("flags", [
         ["--time", "nan"], ["--dt", "nan"], ["--time", "inf"], ["--shots", str(10**23)],
@@ -1453,9 +1468,40 @@ TIME_NUMBERS = st.floats(0, 4).map(repr) | st.sampled_from(
 TIME_WORDS = st.sampled_from(["", " ", "x", "1/2"])
 
 
+def assert_error_line(err: str) -> str:
+    """The kind of a structured error: one JSON line of under 200 bytes."""
+    assert err.endswith("\n") and len(err.encode("utf-8")) < 200, err
+    return json.loads(err)["error"]
+
+
 class TestTotality:
-    """Every generated document or list ends in exit 0, or in exit 1 with a JSON
-    error; a list that does not parse ends in its usage and exit 2."""
+    """Every generated document or list ends in exit 0, or in exit 1 with a short
+    JSON error; a list that does not parse ends in its usage and exit 2."""
+
+    def test_a_closed_stdout_is_an_io_error(self):
+        # the shell starts the child with file descriptor 1 closed: sys.stdout is None
+        done = subprocess.run(["sh", "-c", '"$0" -m hyperlab.cli zeno time --n 5 >&-',
+                               sys.executable], env=src_env(), stdin=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+        assert done.returncode == 1
+        assert json.loads(done.stderr) == {"error": "io-error",
+                                           "message": "standard output is closed"}
+
+    @pytest.mark.parametrize("argv, kind", [
+        (["tae", "ashby", "--strategy", "1", "--simulate", "--p", "0.001",
+          "--wheels", str(10**300)], "domain-error"),
+        # the longest integers a command line or a document may hold, 4,300 digits
+        (["aqc", "solve", "{huge}", "--cutoff", "9" * 4300, "--oracle-only"], "resource-error"),
+        (["tm", "run", "{machine}", "--fuel", "9" * 4300], "resource-error"),
+        (["zeno", "time", "--n", "9" * 4300], "resource-error"),
+        (["enum", "encode", "--a", "-" + "9" * 4299, "--b", "1"], "domain-error"),
+    ], ids=["spins", "lattice", "fuel", "step-index", "pair"])
+    def test_refusals_of_huge_values_stay_short(self, write_json, argv, kind):
+        paths = {"{huge}": write_json("huge.json", {"vars": 10**4299, "terms": []}),
+                 "{machine}": write_json("machine.json", successor_doc())}
+        status, out, err = run_cli([paths.get(word, word) for word in argv])
+        assert status == 1 and out == ""
+        assert assert_error_line(err) == kind
 
     @staticmethod
     def _check_line(argv: list[str], rows: str) -> None:
@@ -1472,7 +1518,7 @@ class TestTotality:
         if status == 2:
             assert out == "" and err.startswith("usage: hyperlab ")
         elif status == 1:
-            assert out == "" and isinstance(json.loads(err)["error"], str)
+            assert out == "" and isinstance(assert_error_line(err), str)
         else:
             report = json.loads(out)
             assert status == 0 and err == ""
@@ -1509,8 +1555,8 @@ class TestTotality:
         status, out, err = run_cli(argv)
         assert status in (0, 1)
         if status == 1:
-            assert out == "" and isinstance(json.loads(err)["error"], str)
-            return json.loads(err)["error"]
+            assert out == ""
+            return assert_error_line(err)
         assert err == "" and json.loads(out)
         return None
 

@@ -1,6 +1,7 @@
 """The package's dependencies, declared and imported: the program runs on the standard library."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
+README = ROOT / "README.md"
 SRC = ROOT / "src" / "hyperlab"
 
 
@@ -90,3 +92,17 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     unused = {f"{p.stem}.{name}" for p in SRC.glob("*.py")
               for name in _defined(_tree(p)) - loaded}
     assert unused == LIBRARY_ONLY
+
+
+def test_the_budget_table_lists_every_budget_with_its_value():
+    # README's Budgets section: a row | `module.NAME` | `value` | per budget or cap
+    section = README.read_text(encoding="utf-8").partition("\n## Budgets\n")[2]
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \| `([^`]+)` \|", section, re.M)
+    budgets = {(p.stem, name) for p in SRC.glob("*.py") for name in _defined(_tree(p))
+               if name.endswith("_BUDGET")}
+    assert budgets <= {(module, name) for module, name, _ in rows}
+    assert len(rows) == len({(module, name) for module, name, _ in rows})  # each once
+    for module, name, text in rows:
+        assert re.fullmatch(r"[\d *+-]+", text), text  # integer arithmetic only
+        value = eval(text, {"__builtins__": {}})
+        assert getattr(importlib.import_module(f"hyperlab.{module}"), name) == value, name
