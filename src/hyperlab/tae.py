@@ -1,10 +1,8 @@
-"""Trial-and-error (limit) computation semantics and worked procedures.
+"""Trial-and-error (limit) computation: worked procedures.
 
-A limit predicate holds exactly when its binary kernel f(args, y) settles to 1
-as y grows. A horizon-bounded evaluator can report the kernel's current
-verdict, how often it changed its mind, and since when it has been stable --
-but it can never certify stability, and the result object keeps that caveat
-explicit.
+A trial-and-error procedure answers at every stage and may change its mind;
+its result is the answer it settles on, which no run to a finite horizon can
+certify as settled.
 
 The worked procedures: a revisable yes/no stream for the prime-pair property
 of even numbers, bogosort with and without memory of tried arrangements, and
@@ -19,87 +17,11 @@ import math
 import random
 import sys
 from enum import IntEnum
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, ResourceError, shown
 from .reporting import Table
 from .variates import multinomial
-
-if TYPE_CHECKING:
-    from .turing import TuringMachine
-
-
-class KernelDivergenceError(DomainError):
-    """The kernel failed to produce an answer: it is not total at this point."""
-
-
-# -- limit predicates ----------------------------------------------------------
-
-
-class LimitPredicate(NamedTuple):
-    """Binary kernel f(x1..xn, y) whose limit in y defines the predicate."""
-
-    kernel: Callable[..., int]
-    arity: int
-
-
-def tm_kernel(machine: TuringMachine, fuel: int) -> Callable[..., int]:
-    """Adapt a machine into a total-by-fuel kernel.
-
-    Arguments are encoded in unary, separated by blanks. A run that exhausts
-    its fuel raises :class:`KernelDivergenceError`; a halting run answers 1
-    exactly when the cell under the head holds a mark.
-    """
-    from .turing import OutcomeKind, run
-
-    def kernel(*args: int) -> int:
-        text = machine.blank.join("1" * a for a in args)
-        outcome = run(machine, text, fuel=fuel)
-        if outcome.kind is OutcomeKind.OUT_OF_FUEL:
-            raise KernelDivergenceError(
-                f"kernel machine exceeded {fuel} steps on arguments {args!r}")
-        config = outcome.config
-        return 1 if config.tape.read(config.head) != machine.blank else 0
-
-    return kernel
-
-
-class LimitEvaluation(NamedTuple):
-    verdict: bool
-    mind_changes: int
-    stable_since: int
-    unsettled: bool  # the last flip happened at the horizon itself
-
-
-def evaluate_limit_predicate(
-    pred: LimitPredicate, args: Sequence[int], horizon: int
-) -> LimitEvaluation:
-    """Run the kernel at y = 0..horizon and read off the limit candidate.
-
-    The verdict is the kernel's value at the horizon; ``stable_since`` is the
-    step of its last change, 0 if none. When that *is* the horizon the answer
-    never had a chance to settle and ``unsettled`` is raised. Even a settled
-    answer is only "correct unless the kernel changes its mind later" -- that
-    uncertainty is inherent, not a bug.
-    """
-    if horizon < 1:
-        raise DomainError("horizon must be at least 1")
-    if len(args) != pred.arity:
-        raise DomainError(f"predicate expects {pred.arity} arguments, got {len(args)}")
-    mind_changes = stable_since = 0
-    for y in range(horizon + 1):
-        v = pred.kernel(*args, y)
-        if v not in (0, 1):
-            raise DomainError(f"kernel must answer 0 or 1, got {v!r} at y={y}")
-        if y and v != verdict:
-            mind_changes, stable_since = mind_changes + 1, y
-        verdict = v
-    return LimitEvaluation(
-        verdict=bool(verdict),
-        mind_changes=mind_changes,
-        stable_since=stable_since,
-        unsettled=stable_since == horizon,
-    )
 
 
 # -- answer streams and the even/prime-pair procedure ----------------------------

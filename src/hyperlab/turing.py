@@ -11,19 +11,16 @@ Each machine compiles its quintuples once into a table ``(state, cell) ->
 (state, write, shift)`` over cell codes, which the one stepping loop behind
 :func:`run` reads. A rule whose state keeps itself over a set of cells,
 writing a fixed cell for each and moving one way, is a sweep: the loop
-applies it to the whole block of such cells at once. One hook extends that
-loop, an oracle: entering the declared ask-state consults an opaque total
-predicate on the unary number written on tape 0 left of the head and
-resumes in the declared yes- or no-state, at no fuel cost.
+applies it to the whole block of such cells at once.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .errors import ConfigurationError, DomainError, ResourceError, ValidationError, shown
+from .errors import DomainError, ResourceError, ValidationError, shown
 
 MOVES = {"l": -1, "n": 0, "r": 1}
 
@@ -38,12 +35,6 @@ TAPE_TEXT_BUDGET = 5 * 10**7
 TRACE_TEXT_BUDGET = 5 * 10**7
 ALPHABET_BUDGET = 256  # symbols, the blank included, and contents of a cell: one byte
 TAPE_BUDGET = 256  # tapes of one machine, so symbols in a cell; refused at load
-
-
-class OracleStates(NamedTuple):
-    ask: str
-    yes: str
-    no: str
 
 
 class TuringMachine:
@@ -63,11 +54,10 @@ class TuringMachine:
         num_tapes: int,
         transitions: dict[tuple[str, tuple[str, ...]], tuple[str, tuple[str, ...], str]],
         one_sided: bool = False,
-        oracle_states: Optional[OracleStates] = None,
     ):
         self.states, self.initial, self.finals, self.alphabet = states, initial, finals, alphabet
         self.blank, self.num_tapes, self.transitions = blank, num_tapes, transitions
-        self.one_sided, self.oracle_states, self.oracle = one_sided, oracle_states, None
+        self.one_sided = one_sided
         self._codes = SymbolCodes(blank, alphabet, num_tapes,
                                   (write for _, write, _ in transitions.values()))
 
@@ -219,16 +209,9 @@ class Tape:
         self.cells = codes.encode(symbols)
         self.origin = 0
 
-    def read(self, pos: int, track: int = 0) -> str:
-        return self.codes.names[self.codes.tracks[track][self._code(pos)]]
-
     def write(self, pos: int, symbol: str) -> None:
         """Write ``symbol`` on track 0 and the blank on every other."""
         self._put(pos, self.codes.by_name[symbol])
-
-    def _code(self, pos: int) -> int:
-        index = pos - self.origin
-        return self.cells[index] if 0 <= index < len(self.cells) else 0
 
     def _put(self, pos: int, code: int) -> None:
         cells, index = self.cells, pos - self.origin
@@ -247,11 +230,6 @@ class Tape:
     def text(self, track: int = 0) -> str:
         """Non-blank content of one track, from its leftmost to its rightmost written cell."""
         return self.codes.text(self.cells, track)
-
-    def marks_left_of(self, pos: int) -> int:
-        """Number of cells strictly left of ``pos`` whose track 0 is not blank."""
-        end = min(max(pos - self.origin, 0), len(self.cells))
-        return end - self.cells[:end].translate(self.codes.tracks[0]).count(0)
 
 
 class TapeConfiguration:
@@ -294,12 +272,11 @@ class OutcomeKind(Enum):
 
 
 class RunOutcome:
-    __slots__ = ("kind", "config", "oracle_consultations", "trace")
+    __slots__ = ("kind", "config", "trace")
 
     def __init__(self, kind: OutcomeKind, config: TapeConfiguration,
-                 oracle_consultations: int = 0, trace: Optional[list[TraceSnapshot]] = None):
-        self.kind, self.config, self.oracle_consultations, self.trace = (
-            kind, config, oracle_consultations, trace)
+                 trace: Optional[list[TraceSnapshot]] = None):
+        self.kind, self.config, self.trace = kind, config, trace
 
 
 # -- loading -------------------------------------------------------------------
@@ -335,9 +312,8 @@ def _as_symbol_tuple(value, num_tapes: int, what: str) -> tuple[str, ...]:
 def load_machine(doc: dict) -> TuringMachine:
     """Validate a machine document and build an immutable definition.
 
-    Rejects duplicate ``(state, read)`` keys (nondeterminism), references to
-    undeclared states or symbols, and a malformed oracle declaration. Keys
-    it does not know are ignored.
+    Rejects duplicate ``(state, read)`` keys (nondeterminism) and references
+    to undeclared states or symbols. Keys it does not know are ignored.
     """
     where = "machine document"
     blank = str(_required(doc, "blank", where))
@@ -391,17 +367,6 @@ def load_machine(doc: dict) -> TuringMachine:
                                   "machines must be deterministic")
         transitions[key] = (dst, write, move)
 
-    oracle_states = None
-    if "oracle_states" in doc:
-        osd = doc["oracle_states"]
-        oracle_states = OracleStates(
-            *(str(_required(osd, key, "oracle_states")) for key in ("ask", "yes", "no")))
-        for s in (oracle_states.ask, oracle_states.yes, oracle_states.no):
-            if s not in states:
-                raise ValidationError(f"oracle state {shown(s)} is not declared")
-        if oracle_states.ask in (oracle_states.yes, oracle_states.no):
-            raise ValidationError("oracle ask state must differ from yes/no states")
-
     return TuringMachine(
         states=states,
         initial=initial,
@@ -411,7 +376,6 @@ def load_machine(doc: dict) -> TuringMachine:
         num_tapes=num_tapes,
         transitions=transitions,
         one_sided=one_sided,
-        oracle_states=oracle_states,
     )
 
 
@@ -428,18 +392,6 @@ def initial_configuration(machine: TuringMachine, input_symbols: str = "") -> Ta
 
 
 # -- stepping ------------------------------------------------------------------
-
-
-def attach_oracle(machine: TuringMachine, oracle: Callable[[int], bool]) -> TuringMachine:
-    """Bind an opaque total predicate to the machine's declared query states."""
-    if machine.oracle_states is None:
-        raise ConfigurationError(
-            "machine declares no oracle states (ask/yes/no); cannot attach an oracle")
-    import copy
-
-    bound = copy.copy(machine)  # shares the compiled tables, which hold no oracle
-    bound.oracle = oracle
-    return bound
 
 
 def _sweep_length(cells: bytearray, stop: bytes, i: int, shift: int, room: int) -> int:
@@ -467,12 +419,8 @@ def _sweep_length(cells: bytearray, stop: bytes, i: int, shift: int, room: int) 
 
 
 def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
-           snapshots: Optional[list[TraceSnapshot]] = None) -> tuple[OutcomeKind, int]:
+           snapshots: Optional[list[TraceSnapshot]] = None) -> OutcomeKind:
     """Step a fresh ``config`` in place until it halts, sticks or reaches ``fuel`` steps.
-
-    Before each step the oracle that :func:`attach_oracle` bound to the
-    machine, if any, answers the ask-state, at no fuel cost. Returns the
-    outcome kind and the number of oracle consultations.
 
     The configuration's one head reads and writes a cell of the tape, every
     track at once. Given snapshots, it appends one after each step while
@@ -482,7 +430,7 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
     the step count in locals, and writes the tape's array in place; only a
     write beyond the array goes through :meth:`Tape._put`, which grows it.
     It leaves, writing the locals back to ``config``, before anything that
-    reads the configuration: the oracle, a trace snapshot, the end.
+    reads the configuration: a trace snapshot, the end.
 
     A sweep rule takes the whole run of cells its state keeps itself on at
     once: up to the first cell outside its set, clipped at the array's end
@@ -490,9 +438,8 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
     the fuel and, moving left on a one-sided tape, short of cell 0, so the
     ordinary step still raises there. It rewrites them with one
     ``bytes.translate`` and counts one step per cell. Sweeps are off while
-    trace snapshots are taken, and none starts in a stop (final, or the ask
-    state of a bound oracle): the inner loop starts off one, as load_machine
-    keeps the answer states apart from the ask state, and breaks on entering one.
+    trace snapshots are taken, and none starts in a final state: the inner
+    loop starts off one and breaks on entering one.
 
     Fuel past FUEL_BUDGET, or tracks whose text could grow past
     TAPE_TEXT_BUDGET characters within it, are a :class:`ResourceError`
@@ -509,35 +456,25 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
         raise ResourceError(
             f"{reach} cells of symbols up to {longest} characters long may hold "
             f"{reach * longest} characters of tape text, past the budget of {TAPE_TEXT_BUDGET}")
-    finals, oracle = machine.finals, machine.oracle
-    ask = yes = no = None
-    if oracle is not None:  # attach_oracle binds one only where oracle states are declared
-        ask, yes, no = machine.oracle_states
-    stops = finals | {ask} if ask is not None else finals
-    table, one_sided = machine._table, machine.one_sided
+    finals, table, one_sided = machine.finals, machine._table, machine.one_sided
     trace_left = max(0, TRACE_CAP - len(snapshots)) if snapshots is not None else 0
     kept = sum(len(snap.cells) for snap in snapshots) * longest if trace_left else 0
-    consultations = 0
     while True:
-        if config.state == ask:
-            answer = oracle(tape.marks_left_of(config.head))
-            config.state = yes if answer else no
-            consultations += 1
         if config.state in finals:
-            return OutcomeKind.HALTED, consultations
+            return OutcomeKind.HALTED
         if config.steps >= fuel:
-            return OutcomeKind.OUT_OF_FUEL, consultations
+            return OutcomeKind.OUT_OF_FUEL
         origin, size = tape.origin, len(cells)
         head, state, steps = config.head, config.state, config.steps
         row = table.get(state)
         if row is None:
-            return OutcomeKind.STUCK, consultations
+            return OutcomeKind.STUCK
         try:
             while True:
                 i = head - origin
                 rule = row[cells[i] if 0 <= i < size else 0]
                 if rule is None:
-                    return OutcomeKind.STUCK, consultations
+                    return OutcomeKind.STUCK
                 dst, next_row, write, shift, sweep = rule
                 if one_sided and head + shift < 0:
                     raise DomainError("head moved past the left edge of a one-sided tape")
@@ -566,7 +503,7 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
                 head += shift
                 state, row = dst, next_row
                 steps += 1
-                if state in stops or steps >= fuel or trace_left:
+                if state in finals or steps >= fuel or trace_left:
                     break
         finally:
             config.head, config.state, config.steps = head, state, steps
@@ -589,14 +526,12 @@ def run(
 ) -> RunOutcome:
     """Run until a final state, a missing transition, or fuel exhaustion.
 
-    Oracle consultations resolve the ask-state without consuming fuel. The
-    optional trace holds at most TRACE_CAP snapshots; each keeps a copy of
+    The optional trace holds at most TRACE_CAP snapshots; each keeps a copy of
     the tape's non-blank cells, and reads a track's text off it when asked.
     """
     if fuel < 1:
         raise DomainError("fuel must be a positive integer")
     config = initial_configuration(machine, input_symbols)
     snapshots = [_snapshot(config)] if trace else None
-    kind, consultations = _drive(machine, config, fuel, snapshots)
-    return RunOutcome(kind, config, consultations, snapshots)
+    return RunOutcome(_drive(machine, config, fuel, snapshots), config, snapshots)
 

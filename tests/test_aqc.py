@@ -963,11 +963,10 @@ class TestSecondScan:
         assert scan.levels == tuple(r * r for r in range(8))
         assert scan.multiplicities == (1,) + (2,) * 7
         monkeypatch.setattr(aqc, "RUN_LENGTH", 4)
-        assert scan.members({1: {0: 1, 1: 1}, 7: {1: 1}}) == {
-            (1, 0): 6, (1, 1): 8, (7, 1): 14}
+        assert scan.members({1: {0: 1, 1: 1}, 7: {1: 1}}) == {1: [6, 8], 7: [14]}
         # the second scan stops in the run that holds the last wanted point
         scanned = record_runs(monkeypatch)
-        assert scan.members({1: {0: 1}}) == {(1, 0): 6}
+        assert scan.members({1: {0: 1}}) == {1: [6]}
         assert scanned == [[-7, -6, -5, -4], [-3, -2, -1, 0]]
 
     def test_decide_keeps_no_per_point_state(self):

@@ -51,9 +51,6 @@ def test_only_linalg_imports_numpy_and_none_imports_dataclasses():
 LIBRARY_ONLY = {
     "linalg.tensor_product",  # direction 6: linalg moves into tests/
     "linalg.hermitian_eigensystem",  # direction 6: linalg moves into tests/
-    "tae.tm_kernel",  # direction 6: a `tae limit` command
-    "tae.evaluate_limit_predicate",  # direction 6: a `tae limit` command
-    "turing.attach_oracle",  # direction 6: `tm run --oracle-machine`
 }
 
 
@@ -92,6 +89,40 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     unused = {f"{p.stem}.{name}" for p in SRC.glob("*.py")
               for name in _defined(_tree(p)) - loaded}
     assert unused == LIBRARY_ONLY
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    """The names a module's imports bind, ``__future__`` features aside."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names |= {alias.asname or alias.name for alias in node.names}
+    return names
+
+
+def _raised(tree: ast.Module) -> set[str]:
+    """The names of the exception classes a module raises."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    return names
+
+
+def test_every_import_is_read_and_every_error_is_raised():
+    # code left behind by a deletion: an import nothing reads, an error nothing raises
+    trees = {p.stem: _tree(p) for p in SRC.glob("*.py")}
+    unread = {f"{module}.{name}" for module, tree in trees.items()
+              for name in _imported(tree) - {node.id for node in ast.walk(tree)
+                                             if isinstance(node, ast.Name)
+                                             and isinstance(node.ctx, ast.Load)}}
+    assert not unread
+    errors = {node.name for node in trees["errors"].body if isinstance(node, ast.ClassDef)}
+    unraised = errors - {"HyperlabError"} - set().union(*map(_raised, trees.values()))
+    assert not unraised
 
 
 def test_the_budget_table_lists_every_budget_with_its_value():

@@ -11,21 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperlab import tae, turing, variates
+from hyperlab import tae, variates
 from hyperlab.errors import DomainError, ResourceError
-from hyperlab.tae import (
-    KernelDivergenceError,
-    LimitPredicate,
-    WheelExperiment,
-    WheelStrategy,
-)
+from hyperlab.tae import WheelExperiment, WheelStrategy
 
 from conftest import (
     chi_square_upper,
     has_prime_pair,
     plant_composites,
     pooled_chi_square,
-    self_loop_doc,
 )
 
 
@@ -55,77 +49,6 @@ def is_prime(n: int) -> bool:
 
 def _pair_by_trial_division(even: int) -> bool:
     return any(is_prime(p) and is_prime(even - p) for p in range(2, even // 2 + 1))
-
-
-class TestLimitPredicates:
-    def test_threshold_kernel(self):
-        pred = LimitPredicate(kernel=lambda x, y: 1 if y >= x else 0, arity=1)
-        result = tae.evaluate_limit_predicate(pred, (3,), horizon=10)
-        assert result.verdict is True
-        assert result.mind_changes == 1
-        assert result.stable_since == 3
-        assert not result.unsettled
-
-    def test_constant_kernel(self):
-        pred = LimitPredicate(kernel=lambda y: 1, arity=0)
-        result = tae.evaluate_limit_predicate(pred, (), horizon=9)
-        assert result.verdict is True
-        assert result.mind_changes == 0
-        assert result.stable_since == 0
-
-    def test_alternating_kernel_never_settles(self):
-        pred = LimitPredicate(kernel=lambda y: y % 2, arity=0)
-        result = tae.evaluate_limit_predicate(pred, (), horizon=7)
-        assert result.mind_changes == 7
-        assert result.unsettled
-
-    def test_non_binary_kernel_rejected(self):
-        pred = LimitPredicate(kernel=lambda y: 2, arity=0)
-        with pytest.raises(DomainError, match="0 or 1"):
-            tae.evaluate_limit_predicate(pred, (), horizon=3)
-
-    def test_arity_checked(self):
-        pred = LimitPredicate(kernel=lambda x, y: 0, arity=1)
-        with pytest.raises(DomainError):
-            tae.evaluate_limit_predicate(pred, (1, 2), horizon=3)
-
-    def test_diverging_tm_kernel_reports_divergence(self):
-        machine = turing.load_machine(self_loop_doc())
-        pred = LimitPredicate(kernel=tae.tm_kernel(machine, fuel=100), arity=1)
-        with pytest.raises(KernelDivergenceError):
-            tae.evaluate_limit_predicate(pred, (2,), horizon=3)
-
-    def test_tm_kernel_separates_arguments_with_the_machine_blank(self):
-        # skip the first argument and its separator, then answer whether the
-        # second argument has a mark: k(x, y) = 1 iff y > 0
-        machine = turing.load_machine({
-            "blank": "#", "alphabet": ["#", "1"],
-            "states": ["first", "second"], "initial": "first", "finals": ["second"],
-            "transitions": [
-                {"from": "first", "read": "1", "to": "first", "write": "1", "move": "r"},
-                {"from": "first", "read": "#", "to": "second", "write": "#", "move": "r"}],
-        })
-        kernel = tae.tm_kernel(machine, fuel=100)
-        assert [kernel(1, 2), kernel(2, 0), kernel(0, 3), kernel(0, 0)] == [1, 0, 1, 0]
-        result = tae.evaluate_limit_predicate(LimitPredicate(kernel, arity=1), (2,), horizon=4)
-        assert (result.verdict, result.mind_changes, result.stable_since) == (True, 1, 1)
-
-    def test_tm_kernel_fuel_past_the_budget_is_refused(self):
-        kernel = tae.tm_kernel(turing.load_machine(self_loop_doc()), fuel=turing.FUEL_BUDGET + 1)
-        with pytest.raises(ResourceError):
-            kernel(1)
-
-    @settings(max_examples=50)
-    @given(st.integers(0, 12), st.integers(1, 30))
-    def test_verdict_matches_true_limit_once_reached(self, threshold, extra):
-        # the kernel settles at y = threshold; any horizon past it must
-        # report the true limit, found here by direct tabulation
-        pred = LimitPredicate(kernel=lambda x, y: 1 if y >= x else 0, arity=1)
-        horizon = threshold + extra
-        table = [pred.kernel(threshold, y) for y in range(horizon + 1)]
-        result = tae.evaluate_limit_predicate(pred, (threshold,), horizon)
-        assert result.verdict == bool(table[-1]) == True  # noqa: E712
-        assert result.stable_since == threshold
 
 
 class TestGoldbachStream:

@@ -3,31 +3,12 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from hyperlab import tae
 from hyperlab.errors import ResourceError
-from hyperlab.tae import LimitPredicate, WheelExperiment, WheelStrategy
+from hyperlab.tae import WheelExperiment, WheelStrategy
 
 from conftest import has_prime_pair, plant_composites
-
-
-def read_table(table: list[int]) -> tuple[bool, int, int, bool]:
-    """Verdict, mind changes, stable_since and unsettled, read off the whole table."""
-    horizon = len(table) - 1
-    changes = [y for y in range(1, horizon + 1) if table[y] != table[y - 1]]
-    stable_since = changes[-1] if changes else 0
-    return bool(table[-1]), len(changes), stable_since, stable_since == horizon
-
-
-@given(st.integers(1, 50).flatmap(
-    lambda horizon: st.lists(st.integers(0, 1), min_size=horizon + 1, max_size=horizon + 1)))
-def test_limit_evaluation_agrees_with_a_reading_of_the_full_table(table):
-    result = tae.evaluate_limit_predicate(
-        LimitPredicate(kernel=lambda y: table[y], arity=0), (), horizon=len(table) - 1)
-    assert (result.verdict, result.mind_changes, result.stable_since,
-            result.unsettled) == read_table(table)
 
 
 def test_answer_stream_is_three_numbers():

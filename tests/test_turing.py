@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperlab import turing
-from hyperlab.errors import ConfigurationError, DomainError, ResourceError, ValidationError
+from hyperlab.errors import DomainError, ResourceError, ValidationError
 from hyperlab.turing import OutcomeKind
 
 from conftest import contents_doc, self_loop_doc, successor_doc
@@ -303,19 +303,14 @@ class TestTape:
     def test_agrees_with_a_dict_model(self, initial, writes):
         tape = turing.Tape(_CODES, initial)
         model = {p: s for p, s in enumerate(initial) if s != _BLANK}
-        touched = set(range(len(initial)))
         for pos, symbol in writes:
             tape.write(pos, symbol)
             if symbol == _BLANK:
                 model.pop(pos, None)
             else:
                 model[pos] = symbol
-            touched.add(pos)
             span = range(min(model), max(model) + 1) if model else range(0)
             assert tape.text() == "".join(model.get(p, _BLANK) for p in span)
-        for pos in {p + d for p in touched for d in range(-2, 3)}:
-            assert tape.read(pos) == model.get(pos, _BLANK)
-            assert tape.marks_left_of(pos) == sum(1 for p in model if p < pos)
         rebuilt, shifted = turing.Tape(_CODES), turing.Tape(_CODES)
         for pos in sorted(model, reverse=True):
             rebuilt.write(pos, model[pos])
@@ -336,16 +331,15 @@ class _Reference:
     state: str
     head: int = 0
     steps: int = 0
-    asked: int = 0
 
 
 def _listed(value) -> list:
     return [value] if isinstance(value, str) else list(value)
 
 
-def _reference_drive(doc, ref, fuel, oracle=None, trace=None):
-    """Step ``ref`` by the document's raw rules, as the engine's oracle hook
-    and fuel say; the outcome kind."""
+def _reference_drive(doc, ref, fuel, trace=None):
+    """Step ``ref`` by the document's raw rules until it halts, sticks or
+    reaches ``fuel`` steps; the outcome kind."""
     blank, moves = doc["blank"], {"l": -1, "n": 0, "r": 1}
     rules = {(r["from"], tuple(_listed(r["read"]))): r for r in doc["transitions"]}
 
@@ -356,10 +350,6 @@ def _reference_drive(doc, ref, fuel, oracle=None, trace=None):
             tape[ref.head] = symbol
 
     while True:
-        if oracle is not None and ref.state == doc["oracle_states"]["ask"]:
-            marks = sum(p < ref.head for p in ref.tapes[0])
-            ref.state = doc["oracle_states"]["yes" if oracle(marks) else "no"]
-            ref.asked += 1
         if ref.state in doc["finals"]:
             return OutcomeKind.HALTED
         if ref.steps >= fuel:
@@ -405,35 +395,28 @@ def _engine_view(config):
 
 
 @st.composite
-def _hooked_docs(draw):
+def _random_docs(draw):
     """Raw documents of random 1- to 4-tape machines over _WIDE_SYMBOLS, with
-    an oracle ask-state and a state with no rules, one-sided or not."""
+    a state with no rules, one-sided or not."""
     tapes = draw(st.integers(1, 4))
-    states = ["s0", "s1", "s2", "ask", "dead", "halt"]
+    states = ["s0", "s1", "s2", "dead", "halt"]
     transitions = [
         {"from": state, "read": list(read), "to": draw(st.sampled_from(states)),
          "write": [draw(st.sampled_from(_WIDE_SYMBOLS))] + draw(_OTHERS[tapes]),
          "move": draw(st.sampled_from("lnr"))}
         for state in states[:3] for read in _reads(tapes) if draw(st.booleans()) or read[0] == ".."]
-    yes, no = draw(st.permutations(["s0", "s1", "s2", "halt"]))[:2]
     return {"blank": "..", "alphabet": _WIDE_SYMBOLS, "states": states, "tapes": tapes,
             "initial": "s0", "finals": ["halt"], "transitions": transitions,
-            "one_sided": draw(st.booleans()),
-            "oracle_states": {"ask": "ask", "yes": yes, "no": no}}
-
-
-def _parity(n: int) -> bool:
-    return n % 2 == 0
+            "one_sided": draw(st.booleans())}
 
 
 @st.composite
 def _sweeping_docs(draw):
-    """Raw documents like _hooked_docs', on which runs of one state over a
+    """Raw documents like _random_docs', on which runs of one state over a
     block of cells take most steps: each state but the final keeps itself,
-    moving one way, over a set of non-blank symbols, rewriting them or not.
-    The ask state has rules too, which step where no oracle takes it."""
+    moving one way, over a set of non-blank symbols, rewriting them or not."""
     tapes = draw(st.integers(1, 4))
-    states = ["s0", "s1", "s2", "s3", "ask", "halt"]
+    states = ["s0", "s1", "s2", "s3", "s4", "halt"]
     marks = _WIDE_SYMBOLS[1:]
     transitions = []
     for state in states[:5]:
@@ -450,11 +433,9 @@ def _sweeping_docs(draw):
                     "from": state, "read": [a] + read, "to": draw(st.sampled_from(states)),
                     "write": [draw(st.sampled_from(_WIDE_SYMBOLS))] + others,
                     "move": draw(st.sampled_from("lnr"))})
-    yes, no = draw(st.permutations(["s0", "s1", "s2", "halt"]))[:2]
     return {"blank": "..", "alphabet": _WIDE_SYMBOLS, "states": states, "tapes": tapes,
             "initial": "s0", "finals": ["halt"], "transitions": transitions,
-            "one_sided": draw(st.booleans()),
-            "oracle_states": {"ask": "ask", "yes": yes, "no": no}}
+            "one_sided": draw(st.booleans())}
 
 
 # inputs of up to 40 symbols in blocks of one symbol, so runs have cells to cross
@@ -463,12 +444,11 @@ _BLOCKS = st.lists(st.tuples(st.sampled_from(_WIDE_SYMBOLS), st.integers(1, 12))
 
 
 def _sweeper(rules, tapes=1, one_sided=False) -> dict:
-    """A hooked document from (state, read, to, write, move) rules on one tape;
-    a second tape, if asked for, is read as blank and left blank."""
+    """A document from (state, read, to, write, move) rules on one tape; a
+    second tape, if asked for, is read as blank and left blank."""
     return {"blank": "..", "alphabet": _WIDE_SYMBOLS, "tapes": tapes,
-            "states": ["s0", "s1", "s2", "ask", "halt"], "initial": "s0",
+            "states": ["s0", "s1", "s2", "halt"], "initial": "s0",
             "finals": ["halt"], "one_sided": one_sided,
-            "oracle_states": {"ask": "ask", "yes": "halt", "no": "s2"},
             "transitions": [{"from": f, "read": [r] + [".."] * (tapes - 1), "to": t,
                              "write": [w] + [".."] * (tapes - 1), "move": m}
                             for f, r, t, w, m in rules]}
@@ -476,7 +456,6 @@ def _sweeper(rules, tapes=1, one_sided=False) -> dict:
 
 # s0 runs right over a and bb, rewriting a to c., until a blank
 _RIGHT = [("s0", "a", "s0", "c.", "r"), ("s0", "bb", "s0", "bb", "r")]
-_THEN_ASK = _sweeper(_RIGHT + [("s0", "..", "ask", "..", "n"), ("s2", "..", "halt", "a", "l")])
 # ...then s1 runs left over what s0 left, rewriting c. to a, into cell 0
 _INTO_THE_EDGE = _sweeper(_RIGHT + [("s0", "..", "s1", ".d", "l"), ("s1", "c.", "s1", "a", "l"),
                                     ("s1", "bb", "s1", "bb", "l")], one_sided=True)
@@ -504,41 +483,37 @@ class TestAgainstTheReference:
     engine: not the compiled table, not the Tape."""
 
     @settings(max_examples=200, deadline=None)
-    @given(_hooked_docs(), st.text(alphabet="a", max_size=6), st.integers(1, 80),
-           st.integers(0, 6), st.booleans())
-    def test_run_and_its_trace(self, doc, text, fuel, cap, with_oracle):
-        _check_run(doc, text, fuel, cap, with_oracle)
+    @given(_random_docs(), st.text(alphabet="a", max_size=6), st.integers(1, 80),
+           st.integers(0, 6))
+    def test_run_and_its_trace(self, doc, text, fuel, cap):
+        _check_run(doc, text, fuel, cap)
 
     @settings(max_examples=300, deadline=None)
-    @given(_sweeping_docs(), _BLOCKS, st.integers(1, 200), st.integers(0, 30), st.booleans())
-    # fuel ends inside a run; the ask state straight out of one; a one-sided
-    # run left into cell 0; a trace cap reached inside a run; two tapes;
-    # runs both ways that end on a symbol inside the extent
-    @example(_THEN_ASK, _LONG, 25, 0, False)
-    @example(_THEN_ASK, _LONG, 100, 0, True)
-    @example(_INTO_THE_EDGE, _LONG, 200, 0, False)
-    @example(_INTO_THE_EDGE, _LONG, 200, 9, False)
-    @example(_sweeper(_RIGHT + [("s0", "..", "halt", "a", "n")], tapes=2), _LONG, 100, 0, False)
-    @example(_BACK_TO_A, _LONG + [".d", "a", "a"], 200, 0, False)
+    @given(_sweeping_docs(), _BLOCKS, st.integers(1, 200), st.integers(0, 30))
+    # fuel ends inside a run; a one-sided run left into cell 0; a trace cap
+    # reached inside a run; two tapes, halting straight out of a run; runs
+    # both ways that end on a symbol inside the extent
+    @example(_sweeper(_RIGHT), _LONG, 25, 0)
+    @example(_INTO_THE_EDGE, _LONG, 200, 0)
+    @example(_INTO_THE_EDGE, _LONG, 200, 9)
+    @example(_sweeper(_RIGHT + [("s0", "..", "halt", "a", "n")], tapes=2), _LONG, 100, 0)
+    @example(_BACK_TO_A, _LONG + [".d", "a", "a"], 200, 0)
     # runs into erased cells inside the array, each way, and one-sided next to cell 0
-    @example(_INTO_ERASED_RIGHT, _LONG, 200, 0, False)
-    @example(_sweeper(_INTO_ERASED_LEFT), ["bb"] * 6 + ["a"] * 20, 200, 0, False)
-    @example(_sweeper(_INTO_ERASED_LEFT, one_sided=True), ["bb"] + ["a"] * 20, 200, 0, False)
-    def test_sweeping_run_and_its_trace(self, doc, text, fuel, cap, with_oracle):
-        _check_run(doc, text, fuel, cap, with_oracle)
+    @example(_INTO_ERASED_RIGHT, _LONG, 200, 0)
+    @example(_sweeper(_INTO_ERASED_LEFT), ["bb"] * 6 + ["a"] * 20, 200, 0)
+    @example(_sweeper(_INTO_ERASED_LEFT, one_sided=True), ["bb"] + ["a"] * 20, 200, 0)
+    def test_sweeping_run_and_its_trace(self, doc, text, fuel, cap):
+        _check_run(doc, text, fuel, cap)
 
 
-def _check_run(doc, text, fuel, cap, with_oracle):
+def _check_run(doc, text, fuel, cap):
     """run() with a trace of at most cap snapshots, and an untraced drive,
     against the reference."""
     machine = turing.load_machine(doc)
-    oracle = _parity if with_oracle else None
-    if with_oracle:
-        machine = turing.attach_oracle(machine, oracle)
     ref, trace = _reference_start(doc, text), []
     capped = mock.patch.object(turing, "TRACE_CAP", cap)
     try:
-        kind = _reference_drive(doc, ref, fuel, oracle, trace=trace)
+        kind = _reference_drive(doc, ref, fuel, trace=trace)
     except DomainError:
         with capped, pytest.raises(DomainError, match="one-sided"):
             turing.run(machine, text, fuel=fuel, trace=True)
@@ -551,7 +526,6 @@ def _check_run(doc, text, fuel, cap, with_oracle):
     with capped:
         outcome = turing.run(machine, text, fuel=fuel, trace=True)
     assert outcome.kind is kind
-    assert outcome.oracle_consultations == ref.asked
     assert _engine_view(outcome.config) == _reference_view(doc, ref)
     # the first snapshot, of the starting configuration, is kept at any cap
     expected = ([_reference_view(doc, _reference_start(doc, text))[:4]] + trace)[:max(cap, 1)]
@@ -560,65 +534,6 @@ def _check_run(doc, text, fuel, cap, with_oracle):
     untraced = turing.run(machine, text, fuel=fuel)
     assert untraced.kind is kind
     assert _engine_view(untraced.config) == _reference_view(doc, ref)
-
-
-class TestOracle:
-    def _parity_doc(self) -> dict:
-        # walk right past the marks, then ask about the count left of the head
-        return {
-            "blank": "_", "alphabet": ["_", "1"],
-            "states": ["walk", "ask", "yes", "no"],
-            "initial": "walk", "finals": ["yes", "no"],
-            "oracle_states": {"ask": "ask", "yes": "yes", "no": "no"},
-            "transitions": [
-                {"from": "walk", "read": "1", "to": "walk", "write": "1", "move": "r"},
-                {"from": "walk", "read": "_", "to": "ask", "write": "_", "move": "n"},
-            ],
-        }
-
-    def test_parity_oracle_routes_to_yes(self):
-        machine = turing.attach_oracle(
-            turing.load_machine(self._parity_doc()), lambda n: n % 2 == 0)
-        outcome = turing.run(machine, "11", fuel=100)
-        assert outcome.kind is OutcomeKind.HALTED
-        assert outcome.config.state == "yes"
-        assert outcome.oracle_consultations == 1
-
-    def test_parity_oracle_routes_to_no(self):
-        machine = turing.attach_oracle(
-            turing.load_machine(self._parity_doc()), lambda n: n % 2 == 0)
-        outcome = turing.run(machine, "111", fuel=100)
-        assert outcome.config.state == "no"
-
-    def test_consultations_match_ask_entries(self):
-        machine = turing.attach_oracle(
-            turing.load_machine(self._parity_doc()), lambda n: True)
-        outcome = turing.run(machine, "1111", fuel=100)
-        assert outcome.oracle_consultations == 1
-
-    def test_query_costs_no_fuel(self):
-        machine = turing.attach_oracle(
-            turing.load_machine(self._parity_doc()), lambda n: True)
-        with_oracle = turing.run(machine, "11", fuel=100).config.steps
-        assert with_oracle == 3  # two walk steps plus the hop onto the ask state
-
-    def test_halting_table_oracle(self, successor, self_loop):
-        # tabulate machine behaviours offline, then let the oracle answer
-        # halting queries for the tabulated corpus
-        corpus = [successor, self_loop, successor]
-        table = {
-            i: turing.run(m, "1", fuel=10**4).kind is OutcomeKind.HALTED
-            for i, m in enumerate(corpus)
-        }
-        machine = turing.attach_oracle(
-            turing.load_machine(self._parity_doc()), lambda n: table[n])
-        for i, expected in table.items():
-            outcome = turing.run(machine, "1" * i, fuel=100)
-            assert (outcome.config.state == "yes") is expected
-
-    def test_attach_requires_declaration(self, successor):
-        with pytest.raises(ConfigurationError):
-            turing.attach_oracle(successor, lambda n: True)
 
 
 def _golden_machine(name: str) -> turing.TuringMachine:
