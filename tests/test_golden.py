@@ -57,6 +57,14 @@ CASES = {
                                "--input", "abba", "--trace"],
     "tm-trace-two-tape": ["tm", "run", "tests/golden/two_tape.json", "--input", "111",
                           "--trace"],
+    # traces that end otherwise than halting: out of fuel, stuck on a missing
+    # rule after runs of one state, and past the left edge of a one-sided tape
+    "tm-trace-out-of-fuel": ["tm", "run", "fixtures/successor.json", "--input", "11111",
+                             "--fuel", "3", "--trace"],
+    "tm-trace-multichar-stuck": ["tm", "run", "tests/golden/multichar.json", "--input", "aaab",
+                                 "--trace"],
+    "tm-trace-one-sided-edge": ["tm", "run", "tests/golden/one_sided.json", "--input", "abab",
+                                "--trace"],
     "tae-ashby-csv": ["--format", "csv"] + ASHBY,
     "enum-list-2000": ["enum", "list", "--count", "2000"],
     "enum-list-2000-csv": ["--format", "csv", "enum", "list", "--count", "2000"],
@@ -121,7 +129,7 @@ CASES = {
 }
 
 # cases that end in a structured error on stderr with exit status 1
-FAILING = {"error-enum-decode", "tm-run-one-sided-edge"}
+FAILING = {"error-enum-decode", "tm-run-one-sided-edge", "tm-trace-one-sided-edge"}
 
 
 def run_case(argv: list[str]) -> tuple[int, bytes, bytes]:
