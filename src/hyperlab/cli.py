@@ -28,7 +28,7 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, HyperlabError, ParseError
+from .errors import DomainError, HyperlabError, ParseError, shown
 from .reporting import Table, emit_report, format_fraction, report_pieces
 
 if TYPE_CHECKING:
@@ -452,6 +452,15 @@ def _write_output(path: str, pieces: list[str]) -> None:
         raise
 
 
+def _io_message(exc: OSError) -> str:
+    """``str(exc)`` with its paths quoted through ``shown``, so a long path
+    leaves the error line short."""
+    paths = [shown(path) for path in (exc.filename, exc.filename2) if path is not None]
+    if not paths:
+        return str(exc)
+    return f"[Errno {exc.errno}] {exc.strerror}: {' -> '.join(paths)}"
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -465,8 +474,9 @@ def main(argv: list[str] | None = None) -> int:
     except (HyperlabError, OSError) as exc:
         import json
 
-        kind = exc.kind if isinstance(exc, HyperlabError) else "io-error"
-        print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
+        kind, message = (exc.kind, str(exc)) if isinstance(exc, HyperlabError) else (
+            "io-error", _io_message(exc))
+        print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
         return 1
     return 0
 

@@ -93,10 +93,13 @@ def format_fraction(p: int, q: int) -> str:
     return f"{format_int(p // g)}/{format_int(q // g)}"
 
 
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)).translate(None, b'"\\')
+
+
 def _plain(s: str) -> bool:
     """Whether JSON prints s as it is between quotes: printable ASCII, no quote
-    and no backslash."""
-    return s.isascii() and s.isprintable() and '"' not in s and "\\" not in s
+    and no backslash (``isascii`` reads a flag; one translate scans the text)."""
+    return s.isascii() and not s.encode("ascii").translate(None, _PLAIN_BYTES)
 
 
 def _json_str(s: str) -> str:

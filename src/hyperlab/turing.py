@@ -3,15 +3,18 @@
 Machines are quintuple programs ``(state, read) -> (state, write, move)``
 loaded from JSON documents. Tapes are unbounded in both directions; a
 machine may have several, all read and written at one head, which each
-transition moves in one direction. Its tapes run as the tracks of one
-:class:`Tape` (Hopcroft, Motwani & Ullman's "multiple tracks"): a cell holds
-one symbol per tape, coded in one byte.
+transition moves in one direction. Its tapes run as the tracks of one tape
+(Hopcroft, Motwani & Ullman's "multiple tracks"): a cell holds one symbol per
+tape, coded in one byte. A :class:`TapeConfiguration` is the machine's
+instantaneous description: that tape, the head, the state and the steps.
 
 Each machine compiles its quintuples once into a table ``(state, cell) ->
-(state, write, shift)`` over cell codes, which the one stepping loop behind
-:func:`run` reads. A rule whose state keeps itself over a set of cells,
+(state, write, shift)`` over cell codes, which the one stepping loop,
+:func:`_drive`, reads. A rule whose state keeps itself over a set of cells,
 writing a fixed cell for each and moving one way, is a sweep: the loop
-applies it to the whole block of such cells at once.
+applies it to the whole block of such cells at once, within its fuel.
+:func:`run` alone checks the budgets and takes the trace, a snapshot after
+each one-step drive.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ MOVES = {"l": -1, "n": 0, "r": 1}
 
 DEFAULT_FUEL = 10**6
 TRACE_CAP = 10**4  # snapshots one traced run keeps
-FUEL_BUDGET = 10**7  # steps one drive may take; refused up front beyond this
-# characters of tape text one drive may reach, tapes x (extent + fuel) x the
+FUEL_BUDGET = 10**7  # steps one run may take; refused up front beyond this
+# characters of tape text one run may reach, tapes x (extent + fuel) x the
 # longest symbol; refused up front beyond this
 TAPE_TEXT_BUDGET = 5 * 10**7
 # characters of tape text the snapshots of one traced run may keep, counted as
@@ -35,6 +38,7 @@ TAPE_TEXT_BUDGET = 5 * 10**7
 TRACE_TEXT_BUDGET = 5 * 10**7
 ALPHABET_BUDGET = 256  # symbols, the blank included, and contents of a cell: one byte
 TAPE_BUDGET = 256  # tapes of one machine, so symbols in a cell; refused at load
+_NO_RULES = (None,) * 256  # the row of a state without rules, indexed by cell code
 
 
 class TuringMachine:
@@ -68,19 +72,20 @@ class TuringMachine:
         Each state maps to its row of rules, a list indexed by the cell code
         it reads, which reads None where no rule applies; a rule that reads
         a content no cell can hold is left out. The states without rules are
-        left out too, sharing one empty row as a rule's destination, so the
-        table grows with the rules. A rule is ``(dst, row, write, shift,
-        sweep)``: ``row`` is dst's row; ``write`` is the new cell code, or
-        None where the rule writes back what it read; ``shift`` is the head
-        move as an int; ``sweep`` is the rule's :class:`Sweep`, or None.
+        left out too, sharing the empty row ``_NO_RULES`` as a rule's
+        destination and as the loop's start, so the table grows with the
+        rules. A rule is ``(dst, row, write, shift, sweep)``: ``row`` is
+        dst's row; ``write`` is the new cell code, or None where the rule
+        writes back what it read; ``shift`` is the head move as an int;
+        ``sweep`` is the rule's :class:`Sweep`, or None.
         """
         cell, sweeps, width = self._codes.by_cell, self._sweeps, len(self._codes.cells)
-        rows, empty = {src: [None] * width for src, _ in self.transitions}, [None] * width
+        rows = {src: [None] * width for src, _ in self.transitions}
         for (src, read), (dst, write, move) in self.transitions.items():
             got, put, sweep = cell.get(read), cell[write], sweeps.get(src)
             if got is not None:
                 rows[src][got] = (
-                    dst, rows.get(dst, empty), None if put == got else put, MOVES[move],
+                    dst, rows.get(dst, _NO_RULES), None if put == got else put, MOVES[move],
                     sweep if sweep and not sweep.stop[got] else None)
         return rows
 
@@ -188,30 +193,26 @@ class SymbolCodes:
         return "".join(map(self.names.__getitem__, codes))
 
 
-class Tape:
-    """The tracks of a machine's tapes, unbounded in both directions, backed
-    by a bytearray of cell codes.
+class TapeConfiguration:
+    """A running machine: its tape, the head, the state and the steps taken.
 
-    Cell p sits at ``cells[p - origin]`` as the code ``codes`` gives its
-    content; every cell outside the array, and every erased one, holds the
-    blank cell, code 0. The non-blank extent is not kept: it is read off the
-    array, by stripping its blanks, where it is needed. Only :meth:`_put`
-    grows the array, by doubling at whichever end a non-blank write falls
-    beyond, so a track's text is made from one slice, not a walk of its
-    cells.
+    The tape holds the tracks of the machine's tapes, unbounded in both
+    directions, in a bytearray of cell codes: cell p sits at
+    ``cells[p - origin]`` as the code ``codes`` gives its content; every
+    cell outside the array, and every erased one, holds the blank cell,
+    code 0. The non-blank extent is not kept: it is read off the array, by
+    stripping its blanks, where it is needed. Only :meth:`_put` grows the
+    array, by doubling at whichever end a non-blank write falls beyond, so a
+    track's text is made from one slice, not a walk of its cells.
     """
 
-    __slots__ = ("codes", "cells", "origin")
+    __slots__ = ("codes", "cells", "origin", "head", "state", "steps")
 
-    def __init__(self, codes: SymbolCodes, symbols: Iterable[str] = ()):
-        """A tape holding ``symbols`` on track 0 from cell 0 on, blank everywhere else."""
-        self.codes = codes
-        self.cells = codes.encode(symbols)
-        self.origin = 0
-
-    def write(self, pos: int, symbol: str) -> None:
-        """Write ``symbol`` on track 0 and the blank on every other."""
-        self._put(pos, self.codes.by_name[symbol])
+    def __init__(self, codes: SymbolCodes, state: str, symbols: Iterable[str] = ()):
+        """``symbols`` on track 0 from cell 0 on, blank everywhere else, and
+        the head on cell 0 in ``state``."""
+        self.codes, self.cells, self.origin = codes, codes.encode(symbols), 0
+        self.head, self.state, self.steps = 0, state, 0
 
     def _put(self, pos: int, code: int) -> None:
         cells, index = self.cells, pos - self.origin
@@ -227,22 +228,9 @@ class Tape:
                 cells.extend(bytes(max(index + 1 - len(cells), len(cells))))
         cells[index] = code
 
-    def text(self, track: int = 0) -> str:
-        """Non-blank content of one track, from its leftmost to its rightmost written cell."""
-        return self.codes.text(self.cells, track)
-
-
-class TapeConfiguration:
-    """Snapshot of a running machine: its tape, the head, state, steps."""
-
-    __slots__ = ("tape", "head", "state", "steps")
-
-    def __init__(self, tape: Tape, head: int, state: str):
-        self.tape, self.head, self.state, self.steps = tape, head, state, 0
-
     def tape_text(self, tape: int = 0) -> str:
         """Non-blank content of one tape, from leftmost to rightmost written cell."""
-        return self.tape.text(tape)
+        return self.codes.text(self.cells, tape)
 
 
 class TraceSnapshot(NamedTuple):
@@ -260,9 +248,8 @@ class TraceSnapshot(NamedTuple):
 
 
 def _snapshot(config: TapeConfiguration) -> TraceSnapshot:
-    tape = config.tape
     return TraceSnapshot(config.state, config.head, config.steps,
-                         bytes(tape.cells.strip(b"\0")), tape.codes)
+                         bytes(config.cells.strip(b"\0")), config.codes)
 
 
 class OutcomeKind(Enum):
@@ -388,7 +375,7 @@ def initial_configuration(machine: TuringMachine, input_symbols: str = "") -> Ta
     if outside:
         first = next(sym for sym in input_symbols if sym in outside)
         raise ValidationError(f"input symbol {shown(first)} is outside the alphabet")
-    return TapeConfiguration(Tape(machine._codes, input_symbols), head=0, state=machine.initial)
+    return TapeConfiguration(machine._codes, machine.initial, input_symbols)
 
 
 # -- stepping ------------------------------------------------------------------
@@ -418,104 +405,65 @@ def _sweep_length(cells: bytearray, stop: bytes, i: int, shift: int, room: int) 
     return room
 
 
-def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int,
-           snapshots: Optional[list[TraceSnapshot]] = None) -> OutcomeKind:
-    """Step a fresh ``config`` in place until it halts, sticks or reaches ``fuel`` steps.
+def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int) -> OutcomeKind:
+    """Step ``config`` in place until it halts, sticks or reaches ``fuel`` steps.
 
     The configuration's one head reads and writes a cell of the tape, every
-    track at once. Given snapshots, it appends one after each step while
-    they number fewer than TRACE_CAP.
-
-    The inner loop steps on the compiled table with the head, the state and
-    the step count in locals, and writes the tape's array in place; only a
-    write beyond the array goes through :meth:`Tape._put`, which grows it.
-    It leaves, writing the locals back to ``config``, before anything that
-    reads the configuration: a trace snapshot, the end.
+    track at once. The loop steps on the compiled table with the head, the
+    state and the step count in locals, and writes the tape's array in
+    place; only a write beyond the array goes through
+    :meth:`TapeConfiguration._put`, which grows it. The locals are written
+    back to ``config`` however the loop ends, a raise included.
 
     A sweep rule takes the whole run of cells its state keeps itself on at
     once: up to the first cell outside its set, clipped at the array's end
     (every cell past it is blank, and the blank always ends a sweep), at
     the fuel and, moving left on a one-sided tape, short of cell 0, so the
     ordinary step still raises there. It rewrites them with one
-    ``bytes.translate`` and counts one step per cell. Sweeps are off while
-    trace snapshots are taken, and none starts in a final state: the inner
-    loop starts off one and breaks on entering one.
-
-    Fuel past FUEL_BUDGET, or tracks whose text could grow past
-    TAPE_TEXT_BUDGET characters within it, are a :class:`ResourceError`
-    before the first step; snapshots that keep cells of more than
-    TRACE_TEXT_BUDGET characters are one before the first snapshot past it.
+    ``bytes.translate`` and counts one step per cell, so with one step of
+    fuel left it covers one cell. None starts in a final state: the loop
+    starts off one and ends on entering one.
     """
-    if fuel > FUEL_BUDGET:
-        raise ResourceError(f"fuel of {shown(fuel)} steps is past the budget of {FUEL_BUDGET}")
-    tape, longest = config.tape, machine._longest_symbol
-    cells = tape.cells
-    # each step adds at most one cell to the extent, a symbol on each track
-    reach = machine.num_tapes * (len(cells.strip(b"\0")) + fuel)
-    if reach * longest > TAPE_TEXT_BUDGET:
-        raise ResourceError(
-            f"{reach} cells of symbols up to {longest} characters long may hold "
-            f"{reach * longest} characters of tape text, past the budget of {TAPE_TEXT_BUDGET}")
-    finals, table, one_sided = machine.finals, machine._table, machine.one_sided
-    trace_left = max(0, TRACE_CAP - len(snapshots)) if snapshots is not None else 0
-    kept = sum(len(snap.cells) for snap in snapshots) * longest if trace_left else 0
-    while True:
-        if config.state in finals:
-            return OutcomeKind.HALTED
-        if config.steps >= fuel:
-            return OutcomeKind.OUT_OF_FUEL
-        origin, size = tape.origin, len(cells)
-        head, state, steps = config.head, config.state, config.steps
-        row = table.get(state)
-        if row is None:
-            return OutcomeKind.STUCK
-        try:
-            while True:
-                i = head - origin
-                rule = row[cells[i] if 0 <= i < size else 0]
-                if rule is None:
-                    return OutcomeKind.STUCK
-                dst, next_row, write, shift, sweep = rule
-                if one_sided and head + shift < 0:
-                    raise DomainError("head moved past the left edge of a one-sided tape")
-                if sweep is not None and not trace_left:
-                    # a sweep over non-blank cells, so inside the array
-                    room = min(fuel - steps, size - i if shift > 0 else i + 1)
-                    if one_sided and shift < 0:
-                        room = min(room, head)
-                    run = _sweep_length(cells, sweep.stop, i, shift, room)
-                    if sweep.rewrite is not None:
-                        first = i if shift > 0 else i + 1 - run
-                        cells[first:first + run] = cells[first:first + run].translate(
-                            sweep.rewrite)
-                    head += shift * run
-                    steps += run
-                    if steps >= fuel:
-                        break
-                    continue
-                if write is None:
-                    pass  # the rule writes back what it read
-                elif 0 <= i < size:
-                    cells[i] = write
-                else:
-                    tape._put(head, write)
-                    origin, size = tape.origin, len(cells)
-                head += shift
-                state, row = dst, next_row
-                steps += 1
-                if state in finals or steps >= fuel or trace_left:
-                    break
-        finally:
-            config.head, config.state, config.steps = head, state, steps
-        if trace_left:
-            snapshot = _snapshot(config)
-            kept += len(snapshot.cells) * longest
-            if kept > TRACE_TEXT_BUDGET:
-                raise ResourceError(
-                    f"trace snapshots would keep {kept} characters of tape text, past the "
-                    f"budget of {TRACE_TEXT_BUDGET}")
-            snapshots.append(snapshot)
-            trace_left -= 1
+    finals, one_sided, cells = machine.finals, machine.one_sided, config.cells
+    origin, size = config.origin, len(cells)
+    head, state, steps = config.head, config.state, config.steps
+    row = machine._table.get(state, _NO_RULES)
+    try:
+        while state not in finals:
+            if steps >= fuel:
+                return OutcomeKind.OUT_OF_FUEL
+            i = head - origin
+            rule = row[cells[i] if 0 <= i < size else 0]
+            if rule is None:
+                return OutcomeKind.STUCK
+            dst, next_row, write, shift, sweep = rule
+            if one_sided and head + shift < 0:
+                raise DomainError("head moved past the left edge of a one-sided tape")
+            if sweep is not None:
+                # a sweep over non-blank cells, so inside the array
+                room = min(fuel - steps, size - i if shift > 0 else i + 1)
+                if one_sided and shift < 0:
+                    room = min(room, head)
+                run = _sweep_length(cells, sweep.stop, i, shift, room)
+                if sweep.rewrite is not None:
+                    first = i if shift > 0 else i + 1 - run
+                    cells[first:first + run] = cells[first:first + run].translate(sweep.rewrite)
+                head += shift * run
+                steps += run
+                continue
+            if write is None:
+                pass  # the rule writes back what it read
+            elif 0 <= i < size:
+                cells[i] = write
+            else:
+                config._put(head, write)
+                origin, size = config.origin, len(cells)
+            head += shift
+            state, row = dst, next_row
+            steps += 1
+        return OutcomeKind.HALTED
+    finally:
+        config.head, config.state, config.steps = head, state, steps
 
 
 def run(
@@ -526,12 +474,43 @@ def run(
 ) -> RunOutcome:
     """Run until a final state, a missing transition, or fuel exhaustion.
 
-    The optional trace holds at most TRACE_CAP snapshots; each keeps a copy of
-    the tape's non-blank cells, and reads a track's text off it when asked.
+    Fuel below 1, an input symbol outside the alphabet, fuel past
+    FUEL_BUDGET, or tracks whose text could grow past TAPE_TEXT_BUDGET
+    characters within it are refused, in that order, before the first step.
+
+    An untraced run is one :func:`_drive`. A traced run drives one step at
+    a time, taking a snapshot after each, while the snapshots number fewer
+    than TRACE_CAP; then one drive takes the rest. Each snapshot keeps a
+    copy of the tape's non-blank cells and reads a track's text off it when
+    asked; snapshots that keep cells of more than TRACE_TEXT_BUDGET
+    characters are refused before the first one past it.
     """
     if fuel < 1:
         raise DomainError("fuel must be a positive integer")
     config = initial_configuration(machine, input_symbols)
-    snapshots = [_snapshot(config)] if trace else None
-    return RunOutcome(_drive(machine, config, fuel, snapshots), config, snapshots)
-
+    if fuel > FUEL_BUDGET:
+        raise ResourceError(f"fuel of {shown(fuel)} steps is past the budget of {FUEL_BUDGET}")
+    longest = machine._longest_symbol
+    # each step adds at most one cell to the extent, a symbol on each track
+    reach = machine.num_tapes * (len(config.cells.strip(b"\0")) + fuel)
+    if reach * longest > TAPE_TEXT_BUDGET:
+        raise ResourceError(
+            f"{reach} cells of symbols up to {longest} characters long may hold "
+            f"{reach * longest} characters of tape text, past the budget of {TAPE_TEXT_BUDGET}")
+    if not trace:
+        return RunOutcome(_drive(machine, config, fuel), config)
+    snapshots = [_snapshot(config)]
+    kept = len(snapshots[0].cells) * longest
+    while len(snapshots) < TRACE_CAP and config.steps < fuel:
+        steps = config.steps
+        _drive(machine, config, steps + 1)
+        if config.steps == steps:
+            break  # halted or stuck where it stands
+        snapshot = _snapshot(config)
+        kept += len(snapshot.cells) * longest
+        if kept > TRACE_TEXT_BUDGET:
+            raise ResourceError(
+                f"trace snapshots would keep {kept} characters of tape text, past the "
+                f"budget of {TRACE_TEXT_BUDGET}")
+        snapshots.append(snapshot)
+    return RunOutcome(_drive(machine, config, fuel), config, snapshots)

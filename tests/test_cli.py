@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperlab import aqc, cli, pairing, tae, turing
-from hyperlab.errors import ValidationError
+from hyperlab.errors import ValidationError, shown
 
 from conftest import contents_doc, self_loop_doc, successor_doc
 
@@ -714,7 +714,7 @@ class TestErrors:
         status, out, err = run_cli(["--output", str(target), "zeno", "time", "--n", "3"])
         assert status == 1 and out == ""
         payload = json.loads(err)
-        assert payload["error"] == "io-error" and str(target) in payload["message"]
+        assert payload["error"] == "io-error" and shown(str(target)) in payload["message"]
 
     def test_output_file_gets_the_usual_mode(self, tmp_path):
         target = tmp_path / "report.json"
@@ -1502,6 +1502,15 @@ class TestTotality:
         status, out, err = run_cli([paths.get(word, word) for word in argv])
         assert status == 1 and out == ""
         assert assert_error_line(err) == kind
+
+    @pytest.mark.parametrize("argv", [
+        ["tm", "run", "{dir}/" + "m" * 250],
+        ["--output", "{dir}/" + "d" * 200 + "/report.json", "zeno", "time", "--n", "3"],
+    ], ids=["missing-machine", "output-in-a-missing-directory"])
+    def test_io_errors_on_long_paths_stay_short(self, tmp_path, argv):
+        status, out, err = run_cli([word.replace("{dir}", str(tmp_path)) for word in argv])
+        assert status == 1 and out == ""
+        assert assert_error_line(err) == "io-error"
 
     @staticmethod
     def _check_line(argv: list[str], rows: str) -> None:

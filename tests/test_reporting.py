@@ -72,6 +72,21 @@ class TestJson:
         assert reporting._plain(text) == (
             text.isascii() and not text.encode().translate(None, plain))
 
+    @staticmethod
+    def _printable_ascii(text: str) -> bool:
+        """_plain's predicate through str.isprintable, as it was first written."""
+        return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+    def test_plain_agrees_on_every_ascii_character(self):
+        for c in map(chr, range(0x100)):  # and the Latin-1 characters past ASCII
+            for text in (c, "a" + c + "b", c * 3):
+                assert reporting._plain(text) == self._printable_ascii(text), ascii(text)
+
+    @settings(max_examples=300)
+    @given(text=st.text() | st.text(st.characters(max_codepoint=127)))
+    def test_plain_agrees_on_any_text(self, text):
+        assert reporting._plain(text) == self._printable_ascii(text)
+
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             reporting.format_float(float("inf"))

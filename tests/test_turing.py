@@ -195,7 +195,7 @@ def test_tape_sparsity_grows_at_most_one_cell_per_step(marks, fuel):
     machine = turing.load_machine(successor_doc())
     text = "1" * marks
     outcome = turing.run(machine, text, fuel=fuel)
-    extent = _extent(outcome.config.tape)
+    extent = _extent(outcome.config)
     written = extent[1] - extent[0] + 1 if extent else 0
     assert written <= marks + outcome.config.steps
 
@@ -280,10 +280,9 @@ class TestTrace:
         assert [s.tape_text() for s in outcome.trace] == [
             "a", "a", "a", "a__XY", "a__XY", "XY", "XY"]
         # a blank written inside the extent reads as an erased cell
-        tape = turing.Tape(turing.SymbolCodes("__", ["a", "XY"], 1, ()))
+        cfg = turing.TapeConfiguration(turing.SymbolCodes("__", ["a", "XY"], 1, ()), "go")
         for pos, symbol in {-2: "a", 0: "__", 1: "XY", 3: "__"}.items():
-            tape.write(pos, symbol)
-        cfg = turing.TapeConfiguration(tape, head=0, state="go")
+            _write(cfg, pos, symbol)
         assert cfg.tape_text() == "a____XY"
 
 
@@ -291,8 +290,13 @@ _BLANK = _WIDE_SYMBOLS[0]
 _CODES = turing.SymbolCodes(_BLANK, _WIDE_SYMBOLS, 1, ())
 
 
+def _write(config, pos, symbol):
+    """Write ``symbol`` on track 0 of ``config``'s tape and the blank on every other."""
+    config._put(pos, config.codes.by_name[symbol])
+
+
 class TestTape:
-    """Tape against a plain dict of the non-blank cells, written alike."""
+    """A configuration's tape against a plain dict of the non-blank cells, written alike."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from(_WIDE_SYMBOLS), max_size=6),
@@ -301,22 +305,22 @@ class TestTape:
     # erase both edges of the input, then write far left of the emptied tape
     @example(["a", _BLANK, "bb"], [(0, _BLANK), (2, _BLANK), (-5, "c.")])
     def test_agrees_with_a_dict_model(self, initial, writes):
-        tape = turing.Tape(_CODES, initial)
+        tape = turing.TapeConfiguration(_CODES, "s0", initial)
         model = {p: s for p, s in enumerate(initial) if s != _BLANK}
         for pos, symbol in writes:
-            tape.write(pos, symbol)
+            _write(tape, pos, symbol)
             if symbol == _BLANK:
                 model.pop(pos, None)
             else:
                 model[pos] = symbol
             span = range(min(model), max(model) + 1) if model else range(0)
-            assert tape.text() == "".join(model.get(p, _BLANK) for p in span)
-        rebuilt, shifted = turing.Tape(_CODES), turing.Tape(_CODES)
+            assert tape.tape_text() == "".join(model.get(p, _BLANK) for p in span)
+        rebuilt, shifted = (turing.TapeConfiguration(_CODES, "s0") for _ in range(2))
         for pos in sorted(model, reverse=True):
-            rebuilt.write(pos, model[pos])
-            shifted.write(pos + 1, model[pos])
-        assert (rebuilt.text(), _extent(rebuilt)) == (tape.text(), _extent(tape))
-        assert ((shifted.text(), _extent(shifted)) == (tape.text(), _extent(tape))) is (
+            _write(rebuilt, pos, model[pos])
+            _write(shifted, pos + 1, model[pos])
+        assert (rebuilt.tape_text(), _extent(rebuilt)) == (tape.tape_text(), _extent(tape))
+        assert ((shifted.tape_text(), _extent(shifted)) == (tape.tape_text(), _extent(tape))) is (
             not model)
 
 
@@ -380,17 +384,17 @@ def _reference_view(doc, ref):
     return ref.state, ref.head, ref.steps, texts, extents
 
 
-def _extent(tape, track=0):
-    """The leftmost and rightmost cells of a tape whose track is not blank, or
-    None where the track is blank."""
-    marked = [i for i, code in enumerate(tape.cells) if tape.codes.tracks[track][code]]
-    return (tape.origin + marked[0], tape.origin + marked[-1]) if marked else None
+def _extent(config, track=0):
+    """The leftmost and rightmost cells of a configuration's tape whose track
+    is not blank, or None where the track is blank."""
+    marked = [i for i, code in enumerate(config.cells) if config.codes.tracks[track][code]]
+    return (config.origin + marked[0], config.origin + marked[-1]) if marked else None
 
 
 def _engine_view(config):
-    tracks = range(len(config.tape.codes.tracks))
+    tracks = range(len(config.codes.tracks))
     texts = tuple(config.tape_text(k) for k in tracks)
-    extents = tuple(_extent(config.tape, k) for k in tracks)
+    extents = tuple(_extent(config, k) for k in tracks)
     return config.state, config.head, config.steps, texts, extents
 
 
@@ -480,7 +484,7 @@ _INTO_ERASED_LEFT = [("s0", "bb", "s0", "..", "r"), ("s0", "a", "s1", "a", "r"),
 
 class TestAgainstTheReference:
     """run() against _reference_drive, which shares no code with the
-    engine: not the compiled table, not the Tape."""
+    engine: not the compiled table, not the configuration's tape."""
 
     @settings(max_examples=200, deadline=None)
     @given(_random_docs(), st.text(alphabet="a", max_size=6), st.integers(1, 80),
@@ -534,6 +538,67 @@ def _check_run(doc, text, fuel, cap):
     untraced = turing.run(machine, text, fuel=fuel)
     assert untraced.kind is kind
     assert _engine_view(untraced.config) == _reference_view(doc, ref)
+
+
+def _step_by_step(doc, text, steps):
+    """Drive ``doc`` on ``text`` at fuel = steps + 1, the step of a traced run,
+    up to ``steps`` times, each against one reference step; the last kind,
+    or None where both raised at the one-sided edge."""
+    machine = turing.load_machine(doc)
+    config, ref = turing.initial_configuration(machine, text), _reference_start(doc, text)
+    kind = OutcomeKind.OUT_OF_FUEL
+    for _ in range(steps):
+        before = config.steps
+        try:
+            kind = _reference_drive(doc, ref, ref.steps + 1)
+        except DomainError:
+            with pytest.raises(DomainError, match="one-sided"):
+                turing._drive(machine, config, config.steps + 1)
+            assert _engine_view(config) == _reference_view(doc, ref)
+            return None
+        assert turing._drive(machine, config, config.steps + 1) is kind
+        assert config.steps - before == ref.steps - before <= 1
+        assert _engine_view(config) == _reference_view(doc, ref)
+        if kind is not OutcomeKind.OUT_OF_FUEL:
+            break
+    return kind
+
+
+class TestOneStep:
+    """_drive at fuel = steps + 1 takes exactly one step, as the reference does."""
+
+    def test_an_ordinary_rule(self):
+        doc = _sweeper([("s0", "a", "s1", "bb", "r"), ("s1", "a", "s0", "c.", "r"),
+                        ("s0", "..", "halt", "a", "n")])
+        assert not _swept(turing.load_machine(doc))
+        assert _step_by_step(doc, ["a"] * 6, 10) is OutcomeKind.HALTED
+
+    def test_a_sweep_rule_covers_one_cell(self):
+        doc = _sweeper(_RIGHT + [("s0", "..", "halt", "a", "n")])
+        assert _swept(turing.load_machine(doc)) == {"s0"}
+        assert _step_by_step(doc, _LONG, 50) is OutcomeKind.HALTED
+
+    def test_a_write_past_either_end_of_the_array(self):
+        # on an empty array s0 writes at cell 0 and s1 left of it, at -1;
+        # then s2 moves back and s0 writes right of the array, at cell 1
+        doc = _sweeper([("s0", "..", "s1", "a", "l"), ("s1", "..", "s2", "bb", "r"),
+                        ("s2", "a", "s0", "a", "r")])
+        machine = turing.load_machine(doc)
+        config = turing.initial_configuration(machine)
+        arrays = []
+        for _ in range(4):
+            turing._drive(machine, config, config.steps + 1)
+            arrays.append((config.origin, len(config.cells)))
+        assert arrays == [(0, 1), (-1, 2), (-1, 2), (-1, 4)]
+        assert _step_by_step(doc, "", 10) is OutcomeKind.STUCK
+
+    def test_at_the_one_sided_edge_it_raises(self):
+        assert _step_by_step(_INTO_THE_EDGE, _LONG, 200) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(_sweeping_docs(), _BLOCKS)
+    def test_random_sweeping_machines(self, doc, text):
+        _step_by_step(doc, text, 60)
 
 
 def _golden_machine(name: str) -> turing.TuringMachine:
