@@ -456,9 +456,7 @@ def _io_message(exc: OSError) -> str:
     """``str(exc)`` with its paths quoted through ``shown``, so a long path
     leaves the error line short."""
     paths = [shown(path) for path in (exc.filename, exc.filename2) if path is not None]
-    if not paths:
-        return str(exc)
-    return f"[Errno {exc.errno}] {exc.strerror}: {' -> '.join(paths)}"
+    return f"[Errno {exc.errno}] {exc.strerror}: {' -> '.join(paths)}" if paths else str(exc)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -474,8 +472,10 @@ def main(argv: list[str] | None = None) -> int:
     except (HyperlabError, OSError) as exc:
         import json
 
-        kind, message = (exc.kind, str(exc)) if isinstance(exc, HyperlabError) else (
-            "io-error", _io_message(exc))
+        if isinstance(exc, HyperlabError):
+            kind, message = exc.kind, str(exc)
+        else:
+            kind, message = "io-error", _io_message(exc)
         print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
         return 1
     return 0
