@@ -48,16 +48,6 @@ class ValidationError(HyperlabError):
     kind = "validation-error"
 
 
-class NumericError(HyperlabError):
-    """An iterative numerical method failed to converge."""
-
-    kind = "numeric-error"
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class ResourceError(HyperlabError):
     """The requested computation exceeds the configured desk-scale budget."""
 

@@ -89,14 +89,13 @@ def limits_report(z: int, power: float | None = None, dt: float | None = None) -
     "(4/3) z pi a^3 m^3" and we take the trailing m^3 as a units annotation,
     not a factor.
     """
+    frequency = max_frequency_from_alphabet(z)
     report: dict = {
         "symbols": z,
         "min_symbol_volume_m3": min_symbol_volume(z),
         "min_symbol_distance_m": min_symbol_distance(z),
-        "max_frequency_from_alphabet_hz": max_frequency_from_alphabet(z),
-        "frequency_alphabet_product_ok": bound_product_holds(
-            max_frequency_from_alphabet(z), z
-        ),
+        "max_frequency_from_alphabet_hz": frequency,
+        "frequency_alphabet_product_ok": bound_product_holds(frequency, z),
         "volume_formula_note": "trailing m^3 read as units, not a factor",
     }
     if power is not None:

@@ -116,8 +116,9 @@ def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
 def charpoly_eigenvalues(h: np.ndarray) -> np.ndarray:
     """Independent eigenvalue oracle: interpolate det(x*I - H) at Chebyshev
     nodes, solve the square Vandermonde system for the characteristic
-    polynomial, and take its roots. Shares no code path with the Jacobi
-    iteration (LU determinants plus companion-matrix roots)."""
+    polynomial, and take its roots. Independent of the ``eigh`` it checks: it
+    uses LU determinants and ``np.roots``, whose companion-matrix eigenvalues
+    come from LAPACK's general (nonsymmetric) solver, not its Hermitian one."""
     n = h.shape[0]
     scale = max(1.0, float(np.linalg.norm(h, 2)))
     hs = h / scale

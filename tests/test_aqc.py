@@ -614,7 +614,7 @@ def strang_reference(num_vars: int, cutoff: int, diagonal: np.ndarray, total_tim
 
     Every step applies exp(-i a H_I) exp(-i b H_P) exp(-i a H_I) with
     a = (1 - s) dt / 2 and b = s dt at the midpoint s, each exponential taken
-    through the Jacobi eigensystem of the dense operator, so no closed form
+    through the Hermitian eigensystem of the dense operator, so no closed form
     and no merging of the halves between steps is shared with evolve_levels.
     """
     steps = max(1, math.ceil(total_time / dt))

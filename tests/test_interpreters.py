@@ -2,13 +2,15 @@
 
 Each of ``python3.10`` to ``python3.13`` on PATH runs the whole corpus in one
 child, through ``cli.main`` as ``tests/test_golden.py`` runs it, and must print
-every report byte for byte. One that is not on PATH, or does not start (a
-version manager's shim for a version it does not serve), is skipped and named
-as not checked.
+every report byte for byte. A pyenv shim that does not serve a version by
+default is asked again with ``PYENV_VERSION`` set to the newest installed
+``3.X.*``. One that is not on PATH, or still does not start (a version that is
+not installed), is skipped and named as not checked.
 """
 
 import json
 import os
+import re
 import shutil
 import subprocess
 
@@ -34,14 +36,34 @@ print(json.dumps(results))
 """
 
 
+def _run_corpus(python: str, env: dict) -> subprocess.CompletedProcess:
+    return subprocess.run([python, "-c", CHILD], input=json.dumps(CASES), cwd=ROOT, env=env,
+                          capture_output=True, text=True, encoding="utf-8", timeout=120)
+
+
+def _newest_pyenv_version(version: str) -> str | None:
+    """The newest ``version.N`` that ``pyenv versions --bare`` lists, or None."""
+    pyenv = shutil.which("pyenv")
+    if pyenv is None:
+        return None
+    listed = subprocess.run([pyenv, "versions", "--bare"], capture_output=True, text=True,
+                            timeout=60).stdout.split()
+    patches = [int(m.group(1)) for name in listed
+               if (m := re.fullmatch(re.escape(version) + r"\.(\d+)", name))]
+    return f"{version}.{max(patches)}" if patches else None
+
+
 @pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
 def test_the_corpus_is_byte_identical_under(version):
     python = shutil.which(f"python{version}")
     if python is None:
         pytest.skip(f"python{version} is not on PATH: not checked")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run([python, "-c", CHILD], input=json.dumps(CASES), cwd=ROOT, env=env,
-                          capture_output=True, text=True, encoding="utf-8", timeout=120)
+    done = _run_corpus(python, env)
+    if not done.stdout.startswith("started\n"):
+        installed = _newest_pyenv_version(version)
+        if installed is not None:
+            done = _run_corpus(python, dict(env, PYENV_VERSION=installed))
     started, _, results = done.stdout.partition("\n")
     if started != "started":
         pytest.skip(f"python{version} does not start: not checked "
