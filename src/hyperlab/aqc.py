@@ -31,13 +31,11 @@ import math
 import operator
 import random
 from collections import Counter
-from enum import Enum
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     DomainError,
     ResourceError,
-    ShapeError,
     StabilityError,
     ValidationError,
     shown,
@@ -69,7 +67,7 @@ class DiophantinePolynomial(NamedTuple):
 
     def evaluate(self, point: Sequence[int]) -> int:
         if len(point) != self.num_vars:
-            raise ShapeError(
+            raise DomainError(
                 f"polynomial in {self.num_vars} variables evaluated at "
                 f"{len(point)}-tuple")
         total = 0
@@ -367,12 +365,12 @@ def evolve_levels(
     lattice and by 6.7e-4 on another. More than LEVEL_STEP_BUDGET
     levels x steps is a :class:`ResourceError` before the first step; the
     schedule is checked as :func:`decide` checks it, and three sequences of
-    unequal length are a :class:`ShapeError`. Returns the final
+    unequal length are a :class:`DomainError`. Returns the final
     coefficients, unnormalised, with the drift of their norm.
     """
     steps = _schedule_steps(total_time, dt)
     if not len(levels) == len(multiplicities) == len(amplitudes):
-        raise ShapeError("levels, multiplicities and amplitudes must have one entry per level")
+        raise DomainError("levels, multiplicities and amplitudes must have one entry per level")
     d = sum(multiplicities)
     c = list(amplitudes)
     if total_time == 0.0:
@@ -452,17 +450,12 @@ def sample_levels(
 # -- the decision procedure ------------------------------------------------------------
 
 
-class Verdict(Enum):
-    SOLVABLE_WITH_WITNESS = "solvable-with-witness"
-    NO_SOLUTION_UP_TO_CUTOFF = "no-solution-up-to-cutoff"
-
-
 class DecisionReport(NamedTuple):
-    verdict: Verdict
-    witness: Optional[tuple[int, ...]]
+    verdict: str
+    witness: Optional[list[int]]
     ground_energy: int
     success_probability_estimate: float
-    samples: dict[tuple[int, ...], int]
+    samples: dict[str, int]  # "x,y,..." -> count, in basis order
     cutoff: int
     total_time: float
     dt: float
@@ -470,14 +463,6 @@ class DecisionReport(NamedTuple):
     seed: int
     norm_drift: float
     note: str
-
-    def to_json_dict(self) -> dict:
-        return self._asdict() | {
-            "verdict": self.verdict.value,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "samples": {",".join(map(str, tup)): count
-                        for tup, count in sorted(self.samples.items())},
-        }
 
 
 def decide(
@@ -515,10 +500,10 @@ def decide(
     frequency = samples[candidate] / shots
 
     if poly.evaluate(candidate) == 0:
-        verdict, witness = Verdict.SOLVABLE_WITH_WITNESS, candidate
+        verdict, witness = "solvable-with-witness", list(candidate)
         note = "witness verified by exact substitution"
     else:
-        verdict, witness = Verdict.NO_SOLUTION_UP_TO_CUTOFF, None
+        verdict, witness = "no-solution-up-to-cutoff", None
         if scan.levels[0]:
             note = (f"negative verdict is bounded by the cutoff {cutoff}: it rules out "
                     "zeros with every coordinate <= cutoff, nothing beyond")
@@ -530,7 +515,7 @@ def decide(
         witness=witness,
         ground_energy=scan.levels[0],
         success_probability_estimate=frequency,
-        samples=samples,
+        samples={",".join(map(str, point)): count for point, count in sorted(samples.items())},
         cutoff=cutoff,
         total_time=total_time,
         dt=dt,

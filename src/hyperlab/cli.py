@@ -142,6 +142,7 @@ def _cmd_bogosort(args) -> dict:
 
     from . import tae
 
+    tae.check_bogosort_length(args.length)
     rng = random.Random(args.seed)  # the shuffles continue the input's stream
     sequence = rng.sample(range(args.length), args.length)
     result = tae.bogosort(sequence, memoized=args.memo, seed=rng, max_tries=args.max_tries)
@@ -246,7 +247,7 @@ def _cmd_aqc_solve(args) -> dict:
                 "ground_energy": energy, "minimizers": [list(w) for w in winners],
                 "solvable_up_to_cutoff": energy == 0}
     report = aqc.decide(poly, args.cutoff, args.time, args.dt, args.shots, args.seed)
-    return {"command": "aqc solve"} | report.to_json_dict()
+    return {"command": "aqc solve"} | report._asdict()
 
 
 def _cmd_aqc_sweep(args) -> dict:

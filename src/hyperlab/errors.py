@@ -1,7 +1,8 @@
 """Shared exception types, and how their messages quote a value.
 
 Every module raises subclasses of :class:`HyperlabError` so the CLI can map
-failures onto structured error reports with a single handler.
+failures onto structured error reports with a single handler. Each kind is one
+a command can print: a bad argument to a library function is a DomainError.
 """
 
 SHOWN_LENGTH = 32  # bytes of a JSON error line that a quoted value may take
@@ -22,12 +23,6 @@ class HyperlabError(Exception):
     """Base class for all workbench errors."""
 
     kind = "error"
-
-
-class ShapeError(HyperlabError):
-    """Operand dimensions are incompatible."""
-
-    kind = "shape-error"
 
 
 class DomainError(HyperlabError):

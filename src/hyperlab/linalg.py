@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError
 
 # -- matrix construction and validation --------------------------------------
 
@@ -22,7 +22,7 @@ def matrix(entries) -> np.ndarray:
     """Build a complex matrix from a nested sequence (rows of entries)."""
     m = np.asarray(entries, dtype=np.complex128)
     if m.ndim != 2:
-        raise ShapeError(f"matrix must be 2-D, got ndim={m.ndim}")
+        raise DomainError(f"matrix must be 2-D, got ndim={m.ndim}")
     return m
 
 
@@ -36,7 +36,7 @@ def ket(amplitudes) -> np.ndarray:
     if v.ndim == 2 and v.shape[1] == 1:
         return v.copy()
     if v.ndim != 1:
-        raise ShapeError("ket expects a flat amplitude sequence")
+        raise DomainError("ket expects a flat amplitude sequence")
     return v.reshape(-1, 1)
 
 
@@ -52,7 +52,7 @@ def inner_product(phi: np.ndarray, psi: np.ndarray) -> complex:
     """Sum of conj(phi_i) * psi_i; conjugate-linear in the first argument."""
     p, q = ket(phi), ket(psi)
     if p.shape != q.shape:
-        raise ShapeError(f"shape mismatch: {p.shape} vs {q.shape}")
+        raise DomainError(f"shape mismatch: {p.shape} vs {q.shape}")
     return complex((p.conj().T @ q)[0, 0])
 
 

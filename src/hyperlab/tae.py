@@ -111,6 +111,13 @@ class BogosortResult(NamedTuple):
     gave_up: bool = False
 
 
+def check_bogosort_length(n: int) -> None:
+    """Refuse a sequence of n items past MAX_BOGOSORT_LEN, before any is drawn."""
+    if n > MAX_BOGOSORT_LEN:
+        raise ResourceError(f"sequence longer than {MAX_BOGOSORT_LEN}: the factorial search "
+                            "space is past desk scale")
+
+
 def bogosort(
     seq: Sequence[int],
     memoized: bool = False,
@@ -127,10 +134,7 @@ def bogosort(
     ``random.Random`` to continue, as a caller that drew ``seq`` from it does.
     """
     items = list(seq)
-    if len(items) > MAX_BOGOSORT_LEN:
-        raise ResourceError(
-            f"sequence longer than {MAX_BOGOSORT_LEN}: the factorial search space "
-            "is past desk scale")
+    check_bogosort_length(len(items))
     if max_tries < 1:
         raise DomainError("max_tries must be positive")
     target = sorted(items)

@@ -13,8 +13,8 @@ Each machine compiles its quintuples once into a table ``(state, cell) ->
 :func:`_drive`, reads. A rule whose state keeps itself over a set of cells,
 writing a fixed cell for each and moving one way, is a sweep: the loop
 applies it to the whole block of such cells at once, within its fuel.
-:func:`run` alone checks the budgets and takes the trace, a snapshot after
-each one-step drive.
+:func:`run` alone checks the budgets and takes the trace, a configuration
+after each one-step drive.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ from .errors import DomainError, ResourceError, ValidationError, shown
 MOVES = {"l": -1, "n": 0, "r": 1}
 
 DEFAULT_FUEL = 10**6
-TRACE_CAP = 10**4  # snapshots one traced run keeps
+TRACE_CAP = 10**4  # rows (configurations) one traced run keeps
 FUEL_BUDGET = 10**7  # steps one run may take; refused up front beyond this
 # characters of tape text one run may reach, tapes x (extent + fuel) x the
 # longest symbol; refused up front beyond this
 TAPE_TEXT_BUDGET = 5 * 10**7
-# characters of tape text the snapshots of one traced run may keep, counted as
+# characters of tape text the rows of one traced run may keep, counted as
 # kept cells x the longest symbol as each is taken, since its extent is not known
 TRACE_TEXT_BUDGET = 5 * 10**7
 ALPHABET_BUDGET = 256  # symbols, the blank included, and contents of a cell: one byte
@@ -232,24 +232,15 @@ class TapeConfiguration:
         """Non-blank content of one tape, from leftmost to rightmost written cell."""
         return self.codes.text(self.cells, tape)
 
-
-class TraceSnapshot(NamedTuple):
-    """One traced configuration: state, head, steps and the tape's non-blank
-    cells, whose tracks are read as text only when asked for."""
-
-    state: str
-    head: int
-    steps: int
-    cells: bytes
-    codes: SymbolCodes
-
-    def tape_text(self, tape: int = 0) -> str:
-        return self.codes.text(self.cells, tape)
-
-
-def _snapshot(config: TapeConfiguration) -> TraceSnapshot:
-    return TraceSnapshot(config.state, config.head, config.steps,
-                         bytes(config.cells.strip(b"\0")), config.codes)
+    def _trace_row(self) -> TapeConfiguration:
+        """A copy for a trace, read and never stepped: its cells cut to the
+        non-blank extent, as ``bytes``, and its ``origin`` moved to match."""
+        row = TapeConfiguration.__new__(TapeConfiguration)
+        row.cells = cut = bytes(self.cells.strip(b"\0"))
+        # the cut starts at the first cell holding its first code, the first nonzero one
+        row.codes, row.origin = self.codes, self.origin + self.cells.find(cut[:1])
+        row.head, row.state, row.steps = self.head, self.state, self.steps
+        return row
 
 
 class OutcomeKind(Enum):
@@ -262,7 +253,7 @@ class RunOutcome:
     __slots__ = ("kind", "config", "trace")
 
     def __init__(self, kind: OutcomeKind, config: TapeConfiguration,
-                 trace: Optional[list[TraceSnapshot]] = None):
+                 trace: Optional[list[TapeConfiguration]] = None):
         self.kind, self.config, self.trace = kind, config, trace
 
 
@@ -479,10 +470,10 @@ def run(
     characters within it are refused, in that order, before the first step.
 
     An untraced run is one :func:`_drive`. A traced run drives one step at
-    a time, taking a snapshot after each, while the snapshots number fewer
-    than TRACE_CAP; then one drive takes the rest. Each snapshot keeps a
-    copy of the tape's non-blank cells and reads a track's text off it when
-    asked; snapshots that keep cells of more than TRACE_TEXT_BUDGET
+    a time, keeping a row after each, while the rows number fewer than
+    TRACE_CAP; then one drive takes the rest. A row is a configuration that
+    keeps a copy of the tape's non-blank cells and reads a track's text off
+    it when asked; rows that keep cells of more than TRACE_TEXT_BUDGET
     characters are refused before the first one past it.
     """
     if fuel < 1:
@@ -499,18 +490,18 @@ def run(
             f"{reach * longest} characters of tape text, past the budget of {TAPE_TEXT_BUDGET}")
     if not trace:
         return RunOutcome(_drive(machine, config, fuel), config)
-    snapshots = [_snapshot(config)]
-    kept = len(snapshots[0].cells) * longest
-    while len(snapshots) < TRACE_CAP and config.steps < fuel:
+    rows = [config._trace_row()]
+    kept = len(rows[0].cells) * longest
+    while len(rows) < TRACE_CAP and config.steps < fuel:
         steps = config.steps
         _drive(machine, config, steps + 1)
         if config.steps == steps:
             break  # halted or stuck where it stands
-        snapshot = _snapshot(config)
-        kept += len(snapshot.cells) * longest
+        row = config._trace_row()
+        kept += len(row.cells) * longest
         if kept > TRACE_TEXT_BUDGET:
             raise ResourceError(
                 f"trace snapshots would keep {kept} characters of tape text, past the "
                 f"budget of {TRACE_TEXT_BUDGET}")
-        snapshots.append(snapshot)
-    return RunOutcome(_drive(machine, config, fuel), config, snapshots)
+        rows.append(row)
+    return RunOutcome(_drive(machine, config, fuel), config, rows)

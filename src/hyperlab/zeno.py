@@ -5,7 +5,7 @@ through step ``n`` is ``2 - 2**-n`` and the whole infinite cascade fits in
 ``LIMIT`` = 2 seconds, which is what lets such a machine finish unboundedly
 many steps in finite time. Every time is an exact ``Fraction`` (or an int),
 as ``cli`` reads it from the command line; floats only appear at the
-reporting boundary.
+reporting boundary and as ``UNBOUNDED`` (``math.inf``: every index fits).
 
 Two caveats frame everything here. Acceleration buys nothing on bounded
 storage: a machine confined to a finite tape revisits a configuration and
@@ -18,9 +18,10 @@ explicitly instead of pretending the limit was reached.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Union
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, ResourceError, shown
 
@@ -50,16 +51,10 @@ def zeno_time(n: int) -> Fraction:
     return LIMIT - Fraction(1, 2**n)
 
 
-class Unbounded(Enum):
-    """Marker: the budget covers the entire infinite cascade."""
-
-    UNBOUNDED = "unbounded"
+UNBOUNDED = math.inf  # the budget covers the whole infinite cascade
 
 
-UNBOUNDED = Unbounded.UNBOUNDED
-
-
-def steps_within_budget(t: Fraction | int) -> Union[int, Unbounded, None]:
+def steps_within_budget(t: Fraction | int) -> int | float | None:
     """Largest step index n with zeno_time(n) <= t, exactly.
 
     Returns UNBOUNDED when the budget reaches LIMIT, and None when even

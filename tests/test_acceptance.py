@@ -16,7 +16,6 @@ from fractions import Fraction
 import numpy as np
 
 from hyperlab import aqc, cli, linalg, tae, turing, zeno
-from hyperlab.aqc import Verdict
 from hyperlab.tae import WheelExperiment, WheelStrategy
 from hyperlab.turing import OutcomeKind
 
@@ -113,8 +112,8 @@ def test_criterion_05_aqc_end_to_end():
         poly = aqc.parse_polynomial({"vars": 1, "terms": [[1, [1]], [-2, [0]]]})
         report = aqc.decide(poly, cutoff=4, total_time=50.0, dt=0.01,
                             shots=1000, seed=7)
-        assert report.verdict is Verdict.SOLVABLE_WITH_WITNESS
-        assert report.witness == (2,)
+        assert report.verdict == "solvable-with-witness"
+        assert report.witness == [2]
         _DRIFTS.append(report.norm_drift)
 
         _, overlap_50 = _evolve_x_minus_2(50.0)
@@ -125,7 +124,7 @@ def test_criterion_05_aqc_end_to_end():
         poly2 = aqc.parse_polynomial({"vars": 1, "terms": [[2, [1]], [-1, [0]]]})
         report2 = aqc.decide(poly2, cutoff=8, total_time=5.0, dt=1e-4,
                              shots=1000, seed=7)
-        assert report2.verdict is Verdict.NO_SOLUTION_UP_TO_CUTOFF
+        assert report2.verdict == "no-solution-up-to-cutoff"
         assert report2.ground_energy == 1
         assert "cutoff" in report2.note
         _DRIFTS.append(report2.norm_drift)

@@ -10,11 +10,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hyperlab import aqc, linalg, variates
-from hyperlab.aqc import Verdict
 from hyperlab.errors import (
     DomainError,
     ResourceError,
-    ShapeError,
     StabilityError,
     ValidationError,
 )
@@ -395,8 +393,8 @@ class TestDecide:
         poly = aqc.parse_polynomial(X_MINUS_2)
         report = aqc.decide(poly, cutoff=4, total_time=50.0, dt=0.01,
                             shots=1000, seed=7)
-        assert report.verdict is Verdict.SOLVABLE_WITH_WITNESS
-        assert report.witness == (2,)
+        assert report.verdict == "solvable-with-witness"
+        assert report.witness == [2]
         assert poly.evaluate(report.witness) == 0
         assert report.success_probability_estimate >= 0.9
 
@@ -404,7 +402,7 @@ class TestDecide:
         poly = aqc.parse_polynomial(TWO_X_MINUS_1)
         report = aqc.decide(poly, cutoff=8, total_time=5.0, dt=1e-4,
                             shots=1000, seed=7)
-        assert report.verdict is Verdict.NO_SOLUTION_UP_TO_CUTOFF
+        assert report.verdict == "no-solution-up-to-cutoff"
         assert report.witness is None
         assert report.ground_energy == 1
         assert "cutoff" in report.note
@@ -414,15 +412,15 @@ class TestDecide:
             {"vars": 2, "terms": [[1, [1, 0]], [1, [0, 1]], [-3, [0, 0]]]})
         report = aqc.decide(poly, cutoff=4, total_time=50.0, dt=0.01,
                             shots=1000, seed=7)
-        assert report.verdict is Verdict.SOLVABLE_WITH_WITNESS
+        assert report.verdict == "solvable-with-witness"
         assert poly.evaluate(report.witness) == 0
 
     def test_report_serialises(self):
         poly = aqc.parse_polynomial(X_MINUS_2)
         report = aqc.decide(poly, cutoff=2, total_time=5.0, dt=0.01,
                             shots=200, seed=1)
-        doc = report.to_json_dict()
-        assert doc["verdict"] in {v.value for v in Verdict}
+        doc = report._asdict()
+        assert doc["verdict"] in {"solvable-with-witness", "no-solution-up-to-cutoff"}
         assert isinstance(doc["samples"], dict)
 
     def test_invalid_parameters(self):
@@ -867,7 +865,7 @@ class TestStructuredOperators:
             aqc.evolve_from_uniform(scan, 1.0, 0.126)  # dt * 4 = 0.504
 
     def test_state_of_the_wrong_dimension_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DomainError):
             aqc.evolve_levels([0.0] * 5, [1] * 5, [1.0], 1.0, 0.01)
 
     def test_decide_allocates_no_dense_matrix(self):

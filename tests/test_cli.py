@@ -364,12 +364,15 @@ class TestExperiments:
         # JSON the decoder cannot turn into values
         (["aqc", "sweep", "{long_integer}"], "parse-error"),
         (["aqc", "sweep", "{deep}"], "parse-error"),
+        (["tm", "run", "{machine}", "--fuel", "0"], "domain-error"),
+        (["tae", "bogosort", "--len", "3", "--max-tries", "0"], "domain-error"),
     ], ids=["trials-past-budget", "lattice-past-budget", "variables-past-budget",
             "minimisers-past-budget", "missing-document", "integer-past-digit-limit",
-            "nesting-past-recursion-limit"])
+            "nesting-past-recursion-limit", "no-fuel", "no-tries"])
     def test_failures_are_structured_json(self, tmp_path, argv, kind):
-        paths = {key: tmp_path / f"{key}.json"
-                 for key in ("big", "wide", "flat", "missing", "long_integer", "deep")}
+        paths = {key: tmp_path / f"{key}.json" for key in
+                 ("big", "wide", "flat", "missing", "long_integer", "deep", "machine")}
+        paths["machine"].write_text(json.dumps(successor_doc()))
         paths["big"].write_text(json.dumps({"vars": 8, "terms": [[1, [1] * 8], [-1, [0] * 8]]}))
         paths["wide"].write_text(json.dumps({"vars": 5000, "terms": []}))
         paths["flat"].write_text(json.dumps({"vars": 1, "terms": []}))
@@ -416,6 +419,7 @@ class TestErrors:
         {"vars": 1, "terms": [[1.5, [1]]]},
         {"vars": 1, "terms": [[1, ["a"]]]},
         {"vars": None, "terms": []},
+        {"vars": 1, "terms": [[1, [-1]]]},
         [1, 2],
     ], ids=repr)
     def test_malformed_polynomial_document(self, write_json, doc):
@@ -564,6 +568,10 @@ class TestErrors:
 
     @pytest.mark.parametrize("rule", [["scan", "1"], "scan", 7,
                                       {"from": "scan", "read": 1, "to": "done",
+                                       "write": "1", "move": "n"},
+                                      {"from": "scan", "read": "_", "to": "done",
+                                       "write": "1", "move": "x"},
+                                      {"from": "scan", "read": ["1", "_"], "to": "done",
                                        "write": "1", "move": "n"}], ids=repr)
     def test_malformed_transition(self, write_json, rule):
         doc = successor_doc()
@@ -579,6 +587,8 @@ class TestErrors:
         {"tapes": "two"},
         {"one_sided": "false"},
         {"one_sided": 0.5},
+        {"tapes": 0},
+        {"finals": ["nowhere"]},
     ], ids=repr)
     def test_malformed_machine_document(self, write_json, change):
         path = write_json("machine.json", successor_doc() | change)
@@ -1468,6 +1478,40 @@ TIME_NUMBERS = st.floats(0, 4).map(repr) | st.sampled_from(
 TIME_WORDS = st.sampled_from(["", " ", "x", "1/2"])
 
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# the document a positional argument names, by command group
+DOCUMENTS = {"tm": FIXTURES / "successor.json", "zeno": FIXTURES / "successor.json",
+             "aqc": FIXTURES / "x_minus_2.json"}
+# small words each converter takes; any argument may also get one of the
+# malformed words or the values past every budget of OTHER_WORDS
+SMALL_WORDS = {int: ["0", "1", "3"], float: ["0.5", "1", "3"], cli._natural_arg: ["0", "3"],
+               cli._fraction_arg: ["1/2", "3"], cli._ints_arg: ["2,3"],
+               cli._floats_arg: ["0.5,1"], str: ["", "1"]}
+OTHER_WORDS = ["", "x", "nan", "1,2", "9" * 4300, "1e400"]
+
+
+@st.composite
+def table_lines(draw):
+    """A command line from a row of cli.COMMANDS: --format and every argument
+    of the row with a word, mostly a small one its converter takes, and each
+    flag given or not."""
+    key = draw(st.sampled_from(list(cli.COMMANDS)))
+    words = {}
+    for name, convert, _ in cli.GLOBAL_OPTIONS[:1] + cli.COMMANDS[key][2]:
+        if convert is None:
+            words[name] = [name] if draw(st.booleans()) else []
+            continue
+        if name[0] != "-":
+            small = [str(DOCUMENTS[key[0]])]
+        elif isinstance(convert, tuple):
+            small = list(map(str, convert))
+        else:
+            small = SMALL_WORDS[convert]
+        word = draw(st.sampled_from(small if draw(st.integers(0, 3)) else OTHER_WORDS))
+        words[name] = [word] if name[0] != "-" else [name, word]
+    return words.pop("--format") + [w for w in key if w] + [w for ws in words.values() for w in ws]
+
+
 def assert_error_line(err: str) -> str:
     """The kind of a structured error: one JSON line of under 200 bytes."""
     assert err.endswith("\n") and len(err.encode("utf-8")) < 200, err
@@ -1495,7 +1539,8 @@ class TestTotality:
         (["tm", "run", "{machine}", "--fuel", "9" * 4300], "resource-error"),
         (["zeno", "time", "--n", "9" * 4300], "resource-error"),
         (["enum", "encode", "--a", "-" + "9" * 4299, "--b", "1"], "domain-error"),
-    ], ids=["spins", "lattice", "fuel", "step-index", "pair"])
+        (["tae", "bogosort", "--len", "9" * 4300], "resource-error"),
+    ], ids=["spins", "lattice", "fuel", "step-index", "pair", "bogosort-length"])
     def test_refusals_of_huge_values_stay_short(self, write_json, argv, kind):
         paths = {"{huge}": write_json("huge.json", {"vars": 10**4299, "terms": []}),
                  "{machine}": write_json("machine.json", successor_doc())}
@@ -1513,8 +1558,9 @@ class TestTotality:
         assert assert_error_line(err) == "io-error"
 
     @staticmethod
-    def _check_line(argv: list[str], rows: str) -> None:
-        """Run argv within 5 s; a report holds a row per item of the list rows."""
+    def _run_line(argv: list[str]) -> tuple[int, str]:
+        """Run argv within 5 s to exit 0 with a report, 1 with a short JSON error
+        line or 2 with its usage; the status and the report."""
         out, err = io.StringIO(), io.StringIO()
         start = time.monotonic()
         with redirect_stdout(out), redirect_stderr(err):
@@ -1529,10 +1575,24 @@ class TestTotality:
         elif status == 1:
             assert out == "" and isinstance(assert_error_line(err), str)
         else:
+            assert status == 0 and err == "" and out
+        return status, out
+
+    def _check_line(self, argv: list[str], rows: str) -> None:
+        """Run argv as _run_line does; a report holds a row per item of the list rows."""
+        status, out = self._run_line(argv)
+        if status == 0:
             report = json.loads(out)
-            assert status == 0 and err == ""
             assert len(report if isinstance(report, list) else report["sweep"]) == \
                 len(rows.split(","))
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=table_lines())
+    # a length past the budget used to be drawn before bogosort refused it
+    @example(argv=["--format", "json", "tae", "bogosort", "--len", "9" * 4300,
+                   "--max-tries", "3", "--seed", "0"])
+    def test_every_command_from_its_table_row(self, argv):
+        self._run_line(argv)
 
     @settings(max_examples=100, deadline=None)
     @given(wheels=list_words(WHEEL_NUMBERS, WHEEL_WORDS),

@@ -158,6 +158,11 @@ def test_every_corpus_file_has_a_case():
     assert names == set(CASES)
 
 
+def test_every_command_has_a_case():
+    parse = cli.build_parser().parse_args
+    assert {(args.group, args.command) for args in map(parse, CASES.values())} == set(cli.COMMANDS)
+
+
 def regenerate(names: list[str]) -> None:
     """Rewrite the named cases from the current code, or the whole corpus when no
     name is given, one .out (and .err) per case. An unknown name rewrites nothing."""

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperlab import linalg
-from hyperlab.errors import DomainError, ShapeError
+from hyperlab.errors import DomainError
 
 from conftest import charpoly_eigenvalues, random_hermitian
 
@@ -79,7 +79,7 @@ class TestInnerProduct:
         assert abs(lhs - rhs) < 1e-12
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DomainError):
             linalg.inner_product(linalg.ket([1, 0]), linalg.ket([1, 0, 0]))
 
     def test_self_adjointness_moves_across(self, rng):

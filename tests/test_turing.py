@@ -247,14 +247,10 @@ class TestTrace:
         with mock.patch.object(turing, "TRACE_CAP", cap):
             outcome = turing.run(machine, text, fuel=fuel, trace=True)
         ref = _reference_start(doc, text)
-        trace = [_reference_view(doc, ref)[:4]]  # the starting configuration
+        trace = [_reference_view(doc, ref)]  # the starting configuration
         _reference_drive(doc, ref, fuel, trace=trace)
-        expected = trace[:cap]
-        assert len(outcome.trace) == len(expected)
-        for snap, (state, head, steps, texts) in zip(outcome.trace, expected):
-            assert (snap.state, snap.head, snap.steps) == (state, head, steps)
-            for tape in range(machine.num_tapes):
-                assert snap.tape_text(tape) == texts[tape]
+        # each row's cells sit where its origin says: the extents are the reference's
+        assert list(map(_engine_view, outcome.trace)) == trace[:cap]
 
     def test_interior_blanks_print_as_the_blank_symbol(self):
         doc = {"blank": "__", "alphabet": ["__", "a", "XY"], "states": ["go", "done"],
@@ -368,7 +364,7 @@ def _reference_drive(doc, ref, fuel, trace=None):
         ref.head, ref.state = ref.head + moves[rule["move"]], rule["to"]
         ref.steps += 1
         if trace is not None:
-            trace.append(_reference_view(doc, ref)[:4])
+            trace.append(_reference_view(doc, ref))
 
 
 def _reference_start(doc, text="") -> _Reference:
@@ -531,10 +527,9 @@ def _check_run(doc, text, fuel, cap):
         outcome = turing.run(machine, text, fuel=fuel, trace=True)
     assert outcome.kind is kind
     assert _engine_view(outcome.config) == _reference_view(doc, ref)
-    # the first snapshot, of the starting configuration, is kept at any cap
-    expected = ([_reference_view(doc, _reference_start(doc, text))[:4]] + trace)[:max(cap, 1)]
-    assert [(s.state, s.head, s.steps, tuple(map(s.tape_text, range(machine.num_tapes))))
-            for s in outcome.trace] == expected
+    # the first row, of the starting configuration, is kept at any cap
+    expected = ([_reference_view(doc, _reference_start(doc, text))] + trace)[:max(cap, 1)]
+    assert list(map(_engine_view, outcome.trace)) == expected
     untraced = turing.run(machine, text, fuel=fuel)
     assert untraced.kind is kind
     assert _engine_view(untraced.config) == _reference_view(doc, ref)
@@ -821,11 +816,14 @@ class TestTapeTextBudget:
 
 
 class TestTraceTextBudget:
-    def test_budget_is_inclusive_and_counts_every_snapshot(self, successor, monkeypatch):
+    def test_budget_is_inclusive_and_counts_every_row(self, successor, monkeypatch):
+        def rows(outcome):
+            return [(c.state, c.head, c.steps, c.tape_text()) for c in outcome.trace]
+
         full = turing.run(successor, "1" * 50, trace=True)
-        kept = sum(len(snap.tape_text()) for snap in full.trace)
+        kept = sum(len(row.tape_text()) for row in full.trace)
         monkeypatch.setattr(turing, "TRACE_TEXT_BUDGET", kept)
-        assert turing.run(successor, "1" * 50, trace=True).trace == full.trace
+        assert rows(turing.run(successor, "1" * 50, trace=True)) == rows(full)
         monkeypatch.setattr(turing, "TRACE_TEXT_BUDGET", kept - 1)
         with pytest.raises(ResourceError, match="budget"):
             turing.run(successor, "1" * 50, trace=True)
