@@ -90,7 +90,7 @@ def _cmd_tm_run(args) -> dict:
     outcome = turing.run(machine, args.input, fuel=fuel, trace=args.trace)
     config = outcome.config
     # no machine consults an oracle; the golden corpus and the benchmark's checks read the field
-    report = {"command": "tm run", "outcome": outcome.kind.value, "steps": config.steps,
+    report = {"command": "tm run", "outcome": outcome.kind, "steps": config.steps,
               "final_state": config.state, "tape": config.tape_text(), "head": config.head,
               "oracle_consultations": 0}
     if machine.num_tapes > 1:
@@ -113,8 +113,7 @@ def _cmd_goldbach(args) -> dict:
 def _cmd_ashby(args) -> dict:
     from . import tae
 
-    exp = tae.WheelExperiment(args.wheels, args.p, tae.WheelStrategy(args.strategy),
-                              seed=args.seed)
+    exp = tae.WheelExperiment(args.wheels, args.p, args.strategy, seed=args.seed)
     expected, log2_expected = tae.ashby_expected(exp)
     report = {
         "command": "tae ashby", "wheels": args.wheels, "p": args.p, "strategy": args.strategy,
@@ -189,7 +188,7 @@ def _cmd_zeno_lamp(args) -> dict:
 
     t = _time_view(args.t, "--t")
     state, toggles = zeno.thomson_lamp(args.t)
-    report = {"command": "zeno lamp", "t": t, "state": state.value}
+    report = {"command": "zeno lamp", "t": t, "state": state}
     if toggles is not None:
         report["toggles"] = toggles
     return report
@@ -204,7 +203,7 @@ def _cmd_zeno_halting(args) -> dict:
     return {"command": "zeno halting", "flag": result.flag, "steps": result.steps,
             "elapsed_seconds": float(result.elapsed),
             "elapsed_exact": format_fraction(*result.elapsed.as_integer_ratio()),
-            "outcome": result.outcome.kind.value, "fuel_bounded": result.fuel_bounded}
+            "outcome": result.outcome.kind, "fuel_bounded": result.fuel_bounded}
 
 
 def _cmd_limits(args) -> dict:

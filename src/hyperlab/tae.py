@@ -16,7 +16,6 @@ import itertools
 import math
 import random
 import sys
-from enum import IntEnum
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, ResourceError, shown
@@ -157,22 +156,24 @@ def bogosort(
 # -- wheel strategies ----------------------------------------------------------------
 
 
-class WheelStrategy(IntEnum):
-    ALL_OR_NOTHING = 1  # respin every wheel until one round shows all successes
-    ONE_AT_A_TIME = 2  # finish each wheel before starting the next
-    FREEZE_SUCCESSES = 3  # respin only the wheels still failing
+# a strategy is its number: 1, all-or-nothing, respins every wheel until one round shows
+# all successes; 2, one-at-a-time, finishes each wheel before starting the next; 3,
+# freeze-successes, respins only the wheels still failing
+STRATEGIES = (1, 2, 3)
 
 
 class WheelExperiment:
     __slots__ = ("n_wheels", "p", "strategy", "seed")
 
-    def __init__(self, n_wheels: int, p: float, strategy: WheelStrategy, seed: int = 0):
+    def __init__(self, n_wheels: int, p: float, strategy: int, seed: int = 0):
         if n_wheels < 1:
             raise DomainError("need at least one wheel")
         if n_wheels > sys.float_info.max:  # every strategy computes with N as a float
             raise DomainError(f"at most {sys.float_info.max:.6g} wheels, the float range")
         if not 0.0 < p < 1.0:
             raise DomainError("success probability must lie strictly between 0 and 1")
+        if type(strategy) is not int or strategy not in STRATEGIES:
+            raise DomainError(f"strategy must be 1, 2 or 3, got {shown(strategy)}")
         self.n_wheels, self.p, self.strategy, self.seed = n_wheels, p, strategy, seed
 
 
@@ -208,10 +209,10 @@ def ashby_expected(exp: WheelExperiment) -> tuple[float | None, float]:
     """
     n, p = exp.n_wheels, exp.p
     # a float overflows at 2**1024; below 2**1020 the rounding of log2 cannot reach it
-    if exp.strategy is WheelStrategy.ALL_OR_NOTHING:
+    if exp.strategy == 1:
         log2 = -n * math.log2(p)
         return (p**-n if log2 < 1020 else None), log2
-    if exp.strategy is WheelStrategy.ONE_AT_A_TIME:
+    if exp.strategy == 2:
         spins = n / p
         log2 = math.log2(spins) if spins < math.inf else math.log2(n) - math.log2(p)
         return (spins if log2 < 1020 else None), log2
@@ -246,7 +247,7 @@ def _law_span(exp: WheelExperiment) -> tuple[int, int]:
     """
     n, p = exp.n_wheels, exp.p
     log_bound = 64 * math.log(2)
-    if exp.strategy is WheelStrategy.FREEZE_SUCCESSES:
+    if exp.strategy == 3:
         least, low, high = 1, 0.0, (math.log(n) + log_bound) / -math.log1p(-p)
     else:
         least = n
@@ -274,7 +275,7 @@ def _trial_time_law(exp: WheelExperiment) -> tuple[int, list[float]]:
     """
     n, q = exp.n_wheels, 1.0 - exp.p
     first, last = _law_span(exp)
-    if exp.strategy is WheelStrategy.FREEZE_SUCCESSES:
+    if exp.strategy == 3:
         logs = [-math.inf] + [n * math.log1p(-q**t) for t in range(1, last + 1)]
         return first, [math.exp(b) - math.exp(a) if b < -math.log(2)
                        else math.expm1(b) - math.expm1(a) for a, b in zip(logs, logs[1:])]
@@ -291,14 +292,13 @@ def _admit(exp: WheelExperiment, trials: int) -> int:
         raise DomainError("a standard error needs at least two trials")
     if trials > TRIAL_BUDGET:
         raise ResourceError(f"{shown(trials)} trials is past the budget of {TRIAL_BUDGET}")
-    log2_spins = (-math.log2(exp.p) if exp.strategy is WheelStrategy.FREEZE_SUCCESSES
-                  else ashby_expected(exp)[1])
+    log2_spins = -math.log2(exp.p) if exp.strategy == 3 else ashby_expected(exp)[1]
     if log2_spins > SIMULATION_LOG2_SPINS:
         raise DomainError(
             f"a simulated trial expects 2**{log2_spins:.3g} spins, past the "
             f"2**{SIMULATION_LOG2_SPINS} that 64-bit counts hold; "
             "use the analytic expectation")
-    if exp.strategy is WheelStrategy.ALL_OR_NOTHING:
+    if exp.strategy == 1:
         return 0
     first, last = _law_span(exp)
     return last - first + 1
@@ -315,7 +315,7 @@ def ashby_simulate(exp: WheelExperiment, trials: int) -> tuple[float, float]:
     n, p = exp.n_wheels, exp.p
     rng = random.Random(exp.seed)
     total = squares = 0
-    if exp.strategy is WheelStrategy.ALL_OR_NOTHING:
+    if exp.strategy == 1:
         log_fail, uniform, log = math.log1p(-p**n), rng.random, math.log
         for _ in range(trials):
             t = 1 + int(log(1.0 - uniform()) / log_fail)
@@ -337,17 +337,17 @@ def wheel_table(p: float, wheels: Sequence[int], trials: int, seed: int) -> Tabl
     work = 0
     for n in wheels:  # a time of a law costs about what a trial does
         work += trials + ROW_TIMES + sum(_admit(WheelExperiment(n, p, strategy), trials)
-                                         for strategy in WheelStrategy)
+                                         for strategy in STRATEGIES)
         if work > TRIAL_BUDGET:
             raise ResourceError(
                 f"{len(wheels)} rows x {trials} trials and the times of their laws are past "
                 f"the budget of {TRIAL_BUDGET}")
-    columns = ["wheels", "p"] + [f"case{int(strategy)}_{part}" for strategy in WheelStrategy
+    columns = ["wheels", "p"] + [f"case{strategy}_{part}" for strategy in STRATEGIES
                                  for part in ("analytic", "mc_mean", "mc_stderr")]
     rows = []
     for n in wheels:
         row = [n, p]
-        for strategy in WheelStrategy:
+        for strategy in STRATEGIES:
             exp = WheelExperiment(n, p, strategy, seed=seed + 100 * n + strategy)
             mean, stderr = ashby_simulate(exp, trials)
             row += [ashby_expected(exp)[0], mean, stderr]

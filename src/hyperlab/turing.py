@@ -19,8 +19,6 @@ after each one-step drive.
 
 from __future__ import annotations
 
-from enum import Enum
-from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import DomainError, ResourceError, ValidationError, shown
@@ -42,11 +40,8 @@ _NO_RULES = (None,) * 256  # the row of a state without rules, indexed by cell c
 
 
 class TuringMachine:
-    """Validated machine definition, with the codes of its cells; shareable,
-    and never changed once built.
-
-    It keeps a ``__dict__``, where its compiled tables are cached.
-    """
+    """Validated machine definition, with the codes of its cells and its
+    compiled tables; shareable, and never changed once built."""
 
     def __init__(
         self,
@@ -64,9 +59,11 @@ class TuringMachine:
         self.one_sided = one_sided
         self._codes = SymbolCodes(blank, alphabet, num_tapes,
                                   (write for _, write, _ in transitions.values()))
+        self._sweeps = self._compile_sweeps()
+        self._table = self._compile_table()
+        self._longest_symbol = max(map(len, alphabet))  # the blank is in the alphabet
 
-    @cached_property
-    def _table(self) -> dict:
+    def _compile_table(self) -> dict:
         """The transitions as the stepping loop reads them, compiled once.
 
         Each state maps to its row of rules, a list indexed by the cell code
@@ -89,8 +86,7 @@ class TuringMachine:
                     sweep if sweep and not sweep.stop[got] else None)
         return rows
 
-    @cached_property
-    def _sweeps(self) -> dict[str, Sweep]:
+    def _compile_sweeps(self) -> dict[str, Sweep]:
         """The states that sweep, each with its sweep.
 
         State q sweeps over the set S of the non-blank cells c whose rule
@@ -117,11 +113,6 @@ class TuringMachine:
             stop = bytes(int(code not in rules) for code in range(256))
             sweeps[state] = Sweep(stop, None if rewrite == identity else bytes(rewrite))
         return sweeps
-
-    @cached_property
-    def _longest_symbol(self) -> int:
-        """The length of the longest symbol a cell may hold (the blank is in the alphabet)."""
-        return max(map(len, self.alphabet))
 
 
 class Sweep(NamedTuple):
@@ -243,16 +234,14 @@ class TapeConfiguration:
         return row
 
 
-class OutcomeKind(Enum):
-    HALTED = "halted"
-    OUT_OF_FUEL = "out-of-fuel"
-    STUCK = "stuck"
-
-
 class RunOutcome:
+    """How a run ended, ``kind``: ``"halted"`` in a final state, ``"stuck"``
+    with no rule for its state and cell, or ``"out-of-fuel"``; its last
+    configuration, and its trace rows when traced."""
+
     __slots__ = ("kind", "config", "trace")
 
-    def __init__(self, kind: OutcomeKind, config: TapeConfiguration,
+    def __init__(self, kind: str, config: TapeConfiguration,
                  trace: Optional[list[TapeConfiguration]] = None):
         self.kind, self.config, self.trace = kind, config, trace
 
@@ -396,8 +385,9 @@ def _sweep_length(cells: bytearray, stop: bytes, i: int, shift: int, room: int) 
     return room
 
 
-def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int) -> OutcomeKind:
-    """Step ``config`` in place until it halts, sticks or reaches ``fuel`` steps.
+def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int) -> str:
+    """Step ``config`` in place until it halts, sticks or reaches ``fuel``
+    steps, and return how it ended, the word a :class:`RunOutcome` keeps.
 
     The configuration's one head reads and writes a cell of the tape, every
     track at once. The loop steps on the compiled table with the head, the
@@ -422,11 +412,11 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int) -> Outc
     try:
         while state not in finals:
             if steps >= fuel:
-                return OutcomeKind.OUT_OF_FUEL
+                return "out-of-fuel"
             i = head - origin
             rule = row[cells[i] if 0 <= i < size else 0]
             if rule is None:
-                return OutcomeKind.STUCK
+                return "stuck"
             dst, next_row, write, shift, sweep = rule
             if one_sided and head + shift < 0:
                 raise DomainError("head moved past the left edge of a one-sided tape")
@@ -452,7 +442,7 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int) -> Outc
             head += shift
             state, row = dst, next_row
             steps += 1
-        return OutcomeKind.HALTED
+        return "halted"
     finally:
         config.head, config.state, config.steps = head, state, steps
 

@@ -19,7 +19,6 @@ explicitly instead of pretending the limit was reached.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -88,28 +87,23 @@ def decelerated_steps_within_budget(t: Fraction | int) -> int | None:
 # -- Thomson's lamp ---------------------------------------------------------------
 
 
-class LampState(Enum):
-    ON = "on"
-    OFF = "off"
-    UNDEFINED = "undefined"
-
-
-def thomson_lamp(t: Fraction | int) -> tuple[LampState, int | None]:
-    """Lamp state at time t under the documented phase convention, and the
-    number of toggle instants zeno_time(n) <= t, computed exactly.
+def thomson_lamp(t: Fraction | int) -> tuple[str, int | None]:
+    """Lamp state at time t under the documented phase convention, ``"on"``
+    or ``"off"``, and the number of toggle instants zeno_time(n) <= t,
+    computed exactly.
 
     The lamp switches on at t = 0 and toggles at every instant zeno_time(n),
     n >= 0. The state is only defined before the supertask limit; at and
     beyond it no finite parity constrains the lamp, so the function answers
-    UNDEFINED there rather than pick a value, and the toggle count is None.
+    ``"undefined"`` there rather than pick a value, and the toggle count is None.
     """
     if t < 0:
         raise DomainError("time must be non-negative")
     if t >= LIMIT:
-        return LampState.UNDEFINED, None
+        return "undefined", None
     got = steps_within_budget(t) if t > 0 else None
     toggles = 0 if got is None else got + 1
-    return (LampState.ON if toggles % 2 == 0 else LampState.OFF), toggles
+    return ("on" if toggles % 2 == 0 else "off"), toggles
 
 
 # -- halting flag on an accelerated run --------------------------------------------
@@ -143,12 +137,11 @@ def atm_halting_flag(machine: TuringMachine, input_symbols: str, fuel: int) -> H
     if fuel > STEP_INDEX_BUDGET:
         raise ResourceError(
             f"fuel of {shown(fuel)} steps is past the budget of {STEP_INDEX_BUDGET}")
-    from .turing import OutcomeKind, run
+    from .turing import run
 
     outcome = run(machine, input_symbols, fuel=fuel)
-    halted = outcome.kind is OutcomeKind.HALTED
     return HaltingFlagReport(
-        flag=1 if halted else 0,
+        flag=int(outcome.kind == "halted"),
         steps=outcome.config.steps,
         elapsed=zeno_time(outcome.config.steps),
         outcome=outcome,

@@ -16,8 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from hyperlab import aqc, cli, linalg, tae, turing, zeno
-from hyperlab.tae import WheelExperiment, WheelStrategy
-from hyperlab.turing import OutcomeKind
+from hyperlab.tae import WheelExperiment
 
 from conftest import charpoly_eigenvalues, random_hermitian, self_loop_doc, successor_doc
 
@@ -193,13 +192,12 @@ def test_criterion_08_goldbach_stream():
 def test_criterion_09_ashby():
     with criterion(9, "wheel strategies: closed forms and Monte Carlo"):
         start = time.monotonic()
-        big = WheelExperiment(1000, 0.5, WheelStrategy.ALL_OR_NOTHING)
+        big = WheelExperiment(1000, 0.5, 1)
         assert tae.ashby_expected(big) == (2.0**1000, 1000.0)
         # quoted companion figures are recorded but deliberately not asserted
-        assert tae.QUOTED_CASE2_SECONDS != tae.ashby_expected(
-            WheelExperiment(1000, 0.5, WheelStrategy.ONE_AT_A_TIME))[0]
+        assert tae.QUOTED_CASE2_SECONDS != tae.ashby_expected(WheelExperiment(1000, 0.5, 2))[0]
         for n in (2, 5, 12):
-            for strategy in WheelStrategy:
+            for strategy in tae.STRATEGIES:
                 exp = WheelExperiment(n, 0.5, strategy, seed=3300 + 10 * n + strategy)
                 mean, stderr = tae.ashby_simulate(exp, 10**5)
                 assert abs(mean - tae.ashby_expected(exp)[0]) <= 3 * stderr
@@ -210,7 +208,7 @@ def test_criterion_10_tm_engine():
     with criterion(10, "machine engine: fixture, fuel monotonicity, halting flag"):
         successor = turing.load_machine(successor_doc())
         outcome = turing.run(successor, "111", fuel=100)
-        assert outcome.kind is OutcomeKind.HALTED
+        assert outcome.kind == "halted"
         assert outcome.config.tape_text() == "1111"
 
         rng = np.random.default_rng(1010)
@@ -227,14 +225,14 @@ def test_criterion_10_tm_engine():
 
         for machine, text in corpus:
             first = turing.run(machine, text, fuel=60)
-            if first.kind is not OutcomeKind.OUT_OF_FUEL:
+            if first.kind != "out-of-fuel":
                 for fuel in (first.config.steps + 1, 120, 700):
                     again = turing.run(machine, text, fuel=max(fuel, 1))
-                    assert again.kind is first.kind
+                    assert again.kind == first.kind
                     assert again.config.steps == first.config.steps
             flag = zeno.atm_halting_flag(machine, text, fuel=60)
             assert (flag.flag == 1) == (
-                turing.run(machine, text, fuel=60).kind is OutcomeKind.HALTED)
+                turing.run(machine, text, fuel=60).kind == "halted")
             assert flag.elapsed < 2
 
 

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperlab import aqc, cli, pairing, tae, turing
-from hyperlab.errors import ValidationError, shown
+from hyperlab.errors import DomainError, ValidationError, shown
 
 from conftest import contents_doc, self_loop_doc, successor_doc
 
@@ -255,6 +255,19 @@ class TestExperiments:
         overlaps = [row["ground_overlap"] for row in report["sweep"]]
         assert overlaps[1] > overlaps[0]
         assert overlaps[1] >= 0.9
+
+    def test_strategy_choices_are_the_strategies_an_experiment_takes(self):
+        choices = next(convert for name, convert, _ in cli.COMMANDS[("tae", "ashby")][2]
+                       if name == "--strategy")
+
+        def taken(strategy):
+            try:
+                tae.WheelExperiment(2, 0.5, strategy)
+            except DomainError:
+                return False
+            return True
+
+        assert [strategy for strategy in range(-8, 9) if taken(strategy)] == list(choices)
 
     @pytest.mark.parametrize("argv, rows", [
         (["--wheels", "2,4", "--trials", "2000", "--seed", "1"], ["2,0.5,", "4,0.5,"]),

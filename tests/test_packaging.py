@@ -39,7 +39,8 @@ def test_only_linalg_imports_numpy_and_none_imports_dataclasses():
     # every module, the library-only ones no command loads included
     modules = {p.stem: _imported_roots(p) for p in SRC.glob("*.py")}
     assert {name for name, roots in modules.items() if "numpy" in roots} == {"linalg"}
-    assert not {name for name, roots in modules.items() if roots & {"dataclasses", "argparse"}}
+    unwanted = {"dataclasses", "argparse", "enum", "functools"}
+    assert not {name for name, roots in modules.items() if roots & unwanted}
     # exact fractions reach the writers as text: only zeno computes in them,
     # and cli reads the fractions that zeno's commands take
     assert not modules["reporting"] & {"numbers", "fractions"}

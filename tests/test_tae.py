@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from hyperlab import tae, variates
 from hyperlab.errors import DomainError, ResourceError
-from hyperlab.tae import WheelExperiment, WheelStrategy
+from hyperlab.tae import WheelExperiment
 
 from conftest import (
     chi_square_upper,
@@ -226,14 +226,14 @@ def ashby_case3_inclusion_exclusion(n: int, p: float) -> float:
 
 class TestAshbyAnalytic:
     def test_single_wheel_strategies_coincide(self):
-        for strategy in WheelStrategy:
+        for strategy in tae.STRATEGIES:
             exp = WheelExperiment(1, 0.5, strategy)
             assert abs(tae.ashby_expected(exp)[0] - 2.0) < 1e-8
 
     # at p = 1e-17, 1 - p rounds to 1 and the sum would never end
     @pytest.mark.parametrize("p", [1e-7, 1e-17])
     def test_series_past_the_term_budget_is_refused(self, p):
-        exp = WheelExperiment(10, p, WheelStrategy.FREEZE_SUCCESSES)
+        exp = WheelExperiment(10, p, 3)
         with pytest.raises(ResourceError, match="budget"):
             tae.ashby_expected(exp)
 
@@ -249,7 +249,7 @@ class TestAshbyAnalytic:
                 break
         bound = (math.log(n) - math.log(tae.TAIL_RELATIVE_TOL)) / -math.log1p(-p) + 2
         assert terms <= bound
-        assert tae.ashby_expected(WheelExperiment(n, p, WheelStrategy.FREEZE_SUCCESSES)) == (
+        assert tae.ashby_expected(WheelExperiment(n, p, 3)) == (
             total, math.log2(total))
 
     @pytest.mark.parametrize("p", [0.5, 0.9])
@@ -266,16 +266,15 @@ class TestAshbyAnalytic:
                 t += 1
                 term = one - (n * (one - q**t).ln()).exp()
                 total += term
-        seconds, log2 = tae.ashby_expected(WheelExperiment(n, p, WheelStrategy.FREEZE_SUCCESSES))
+        seconds, log2 = tae.ashby_expected(WheelExperiment(n, p, 3))
         assert seconds == pytest.approx(float(total), rel=1e-8)
         assert log2 == math.log2(seconds)
 
     def test_thousand_wheels_all_or_nothing_log2(self):
-        exp = WheelExperiment(1000, 0.5, WheelStrategy.ALL_OR_NOTHING)
+        exp = WheelExperiment(1000, 0.5, 1)
         assert tae.ashby_expected(exp) == (2.0**1000, 1000.0)
 
-    @pytest.mark.parametrize("n, strategy", [(1100, WheelStrategy.ALL_OR_NOTHING),
-                                             (10**308, WheelStrategy.ONE_AT_A_TIME)],
+    @pytest.mark.parametrize("n, strategy", [(1100, 1), (10**308, 2)],
                              ids=["all-or-nothing", "one-at-a-time"])
     def test_mean_past_the_float_range_is_refused(self, n, strategy):
         # the seconds are withheld and the log2 alone is given
@@ -283,12 +282,12 @@ class TestAshbyAnalytic:
         assert seconds is None and 1024 < log2 < math.inf
 
     @settings(max_examples=200)
-    @given(st.sampled_from(list(WheelStrategy)),
+    @given(st.sampled_from(list(tae.STRATEGIES)),
            st.one_of(st.integers(1, 5000), st.integers(1, 10**299)), st.floats(0.01, 0.99))
-    @example(WheelStrategy.ALL_OR_NOTHING, 1019, 0.5)
-    @example(WheelStrategy.ALL_OR_NOTHING, 1020, 0.5)
-    @example(WheelStrategy.ONE_AT_A_TIME, 2**1019, 0.5)
-    @example(WheelStrategy.ONE_AT_A_TIME, 10**308, 0.01)
+    @example(1, 1019, 0.5)
+    @example(1, 1020, 0.5)
+    @example(2, 2**1019, 0.5)
+    @example(2, 10**308, 0.01)
     def test_seconds_are_withheld_exactly_from_2_to_the_1020(self, strategy, n, p):
         # up to N = 10**299 the series' term bound, log(N / TAIL_RELATIVE_TOL) /
         # -log1p(-p), stays a float below 10**5, within budget; strategy 2
@@ -297,25 +296,25 @@ class TestAshbyAnalytic:
         assert (seconds is None) == (log2 >= 1020)
         if seconds is None:
             return
-        if strategy is WheelStrategy.FREEZE_SUCCESSES:
+        if strategy == 3:
             assert log2 == math.log2(seconds)
         else:
-            assert seconds == (p**-n if strategy is WheelStrategy.ALL_OR_NOTHING else n / p)
+            assert seconds == (p**-n if strategy == 1 else n / p)
             assert math.isclose(log2, math.log2(seconds), rel_tol=1e-9, abs_tol=1e-12)
 
     def test_one_at_a_time_is_n_over_p(self):
-        exp = WheelExperiment(10, 0.25, WheelStrategy.ONE_AT_A_TIME)
+        exp = WheelExperiment(10, 0.25, 2)
         assert tae.ashby_expected(exp)[0] == 40.0
 
     def test_quoted_figures_differ_from_analytic(self):
         # the quoted one-at-a-time figure is 500 s; the analytic mean is 2000 s
-        exp = WheelExperiment(1000, 0.5, WheelStrategy.ONE_AT_A_TIME)
+        exp = WheelExperiment(1000, 0.5, 2)
         assert tae.ashby_expected(exp)[0] == 2000.0
         assert tae.QUOTED_CASE2_SECONDS == 500.0
 
     @given(st.integers(1, 12), st.floats(0.05, 0.95))
     def test_series_matches_inclusion_exclusion(self, n, p):
-        exp = WheelExperiment(n, p, WheelStrategy.FREEZE_SUCCESSES)
+        exp = WheelExperiment(n, p, 3)
         series, _ = tae.ashby_expected(exp)
         closed = ashby_case3_inclusion_exclusion(n, p)
         assert abs(series - closed) <= 1e-6 * closed
@@ -326,24 +325,33 @@ class TestAshbyAnalytic:
         # first comparison genuinely needs p <= 1/2 (at p near 1 a single
         # parallel round beats n sequential spins)
         c1, c2, c3 = (tae.ashby_expected(WheelExperiment(n, p, strategy))[0]
-                      for strategy in WheelStrategy)
+                      for strategy in tae.STRATEGIES)
         assert c1 >= c2 * (1 - 1e-12) >= c3 * (1 - 1e-12)
 
     @given(st.integers(1, 12), st.floats(0.05, 0.95))
     def test_freezing_never_beats_sequential(self, n, p):
-        c2 = tae.ashby_expected(WheelExperiment(n, p, WheelStrategy.ONE_AT_A_TIME))[0]
-        c3 = tae.ashby_expected(WheelExperiment(n, p, WheelStrategy.FREEZE_SUCCESSES))[0]
+        c2 = tae.ashby_expected(WheelExperiment(n, p, 2))[0]
+        c3 = tae.ashby_expected(WheelExperiment(n, p, 3))[0]
         assert c3 <= c2 * (1 + 1e-12)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            WheelExperiment(0, 0.5, WheelStrategy.ALL_OR_NOTHING)
+            WheelExperiment(0, 0.5, 1)
         with pytest.raises(DomainError):
-            WheelExperiment(3, 1.0, WheelStrategy.ALL_OR_NOTHING)
+            WheelExperiment(3, 1.0, 1)
+
+    def test_a_strategy_is_its_number(self):
+        assert tae.ashby_expected(WheelExperiment(10, 0.5, 1)) == (1024.0, 10.0)
+        assert tae.ashby_expected(WheelExperiment(10, 0.5, 2)) == (20.0, math.log2(20))
+
+    @pytest.mark.parametrize("strategy", [0, 4, True, 2.0])
+    def test_a_strategy_tae_cannot_run_is_refused(self, strategy):
+        with pytest.raises(DomainError, match="strategy must be 1, 2 or 3"):
+            WheelExperiment(10, 0.5, strategy)
 
 
 class TestAshbySimulation:
-    @pytest.mark.parametrize("strategy", list(WheelStrategy))
+    @pytest.mark.parametrize("strategy", list(tae.STRATEGIES))
     @pytest.mark.parametrize("n", [2, 4, 10])
     def test_monte_carlo_within_three_standard_errors(self, strategy, n):
         exp = WheelExperiment(n, 0.5, strategy, seed=1000 + 10 * n + strategy)
@@ -352,46 +360,43 @@ class TestAshbySimulation:
         assert abs(mean - analytic) <= 3 * stderr
 
     def test_same_seed_reproduces(self):
-        exp = WheelExperiment(4, 0.5, WheelStrategy.FREEZE_SUCCESSES, seed=42)
+        exp = WheelExperiment(4, 0.5, 3, seed=42)
         assert tae.ashby_simulate(exp, 5000) == tae.ashby_simulate(exp, 5000)
 
     def test_case3_expectation_against_simulation(self):
-        exp = WheelExperiment(10, 0.5, WheelStrategy.FREEZE_SUCCESSES, seed=7)
+        exp = WheelExperiment(10, 0.5, 3, seed=7)
         mean, stderr = tae.ashby_simulate(exp, 10**5)
         assert abs(mean - tae.ashby_expected(exp)[0]) <= 3 * stderr
 
     @pytest.mark.parametrize("n, p, strategy", [
-        (2000, 0.5, WheelStrategy.ALL_OR_NOTHING),  # p**N underflows to 0.0
-        (58, 0.5, WheelStrategy.ALL_OR_NOTHING),
-        (2, 2.0**-57, WheelStrategy.ONE_AT_A_TIME),
-        (1, 2.0**-58, WheelStrategy.FREEZE_SUCCESSES),
+        (2000, 0.5, 1),  # p**N underflows to 0.0
+        (58, 0.5, 1),
+        (2, 2.0**-57, 2),
+        (1, 2.0**-58, 3),
     ])
     def test_refuses_counts_past_64_bits_before_drawing(self, n, p, strategy):
         with pytest.raises(DomainError, match="64-bit"):
             tae.ashby_simulate(WheelExperiment(n, p, strategy), 10)
 
     def test_largest_all_or_nothing_run_still_draws(self):
-        exp = WheelExperiment(57, 0.5, WheelStrategy.ALL_OR_NOTHING, seed=3)
+        exp = WheelExperiment(57, 0.5, 1, seed=3)
         mean, _ = tae.ashby_simulate(exp, 1000)
         assert 2.0**56 < mean < 2.0**58
 
     def test_rejects_zero_trials(self):
         with pytest.raises(DomainError):
-            tae.ashby_simulate(WheelExperiment(2, 0.5, WheelStrategy.ONE_AT_A_TIME), 0)
+            tae.ashby_simulate(WheelExperiment(2, 0.5, 2), 0)
 
     def test_trials_past_the_budget_refused(self):
         with pytest.raises(ResourceError, match="budget"):
-            tae.ashby_simulate(WheelExperiment(2, 0.5, WheelStrategy.ONE_AT_A_TIME),
-                               tae.TRIAL_BUDGET + 1)
+            tae.ashby_simulate(WheelExperiment(2, 0.5, 2), tae.TRIAL_BUDGET + 1)
 
     def test_one_trial_is_refused(self):
         with pytest.raises(DomainError, match="two trials"):
-            tae.ashby_simulate(WheelExperiment(2, 0.5, WheelStrategy.ALL_OR_NOTHING), 1)
+            tae.ashby_simulate(WheelExperiment(2, 0.5, 1), 1)
 
     @pytest.mark.parametrize("strategy, n, p", [
-        (WheelStrategy.ALL_OR_NOTHING, 4, 0.5), (WheelStrategy.ALL_OR_NOTHING, 2, 0.1),
-        (WheelStrategy.ONE_AT_A_TIME, 10, 0.5), (WheelStrategy.ONE_AT_A_TIME, 1000, 0.3),
-        (WheelStrategy.FREEZE_SUCCESSES, 10, 0.5), (WheelStrategy.FREEZE_SUCCESSES, 10**5, 0.2),
+        (1, 4, 0.5), (1, 2, 0.1), (2, 10, 0.5), (2, 1000, 0.3), (3, 10, 0.5), (3, 10**5, 0.2),
     ])
     def test_z_scores_over_seeds_are_standard(self, strategy, n, p):
         # 200 seeds of 2000 trials: the mean of 200 standard z-scores has standard
@@ -407,16 +412,14 @@ class TestAshbySimulation:
 
     @pytest.mark.parametrize("n, p, trials, seed, strategy", [
         (n, p, trials, seed, strategy)
-        for strategy in (WheelStrategy.ONE_AT_A_TIME, WheelStrategy.FREEZE_SUCCESSES)
+        for strategy in (2, 3)
         for n, p, trials, seed in [(1, 0.5, 300, 1), (3, 0.2, 301, 2), (10, 0.9, 97, 3),
                                    (37, 0.01, 250, 4)]
-    ] + [(1, 0.5, 300, 1, WheelStrategy.ALL_OR_NOTHING),
-         (3, 0.2, 301, 2, WheelStrategy.ALL_OR_NOTHING),
-         (37, 0.99, 250, 4, WheelStrategy.ALL_OR_NOTHING)])
+    ] + [(1, 0.5, 300, 1, 1), (3, 0.2, 301, 2, 1), (37, 0.99, 250, 4, 1)])
     def test_moments_equal_a_per_trial_sum(self, n, p, trials, seed, strategy):
         exp = WheelExperiment(n, p, strategy, seed=seed)
         rng = random.Random(seed)
-        if strategy is WheelStrategy.ALL_OR_NOTHING:
+        if strategy == 1:
             times = [1 + math.floor(math.log(1 - rng.random()) / math.log1p(-p**n))
                      for _ in range(trials)]
         else:
@@ -428,15 +431,13 @@ class TestAshbySimulation:
         assert tae.ashby_simulate(exp, trials) == (float(mean), math.sqrt(variance / trials))
 
     @pytest.mark.parametrize("strategy, n, p", [
-        (WheelStrategy.ONE_AT_A_TIME, 1, 0.5), (WheelStrategy.ONE_AT_A_TIME, 5, 0.3),
-        (WheelStrategy.ONE_AT_A_TIME, 40, 0.7), (WheelStrategy.FREEZE_SUCCESSES, 1, 0.5),
-        (WheelStrategy.FREEZE_SUCCESSES, 10, 0.5), (WheelStrategy.FREEZE_SUCCESSES, 12, 0.25),
+        (2, 1, 0.5), (2, 5, 0.3), (2, 40, 0.7), (3, 1, 0.5), (3, 10, 0.5), (3, 12, 0.25),
     ])
     def test_law_of_one_trial_is_exact_and_leaves_out_at_most_2_to_the_minus_64(self, strategy, n, p):
         first, weights = tae._trial_time_law(WheelExperiment(n, p, strategy))
         last = first + len(weights) - 1
         p, q = Fraction(p), 1 - Fraction(p)
-        if strategy is WheelStrategy.ONE_AT_A_TIME:
+        if strategy == 2:
             def chance(t):  # the n-th success on spin t
                 return math.comb(t - 1, n - 1) * p**n * q ** (t - n) if t >= n else 0
 
@@ -454,8 +455,7 @@ class TestAshbySimulation:
         for t, weight in enumerate(weights, first):
             assert abs(weight / total - chance(t)) <= 1e-12 * chance(t) + 1e-18
 
-    @pytest.mark.parametrize("strategy", [WheelStrategy.ONE_AT_A_TIME,
-                                          WheelStrategy.FREEZE_SUCCESSES])
+    @pytest.mark.parametrize("strategy", [2, 3])
     def test_memory_does_not_grow_with_wheels(self, strategy):
         tracemalloc.start()
         try:

@@ -6,7 +6,7 @@ import pytest
 
 from hyperlab import tae
 from hyperlab.errors import ResourceError
-from hyperlab.tae import WheelExperiment, WheelStrategy
+from hyperlab.tae import WheelExperiment
 
 from conftest import has_prime_pair, plant_composites
 
@@ -44,24 +44,21 @@ def test_stream_stops_at_its_first_no(monkeypatch, counterexample, composites):
 
 class TestCellBudget:
     @pytest.mark.parametrize("exp", [
-        WheelExperiment(10**8, 0.5, WheelStrategy.ONE_AT_A_TIME),
-        WheelExperiment(10, 1e-4, WheelStrategy.FREEZE_SUCCESSES),
-    ], ids=["wheels", "small-p"])
+        WheelExperiment(10**8, 0.5, 2), WheelExperiment(10, 1e-4, 3)], ids=["wheels", "small-p"])
     def test_laws_past_the_cell_budget_are_refused(self, exp):
         with pytest.raises(ResourceError, match="budget"):
             tae.ashby_simulate(exp, 2)
 
     @pytest.mark.parametrize("exp", [
-        WheelExperiment(2, 1e-310, WheelStrategy.ONE_AT_A_TIME),
-        WheelExperiment(2, 1e-310, WheelStrategy.FREEZE_SUCCESSES),
-        WheelExperiment(10**306, 0.001, WheelStrategy.ONE_AT_A_TIME),
+        WheelExperiment(2, 1e-310, 2),
+        WheelExperiment(2, 1e-310, 3),
+        WheelExperiment(10**306, 0.001, 2),
     ], ids=["subnormal-p", "subnormal-p-freeze", "wheels-near-the-float-range"])
     def test_law_bounds_past_the_float_range_are_refused(self, exp):
         with pytest.raises(ResourceError, match="more times than a float counts"):
             tae._law_span(exp)
 
-    @pytest.mark.parametrize("strategy", [WheelStrategy.ONE_AT_A_TIME,
-                                          WheelStrategy.FREEZE_SUCCESSES])
+    @pytest.mark.parametrize("strategy", [2, 3])
     def test_cell_budget_is_inclusive(self, monkeypatch, strategy):
         exp = WheelExperiment(10, 0.5, strategy)
         monkeypatch.setattr(tae, "CELL_BUDGET", len(tae._trial_time_law(exp)[1]))
@@ -72,12 +69,12 @@ class TestCellBudget:
 
     def test_all_or_nothing_draws_one_count_per_trial(self):
         # 2**21 wheels at p = 1 - 1e-9 still succeed in about one round
-        exp = WheelExperiment(2**21, 1 - 1e-9, WheelStrategy.ALL_OR_NOTHING)
+        exp = WheelExperiment(2**21, 1 - 1e-9, 1)
         mean, _ = tae.ashby_simulate(exp, 100)
         assert 1.0 <= mean < 1.1
 
 
-@pytest.mark.parametrize("strategy", list(WheelStrategy))
+@pytest.mark.parametrize("strategy", list(tae.STRATEGIES))
 def test_simulation_keeps_no_trial(strategy):
     # 40,000 trials: a float per trial would be 320 kB
     exp = WheelExperiment(10, 0.5, strategy, seed=3)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from hyperlab import turing
 from hyperlab.errors import DomainError, ResourceError, ValidationError
-from hyperlab.turing import OutcomeKind
 
 from conftest import contents_doc, self_loop_doc, successor_doc
 
@@ -25,7 +24,7 @@ class TestLoading:
     def test_successor_loads_with_two_states(self, successor):
         assert len(successor.states) == 2
         outcome = turing.run(successor, "111", fuel=100)
-        assert outcome.kind is OutcomeKind.HALTED
+        assert outcome.kind == "halted"
         assert outcome.config.tape_text() == "1111"
 
     def test_duplicate_rule_is_nondeterminism(self):
@@ -61,7 +60,7 @@ class TestLoading:
 class TestStep:
     def test_skip_right_leaves_tape(self, successor):
         outcome = turing.run(successor, "1", fuel=1)
-        assert outcome.kind is OutcomeKind.OUT_OF_FUEL
+        assert outcome.kind == "out-of-fuel"
         assert outcome.config.head == 1
         assert outcome.config.tape_text() == "1"
         assert outcome.config.steps == 1
@@ -86,7 +85,7 @@ class TestStep:
         }
         machine = turing.load_machine(doc)
         outcome = turing.run(machine, "aaa", fuel=50)
-        assert outcome.kind is OutcomeKind.HALTED
+        assert outcome.kind == "halted"
         assert outcome.config.tape_text(tape=0) == "aaa"
         assert outcome.config.tape_text(tape=1) == "aaa"
         # one head over both tapes, moved once per transition
@@ -96,13 +95,13 @@ class TestStep:
 class TestRun:
     def test_successor_on_three_marks(self, successor):
         outcome = turing.run(successor, "111", fuel=100)
-        assert outcome.kind is OutcomeKind.HALTED
+        assert outcome.kind == "halted"
         assert outcome.config.tape_text() == "1111"
         assert outcome.config.steps == 4
 
     def test_self_loop_runs_out_of_fuel(self, self_loop):
         outcome = turing.run(self_loop, "", fuel=50)
-        assert outcome.kind is OutcomeKind.OUT_OF_FUEL
+        assert outcome.kind == "out-of-fuel"
         assert outcome.config.steps == 50
 
     def test_immediate_halt_on_empty_input(self):
@@ -110,7 +109,7 @@ class TestRun:
         doc["initial"] = "done"
         machine = turing.load_machine(doc)
         outcome = turing.run(machine, "", fuel=10)
-        assert outcome.kind is OutcomeKind.HALTED
+        assert outcome.kind == "halted"
         assert outcome.config.steps == 0
 
     def test_stuck_when_no_rule(self, successor):
@@ -118,7 +117,7 @@ class TestRun:
         del doc["transitions"][1]
         machine = turing.load_machine(doc)
         outcome = turing.run(machine, "1", fuel=10)
-        assert outcome.kind is OutcomeKind.STUCK
+        assert outcome.kind == "stuck"
 
     def test_trace_is_bounded(self, self_loop):
         with mock.patch.object(turing, "TRACE_CAP", 5):
@@ -165,12 +164,12 @@ class TestFuelMonotonicity:
             machine = turing.load_machine(_random_machine_doc(rng))
             text = "1" * int(rng.integers(4))
             first = turing.run(machine, text, fuel=40)
-            if first.kind is OutcomeKind.OUT_OF_FUEL:
+            if first.kind == "out-of-fuel":
                 continue
             settled += 1
             for fuel in (first.config.steps + 1, 80, 500):
                 again = turing.run(machine, text, fuel=max(fuel, 1))
-                assert again.kind is first.kind
+                assert again.kind == first.kind
                 assert again.config.steps == first.config.steps
                 assert _engine_view(again.config) == _engine_view(first.config)
         assert settled >= 10  # the corpus must actually exercise the property
@@ -184,7 +183,7 @@ def test_run_agrees_with_iterated_pure_steps(rng):
         text = "1" * int(rng.integers(4))
         outcome = turing.run(turing.load_machine(doc), text, fuel=50)
         ref = _reference_start(doc, text)
-        assert outcome.kind is _reference_drive(doc, ref, 50)
+        assert outcome.kind == _reference_drive(doc, ref, 50)
         # state, the shared head, steps, and each tape's text and extent
         assert _engine_view(outcome.config) == _reference_view(doc, ref)
 
@@ -351,12 +350,12 @@ def _reference_drive(doc, ref, fuel, trace=None):
 
     while True:
         if ref.state in doc["finals"]:
-            return OutcomeKind.HALTED
+            return "halted"
         if ref.steps >= fuel:
-            return OutcomeKind.OUT_OF_FUEL
+            return "out-of-fuel"
         rule = rules.get((ref.state, tuple(t.get(ref.head, blank) for t in ref.tapes)))
         if rule is None:
-            return OutcomeKind.STUCK
+            return "stuck"
         if doc.get("one_sided") and ref.head + moves[rule["move"]] < 0:
             raise DomainError("head moved past the left edge of a one-sided tape")
         for tape, symbol in zip(ref.tapes, _listed(rule["write"])):
@@ -525,13 +524,13 @@ def _check_run(doc, text, fuel, cap):
         return
     with capped:
         outcome = turing.run(machine, text, fuel=fuel, trace=True)
-    assert outcome.kind is kind
+    assert outcome.kind == kind
     assert _engine_view(outcome.config) == _reference_view(doc, ref)
     # the first row, of the starting configuration, is kept at any cap
     expected = ([_reference_view(doc, _reference_start(doc, text))] + trace)[:max(cap, 1)]
     assert list(map(_engine_view, outcome.trace)) == expected
     untraced = turing.run(machine, text, fuel=fuel)
-    assert untraced.kind is kind
+    assert untraced.kind == kind
     assert _engine_view(untraced.config) == _reference_view(doc, ref)
 
 
@@ -541,7 +540,7 @@ def _step_by_step(doc, text, steps):
     or None where both raised at the one-sided edge."""
     machine = turing.load_machine(doc)
     config, ref = turing.initial_configuration(machine, text), _reference_start(doc, text)
-    kind = OutcomeKind.OUT_OF_FUEL
+    kind = "out-of-fuel"
     for _ in range(steps):
         before = config.steps
         try:
@@ -551,10 +550,10 @@ def _step_by_step(doc, text, steps):
                 turing._drive(machine, config, config.steps + 1)
             assert _engine_view(config) == _reference_view(doc, ref)
             return None
-        assert turing._drive(machine, config, config.steps + 1) is kind
+        assert turing._drive(machine, config, config.steps + 1) == kind
         assert config.steps - before == ref.steps - before <= 1
         assert _engine_view(config) == _reference_view(doc, ref)
-        if kind is not OutcomeKind.OUT_OF_FUEL:
+        if kind != "out-of-fuel":
             break
     return kind
 
@@ -566,12 +565,12 @@ class TestOneStep:
         doc = _sweeper([("s0", "a", "s1", "bb", "r"), ("s1", "a", "s0", "c.", "r"),
                         ("s0", "..", "halt", "a", "n")])
         assert not _swept(turing.load_machine(doc))
-        assert _step_by_step(doc, ["a"] * 6, 10) is OutcomeKind.HALTED
+        assert _step_by_step(doc, ["a"] * 6, 10) == "halted"
 
     def test_a_sweep_rule_covers_one_cell(self):
         doc = _sweeper(_RIGHT + [("s0", "..", "halt", "a", "n")])
         assert _swept(turing.load_machine(doc)) == {"s0"}
-        assert _step_by_step(doc, _LONG, 50) is OutcomeKind.HALTED
+        assert _step_by_step(doc, _LONG, 50) == "halted"
 
     def test_a_write_past_either_end_of_the_array(self):
         # on an empty array s0 writes at cell 0 and s1 left of it, at -1;
@@ -585,7 +584,7 @@ class TestOneStep:
             turing._drive(machine, config, config.steps + 1)
             arrays.append((config.origin, len(config.cells)))
         assert arrays == [(0, 1), (-1, 2), (-1, 2), (-1, 4)]
-        assert _step_by_step(doc, "", 10) is OutcomeKind.STUCK
+        assert _step_by_step(doc, "", 10) == "stuck"
 
     def test_at_the_one_sided_edge_it_raises(self):
         assert _step_by_step(_INTO_THE_EDGE, _LONG, 200) is None
@@ -684,7 +683,7 @@ class TestSweepMarks:
         start = time.perf_counter()
         outcome = turing.run(machine, ["s1", "s2"] * 10**5, fuel=2 * 10**5)
         assert time.perf_counter() - start < 1.0
-        assert outcome.kind is OutcomeKind.OUT_OF_FUEL
+        assert outcome.kind == "out-of-fuel"
         assert outcome.config.tape_text(0) == "s1s2" * 10**5
 
 
@@ -701,7 +700,7 @@ class TestAlphabetBudget:
         assert turing.ALPHABET_BUDGET == 256
         machine = turing.load_machine(self._doc(256))
         outcome = turing.run(machine, fuel=5)
-        assert outcome.kind is OutcomeKind.HALTED and outcome.config.tape_text() == "s255"
+        assert outcome.kind == "halted" and outcome.config.tape_text() == "s255"
 
     def test_past_the_budget_the_machine_is_refused(self):
         with pytest.raises(ResourceError, match="budget of 256"):
@@ -713,7 +712,7 @@ class TestContentBudget:
         machine = turing.load_machine(contents_doc(16))
         assert len(machine._codes.cells) == turing.ALPHABET_BUDGET
         outcome = turing.run(machine, fuel=1000)
-        assert outcome.kind is OutcomeKind.HALTED
+        assert outcome.kind == "halted"
         assert [outcome.config.tape_text(k) for k in range(2)] == ["s15", "s15"]
 
     def test_past_the_budget_the_machine_is_refused(self):
@@ -732,7 +731,7 @@ class TestTapeBudget:
     def test_at_the_budget_a_machine_loads_and_runs(self):
         assert turing.TAPE_BUDGET == 256
         outcome = turing.run(turing.load_machine(self._doc(256)), fuel=5)
-        assert outcome.kind is OutcomeKind.HALTED
+        assert outcome.kind == "halted"
         assert [outcome.config.tape_text(k) for k in range(256)] == ["1"] * 256
 
     def test_past_the_budget_the_machine_is_refused(self):
@@ -763,7 +762,7 @@ class TestFuelBudget:
 
     def test_run_at_the_budget_is_accepted(self, successor):
         outcome = turing.run(successor, "11", fuel=turing.FUEL_BUDGET)
-        assert outcome.kind is OutcomeKind.HALTED
+        assert outcome.kind == "halted"
 
 
 def _successor_writing(mark: str) -> turing.TuringMachine:
@@ -781,7 +780,7 @@ class TestTapeTextBudget:
         machine = _successor_writing("m" * 20)
         with pytest.raises(ResourceError, match="budget"):
             turing.run(machine, "", fuel=turing.FUEL_BUDGET)
-        assert turing.run(machine, "", fuel=turing.FUEL_BUDGET // 20).kind is OutcomeKind.HALTED
+        assert turing.run(machine, "", fuel=turing.FUEL_BUDGET // 20).kind == "halted"
 
     def test_budget_is_inclusive(self):
         length = turing.TAPE_TEXT_BUDGET // turing.FUEL_BUDGET
@@ -789,10 +788,10 @@ class TestTapeTextBudget:
         machine = _successor_writing("m" * length)
         # an empty tape and 10**7 steps of fuel: exactly the budget
         outcome = turing.run(machine, "", fuel=turing.FUEL_BUDGET)
-        assert outcome.kind is OutcomeKind.HALTED and outcome.config.tape_text() == "m" * length
+        assert outcome.kind == "halted" and outcome.config.tape_text() == "m" * length
         # blank input cells are no part of the extent: still exactly the budget
         outcome = turing.run(machine, "_" * 3, fuel=turing.FUEL_BUDGET)
-        assert outcome.kind is OutcomeKind.HALTED and outcome.config.tape_text() == "m" * length
+        assert outcome.kind == "halted" and outcome.config.tape_text() == "m" * length
         # one input cell more is past it
         with pytest.raises(ResourceError, match="budget"):
             turing.run(machine, "1", fuel=turing.FUEL_BUDGET)
@@ -806,13 +805,13 @@ class TestTapeTextBudget:
         # two tapes of 10**7 cells each at 3 characters: 6 * 10**7
         with pytest.raises(ResourceError, match="budget"):
             turing.run(machine, "", fuel=turing.FUEL_BUDGET)
-        assert turing.run(machine, "", fuel=turing.FUEL_BUDGET // 2).kind is OutcomeKind.HALTED
+        assert turing.run(machine, "", fuel=turing.FUEL_BUDGET // 2).kind == "halted"
 
     def test_multichar_document_is_accepted_at_the_fuel_budget(self):
         path = Path(__file__).parent / "golden" / "multichar.json"
         machine = turing.load_machine(json.loads(path.read_text()))
         outcome = turing.run(machine, "abba", fuel=turing.FUEL_BUDGET)
-        assert outcome.kind is OutcomeKind.HALTED
+        assert outcome.kind == "halted"
 
 
 class TestTraceTextBudget:
@@ -830,4 +829,4 @@ class TestTraceTextBudget:
 
     def test_untraced_runs_keep_no_text(self, successor, monkeypatch):
         monkeypatch.setattr(turing, "TRACE_TEXT_BUDGET", 0)
-        assert turing.run(successor, "1" * 50).kind is OutcomeKind.HALTED
+        assert turing.run(successor, "1" * 50).kind == "halted"

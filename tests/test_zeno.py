@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from hyperlab import turing, zeno
 from hyperlab.errors import DomainError, ResourceError
 from hyperlab.limits import SPEED_OF_LIGHT
-from hyperlab.turing import OutcomeKind
-from hyperlab.zeno import UNBOUNDED, LampState
+from hyperlab.zeno import UNBOUNDED
 
 # step index commonly quoted for the head outrunning light at 1 m/s on step 1;
 # the convention of first_superluminal_step derives 30
@@ -152,23 +151,23 @@ class TestDeceleratedBudget:
 
 class TestThomsonLamp:
     def test_half_second_is_on(self):
-        assert zeno.thomson_lamp(Fraction(1, 2)) == (LampState.ON, 0)
+        assert zeno.thomson_lamp(Fraction(1, 2)) == ("on", 0)
 
     def test_parity_near_the_limit(self):
         t = Fraction(19999, 10000)
         # toggle instants are 2 - 2**-n; count those <= t by hand
         toggles = sum(1 for n in range(60) if 2 - Fraction(1, 2**n) <= t)
         assert toggles == 14
-        assert zeno.thomson_lamp(t) == (LampState.ON, toggles)  # even number of toggles
+        assert zeno.thomson_lamp(t) == ("on", toggles)  # even number of toggles
 
     def test_boundary_toggle_counts(self):
         # exactly at a toggle instant the flip has happened
-        assert zeno.thomson_lamp(Fraction(7, 4)) == (LampState.OFF, 3)
+        assert zeno.thomson_lamp(Fraction(7, 4)) == ("off", 3)
 
     def test_at_and_beyond_limit_undefined(self):
         # no finite count of toggles either
-        assert zeno.thomson_lamp(2.0) == (LampState.UNDEFINED, None)
-        assert zeno.thomson_lamp(1000) == (LampState.UNDEFINED, None)
+        assert zeno.thomson_lamp(2.0) == ("undefined", None)
+        assert zeno.thomson_lamp(1000) == ("undefined", None)
 
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
@@ -198,7 +197,7 @@ class TestHaltingFlag:
         for machine, text in ((successor, "1"), (self_loop, "")):
             outcome = turing.run(machine, text, fuel=500)
             report = zeno.atm_halting_flag(machine, text, fuel=500)
-            assert (report.flag == 1) == (outcome.kind is OutcomeKind.HALTED)
+            assert (report.flag == 1) == (outcome.kind == "halted")
 
     def test_fuel_at_the_budget_is_accepted(self, successor):
         report = zeno.atm_halting_flag(successor, "111", fuel=10**6)
