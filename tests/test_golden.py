@@ -126,10 +126,25 @@ CASES = {
     "enum-decode-long": ["enum", "decode", "--index", "12512501"],
     "zeno-halting-csv": ["--format", "csv", "zeno", "halting", "fixtures/successor.json",
                          "--input", "11", "--fuel", "1000"],
+    # the defaults a command table row states (zeno's fuel, bogosort's tries),
+    # a zeno run that sticks, fuel past zeno's budget, a plain bogosort that
+    # sorts and one that gives up, and a sweep that starts at time 0
+    "zeno-halting-default-fuel": ["zeno", "halting", "fixtures/successor.json",
+                                  "--input", "111"],
+    "zeno-halting-stuck": ["zeno", "halting", "tests/golden/multichar.json", "--input", "aaab",
+                           "--fuel", "100"],
+    "error-zeno-halting-past-budget": ["zeno", "halting", "fixtures/successor.json",
+                                       "--input", "111", "--fuel", "1000001"],
+    "tae-bogosort-plain": ["tae", "bogosort", "--len", "5", "--seed", "7"],
+    "tae-bogosort-gives-up": ["tae", "bogosort", "--len", "6", "--max-tries", "3",
+                              "--seed", "1"],
+    "aqc-sweep-from-zero": ["aqc", "sweep", "fixtures/x_minus_2.json", "--cutoff", "4",
+                            "--times", "0,1", "--dt", "0.01"],
 }
 
 # cases that end in a structured error on stderr with exit status 1
-FAILING = {"error-enum-decode", "tm-run-one-sided-edge", "tm-trace-one-sided-edge"}
+FAILING = {"error-enum-decode", "error-zeno-halting-past-budget", "tm-run-one-sided-edge",
+           "tm-trace-one-sided-edge"}
 
 
 def run_case(argv: list[str]) -> tuple[int, bytes, bytes]:
