@@ -269,16 +269,16 @@ class LevelScan(NamedTuple):
         return found
 
 
-def scan_levels(
-    poly: DiophantinePolynomial, cutoff: int, max_levels: int = LEVEL_BUDGET
-) -> LevelScan:
+def scan_levels(poly: DiophantinePolynomial, cutoff: int, steps: int = 1) -> LevelScan:
     """Evaluate D once at every lattice point up to the cutoff and count the points per level.
 
     Memory is one count per distinct |D|, the root of its level; the lattice
     budgets are checked before the first evaluation, and the scan stops with
     :class:`ResourceError` after the run that holds the first level past
-    ``max_levels``.
+    min(LEVEL_BUDGET, LEVEL_STEP_BUDGET // steps), so that the levels found
+    can be evolved ``steps`` steps (0 steps counts as 1).
     """
+    max_levels = min(LEVEL_BUDGET, LEVEL_STEP_BUDGET // max(1, steps))
     counts: Counter[int] = Counter()
 
     def magnitudes() -> Iterator[Iterator[int]]:
@@ -484,15 +484,14 @@ def decide(
     where it is 0, the note says the scan found a zero within the cutoff that
     the sampled candidate is not. The success-probability estimate is the
     candidate's empirical frequency; there is deliberately no automatic rule
-    for growing T or shots. The scan refuses a lattice of more than
-    min(LEVEL_BUDGET, LEVEL_STEP_BUDGET // steps) levels before the evolution
-    starts.
+    for growing T or shots. The scan, told the schedule's steps, refuses a
+    lattice of more levels than they may evolve before the evolution starts.
     """
     steps = _schedule_steps(total_time, dt)
     if total_time == 0:
         raise DomainError("total time must be positive")
     _check_shots(shots)
-    scan = scan_levels(poly, cutoff, min(LEVEL_BUDGET, LEVEL_STEP_BUDGET // steps))
+    scan = scan_levels(poly, cutoff, steps)
     evolved = evolve_from_uniform(scan, total_time, dt)
     samples = sample_levels(scan, [abs(x) ** 2 for x in evolved.amplitudes], shots, seed)
 
@@ -536,7 +535,7 @@ def overlap_sweep(
     steps = sum(_schedule_steps(total_time, dt) for total_time in times)
     if steps > STEP_BUDGET:
         raise ResourceError(f"{steps} steps over the sweep are past the budget of {STEP_BUDGET}")
-    scan = scan_levels(poly, cutoff, min(LEVEL_BUDGET, LEVEL_STEP_BUDGET // max(1, steps)))
+    scan = scan_levels(poly, cutoff, steps)
     if scan.multiplicities[0] > MINIMIZER_BUDGET:
         raise ResourceError(f"more than {MINIMIZER_BUDGET} minimisers are past the budget")
     ground = scan.members({0: range(scan.multiplicities[0])})[0]

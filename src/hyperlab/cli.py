@@ -85,9 +85,8 @@ def load_json(path: str):
 def _cmd_tm_run(args) -> dict:
     from . import turing
 
-    fuel = turing.DEFAULT_FUEL if args.fuel is None else args.fuel
     machine = turing.load_machine(load_json(args.machine))
-    outcome = turing.run(machine, args.input, fuel=fuel, trace=args.trace)
+    outcome = turing.run(machine, args.input, fuel=args.fuel, trace=args.trace)
     config = outcome.config
     # no machine consults an oracle; the golden corpus and the benchmark's checks read the field
     report = {"command": "tm run", "outcome": outcome.kind, "steps": config.steps,
@@ -141,11 +140,11 @@ def _cmd_bogosort(args) -> dict:
 
     from . import tae
 
-    tae.check_bogosort_length(args.length)
+    tae.check_bogosort_length(args.len)
     rng = random.Random(args.seed)  # the shuffles continue the input's stream
-    sequence = rng.sample(range(args.length), args.length)
+    sequence = rng.sample(range(args.len), args.len)
     result = tae.bogosort(sequence, memoized=args.memo, seed=rng, max_tries=args.max_tries)
-    return {"command": "tae bogosort", "length": args.length, "memoized": args.memo,
+    return {"command": "tae bogosort", "length": args.len, "memoized": args.memo,
             "seed": args.seed, "input": sequence, "sorted": list(result.sequence),
             "tries": result.tries, "gave_up": result.gave_up}
 
@@ -175,9 +174,8 @@ def _cmd_zeno_budget(args) -> dict:
     from . import zeno
 
     seconds = _time_view(args.seconds, "--seconds")
-    got = zeno.steps_within_budget(args.seconds)
     return {"command": "zeno budget", "budget_seconds": seconds,
-            "largest_step_index": "unbounded" if got is zeno.UNBOUNDED else got,
+            "largest_step_index": zeno.steps_within_budget(args.seconds),
             "decelerated_step_index": zeno.decelerated_steps_within_budget(args.seconds),
             "note": "decelerated_step_index counts the mirrored cascade whose step n "
                     "ends at base * 2**n; budget ratios map to step gains as log2"}
@@ -197,11 +195,10 @@ def _cmd_zeno_lamp(args) -> dict:
 def _cmd_zeno_halting(args) -> dict:
     from . import turing, zeno
 
-    fuel = turing.DEFAULT_FUEL if args.fuel is None else args.fuel
     machine = turing.load_machine(load_json(args.machine))
-    result = zeno.atm_halting_flag(machine, args.input, fuel)
-    return {"command": "zeno halting", "flag": result.flag, "steps": result.steps,
-            "elapsed_seconds": float(result.elapsed),
+    result = zeno.atm_halting_flag(machine, args.input, args.fuel)
+    return {"command": "zeno halting", "flag": result.flag,
+            "steps": result.outcome.config.steps, "elapsed_seconds": float(result.elapsed),
             "elapsed_exact": format_fraction(*result.elapsed.as_integer_ratio()),
             "outcome": result.outcome.kind, "fuel_bounded": result.fuel_bounded}
 
@@ -267,10 +264,9 @@ _HELP = ("--help", None, False)
 GLOBAL_OPTIONS = (("--format", ("json", "csv"), "json"), ("--output", str, "-"))
 
 # (group, command) -> (handler, help line, arguments); `limits` has no command.
-# A --fuel of None is turing.DEFAULT_FUEL.
 COMMANDS = {
     ("tm", "run"): (_cmd_tm_run, "run a machine on an input string", (
-        ("machine", str, REQUIRED), ("--input", str, ""), ("--fuel", int, None),
+        ("machine", str, REQUIRED), ("--input", str, ""), ("--fuel", int, 10**6),
         ("--trace", None, False))),
     ("tae", "goldbach"): (_cmd_goldbach, "prime-pair answer stream over even numbers", (
         ("--horizon", int, REQUIRED),)),
@@ -291,7 +287,7 @@ COMMANDS = {
     ("zeno", "lamp"): (_cmd_zeno_lamp, "toggling-lamp state at a time", (
         ("--t", _fraction_arg, REQUIRED),)),
     ("zeno", "halting"): (_cmd_zeno_halting, "halting flag of a fuel-bounded run", (
-        ("machine", str, REQUIRED), ("--input", str, ""), ("--fuel", int, None))),
+        ("machine", str, REQUIRED), ("--input", str, ""), ("--fuel", int, 10**6))),
     ("limits", None): (_cmd_limits, "physical bounds on mechanical computation", (
         ("--symbols", int, REQUIRED), ("--power", float, None), ("--dt", float, None))),
     ("enum", "decode"): (_cmd_enum_decode, "pair at a diagonal index", (
@@ -311,7 +307,7 @@ COMMANDS = {
 
 
 def _dest(name: str) -> str:
-    return "length" if name == "--len" else name.lstrip("-").replace("-", "_")
+    return name.lstrip("-").replace("-", "_")
 
 
 def _arguments(path: tuple) -> tuple:

@@ -117,20 +117,17 @@ def check_bogosort_length(n: int) -> None:
                             "space is past desk scale")
 
 
-def bogosort(
-    seq: Sequence[int],
-    memoized: bool = False,
-    seed: int | random.Random = 0,
-    max_tries: int = 10**6,
-) -> BogosortResult:
+def bogosort(seq: Sequence[int], memoized: bool = False, seed: int | random.Random = 0, *,
+             max_tries: int) -> BogosortResult:
     """Shuffle until sorted; checking an arrangement costs one try.
 
     Only the outcome is drawn. Over the M = n!/prod(c_i!) distinct
     arrangements (c_i the count of each value), a memoized run takes
     1 + randrange(1, M) tries and a plain one 1 + Geometric(1/M), capped by
-    ``max_tries``; a plain run that gives up ends on a uniform unsorted
-    shuffle (on the input when ``max_tries`` is 1). ``seed`` is an int or a
-    ``random.Random`` to continue, as a caller that drew ``seq`` from it does.
+    ``max_tries``, which the caller states as the command line does; a plain
+    run that gives up ends on a uniform unsorted shuffle (on the input when
+    ``max_tries`` is 1). ``seed`` is an int or a ``random.Random`` to continue,
+    as a caller that drew ``seq`` from it does.
     """
     items = list(seq)
     check_bogosort_length(len(items))

@@ -25,7 +25,6 @@ from .errors import DomainError, ResourceError, ValidationError, shown
 
 MOVES = {"l": -1, "n": 0, "r": 1}
 
-DEFAULT_FUEL = 10**6
 TRACE_CAP = 10**4  # rows (configurations) one traced run keeps
 FUEL_BUDGET = 10**7  # steps one run may take; refused up front beyond this
 # characters of tape text one run may reach, tapes x (extent + fuel) x the
@@ -61,7 +60,6 @@ class TuringMachine:
                                   (write for _, write, _ in transitions.values()))
         self._sweeps = self._compile_sweeps()
         self._table = self._compile_table()
-        self._longest_symbol = max(map(len, alphabet))  # the blank is in the alphabet
 
     def _compile_table(self) -> dict:
         """The transitions as the stepping loop reads them, compiled once.
@@ -447,13 +445,10 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int) -> str:
         config.head, config.state, config.steps = head, state, steps
 
 
-def run(
-    machine: TuringMachine,
-    input_symbols: str = "",
-    fuel: int = DEFAULT_FUEL,
-    trace: bool = False,
-) -> RunOutcome:
-    """Run until a final state, a missing transition, or fuel exhaustion.
+def run(machine: TuringMachine, input_symbols: str = "", *, fuel: int,
+        trace: bool = False) -> RunOutcome:
+    """Run until a final state, a missing transition, or ``fuel`` steps; the
+    fuel has no default, the caller states it as the command line does.
 
     Fuel below 1, an input symbol outside the alphabet, fuel past
     FUEL_BUDGET, or tracks whose text could grow past TAPE_TEXT_BUDGET
@@ -471,7 +466,7 @@ def run(
     config = initial_configuration(machine, input_symbols)
     if fuel > FUEL_BUDGET:
         raise ResourceError(f"fuel of {shown(fuel)} steps is past the budget of {FUEL_BUDGET}")
-    longest = machine._longest_symbol
+    longest = max(map(len, machine.alphabet))  # the blank is in the alphabet
     # each step adds at most one cell to the extent, a symbol on each track
     reach = machine.num_tapes * (len(config.cells.strip(b"\0")) + fuel)
     if reach * longest > TAPE_TEXT_BUDGET:

@@ -5,7 +5,7 @@ through step ``n`` is ``2 - 2**-n`` and the whole infinite cascade fits in
 ``LIMIT`` = 2 seconds, which is what lets such a machine finish unboundedly
 many steps in finite time. Every time is an exact ``Fraction`` (or an int),
 as ``cli`` reads it from the command line; floats only appear at the
-reporting boundary and as ``UNBOUNDED`` (``math.inf``: every index fits).
+reporting boundary, and a budget every index fits is the word ``"unbounded"``.
 
 Two caveats frame everything here. Acceleration buys nothing on bounded
 storage: a machine confined to a finite tape revisits a configuration and
@@ -18,7 +18,6 @@ explicitly instead of pretending the limit was reached.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -50,19 +49,17 @@ def zeno_time(n: int) -> Fraction:
     return LIMIT - Fraction(1, 2**n)
 
 
-UNBOUNDED = math.inf  # the budget covers the whole infinite cascade
-
-
-def steps_within_budget(t: Fraction | int) -> int | float | None:
+def steps_within_budget(t: Fraction | int) -> int | str | None:
     """Largest step index n with zeno_time(n) <= t, exactly.
 
-    Returns UNBOUNDED when the budget reaches LIMIT, and None when even
-    step 0 does not fit. Otherwise 2 - 2**-n <= t reads 2**n <= 1 / (2 - t).
+    Returns ``"unbounded"``, the word a report prints, when the budget reaches
+    LIMIT and so covers the whole infinite cascade, and None when even step 0
+    does not fit. Otherwise 2 - 2**-n <= t reads 2**n <= 1 / (2 - t).
     """
     if t <= 0:
         raise DomainError("budget must be positive")
     if t >= LIMIT:
-        return UNBOUNDED
+        return "unbounded"
     if t < 1:
         return None
     return _floor_log2(1 / (LIMIT - t))
@@ -116,11 +113,11 @@ class HaltingFlagReport(NamedTuple):
     accelerating pace and raise a designated flag square iff it halts, so the
     flag is readable after the finite limit time. At finite fuel the flag is
     only a halting *witness*, never a non-halting proof; ``fuel_bounded``
-    stays True to keep that caveat attached to the data.
+    stays True to keep that caveat attached to the data. The steps the run
+    took are ``outcome.config.steps``.
     """
 
     flag: int
-    steps: int
     elapsed: Fraction
     outcome: RunOutcome
     fuel_bounded: bool = True
@@ -142,7 +139,6 @@ def atm_halting_flag(machine: TuringMachine, input_symbols: str, fuel: int) -> H
     outcome = run(machine, input_symbols, fuel=fuel)
     return HaltingFlagReport(
         flag=int(outcome.kind == "halted"),
-        steps=outcome.config.steps,
         elapsed=zeno_time(outcome.config.steps),
         outcome=outcome,
     )

@@ -482,11 +482,11 @@ class TestDecide:
 
     def test_scan_stops_at_the_first_level_past_its_cap(self, monkeypatch):
         poly = aqc.parse_polynomial(X_MINUS_2)
-        assert len(aqc.scan_levels(poly, 20, max_levels=19).levels) == 19
+        assert len(aqc.scan_levels(poly, 20, steps=aqc.LEVEL_STEP_BUDGET // 19).levels) == 19
         monkeypatch.setattr(aqc, "RUN_LENGTH", 2)
         scanned = record_runs(monkeypatch)
         with pytest.raises(ResourceError, match="budget"):
-            aqc.scan_levels(poly, 20, max_levels=3)
+            aqc.scan_levels(poly, 20, steps=aqc.LEVEL_STEP_BUDGET // 3)
         # D = -2, -1, 0, 1, 2 give three levels; D = 3 at x = 5 is the fourth,
         # in the third run, and no later run is evaluated
         assert scanned == [[-2, -1], [0, 1], [2, 3]]

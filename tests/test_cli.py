@@ -70,9 +70,11 @@ class TestDispatch:
 
     def test_zeno_halting_and_tm_run_share_the_default_fuel(self, write_json):
         path = write_json("loop.json", self_loop_doc())
-        steps = [json.loads(run_cli([*command, path])[1])["steps"]
-                 for command in (["zeno", "halting"], ["tm", "run"])]
-        assert steps == [turing.DEFAULT_FUEL] * 2
+        commands = [("zeno", "halting"), ("tm", "run")]
+        fuel = [dict((name, default) for name, _, default in cli.COMMANDS[command][2])["--fuel"]
+                for command in commands]
+        steps = [json.loads(run_cli([*command, path])[1])["steps"] for command in commands]
+        assert fuel == steps == [10**6] * 2
 
     def test_tm_run(self, write_json):
         path = write_json("machine.json", successor_doc())
@@ -931,14 +933,13 @@ def argparse_reference():
 
     def add(parser, arguments):
         for name, convert, default in arguments:
-            kwargs = {"dest": cli._dest(name)} if name.startswith("-") else {}
             if convert is None:
-                parser.add_argument(name, action="store_true", **kwargs)
+                parser.add_argument(name, action="store_true")
                 continue
             if isinstance(convert, tuple):
-                kwargs.update(type=type(convert[0]), choices=convert)
+                kwargs = {"type": type(convert[0]), "choices": convert}
             else:
-                kwargs["type"] = convert
+                kwargs = {"type": convert}
             if default is not cli.REQUIRED:
                 kwargs["default"] = default
             elif name.startswith("-"):
@@ -1074,7 +1075,17 @@ class TestCommandLine:
         args = parse(["limits", "--symbols", "8"])
         assert (args.group, args.command, args.power, args.handler) \
             == ("limits", None, None, cli._cmd_limits)
-        assert parse(["tae", "bogosort", "--len", "4"]).length == 4
+        assert parse(["tae", "bogosort", "--len", "4"]).len == 4
+
+    def test_a_default_is_its_value_and_an_option_is_its_own_name(self):
+        # None stands for no other value: only limits' --power and --dt take
+        # it, meaning "not given"; and no option reads under another name
+        nones = {(key, name) for key, (_, _, arguments) in cli.COMMANDS.items()
+                 for name, _, default in arguments if default is None}
+        assert nones == {(("limits", None), "--power"), (("limits", None), "--dt")}
+        for _, _, arguments in cli.COMMANDS.values():
+            for name, _, _ in cli.GLOBAL_OPTIONS + arguments:
+                assert cli._dest(name) == name.lstrip("-").replace("-", "_")
 
     @settings(max_examples=400, deadline=None)
     @given(argv=command_lines())
@@ -1151,6 +1162,40 @@ class TestDeterminism:
         assert dict(zip(header, row))["final_state"] == "h\rx"
 
 
+# A child that imports cli and runs each command line of its argv, stdout and
+# stderr caught, then prints the exit statuses, the stdouts and the modules it
+# loaded past its bare start, site .pth files included. json, which a command
+# may load, is imported only once those are read.
+PROBE = (
+    "import io, sys\n"
+    "from contextlib import redirect_stderr, redirect_stdout\n"
+    "bare = set(sys.modules)\n"
+    "from hyperlab import cli\n"
+    "statuses, outs = [], []\n"
+    "for line in sys.argv[1:]:\n"
+    "    out = io.StringIO()\n"
+    "    with redirect_stdout(out), redirect_stderr(io.StringIO()):\n"
+    "        try:\n"
+    "            statuses.append(cli.main(line.split()))\n"
+    "        except SystemExit as exc:\n"
+    "            statuses.append(exc.code)\n"
+    "    outs.append(out.getvalue())\n"
+    "loaded = sorted(set(sys.modules) - bare)\n"
+    "import json\n"
+    "print(json.dumps([statuses, outs, loaded]))\n")
+
+
+def probe(lines: list[str]) -> tuple[list, list[str], set[str]]:
+    """Run the command lines, one after another, in one child interpreter: the
+    exit status and stdout of each, and the modules the child loaded to import
+    cli and run them all. A caller wanting a child per line calls once a line."""
+    done = subprocess.run([sys.executable, "-c", PROBE, *lines], env=src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    statuses, outs, loaded = json.loads(done.stdout)
+    return statuses, outs, set(loaded)
+
+
 class TestCosts:
     @pytest.mark.parametrize("strategy", ["1", "2", "3"])
     def test_ashby_sums_its_expectation_once(self, monkeypatch, strategy):
@@ -1164,14 +1209,6 @@ class TestCosts:
     def test_exact_commands_never_import_numpy(self, tmp_path):
         machine = tmp_path / "machine.json"
         machine.write_text(json.dumps(successor_doc()))
-        script = (
-            "import io, sys\n"
-            "from contextlib import redirect_stdout\n"
-            "from hyperlab import cli\n"
-            "for argv in sys.argv[1:]:\n"
-            "    with redirect_stdout(io.StringIO()):\n"
-            "        assert cli.main(argv.split()) == 0, argv\n"
-            "print('numpy' in sys.modules)\n")
         poly = tmp_path / "poly.json"
         poly.write_text(json.dumps(X_MINUS_2))
         commands = [f"tm run {machine} --input 11 --trace", "zeno time --n 50",
@@ -1187,64 +1224,37 @@ class TestCosts:
                     "tae wheels --wheels 2,4 --trials 200"] + [
                     f"tae ashby --wheels 4 --p 0.5 --strategy {strategy} --simulate --trials 100"
                     for strategy in (1, 2, 3)]
-        env = src_env()
-        done = subprocess.run([sys.executable, "-c", script, *commands], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
-
-    @staticmethod
-    def probe_numpy(argv) -> subprocess.CompletedProcess:
-        """Run one command in a child interpreter; stderr ends with whether numpy was imported."""
-        script = ("import sys\n"
-                  "from hyperlab import cli\n"
-                  "status = cli.main(sys.argv[1:])\n"
-                  "sys.stdout.flush()\n"
-                  "sys.stderr.write(str('numpy' in sys.modules))\n"
-                  "sys.exit(status)\n")
-        return subprocess.run([sys.executable, "-c", script, *argv], env=src_env(),
-                              capture_output=True, text=True, timeout=60)
+        statuses, _, loaded = probe(commands)
+        assert statuses == [0] * len(commands)
+        assert "numpy" not in loaded
 
     def test_overlap_sweep_imports_no_numpy(self, write_json):
         poly = write_json("poly.json", X_MINUS_2)
-        proc = self.probe_numpy(["aqc", "sweep", poly, "--cutoff", "4", "--times", "1",
-                                 "--dt", "0.01"])
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["sweep"][0]["steps"] == 100
-        assert proc.stderr == "False"
+        statuses, outs, loaded = probe([f"aqc sweep {poly} --cutoff 4 --times 1 --dt 0.01"])
+        assert statuses == [0]
+        assert json.loads(outs[0])["sweep"][0]["steps"] == 100
+        assert "numpy" not in loaded
 
     def test_wheel_strategies_imports_no_numpy(self):
-        proc = self.probe_numpy(["--format", "csv", "tae", "wheels", "--wheels", "2,4",
-                                 "--trials", "200"])
-        assert proc.returncode == 0, proc.stderr
-        assert len(proc.stdout.splitlines()) == 3
-        assert proc.stderr == "False"
+        statuses, outs, loaded = probe(["--format csv tae wheels --wheels 2,4 --trials 200"])
+        assert statuses == [0]
+        assert len(outs[0].splitlines()) == 3
+        assert "numpy" not in loaded
 
     def test_each_command_imports_only_its_own_layer(self, tmp_path):
         machine = tmp_path / "machine.json"
         machine.write_text(json.dumps(successor_doc()))
         poly = tmp_path / "poly.json"
         poly.write_text(json.dumps(X_MINUS_2))
-        script = (
-            "import io, json, sys\n"
-            "from contextlib import redirect_stdout\n"
-            "from hyperlab import cli\n"
-            "argv = sys.argv[1].split()\n"
-            "if argv:\n"
-            "    with redirect_stdout(io.StringIO()):\n"
-            "        assert cli.main(argv) == 0, argv\n"
-            "print(json.dumps(sorted(m.split('.', 1)[1] for m in sys.modules\n"
-            "                        if m.startswith('hyperlab.'))))\n")
-        env = src_env()
 
-        def layers(command: str) -> set[str]:
-            done = subprocess.run([sys.executable, "-c", script, command], env=env,
-                                  capture_output=True, text=True, timeout=60)
-            assert done.returncode == 0, done.stderr
-            return set(json.loads(done.stdout))
+        def layers(*command: str) -> set[str]:
+            """The layers one child loads to run the command, or only to import cli."""
+            statuses, _, loaded = probe(list(command))
+            assert statuses == [0] * len(command)
+            return {m.split(".", 1)[1] for m in loaded if m.startswith("hyperlab.")}
 
         base = {"cli", "errors", "reporting"}
-        assert layers("") == base
+        assert layers() == base
         assert layers(f"aqc solve {poly} --cutoff 4 --time 5 --dt 0.01 --shots 100") \
             == base | {"aqc", "variates"}
         assert layers(f"aqc solve {poly} --cutoff 4 --oracle-only") == base | {"aqc", "variates"}
@@ -1261,24 +1271,11 @@ class TestCosts:
         machine.write_text(json.dumps(successor_doc()))
         poly = tmp_path / "poly.json"
         poly.write_text(json.dumps(X_MINUS_2))
-        script = (
-            "import io, json, sys\n"
-            "from contextlib import redirect_stdout\n"
-            "bare = set(sys.modules)\n"
-            "from hyperlab import cli\n"
-            "for argv in sys.argv[1:]:\n"
-            "    with redirect_stdout(io.StringIO()):\n"
-            "        assert cli.main(argv.split()) == 0, argv\n"
-            "print(json.dumps(sorted(set(sys.modules) - bare)))\n")
-        env = src_env()
 
         def added(commands: list[str]) -> set[str]:
-            """The modules the commands add to what the interpreter had loaded
-            before the first import of hyperlab, site .pth files included."""
-            done = subprocess.run([sys.executable, "-c", script, *commands], env=env,
-                                  capture_output=True, text=True, timeout=60)
-            assert done.returncode == 0, done.stderr
-            return set(json.loads(done.stdout))
+            statuses, _, loaded = probe(commands)
+            assert statuses == [0] * len(commands)
+            return loaded
 
         no_fraction = [
             f"tm run {machine} --input 11 --trace", "enum list --count 30",
@@ -1301,25 +1298,9 @@ class TestCosts:
         machine.write_text(json.dumps(successor_doc()))
         poly = tmp_path / "poly.json"
         poly.write_text(json.dumps(X_MINUS_2))
-        script = (
-            "import io, sys\n"
-            "from contextlib import redirect_stderr, redirect_stdout\n"
-            "bare = set(sys.modules)\n"
-            "from hyperlab import cli\n"
-            "for argv in sys.argv[1:]:\n"
-            "    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):\n"
-            "        try:\n"
-            "            cli.main(argv.split())\n"
-            "        except SystemExit:\n"
-            "            pass\n"
-            "print(' '.join(sorted(set(sys.modules) - bare)))\n")
-        env = src_env()
 
         def added(commands: list[str]) -> set[str]:
-            done = subprocess.run([sys.executable, "-c", script, *commands], env=env,
-                                  capture_output=True, text=True, timeout=60)
-            assert done.returncode == 0, done.stderr
-            return {name.split(".")[0] for name in done.stdout.split()}
+            return {name.split(".")[0] for name in probe(commands)[2]}
 
         never = {"argparse", "gettext", "locale"}
         no_document = [

@@ -136,19 +136,19 @@ def fisher_yates_tries(items: list[int], rng: random.Random) -> int:
 
 class TestBogosort:
     def test_sorted_input_takes_one_try(self):
-        result = tae.bogosort([1, 2, 3], seed=5)
+        result = tae.bogosort([1, 2, 3], seed=5, max_tries=10**6)
         assert result.tries == 1 and not result.gave_up
 
     def test_memoized_three_elements_bounded_by_six(self):
         for seed in range(200):
-            result = tae.bogosort([3, 1, 2], memoized=True, seed=seed)
+            result = tae.bogosort([3, 1, 2], memoized=True, seed=seed, max_tries=10**6)
             assert result.sequence == (1, 2, 3)
             assert result.tries <= math.factorial(3)
 
     def test_memoized_never_repeats_an_arrangement(self):
         # 2, 1, 1, 0 has 4!/2! = 12 distinct arrangements: a memoized run
         # finds the sorted one by try 12 at the latest, and reaches every count
-        tries = {tae.bogosort([2, 1, 1, 0], memoized=True, seed=seed).tries
+        tries = {tae.bogosort([2, 1, 1, 0], memoized=True, seed=seed, max_tries=10**6).tries
                  for seed in range(2000)}
         assert tries == set(range(2, 13))
 
@@ -157,7 +157,7 @@ class TestBogosort:
         # two samples of 20,000 runs, compared bin by bin at the 0.1 % level
         runs = 20000
         rng = random.Random(41)
-        drawn = Counter(tae.bogosort(items, memoized=True, seed=rng).tries
+        drawn = Counter(tae.bogosort(items, memoized=True, seed=rng, max_tries=10**6).tries
                         for _ in range(runs))
         looped = Counter(fisher_yates_tries(items, rng) for _ in range(runs))
         assert set(drawn) == set(looped)
@@ -170,7 +170,8 @@ class TestBogosort:
         # tries - 1 shuffles, each sorting with chance 1/M; 20,000 runs at the 0.1 % level
         runs = 20000
         rng = random.Random(43)
-        shuffles = Counter(tae.bogosort(items, seed=rng).tries - 1 for _ in range(runs))
+        shuffles = Counter(tae.bogosort(items, seed=rng, max_tries=10**6).tries - 1
+                           for _ in range(runs))
         rate = 1 / arrangements
         horizon = max(shuffles) + 1
         expected = {k: runs * rate * (1 - rate) ** (k - 1) for k in range(1, horizon)}
@@ -212,7 +213,7 @@ class TestBogosort:
 
     def test_factorial_guard(self):
         with pytest.raises(ResourceError):
-            tae.bogosort(list(range(11)))
+            tae.bogosort(list(range(11)), max_tries=10**6)
 
 
 def ashby_case3_inclusion_exclusion(n: int, p: float) -> float:

@@ -126,7 +126,7 @@ class TestRun:
 
     def test_input_validated(self, successor):
         with pytest.raises(ValidationError):
-            turing.run(successor, "abc")
+            turing.run(successor, "abc", fuel=10**6)
 
     def test_one_sided_tape_rejects_left_edge(self):
         doc = successor_doc()
@@ -258,7 +258,7 @@ class TestTrace:
                    {"from": "go", "read": "a", "to": "go", "write": "__", "move": "r"},
                    {"from": "go", "read": "__", "to": "done", "write": "XY", "move": "n"}]}
         machine = turing.load_machine(doc)
-        outcome = turing.run(machine, "aaa", trace=True)
+        outcome = turing.run(machine, "aaa", fuel=10**6, trace=True)
         assert [s.tape_text() for s in outcome.trace] == [
             "aaa", "aa", "a", "", "XY"]
         # erasing an edge cell next to erased cells skips all of them
@@ -271,7 +271,7 @@ class TestTrace:
             {"from": "back", "read": "a", "to": "erase", "write": "__", "move": "r"},
             {"from": "erase", "read": "__", "to": "done", "write": "__", "move": "n"}]
         machine = turing.load_machine(doc)
-        outcome = turing.run(machine, "a", trace=True)
+        outcome = turing.run(machine, "a", fuel=10**6, trace=True)
         assert [s.tape_text() for s in outcome.trace] == [
             "a", "a", "a", "a__XY", "a__XY", "XY", "XY"]
         # a blank written inside the extent reads as an erased cell
@@ -819,14 +819,14 @@ class TestTraceTextBudget:
         def rows(outcome):
             return [(c.state, c.head, c.steps, c.tape_text()) for c in outcome.trace]
 
-        full = turing.run(successor, "1" * 50, trace=True)
+        full = turing.run(successor, "1" * 50, fuel=10**6, trace=True)
         kept = sum(len(row.tape_text()) for row in full.trace)
         monkeypatch.setattr(turing, "TRACE_TEXT_BUDGET", kept)
-        assert rows(turing.run(successor, "1" * 50, trace=True)) == rows(full)
+        assert rows(turing.run(successor, "1" * 50, fuel=10**6, trace=True)) == rows(full)
         monkeypatch.setattr(turing, "TRACE_TEXT_BUDGET", kept - 1)
         with pytest.raises(ResourceError, match="budget"):
-            turing.run(successor, "1" * 50, trace=True)
+            turing.run(successor, "1" * 50, fuel=10**6, trace=True)
 
     def test_untraced_runs_keep_no_text(self, successor, monkeypatch):
         monkeypatch.setattr(turing, "TRACE_TEXT_BUDGET", 0)
-        assert turing.run(successor, "1" * 50).kind == "halted"
+        assert turing.run(successor, "1" * 50, fuel=10**6).kind == "halted"
