@@ -531,20 +531,20 @@ def overlap_sweep(
     """The population of the ground level, which holds exactly the minimisers, after
     each schedule length in times, from one scan. All the schedules' steps are refused
     past STEP_BUDGET before it, and its levels as in :func:`decide`; its minimisers, the
-    ground level's points, past MINIMIZER_BUDGET before a second scan finds them."""
+    ground level's points, past MINIMIZER_BUDGET before :func:`exact_ground_oracle`'s
+    walk lists them with the minimum."""
     steps = sum(_schedule_steps(total_time, dt) for total_time in times)
     if steps > STEP_BUDGET:
         raise ResourceError(f"{steps} steps over the sweep are past the budget of {STEP_BUDGET}")
     scan = scan_levels(poly, cutoff, steps)
     if scan.multiplicities[0] > MINIMIZER_BUDGET:
         raise ResourceError(f"more than {MINIMIZER_BUDGET} minimisers are past the budget")
-    ground = scan.members({0: range(scan.multiplicities[0])})[0]
+    energy, minimizers = exact_ground_oracle(poly, cutoff)
     rows = []
     for total_time in times:
         evolved = evolve_from_uniform(scan, total_time, dt)
         populations = [abs(c) ** 2 for c in evolved.amplitudes]
         rows.append({"total_time": total_time, "ground_overlap": populations[0] / sum(populations),
                      "norm_drift": evolved.norm_drift, "steps": evolved.steps})
-    return {"cutoff": cutoff, "dt": dt, "exact_ground_energy": scan.levels[0],
-            "exact_minimizers": [list(_occupation(i, poly.num_vars, cutoff)) for i in ground],
-            "sweep": rows}
+    return {"cutoff": cutoff, "dt": dt, "exact_ground_energy": energy,
+            "exact_minimizers": list(map(list, minimizers)), "sweep": rows}

@@ -196,11 +196,12 @@ def _cmd_zeno_halting(args) -> dict:
     from . import turing, zeno
 
     machine = turing.load_machine(load_json(args.machine))
-    result = zeno.atm_halting_flag(machine, args.input, args.fuel)
-    return {"command": "zeno halting", "flag": result.flag,
-            "steps": result.outcome.config.steps, "elapsed_seconds": float(result.elapsed),
-            "elapsed_exact": format_fraction(*result.elapsed.as_integer_ratio()),
-            "outcome": result.outcome.kind, "fuel_bounded": result.fuel_bounded}
+    flag, elapsed, outcome = zeno.atm_halting_flag(machine, args.input, args.fuel)
+    # every run is fuel-bounded, so a flag of 0 is never a non-halting proof
+    return {"command": "zeno halting", "flag": flag,
+            "steps": outcome.config.steps, "elapsed_seconds": float(elapsed),
+            "elapsed_exact": format_fraction(*elapsed.as_integer_ratio()),
+            "outcome": outcome.kind, "fuel_bounded": True}
 
 
 def _cmd_limits(args) -> dict:

@@ -19,7 +19,7 @@ after each one-step drive.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .errors import DomainError, ResourceError, ValidationError, shown
 
@@ -58,10 +58,9 @@ class TuringMachine:
         self.one_sided = one_sided
         self._codes = SymbolCodes(blank, alphabet, num_tapes,
                                   (write for _, write, _ in transitions.values()))
-        self._sweeps = self._compile_sweeps()
-        self._table = self._compile_table()
+        self._table = self._compile_table(self._compile_sweeps())
 
-    def _compile_table(self) -> dict:
+    def _compile_table(self, sweeps: dict[str, tuple[bytes, Optional[bytes]]]) -> dict:
         """The transitions as the stepping loop reads them, compiled once.
 
         Each state maps to its row of rules, a list indexed by the cell code
@@ -72,26 +71,30 @@ class TuringMachine:
         rules. A rule is ``(dst, row, write, shift, sweep)``: ``row`` is
         dst's row; ``write`` is the new cell code, or None where the rule
         writes back what it read; ``shift`` is the head move as an int;
-        ``sweep`` is the rule's :class:`Sweep`, or None.
+        ``sweep`` is its state's ``(stop, rewrite)`` in ``sweeps``, or None.
         """
-        cell, sweeps, width = self._codes.by_cell, self._sweeps, len(self._codes.cells)
+        cell, width = self._codes.by_cell, len(self._codes.cells)
         rows = {src: [None] * width for src, _ in self.transitions}
         for (src, read), (dst, write, move) in self.transitions.items():
             got, put, sweep = cell.get(read), cell[write], sweeps.get(src)
             if got is not None:
                 rows[src][got] = (
                     dst, rows.get(dst, _NO_RULES), None if put == got else put, MOVES[move],
-                    sweep if sweep and not sweep.stop[got] else None)
+                    sweep if sweep and not sweep[0][got] else None)
         return rows
 
-    def _compile_sweeps(self) -> dict[str, Sweep]:
-        """The states that sweep, each with its sweep.
+    def _compile_sweeps(self) -> dict[str, tuple[bytes, Optional[bytes]]]:
+        """The states that sweep, each with its sweep ``(stop, rewrite)``.
 
         State q sweeps over the set S of the non-blank cells c whose rule
         keeps q, writes a non-blank cell f(c) and moves left or right, when
         all those rules move the same way; a cell is blank when it is blank
         on every track. From a cell in S such a state passes, unchanged,
-        every cell up to the first one outside S.
+        every cell up to the first one outside S. ``stop`` is the
+        ``bytes.translate`` table taking each code in S to 0 and every
+        other, the blank among them, to 1; ``rewrite`` is the one taking
+        each code in S to the code its rule writes, or None where every
+        rule writes back what it read.
         """
         cell = self._codes.by_cell
         loops: dict[str, dict[int, tuple[int, str]]] = {}
@@ -109,21 +112,8 @@ class TuringMachine:
             for got, (put, _) in rules.items():
                 rewrite[got] = put
             stop = bytes(int(code not in rules) for code in range(256))
-            sweeps[state] = Sweep(stop, None if rewrite == identity else bytes(rewrite))
+            sweeps[state] = stop, None if rewrite == identity else bytes(rewrite)
         return sweeps
-
-
-class Sweep(NamedTuple):
-    """A state's rules over the set S of the cells it keeps itself on.
-
-    ``stop`` is the ``bytes.translate`` table taking each code in S to 0
-    and every other, the blank among them, to 1; ``rewrite`` is the one
-    taking each code in S to the code its rule writes, or None where every
-    rule writes back what it read.
-    """
-
-    stop: bytes
-    rewrite: Optional[bytes]
 
 
 class SymbolCodes:
@@ -420,13 +410,14 @@ def _drive(machine: TuringMachine, config: TapeConfiguration, fuel: int) -> str:
                 raise DomainError("head moved past the left edge of a one-sided tape")
             if sweep is not None:
                 # a sweep over non-blank cells, so inside the array
+                stop, rewrite = sweep
                 room = min(fuel - steps, size - i if shift > 0 else i + 1)
                 if one_sided and shift < 0:
                     room = min(room, head)
-                run = _sweep_length(cells, sweep.stop, i, shift, room)
-                if sweep.rewrite is not None:
+                run = _sweep_length(cells, stop, i, shift, room)
+                if rewrite is not None:
                     first = i if shift > 0 else i + 1 - run
-                    cells[first:first + run] = cells[first:first + run].translate(sweep.rewrite)
+                    cells[first:first + run] = cells[first:first + run].translate(rewrite)
                 head += shift * run
                 steps += run
                 continue

@@ -19,7 +19,7 @@ explicitly instead of pretending the limit was reached.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, ResourceError, shown
 
@@ -106,30 +106,21 @@ def thomson_lamp(t: Fraction | int) -> tuple[str, int | None]:
 # -- halting flag on an accelerated run --------------------------------------------
 
 
-class HaltingFlagReport(NamedTuple):
+def atm_halting_flag(machine: TuringMachine, input_symbols: str,
+                     fuel: int) -> tuple[int, Fraction, RunOutcome]:
     """Fuel-bounded surrogate for the accelerated halting-flag construction.
 
     The true construction completes a supertask: simulate the machine at
     accelerating pace and raise a designated flag square iff it halts, so the
-    flag is readable after the finite limit time. At finite fuel the flag is
-    only a halting *witness*, never a non-halting proof; ``fuel_bounded``
-    stays True to keep that caveat attached to the data. The steps the run
-    took are ``outcome.config.steps``.
-    """
+    flag is readable after the finite limit time. Here the machine runs at
+    most ``fuel`` steps, and the flag is 1 iff it halted in that budget, so
+    the flag is only a halting *witness*, never a non-halting proof.
 
-    flag: int
-    elapsed: Fraction
-    outcome: RunOutcome
-    fuel_bounded: bool = True
-
-
-def atm_halting_flag(machine: TuringMachine, input_symbols: str, fuel: int) -> HaltingFlagReport:
-    """Run at most ``fuel`` steps; flag 1 iff the machine halted in that budget.
-
-    Elapsed time is zeno_time(steps): the prefix sum through slot ``steps``,
-    i.e. the simulated steps plus the one slot spent writing the flag square.
-    For any finite run this stays below LIMIT. Fuel past
-    STEP_INDEX_BUDGET is refused with :class:`ResourceError` before the run.
+    Returns ``(flag, elapsed, outcome)``. Elapsed time is zeno_time(steps):
+    the prefix sum through slot ``steps``, i.e. the simulated steps plus the
+    one slot spent writing the flag square. For any finite run this stays
+    below LIMIT. Fuel past STEP_INDEX_BUDGET is refused with
+    :class:`ResourceError` before the run.
     """
     if fuel > STEP_INDEX_BUDGET:
         raise ResourceError(
@@ -137,9 +128,4 @@ def atm_halting_flag(machine: TuringMachine, input_symbols: str, fuel: int) -> H
     from .turing import run
 
     outcome = run(machine, input_symbols, fuel=fuel)
-    return HaltingFlagReport(
-        flag=int(outcome.kind == "halted"),
-        elapsed=zeno_time(outcome.config.steps),
-        outcome=outcome,
-    )
-
+    return int(outcome.kind == "halted"), zeno_time(outcome.config.steps), outcome

@@ -755,8 +755,12 @@ class TestLatticeRuns:
         low = min(squares)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(aqc, "RUN_LENGTH", run_length)
-            assert aqc.exact_ground_oracle(poly, cutoff) == (
-                low, [n for n, p in zip(lattice(poly.num_vars, cutoff), squares) if p == low])
+            minimizers = [n for n, p in zip(lattice(poly.num_vars, cutoff), squares) if p == low]
+            assert aqc.exact_ground_oracle(poly, cutoff) == (low, minimizers)
+            # no schedule, so no D**2 need fit a float, as the edge problems' do not
+            sweep = aqc.overlap_sweep(poly, cutoff, [], 0.01)
+            assert sweep["exact_ground_energy"] == low
+            assert sweep["exact_minimizers"] == list(map(list, minimizers))
             scan = aqc.scan_levels(poly, cutoff)
         assert list(scan.levels) == sorted(set(squares))
         assert list(scan.multiplicities) == [squares.count(p) for p in scan.levels]

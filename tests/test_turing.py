@@ -620,23 +620,24 @@ class TestSweepMarks:
                 {"from": "scan", "read": "b", "to": "scan", "write": "a", "move": "r"},
                 {"from": "scan", "read": "_", "to": "done", "write": "a", "move": "n"}]})
         palindrome, doubling = _golden_machine("palindrome"), _golden_machine("doubling")
-        assert set(scan._sweeps) == _swept(scan) == {"scan"}
-        assert set(palindrome._sweeps) == _swept(palindrome) == {"carry_a", "carry_b", "back"}
-        assert (set(doubling._sweeps) == _swept(doubling)
-                == {"right", "left", "convert", "rewind"})
-        assert all(sweep.rewrite is None for sweep in palindrome._sweeps.values())
-        assert doubling._sweeps["right"].rewrite is doubling._sweeps["left"].rewrite is None
+        doubling_sweeps = doubling._compile_sweeps()
+        assert set(scan._compile_sweeps()) == _swept(scan) == {"scan"}
+        assert (set(palindrome._compile_sweeps()) == _swept(palindrome)
+                == {"carry_a", "carry_b", "back"})
+        assert set(doubling_sweeps) == _swept(doubling) == {"right", "left", "convert", "rewind"}
+        assert all(rewrite is None for _, rewrite in palindrome._compile_sweeps().values())
+        assert doubling_sweeps["right"][1] is doubling_sweeps["left"][1] is None
         for machine, state, rewrites in (
                 (scan, "scan", {"a": "b", "b": "a"}), (doubling, "convert", {"y": "1"}),
                 (doubling, "rewind", {"x": "1", "1": "1"})):  # mark -> one
-            code, rewrite = machine._codes.by_name, machine._sweeps[state].rewrite
+            code, (_, rewrite) = machine._codes.by_name, machine._compile_sweeps()[state]
             assert {a: machine._codes.names[rewrite[code[a]]] for a in rewrites} == rewrites
 
     def test_a_run_ends_on_every_symbol_outside_the_set(self):
         doubling = _golden_machine("doubling")
         names = doubling._codes.names
-        outside = {state: sorted(names[c] for c in range(len(names)) if sweep.stop[c])
-                   for state, sweep in doubling._sweeps.items()}
+        outside = {state: sorted(names[c] for c in range(len(names)) if stop[c])
+                   for state, (stop, _) in doubling._compile_sweeps().items()}
         assert outside == {"right": ["_", "x"], "left": ["_", "x"], "convert": ["1", "_", "x"],
                          "rewind": ["_", "y"]}
 
@@ -660,11 +661,11 @@ class TestSweepMarks:
     def test_several_tapes_sweep_on_their_tracks(self):
         # move keeps itself over ("1", "_"), writing ("_", "1") and moving right
         two_tape = _golden_machine("two_tape")
-        assert set(two_tape._sweeps) == _swept(two_tape) == {"move"}
-        cell, sweep = two_tape._codes.by_cell, two_tape._sweeps["move"]
-        assert sweep.rewrite[cell["1", "_"]] == cell["_", "1"]
+        assert set(two_tape._compile_sweeps()) == _swept(two_tape) == {"move"}
+        cell, (stop, rewrite) = two_tape._codes.by_cell, two_tape._compile_sweeps()["move"]
+        assert rewrite[cell["1", "_"]] == cell["_", "1"]
         cells = two_tape._codes.cells
-        assert sorted(cells[c] for c in range(len(cells)) if sweep.stop[c]) == [
+        assert sorted(cells[c] for c in range(len(cells)) if stop[c]) == [
             ("_", "1"), ("_", "_"), ("x", "_"), ("x", "x")]
 
     def test_entering_a_sweep_costs_the_same_whatever_its_set(self):
@@ -679,7 +680,8 @@ class TestSweepMarks:
             {"from": "r", "read": ["s2", "_"], "to": "t", "write": ["s2", "_"], "move": "r"},
             {"from": "t", "read": ["s1", "_"], "to": "r", "write": ["s1", "_"], "move": "n"}]
         machine = turing.load_machine(doc)
-        assert len(machine._codes.cells) == turing.ALPHABET_BUDGET and set(machine._sweeps) == {"r"}
+        assert len(machine._codes.cells) == turing.ALPHABET_BUDGET
+        assert set(machine._compile_sweeps()) == {"r"}
         start = time.perf_counter()
         outcome = turing.run(machine, ["s1", "s2"] * 10**5, fuel=2 * 10**5)
         assert time.perf_counter() - start < 1.0

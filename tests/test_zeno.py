@@ -1,13 +1,18 @@
+import io
+import json
 import math
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperlab import turing, zeno
+from hyperlab import cli, turing, zeno
 from hyperlab.errors import DomainError, ResourceError
 from hyperlab.limits import SPEED_OF_LIGHT
+
+from conftest import self_loop_doc
 
 # step index commonly quoted for the head outrunning light at 1 m/s on step 1;
 # the convention of first_superluminal_step derives 30
@@ -181,27 +186,32 @@ class TestThomsonLamp:
 
 class TestHaltingFlag:
     def test_halting_machine_raises_flag(self, successor):
-        report = zeno.atm_halting_flag(successor, "111", fuel=1000)
-        assert report.flag == 1
-        assert report.elapsed < 2
-        assert report.elapsed == zeno.zeno_time(report.outcome.config.steps)
+        flag, elapsed, outcome = zeno.atm_halting_flag(successor, "111", fuel=1000)
+        assert flag == 1
+        assert elapsed < 2
+        assert elapsed == zeno.zeno_time(outcome.config.steps)
 
-    def test_loop_machine_keeps_flag_down(self, self_loop):
-        report = zeno.atm_halting_flag(self_loop, "", fuel=1000)
-        assert report.flag == 0
-        assert report.elapsed < 2
-        assert report.fuel_bounded
+    def test_loop_machine_keeps_flag_down(self, self_loop, write_json):
+        flag, elapsed, _ = zeno.atm_halting_flag(self_loop, "", fuel=1000)
+        assert flag == 0
+        assert elapsed < 2
+        # the caveat that a 0 is no non-halting proof rides on the report
+        path = write_json("loop.json", self_loop_doc())
+        out = io.StringIO()
+        with redirect_stdout(out):
+            cli.main(["zeno", "halting", path, "--fuel", "1000"])
+        assert json.loads(out.getvalue())["fuel_bounded"] is True
 
     def test_flag_agrees_with_run_outcome(self, successor, self_loop):
         for machine, text in ((successor, "1"), (self_loop, "")):
             outcome = turing.run(machine, text, fuel=500)
-            report = zeno.atm_halting_flag(machine, text, fuel=500)
-            assert (report.flag == 1) == (outcome.kind == "halted")
+            flag, _, _ = zeno.atm_halting_flag(machine, text, fuel=500)
+            assert (flag == 1) == (outcome.kind == "halted")
 
     def test_fuel_at_the_budget_is_accepted(self, successor):
-        report = zeno.atm_halting_flag(successor, "111", fuel=10**6)
-        assert report.flag == 1
-        assert report.elapsed == zeno.zeno_time(report.outcome.config.steps)
+        flag, elapsed, outcome = zeno.atm_halting_flag(successor, "111", fuel=10**6)
+        assert flag == 1
+        assert elapsed == zeno.zeno_time(outcome.config.steps)
 
 
 class TestSuperluminal:
