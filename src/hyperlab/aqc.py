@@ -185,17 +185,11 @@ def _block(nested, top: int, start: int, n: int) -> list[int]:
     return list(values)
 
 
-def _lattice_runs(poly: DiophantinePolynomial, cutoff: int) -> Iterator[tuple[int, list[int]]]:
-    """D at every lattice point, in basis order and exact integers, a run at a time,
-    as (start, run) with start the basis index of the run's first point.
-
-    A run is RUN_LENGTH consecutive points, the last one shorter, each one :func:`_block`
-    pass over D as :func:`_nested` nests it. A negative cutoff is a :class:`DomainError`,
-    and a lattice past LATTICE_BUDGET points, or values past VALUE_BITS_BUDGET bits, a
-    :class:`ResourceError`, before the first run. So is a lattice in as many variables as
-    LATTICE_BUDGET has bits, before its size is computed: at any cutoff above 0 it is
-    past the budget.
-    """
+def _check_lattice(poly: DiophantinePolynomial, cutoff: int) -> None:
+    """Refuse a negative cutoff with :class:`DomainError`, and a lattice past LATTICE_BUDGET
+    points, or values past VALUE_BITS_BUDGET bits, with :class:`ResourceError`. So is a
+    lattice in as many variables as LATTICE_BUDGET has bits, before its size is computed:
+    at any cutoff above 0 it is past the budget."""
     if cutoff < 0:
         raise DomainError("cutoff must be a natural number")
     modes = LATTICE_BUDGET.bit_length() - 1  # 2**(modes + 1) points are past the budget
@@ -208,6 +202,16 @@ def _lattice_runs(poly: DiophantinePolynomial, cutoff: int) -> Iterator[tuple[in
         raise ResourceError(
             f"values of up to {shown(bits)} bits on the lattice are past the budget of "
             f"{VALUE_BITS_BUDGET} bits")
+
+
+def _lattice_runs(poly: DiophantinePolynomial, cutoff: int) -> Iterator[tuple[int, list[int]]]:
+    """D at every lattice point, in basis order and exact integers, a run at a time,
+    as (start, run) with start the basis index of the run's first point.
+
+    A run is RUN_LENGTH consecutive points, the last one shorter, each one :func:`_block`
+    pass over D as :func:`_nested` nests it, after :func:`_check_lattice`.
+    """
+    _check_lattice(poly, cutoff)
     nested, dimension = _nested(poly.terms, poly.num_vars), (cutoff + 1) ** poly.num_vars
     for start in range(0, dimension, RUN_LENGTH):
         yield start, _block(nested, cutoff + 1, start, min(RUN_LENGTH, dimension - start))
@@ -328,6 +332,25 @@ def _norm_bound(levels: Sequence[float], dimension: int) -> float:
     return max(float(dimension > 1), max(map(abs, levels)))
 
 
+def _check_step(levels: Sequence[float], dimension: int, dt: float) -> None:
+    """Refuse dt * max||H|| > STABILITY_LIMIT, max||H|| >= these levels' :func:`_norm_bound`."""
+    if (bound := dt * _norm_bound(levels, dimension)) > STABILITY_LIMIT:
+        raise StabilityError(
+            f"dt * max||H|| is at least {bound:.3g}, past {STABILITY_LIMIT}; use a smaller step")
+
+
+def _check_before_scan(poly: DiophantinePolynomial, cutoff: int, dt: float) -> None:
+    """:func:`_check_lattice`, then :func:`_check_step` on D**2 at the corners (0, ..., 0)
+    and (cutoff, ..., cutoff). They are lattice points, so no dt the scan's levels pass is
+    refused; a corner past the float range is left to :func:`_float_levels`."""
+    _check_lattice(poly, cutoff)
+    try:
+        corners = [float(poly.evaluate([x] * poly.num_vars) ** 2) for x in (0, cutoff)]
+    except OverflowError:
+        return
+    _check_step(corners, (cutoff + 1) ** poly.num_vars, dt)
+
+
 # -- propagation --------------------------------------------------------------------
 
 
@@ -375,12 +398,7 @@ def evolve_levels(
     c = list(amplitudes)
     if total_time == 0.0:
         return LevelEvolution(amplitudes=c, norm_drift=0.0, steps=0)
-    bound = _norm_bound(levels, d)
-    if dt * bound > STABILITY_LIMIT:
-        raise StabilityError(
-            f"dt * max||H|| = {dt * bound:.3g} exceeds {STABILITY_LIMIT}; "
-            "use a smaller step")
-
+    _check_step(levels, d, dt)
     if len(levels) * steps > LEVEL_STEP_BUDGET:
         raise ResourceError(
             f"{len(levels)} levels x {steps} steps is past the budget of "
@@ -484,13 +502,14 @@ def decide(
     where it is 0, the note says the scan found a zero within the cutoff that
     the sampled candidate is not. The success-probability estimate is the
     candidate's empirical frequency; there is deliberately no automatic rule
-    for growing T or shots. The scan, told the schedule's steps, refuses a
-    lattice of more levels than they may evolve before the evolution starts.
+    for growing T or shots. :func:`_check_before_scan` refuses dt before the
+    scan, which, told the schedule's steps, refuses more levels than they may evolve.
     """
     steps = _schedule_steps(total_time, dt)
     if total_time == 0:
         raise DomainError("total time must be positive")
     _check_shots(shots)
+    _check_before_scan(poly, cutoff, dt)
     scan = scan_levels(poly, cutoff, steps)
     evolved = evolve_from_uniform(scan, total_time, dt)
     samples = sample_levels(scan, [abs(x) ** 2 for x in evolved.amplitudes], shots, seed)
@@ -530,12 +549,14 @@ def overlap_sweep(
 ) -> dict:
     """The population of the ground level, which holds exactly the minimisers, after
     each schedule length in times, from one scan. All the schedules' steps are refused
-    past STEP_BUDGET before it, and its levels as in :func:`decide`; its minimisers, the
-    ground level's points, past MINIMIZER_BUDGET before :func:`exact_ground_oracle`'s
-    walk lists them with the minimum."""
+    past STEP_BUDGET before it, dt as :func:`_check_before_scan` refuses it where some
+    time is positive, and its levels as in :func:`decide`; its minimisers, the ground
+    level's points, past MINIMIZER_BUDGET before :func:`exact_ground_oracle` lists them."""
     steps = sum(_schedule_steps(total_time, dt) for total_time in times)
     if steps > STEP_BUDGET:
         raise ResourceError(f"{steps} steps over the sweep are past the budget of {STEP_BUDGET}")
+    if any(times):
+        _check_before_scan(poly, cutoff, dt)
     scan = scan_levels(poly, cutoff, steps)
     if scan.multiplicities[0] > MINIMIZER_BUDGET:
         raise ResourceError(f"more than {MINIMIZER_BUDGET} minimisers are past the budget")

@@ -1,15 +1,19 @@
+import io
 import itertools
+import json
 import math
 import random
 import time
 import tracemalloc
 from collections import Counter
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hyperlab import aqc, linalg, variates
+from hyperlab import aqc, cli, linalg, variates
 from hyperlab.errors import (
     DomainError,
     ResourceError,
@@ -19,6 +23,7 @@ from hyperlab.errors import (
 
 from conftest import chi_square_upper, pooled_chi_square
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 X_MINUS_2 = {"vars": 1, "terms": [[1, [1]], [-2, [0]]]}
 TWO_X_MINUS_1 = {"vars": 1, "terms": [[2, [1]], [-1, [0]]]}
 
@@ -764,6 +769,47 @@ class TestLatticeRuns:
             scan = aqc.scan_levels(poly, cutoff)
         assert list(scan.levels) == sorted(set(squares))
         assert list(scan.multiplicities) == [squares.count(p) for p in scan.levels]
+
+
+class TestStepGuardBeforeScan:
+    """The dt guard, applied to D**2 at the lattice's two corners before the scan."""
+
+    # x1 + ... + x7 - 7 at cutoff 9: 10**7 points, D = 56 at (9, ..., 9)
+    SEVEN = _poly(7, [[1, [int(i == j) for i in range(7)]] for j in range(7)] + [[-7, [0] * 7]])
+
+    def test_a_doomed_step_is_refused_before_the_scan(self, monkeypatch):
+        def no_scan(*_):
+            raise AssertionError("the lattice was scanned")
+
+        monkeypatch.setattr(aqc, "_block", no_scan)
+        message = r"dt \* max\|\|H\|\| is at least 31\.4, past 0\.5; use a smaller step"
+        with pytest.raises(StabilityError, match=message):
+            aqc.decide(self.SEVEN, cutoff=9, total_time=1.0, dt=0.01, shots=10, seed=0)
+        with pytest.raises(StabilityError, match=message):
+            aqc.overlap_sweep(self.SEVEN, 9, [0.0, 1.0], 0.01)
+
+    def test_levels_past_the_corners_are_refused_after_the_scan(self):
+        # x(6 - x) at cutoff 6 is 0 at both corners and 9 at x = 3: dt * 81 = 0.81
+        poly = _poly(1, [[-1, [2]], [6, [1]]])
+        aqc._check_before_scan(poly, 6, 0.01)
+        with pytest.raises(StabilityError, match="at least 0.81, past 0.5"):
+            aqc.decide(poly, cutoff=6, total_time=1.0, dt=0.01, shots=10, seed=0)
+        with pytest.raises(StabilityError, match="at least 0.81, past 0.5"):
+            aqc.overlap_sweep(poly, 6, [1.0], 0.01)
+
+    def test_a_corner_past_the_float_range_is_left_to_the_scan(self):
+        # D**2 at x = 12 has over 7,000 bits, so the float levels refuse it
+        with pytest.raises(DomainError, match="too large for a float"):
+            aqc.decide(EDGE_PROBLEMS[2][0], cutoff=12, total_time=1e-6, dt=1e-9,
+                       shots=10, seed=0)
+
+    def test_a_sweep_from_time_0_guards_no_step(self):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            status = cli.main(["aqc", "sweep", str(FIXTURES / "x_minus_2.json"), "--cutoff",
+                               "4", "--times", "0", "--dt", "100"])
+        assert status == 0
+        assert json.loads(out.getvalue())["sweep"][0]["steps"] == 0
 
 
 class TestStructuredOperators:
