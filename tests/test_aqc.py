@@ -1,19 +1,15 @@
-import io
 import itertools
-import json
 import math
 import random
 import time
 import tracemalloc
 from collections import Counter
-from contextlib import redirect_stdout
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hyperlab import aqc, cli, linalg, variates
+from hyperlab import aqc, linalg, variates
 from hyperlab.errors import (
     DomainError,
     ResourceError,
@@ -23,7 +19,6 @@ from hyperlab.errors import (
 
 from conftest import chi_square_upper, pooled_chi_square
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 X_MINUS_2 = {"vars": 1, "terms": [[1, [1]], [-2, [0]]]}
 TWO_X_MINUS_1 = {"vars": 1, "terms": [[2, [1]], [-1, [0]]]}
 
@@ -804,12 +799,9 @@ class TestStepGuardBeforeScan:
                        shots=10, seed=0)
 
     def test_a_sweep_from_time_0_guards_no_step(self):
-        out = io.StringIO()
-        with redirect_stdout(out):
-            status = cli.main(["aqc", "sweep", str(FIXTURES / "x_minus_2.json"), "--cutoff",
-                               "4", "--times", "0", "--dt", "100"])
-        assert status == 0
-        assert json.loads(out.getvalue())["sweep"][0]["steps"] == 0
+        # aqc sweep fixtures/x_minus_2.json --cutoff 4 --times 0 --dt 100
+        sweep = aqc.overlap_sweep(aqc.parse_polynomial(X_MINUS_2), 4, [0.0], 100.0)
+        assert sweep["sweep"][0]["steps"] == 0
 
 
 class TestStructuredOperators:

@@ -67,6 +67,10 @@ class TestDispatch:
         status, out, _ = run_cli(["zeno", "halting", path, "--input", "11", "--fuel", "100"])
         report = json.loads(out)
         assert report["flag"] == 1 and report["elapsed_seconds"] < 2
+        # a flag of 0 would be no non-halting proof: the report carries that caveat
+        loop = write_json("loop.json", self_loop_doc())
+        report = json.loads(run_cli(["zeno", "halting", loop, "--fuel", "1000"])[1])
+        assert report["flag"] == 0 and report["fuel_bounded"] is True
 
     def test_zeno_halting_and_tm_run_share_the_default_fuel(self, write_json):
         path = write_json("loop.json", self_loop_doc())
