@@ -284,18 +284,13 @@ def scan_levels(poly: DiophantinePolynomial, cutoff: int, steps: int = 1) -> Lev
     """
     max_levels = min(LEVEL_BUDGET, LEVEL_STEP_BUDGET // max(1, steps))
     counts: Counter[int] = Counter()
-
-    def magnitudes() -> Iterator[Iterator[int]]:
-        # |D| a run at a time; counts holds the whole run when the next is asked for
-        for _, run in _lattice_runs(poly, cutoff):
-            yield map(abs, run)
-            if len(counts) > max_levels:
-                raise ResourceError(
-                    f"the lattice has more than {max_levels} distinct levels, past the "
-                    f"budgets of {LEVEL_BUDGET} levels and {LEVEL_STEP_BUDGET} "
-                    "levels x steps")
-
-    counts.update(itertools.chain.from_iterable(magnitudes()))
+    for _, run in _lattice_runs(poly, cutoff):
+        counts.update(map(abs, run))
+        if len(counts) > max_levels:
+            raise ResourceError(
+                f"the lattice has more than {max_levels} distinct levels, past the "
+                f"budgets of {LEVEL_BUDGET} levels and {LEVEL_STEP_BUDGET} "
+                "levels x steps")
     roots = sorted(counts)
     return LevelScan(poly, cutoff, tuple(root * root for root in roots),
                      tuple(map(counts.__getitem__, roots)))

@@ -143,7 +143,7 @@ def _cmd_bogosort(args) -> dict:
     tae.check_bogosort_length(args.len)
     rng = random.Random(args.seed)  # the shuffles continue the input's stream
     sequence = rng.sample(range(args.len), args.len)
-    result = tae.bogosort(sequence, memoized=args.memo, seed=rng, max_tries=args.max_tries)
+    result = tae.bogosort(sequence, memoized=args.memo, rng=rng, max_tries=args.max_tries)
     return {"command": "tae bogosort", "length": args.len, "memoized": args.memo,
             "seed": args.seed, "input": sequence, "sorted": list(result.sequence),
             "tries": result.tries, "gave_up": result.gave_up}

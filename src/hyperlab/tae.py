@@ -117,7 +117,7 @@ def check_bogosort_length(n: int) -> None:
                             "space is past desk scale")
 
 
-def bogosort(seq: Sequence[int], memoized: bool = False, seed: int | random.Random = 0, *,
+def bogosort(seq: Sequence[int], memoized: bool = False, *, rng: random.Random,
              max_tries: int) -> BogosortResult:
     """Shuffle until sorted; checking an arrangement costs one try.
 
@@ -126,8 +126,8 @@ def bogosort(seq: Sequence[int], memoized: bool = False, seed: int | random.Rand
     1 + randrange(1, M) tries and a plain one 1 + Geometric(1/M), capped by
     ``max_tries``, which the caller states as the command line does; a plain
     run that gives up ends on a uniform unsorted shuffle (on the input when
-    ``max_tries`` is 1). ``seed`` is an int or a ``random.Random`` to continue,
-    as a caller that drew ``seq`` from it does.
+    ``max_tries`` is 1). The draws continue ``rng``, the generator a caller
+    drew ``seq`` from.
     """
     items = list(seq)
     check_bogosort_length(len(items))
@@ -136,7 +136,6 @@ def bogosort(seq: Sequence[int], memoized: bool = False, seed: int | random.Rand
     target = sorted(items)
     if items == target:
         return BogosortResult(tuple(items), 1)
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     arrangements = math.factorial(len(items)) // math.prod(
         math.factorial(items.count(v)) for v in set(items))
     if memoized:

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperlab import aqc, cli, pairing, tae, turing
+from hyperlab import aqc, cli, pairing, tae, turing, zeno
 from hyperlab.errors import DomainError, ValidationError, shown
 
 from conftest import contents_doc, self_loop_doc, successor_doc
@@ -507,6 +508,38 @@ class TestErrors:
         payload = json.loads(err)
         assert payload["error"] == "resource-error"
         assert "budget" in payload["message"]
+
+    # one past each budget that a single argument meets; the first even
+    # horizon past the Goldbach budget is two past it
+    @pytest.mark.parametrize("argv, kind, budget", [
+        (["tm", "run", "{loop}", "--fuel", turing.FUEL_BUDGET + 1], "resource-error",
+         turing.FUEL_BUDGET),
+        (["zeno", "halting", "{loop}", "--fuel", zeno.STEP_INDEX_BUDGET + 1], "resource-error",
+         zeno.STEP_INDEX_BUDGET),
+        (["zeno", "time", "--n", zeno.STEP_INDEX_BUDGET + 1], "resource-error",
+         zeno.STEP_INDEX_BUDGET),
+        (["tae", "goldbach", "--horizon", tae.GOLDBACH_HORIZON_BUDGET + 2], "resource-error",
+         tae.GOLDBACH_HORIZON_BUDGET),
+        (["tae", "bogosort", "--len", tae.MAX_BOGOSORT_LEN + 1], "resource-error",
+         tae.MAX_BOGOSORT_LEN),
+        (["tae", "ashby", "--wheels", "2", "--p", "0.5", "--strategy", "1", "--simulate",
+          "--trials", tae.TRIAL_BUDGET + 1], "resource-error", tae.TRIAL_BUDGET),
+        (["enum", "list", "--count", pairing.ENUMERATION_BUDGET + 1], "resource-error",
+         pairing.ENUMERATION_BUDGET),
+        (["aqc", "solve", "{poly}", "--cutoff", "4", "--shots", aqc.MAX_SHOTS + 1],
+         "domain-error", aqc.MAX_SHOTS),
+    ], ids=["tm-run-fuel", "zeno-halting-fuel", "zeno-time-n", "tae-goldbach-horizon",
+            "tae-bogosort-len", "tae-ashby-trials", "enum-list-count", "aqc-solve-shots"])
+    def test_one_past_a_single_argument_budget_is_refused(self, write_json, argv, kind, budget):
+        docs = {"loop": write_json("loop.json", self_loop_doc()),
+                "poly": write_json("poly.json", X_MINUS_2)}
+        start = time.monotonic()
+        status, out, err = run_cli([str(arg).format(**docs) for arg in argv])
+        assert time.monotonic() - start < 2.0
+        assert status == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == kind
+        assert re.search(rf"\b{budget}\b", payload["message"]), payload["message"]
 
     def test_tapes_past_their_budget_end_in_resource_error(self, write_json):
         path = write_json("machine.json", successor_doc() | {

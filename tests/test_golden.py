@@ -13,6 +13,8 @@ with no name the whole corpus is rewritten.
 
 import io
 import os
+import re
+import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -28,7 +30,8 @@ ASHBY = ["tae", "ashby", "--wheels", "10", "--p", "0.5", "--strategy", "3",
          "--simulate", "--trials", "100000", "--seed", "7"]
 
 # name -> argv, paths relative to the repository root. The first group is the
-# README's command list; the rest pin down traces, CSV and long outputs.
+# README's command list (test_readme_command_list_is_in_the_corpus); the rest
+# pin down traces, CSV and long outputs.
 CASES = {
     "tm-run": ["tm", "run", "fixtures/successor.json", "--input", "111", "--fuel", "100"],
     "tm-run-trace": ["tm", "run", "fixtures/successor.json", "--input", "111", "--fuel", "100",
@@ -171,6 +174,22 @@ def test_report_bytes_match_the_corpus(name, monkeypatch):
 def test_every_corpus_file_has_a_case():
     names = {p.stem for p in GOLDEN.iterdir() if p.suffix in (".out", ".err")}
     assert names == set(CASES)
+
+
+def test_readme_command_list_is_in_the_corpus():
+    # the sh block under README's "Command line" heading; a line with
+    # [--trace] stands for the line with --trace and the line without
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```", readme, re.M | re.S)[1]
+    argvs = []
+    for line in block.splitlines():
+        if line.startswith("hyperlab "):
+            words = shlex.split(line)[1:]
+            argvs.append([word for word in words if word != "[--trace]"])
+            if "[--trace]" in words:
+                argvs.append([word.strip("[]") for word in words])
+    assert argvs
+    assert [argv for argv in argvs if argv not in CASES.values()] == []
 
 
 def test_every_command_has_a_case():

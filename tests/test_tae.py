@@ -136,19 +136,21 @@ def fisher_yates_tries(items: list[int], rng: random.Random) -> int:
 
 class TestBogosort:
     def test_sorted_input_takes_one_try(self):
-        result = tae.bogosort([1, 2, 3], seed=5, max_tries=10**6)
+        result = tae.bogosort([1, 2, 3], rng=random.Random(5), max_tries=10**6)
         assert result.tries == 1 and not result.gave_up
 
     def test_memoized_three_elements_bounded_by_six(self):
         for seed in range(200):
-            result = tae.bogosort([3, 1, 2], memoized=True, seed=seed, max_tries=10**6)
+            result = tae.bogosort([3, 1, 2], memoized=True, rng=random.Random(seed),
+                                 max_tries=10**6)
             assert result.sequence == (1, 2, 3)
             assert result.tries <= math.factorial(3)
 
     def test_memoized_never_repeats_an_arrangement(self):
         # 2, 1, 1, 0 has 4!/2! = 12 distinct arrangements: a memoized run
         # finds the sorted one by try 12 at the latest, and reaches every count
-        tries = {tae.bogosort([2, 1, 1, 0], memoized=True, seed=seed, max_tries=10**6).tries
+        tries = {tae.bogosort([2, 1, 1, 0], memoized=True, rng=random.Random(seed),
+                              max_tries=10**6).tries
                  for seed in range(2000)}
         assert tries == set(range(2, 13))
 
@@ -157,7 +159,7 @@ class TestBogosort:
         # two samples of 20,000 runs, compared bin by bin at the 0.1 % level
         runs = 20000
         rng = random.Random(41)
-        drawn = Counter(tae.bogosort(items, memoized=True, seed=rng, max_tries=10**6).tries
+        drawn = Counter(tae.bogosort(items, memoized=True, rng=rng, max_tries=10**6).tries
                         for _ in range(runs))
         looped = Counter(fisher_yates_tries(items, rng) for _ in range(runs))
         assert set(drawn) == set(looped)
@@ -170,7 +172,7 @@ class TestBogosort:
         # tries - 1 shuffles, each sorting with chance 1/M; 20,000 runs at the 0.1 % level
         runs = 20000
         rng = random.Random(43)
-        shuffles = Counter(tae.bogosort(items, seed=rng, max_tries=10**6).tries - 1
+        shuffles = Counter(tae.bogosort(items, rng=rng, max_tries=10**6).tries - 1
                            for _ in range(runs))
         rate = 1 / arrangements
         horizon = max(shuffles) + 1
@@ -183,14 +185,14 @@ class TestBogosort:
         # success probability per scramble of 5 distinct items is 1/120
         tries = []
         for seed in range(10**4):
-            result = tae.bogosort([4, 3, 2, 1, 0], seed=seed, max_tries=10**5)
+            result = tae.bogosort([4, 3, 2, 1, 0], rng=random.Random(seed), max_tries=10**5)
             assert not result.gave_up
             tries.append(result.tries)
         mean = sum(tries) / len(tries)
         assert abs(mean - 120.0) / 120.0 < 0.15
 
     def test_gave_up_carries_tries(self):
-        result = tae.bogosort([2, 1, 3, 5, 4], seed=0, max_tries=3)
+        result = tae.bogosort([2, 1, 3, 5, 4], rng=random.Random(0), max_tries=3)
         assert result.gave_up and result.tries == 3
 
     @pytest.mark.parametrize("items", [[2, 0, 1], [1, 0, 1]])
@@ -198,7 +200,7 @@ class TestBogosort:
         # 20,000 runs capped at one shuffle, at the 0.1 % level
         runs = 20000
         rng = random.Random(47)
-        results = [tae.bogosort(items, seed=rng, max_tries=2) for _ in range(runs)]
+        results = [tae.bogosort(items, rng=rng, max_tries=2) for _ in range(runs)]
         last = Counter(r.sequence for r in results if r.gave_up)
         unsorted = set(itertools.permutations(items)) - {tuple(sorted(items))}
         assert set(last) == unsorted
@@ -208,12 +210,12 @@ class TestBogosort:
 
     def test_a_single_try_gives_up_on_the_input(self):
         for seed in range(50):
-            result = tae.bogosort([2, 1, 3, 0], seed=seed, max_tries=1)
+            result = tae.bogosort([2, 1, 3, 0], rng=random.Random(seed), max_tries=1)
             assert result == tae.BogosortResult((2, 1, 3, 0), 1, gave_up=True)
 
     def test_factorial_guard(self):
         with pytest.raises(ResourceError):
-            tae.bogosort(list(range(11)), max_tries=10**6)
+            tae.bogosort(list(range(11)), rng=random.Random(0), max_tries=10**6)
 
 
 def ashby_case3_inclusion_exclusion(n: int, p: float) -> float:

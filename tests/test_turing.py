@@ -1,5 +1,7 @@
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperlab import turing
+from hyperlab import cli, turing
 from hyperlab.errors import DomainError, ResourceError, ValidationError
 
 from conftest import contents_doc, self_loop_doc, successor_doc
@@ -127,6 +129,23 @@ class TestRun:
     def test_input_validated(self, successor):
         with pytest.raises(ValidationError):
             turing.run(successor, "abc", fuel=10**6)
+
+    def test_a_configuration_starts_from_its_machine(self, successor, write_json):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            status = cli.main(["tm", "run", write_json("successor.json", successor_doc()),
+                               "--input", "1x1"])
+        with pytest.raises(ValidationError) as refusal:
+            turing.TapeConfiguration(successor, ["1", "x", "1"])
+        message = "input symbol 'x' is outside the alphabet"
+        assert status == 1 and str(refusal.value) == message
+        assert json.loads(err.getvalue()) == {"error": "validation-error", "message": message}
+        config = turing.TapeConfiguration(successor, "11")
+        assert (config.machine, config.state, config.head, config.steps, config.tape_text()) == (
+            successor, successor.initial, 0, 0, "11")
+        outcome = turing.run(successor, "111", fuel=100, trace=True)
+        assert len(outcome.trace) == 5
+        assert all(row.machine is successor for row in outcome.trace + [outcome.config])
 
     def test_one_sided_tape_rejects_left_edge(self):
         doc = successor_doc()
@@ -275,19 +294,21 @@ class TestTrace:
         assert [s.tape_text() for s in outcome.trace] == [
             "a", "a", "a", "a__XY", "a__XY", "XY", "XY"]
         # a blank written inside the extent reads as an erased cell
-        cfg = turing.TapeConfiguration(turing.SymbolCodes("__", ["a", "XY"], 1, ()), "go")
+        cfg = turing.TapeConfiguration(turing.load_machine(doc | {"transitions": []}))
         for pos, symbol in {-2: "a", 0: "__", 1: "XY", 3: "__"}.items():
             _write(cfg, pos, symbol)
         assert cfg.tape_text() == "a____XY"
 
 
 _BLANK = _WIDE_SYMBOLS[0]
-_CODES = turing.SymbolCodes(_BLANK, _WIDE_SYMBOLS, 1, ())
+# a machine with no rules, for its coding of _WIDE_SYMBOLS
+_RULELESS = turing.load_machine({"blank": _BLANK, "alphabet": _WIDE_SYMBOLS, "states": ["s0"],
+                                 "initial": "s0", "finals": [], "transitions": []})
 
 
 def _write(config, pos, symbol):
     """Write ``symbol`` on track 0 of ``config``'s tape and the blank on every other."""
-    config._put(pos, config.codes.by_name[symbol])
+    config._put(pos, config.machine.by_name[symbol])
 
 
 class TestTape:
@@ -300,7 +321,7 @@ class TestTape:
     # erase both edges of the input, then write far left of the emptied tape
     @example(["a", _BLANK, "bb"], [(0, _BLANK), (2, _BLANK), (-5, "c.")])
     def test_agrees_with_a_dict_model(self, initial, writes):
-        tape = turing.TapeConfiguration(_CODES, "s0", initial)
+        tape = turing.TapeConfiguration(_RULELESS, initial)
         model = {p: s for p, s in enumerate(initial) if s != _BLANK}
         for pos, symbol in writes:
             _write(tape, pos, symbol)
@@ -310,7 +331,7 @@ class TestTape:
                 model[pos] = symbol
             span = range(min(model), max(model) + 1) if model else range(0)
             assert tape.tape_text() == "".join(model.get(p, _BLANK) for p in span)
-        rebuilt, shifted = (turing.TapeConfiguration(_CODES, "s0") for _ in range(2))
+        rebuilt, shifted = (turing.TapeConfiguration(_RULELESS) for _ in range(2))
         for pos in sorted(model, reverse=True):
             _write(rebuilt, pos, model[pos])
             _write(shifted, pos + 1, model[pos])
@@ -382,12 +403,12 @@ def _reference_view(doc, ref):
 def _extent(config, track=0):
     """The leftmost and rightmost cells of a configuration's tape whose track
     is not blank, or None where the track is blank."""
-    marked = [i for i, code in enumerate(config.cells) if config.codes.tracks[track][code]]
+    marked = [i for i, code in enumerate(config.cells) if config.machine.tracks[track][code]]
     return (config.origin + marked[0], config.origin + marked[-1]) if marked else None
 
 
 def _engine_view(config):
-    tracks = range(len(config.codes.tracks))
+    tracks = range(len(config.machine.tracks))
     texts = tuple(config.tape_text(k) for k in tracks)
     extents = tuple(_extent(config, k) for k in tracks)
     return config.state, config.head, config.steps, texts, extents
@@ -517,9 +538,9 @@ def _check_run(doc, text, fuel, cap):
         with capped, pytest.raises(DomainError, match="one-sided"):
             turing.run(machine, text, fuel=fuel, trace=True)
         # untraced, the drive stops where the reference raised
-        config = turing.initial_configuration(machine, text)
+        config = turing.TapeConfiguration(machine, text)
         with pytest.raises(DomainError, match="one-sided"):
-            turing._drive(machine, config, fuel)
+            turing._drive(config, fuel)
         assert _engine_view(config) == _reference_view(doc, ref)
         return
     with capped:
@@ -539,7 +560,7 @@ def _step_by_step(doc, text, steps):
     up to ``steps`` times, each against one reference step; the last kind,
     or None where both raised at the one-sided edge."""
     machine = turing.load_machine(doc)
-    config, ref = turing.initial_configuration(machine, text), _reference_start(doc, text)
+    config, ref = turing.TapeConfiguration(machine, text), _reference_start(doc, text)
     kind = "out-of-fuel"
     for _ in range(steps):
         before = config.steps
@@ -547,10 +568,10 @@ def _step_by_step(doc, text, steps):
             kind = _reference_drive(doc, ref, ref.steps + 1)
         except DomainError:
             with pytest.raises(DomainError, match="one-sided"):
-                turing._drive(machine, config, config.steps + 1)
+                turing._drive(config, config.steps + 1)
             assert _engine_view(config) == _reference_view(doc, ref)
             return None
-        assert turing._drive(machine, config, config.steps + 1) == kind
+        assert turing._drive(config, config.steps + 1) == kind
         assert config.steps - before == ref.steps - before <= 1
         assert _engine_view(config) == _reference_view(doc, ref)
         if kind != "out-of-fuel":
@@ -578,10 +599,10 @@ class TestOneStep:
         doc = _sweeper([("s0", "..", "s1", "a", "l"), ("s1", "..", "s2", "bb", "r"),
                         ("s2", "a", "s0", "a", "r")])
         machine = turing.load_machine(doc)
-        config = turing.initial_configuration(machine)
+        config = turing.TapeConfiguration(machine)
         arrays = []
         for _ in range(4):
-            turing._drive(machine, config, config.steps + 1)
+            turing._drive(config, config.steps + 1)
             arrays.append((config.origin, len(config.cells)))
         assert arrays == [(0, 1), (-1, 2), (-1, 2), (-1, 4)]
         assert _step_by_step(doc, "", 10) == "stuck"
@@ -630,12 +651,12 @@ class TestSweepMarks:
         for machine, state, rewrites in (
                 (scan, "scan", {"a": "b", "b": "a"}), (doubling, "convert", {"y": "1"}),
                 (doubling, "rewind", {"x": "1", "1": "1"})):  # mark -> one
-            code, (_, rewrite) = machine._codes.by_name, machine._compile_sweeps()[state]
-            assert {a: machine._codes.names[rewrite[code[a]]] for a in rewrites} == rewrites
+            code, (_, rewrite) = machine.by_name, machine._compile_sweeps()[state]
+            assert {a: machine.names[rewrite[code[a]]] for a in rewrites} == rewrites
 
     def test_a_run_ends_on_every_symbol_outside_the_set(self):
         doubling = _golden_machine("doubling")
-        names = doubling._codes.names
+        names = doubling.names
         outside = {state: sorted(names[c] for c in range(len(names)) if stop[c])
                    for state, (stop, _) in doubling._compile_sweeps().items()}
         assert outside == {"right": ["_", "x"], "left": ["_", "x"], "convert": ["1", "_", "x"],
@@ -645,7 +666,7 @@ class TestSweepMarks:
         # fwd keeps itself over a, writing AA, and over b, erasing it
         multichar = _golden_machine("multichar")
         assert _swept(multichar) == {"fwd", "back"}
-        code = multichar._codes.by_name
+        code = multichar.by_name
         assert multichar._table["fwd"][code["a"]][-1] is not None
         assert multichar._table["fwd"][code["b"]][-1] is None
 
@@ -662,10 +683,10 @@ class TestSweepMarks:
         # move keeps itself over ("1", "_"), writing ("_", "1") and moving right
         two_tape = _golden_machine("two_tape")
         assert set(two_tape._compile_sweeps()) == _swept(two_tape) == {"move"}
-        cell, (stop, rewrite) = two_tape._codes.by_cell, two_tape._compile_sweeps()["move"]
+        cell, (stop, rewrite) = two_tape.by_content, two_tape._compile_sweeps()["move"]
         assert rewrite[cell["1", "_"]] == cell["_", "1"]
-        cells = two_tape._codes.cells
-        assert sorted(cells[c] for c in range(len(cells)) if stop[c]) == [
+        contents = two_tape.contents
+        assert sorted(contents[c] for c in range(len(contents)) if stop[c]) == [
             ("_", "1"), ("_", "_"), ("x", "_"), ("x", "x")]
 
     def test_entering_a_sweep_costs_the_same_whatever_its_set(self):
@@ -680,7 +701,7 @@ class TestSweepMarks:
             {"from": "r", "read": ["s2", "_"], "to": "t", "write": ["s2", "_"], "move": "r"},
             {"from": "t", "read": ["s1", "_"], "to": "r", "write": ["s1", "_"], "move": "n"}]
         machine = turing.load_machine(doc)
-        assert len(machine._codes.cells) == turing.ALPHABET_BUDGET
+        assert len(machine.contents) == turing.ALPHABET_BUDGET
         assert set(machine._compile_sweeps()) == {"r"}
         start = time.perf_counter()
         outcome = turing.run(machine, ["s1", "s2"] * 10**5, fuel=2 * 10**5)
@@ -712,7 +733,7 @@ class TestAlphabetBudget:
 class TestContentBudget:
     def test_at_the_budget_a_machine_loads_and_runs(self):
         machine = turing.load_machine(contents_doc(16))
-        assert len(machine._codes.cells) == turing.ALPHABET_BUDGET
+        assert len(machine.contents) == turing.ALPHABET_BUDGET
         outcome = turing.run(machine, fuel=1000)
         assert outcome.kind == "halted"
         assert [outcome.config.tape_text(k) for k in range(2)] == ["s15", "s15"]
